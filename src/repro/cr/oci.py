@@ -93,6 +93,23 @@ class OCIController:
             raise ValueError("lm_threshold must be non-negative")
         if self.use_sigma and self.lm_threshold == 0.0:
             raise ValueError("sigma-based OCI requires a positive lm_threshold")
+        # σ depends only on the lead-time model, the predictor and θ, all
+        # fixed for the job, so it is evaluated once here rather than on
+        # every interval().
+        self._sigma = 0.0
+        if self.use_sigma:
+            survival = float(
+                self.injector.lead_model.survival(
+                    self.lm_threshold / self.injector.predictor.lead_scale
+                )
+            )
+            recall = (
+                self.injector.predictor.recall
+                if self.sigma_includes_recall
+                else self.assumed_recall
+            )
+            # Eq. (2) requires sigma < 1; clamp for pathological thresholds.
+            self._sigma = min(recall * survival, 0.999)
 
     # -- rate estimation -----------------------------------------------------
     def per_node_rate(self) -> float:
@@ -119,27 +136,14 @@ class OCIController:
     # -- sigma ----------------------------------------------------------------
     def sigma(self) -> float:
         """σ — fraction of failures live migration is expected to avert."""
-        if not self.use_sigma:
-            return 0.0
-        survival = float(
-            self.injector.lead_model.survival(
-                self.lm_threshold / self.injector.predictor.lead_scale
-            )
-        )
-        recall = (
-            self.injector.predictor.recall
-            if self.sigma_includes_recall
-            else self.assumed_recall
-        )
-        # Eq. (2) requires sigma < 1; clamp for pathological thresholds.
-        return min(recall * survival, 0.999)
+        return self._sigma
 
     # -- the interval -----------------------------------------------------------
     def interval(self) -> float:
         """Current optimal compute interval between checkpoints (seconds)."""
         rate = self.per_node_rate()
         if self.use_sigma:
-            oci = sigma_adjusted_oci(self.t_ckpt_bb, rate, self.nodes, self.sigma())
+            oci = sigma_adjusted_oci(self.t_ckpt_bb, rate, self.nodes, self._sigma)
         else:
             oci = young_oci(self.t_ckpt_bb, rate, self.nodes)
         oci = max(oci, self.min_interval)

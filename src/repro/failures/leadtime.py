@@ -81,17 +81,22 @@ class FailureSequenceSpec:
 
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(lead > t) for this sequence."""
-        from scipy.stats import lognorm
+        # The closed form scipy.stats.lognorm.sf evaluates, bit for bit,
+        # without importing scipy.stats (scipy.special is imported lazily:
+        # it is a third of a second of set-up).
+        from scipy.special import ndtr
 
         t = np.asarray(t, dtype=float)
-        s = lognorm.sf(np.maximum(t, 1e-300), s=self._sigma, scale=math.exp(self._mu))
+        z = np.log(np.maximum(t, 1e-300) / math.exp(self._mu)) / self._sigma
+        s = ndtr(-z)
         return float(s) if s.ndim == 0 else s
 
     def quantile(self, q: float | np.ndarray) -> float | np.ndarray:
         """Lead-time quantile (for box-plot statistics)."""
-        from scipy.stats import lognorm
+        # Bit-identical to scipy.stats.lognorm.ppf.
+        from scipy.special import ndtri
 
-        return lognorm.ppf(q, s=self._sigma, scale=math.exp(self._mu))
+        return np.exp(self._sigma * ndtri(q)) * math.exp(self._mu)
 
 
 #: The ten Fig 2a sequences.  Occurrence counts are per 10 000 mined

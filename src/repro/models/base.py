@@ -332,7 +332,11 @@ class CRSimulation:
 
         # -- dynamic state --------------------------------------------------
         self.work_done = 0.0
-        self._records: Dict[int, _MitigationRecord] = {}  # id(prediction) -> rec
+        # Real failure -> the record of how its prediction was handled.
+        # Keyed by the frozen event itself, which carries the injector's
+        # unique provenance id: an id() key could be taken over by a later
+        # event allocated at a freed one's address.
+        self._records: Dict[FailureEvent, _MitigationRecord] = {}
         # node -> records of all live predictions on it; a node-level
         # commit (p-ckpt phase 1, LM completion) covers every one of them.
         self._watchers: Dict[int, List[_MitigationRecord]] = {}
@@ -554,8 +558,11 @@ class CRSimulation:
         self._count("predictor.predictions")
         self._observe("predictor.lead_seconds", lead)
         rec = _MitigationRecord(action=action)
-        self._records[id(prediction)] = rec
-        self._watchers.setdefault(prediction.node, []).append(rec)
+        if is_real:
+            # Only a failure's delivery reads a record; no failure follows
+            # a false alarm, so its record is never registered.
+            self._records[prediction] = rec
+            self._watchers.setdefault(prediction.node, []).append(rec)
 
         if action is ProactiveAction.IGNORE:
             return
@@ -641,7 +648,7 @@ class CRSimulation:
             # break the predicted <= failures invariant.
             self.ft.predicted += 1
         self.oci.record_failure()
-        rec = self._records.get(id(ev))
+        rec = self._records.get(ev)
         if (
             rec is not None
             and rec.action is ProactiveAction.LIVE_MIGRATION
@@ -821,7 +828,7 @@ class CRSimulation:
         self._observe("safeguard.write_seconds", outcome.duration)
         self.ledger.record_proactive(outcome.snapshot_work, self.env.now)
         for served in outcome.served:
-            rec = self._records.get(id(served))
+            rec = self._records.get(served)
             if rec is not None:
                 rec.action = ProactiveAction.SAFEGUARD
                 rec.committed = True
@@ -979,7 +986,7 @@ class CRSimulation:
     def _forget_prediction(self, ev: FailureEvent) -> None:
         """Drop the bookkeeping for a delivered failure's prediction."""
         self._vulnerable.pop(ev.node, None)
-        rec = self._records.pop(id(ev), None)
+        rec = self._records.pop(ev, None)
         if rec is not None:
             watchers = self._watchers.get(ev.node)
             if watchers is not None:
@@ -991,7 +998,7 @@ class CRSimulation:
                     del self._watchers[ev.node]
 
     def _classify_mitigation(self, ev: FailureEvent) -> None:
-        rec = self._records.get(id(ev))
+        rec = self._records.get(ev)
         if rec is None or not rec.committed:
             return
         if rec.action is ProactiveAction.PCKPT:

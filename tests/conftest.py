@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,3 +80,18 @@ def warm_weibull() -> WeibullParams:
 def cold_weibull() -> WeibullParams:
     """A distribution so quiet that failures essentially never occur."""
     return WeibullParams("test-cold", shape=0.7, scale_hours=1.0e6, system_nodes=16)
+
+
+@pytest.fixture
+def run_python():
+    """Run a code string in a fresh interpreter importing the package from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    return run

@@ -115,13 +115,13 @@ class TestCommittedArtifacts:
 
         Both files were measured by this same harness on the same host
         (see docs/PERFORMANCE.md); the geometric mean over the kernel
-        microbenchmarks is the headline number.
+        microbenchmarks is the headline number.  Later payloads were
+        measured on other hosts, whose kernel rates do not compare with
+        BASELINE_PRE's.
         """
         old = json.loads((BENCH_DIR / "BASELINE_PRE.json").read_text())
-        new_files = [p for p in _committed_payloads()
-                     if p.name.startswith("BENCH_")]
-        newest = json.loads(new_files[-1].read_text())
-        cmp = bench.compare_payloads(old, newest)
+        tier2 = json.loads((BENCH_DIR / "BENCH_ab2c322.json").read_text())
+        cmp = bench.compare_payloads(old, tier2)
         kernel = {n: r for n, r in cmp.items() if n.startswith("kernel.")}
         assert set(kernel) == {kb.name for kb in bench.KERNEL_BENCHMARKS}
         for name, row in kernel.items():

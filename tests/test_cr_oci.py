@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.young import young_oci
+from repro.analysis.young import sigma_adjusted_oci, young_oci
 from repro.cr.oci import OCIController
 from repro.failures.injector import FailureInjector
-from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL
+from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from repro.failures.predictor import DEFAULT_PREDICTOR
 from repro.failures.weibull import TITAN_WEIBULL
+from repro.models.base import CRSimulation
+from repro.models.registry import get_model
+from repro.workloads.applications import APPLICATIONS
 
 
 def make_injector(nodes=1515, predictor=DEFAULT_PREDICTOR, seed=0):
@@ -139,3 +142,54 @@ class TestValidation:
             t_ckpt_bb=1e-9, injector=inj, nodes=10, min_interval=5.0
         )
         assert ctl.interval() >= 5.0
+
+
+class CountingLeadModel(LeadTimeModel):
+    """The paper mixture, recording every survival() argument."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def survival(self, t):
+        self.calls.append(t)
+        return super().survival(t)
+
+
+class TestSigmaComputedOnce:
+    """σ is a constant of the run: one survival() call per simulation."""
+
+    def test_one_survival_call_per_simulation(self):
+        app = APPLICATIONS["VULCAN"]
+        lead_model = CountingLeadModel()
+        sim = CRSimulation(app, get_model("P2"), lead_model=lead_model,
+                           rng=np.random.default_rng(0))
+        intervals = []
+        interval = sim.oci.interval
+        sim.oci.interval = lambda: intervals.append(1) or interval()
+        out = sim.run()
+
+        assert len(lead_model.calls) == 1
+        assert len(intervals) > 1000
+        # The Eq. (2) interval, from σ evaluated the way the model does it.
+        sigma = min(0.85 * PAPER_LEAD_TIME_MODEL.survival(
+            sim.lm_seconds / DEFAULT_PREDICTOR.lead_scale), 0.999)
+        expected = sigma_adjusted_oci(
+            sim.t_ckpt_bb, sim.oci.per_node_rate(), app.nodes, sigma)
+        assert out.oci_initial == expected
+        assert out.oci_final == expected
+        # Pinned from the per-interval σ computation this replaced.
+        assert out.oci_initial.hex() == "0x1.847fccc69e13dp+10"
+
+    def test_sigma_is_stored_at_construction(self):
+        lead_model = CountingLeadModel()
+        inj = FailureInjector(TITAN_WEIBULL, 1515, lead_model,
+                              DEFAULT_PREDICTOR, rng=np.random.default_rng(0))
+        ctl = OCIController(t_ckpt_bb=60.0, injector=inj, nodes=10,
+                            use_sigma=True, lm_threshold=41.0)
+        first = ctl.interval()
+        assert [ctl.interval() for _ in range(5)] == [first] * 5
+        assert lead_model.calls == [41.0]
+        plain = OCIController(t_ckpt_bb=60.0, injector=inj, nodes=10)
+        plain.interval()
+        assert lead_model.calls == [41.0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,3 +120,57 @@ class TestMixture:
 def test_survival_is_probability(x):
     s = float(PAPER_LEAD_TIME_MODEL.survival(x))
     assert 0.0 <= s <= 1.0
+
+
+# The closed forms in FailureSequenceSpec must reproduce scipy.stats.lognorm
+# bit for bit: sigma (Eq. 2) and every golden downstream of it depend on it.
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+_T_GRID = np.concatenate([
+    [-1.0, 0.0, 1e-300, 5e-324, 1e-12, 1e-3, 0.5, 1.0, 1e6, 1e300, np.inf],
+    np.logspace(-2, 4, 2_000),                              # both tails
+    np.linspace(0.0, 100.0, 2_001),                         # the body
+    [s.mean_lead for s in PAPER_SEQUENCES],
+])
+_Q_GRID = np.concatenate([
+    [0.0, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1 - 1e-12, 1.0],
+    np.linspace(0.0, 1.0, 2_001),
+])
+
+
+class TestScipyParity:
+    @pytest.mark.parametrize("seq", PAPER_SEQUENCES,
+                             ids=lambda s: f"seq{s.sequence_id}")
+    def test_survival_matches_lognorm_sf(self, seq):
+        from scipy.stats import lognorm
+
+        dist = lognorm(s=seq._sigma, scale=math.exp(seq._mu))
+        expected = dist.sf(np.maximum(_T_GRID, 1e-300))
+        assert _hex(seq.survival(_T_GRID)) == _hex(expected)
+        for t in (0.0, 1e-300, 0.2, seq.mean_lead, 41.0, 1e4):
+            got = seq.survival(t)
+            assert isinstance(got, float)
+            assert got.hex() == float(dist.sf(max(t, 1e-300))).hex()
+
+    @pytest.mark.parametrize("seq", PAPER_SEQUENCES,
+                             ids=lambda s: f"seq{s.sequence_id}")
+    def test_quantile_matches_lognorm_ppf(self, seq):
+        from scipy.stats import lognorm
+
+        dist = lognorm(s=seq._sigma, scale=math.exp(seq._mu))
+        assert _hex(seq.quantile(_Q_GRID)) == _hex(dist.ppf(_Q_GRID))
+        for q in (0.25, 0.5, 0.75):
+            assert float(seq.quantile(q)).hex() == float(dist.ppf(q)).hex()
+
+    def test_mixture_matches_lognorm_sum(self):
+        from scipy.stats import lognorm
+
+        expected = np.zeros_like(_T_GRID)
+        for w, seq in zip(PAPER_LEAD_TIME_MODEL.weights, PAPER_SEQUENCES):
+            expected = expected + w * lognorm.sf(
+                np.maximum(_T_GRID, 1e-300), s=seq._sigma,
+                scale=math.exp(seq._mu))
+        got = PAPER_LEAD_TIME_MODEL.survival(_T_GRID)
+        assert _hex(got) == _hex(expected)

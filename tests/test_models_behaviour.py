@@ -196,3 +196,44 @@ class TestValidation:
         with pytest.raises(ValueError, match="DRAM"):
             CRSimulation(app, get_model("B"), platform=platform,
                          weibull=hot_weibull)
+
+
+class TestFalseAlarmRecords:
+    """Results must not depend on where the allocator puts events."""
+
+    # Replications of CHIMERA x M1/P1 under lanl-system18 with the default
+    # predictor (false_positive_rate 0.18), after allocating and freeing
+    # ``junk`` alarm-sized objects, which shifts where later events land.
+    SCRIPT = (
+        "import dataclasses, hashlib\n"
+        "from repro.failures.injector import FalseAlarmEvent\n"
+        "junk = [FalseAlarmEvent(0.0, i, 1.0) for i in range({junk})]\n"
+        "del junk[::3]\n"
+        "from repro.experiments.runner import run_replications\n"
+        "from repro.failures.weibull import LANL_SYSTEM18_WEIBULL\n"
+        "from repro.workloads.applications import APPLICATIONS\n"
+        "def flat(obj):\n"
+        "    for f in dataclasses.fields(obj):\n"
+        "        v = getattr(obj, f.name)\n"
+        "        if dataclasses.is_dataclass(v):\n"
+        "            yield from flat(v)\n"
+        "        elif isinstance(v, (float, int, str)):\n"
+        "            yield f.name + '=' + (v.hex() if isinstance(v, float)\n"
+        "                                  else str(v))\n"
+        "h = hashlib.sha256()\n"
+        "for model in ('M1', 'P1'):\n"
+        "    r = run_replications(APPLICATIONS['CHIMERA'], model,\n"
+        "                         replications=3, seed=2022, workers=1,\n"
+        "                         weibull=LANL_SYSTEM18_WEIBULL)\n"
+        "    assert r.ft.false_alarms > 0\n"
+        "    h.update(';'.join(flat(r)).encode())\n"
+        "print(h.hexdigest())\n"
+    )
+
+    def test_fingerprint_independent_of_allocation_history(self, run_python):
+        digests = set()
+        for junk in (0, 1_000, 20_000):
+            proc = run_python(self.SCRIPT.format(junk=junk))
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1

@@ -36,3 +36,19 @@ class TestLazyExports:
         first = repro.get_model
         second = repro.get_model
         assert first is second
+
+
+class TestImportFootprint:
+    def test_p2_cell_never_imports_scipy_stats(self, run_python):
+        """σ's lognormal survival uses scipy.special, not scipy.stats."""
+        proc = run_python(
+            "import sys\n"
+            "import repro\n"
+            "from repro.spec import run_spec, spec_from_dict\n"
+            "run_spec(spec_from_dict({'schema_version': 1, 'name': 'p2',\n"
+            "    'apps': ['XGC'], 'models': ['P2'], 'include_base': False,\n"
+            "    'replications': 1, 'seed': 3}), workers=1)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
