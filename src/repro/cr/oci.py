@@ -110,6 +110,11 @@ class OCIController:
             )
             # Eq. (2) requires sigma < 1; clamp for pathological thresholds.
             self._sigma = min(recall * survival, 0.999)
+        # Without online estimation the rate is the oracle's, so the
+        # interval is a job constant too; None means "recompute per call".
+        self._fixed_interval: Optional[float] = (
+            None if self.online_estimation else self._compute_interval()
+        )
 
     # -- rate estimation -----------------------------------------------------
     def per_node_rate(self) -> float:
@@ -141,13 +146,19 @@ class OCIController:
     # -- the interval -----------------------------------------------------------
     def interval(self) -> float:
         """Current optimal compute interval between checkpoints (seconds)."""
+        oci = self._fixed_interval
+        if oci is None:
+            oci = self._compute_interval()
+        if self.metrics is not None:
+            self.metrics.counter("oci.recomputes").inc()
+            self.metrics.gauge("oci.interval_seconds").set(oci)
+        return oci
+
+    def _compute_interval(self) -> float:
+        """Eq. (1) or (2) at the current rate estimate, floored."""
         rate = self.per_node_rate()
         if self.use_sigma:
             oci = sigma_adjusted_oci(self.t_ckpt_bb, rate, self.nodes, self._sigma)
         else:
             oci = young_oci(self.t_ckpt_bb, rate, self.nodes)
-        oci = max(oci, self.min_interval)
-        if self.metrics is not None:
-            self.metrics.counter("oci.recomputes").inc()
-            self.metrics.gauge("oci.interval_seconds").set(oci)
-        return oci
+        return max(oci, self.min_interval)

@@ -44,9 +44,22 @@ __all__ = ["CalendarQueue", "Environment", "Infinity", "KERNEL_OWNER"]
 Infinity: float = float("inf")
 
 #: Attribution owner used by the profiler for events whose first callback
-#: is not a :class:`Process` resume (condition checks, bare events, clock
-#: idle advances).  See ``repro.obs.profiler``.
+#: has no named owner (condition checks, bare events, clock idle
+#: advances).  See ``repro.obs.profiler``.
 KERNEL_OWNER: str = "kernel"
+
+
+def _owner_name(callbacks: List[Any]) -> str:
+    """Profiler owner of an event with these callbacks.
+
+    The ``name`` string of the object whose bound method is the first
+    callback — a :class:`Process` resume, or a named callback owner such
+    as ``repro.cr.DrainManager`` — else :data:`KERNEL_OWNER`.
+    """
+    owner = getattr(callbacks[0], "__self__", None) if callbacks else None
+    name = getattr(owner, "name", None)
+    return name if isinstance(name, str) else KERNEL_OWNER
+
 
 #: Every this-many created calendar buckets, the queue probes whether the
 #: workload still profits from bucketing (power of two: the probe check
@@ -479,9 +492,8 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             wall = _time.perf_counter() - t0
-            owner = getattr(callbacks[0], "__self__", None) if callbacks else None
             profiler.record(
-                owner.name if isinstance(owner, Process) else KERNEL_OWNER,
+                _owner_name(callbacks),
                 type(event).__name__,
                 wall,
                 self._now - prev_now,
@@ -830,8 +842,9 @@ class Environment:
         dispatched event.  Attribution rules — kept identical to the ones
         in :meth:`step`:
 
-        * *owner* is the name of the :class:`Process` whose bound resume
-          method is the event's first callback, else :data:`KERNEL_OWNER`;
+        * *owner* is the ``name`` string of the object whose bound method
+          is the event's first callback (a :class:`Process` resume, or a
+          named callback owner), else :data:`KERNEL_OWNER`;
         * *sim* is the clock delta this event's pop produced, so summing
           the sim column over all entries reproduces ``now - initial_time``
           exactly (clock advances past the last event are attributed to
@@ -908,9 +921,8 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                 t1 = perf()
-                owner = getattr(callbacks[0], "__self__", None) if callbacks else None
                 record(
-                    owner.name if isinstance(owner, Process) else KERNEL_OWNER,
+                    _owner_name(callbacks),
                     type(event).__name__,
                     t1 - t0,
                     self._now - prev_now,

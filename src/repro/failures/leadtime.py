@@ -24,6 +24,7 @@ DESIGN.md).  The hallmark features are:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -138,6 +139,13 @@ class LeadTimeModel:
         self.sequences: Tuple[FailureSequenceSpec, ...] = tuple(sequences)
         counts = np.array([s.occurrences for s in self.sequences], dtype=float)
         self._weights = counts / counts.sum()
+        # Generator.choice(p=...) rebuilds this CDF (cumsum, normalised by
+        # its last element) on every call.  Built once here, sample()
+        # draws the same uniform and bisects the same values, so its draws
+        # are bit-identical to choice's.
+        cdf = self._weights.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
         self._by_id: Dict[int, FailureSequenceSpec] = {s.sequence_id: s for s in self.sequences}
 
     @property
@@ -152,8 +160,7 @@ class LeadTimeModel:
     # -- generation ----------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> Tuple[int, float]:
         """Draw one (sequence_id, lead_time_seconds) pair."""
-        idx = rng.choice(len(self.sequences), p=self._weights)
-        seq = self.sequences[idx]
+        seq = self.sequences[bisect_right(self._cdf, rng.random())]
         return seq.sequence_id, float(seq.sample(rng))
 
     def sample_many(self, rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -500,6 +500,8 @@ class CRSimulation:
 
     def _compute_rate(self) -> float:
         """Current compute rate (1.0, reduced while LMs are in flight)."""
+        if not self._active_lms:
+            return 1.0
         n = sum(1 for lm in self._active_lms.values() if lm.in_flight)
         return (1.0 - self.platform.lm_slowdown) ** n
 
@@ -765,8 +767,9 @@ class CRSimulation:
         self.periodic_checkpoints += 1
         self._count("ckpt.periodic_completed")
         self._observe("ckpt.bb_write_seconds", self.t_ckpt_bb)
-        self.drain.submit(snap)
+        # Done first: the snapshot's drain_flush span opens after it.
         self._emit("app", "ckpt_bb_done", self.work_done)
+        self.drain.submit(snap)
 
     # ------------------------------------------------------------------
     # proactive actions (blocked)
@@ -1066,7 +1069,6 @@ class CRSimulation:
         self.overhead.recovery += restore_seconds
         self.work_done = restore_work
         self.ledger.rollback(self.work_done)
-        self.drain.cancel_newer_than(self.work_done)
         self._emit(
             "recovery",
             "restore",
@@ -1086,6 +1088,8 @@ class CRSimulation:
             "recovery", "recovery_restore",
             {"work": restore_work, "from_bb": from_bb, "prov": ev.provenance},
         )
+        # Cancelled drains close their spans inside the restore span.
+        self.drain.cancel_newer_than(self.work_done)
         self._interruptible = False
         remaining = restore_seconds
         while remaining > _EPS:

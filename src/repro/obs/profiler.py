@@ -14,11 +14,12 @@ Attribution model
 Each dispatched event contributes one sample keyed ``(owner, kind)``:
 
 ``owner``
-    The :attr:`~repro.des.process.Process.name` of the process whose
-    bound resume method is the event's first callback — i.e. the process
-    that was *waiting on* the event — or :data:`~repro.des.core.KERNEL_OWNER`
-    (``"kernel"``) for condition checks, bare events, and clock idle
-    advances.
+    The ``name`` string of the object whose bound method is the event's
+    first callback — the :class:`~repro.des.process.Process` that was
+    *waiting on* the event, or a named callback owner such as
+    :class:`~repro.cr.drain.DrainManager` — or
+    :data:`~repro.des.core.KERNEL_OWNER` (``"kernel"``) for condition
+    checks, bare events, and clock idle advances.
 ``kind``
     The event's class name (``Timeout``, ``Initialize``, ``StoreGet``, …),
     plus the synthetic ``idle`` kind for clock advances past the last

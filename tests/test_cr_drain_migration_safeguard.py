@@ -8,6 +8,8 @@ from repro.cr.checkpoint import SnapshotLedger
 from repro.cr.drain import DrainManager
 from repro.cr.migration import LiveMigration, MigrationOutcome
 from repro.cr.safeguard import SafeguardAborted, SafeguardCheckpoint
+from repro.des import BEGIN, END, Trace
+from repro.des.metrics import MetricsRegistry
 from repro.failures.injector import FailureEvent, FalseAlarmEvent
 from repro.iomodel.bandwidth import GiB
 from repro.platform.pfs import PFSSpec
@@ -90,6 +92,112 @@ class TestDrainManager:
         assert dm.busy
         env.run()
         assert not dm.busy
+
+    def test_busy_during_drain_and_idle_after(self, env):
+        dm, ledger, _ = self._make(env)
+        seen = []
+
+        def probe(env):
+            yield env.timeout(dm.duration / 2)
+            seen.append(dm.busy)
+            yield env.timeout(dm.duration)
+            seen.append(dm.busy)
+
+        dm.submit(ledger.record_periodic(1.0, 0.0))
+        env.process(probe(env))
+        env.run()
+        assert seen == [True, False]
+
+    def test_drains_land_fifo(self, env):
+        landed = []
+        ledger = SnapshotLedger()
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB,
+                          on_drained=lambda s: landed.append((s, env.now)))
+        snaps = [ledger.record_periodic(w, 0.0) for w in (10.0, 20.0, 30.0)]
+        for snap in snaps:
+            dm.submit(snap)
+        env.run()
+        d = dm.duration
+        assert [s for s, _ in landed] == snaps
+        assert [t for _, t in landed] == [d, d + d, d + d + d]
+
+    def test_zero_byte_drain_lands_at_once(self, env):
+        ledger = SnapshotLedger()
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 0.0)
+        snap = ledger.record_periodic(10.0, 0.0)
+        dm.submit(snap)
+        assert dm.completed == 1
+        assert not dm.busy
+        assert ledger.recovery_snapshot() is snap
+        assert env.queue_size == 0
+
+    def test_surviving_snapshot_lands_after_what_remained(self, env):
+        """A cancel the snapshot survives re-arms it for exactly the rest.
+
+        The landing time is the float arithmetic of the re-arm,
+        ``now + (remaining - elapsed)`` per cancel, to the last bit.  The
+        times are chosen so that it differs from ``submit + duration``.
+        """
+        landed = []
+        ledger = SnapshotLedger()
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB,
+                          on_drained=lambda s: landed.append(env.now))
+        submit_at, cuts = 0.1, (0.2, 1.0)
+
+        def at(t, action):
+            yield env.timeout(t)
+            action()
+
+        env.process(at(submit_at, lambda: dm.submit(
+            ledger.record_periodic(100.0, env.now))))
+        for cut in cuts:
+            env.process(at(cut, lambda: dm.cancel_newer_than(150.0)))
+        env.run()
+        remaining, start = dm.duration, submit_at
+        for cut in cuts:
+            remaining -= cut - start
+            start = cut
+        expected = start + remaining
+        assert expected != submit_at + dm.duration
+        assert [t.hex() for t in landed] == [expected.hex()]
+        assert dm.completed == 1 and dm.cancelled == 0
+
+    def _instrumented_run(self, env):
+        """One snapshot lands, the next is rolled back mid-flight."""
+        trace = Trace(env)
+        metrics = MetricsRegistry()
+        ledger = SnapshotLedger()
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB,
+                          trace=trace, metrics=metrics)
+        dm.submit(ledger.record_periodic(100.0, 0.0))
+        dm.submit(ledger.record_periodic(200.0, 0.0))
+
+        def canceller(env):
+            yield env.timeout(1.5 * dm.duration)
+            dm.cancel_newer_than(150.0)
+
+        env.process(canceller(env))
+        env.run()
+        return dm, trace, metrics
+
+    def test_drain_flush_spans_close_landed_and_cancelled(self, env):
+        dm, trace, _ = self._instrumented_run(env)
+        spans = [r for r in trace.records if r.kind == "drain_flush"]
+        assert [(r.ph, r.detail) for r in spans] == [
+            (BEGIN, 100.0), (END, "landed"), (BEGIN, 200.0), (END, "cancelled"),
+        ]
+        assert [r.time for r in spans] == [
+            0.0, dm.duration, dm.duration, 1.5 * dm.duration,
+        ]
+        assert trace.open_spans() == ()
+
+    def test_drain_metrics_recorded(self, env):
+        dm, _, metrics = self._instrumented_run(env)
+        assert metrics.counter("drain.completed").value == 1
+        assert metrics.counter("drain.cancelled").value == 1
+        hist = metrics.histogram("drain.seconds")
+        assert (hist.count, hist.total) == (1, dm.duration)
+        assert (dm.completed, dm.cancelled) == (1, 1)
 
 
 class TestLiveMigration:

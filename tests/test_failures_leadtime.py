@@ -140,6 +140,42 @@ _Q_GRID = np.concatenate([
 ])
 
 
+class TestDrawParity:
+    """sample() makes numpy's own weighted draw, bit for bit."""
+
+    def test_matches_generator_choice(self):
+        model = PAPER_LEAD_TIME_MODEL
+        weights = model.weights
+        for seed in range(200):
+            ours = np.random.default_rng(seed)
+            numpys = np.random.default_rng(seed)
+            for _ in range(25):
+                seq = model.sequences[
+                    numpys.choice(len(model.sequences), p=weights)
+                ]
+                expected = (seq.sequence_id, float(seq.sample(numpys)))
+                sequence_id, lead = model.sample(ours)
+                assert (sequence_id, lead.hex()) == (
+                    expected[0], expected[1].hex()
+                ), seed
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_uneven_weights_match_generator_choice(self):
+        model = LeadTimeModel([
+            FailureSequenceSpec(i, occ, mean_lead=10.0 * i, sd_lead=1.0)
+            for i, occ in enumerate((1, 3, 7, 1, 50, 2, 9), start=1)
+        ])
+        for seed in range(200):
+            ours = np.random.default_rng(seed)
+            numpys = np.random.default_rng(seed)
+            for _ in range(25):
+                idx = numpys.choice(len(model.sequences), p=model.weights)
+                numpys.lognormal(model.sequences[idx]._mu,
+                                 model.sequences[idx]._sigma)
+                assert model.sample(ours)[0] == model.sequences[idx].sequence_id
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+
 class TestScipyParity:
     @pytest.mark.parametrize("seq", PAPER_SEQUENCES,
                              ids=lambda s: f"seq{s.sequence_id}")

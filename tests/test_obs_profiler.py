@@ -198,6 +198,14 @@ class TestSimulationReconciliation:
         sim, profiler, _ = profiled_run
         assert profiler.total_count() == sim.env.events_processed
 
+    def test_drain_landings_have_their_own_row(self, profiled_run):
+        """Drains are plain timeouts whose owner is the drain manager."""
+        sim, profiler, _ = profiled_run
+        rows = {(e.owner, e.kind): e for e in profiler.entries()}
+        assert rows[("drain-worker", "Timeout")].count == sim.drain.completed
+        assert not any(kind == "Initialize" and owner == "drain-worker"
+                       for owner, kind in rows)
+
     def test_profiled_run_matches_unprofiled_result(self, profiled_run):
         import numpy as np
 

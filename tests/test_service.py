@@ -72,6 +72,33 @@ def tiny_spec(seed: int, replications: int = 1) -> dict:
     }
 
 
+def hold_dispatch(service) -> threading.Event:
+    """Make every job the worker pool starts wait until the event is set.
+
+    The job is dispatched (``running``, ``started_at`` stamped) and then
+    held, so a test can submit more work while the worker is provably
+    busy instead of hoping the first job is still running.
+    """
+    gate = threading.Event()
+    execute = service._execute
+
+    def held(job):
+        if not gate.wait(120.0):
+            raise TimeoutError("dispatch gate never released")
+        return execute(job)
+
+    service._execute = held
+    return gate
+
+
+def wait_running(client, job_id: str, timeout: float = 30.0) -> None:
+    """Block until *job_id* has been dispatched to a worker."""
+    deadline = time.monotonic() + timeout
+    while client.job(job_id)["state"] != "running":
+        assert time.monotonic() < deadline, f"{job_id} never started"
+        time.sleep(0.01)
+
+
 # ---------------------------------------------------------------------------
 # fair-share queue (unit)
 # ---------------------------------------------------------------------------
@@ -321,11 +348,14 @@ class TestServiceLifecycle:
         with ServiceThread(tmp_path / "store", jobs=1) as svc:
             alice = ServiceClient(port=svc.port, token="alice")
             bob = ServiceClient(port=svc.port, token="bob")
-            # a1 is bigger so a2/a3/b1 are all queued while it runs.
+            # a1 holds the worker so a2/a3/b1 are all queued while it runs.
+            gate = hold_dispatch(svc.service)
             a1 = alice.submit(tiny_spec(seed=1, replications=3))
+            wait_running(alice, a1["job"]["id"])
             a2 = alice.submit(tiny_spec(seed=2))
             a3 = alice.submit(tiny_spec(seed=3))
             b1 = bob.submit(tiny_spec(seed=4))
+            gate.set()
             ids = {
                 "a1": a1["job"]["id"], "a2": a2["job"]["id"],
                 "a3": a3["job"]["id"], "b1": b1["job"]["id"],
@@ -344,7 +374,9 @@ class TestServiceLifecycle:
                            retry_after=7.0) as svc:
             client = ServiceClient(port=svc.port, token="flood")
             # Occupy the worker, then fill the queue to its limit.
+            gate = hold_dispatch(svc.service)
             running = client.submit(tiny_spec(seed=20, replications=3))
+            wait_running(client, running["job"]["id"])
             queued = [client.submit(tiny_spec(seed=21 + i))
                       for i in range(2)]
             with pytest.raises(ServiceBusy) as excinfo:
@@ -358,6 +390,7 @@ class TestServiceLifecycle:
             assert {j["spec_hash"] for j in client.jobs()} \
                 == rejected_hashes
             # Once the queue drains, the same submission is admitted.
+            gate.set()
             client.wait(running["job"]["id"], timeout=120.0)
             for envelope in queued:
                 client.wait(envelope["job"]["id"], timeout=120.0)
@@ -413,8 +446,19 @@ class TestQueuePersistence:
         pending_ids = []
         with ServiceThread(store, jobs=1) as svc:
             client = ServiceClient(port=svc.port, token="alice")
-            # Worker busy with the first; two more wait in the queue.
-            client.submit(tiny_spec(seed=50, replications=3))
+            # Worker busy with the first; two more wait in the queue.  The
+            # first is released once shutdown has taken the queue away.
+            gate = hold_dispatch(svc.service)
+            queue = svc.service.queue
+            close = queue.close
+
+            def close_then_release():
+                close()
+                gate.set()
+
+            queue.close = close_then_release
+            first = client.submit(tiny_spec(seed=50, replications=3))
+            wait_running(client, first["job"]["id"])
             for seed in (51, 52):
                 pending_ids.append(
                     client.submit(tiny_spec(seed=seed))["job"]["id"]
