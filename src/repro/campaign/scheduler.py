@@ -201,7 +201,8 @@ def run_campaign(
     analytical: List[int] = []
     progress.campaign_begin(len(plan.cells), plan.total_replications)
     for i, cell in enumerate(plan.cells):
-        cached = store.get(plan.keys[i]) if (store and resume) else None
+        cached = (store.get(plan.keys[i])
+                  if store is not None and resume else None)
         if cached is not None:
             results[i] = cached
             progress.cell_cached(cell, plan.keys[i])

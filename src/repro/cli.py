@@ -40,10 +40,10 @@ Subcommands
     scheduling oracles; failing cases are shrunk to minimal reproducers
     (see ``docs/TESTING.md``).
 ``pckpt profile APP MODEL``
-    Attribution-profile one traced replication: per-process and
+    Attribution-profile one replication: per-process and
     per-event-kind simulated + wall time inside the DES kernel, with
     collapsed-stack (``--flame``), JSON (``--json``) and Chrome-trace
-    (``--chrome``, profiler tracks included) exports.
+    (``--chrome``, profiler tracks included; traces the run) exports.
 ``pckpt timeline [APP MODEL | --input TRACE.jsonl]``
     Causal failure→action chains: every checkpoint action traced back to
     the failure/false alarm that caused it (``--jsonl`` to export).
@@ -574,7 +574,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Attribution-profile one traced replication (``repro.obs.profiler``)."""
+    """Attribution-profile one replication (``repro.obs.profiler``).
+
+    The replication runs untraced, as campaigns run it, unless
+    ``--chrome`` asks for a trace: a traced run takes the event path,
+    one kernel event per periodic segment and drain landing.
+    """
     from dataclasses import replace
 
     import numpy as np
@@ -590,7 +595,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app = replace(app, compute_hours=min(app.compute_hours, 24.0))
     weibull = FAILURE_DISTRIBUTIONS[args.distribution]
     child = np.random.SeedSequence(args.seed).spawn(1)[0]
-    trace = Trace(env=None)  # adopted by the simulation's environment
+    # Adopted by the simulation's environment.
+    trace = Trace(env=None) if args.chrome else None
     sim = CRSimulation(
         app,
         get_model(args.model),
@@ -603,7 +609,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     out = sim.run()
 
     print(f"kernel attribution profile — {app.name} under {args.model} "
-          f"(seed {args.seed}, replication 0)")
+          f"(seed {args.seed}, replication 0, "
+          f"{'traced' if trace is not None else 'untraced'})")
     print(profiler.format_table())
     stats = sim.env.kernel_stats()
     print(
@@ -1485,7 +1492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="attribution-profile one traced replication "
+        help="attribution-profile one replication "
              "(per-process / per-event-kind sim+wall time)",
     )
     p_prof.add_argument("app", help="application name (Table I)")
@@ -1513,7 +1520,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--chrome", metavar="PATH", default=None,
-        help="write a Chrome trace with per-owner profiler tracks",
+        help="write a Chrome trace with per-owner profiler tracks "
+             "(traces the replication, which takes the event path)",
     )
     p_prof.set_defaults(func=_cmd_profile)
 

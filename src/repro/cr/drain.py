@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..des import Environment, Event, Trace
+from ..des import Environment, Event, Infinity, Trace
 from ..des.metrics import MetricsRegistry
 from ..platform.pfs import PFSSpec
 from .checkpoint import Snapshot, SnapshotLedger
@@ -29,10 +29,18 @@ class DrainManager:
     the manager stays correct if configuration makes drains slower than
     the checkpoint cadence.
 
-    The pipeline is callback-driven rather than a process: the snapshot in
-    flight is one armed :class:`~repro.des.Timeout` whose landing callback
-    records it and arms the next queued snapshot, so each drain costs the
-    kernel exactly one event.
+    Nothing but time can end a drain, so each landing time is computed
+    when the drain is armed: a new drain lands at ``start + remaining``,
+    a queued one starts at its predecessor's landing, and a drain that
+    survives a cancel is re-armed for what is left of its transfer.
+    :meth:`settle` applies every landing due at or before the clock;
+    every reader of drain or ledger state calls it first (:meth:`submit`,
+    :meth:`cancel_newer_than` and :attr:`busy` do so themselves).  An
+    untraced manager schedules nothing on the kernel.  A traced one arms
+    one :class:`~repro.des.Timeout` per drain whose callback settles it,
+    so its ``drain_flush`` span closes at the landing time.  Either way a
+    landing is applied before anything else that reads drain state at
+    the same instant.
 
     Parameters
     ----------
@@ -47,7 +55,9 @@ class DrainManager:
     bytes_per_node:
         Per-node checkpoint size.
     on_drained:
-        Optional callback invoked with the snapshot when a drain lands.
+        Optional callback invoked with the snapshot when its landing is
+        applied: at the landing time when traced, at the next
+        :meth:`settle` otherwise.
     trace:
         Optional trace; each drain becomes a ``drain_flush`` span on the
         ``drain`` source (cancellations close the span early).
@@ -81,14 +91,16 @@ class DrainManager:
         #: Seconds one snapshot takes to drain (fixed for the job).
         self.duration = pfs.drain_time(nodes, bytes_per_node)
         self._pending: List[Snapshot] = []
-        # The snapshot in flight, its armed landing timeout, its
-        # drain_flush span id, and the (remaining, start) pair a
-        # surviving cancel re-arms from.
+        # The snapshot in flight, its drain_flush span id, the
+        # (remaining, start) pair a surviving cancel re-arms from, and
+        # (traced only) its armed landing timeout.
         self._snap: Optional[Snapshot] = None
-        self._timer: Optional[Event] = None
         self._sid = 0
         self._remaining = 0.0
         self._start = 0.0
+        self._timer: Optional[Event] = None
+        #: Landing time of the snapshot in flight (``inf`` when idle).
+        self.landing = Infinity
         #: Completed drain count (diagnostics / tests).
         self.completed = 0
         #: Cancelled (rolled-back) snapshot count.
@@ -97,12 +109,20 @@ class DrainManager:
     @property
     def busy(self) -> bool:
         """True while any drain is queued or in flight."""
+        self.settle()
         return self._snap is not None or bool(self._pending)
+
+    def settle(self) -> None:
+        """Apply every landing due at or before the current time."""
+        now = self.env.now
+        while self.landing <= now:
+            self._finish()
 
     def submit(self, snap: Snapshot) -> None:
         """Queue a freshly staged periodic snapshot for draining."""
+        self.settle()
         if self._snap is None:
-            self._begin(snap)
+            self._begin(snap, self.env.now)
         else:
             self._pending.append(snap)
 
@@ -113,15 +133,15 @@ class DrainManager:
         application state.  A surviving in-flight snapshot keeps draining
         for what is left of its transfer.
         """
+        self.settle()
         before = len(self._pending)
         self._pending = [s for s in self._pending if s.work <= work]
         self.cancelled += before - len(self._pending)
         snap = self._snap
         if snap is None:
             return
-        # Detach the armed landing; that timeout now fires with no effect.
-        self._timer.callbacks.remove(self._land)
-        self._timer = None
+        self._disarm()
+        now = self.env.now
         if snap.work > work:
             # This snapshot was invalidated mid-flight.
             self.cancelled += 1
@@ -129,38 +149,50 @@ class DrainManager:
                 self.trace.span_end(self._sid, "cancelled")
             if self.metrics is not None:
                 self.metrics.counter("drain.cancelled").inc()
-            self._next()
+            self._next(now)
             return
-        now = self.env.now
         self._remaining -= now - self._start
         self._start = now
         self._arm()
 
-    def _begin(self, snap: Snapshot) -> None:
-        """Put *snap* in flight for the full drain duration."""
+    def _begin(self, snap: Snapshot, start: float) -> None:
+        """Put *snap* in flight from *start* for the full drain duration."""
         self._snap = snap
         if self.trace is not None:
             self._sid = self.trace.span_begin("drain", "drain_flush", snap.work)
         self._remaining = self.duration
-        self._start = self.env.now
+        self._start = start
         self._arm()
 
     def _arm(self) -> None:
-        """Schedule the in-flight snapshot to land after ``_remaining``."""
+        """Compute when the in-flight snapshot lands after ``_remaining``."""
         if self._remaining > 0:
-            self._timer = self.env.timeout(self._remaining)
-            self._timer.callbacks.append(self._land)
+            self.landing = self._start + self._remaining
+            if self.trace is not None:
+                # Armed when the drain starts, so now == _start and the
+                # timeout fires at exactly the computed landing.
+                self._timer = self.env.timeout(self._remaining)
+                self._timer.callbacks.append(self._land)
         else:
+            self.landing = self._start
             self._finish()
 
+    def _disarm(self) -> None:
+        """Detach the armed landing timeout; it then fires with no effect."""
+        if self._timer is not None:
+            self._timer.callbacks.remove(self._land)
+            self._timer = None
+
     def _land(self, _event: Event) -> None:
-        """Landing callback of the in-flight snapshot's timeout."""
+        """Landing callback of a traced drain's timeout."""
         self._timer = None
-        self._finish()
+        self.settle()
 
     def _finish(self) -> None:
         """Record the in-flight snapshot as on the PFS, start the next."""
         snap = self._snap
+        landed = self.landing
+        self._disarm()
         if self.trace is not None:
             self.trace.span_end(self._sid, "landed")
         self.ledger.record_drained(snap)
@@ -170,10 +202,11 @@ class DrainManager:
             self.metrics.histogram("drain.seconds").observe(self.duration)
         if self.on_drained is not None:
             self.on_drained(snap)
-        self._next()
+        self._next(landed)
 
-    def _next(self) -> None:
-        """Put the oldest queued snapshot in flight, if any."""
+    def _next(self, start: float) -> None:
+        """Put the oldest queued snapshot in flight from *start*, if any."""
         self._snap = None
+        self.landing = Infinity
         if self._pending:
-            self._begin(self._pending.pop(0))
+            self._begin(self._pending.pop(0), start)

@@ -315,6 +315,7 @@ class Environment:
         "_push_now",
         "_eid",
         "_active_proc",
+        "_until",
         "metrics",
         "profiler",
         "events_processed",
@@ -350,6 +351,10 @@ class Environment:
             self._push = self._cal.push
             self._push_now = self._push
         self._active_proc: Optional[Process] = None
+        #: Numeric ``until`` of the run loop in progress (``inf`` for a
+        #: run to exhaustion or to an event); ``-inf`` outside any run
+        #: loop, so nothing may :meth:`advance` under a bare :meth:`step`.
+        self._until: float = -Infinity
         #: Optional :class:`~repro.des.metrics.MetricsRegistry` shared by
         #: components holding this environment (attach via
         #: :meth:`attach_metrics`); ``None`` keeps recording disabled.
@@ -396,6 +401,37 @@ class Environment:
         if cal is not None:
             return cal.peek()
         return self._queue[0][0] if self._queue else Infinity
+
+    def horizon(self) -> float:
+        """Earliest time at which anything else can happen.
+
+        The next scheduled event or the numeric ``until`` of the running
+        loop, whichever comes first; ``-inf`` outside a run loop.  Up to
+        (but excluding) this time the caller owns the clock.
+        """
+        nxt = self.peek()
+        until = self._until
+        return nxt if nxt < until else until
+
+    def advance(self, t: float) -> None:
+        """Move the clock to *t* without dispatching anything.
+
+        For a callback that knows nothing else happens before *t*: it runs
+        an undisturbed stretch of simulated time inline instead of
+        scheduling events for it.  *t* must lie strictly before
+        :meth:`horizon`, so no event and no ``until`` bound is skipped.
+
+        Raises
+        ------
+        SimulationError
+            If *t* is before :attr:`now` or not before :meth:`horizon`.
+        """
+        if not self._now <= t < self.horizon():
+            raise SimulationError(
+                f"cannot advance from {self._now} to {t} "
+                f"(horizon {self.horizon()})"
+            )
+        self._now = t
 
     @property
     def queue_size(self) -> int:
@@ -575,6 +611,8 @@ class Environment:
         eid_start = self._eid
         len_start = len(queue)
         hw = self.queue_high_water
+        until_outer = self._until
+        self._until = at
         wall_start = _time.perf_counter()
         try:
             if stop_event is not None:
@@ -630,6 +668,7 @@ class Environment:
                     if not event._ok and not event._defused:
                         raise event._value
         finally:
+            self._until = until_outer
             self.events_processed += (self._eid - eid_start) + (len_start - len(queue))
             if hw > self.queue_high_water:
                 self.queue_high_water = hw
@@ -661,6 +700,11 @@ class Environment:
         callback), the loop falls through to an inlined heap loop within
         the same accounting block, so ``events_processed`` and
         ``queue_high_water`` come out identical to a heap-only run.
+
+        The bucket being drained stays registered until it is found
+        empty, so :meth:`horizon` is the current time inside its
+        callbacks and no callback can :meth:`advance` the clock away
+        from the bucket's time.
         """
         cal = self._cal
         if until is None:
@@ -695,6 +739,8 @@ class Environment:
         # per-event accounting free of attribute stores; ``cal.count``
         # is re-synced from the invariant in the finally block.
         negoff = cal.count - self._eid
+        until_outer = self._until
+        self._until = at
         wall_start = _time.perf_counter()
         try:
             while not cal.demoted:
@@ -810,6 +856,7 @@ class Environment:
                     if not event._ok and not event._defused:
                         raise event._value
         finally:
+            self._until = until_outer
             pending = len(queue)
             if self._cal is not None:
                 # Still in calendar mode: re-sync the authoritative
@@ -845,10 +892,11 @@ class Environment:
         * *owner* is the ``name`` string of the object whose bound method
           is the event's first callback (a :class:`Process` resume, or a
           named callback owner), else :data:`KERNEL_OWNER`;
-        * *sim* is the clock delta this event's pop produced, so summing
-          the sim column over all entries reproduces ``now - initial_time``
-          exactly (clock advances past the last event are attributed to
-          ``(KERNEL_OWNER, "idle")``);
+        * *sim* is the clock delta from before this event's pop to after
+          its callbacks (a callback's :meth:`advance` counts toward its
+          event), so summing the sim column over all entries reproduces
+          ``now - initial_time`` exactly (clock advances past the last
+          event are attributed to ``(KERNEL_OWNER, "idle")``);
         * *wall* is the perf-counter span of the callback dispatch, so the
           wall column sums to slightly less than :attr:`wall_seconds`
           (which also covers heap pops and loop bookkeeping).
@@ -879,6 +927,8 @@ class Environment:
         eid_start = self._eid
         len_start = len(queue) + (cal.count if cal is not None else 0)
         hw = self.queue_high_water
+        until_outer = self._until
+        self._until = at
         wall_start = perf()
         try:
             while True:
@@ -934,6 +984,7 @@ class Environment:
                         return stop_event._value
                     raise stop_event._value
         finally:
+            self._until = until_outer
             pending = len(queue)
             recal = self._cal
             if recal is not None:

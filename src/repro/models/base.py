@@ -194,6 +194,7 @@ class _Phase2Job:
             if self.sim._phase2_job is self:
                 self.sim._phase2_job = None
             return
+        self.sim.drain.settle()
         self.sim.ledger.record_proactive(self.snapshot_work, self.sim.env.now)
         self.sim._span_end(sid, "landed")
         self.sim._emit("pckpt", "phase2-landed",
@@ -391,6 +392,7 @@ class CRSimulation:
 
     def finish(self) -> RunOutput:
         """Validate accounting and package the run's :class:`RunOutput`."""
+        self.drain.settle()
         self.overhead.validate()
         self.ft.validate()
         self._flush_metrics()
@@ -678,14 +680,22 @@ class CRSimulation:
     # the application process
     # ------------------------------------------------------------------
     def _app(self):
-        """Main loop: compute for one OCI, checkpoint to BB, repeat."""
+        """Main loop: compute for one OCI, checkpoint to BB, repeat.
+
+        An untraced run executes each segment nothing can interrupt
+        inline (:meth:`_inline_segment`); every other segment, and every
+        segment of a traced run, goes through the kernel.
+        """
         goal = self.app.compute_seconds
+        inline = self.trace is None
         self._interruptible = True
         while self.work_done < goal - _EPS:
             self.oci.record_time(self.env.now)
             interval = self.oci.interval()
             self.oci_final = interval
             target = min(self.work_done + interval, goal)
+            if inline and self._inline_segment(target, goal):
+                continue
             status = yield from self._advance_to(target)
             if status == _Status.RESET:
                 continue
@@ -694,6 +704,45 @@ class CRSimulation:
             yield from self._periodic_bb_checkpoint()
         self._interruptible = False
         self._emit("app", "completed", self.work_done)
+
+    def _inline_segment(self, target: float, goal: float) -> bool:
+        """Run one periodic segment without yielding, if nothing can cut it.
+
+        The segment computes up to *target* and, unless that completes
+        the job, writes the BB checkpoint.  With no live migration in
+        flight the compute rate is exactly 1.0, so its end time is the
+        event path's ``(now + planned) + t_ckpt_bb`` (just ``now +
+        planned`` for the last segment).  When that lies strictly before
+        :meth:`~repro.des.Environment.horizon`, no event can interrupt the
+        segment, and its bookkeeping is done here with the event path's
+        own expressions; otherwise nothing changes and False is returned.
+        """
+        if self._active_lms:
+            return False
+        env = self.env
+        work = self.work_done
+        computes = work < target - _EPS
+        rate = 1.0
+        planned = (target - work) / rate
+        t1 = env.now + planned if computes else env.now
+        writes = (target if computes else work) < goal - _EPS
+        blocks = writes and self.t_ckpt_bb > _EPS
+        t2 = t1 + self.t_ckpt_bb if blocks else t1
+        if not t2 < env.horizon():
+            return False
+        env.advance(t2)
+        if computes:
+            self._computed(target, planned, rate)
+        if blocks:
+            self.overhead.checkpoint += t2 - t1
+        if writes:
+            self._bb_checkpoint_done()
+        return True
+
+    def _computed(self, target: float, planned: float, rate: float) -> None:
+        """Account a compute segment that ran to *target* uninterrupted."""
+        self.work_done = target
+        self.overhead.migration += planned * (1.0 - rate)
 
     def _advance_to(self, target: float):
         """Compute until *target* work, servicing interruptions."""
@@ -705,8 +754,7 @@ class CRSimulation:
             try:
                 yield self.env.timeout(planned)
                 self._computing = False
-                self.work_done = target
-                self.overhead.migration += planned * (1.0 - rate)
+                self._computed(target, planned, rate)
             except Interrupt as intr:
                 self._computing = False
                 elapsed = self.env.now - start
@@ -763,6 +811,10 @@ class CRSimulation:
                     yield from self._drain_pending()
                     return
                 raise RuntimeError(f"unexpected interrupt {intr.cause!r}")
+        self._bb_checkpoint_done()
+
+    def _bb_checkpoint_done(self) -> None:
+        """Record a completed periodic BB checkpoint and start its drain."""
         snap = self.ledger.record_periodic(self.work_done, self.env.now)
         self.periodic_checkpoints += 1
         self._count("ckpt.periodic_completed")
@@ -829,6 +881,7 @@ class CRSimulation:
         self._span_end(sid, "done")
         self.overhead.checkpoint += outcome.duration
         self._observe("safeguard.write_seconds", outcome.duration)
+        self.drain.settle()
         self.ledger.record_proactive(outcome.snapshot_work, self.env.now)
         for served in outcome.served:
             rec = self._records.get(served)
@@ -938,6 +991,7 @@ class CRSimulation:
                 self._phase2_job.cancel()  # superseded by the newer snapshot
             self._phase2_job = _Phase2Job(self, outcome, provs)
         else:
+            self.drain.settle()
             self.ledger.record_proactive(outcome.snapshot_work, self.env.now)
         self._emit(
             "pckpt",
@@ -1013,6 +1067,8 @@ class CRSimulation:
 
     def _handle_failure(self, ev: FailureEvent):
         """Roll back, restore, and account for one unavoided failure."""
+        # Drains that landed by now count for the recovery plan.
+        self.drain.settle()
         self._classify_mitigation(ev)
         self._forget_prediction(ev)
         self._migrated_away.discard(ev.node)

@@ -28,9 +28,11 @@ Each dispatched event contributes one sample keyed ``(owner, kind)``:
 and carries three columns:
 
 ``count``   dispatches (sums to ``Environment.events_processed``),
-``sim``     clock delta produced by the pop (sums to ``now - initial_time``
-            *exactly* — this is the accounting identity the acceptance
-            tests pin against :class:`~repro.analysis.metrics.OverheadBreakdown`),
+``sim``     clock delta from before the pop to after the callbacks, so a
+            callback's ``Environment.advance`` counts toward its event
+            (sums to ``now - initial_time`` *exactly* — this is the
+            accounting identity the acceptance tests pin against
+            :class:`~repro.analysis.metrics.OverheadBreakdown`),
 ``wall``    perf-counter seconds inside callback dispatch (sums to
             slightly less than ``Environment.wall_seconds``, which also
             covers heap pops and loop bookkeeping).

@@ -88,22 +88,29 @@ def run_reference(env: Environment, until: Any = None) -> Any:
         stop_event = None
 
     # queue_size/peek() instead of env._queue directly: the reference
-    # loop must drive a calendar-queue environment identically.
-    if stop_event is not None:
+    # loop must drive a calendar-queue environment identically.  Like the
+    # fast loops it publishes its bound for Environment.horizon().
+    until_outer = env._until
+    env._until = at
+    try:
+        if stop_event is not None:
+            while env.queue_size:
+                env.step()
+                if stop_event.callbacks is None:
+                    if stop_event._ok:
+                        return stop_event._value
+                    raise stop_event._value
+            raise SimulationError(
+                f"simulation ended before the until-event {stop_event!r} "
+                "was triggered"
+            )
         while env.queue_size:
+            if env.peek() > at:
+                env._now = at
+                break
             env.step()
-            if stop_event.callbacks is None:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value
-        raise SimulationError(
-            f"simulation ended before the until-event {stop_event!r} was triggered"
-        )
-    while env.queue_size:
-        if env.peek() > at:
-            env._now = at
-            break
-        env.step()
+    finally:
+        env._until = until_outer
     if at != Infinity and env._now < at:
         env._now = at
     return None

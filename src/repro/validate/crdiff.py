@@ -3,18 +3,26 @@
 The scenario fuzzer exercises the kernel with adversarial random
 programs; this module exercises it with the *real* workload — a full
 :class:`~repro.models.base.CRSimulation` run under a randomized
-p-ckpt/C/R configuration — executed twice:
+p-ckpt/C/R configuration — on two kernels:
 
-* once on the production fast-path ``Environment.run`` loops,
-* once on :class:`~.backends.ReferenceEnvironment` (pure ``step()``
-  dispatch), substituted into ``repro.models.base`` for the duration.
+* the production fast-path ``Environment.run`` loops,
+* :class:`~.backends.ReferenceEnvironment` (pure ``step()``
+  dispatch), substituted into ``repro.models.base`` for the duration;
 
-Both runs share the seed, so the injected failure schedule is identical
-and the flattened :class:`~repro.models.base.RunOutput` fingerprints
-(floats compared bit-exactly via ``float.hex``) plus the kernel event
-counts must match exactly.
+and on two simulation paths:
 
-Both runs also swap :class:`~repro.cr.checkpoint.SnapshotLedger` for a
+* untraced, where drain landings are computed and undisturbed periodic
+  segments run inline, without kernel events,
+* traced (a :class:`~repro.des.Trace` attached), where every segment,
+  BB write and landing is a kernel event.
+
+All four runs share the seed, so the injected failure schedule is
+identical and the flattened :class:`~repro.models.base.RunOutput`
+fingerprints (floats compared bit-exactly via ``float.hex``) must match
+exactly; on the same path the fast and step kernels must also process
+the same number of events.
+
+Every run also swaps :class:`~repro.cr.checkpoint.SnapshotLedger` for a
 checking subclass that validates ledger conservation on every update
 (PFS snapshots never regress, recovery never restores below the PFS
 generation, rollback really forfeits newer BB generations), and a
@@ -154,14 +162,16 @@ def _flatten(obj: Any, prefix: str = "") -> Dict[str, Any]:
 
 
 def run_cr_case(
-    case: CRCase, *, reference: bool = False
+    case: CRCase, *, reference: bool = False, traced: bool = False
 ) -> Tuple[Optional[Dict[str, Any]], List[str]]:
     """Run one C/R case; return (flattened fingerprint, violations).
 
     With ``reference=True`` the whole simulation executes on
     :class:`ReferenceEnvironment` — the kernel substitution the
     ROADMAP's multi-backend direction calls for, done by patching the
-    ``Environment`` symbol ``repro.models.base`` instantiates.
+    ``Environment`` symbol ``repro.models.base`` instantiates.  With
+    ``traced=True`` a trace is attached, which puts the simulation on
+    its event path.
 
     A fingerprint of ``None`` means the run itself raised; the exception
     is reported as a violation (e.g. ``IllegalTransition`` from the
@@ -169,6 +179,7 @@ def run_cr_case(
     """
     import numpy as np
 
+    from ..des import Trace
     from ..failures.weibull import WeibullParams
     from ..iomodel.bandwidth import GiB
     from ..models import base as base_mod
@@ -201,6 +212,7 @@ def run_cr_case(
             config,
             weibull=weibull,
             rng=np.random.default_rng(case.sim_seed),
+            trace=Trace(env=None) if traced else None,
         )
         try:
             output = sim.run()
@@ -218,19 +230,43 @@ def run_cr_case(
         base_mod.SnapshotLedger = saved_ledger
 
 
+#: Run labels of :func:`diff_cr_case`: (reference kernel, traced).
+_RUNS = {
+    "fast": (False, False),
+    "step": (True, False),
+    "fast+trace": (False, True),
+    "step+trace": (True, True),
+}
+
+
+def _compare(label: str, a_fp: Dict[str, Any], b_fp: Dict[str, Any],
+             ignore: Tuple[str, ...] = ()) -> List[str]:
+    """One problem line per fingerprint key that differs."""
+    return [
+        f"{label}: RunOutput.{key} differs: {a_fp.get(key)!r} != "
+        f"{b_fp.get(key)!r}"
+        for key in sorted(set(a_fp) | set(b_fp))
+        if key not in ignore and a_fp.get(key) != b_fp.get(key)
+    ]
+
+
 def diff_cr_case(case: CRCase) -> List[str]:
     """Differential + oracle report for one C/R case (empty = clean)."""
-    fast_fp, fast_violations = run_cr_case(case, reference=False)
-    ref_fp, ref_violations = run_cr_case(case, reference=True)
-    problems = [f"[fast] {v}" for v in fast_violations]
-    problems += [f"[step] {v}" for v in ref_violations]
-    if fast_fp is None or ref_fp is None:
+    runs = {
+        label: run_cr_case(case, reference=ref, traced=traced)
+        for label, (ref, traced) in _RUNS.items()
+    }
+    problems = [
+        f"[{label}] {v}" for label, (_, violations) in runs.items()
+        for v in violations
+    ]
+    fp = {label: fingerprint for label, (fingerprint, _) in runs.items()}
+    if any(f is None for f in fp.values()):
         return problems
-    if fast_fp != ref_fp:
-        for key in sorted(set(fast_fp) | set(ref_fp)):
-            a, b = fast_fp.get(key), ref_fp.get(key)
-            if a != b:
-                problems.append(
-                    f"fast vs step: RunOutput.{key} differs: {a!r} != {b!r}"
-                )
+    problems += _compare("fast vs step", fp["fast"], fp["step"])
+    problems += _compare("traced fast vs step", fp["fast+trace"],
+                         fp["step+trace"])
+    # The two paths dispatch different numbers of events by design.
+    problems += _compare("untraced vs traced", fp["fast"], fp["fast+trace"],
+                         ignore=("env.events_processed",))
     return problems

@@ -243,6 +243,32 @@ class TestCampaignCache:
             assert second[key].overhead == first[key].overhead
             assert second[key].overhead_std == first[key].overhead_std
 
+    def test_campaign_never_scans_the_store(self, make_cell, tmp_path,
+                                            monkeypatch):
+        """Cache lookups are per key; nothing globs every store entry.
+
+        A truthiness test on the store calls ``ResultStore.__len__``,
+        which scans the whole store, once per cell.
+        """
+        store = ResultStore(tmp_path / "store")
+        run_campaign([make_cell("B")], store=store, workers=1)
+        scans = []
+        real_scan = ResultStore._scan
+
+        def counting_scan(root, pattern):
+            scans.append(pattern)
+            return real_scan(root, pattern)
+
+        monkeypatch.setattr(ResultStore, "_scan", staticmethod(counting_scan))
+        warm = CampaignProgress()
+        run_campaign([make_cell("B"), make_cell("P1")], store=store,
+                     workers=1, progress=warm)
+        assert warm.metrics.counter("campaign.cells.cached").value == 1
+        assert warm.metrics.counter(
+            "campaign.replications.executed"
+        ).value == 6
+        assert scans == []
+
     def test_no_resume_recomputes(self, make_cell, tmp_path):
         cells = [make_cell("B")]
         store = ResultStore(tmp_path / "store")

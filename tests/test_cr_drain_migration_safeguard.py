@@ -20,6 +20,24 @@ def _failure(time, node, lead=10.0):
     return FailureEvent(time=time, node=node, sequence_id=6, predicted=True, lead=lead)
 
 
+def _run_drains(env, dm):
+    """Run *env* to exhaustion, stopping the clock at every drain landing.
+
+    An untraced :class:`DrainManager` schedules no landing event: it
+    computes each landing time and applies it when settled.  Settling at
+    each landing time lets a test observe landings when they happen.
+    """
+    while True:
+        landing = dm.landing
+        if env.peek() < landing:
+            env.step()
+        elif landing < float("inf"):
+            env.run(until=landing)
+            dm.settle()
+        else:
+            return
+
+
 class TestDrainManager:
     def _make(self, env, nodes=16, per_node=8 * GiB):
         ledger = SnapshotLedger()
@@ -31,7 +49,7 @@ class TestDrainManager:
         dm, ledger, pfs = self._make(env)
         snap = ledger.record_periodic(100.0, 0.0)
         dm.submit(snap)
-        env.run()
+        _run_drains(env, dm)
         assert dm.completed == 1
         assert ledger.recovery_snapshot() is snap
         assert env.now == pytest.approx(pfs.drain_time(16, 8 * GiB))
@@ -42,7 +60,7 @@ class TestDrainManager:
         s2 = ledger.record_periodic(200.0, 0.0)
         dm.submit(s1)
         dm.submit(s2)
-        env.run()
+        _run_drains(env, dm)
         assert dm.completed == 2
         assert env.now == pytest.approx(2 * pfs.drain_time(16, 8 * GiB))
         assert ledger.recovery_snapshot().work == 200.0
@@ -72,7 +90,7 @@ class TestDrainManager:
             dm.cancel_newer_than(150.0)  # snapshot at 100 survives
 
         env.process(canceller(env))
-        env.run()
+        _run_drains(env, dm)
         assert dm.completed == 1
 
     def test_on_drained_callback(self, env):
@@ -82,7 +100,7 @@ class TestDrainManager:
                           on_drained=landed.append)
         snap = ledger.record_periodic(10.0, 0.0)
         dm.submit(snap)
-        env.run()
+        _run_drains(env, dm)
         assert landed == [snap]
 
     def test_busy_flag(self, env):
@@ -90,7 +108,7 @@ class TestDrainManager:
         assert not dm.busy
         dm.submit(ledger.record_periodic(1.0, 0.0))
         assert dm.busy
-        env.run()
+        _run_drains(env, dm)
         assert not dm.busy
 
     def test_busy_during_drain_and_idle_after(self, env):
@@ -116,10 +134,46 @@ class TestDrainManager:
         snaps = [ledger.record_periodic(w, 0.0) for w in (10.0, 20.0, 30.0)]
         for snap in snaps:
             dm.submit(snap)
-        env.run()
+        _run_drains(env, dm)
         d = dm.duration
         assert [s for s, _ in landed] == snaps
         assert [t for _, t in landed] == [d, d + d, d + d + d]
+
+    def test_queued_drains_chain_from_each_landing(self, env):
+        """A queued drain starts at its predecessor's landing, to the bit.
+
+        ``L_next = L + duration``, whether the landings are applied at
+        their own times or later by one :meth:`settle`.
+        """
+        ledger = SnapshotLedger()
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB)
+        d = dm.duration
+        env.run(until=0.1)
+        chain = [env.now + d]
+        for _ in range(2):
+            chain.append(chain[-1] + d)
+        snaps = [ledger.record_periodic(w, env.now) for w in (10.0, 20.0, 30.0)]
+        for snap in snaps:
+            dm.submit(snap)
+        seen = []
+        while dm.busy:
+            seen.append(dm.landing)
+            env.run(until=dm.landing)
+        assert [t.hex() for t in seen] == [t.hex() for t in chain]
+        assert dm.completed == 3 and ledger.recovery_snapshot() is snaps[-1]
+
+        late = DrainManager(env, PFSSpec(), SnapshotLedger(), 16, 8 * GiB)
+        chain = [env.now + d]
+        for _ in range(2):
+            chain.append(chain[-1] + d)
+        for snap in snaps:
+            late.submit(snap)
+        env.run(until=chain[1] + d / 2)
+        late.settle()
+        assert late.completed == 2
+        assert late.landing.hex() == chain[2].hex()
+        env.run(until=chain[2] + d)
+        assert not late.busy and late.completed == 3
 
     def test_zero_byte_drain_lands_at_once(self, env):
         ledger = SnapshotLedger()
@@ -152,7 +206,7 @@ class TestDrainManager:
             ledger.record_periodic(100.0, env.now))))
         for cut in cuts:
             env.process(at(cut, lambda: dm.cancel_newer_than(150.0)))
-        env.run()
+        _run_drains(env, dm)
         remaining, start = dm.duration, submit_at
         for cut in cuts:
             remaining -= cut - start

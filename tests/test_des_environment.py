@@ -26,6 +26,74 @@ class TestClock:
         assert env.queue_size == 2
 
 
+class TestHorizon:
+    """``horizon()`` bounds how far a callback may ``advance`` the clock."""
+
+    @staticmethod
+    def _probe(env, at, seen, to=None):
+        def proc():
+            yield env.timeout(at)
+            seen.append(env.horizon())
+            if to is not None:
+                env.advance(to)
+                seen.append(env.now)
+        return env.process(proc())
+
+    def test_no_run_loop_no_horizon(self, env):
+        env.timeout(5.0)
+        assert env.horizon() == -Infinity
+        with pytest.raises(SimulationError):
+            env.advance(1.0)
+
+    @pytest.mark.parametrize("until", [None, 8.0])
+    def test_next_event_or_until(self, env, until):
+        seen = []
+        self._probe(env, 1.0, seen)
+        env.timeout(10.0)
+        env.run(until=until)
+        assert seen == [8.0 if until is not None else 10.0]
+        assert env.horizon() == -Infinity  # restored after the loop
+
+    def test_advance_strictly_before_horizon(self, env):
+        seen = []
+        self._probe(env, 1.0, seen, to=3.0)
+        env.timeout(3.0)
+        with pytest.raises(SimulationError):
+            env.run()
+        assert seen == [3.0]
+
+    def test_advance_moves_clock_and_profiler_charges_the_event(self, env):
+        from repro.obs import KernelProfiler
+
+        seen = []
+        proc = self._probe(env, 1.0, seen, to=2.5)
+        proc.name = "prober"
+        env.timeout(4.0)
+        profiler = KernelProfiler()
+        env.attach_profiler(profiler)
+        env.run()
+        assert seen == [4.0, 2.5]
+        rows = {(e.owner, e.kind): e for e in profiler.entries()}
+        assert rows[("prober", "Timeout")].sim_seconds == 2.5
+        assert profiler.total_sim_seconds() == env.now == 4.0
+
+    def test_reference_loop_publishes_its_bound(self, env):
+        from repro.validate.backends import run_reference
+
+        seen = []
+        self._probe(env, 1.0, seen)
+        run_reference(env, until=6.0)
+        assert seen == [6.0]
+        assert env.horizon() == -Infinity
+
+    def test_calendar_bucket_holds_the_horizon(self):
+        env = Environment(delay_grid=0.5)
+        seen = []
+        self._probe(env, 1.0, seen)
+        env.run()
+        assert seen == [1.0]
+
+
 class TestRun:
     def test_run_to_exhaustion(self, env):
         env.timeout(3)

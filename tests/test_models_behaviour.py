@@ -160,31 +160,58 @@ class TestOCIBehaviour:
 
 
 class TestEventBudget:
-    """A periodic checkpoint costs the kernel at most three events.
+    """What a replication costs the kernel, traced and untraced.
 
-    One for the compute segment, one for the BB write and one for the
-    background drain.  Failures and the proactive runs they cause get an
-    allowance of their own.  One CHIMERA replication under lanl-system18
-    at seed 7 took 4166 events for 745 checkpoints (B) and 4501 for 681
-    (P1) while every drain ran as its own process.
+    A traced run keeps the event path: a periodic checkpoint costs at
+    most three events (compute segment, BB write, drain landing), and
+    failures and the proactive runs they cause get an allowance of their
+    own.  An untraced run schedules no drain landing and runs every
+    segment nothing can interrupt inline, so what is left scales with
+    the disturbances (failures and false alarms), not with the
+    checkpoints.  At the parent of that change an untraced CHIMERA/B
+    replication under lanl-system18 at seed 7 took 2649 events for 104
+    failures, and a failure-free VULCAN/P2 one on titan 5006.
     """
 
     PER_CHECKPOINT = 3
     PER_FAILURE = 12
+    FAILURE_FREE = 20
 
-    @pytest.mark.parametrize("model", ["B", "P1"])
-    def test_events_per_replication(self, model):
+    @staticmethod
+    def _chimera(model, trace=None):
         from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
         from repro.workloads.applications import APPLICATIONS
 
         sim = CRSimulation(APPLICATIONS["CHIMERA"], get_model(model),
                            weibull=LANL_SYSTEM18_WEIBULL,
-                           rng=np.random.default_rng(7))
-        out = sim.run()
+                           rng=np.random.default_rng(7), trace=trace)
+        return sim, sim.run()
+
+    @pytest.mark.parametrize("model", ["B", "P1"])
+    def test_events_per_replication(self, model):
+        sim, out = self._chimera(model, trace=Trace(env=None))
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
         budget = (self.PER_CHECKPOINT * out.periodic_checkpoints
                   + self.PER_FAILURE * out.ft.failures)
         assert sim.env.events_processed <= budget
+
+    @pytest.mark.parametrize("model", ["B", "P1"])
+    def test_untraced_events_per_disturbance(self, model):
+        sim, out = self._chimera(model)
+        assert out.periodic_checkpoints > 600 and out.ft.failures > 50
+        disturbances = out.ft.failures + out.ft.false_alarms
+        assert sim.env.events_processed <= self.PER_FAILURE * disturbances
+
+    def test_untraced_failure_free_replication(self):
+        from repro.failures.weibull import TITAN_WEIBULL
+        from repro.workloads.applications import APPLICATIONS
+
+        sim = CRSimulation(APPLICATIONS["VULCAN"], get_model("P2"),
+                           weibull=TITAN_WEIBULL,
+                           rng=np.random.default_rng(0))
+        out = sim.run()
+        assert out.ft.failures == 0 and out.periodic_checkpoints > 1000
+        assert sim.env.events_processed <= self.FAILURE_FREE
 
     def test_online_interval_follows_failures(self, tiny_app, hot_weibull):
         from dataclasses import replace

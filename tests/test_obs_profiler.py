@@ -198,13 +198,46 @@ class TestSimulationReconciliation:
         sim, profiler, _ = profiled_run
         assert profiler.total_count() == sim.env.events_processed
 
-    def test_drain_landings_have_their_own_row(self, profiled_run):
-        """Drains are plain timeouts whose owner is the drain manager."""
-        sim, profiler, _ = profiled_run
+    def test_untraced_run_has_no_drain_events(self, profiled_run):
+        """Untraced drains land by arithmetic, segments run inline.
+
+        No event is owned by the drain manager, and the clock the
+        application advanced inline is still attributed in full.
+        """
+        sim, profiler, out = profiled_run
+        assert sim.drain.completed > 1000
+        assert not any(e.owner == "drain-worker" for e in profiler.entries())
+        assert profiler.total_count() < 20
+        assert profiler.total_sim_seconds() == pytest.approx(
+            out.makespan, abs=1e-6
+        )
+
+    def test_traced_run_keeps_the_drain_row(self):
+        """A traced drain is one timeout whose owner is the drain manager."""
+        import numpy as np
+
+        from repro.des import Trace
+        from repro.failures.weibull import TITAN_WEIBULL
+        from repro.models.base import CRSimulation
+        from repro.models.registry import get_model
+        from repro.workloads.applications import APPLICATIONS
+
+        child = np.random.SeedSequence(2022).spawn(1)[0]
+        sim = CRSimulation(
+            APPLICATIONS["VULCAN"], get_model("P2"),
+            weibull=TITAN_WEIBULL, rng=np.random.default_rng(child),
+            trace=Trace(env=None),
+        )
+        profiler = KernelProfiler()
+        sim.env.attach_profiler(profiler)
+        out = sim.run()
         rows = {(e.owner, e.kind): e for e in profiler.entries()}
         assert rows[("drain-worker", "Timeout")].count == sim.drain.completed
         assert not any(kind == "Initialize" and owner == "drain-worker"
                        for owner, kind in rows)
+        assert profiler.total_sim_seconds() == pytest.approx(
+            out.makespan, abs=1e-6
+        )
 
     def test_profiled_run_matches_unprofiled_result(self, profiled_run):
         import numpy as np
