@@ -124,10 +124,9 @@ def _ping_pong(n: int) -> Environment:
 
     Exercises Event.succeed, callback subscription, and the processed-event
     fast path in Process._resume (no heap time advance).  The workload is
-    one long same-time cascade, so it opts into the calendar queue
-    (``delay_grid``) and runs on the batched bucket-drain dispatch loop.
+    one long same-time cascade: every event is scheduled at t=0.
     """
-    env = Environment(delay_grid=1.0)
+    env = Environment()
     box: List[Any] = [env.event(), env.event()]
 
     def player(env: Environment, me: int):
@@ -168,10 +167,9 @@ def _store_traffic(n: int) -> Environment:
 
     Exercises the put/get dispatcher and the priority-ordered retrieval
     path (the node-local queue primitive of the p-ckpt protocol).  All
-    traffic happens at t=0, so the builder opts into the calendar queue
-    and the whole run is one batched bucket drain.
+    traffic happens at t=0.
     """
-    env = Environment(delay_grid=1.0)
+    env = Environment()
     store = PriorityStore(env)
 
     def producer(env: Environment):
@@ -218,9 +216,9 @@ def _store_backlog(n: int) -> Environment:
     retrieval order costs O(log n) per operation in the current kernel
     (an earlier revision rebuilt the sorted view on every put/get,
     which makes exactly this workload quadratic).  Same-time cascade
-    workload: opts into the calendar queue like ping_pong.
+    workload, like ping_pong.
     """
-    env = Environment(delay_grid=1.0)
+    env = Environment()
     store = PriorityStore(env)
     backlog = 512
     cycles = max(n // (2 * backlog), 1)

@@ -34,7 +34,7 @@ Subcommands
     See ``docs/SCHEDULER.md``.
 ``pckpt validate``
     Differential fuzzing of the DES kernel: random scenarios executed on
-    the inlined fast-path loops, the ``step()`` reference, and real
+    the inlined fast-path loop, the ``step()`` reference, and real
     SimPy when installed, cross-checked event for event plus invariant
     oracles, whole-simulation C/R differentials, and batch-queue
     scheduling oracles; failing cases are shrunk to minimal reproducers
@@ -1641,7 +1641,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument(
         "--backend", nargs="+", default=["all"],
-        choices=["all", "fast", "step", "calendar", "simpy"],
+        choices=["all", "fast", "step", "simpy"],
         help="backends to cross-check (default: every available one)",
     )
     p_val.add_argument(

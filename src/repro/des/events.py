@@ -134,18 +134,8 @@ class Event:
         # Inlined Environment.schedule with delay=0 (the only case here);
         # keep the key tuple in sync with core.Environment.schedule.  The
         # queue high-water mark is sampled at pop time by the run loop.
-        # Heap mode pushes straight onto the heap (cheaper than any
-        # indirection); in calendar mode NORMAL-priority entries at the
-        # current time go through env._push_now, which a draining bucket
-        # rebinds to its raw deque.append, and anything else takes the
-        # general env._push (the queue's binning method).
         env = self.env
-        if env._cal is None:
-            heappush(env._queue, (env._now, priority, env._eid, self))
-        elif priority == 1:
-            env._push_now((env._now, priority, env._eid, self))
-        else:
-            env._push((env._now, priority, env._eid, self))
+        heappush(env._queue, (env._now, priority, env._eid, self))
         env._eid += 1
         return self
 
@@ -171,12 +161,7 @@ class Event:
         self._defused = False
         self._value = exception
         env = self.env
-        if env._cal is None:
-            heappush(env._queue, (env._now, priority, env._eid, self))
-        elif priority == 1:
-            env._push_now((env._now, priority, env._eid, self))
-        else:
-            env._push((env._now, priority, env._eid, self))
+        heappush(env._queue, (env._now, priority, env._eid, self))
         env._eid += 1
         return self
 
@@ -229,11 +214,10 @@ class Timeout(Event):
     is a fast path: it sets the :class:`Event` fields and pushes the
     ``(time, priority, sequence)`` queue entry directly instead of going
     through ``Event.__init__`` + :meth:`Environment.schedule` — one
-    attribute-store sequence and one push (a direct ``heappush`` in heap
-    mode, the calendar queue's binning method otherwise) per timeout,
-    with identical
-    scheduling semantics (same key tuple, same sequence numbering; the
-    queue high-water mark is sampled at pop time by the run loop).
+    attribute-store sequence and one direct ``heappush`` per timeout, with
+    identical scheduling semantics (same key tuple, same sequence
+    numbering; the queue high-water mark is sampled at pop time by the
+    run loop).
     """
 
     __slots__ = ("_delay",)
@@ -248,11 +232,7 @@ class Timeout(Event):
         if type(delay) is not float:
             delay = float(delay)
         self._delay = delay
-        cal = env._cal
-        if cal is None:
-            heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
-        else:
-            cal.push((env._now + delay, NORMAL, env._eid, self))
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
         env._eid += 1
 
     @property

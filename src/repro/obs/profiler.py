@@ -3,11 +3,11 @@
 :class:`KernelProfiler` answers "where did the time go?" with exact
 per-process and per-event-kind accounting of both *simulated* time and
 *wall-clock* time spent dispatching events.  The kernel hooks live in
-:mod:`repro.des.core`: ``Environment.run`` dispatches to an instrumented
-twin loop (``_run_profiled``) when a profiler is attached, and
-``Environment.step`` records the same attribution per event — so all
-three inlined run-loop variants and manual stepping produce identical
-attributions for the same schedule.
+:mod:`repro.des.core`: when a profiler is attached, ``Environment.run``'s
+dispatch loop takes its timed branch, and ``Environment.step`` records
+the same attribution per event — so every ``until`` mode of the run loop
+and manual stepping produce identical attributions for the same
+schedule.
 
 Attribution model
 -----------------

@@ -169,9 +169,6 @@ class SchedSimulation:
         job id.
     drain_lanes / background_load:
         Shared-storage contention knobs (see ``SharedStorage``).
-    delay_grid:
-        Optional kernel calendar-queue grid (heap backend when ``None``);
-        the schedule is bit-identical either way.
     """
 
     def __init__(
@@ -185,7 +182,6 @@ class SchedSimulation:
         seed_seq: Optional[np.random.SeedSequence] = None,
         drain_lanes: int = 2,
         background_load: float = 0.0,
-        delay_grid: Optional[float] = None,
         trace: Optional[Trace] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -205,7 +201,7 @@ class SchedSimulation:
         self.weibull = weibull
         self.lead_model = lead_model
         self.predictor = predictor
-        self.env = Environment(delay_grid=delay_grid)
+        self.env = Environment()
         self.trace = trace
         if trace is not None:
             trace.env = self.env
@@ -426,7 +422,6 @@ def run_sched_once(
     seed_seq,
     drain_lanes: int = 2,
     background_load: float = 0.0,
-    delay_grid: Optional[float] = None,
     collect_metrics: bool = False,
 ) -> SchedRunOutput:
     """Worker: one replication (top-level for pickling)."""
@@ -442,7 +437,6 @@ def run_sched_once(
         seed_seq=seed_seq,
         drain_lanes=drain_lanes,
         background_load=background_load,
-        delay_grid=delay_grid,
         metrics=MetricsRegistry() if collect_metrics else None,
     )
     return sim.run()

@@ -5,21 +5,13 @@ plus the ``drive`` function that runs the environment.  Three backends
 exist:
 
 ``fast``
-    The production kernel driven through :meth:`Environment.run` — the
-    three inlined hot-path loop variants PR 3 introduced.
+    The production kernel driven through :meth:`Environment.run`, the
+    inlined hot-path dispatch loop.
 ``step``
     The same kernel driven through :func:`run_reference`, a loop built
     exclusively on :meth:`Environment.step` (the documented reference
     semantics).  Any fast-path/reference divergence is a kernel bug by
     definition (``docs/PERFORMANCE.md``, "Determinism contract").
-``calendar``
-    The production kernel with the :class:`~repro.des.core.CalendarQueue`
-    selected (``delay_grid`` = the scenario generator's delay quantum),
-    driven through :meth:`Environment.run`.  Scenario delays are grid
-    multiples by construction, so generated programs exercise the
-    bucket-queue dispatch loop; scenarios that schedule off-grid exercise
-    the runtime demotion path.  Kernel stats are compared bit-exactly
-    against the heap backends.
 ``simpy``
     Real SimPy, when installed (the ROADMAP's multi-backend direction).
     Our kernel is SimPy-compatible by design, so the same interpreter
@@ -63,8 +55,8 @@ __all__ = [
 def run_reference(env: Environment, until: Any = None) -> Any:
     """Run *env* with :meth:`Environment.run` semantics via ``step()`` only.
 
-    This is the executable specification of the three inlined loop
-    variants in ``des/core.py``: same ``until`` contract, same
+    This is the executable specification of the inlined run loop in
+    ``des/core.py``: same ``until`` contract, same
     exceptions, same message strings, same clock/stat updates — but
     every event dispatch goes through the single-event reference
     implementation.  The differential executor asserts that the fast
@@ -87,9 +79,8 @@ def run_reference(env: Environment, until: Any = None) -> Any:
             raise ValueError(f"until ({at}) must be greater than now ({env._now})")
         stop_event = None
 
-    # queue_size/peek() instead of env._queue directly: the reference
-    # loop must drive a calendar-queue environment identically.  Like the
-    # fast loops it publishes its bound for Environment.horizon().
+    # Like the fast loop, the reference publishes its bound for
+    # Environment.horizon().
     until_outer = env._until
     env._until = at
     try:
@@ -137,7 +128,7 @@ class Backend:
     Attributes
     ----------
     name:
-        ``"fast"``, ``"step"``, ``"calendar"``, or ``"simpy"``.
+        ``"fast"``, ``"step"``, or ``"simpy"``.
     kernel:
         True for the in-repo kernel (enables kernel-stat comparison and
         strict exception-message comparison).
@@ -183,24 +174,6 @@ STEP_BACKEND = Backend(
 )
 
 
-def _calendar_environment() -> Environment:
-    # The scenario generator quantizes every delay to DELAY_QUANTUM
-    # (a power of two), so this grid qualifies and generated programs
-    # run on the calendar dispatch loop unless they demote themselves.
-    from .scenarios import DELAY_QUANTUM
-
-    return Environment(delay_grid=DELAY_QUANTUM)
-
-
-CALENDAR_BACKEND = Backend(
-    name="calendar",
-    kernel=True,
-    env_factory=_calendar_environment,
-    drive=lambda env, until: env.run(until=until),
-    classes=_KERNEL_CLASSES,
-)
-
-
 def _make_simpy_backend() -> Optional[Backend]:
     """Build the SimPy backend, or ``None`` when SimPy is not installed."""
     try:
@@ -230,7 +203,6 @@ def available_backends() -> Dict[str, Backend]:
     backends = {
         "fast": FAST_BACKEND,
         "step": STEP_BACKEND,
-        "calendar": CALENDAR_BACKEND,
     }
     simpy_backend = _make_simpy_backend()
     if simpy_backend is not None:
@@ -251,7 +223,7 @@ def resolve_backends(names) -> Dict[str, Backend]:
         return have
     chosen: Dict[str, Backend] = {}
     for name in names:
-        if name not in ("fast", "step", "calendar", "simpy"):
+        if name not in ("fast", "step", "simpy"):
             raise ValueError(f"unknown backend {name!r}")
         if name not in have:
             raise ValueError("backend 'simpy' requires SimPy to be installed")

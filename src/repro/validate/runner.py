@@ -12,8 +12,7 @@ One campaign, from a single seed:
    the flattened ``RunOutput`` fingerprints;
 4. fuzzes a bounded number of random **batch-queue schedules**, holding
    each to the scheduling oracles (liveness, node-hours conservation,
-   placement disjointness, FCFS causality) and to heap/calendar
-   backend equivalence;
+   placement disjointness, FCFS causality);
 5. on any failure, **shrinks** the case to a minimal reproducer and
    (for scenarios, when a corpus directory is given) saves it to
    ``tests/corpus/``.

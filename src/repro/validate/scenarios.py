@@ -21,11 +21,13 @@ Delays are drawn from a coarse grid (multiples of 0.25) on purpose:
 same-time event collisions are where tie-break and ordering bugs live,
 and a fuzzer drawing continuous delays would almost never produce one.
 A minority of scenarios (:data:`OFF_GRID_SCENARIO_RATE`) additionally
-jitter some delays *off* the grid: on the ``calendar`` backend those
-programs start on the bucket queue and demote to the heap mid-run at the
-first off-grid push, so the fuzzer exercises both queue implementations
-**and** the live demotion hand-off between them, not just the pure
-bucket path.
+jitter some delays *off* the grid by a non-dyadic offset, so their event
+times carry rounding error and land near, but not exactly on, other
+events: the heap then orders times that differ in their last bits, not
+only exact ties.  The draws are part of the fuzz stream — removing one
+would renumber every case — so case *N* stays the same program and the
+corpus reproducers and CI case numbers keep their meaning
+(``tests/test_validate.py`` pins the stream's hash).
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ DELAY_QUANTUM = 0.25
 #: Largest generated delay (seconds).
 MAX_DELAY = 3.0
 #: Fraction of scenarios that draw *some* delays off the grid (the rest
-#: stay pure-grid so the calendar backend's bucket path gets dense
-#: coverage too).
+#: stay pure-grid, where same-time collisions are densest).
 OFF_GRID_SCENARIO_RATE = 0.25
 #: Per-delay probability of leaving the grid within an off-grid scenario.
 OFF_GRID_DELAY_RATE = 0.2
-#: Off-grid offset: DELAY_QUANTUM/3 is representable but never a grid
-#: multiple, so one jittered delay is guaranteed to demote a calendar
-#: queue the moment it is scheduled.
+#: Off-grid offset: DELAY_QUANTUM/3 is not a dyadic fraction, so it is
+#: never a grid multiple and sums of jittered delays round.
 OFF_GRID_JITTER = DELAY_QUANTUM / 3.0
 #: Priorities are drawn from this small set so that ties are common.
 PRIORITY_CHOICES = (0.0, 1.0, 2.0)
@@ -235,43 +235,6 @@ class Scenario:
         return Scenario.from_dict(json.loads(text))
 
     # -- classification ----------------------------------------------------
-    def on_grid(self) -> bool:
-        """Whether every delay is an exact :data:`DELAY_QUANTUM` multiple.
-
-        On-grid scenarios run the ``calendar`` backend entirely on the
-        bucket queue; any off-grid delay demotes it to the heap the
-        moment that delay is scheduled.  The fuzz coverage test asserts
-        both classes appear in a default run.
-        """
-
-        def scan(ops) -> bool:
-            for op in ops:
-                kind = op[0]
-                if kind in ("timeout", "sleep_catch"):
-                    delays = (op[1],)
-                elif kind == "cancel_get":
-                    delays = (op[2],)
-                elif kind == "acquire":
-                    delays = (op[3],)
-                elif kind in ("allof", "anyof"):
-                    delays = tuple(op[1])
-                elif kind == "spawn":
-                    if op[1].start_delay % DELAY_QUANTUM != 0.0:
-                        return False
-                    if not scan(op[1].ops):
-                        return False
-                    continue
-                else:
-                    continue
-                if any(d % DELAY_QUANTUM != 0.0 for d in delays):
-                    return False
-            return True
-
-        return all(
-            p.start_delay % DELAY_QUANTUM == 0.0 and scan(p.ops)
-            for p in self.processes
-        )
-
     def simpy_compatible(self) -> bool:
         """Whether real SimPy can replay this scenario faithfully.
 

@@ -3,9 +3,8 @@
 The scenario fuzzer proves the kernel; :mod:`~.crdiff` proves one job's
 C/R loop; this module proves the *batch queue* built on both.  Each case
 is a randomized small machine plus a randomized trace workload, executed
-by :class:`~repro.sched.engine.SchedSimulation` on **both** kernel
-backends (binary heap and calendar queue) and held to the scheduling
-invariants no policy is allowed to break:
+by :class:`~repro.sched.engine.SchedSimulation` and held to the
+scheduling invariants no policy is allowed to break:
 
 * **liveness** — every admitted job starts and finishes (EASY backfill
   must not starve wide jobs behind a stream of narrow ones);
@@ -17,7 +16,7 @@ invariants no policy is allowed to break:
 * **causality** — no job starts before it is submitted, and under FCFS
   no job starts before an earlier-submitted one;
 * **accounting** — per-job ``FTStats`` pass their own consistency
-  check, and both backends produce bit-identical schedules.
+  check.
 
 Failures shrink to a minimal reproducer by greedy job deletion, the
 same contract the scenario shrinker follows.
@@ -112,8 +111,7 @@ def _case_with_entries(case: SchedCase,
     return dataclasses.replace(case, entries=entries)
 
 
-def run_sched_case(case: SchedCase, policy: Optional[object] = None,
-                   delay_grid: Optional[float] = None):
+def run_sched_case(case: SchedCase, policy: Optional[object] = None):
     """Execute one case; returns a :class:`~repro.sched.engine.SchedRunOutput`.
 
     *policy* accepts a :class:`~repro.sched.policy.SchedulingPolicy`
@@ -151,27 +149,8 @@ def run_sched_case(case: SchedCase, policy: Optional[object] = None,
         seed_seq=np.random.SeedSequence(case.sim_seed),
         drain_lanes=case.drain_lanes,
         background_load=case.background_load,
-        delay_grid=delay_grid,
     )
     return sim.run()
-
-
-def _fingerprint(output) -> List[Tuple]:
-    """Bit-exact per-job schedule fingerprint (floats via ``hex``)."""
-    rows = []
-    for r in output.records:
-        ft = r.ft
-        rows.append((
-            r.job.name,
-            None if r.start is None else float(r.start).hex(),
-            None if r.end is None else float(r.end).hex(),
-            r.checkpoints,
-            r.drains,
-            r.intervals,
-            (ft.failures, ft.predicted, ft.mitigated_lm, ft.mitigated_pckpt,
-             ft.mitigated_safeguard, ft.false_alarms, ft.lm_aborts),
-        ))
-    return rows
 
 
 def check_sched_output(output, case: SchedCase,
@@ -264,37 +243,19 @@ def check_sched_output(output, case: SchedCase,
 
 def check_sched_case(case: SchedCase,
                      policy: Optional[object] = None) -> List[str]:
-    """All violations for one case: invariant oracles + backend diff.
+    """All violations for one case: the scheduling-invariant oracles.
 
-    Runs the case on the heap kernel, checks every scheduling oracle,
-    then re-runs it on the calendar-queue kernel and requires the two
-    schedules to be bit-identical (the sched layer inherits the kernel's
-    backend-equivalence contract).  With an injected *policy* the
-    backend diff is skipped — mutants only face the invariants.
+    *policy* substitutes a policy instance (a mutant) for the case's
+    named one; the FCFS-only causality oracle then does not apply.
     """
     try:
         output = run_sched_case(case, policy=policy)
     except Exception as exc:  # noqa: BLE001 - reported, not fatal
         return [f"simulation raised {type(exc).__name__}: {exc}"]
-    problems = check_sched_output(
+    return check_sched_output(
         output, case,
         policy_name=None if policy is None else type(policy).__name__,
     )
-    if policy is None:
-        try:
-            calendar = run_sched_case(case, delay_grid=1.0)
-        except Exception as exc:  # noqa: BLE001
-            return problems + [
-                f"calendar backend raised {type(exc).__name__}: {exc}"
-            ]
-        heap_fp, cal_fp = _fingerprint(output), _fingerprint(calendar)
-        if heap_fp != cal_fp:
-            for h, c in zip(heap_fp, cal_fp):
-                if h != c:
-                    problems.append(
-                        f"backend diff: {h[0]} heap={h[1:]} calendar={c[1:]}"
-                    )
-    return problems
 
 
 def sched_case_size(case: SchedCase) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.des import EmptySchedule, Environment, Infinity, SimulationError
+from repro.des import EmptySchedule, Environment, Infinity, SimulationError, Store
 
 
 class TestClock:
@@ -86,13 +86,6 @@ class TestHorizon:
         assert seen == [6.0]
         assert env.horizon() == -Infinity
 
-    def test_calendar_bucket_holds_the_horizon(self):
-        env = Environment(delay_grid=0.5)
-        seen = []
-        self._probe(env, 1.0, seen)
-        env.run()
-        assert seen == [1.0]
-
 
 class TestRun:
     def test_run_to_exhaustion(self, env):
@@ -156,12 +149,6 @@ class TestRun:
         with pytest.raises(EmptySchedule):
             env.step()
 
-    def test_run_until_empty_helper(self, env):
-        env.timeout(1)
-        env.timeout(2)
-        env.run_until_empty()
-        assert env.now == 2.0
-
     def test_unhandled_process_failure_propagates(self, env):
         def bad(env):
             yield env.timeout(1)
@@ -188,6 +175,72 @@ class TestRun:
         env.process(waiter(env, p))
         env.run()
         assert caught == [1.0]
+
+
+def _reference_workload(env):
+    """Store traffic, same-time cascades and off-grid timers; last event
+    at t=10.  Returns a process that finishes well before that.
+
+    The last event before t=2 schedules a burst, so the deepest queue
+    comes after that event's callbacks: a run bounded at t=2 must not
+    count it (the high-water mark is sampled at pop time only).
+    """
+    store = Store(env)
+
+    def burst():
+        yield env.timeout(1.95)
+        for _ in range(20):
+            env.timeout(5.0)
+        yield env.timeout(7.0)
+
+    def producer():
+        for i in range(5):
+            yield env.timeout(0.3 * (i + 1))
+            yield store.put(i)
+
+    def consumer():
+        while True:
+            item = yield store.get()
+            yield env.timeout(0.25)
+            if item == 4:
+                return item
+
+    env.process(producer())
+    env.process(burst())
+    done = env.process(consumer())
+    for i in range(12):
+        env.timeout(0.1 * i)
+    env.timeout(10.0)
+    return done
+
+
+class TestRunMatchesReference:
+    """Every ``until`` mode of ``run()``, with and without a profiler,
+    leaves the clock and kernel stats exactly where ``step()`` does."""
+
+    @pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+    @pytest.mark.parametrize("until", [None, 2.0, 12.5, "event"],
+                             ids=["drain", "before-last", "after-last", "event"])
+    def test_clock_and_stats_match_run_reference(self, until, profiled):
+        from repro.obs import KernelProfiler
+        from repro.validate.backends import run_reference
+
+        results = []
+        for drive in (Environment.run, run_reference):
+            env = Environment()
+            done = _reference_workload(env)
+            profiler = KernelProfiler() if profiled else None
+            if profiled:
+                env.attach_profiler(profiler)
+            drive(env, done if until == "event" else until)
+            assert env.horizon() == -Infinity
+            if profiled and drive is Environment.run:
+                # run() charges the clock advance past the last event
+                # to the idle row, so the sim column sums to now.
+                assert profiler.total_sim_seconds() == env.now
+            results.append((env.now.hex(), env.events_processed,
+                            env.queue_high_water))
+        assert results[0] == results[1]
 
 
 class TestDeterminism:

@@ -1,9 +1,9 @@
-"""Exception-path parity: fast-path ``run()`` loops vs the ``step()`` reference.
+"""Exception-path parity: the inlined ``run()`` loop vs the ``step()`` reference.
 
-PR 3 inlined three ``run()`` loop variants (drain / until-event /
-until-time); an uncaught exception raised mid-run must propagate
-**identically** — same type, same message, same simulation time — from
-every variant and from pure ``step()`` dispatch
+``run()`` has three until modes (drain / until-event / until-time), each
+with and without a profiler attached; an uncaught exception raised
+mid-run must propagate **identically** — same type, same message, same
+simulation time — from every mode and from pure ``step()`` dispatch
 (:func:`repro.validate.run_reference`), including the documented
 ``run(until=now)`` ValueError and the drained-before-until-event
 SimulationError.
@@ -16,13 +16,28 @@ import re
 import pytest
 
 from repro.des import Environment, Interrupt, SimulationError
+from repro.obs import KernelProfiler
 from repro.validate import run_reference
+
+
+def _profiled(until):
+    """``run(until=...)`` with a profiler attached first."""
+
+    def drive(env, proc):
+        env.attach_profiler(KernelProfiler())
+        return env.run(until=proc if until == "proc" else until)
+
+    return drive
+
 
 #: (variant name, callable(env, boom_proc) -> run invocation)
 VARIANTS = [
     ("fast-drain", lambda env, proc: env.run()),
     ("fast-horizon", lambda env, proc: env.run(until=100.0)),
     ("fast-proc", lambda env, proc: env.run(until=proc)),
+    ("profiled-drain", _profiled(None)),
+    ("profiled-horizon", _profiled(100.0)),
+    ("profiled-proc", _profiled("proc")),
     ("step-drain", lambda env, proc: run_reference(env)),
     ("step-horizon", lambda env, proc: run_reference(env, until=100.0)),
     ("step-proc", lambda env, proc: run_reference(env, until=proc)),

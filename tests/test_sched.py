@@ -249,32 +249,6 @@ class TestDeterminism:
         for workers in (2, 4):
             assert self._render(run_spec(spec, workers=workers)) == baseline
 
-    def test_bit_identical_across_kernel_backends(self):
-        workload = poisson_workload(
-            ("GYRO", "POP"), ("B", "P2"), 8, seed=11,
-            hours_scale=0.05, max_nodes=192,
-        )
-        outs = [
-            run_sched_once(
-                workload, "easy", SMALL, HOT, PAPER_LEAD_TIME_MODEL,
-                DEFAULT_PREDICTOR, np.random.SeedSequence(11),
-                delay_grid=grid,
-            )
-            for grid in (None, 1.0)
-        ]
-        fps = [
-            [(r.job.name,
-              None if r.start is None else float(r.start).hex(),
-              None if r.end is None else float(r.end).hex(),
-              r.checkpoints, r.drains, r.intervals,
-              dataclasses.asdict(r.ft))
-             for r in out.records]
-            for out in outs
-        ]
-        assert fps[0] == fps[1]
-        assert float(outs[0].makespan_seconds).hex() == \
-            float(outs[1].makespan_seconds).hex()
-
 
 class TestBenchPayload:
     def test_baseline_payload_validates(self):

@@ -10,6 +10,7 @@ version of the ``pckpt validate`` acceptance run).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -60,24 +61,21 @@ class TestFuzzerDeterminism:
             else:
                 assert sc.until is None
 
-    def test_both_queue_implementations_are_exercised(self):
-        """The fuzz stream must cover the calendar queue AND its demotion.
+    def test_fuzz_stream_is_pinned(self):
+        """Case N is the same program as when the stream was last pinned.
 
-        On-grid scenarios run the ``calendar`` backend entirely on the
-        bucket queue; off-grid ones demote it to the heap mid-run.  Both
-        classes must appear well inside the default case budget, and the
-        off-grid (demoting) ones must still agree with the heap backends
-        bit-exactly.
+        Dropping or reordering a draw in ``generate_scenario`` renumbers
+        every later case, which silently changes what a CI case number
+        or a committed corpus reproducer means.  A deliberate change to
+        the stream must update this hash.
         """
-        scenarios = [generate_scenario(s) for s in range(60)]
-        on_grid = [sc for sc in scenarios if sc.on_grid()]
-        off_grid = [sc for sc in scenarios if not sc.on_grid()]
-        assert len(on_grid) >= 10, "pure bucket-queue coverage collapsed"
-        assert len(off_grid) >= 5, "demotion-path coverage collapsed"
-
-        backends = resolve_backends(["fast", "step", "calendar"])
-        for sc in off_grid[:5]:
-            assert validate_scenario(sc, backends) == []
+        digest = hashlib.sha256()
+        for seed in range(200):
+            digest.update(generate_scenario(seed).to_json().encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "1e4c8d32fc56a8a387859f5ea2cc47616f7cd934a1c0473fb59e94ee3825ad54"
+        )
 
 
 class TestScenarioSerialization:

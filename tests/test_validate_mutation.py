@@ -2,8 +2,8 @@
 
 The ISSUE acceptance criterion: a deliberately introduced kernel
 mutation must be (a) detected by the differential fuzzer within its
-default case budget and (b) shrunk to a minimal reproducer.  Two
-mutants, one per bug family the validator exists for:
+default case budget and (b) shrunk to a minimal reproducer.  One
+mutant per bug family the validator exists for:
 
 ``BuggyPriorityStore``
     Reintroduces the pre-fix FIFO tie-break bug — heap entries as plain
@@ -15,16 +15,9 @@ mutants, one per bug family the validator exists for:
 ``TieReversingEnvironment``
     Breaks the scheduler's determinism contract instead: same-``(time,
     priority)`` events are dispatched in *reverse* insertion order.
-    Driven through ``step()`` (the fast loops inline their own dispatch,
+    Driven through ``step()`` (the fast loop inlines its own dispatch,
     so the mutation lives in a step-driven backend) and diffed against
     the correct fast kernel.
-
-``MisBucketedEnvironment``
-    Breaks the calendar queue's exact-binning invariant: events landing
-    in odd-indexed buckets are shifted one bucket early, so the bucket
-    drain dispatches them at the wrong simulated time.  Diffed against
-    the heap-driven fast kernel, proving the fuzzer guards the bucket
-    queue's time/order contract — not just the heap's.
 
 ``StarvingBackfillPolicy``
     Breaks the scheduler layer instead of the kernel: a backfill that
@@ -42,7 +35,6 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.des import Environment, PriorityStore
-from repro.des.core import CalendarQueue
 from repro.sched.policy import EasyBackfillPolicy
 from repro.validate import (
     check_sched_case,
@@ -55,7 +47,6 @@ from repro.validate import (
     validate_scenario,
 )
 from repro.validate.backends import FAST_BACKEND, STEP_BACKEND, run_reference
-from repro.validate.scenarios import DELAY_QUANTUM
 
 #: Default ``pckpt validate`` budget; both mutants must die within it.
 CASE_BUDGET = 200
@@ -104,36 +95,6 @@ class TieReversingEnvironment(Environment):
         return super().step()
 
 
-class MisBucketedCalendarQueue(CalendarQueue):
-    """Bins odd-indexed buckets one slot early — the mis-bucketing bug."""
-
-    __slots__ = ()
-
-    def push(self, entry):
-        t = entry[0]
-        i = t * self.inv
-        idx = int(i)
-        if idx == i and idx % 2 == 1:
-            # Shift the entry a full grid step early; its own timestamp
-            # is untouched, so only the bucket math is wrong — exactly
-            # what a broken qualification/index computation would do.
-            entry = (t - self.grid, entry[1], entry[2], entry[3])
-        super().push(entry)
-
-
-class MisBucketedEnvironment(Environment):
-    """An Environment wired to the mis-bucketing calendar queue."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(delay_grid=DELAY_QUANTUM)
-        assert self._cal is not None, "calendar queue must have qualified"
-        self._cal = MisBucketedCalendarQueue(self, DELAY_QUANTUM)
-        self._push = self._cal.push
-        self._push_now = self._push
-
-
 BUGGY_STORE_BACKEND = dataclasses.replace(
     FAST_BACKEND,
     name="mutant-store",
@@ -145,12 +106,6 @@ TIE_REVERSING_BACKEND = dataclasses.replace(
     name="mutant-ties",
     env_factory=TieReversingEnvironment,
     drive=run_reference,
-)
-
-MISBUCKETED_BACKEND = dataclasses.replace(
-    FAST_BACKEND,
-    name="mutant-calendar",
-    env_factory=MisBucketedEnvironment,
 )
 
 
@@ -167,7 +122,7 @@ def _hunt(mutant_backend):
 
 @pytest.mark.parametrize(
     "mutant",
-    [BUGGY_STORE_BACKEND, TIE_REVERSING_BACKEND, MISBUCKETED_BACKEND],
+    [BUGGY_STORE_BACKEND, TIE_REVERSING_BACKEND],
     ids=lambda b: b.name,
 )
 def test_mutant_caught_and_shrunk_within_budget(mutant):

@@ -33,7 +33,7 @@ class TestGeneration:
 
 class TestOracles:
     def test_fifty_fuzz_cases_pass_all_oracles(self):
-        """The bounded CI pass: 50 cases, every oracle, both backends."""
+        """The bounded CI pass: 50 cases, every oracle."""
         for seed in range(50):
             case = generate_sched_case(seed)
             problems = check_sched_case(case)
