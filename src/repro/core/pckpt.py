@@ -215,10 +215,12 @@ class PckptProtocol:
         remaining = duration
         while remaining > 0.0:
             start = self.env.now
+            timer = self.env.timeout(remaining)
             try:
-                yield self.env.timeout(remaining)
+                yield timer
                 remaining = 0.0
             except Interrupt as intr:
+                self.env.cancel(timer)
                 remaining -= self.env.now - start
                 if remaining <= _EPS:
                     remaining = 0.0

@@ -83,23 +83,34 @@ class SnapshotLedger:
             # those paths skip the None check entirely.
             self._count = _noop
 
-    def _count(self, name: str) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).inc()
+            self.metrics.counter(name).inc(amount)
 
     # -- updates -------------------------------------------------------------
-    def record_periodic(self, work: float, time: float) -> Snapshot:
-        """A periodic checkpoint just reached the BBs (drain still pending)."""
+    def record_periodic(self, work: float, time: float,
+                        count: int = 1) -> Snapshot:
+        """A periodic checkpoint just reached the BBs (drain still pending).
+
+        ``count > 1`` records a run of checkpoints of which this is the
+        newest; each older one would only have been replaced by the next.
+        """
         snap = Snapshot(work, SnapshotKind.PERIODIC, time)
         self.bb = snap
-        self._count("ledger.periodic_recorded")
+        self._count("ledger.periodic_recorded", count)
         return snap
 
-    def record_drained(self, snap: Snapshot) -> None:
-        """An asynchronous drain finished: *snap* is now PFS-complete."""
+    def record_drained(self, snap: Snapshot, count: int = 1) -> None:
+        """An asynchronous drain finished: *snap* is now PFS-complete.
+
+        ``count > 1`` records a run of drains of which *snap* landed last.
+        Drains land oldest first and a snapshot never holds less work than
+        an older one still draining (a rollback cancels the newer ones), so
+        the last one alone decides the PFS slot, as each in turn would.
+        """
         if self.pfs is None or snap.work >= self.pfs.work:
             self.pfs = snap
-        self._count("ledger.drained")
+        self._count("ledger.drained", count)
 
     def record_proactive(self, work: float, time: float) -> Snapshot:
         """A proactive (safeguard / p-ckpt) PFS commit completed."""

@@ -11,12 +11,12 @@ now-invalid snapshots.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..des import Environment, Event, Infinity, Trace
 from ..des.metrics import MetricsRegistry
 from ..platform.pfs import PFSSpec
-from .checkpoint import Snapshot, SnapshotLedger
+from .checkpoint import Snapshot, SnapshotKind, SnapshotLedger
 
 __all__ = ["DrainManager"]
 
@@ -126,6 +126,72 @@ class DrainManager:
         else:
             self._pending.append(snap)
 
+    def submit_run(self, works: Sequence[float], times: Sequence[float],
+                   newest: Snapshot) -> None:
+        """Queue a run of periodic snapshots staged at increasing *times*.
+
+        The same as one :meth:`submit` per ``(work, time)`` pair with the
+        clock at that time, for an untraced manager: the chain advances
+        with :meth:`settle` and :meth:`submit`'s own arithmetic, and the
+        ledger, counters and metrics are updated once at the end.  A
+        :class:`Snapshot` is built only for one still queued or in flight
+        afterwards, or the last to land; *newest* is the last pair's (the
+        one the ledger holds in the BBs).
+        """
+        if self.trace is not None or self.on_drained is not None:
+            raise ValueError("submit_run needs an untraced manager "
+                             "without on_drained")
+        duration = self.duration
+        last = len(times) - 1
+        # A chain entry is an existing Snapshot or an index into the run.
+        snap: Union[Snapshot, int, None] = self._snap
+        pending: List[Union[Snapshot, int]] = list(self._pending)
+        landing = self.landing
+        remaining = self._remaining
+        start = self._start
+        landed = 0
+        newest_landed: Union[Snapshot, int, None] = None
+        for i, now in enumerate(times):
+            # settle(): _finish every landing due, each starting the next.
+            while landing <= now:
+                newest_landed = snap
+                landed += 1
+                begin = landing
+                snap, landing = None, Infinity
+                if pending:
+                    snap, remaining, start = pending.pop(0), duration, begin
+                    landing = start + remaining if remaining > 0 else start
+            if snap is not None:
+                pending.append(i)
+                continue
+            # _begin() and _arm(); a zero-length drain lands at once.
+            remaining, start = duration, now
+            if remaining > 0:
+                snap, landing = i, start + remaining
+            else:
+                newest_landed = i
+                landed += 1
+
+        def built(entry: Union[Snapshot, int]) -> Snapshot:
+            if isinstance(entry, Snapshot):
+                return entry
+            if entry == last:
+                return newest
+            return Snapshot(works[entry], SnapshotKind.PERIODIC, times[entry])
+
+        if landed:
+            self.ledger.record_drained(built(newest_landed), count=landed)
+            self.completed += landed
+            if self.metrics is not None:
+                self.metrics.counter("drain.completed").inc(landed)
+                self.metrics.histogram("drain.seconds").observe(
+                    duration, times=landed)
+        self._snap = built(snap) if snap is not None else None
+        self._pending = [built(entry) for entry in pending]
+        self.landing = landing
+        self._remaining = remaining
+        self._start = start
+
     def cancel_newer_than(self, work: float) -> None:
         """Drop queued/in-flight drains of snapshots newer than *work*.
 
@@ -178,9 +244,9 @@ class DrainManager:
             self._finish()
 
     def _disarm(self) -> None:
-        """Detach the armed landing timeout; it then fires with no effect."""
+        """Withdraw the armed landing timeout from the kernel."""
         if self._timer is not None:
-            self._timer.callbacks.remove(self._land)
+            self.env.cancel(self._timer)
             self._timer = None
 
     def _land(self, _event: Event) -> None:

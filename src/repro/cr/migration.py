@@ -114,10 +114,12 @@ class LiveMigration:
 
     # -- process -----------------------------------------------------------
     def _run(self):
+        timer = self.env.timeout(self.transfer_seconds)
         try:
-            yield self.env.timeout(self.transfer_seconds)
+            yield timer
             self.outcome = MigrationOutcome.COMPLETED
         except Interrupt as intr:
+            self.env.cancel(timer)
             kind, _ = intr.cause
             self.outcome = (
                 MigrationOutcome.ABORTED if kind == "lm-abort"

@@ -103,11 +103,13 @@ class SafeguardCheckpoint:
         remaining = self.write_seconds
         while remaining > _EPS:
             start = self.env.now
+            timer = self.env.timeout(remaining)
             try:
-                yield self.env.timeout(remaining)
+                yield timer
                 self._spent += self.env.now - start
                 remaining = 0.0
             except Interrupt as intr:
+                self.env.cancel(timer)
                 self._spent += self.env.now - start
                 remaining -= self.env.now - start
                 kind = intr.cause[0]

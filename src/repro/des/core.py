@@ -26,7 +26,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .events import NORMAL, AllOf, AnyOf, Event, Timeout
+from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
 from .exceptions import EmptySchedule, SimulationError
 from .process import Process, ProcessGenerator
 
@@ -96,6 +96,8 @@ class Environment:
         "_eid",
         "_active_proc",
         "_until",
+        "_cancels",
+        "_discards",
         "metrics",
         "profiler",
         "events_processed",
@@ -115,6 +117,10 @@ class Environment:
         #: run to exhaustion or to an event); ``-inf`` outside any run
         #: loop, so nothing may :meth:`advance` under a bare :meth:`step`.
         self._until: float = -Infinity
+        # Lazy deletion of cancelled entries (see :meth:`cancel`): every
+        # cancel so far, and every cancelled entry since popped unseen.
+        self._cancels: int = 0
+        self._discards: int = 0
         #: Optional :class:`~repro.des.metrics.MetricsRegistry` shared by
         #: components holding this environment (attach via
         #: :meth:`attach_metrics`); ``None`` keeps recording disabled.
@@ -153,15 +159,23 @@ class Environment:
         return self._active_proc
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._queue[0][0] if self._queue else Infinity
+        """Time of the next scheduled event, or ``inf`` if none remain.
+
+        Cancelled entries at the head of the queue are discarded first.
+        """
+        queue = self._queue
+        while queue and queue[0][3].callbacks is None:
+            heappop(queue)
+            self._discards += 1
+        return queue[0][0] if queue else Infinity
 
     def horizon(self) -> float:
         """Earliest time at which anything else can happen.
 
         The next scheduled event or the numeric ``until`` of the running
         loop, whichever comes first; ``-inf`` outside a run loop.  Up to
-        (but excluding) this time the caller owns the clock.
+        (but excluding) this time the caller owns the clock.  A cancelled
+        entry does not hold it (see :meth:`cancel`).
         """
         nxt = self.peek()
         until = self._until
@@ -189,8 +203,36 @@ class Environment:
 
     @property
     def queue_size(self) -> int:
-        """Number of scheduled-but-unprocessed events (diagnostics)."""
-        return len(self._queue)
+        """Number of scheduled-but-unprocessed events (diagnostics).
+
+        Cancelled entries still in the heap are not counted.
+        """
+        return len(self._queue) - (self._cancels - self._discards)
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw the scheduled *event*: it will never be processed.
+
+        For a timeout nothing waits on any more, such as the one an
+        interrupted process leaves behind.  The event's callbacks are
+        dropped unrun and it reads as processed from now on.  Its heap
+        entry stays where it is and is discarded when it reaches the head
+        of the queue — by :meth:`peek`, :meth:`horizon`, :meth:`step` or
+        :meth:`run`, all alike.  A discarded entry is not an event: it
+        does not move the clock, is not counted in
+        :attr:`events_processed`, and the profiler never sees it.
+
+        Raises
+        ------
+        SimulationError
+            If *event* is not scheduled, or already processed or
+            cancelled.
+        """
+        if event.callbacks is None:
+            raise SimulationError(f"{event!r} is already processed or cancelled")
+        if event._value is PENDING:
+            raise SimulationError(f"{event!r} is not scheduled")
+        event.callbacks = None
+        self._cancels += 1
 
     # -- event factories ---------------------------------------------------
     # ``event`` and ``timeout`` are per-instance partials (see __init__):
@@ -237,8 +279,9 @@ class Environment:
     def step(self) -> None:
         """Process the single next event.
 
-        This is the reference implementation of event dispatch: pop the
-        earliest ``(time, priority, sequence)`` entry, advance the clock,
+        This is the reference implementation of event dispatch: discard
+        cancelled entries at the head, pop the earliest
+        ``(time, priority, sequence)`` entry, advance the clock,
         consume the callback list (an event is processed exactly once),
         and re-raise unhandled failures.  :meth:`run` inlines these exact
         semantics.
@@ -248,6 +291,7 @@ class Environment:
         EmptySchedule
             If no events remain.
         """
+        self.peek()  # discards cancelled entries at the head
         qlen = len(self._queue)
         if qlen > self.queue_high_water:
             self.queue_high_water = qlen
@@ -331,11 +375,16 @@ class Environment:
 
         # The heap high-water mark is sampled at pop time (queue length is
         # maximal right before a pop) so the schedule fast paths don't pay
-        # a per-push attribute compare.
+        # a per-push attribute compare.  Only a dispatched event samples
+        # it, as the length before its pop: step() discards the cancelled
+        # entries ahead of it first, so both read the same heap.  A
+        # cancelled entry past the until time is left for a later discard.
         # The processed count is derived in the finally block instead of
         # incremented per event: every heap push increments _eid exactly
         # once (the sequence-uniqueness invariant the heap key relies on),
-        # so pops == pushes-during-run + queue-length delta.
+        # so pops == pushes-during-run + queue-length delta, and the
+        # dispatched events are those pops less the cancelled entries
+        # discarded meanwhile (here or by a callback's horizon()).
         queue = self._queue
         pop = heappop
         perf = _time.perf_counter
@@ -343,6 +392,7 @@ class Environment:
         record = profiler.record if profiler is not None else None
         eid_start = self._eid
         len_start = len(queue)
+        discards_start = self._discards
         hw = self.queue_high_water
         until_outer = self._until
         self._until = at
@@ -351,12 +401,17 @@ class Environment:
             while queue:
                 if queue[0][0] > at:
                     break
-                qlen = len(queue)
+                when, _, _, event = pop(queue)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    # Cancelled: discarded unseen, as peek() does for step().
+                    self._discards += 1
+                    continue
+                qlen = len(queue) + 1
                 if qlen > hw:
                     hw = qlen
                 prev_now = self._now
-                self._now, _, _, event = pop(queue)
-                callbacks = event.callbacks
+                self._now = when
                 event.callbacks = None
                 if profiler is None:
                     if len(callbacks) == 1:
@@ -387,7 +442,10 @@ class Environment:
                     raise stop_event._value
         finally:
             self._until = until_outer
-            self.events_processed += (self._eid - eid_start) + (len_start - len(queue))
+            self.events_processed += (
+                (self._eid - eid_start) + (len_start - len(queue))
+                - (self._discards - discards_start)
+            )
             if hw > self.queue_high_water:
                 self.queue_high_water = hw
             self.wall_seconds += perf() - wall_start

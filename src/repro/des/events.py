@@ -8,7 +8,10 @@ Events follow the SimPy life cycle:
 3. *processed* — the environment has popped the event and invoked all of its
    callbacks.  Adding a callback to a processed event is an error.
 
-Only the environment may move an event from *triggered* to *processed*.
+Only the environment may move an event from *triggered* to *processed*,
+either by dispatching it or, through
+:meth:`~repro.des.core.Environment.cancel`, by dropping its callbacks
+unrun; a cancelled event's queue entry is then discarded unseen.
 """
 
 from __future__ import annotations

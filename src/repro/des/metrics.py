@@ -127,19 +127,26 @@ class Histogram:
         self.total: float = 0.0
         self.count: int = 0
 
-    def observe(self, value: float) -> None:
-        """Record one observation (must be non-negative)."""
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record *times* observations of *value* (must be non-negative).
+
+        The total adds *value* once per observation, so a batch sums to
+        the same bits as that many single calls.
+        """
         if value < 0:
             raise ValueError(
                 f"histogram {self.name}: negative observation {value}"
             )
         idx = bisect.bisect_left(self.buckets, value)
         if idx == len(self.buckets):
-            self.overflow += 1
+            self.overflow += times
         else:
-            self.counts[idx] += 1
-        self.total += value
-        self.count += 1
+            self.counts[idx] += times
+        total = self.total
+        for _ in range(times):
+            total += value
+        self.total = total
+        self.count += times
 
     @property
     def mean(self) -> float:

@@ -34,7 +34,8 @@ from ..cr.migration import LiveMigration, MigrationOutcome
 from ..cr.oci import OCIController
 from ..cr.recovery import plan_recovery
 from ..cr.safeguard import SafeguardAborted, SafeguardCheckpoint
-from ..des import Environment, Interrupt, MetricsRegistry, Trace
+from ..des import Environment, Interrupt, MetricsRegistry, Timeout, Trace
+from ..des.events import URGENT
 from ..failures.injector import FailureEvent, FailureInjector, FalseAlarmEvent
 from ..failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from ..failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
@@ -163,7 +164,16 @@ class _Phase2Job:
     — but becomes ledger-visible (usable by a normal recovery plan) only
     on completion.  A failure of a non-covered node mid-flight destroys a
     share and invalidates the snapshot; the owner cancels the job.
+
+    The flush is one :class:`~repro.des.Timeout` whose callback lands the
+    snapshot at :attr:`eta`; a cancel withdraws it from the kernel.  A
+    traced job opens its ``pckpt_phase2`` span, arms the timeout and
+    closes a cancelled span from urgent events at the instant, after the
+    records the protocol itself still emits then.
     """
+
+    #: Owner name the kernel profiler files the job's events under.
+    name = "pckpt-phase2"
 
     def __init__(self, sim: "CRSimulation", outcome, provs=()) -> None:
         self.sim = sim
@@ -178,35 +188,61 @@ class _Phase2Job:
         )
         self.eta = sim.env.now + self.duration
         self.cancelled = False
-        self._proc = sim.env.process(self._run(), name="pckpt-phase2")
+        self._timer: Optional[Timeout] = None
+        self._sid = 0
+        if sim.trace is None:
+            self._arm()
+        else:
+            self._urgent(self._open)
 
-    def _run(self):
-        sid = self.sim._span_begin(
+    def _urgent(self, callback) -> None:
+        """Run *callback* from an urgent event at the current instant."""
+        event = self.sim.env.event()
+        event.callbacks.append(callback)
+        event.succeed(priority=URGENT)
+
+    def _open(self, _event) -> None:
+        self._sid = self.sim._span_begin(
             "pckpt", "pckpt_phase2",
             {"work": self.snapshot_work, "provs": self.provs},
         )
-        try:
-            yield self.sim.env.timeout(self.duration)
-        except Interrupt:
-            self.cancelled = True
-            self.sim._span_end(sid, "cancelled")
-            self.sim._count("pckpt.phase2_cancelled")
-            if self.sim._phase2_job is self:
-                self.sim._phase2_job = None
-            return
-        self.sim.drain.settle()
-        self.sim.ledger.record_proactive(self.snapshot_work, self.sim.env.now)
-        self.sim._span_end(sid, "landed")
-        self.sim._emit("pckpt", "phase2-landed",
-                       {"work": self.snapshot_work, "provs": self.provs})
-        self.sim._count("pckpt.phase2_landed")
-        if self.sim._phase2_job is self:
-            self.sim._phase2_job = None
+        if not self.cancelled:
+            self._arm()
+
+    def _arm(self) -> None:
+        self._timer = self.sim.env.timeout(self.duration)
+        self._timer.callbacks.append(self._land)
+
+    def _land(self, _event) -> None:
+        """Landing callback: the snapshot is PFS-complete."""
+        sim = self.sim
+        self._timer = None
+        sim.drain.settle()
+        sim.ledger.record_proactive(self.snapshot_work, sim.env.now)
+        sim._span_end(self._sid, "landed")
+        sim._emit("pckpt", "phase2-landed",
+                  {"work": self.snapshot_work, "provs": self.provs})
+        sim._count("pckpt.phase2_landed")
+        if sim._phase2_job is self:
+            sim._phase2_job = None
 
     def cancel(self) -> None:
         """Invalidate the in-flight snapshot (superseded or share lost)."""
-        if self._proc.is_alive and not self.cancelled:
-            self._proc.interrupt(("phase2-cancel", None))
+        if self.cancelled:
+            return
+        sim = self.sim
+        self.cancelled = True
+        if self._timer is not None:
+            sim.env.cancel(self._timer)
+            self._timer = None
+        sim._count("pckpt.phase2_cancelled")
+        if sim._phase2_job is self:
+            sim._phase2_job = None
+        if sim.trace is not None:
+            self._urgent(self._close)
+
+    def _close(self, _event) -> None:
+        self.sim._span_end(self._sid, "cancelled")
 
 
 def _noop(*_args, **_kwargs) -> None:
@@ -482,9 +518,9 @@ class CRSimulation:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
-    def _observe(self, name: str, value: float) -> None:
+    def _observe(self, name: str, value: float, times: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.histogram(name).observe(value)
+            self.metrics.histogram(name).observe(value, times)
 
     def _notify_app(self, cause: tuple) -> None:
         """Interrupt the application, or defer if it is un-interruptible."""
@@ -682,20 +718,24 @@ class CRSimulation:
     def _app(self):
         """Main loop: compute for one OCI, checkpoint to BB, repeat.
 
-        An untraced run executes each segment nothing can interrupt
-        inline (:meth:`_inline_segment`); every other segment, and every
-        segment of a traced run, goes through the kernel.
+        An untraced run with no live migration in flight runs its
+        segments in batches (:meth:`_run_segments`); the first segment a
+        batch cannot finish, and every segment of a traced run, goes
+        through the kernel.
         """
         goal = self.app.compute_seconds
         inline = self.trace is None
         self._interruptible = True
         while self.work_done < goal - _EPS:
-            self.oci.record_time(self.env.now)
-            interval = self.oci.interval()
-            self.oci_final = interval
+            if inline and not self._active_lms:
+                interval = self._run_segments(goal)
+                if interval is None:
+                    break
+            else:
+                self.oci.record_time(self.env.now)
+                interval = self.oci.interval()
+                self.oci_final = interval
             target = min(self.work_done + interval, goal)
-            if inline and self._inline_segment(target, goal):
-                continue
             status = yield from self._advance_to(target)
             if status == _Status.RESET:
                 continue
@@ -705,44 +745,66 @@ class CRSimulation:
         self._interruptible = False
         self._emit("app", "completed", self.work_done)
 
-    def _inline_segment(self, target: float, goal: float) -> bool:
-        """Run one periodic segment without yielding, if nothing can cut it.
+    def _run_segments(self, goal: float) -> Optional[float]:
+        """Run every periodic segment that ends before the horizon.
 
-        The segment computes up to *target* and, unless that completes
-        the job, writes the BB checkpoint.  With no live migration in
-        flight the compute rate is exactly 1.0, so its end time is the
-        event path's ``(now + planned) + t_ckpt_bb`` (just ``now +
-        planned`` for the last segment).  When that lies strictly before
-        :meth:`~repro.des.Environment.horizon`, no event can interrupt the
-        segment, and its bookkeeping is done here with the event path's
-        own expressions; otherwise nothing changes and False is returned.
+        With no live migration in flight the compute rate is exactly 1.0,
+        so only a kernel event can disturb a segment.  Each segment that
+        ends, BB write included, strictly before
+        :meth:`~repro.des.Environment.horizon` runs here as float
+        arithmetic: the event path's own expressions in its order, with
+        the interval read per segment as the main loop reads it.  The
+        clock, progress, overhead, counters, ledger and drain chain are
+        then committed once.
+
+        Returns the interval read for the first segment that does not end
+        before the horizon (the caller runs it on the event path), or
+        None once the job's work is done.
         """
-        if self._active_lms:
-            return False
         env = self.env
+        oci = self.oci
+        horizon = env.horizon()
+        t_ckpt_bb = self.t_ckpt_bb
+        now = env.now
         work = self.work_done
-        computes = work < target - _EPS
-        rate = 1.0
-        planned = (target - work) / rate
-        t1 = env.now + planned if computes else env.now
-        writes = (target if computes else work) < goal - _EPS
-        blocks = writes and self.t_ckpt_bb > _EPS
-        t2 = t1 + self.t_ckpt_bb if blocks else t1
-        if not t2 < env.horizon():
-            return False
-        env.advance(t2)
-        if computes:
-            self._computed(target, planned, rate)
-        if blocks:
-            self.overhead.checkpoint += t2 - t1
-        if writes:
-            self._bb_checkpoint_done()
-        return True
-
-    def _computed(self, target: float, planned: float, rate: float) -> None:
-        """Account a compute segment that ran to *target* uninterrupted."""
-        self.work_done = target
-        self.overhead.migration += planned * (1.0 - rate)
+        checkpoint = self.overhead.checkpoint
+        works: List[float] = []
+        times: List[float] = []
+        deferred: Optional[float] = None
+        while work < goal - _EPS:
+            oci.record_time(now)
+            interval = oci.interval()
+            # interval >= min_interval, so every segment computes; the
+            # rate is 1.0, so planned == target - work and migration
+            # overhead grows by exactly 0.0.
+            target = min(work + interval, goal)
+            t1 = now + (target - work)
+            writes = target < goal - _EPS
+            blocks = writes and t_ckpt_bb > _EPS
+            t2 = t1 + t_ckpt_bb if blocks else t1
+            if not t2 < horizon:
+                deferred = interval
+                break
+            if blocks:
+                checkpoint += t2 - t1
+            now = t2
+            work = target
+            if writes:
+                works.append(target)
+                times.append(t2)
+        if now != env.now:
+            env.advance(now)
+        self.work_done = work
+        self.overhead.checkpoint = checkpoint
+        self.oci_final = interval
+        if works:
+            n = len(works)
+            self.periodic_checkpoints += n
+            self._count("ckpt.periodic_completed", n)
+            self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
+            newest = self.ledger.record_periodic(works[-1], times[-1], count=n)
+            self.drain.submit_run(works, times, newest)
+        return deferred
 
     def _advance_to(self, target: float):
         """Compute until *target* work, servicing interruptions."""
@@ -751,11 +813,14 @@ class CRSimulation:
             planned = (target - self.work_done) / rate
             start = self.env.now
             self._computing = True
+            timer = self.env.timeout(planned)
             try:
-                yield self.env.timeout(planned)
+                yield timer
                 self._computing = False
-                self._computed(target, planned, rate)
+                self.work_done = target
+                self.overhead.migration += planned * (1.0 - rate)
             except Interrupt as intr:
+                self.env.cancel(timer)
                 self._computing = False
                 elapsed = self.env.now - start
                 self.work_done += elapsed * rate
@@ -784,12 +849,14 @@ class CRSimulation:
             # the checkpoint overhead charged below, so span totals and
             # OverheadBreakdown stay reconcilable.
             sid = self._span_begin("app", "ckpt_bb_write", self.work_done)
+            timer = self.env.timeout(remaining)
             try:
-                yield self.env.timeout(remaining)
+                yield timer
                 self.overhead.checkpoint += self.env.now - start
                 self._span_end(sid)
                 remaining = 0.0
             except Interrupt as intr:
+                self.env.cancel(timer)
                 self.overhead.checkpoint += self.env.now - start
                 self._span_end(sid)
                 remaining -= self.env.now - start
@@ -1150,10 +1217,12 @@ class CRSimulation:
         remaining = restore_seconds
         while remaining > _EPS:
             start = self.env.now
+            timer = self.env.timeout(remaining)
             try:
-                yield self.env.timeout(remaining)
+                yield timer
                 remaining = 0.0
             except Interrupt as intr:
+                self.env.cancel(timer)
                 remaining -= self.env.now - start
                 self._pending.append(intr.cause)
         self._interruptible = True

@@ -85,7 +85,7 @@ def run_reference(env: Environment, until: Any = None) -> Any:
     env._until = at
     try:
         if stop_event is not None:
-            while env.queue_size:
+            while _live_events(env):
                 env.step()
                 if stop_event.callbacks is None:
                     if stop_event._ok:
@@ -95,7 +95,7 @@ def run_reference(env: Environment, until: Any = None) -> Any:
                 f"simulation ended before the until-event {stop_event!r} "
                 "was triggered"
             )
-        while env.queue_size:
+        while _live_events(env):
             if env.peek() > at:
                 env._now = at
                 break
@@ -105,6 +105,16 @@ def run_reference(env: Environment, until: Any = None) -> Any:
     if at != Infinity and env._now < at:
         env._now = at
     return None
+
+
+def _live_events(env: Environment) -> int:
+    """Scheduled events left, after discarding cancelled ones at the head.
+
+    The fast loop discards a cancelled head even when nothing live
+    follows it, so the reference does too.
+    """
+    env.peek()
+    return env.queue_size
 
 
 class ReferenceEnvironment(Environment):

@@ -110,14 +110,14 @@ def _make_checked_ledger(violations: List[str]) -> Type[SnapshotLedger]:
                     )
                 self._max_pfs_work = max(self._max_pfs_work, self.pfs.work)
 
-        def record_periodic(self, work: float, time: float):
+        def record_periodic(self, work: float, time: float, count: int = 1):
             if work < 0:
                 violations.append(f"ledger: periodic snapshot of negative work {work}")
             self._clock(time, "record_periodic")
-            return super().record_periodic(work, time)
+            return super().record_periodic(work, time, count)
 
-        def record_drained(self, snap) -> None:
-            super().record_drained(snap)
+        def record_drained(self, snap, count: int = 1) -> None:
+            super().record_drained(snap, count)
             self._pfs_monotone("record_drained")
 
         def record_proactive(self, work: float, time: float):

@@ -8,7 +8,7 @@ from repro.cr.checkpoint import SnapshotLedger
 from repro.cr.drain import DrainManager
 from repro.cr.migration import LiveMigration, MigrationOutcome
 from repro.cr.safeguard import SafeguardAborted, SafeguardCheckpoint
-from repro.des import BEGIN, END, Trace
+from repro.des import BEGIN, END, Environment, Trace
 from repro.des.metrics import MetricsRegistry
 from repro.failures.injector import FailureEvent, FalseAlarmEvent
 from repro.iomodel.bandwidth import GiB
@@ -174,6 +174,81 @@ class TestDrainManager:
         assert late.landing.hex() == chain[2].hex()
         env.run(until=chain[2] + d)
         assert not late.busy and late.completed == 3
+
+    @pytest.mark.parametrize("case", ["backlog", "zero", "rearmed",
+                                      "rearmed-short"])
+    def test_submit_run_equals_one_submit_per_snapshot(self, case):
+        """One ``submit_run`` leaves the state one ``submit`` per pair does.
+
+        Seven snapshots staged ``0.37 * duration`` apart, so the drains
+        back up behind each other (``backlog``); a zero-byte drain that
+        lands at once (``zero``); and a batch that starts with a drain in
+        flight, re-armed for its rest by ``cancel_newer_than`` after a
+        queued one was cancelled (``rearmed``; ``rearmed-short`` stages
+        one snapshot, so the survivor is still in flight after the batch).
+        Chain times compare by ``float.hex``.
+        """
+        per_node = 0.0 if case == "zero" else 8 * GiB
+        states = []
+        for batched in (False, True):
+            env = Environment()
+            metrics = MetricsRegistry()
+            ledger = SnapshotLedger(metrics=metrics)
+            dm = DrainManager(env, PFSSpec(), ledger, 16, per_node,
+                              metrics=metrics)
+            d = dm.duration
+            if case.startswith("rearmed"):
+                env.run(until=0.1)
+                dm.submit(ledger.record_periodic(10.0, env.now))
+                env.run(until=0.1 + d / 3)
+                dm.submit(ledger.record_periodic(50.0, env.now))
+                env.run(until=0.1 + d / 2)
+                dm.cancel_newer_than(20.0)
+                assert dm.cancelled == 1 and dm._remaining < d
+            gap = 0.37 * d if d > 0 else 0.37
+            start = env.now
+            n = 1 if case == "rearmed-short" else 7
+            works = [100.0 + 10.0 * k for k in range(n)]
+            times = [start + gap * (k + 1) for k in range(n)]
+            if batched:
+                env.run(until=times[-1])
+                newest = ledger.record_periodic(works[-1], times[-1],
+                                                count=len(works))
+                dm.submit_run(works, times, newest)
+            else:
+                for work, time in zip(works, times):
+                    env.run(until=time)
+                    dm.submit(ledger.record_periodic(work, time))
+
+            def key(snap):
+                if snap is None:
+                    return None
+                return (snap.kind, snap.work, snap.time.hex())
+
+            states.append({
+                "landing": dm.landing.hex(),
+                "remaining": dm._remaining.hex(),
+                "start": dm._start.hex(),
+                "in_flight": key(dm._snap),
+                "pending": [key(s) for s in dm._pending],
+                "completed": dm.completed,
+                "cancelled": dm.cancelled,
+                "bb": key(ledger.bb),
+                "pfs": key(ledger.pfs),
+                "metrics": metrics.snapshot(),
+            })
+        one_by_one, batch = states
+        assert batch == one_by_one
+        if case == "backlog":
+            assert one_by_one["pending"] and one_by_one["completed"] >= 2
+        elif case == "zero":
+            assert one_by_one["completed"] == 7
+            assert one_by_one["in_flight"] is None
+        elif case == "rearmed":
+            assert one_by_one["pfs"][1] > 10.0
+        else:
+            assert one_by_one["in_flight"][1] == 10.0
+            assert one_by_one["completed"] == 0
 
     def test_zero_byte_drain_lands_at_once(self, env):
         ledger = SnapshotLedger()

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.des import EmptySchedule, Environment, Infinity, SimulationError, Store
+from repro.des import (
+    EmptySchedule,
+    Environment,
+    Infinity,
+    Interrupt,
+    SimulationError,
+    Store,
+)
 
 
 class TestClock:
@@ -241,6 +248,135 @@ class TestRunMatchesReference:
             results.append((env.now.hex(), env.events_processed,
                             env.queue_high_water))
         assert results[0] == results[1]
+
+
+def _cancel_workload(env, fired):
+    """Live events up to t=10 among cancelled timeouts; returns a process.
+
+    Cancelled entries sit at the head of the queue when the run starts
+    (t=0.5), behind an interrupted process (its timer at t=5, cancelled
+    when the interrupt lands at t=2), beyond the t=4 bound, and after the
+    last live event (t=11).  Every callback that runs appends to *fired*;
+    a ``c``-tagged one never may.  A probe at t=2.5 records
+    ``horizon()``, which must skip the cancelled t=5 timer.
+    """
+    def add(delay, tag):
+        timer = env.timeout(delay)
+        timer.callbacks.append(lambda _event: fired.append(tag))
+        return timer
+
+    env.cancel(add(0.5, "c0.5"))
+    add(1.0, "1.0")
+    env.cancel(add(11.0, "c11"))
+    beyond = add(4.5, "c4.5")
+
+    def sleeper():
+        timer = add(5.0, "c5")
+        try:
+            yield timer
+        except Interrupt:
+            env.cancel(timer)
+        yield env.timeout(1.5)
+        fired.append("woke")
+
+    sleeping = env.process(sleeper())
+
+    def interrupter():
+        yield env.timeout(2.0)
+        sleeping.interrupt()
+        yield env.timeout(0.5)
+        fired.append(("horizon", env.horizon()))
+        env.cancel(beyond)
+
+    env.process(interrupter())
+    add(3.0, "3.0")
+    add(10.0, "10.0")
+    return sleeping
+
+
+class TestCancel:
+    """``Environment.cancel``: lazy deletion, skipped alike everywhere."""
+
+    def test_cancelled_timeout_never_fires_or_moves_the_clock(self, env):
+        fired = []
+        live = env.timeout(1.0)
+        gone = env.timeout(2.0)
+        gone.callbacks.append(fired.append)
+        env.cancel(gone)
+        assert gone.processed
+        assert env.queue_size == 1
+        env.run()
+        assert fired == []
+        assert env.now == 1.0 and live.processed
+        assert env.events_processed == 1
+        assert env.queue_size == 0 and env.peek() == Infinity
+
+    def test_horizon_and_peek_skip_a_cancelled_head(self, env):
+        seen = []
+        env.cancel(env.timeout(1.0))
+        env.timeout(3.0)
+        assert env.peek() == 3.0
+
+        def proc():
+            yield env.timeout(0.5)
+            env.cancel(env.timeout(0.25))
+            seen.append(env.horizon())
+
+        env.process(proc())
+        env.run()
+        assert seen == [3.0]
+
+    def test_step_skips_cancelled_entries(self, env):
+        env.cancel(env.timeout(1.0))
+        env.timeout(2.0)
+        env.step()
+        assert env.now == 2.0 and env.events_processed == 1
+        env.cancel(env.timeout(1.0))
+        with pytest.raises(EmptySchedule):
+            env.step()
+        assert env.now == 2.0 and env.events_processed == 1
+
+    def test_cancelling_a_processed_event_raises(self, env):
+        timer = env.timeout(1.0)
+        env.run()
+        with pytest.raises(SimulationError):
+            env.cancel(timer)
+
+    def test_cancelling_twice_or_unscheduled_raises(self, env):
+        timer = env.timeout(1.0)
+        env.cancel(timer)
+        with pytest.raises(SimulationError):
+            env.cancel(timer)
+        with pytest.raises(SimulationError):
+            env.cancel(env.event())
+
+    @pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+    @pytest.mark.parametrize("until", [None, 4.0, 12.5, "event"],
+                             ids=["drain", "before-last", "after-last", "event"])
+    def test_run_matches_run_reference(self, until, profiled):
+        from repro.obs import KernelProfiler
+        from repro.validate.backends import run_reference
+
+        results = []
+        for drive in (Environment.run, run_reference):
+            env = Environment()
+            fired = []
+            sleeping = _cancel_workload(env, fired)
+            profiler = KernelProfiler() if profiled else None
+            if profiled:
+                env.attach_profiler(profiler)
+            drive(env, sleeping if until == "event" else until)
+            assert not [tag for tag in fired
+                        if isinstance(tag, str) and tag.startswith("c")]
+            assert ("horizon", 3.0) in fired
+            if profiled:
+                assert profiler.total_count() == env.events_processed
+            results.append((env.now.hex(), env.events_processed,
+                            env.queue_high_water, env.queue_size, fired))
+        assert results[0] == results[1]
+        if until is None:
+            # The cancelled t=11 timer neither fires nor moves the clock.
+            assert results[0][0] == (10.0).hex()
 
 
 class TestDeterminism:

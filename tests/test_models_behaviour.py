@@ -160,58 +160,89 @@ class TestOCIBehaviour:
 
 
 class TestEventBudget:
-    """What a replication costs the kernel, traced and untraced.
+    """What a replication costs, traced and untraced.
 
     A traced run keeps the event path: a periodic checkpoint costs at
     most three events (compute segment, BB write, drain landing), and
     failures and the proactive runs they cause get an allowance of their
-    own.  An untraced run schedules no drain landing and runs every
-    segment nothing can interrupt inline, so what is left scales with
-    the disturbances (failures and false alarms), not with the
-    checkpoints.  At the parent of that change an untraced CHIMERA/B
-    replication under lanl-system18 at seed 7 took 2649 events for 104
-    failures, and a failure-free VULCAN/P2 one on titan 5006.
+    own.  An untraced run schedules no drain landing and runs, in one
+    batch call, every segment that ends before the next kernel event, so
+    both its events and its batch calls scale with the disturbances
+    (failures and false alarms), not with the checkpoints.  Before
+    batching, an untraced CHIMERA/B replication under lanl-system18 at
+    seed 7 made one segment call per checkpoint (845 for 104 failures),
+    and a failure-free VULCAN/P2 one on titan 1668.
     """
 
     PER_CHECKPOINT = 3
     PER_FAILURE = 12
     FAILURE_FREE = 20
+    BATCHES_PER_DISTURBANCE = 3
+    BATCHES_FAILURE_FREE = 2
 
     @staticmethod
-    def _chimera(model, trace=None):
+    def _count_batches(sim):
+        """Count the calls *sim* makes to its segment batch."""
+        calls = []
+        batch = sim._run_segments
+
+        def counted(goal):
+            calls.append(goal)
+            return batch(goal)
+
+        sim._run_segments = counted
+        return calls
+
+    @classmethod
+    def _chimera(cls, model, trace=None):
         from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
         from repro.workloads.applications import APPLICATIONS
 
         sim = CRSimulation(APPLICATIONS["CHIMERA"], get_model(model),
                            weibull=LANL_SYSTEM18_WEIBULL,
                            rng=np.random.default_rng(7), trace=trace)
-        return sim, sim.run()
+        calls = cls._count_batches(sim)
+        return sim, sim.run(), len(calls)
+
+    @staticmethod
+    def _vulcan():
+        from repro.failures.weibull import TITAN_WEIBULL
+        from repro.workloads.applications import APPLICATIONS
+
+        return CRSimulation(APPLICATIONS["VULCAN"], get_model("P2"),
+                            weibull=TITAN_WEIBULL,
+                            rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("model", ["B", "P1"])
     def test_events_per_replication(self, model):
-        sim, out = self._chimera(model, trace=Trace(env=None))
+        sim, out, batches = self._chimera(model, trace=Trace(env=None))
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
         budget = (self.PER_CHECKPOINT * out.periodic_checkpoints
                   + self.PER_FAILURE * out.ft.failures)
         assert sim.env.events_processed <= budget
+        assert batches == 0  # a traced run keeps the event path
 
     @pytest.mark.parametrize("model", ["B", "P1"])
     def test_untraced_events_per_disturbance(self, model):
-        sim, out = self._chimera(model)
+        sim, out, _ = self._chimera(model)
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
         disturbances = out.ft.failures + out.ft.false_alarms
         assert sim.env.events_processed <= self.PER_FAILURE * disturbances
 
-    def test_untraced_failure_free_replication(self):
-        from repro.failures.weibull import TITAN_WEIBULL
-        from repro.workloads.applications import APPLICATIONS
+    @pytest.mark.parametrize("model", ["B", "M1", "P1"])
+    def test_untraced_batches_per_disturbance(self, model):
+        _, out, batches = self._chimera(model)
+        assert out.periodic_checkpoints > 600 and out.ft.failures > 50
+        disturbances = out.ft.failures + out.ft.false_alarms
+        assert batches <= self.BATCHES_PER_DISTURBANCE * disturbances + 2
 
-        sim = CRSimulation(APPLICATIONS["VULCAN"], get_model("P2"),
-                           weibull=TITAN_WEIBULL,
-                           rng=np.random.default_rng(0))
+    def test_untraced_failure_free_replication(self):
+        sim = self._vulcan()
+        batches = self._count_batches(sim)
         out = sim.run()
         assert out.ft.failures == 0 and out.periodic_checkpoints > 1000
         assert sim.env.events_processed <= self.FAILURE_FREE
+        assert len(batches) <= self.BATCHES_FAILURE_FREE
 
     def test_online_interval_follows_failures(self, tiny_app, hot_weibull):
         from dataclasses import replace

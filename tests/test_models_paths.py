@@ -1,10 +1,11 @@
 """The inline path of an untraced run against the traced event path.
 
-An untraced replication computes drain landings and runs every periodic
-segment nothing can interrupt without a kernel event; a traced one
-dispatches an event per segment, BB write and landing.  Both must give
-bit-identical results (``float.hex``), and both apply a drain landing
-before anything else that happens at the same instant.
+An untraced replication computes drain landings and runs, in batches,
+every periodic segment nothing can interrupt without a kernel event; a
+traced one dispatches an event per segment, BB write and landing.  Both
+must give bit-identical results (``float.hex``) and metrics, and both
+apply a drain landing before anything else that happens at the same
+instant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.des import Trace
+from repro.des import MetricsRegistry, Trace
 from repro.failures.injector import FailureEvent
 from repro.failures.weibull import LANL_SYSTEM18_WEIBULL, TITAN_WEIBULL
 from repro.models.base import CRSimulation
@@ -45,10 +46,11 @@ CONFIGS = {
 }
 
 
-def _run(app, config, weibull, seed, traced):
+def _run(app, config, weibull, seed, traced, metrics=None):
     sim = CRSimulation(APPLICATIONS[app], config, weibull=weibull,
                        rng=np.random.default_rng(seed),
-                       trace=Trace(env=None) if traced else None)
+                       trace=Trace(env=None) if traced else None,
+                       metrics=metrics)
     return sim, sim.run()
 
 
@@ -60,6 +62,29 @@ def test_untraced_equals_traced(case, seed):
     assert _fingerprint(fast) == _fingerprint(event)
     assert fast_sim.drain.completed == event_sim.drain.completed
     assert fast_sim.env.events_processed < event_sim.env.events_processed
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_untraced_metrics_equal_traced(case):
+    """Every counter, gauge and histogram ends where the event path's does.
+
+    A batch of segments records its checkpoints, interval reads, ledger
+    updates and drain landings at once; the totals, last values, update
+    counts and float sums must still match the traced run's to the bit.
+    Only the kernel's own ``des.*`` rows may differ.
+    """
+    app, config, weibull = CONFIGS[case]
+
+    def snapshot(traced):
+        _, out = _run(app, config, weibull, 7, traced,
+                      metrics=MetricsRegistry())
+        return {kind: {name: value for name, value in rows.items()
+                       if not name.startswith("des.")}
+                for kind, rows in out.metrics.items()}
+
+    fast, event = snapshot(False), snapshot(True)
+    assert fast["counters"]["ckpt.periodic_completed"] > 0
+    assert fast == event
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])

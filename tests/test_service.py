@@ -530,11 +530,14 @@ class TestHTTPSurface:
 
     def test_result_of_unfinished_job_is_409(self, svc):
         client = ServiceClient(port=svc.port, token="alice")
+        # The gate holds the job unfinished until the GET has been answered.
+        gate = hold_dispatch(svc.service)
         job_id = client.submit(tiny_spec(seed=60, replications=3))["job"]["id"]
         status, _, body = client._request("GET", f"/v1/jobs/{job_id}/result")
         assert status == 409
         assert json.loads(body)["state"] in ("queued", "running")
-        client.wait(job_id, timeout=120.0)
+        gate.set()
+        assert client.wait(job_id, timeout=120.0)["state"] == "done"
 
     def test_status_and_metrics_endpoints(self, svc):
         client = ServiceClient(port=svc.port, token="alice")
