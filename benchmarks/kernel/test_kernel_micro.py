@@ -32,14 +32,3 @@ def test_kernel_microbenchmark(benchmark, kb):
     # event count is deterministic — a drift here means the benchmark
     # definition changed and the tracked baseline is no longer comparable.
     assert stats["events_processed"] > 0
-
-
-@pytest.mark.parametrize("name,app,model,seed", bench.SIM_BENCHMARKS,
-                         ids=[s[0] for s in bench.SIM_BENCHMARKS])
-def test_simulation_benchmark(benchmark, name, app, model, seed):
-    result = benchmark.pedantic(
-        bench.run_benchmark, args=(name,), kwargs={"repeats": 1},
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
-    assert result.events > 0
-    assert result.wall_per_sim_second > 0

@@ -836,7 +836,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "scenario cases": report.scenario_cases,
                 "C/R differential cases": report.cr_cases,
                 "sched oracle cases": report.sched_cases,
-                "simpy-incompatible (kernel-only) cases": report.simpy_skipped,
+                "simpy-incompatible (fast/step only) cases": report.simpy_skipped,
                 "failures": len(report.failures),
             },
             title=f"pckpt validate (seed {report.seed})",
@@ -998,7 +998,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     results = bench.run_suite(
         quick=args.quick,
         repeats=args.repeats,
-        kernel_only=args.kernel_only,
         progress=lambda name: print(f"[bench] {name}", file=sys.stderr),
     )
     sha, dirty = bench.git_sha()
@@ -1039,19 +1038,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"vs baseline {args.baseline} (@{base.get('git_sha')}):")
         comparison = bench.compare_payloads(base, payload)
         print(bench.format_comparison(comparison))
-        if args.fail_below is not None:
-            geo = bench.kernel_geomean(comparison)
-            if geo is None:
-                print("error: --fail-below given but the baseline shares no "
-                      "comparable kernel.* benchmarks", file=sys.stderr)
-                return 2
-            if geo < args.fail_below:
-                print(
-                    f"error: kernel geomean {geo:.3f}x is below the "
-                    f"--fail-below {args.fail_below:g}x regression gate",
-                    file=sys.stderr,
-                )
-                return 1
     return 0
 
 
@@ -1444,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="run the kernel/simulation benchmark suite "
+        help="run the kernel microbenchmark suite, a diagnostic "
              "(see docs/PERFORMANCE.md)",
     )
     p_bench.add_argument(
@@ -1457,11 +1443,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="timed runs per benchmark; the fastest is reported (default 3)",
-    )
-    p_bench.add_argument(
-        "--kernel-only",
-        action="store_true",
-        help="skip the end-to-end simulation benchmarks",
     )
     p_bench.add_argument(
         "--out",
@@ -1479,14 +1460,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="existing BENCH_*.json to print per-benchmark speedups against",
-    )
-    p_bench.add_argument(
-        "--fail-below",
-        metavar="RATIO",
-        type=float,
-        default=None,
-        help="with --baseline: exit 1 if the kernel geomean speedup falls "
-             "below RATIO (CI regression gate, e.g. 0.8 = allow 20%% loss)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -4,7 +4,7 @@
 reference mixed workload (≥16 Table-I jobs, all five paper models in the
 pool, several replications) under one policy and writes a
 schema-versioned ``SCHED_<git-sha>.json`` artifact following the
-``BENCH_*``/``SERVICE_LOAD_*`` convention.  This is the high-occupancy
+``BENCH_*`` convention.  This is the high-occupancy
 regime the ``kernel.store_backlog`` micro-benchmark stresses: many
 concurrent jobs' drains queueing on the shared PFS lanes.
 

@@ -15,12 +15,12 @@ clients share instead of each running their own campaigns.
   fair-share queue;
 * :mod:`repro.service.jobs` — the job state machine and the
   schema-versioned record/event tables (``tools/check_service_schema.py``
-  keeps ``docs/SERVICE.md`` and committed artifacts in sync with them);
+  keeps ``docs/SERVICE.md`` and captured event streams in sync with them);
 * :mod:`repro.service.client` — the stdlib HTTP client behind
-  ``pckpt submit`` / ``pckpt jobs`` / ``pckpt watch``;
-* :mod:`repro.service.loadgen` — the concurrent load generator behind
-  ``benchmarks/test_service_load.py`` and the committed
-  ``SERVICE_LOAD_*.json`` artifacts.
+  ``pckpt submit`` / ``pckpt jobs`` / ``pckpt watch``.
+
+The service's load benchmark is the ``service-mixed`` workload of
+``benchmarks/e2e`` (closed-loop HTTP clients against ``pckpt serve``).
 
 Everything is stdlib-only, and every job executes through the exact
 local code path (``run_spec`` with in-process workers), so a result

@@ -41,7 +41,7 @@ class TestHarness:
             bench.run_benchmark("kernel.does_not_exist")
 
     def test_quick_suite_payload_validates(self):
-        results = bench.run_suite(quick=True, repeats=1, kernel_only=True)
+        results = bench.run_suite(quick=True, repeats=1)
         payload = bench.build_payload(results, sha="deadbeef", dirty=False,
                                       quick=True)
         assert bench.validate_payload(payload) == []

@@ -45,7 +45,7 @@ class TestCliModelRecovery:
 
     def test_per_command_flags(self, model):
         bench = model.commands[("bench",)]
-        assert {"--quick", "--baseline", "--fail-below", "--no-write"} <= bench
+        assert {"--quick", "--baseline", "--repeats", "--no-write"} <= bench
         assert "--models" in model.commands[("campaign", "run")]
         assert "--models" not in bench
 
@@ -66,7 +66,7 @@ class TestInvocationChecker:
 
     def test_valid_invocations_pass(self, model):
         for line in (
-            "pckpt bench --quick --kernel-only --repeats 1 --out /tmp/x",
+            "pckpt bench --quick --repeats 1 --out /tmp/x",
             "pckpt --replications 2 campaign run model-comparison --jobs 1",
             "pckpt run --spec examples/specs/quickstart.json --no-resume",
             "PYTHONPATH=src pckpt validate --seed 0 --cases 50",
@@ -89,11 +89,11 @@ class TestInvocationChecker:
         assert self.check(snippet, model) == []  # tee's flag not pckpt's
 
     def test_multiline_continuations_join(self):
-        text = "```bash\npckpt bench --quick \\\n    --kernel-only\n```\n"
+        text = "```bash\npckpt bench --quick \\\n    --no-write\n```\n"
         snippets = check_docs.code_snippets(text)
         assert len(snippets) == 1
         assert snippets[0].split() == ["pckpt", "bench", "--quick",
-                                       "--kernel-only"]
+                                       "--no-write"]
 
     def test_code_outside_links_not_treated_as_links(self):
         assert check_docs.LINK.search(

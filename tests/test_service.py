@@ -323,6 +323,41 @@ class TestServiceLifecycle:
             assert client.result(warm["id"])["cells"] == \
                 client.result(cold["id"])["cells"]
 
+    def test_admission_does_not_wait_on_busy_workers(self, tmp_path):
+        """Eight tenants submit at once while every worker is held: all
+        eight are admitted before any job may run to completion."""
+        with ServiceThread(tmp_path / "store", jobs=4) as svc:
+            gate = hold_dispatch(svc.service)
+            envelopes, errors = {}, []
+
+            def tenant_submit(n):
+                try:
+                    client = ServiceClient(port=svc.port, token=f"tenant-{n}")
+                    envelopes[n] = client.submit(tiny_spec(seed=500 + n))
+                except BaseException as exc:  # pragma: no cover
+                    errors.append((n, exc))
+
+            threads = [threading.Thread(target=tenant_submit, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+            assert not gate.is_set()
+            assert svc.service.status()["jobs"].get("done", 0) == 0
+            assert sorted(envelopes) == list(range(8))
+            assert all(e["deduped"] is False for e in envelopes.values())
+
+            gate.set()
+            client = ServiceClient(port=svc.port, token="tenant-0")
+            for envelope in envelopes.values():
+                record = client.wait(envelope["job"]["id"], timeout=120.0)
+                assert record["state"] == "done"
+                assert record["replications_executed"] == 1
+            assert svc.service.status()["jobs"]["done"] == 8
+
     def test_inflight_duplicate_submissions_coalesce(self, tmp_path):
         document = tiny_spec(seed=412, replications=3)
         with ServiceThread(tmp_path / "store", jobs=1) as svc:

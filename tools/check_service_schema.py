@@ -16,10 +16,7 @@ dependency-free in CI (no package import needed), following the
   field, state, and event kind in backticks;
 * any NDJSON event streams passed via ``--events`` (e.g. captured by
   the CI service smoke step): every line must be a declared-shape
-  event record with strictly increasing per-job ``seq``;
-* any ``SERVICE_LOAD_*.json`` artifacts passed via ``--load`` — a
-  dependency-free mirror of
-  ``repro.service.loadgen.validate_load_payload``.
+  event record with strictly increasing per-job ``seq``.
 
 Exits non-zero with a description of every mismatch.
 """
@@ -44,8 +41,6 @@ VERSION_DECL = re.compile(
 VERSION_DOC = re.compile(r"`SERVICE_SCHEMA_VERSION = (\d+)`")
 KIND_DECLS = ("JOB_KIND", "JOB_EVENT_KIND", "JOB_RESULT_KIND",
               "SERVICE_STATUS_KIND")
-LOAD_KIND = "pckpt-service-load"
-LATENCY_KEYS = ("p50", "p99", "mean", "max")
 
 #: Python type name -> JSON validator.  ``float`` accepts ints (JSON
 #: has one number type); ``bool`` is never a valid numeric value.
@@ -246,63 +241,11 @@ def check_events_file(path: Path, decl: Declared) -> List[str]:
     return problems
 
 
-def check_load_file(path: Path, decl: Declared) -> List[str]:
-    """One ``SERVICE_LOAD_*.json`` artifact must match the load schema.
-
-    A dependency-free mirror of
-    ``repro.service.loadgen.validate_load_payload``.
-    """
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable ({exc})"]
-    if not isinstance(payload, dict):
-        return [f"{path}: payload is not an object"]
-    problems = []
-    if payload.get("kind") != LOAD_KIND:
-        problems.append(
-            f"kind is {payload.get('kind')!r}, not {LOAD_KIND!r}"
-        )
-    if payload.get("schema_version") != decl.version:
-        problems.append(
-            f"schema_version is {payload.get('schema_version')!r}, "
-            f"code declares {decl.version}"
-        )
-    for key in ("git_sha", "python"):
-        if not isinstance(payload.get(key), str):
-            problems.append(f"{key} must be a string")
-    for key in ("clients", "specs", "waves", "submissions", "jobs",
-                "deduped", "replications_total", "replications_executed",
-                "warm_jobs", "warm_replications_executed"):
-        value = payload.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            problems.append(f"{key} must be a non-negative integer")
-    for key in ("wall_seconds", "cache_hit_rate"):
-        value = payload.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value < 0:
-            problems.append(f"{key} must be a non-negative number")
-    for block in ("submit_latency", "completion_latency"):
-        summary = payload.get(block)
-        if not isinstance(summary, dict):
-            problems.append(f"{block} must be an object")
-            continue
-        for key in LATENCY_KEYS:
-            value = summary.get(key)
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) or value < 0:
-                problems.append(f"{block}.{key} must be a non-negative number")
-    return [f"{path}: {p}" for p in problems]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--events", nargs="+", type=Path, default=[],
                         metavar="PATH",
                         help="NDJSON job-event streams to validate")
-    parser.add_argument("--load", nargs="+", type=Path, default=[],
-                        metavar="PATH",
-                        help="SERVICE_LOAD_*.json artifacts to validate")
     args = parser.parse_args(argv)
 
     decl = Declared()
@@ -310,8 +253,6 @@ def main(argv=None) -> int:
     problems.extend(check_docs(decl))
     for path in args.events:
         problems.extend(check_events_file(path, decl))
-    for path in args.load:
-        problems.extend(check_load_file(path, decl))
 
     if problems:
         print("service schema check FAILED:", file=sys.stderr)
@@ -322,8 +263,7 @@ def main(argv=None) -> int:
         f"service schema OK (version {decl.version}, "
         f"{len(decl.job_fields)} job fields, "
         f"{len(decl.event_fields)} event fields, "
-        f"{len(args.events)} event stream(s), "
-        f"{len(args.load)} load artifact(s) checked)"
+        f"{len(args.events)} event stream(s) checked)"
     )
     return 0
 
