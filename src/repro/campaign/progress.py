@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import IO, Optional
+from typing import IO, Optional, Sequence, Tuple
 
 from ..des.metrics import MetricsRegistry
 from ..des.monitor import Trace
@@ -95,9 +95,14 @@ class CampaignProgress:
         self._total_replications = 0
         self._workers = 0
         self._shards_total = 0
+        #: The plan's content keys in cell order, set by
+        #: :meth:`campaign_begin` (the store entry behind each result).
+        self.keys: Tuple[str, ...] = ()
 
     # -- campaign lifecycle --------------------------------------------------
-    def campaign_begin(self, n_cells: int, n_replications: int) -> None:
+    def campaign_begin(self, n_cells: int, n_replications: int,
+                       keys: Sequence[str] = ()) -> None:
+        self.keys = tuple(keys)
         self._total_cells = n_cells
         self._total_replications = n_replications
         self.metrics.counter("campaign.cells.total").inc(n_cells)

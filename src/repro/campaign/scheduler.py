@@ -199,7 +199,8 @@ def run_campaign(
     results: Dict[int, StoredResult] = {}
     pending: List[int] = []
     analytical: List[int] = []
-    progress.campaign_begin(len(plan.cells), plan.total_replications)
+    progress.campaign_begin(len(plan.cells), plan.total_replications,
+                            plan.keys)
     for i, cell in enumerate(plan.cells):
         cached = (store.get(plan.keys[i])
                   if store is not None and resume else None)

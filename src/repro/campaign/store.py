@@ -270,8 +270,10 @@ class ResultStore:
     def _write_atomic(path: Path, payload: Dict) -> None:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
+            # json.dumps runs the C encoder; json.dump to a file would
+            # encode node by node in Python.  The bytes are the same.
             with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, sort_keys=True)
+                fp.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -20,7 +20,9 @@ state machine is deliberately small::
 Every observable change appends one **event** to the job's history —
 the NDJSON records ``GET /v1/jobs/<id>/events`` streams.  Event kinds:
 the four state entries plus ``telemetry`` (one per campaign-progress
-snapshot, bridged live from the job's ``telemetry.jsonl``).
+snapshot, bridged live from the job's ``telemetry.jsonl``).  Each event
+is serialized once, to the line the job keeps; the event log on disk
+and every stream reader write those same bytes.
 
 The declarative tables below (:data:`JOB_STATES`,
 :data:`JOB_TRANSITIONS`, :data:`EVENT_KINDS`, :data:`JOB_FIELDS`,
@@ -31,8 +33,10 @@ the ``SNAPSHOT_FIELDS``/``check_obs_schema`` convention.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "SERVICE_SCHEMA_VERSION",
@@ -125,6 +129,12 @@ class Job:
     threads bridge through ``call_soon_threadsafe``), so no lock is
     needed; streaming readers wake on :attr:`turnstile`, an
     ``asyncio.Event`` rotated on every append.
+
+    The event log (:attr:`events_path`) is written through a handle the
+    server opens with :meth:`open_log`: once at admission for the
+    ``queued`` line, then again at dispatch, held while the job runs
+    and closed by the terminal transition.  Open handles are therefore
+    bounded by the worker count, not by the queue.
     """
 
     def __init__(self, job_id: str, tenant: str, spec,
@@ -152,12 +162,17 @@ class Job:
         self.results: Optional[Dict[tuple, Any]] = None
         #: Store keys aligned with ``results`` (grid order).
         self.store_keys: Optional[List[str]] = None
-        self.events: List[Dict[str, Any]] = []
-        #: NDJSON file mirroring :attr:`events` on disk (set by the
-        #: server after registration; ``None`` keeps events in-memory
-        #: only, the pre-v2 behaviour).
+        #: The event history: one newline-terminated NDJSON line per
+        #: event, the only copy the job keeps (:attr:`events` parses it).
+        self.lines: List[bytes] = []
+        #: NDJSON file mirroring :attr:`lines` on disk (set by the
+        #: server at admission; ``None`` keeps events in memory only).
         self.events_path: Optional[Any] = None
-        self._events_written = 0
+        self._log: Optional[IO[bytes]] = None  # held by open_log
+        self._logged = 0                       # lines already on disk
+        #: The job's persisted queue entry while it waits: built once at
+        #: admission, dropped at dispatch (set by the server).
+        self.queue_entry: Optional[Dict[str, Any]] = None
         self.turnstile: Any = None            # asyncio.Event, set by server
         self.record_event("queued")
 
@@ -187,10 +202,23 @@ class Job:
         if state in TERMINAL_STATES:
             self.finished_at = now
         self.record_event(state, data)
+        if state in TERMINAL_STATES:
+            self.close_log()
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The event history as records, parsed from :attr:`lines`."""
+        return [json.loads(line) for line in self.lines]
 
     def record_event(self, event: str,
                      data: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Append one event record and wake streaming readers."""
+        """Append one event, write it to a held log, wake stream readers.
+
+        While :meth:`open_log` holds the log, the line is written and
+        flushed before this returns, which keeps the on-disk stream live
+        for ``pckpt obs stitch`` even if the service later dies
+        uncleanly.
+        """
         if event not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {event!r}")
         record = {
@@ -198,46 +226,44 @@ class Job:
             "schema_version": SERVICE_SCHEMA_VERSION,
             "job_id": self.id,
             "trace_id": self.trace_id,
-            "seq": len(self.events),
+            "seq": len(self.lines),
             "ts": time.time(),
             "event": event,
             "state": self.state,
             "data": data,
         }
-        self.events.append(record)
-        self.persist_events()
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        self.lines.append(line)
+        if self._log is not None:
+            self._log.write(line)
+            self._log.flush()
+            self._logged += 1
         turnstile = self.turnstile
         if turnstile is not None:
             # Rotate: wake everyone blocked on the old event, give new
             # waiters a fresh one.
-            import asyncio
-
             self.turnstile = asyncio.Event()
             turnstile.set()
         return record
 
-    def persist_events(self) -> None:
-        """Append any events not yet on disk to :attr:`events_path`.
+    def open_log(self) -> None:
+        """Hold an append handle on :attr:`events_path` and flush to it
+        every line not yet on disk.
 
-        No-op when no path is set.  Called after every append (and once
-        by the server right after it assigns the path, to flush the
-        ``queued`` event recorded during construction).  Append + flush
-        per event keeps the on-disk stream live for ``pckpt obs
-        stitch`` even if the service later dies uncleanly.
+        The first open truncates, so a job re-registered after a restart
+        starts a fresh file and ``seq`` stays strictly increasing in it.
         """
-        if self.events_path is None:
-            return
-        if self._events_written >= len(self.events):
-            return
-        import json
-        import os
+        if self._log is None:
+            self._log = open(self.events_path, "ab" if self._logged else "wb")
+        self._log.writelines(self.lines[self._logged:])
+        self._log.flush()
+        self._logged = len(self.lines)
 
-        path = os.fspath(self.events_path)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fp:
-            for record in self.events[self._events_written:]:
-                fp.write(json.dumps(record, sort_keys=True) + "\n")
-        self._events_written = len(self.events)
+    def close_log(self) -> None:
+        """Release the handle :meth:`open_log` holds (no-op if none)."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     # -- serialization -------------------------------------------------------
     def to_record(self) -> Dict[str, Any]:
@@ -259,7 +285,7 @@ class Job:
             "error": self.error,
             "replications_executed": self.replications_executed,
             "cache_hit_rate": self.cache_hit_rate,
-            "events": len(self.events),
+            "events": len(self.lines),
         }
 
     def result_payload(self) -> Dict[str, Any]:

@@ -13,7 +13,9 @@ is ``a1 b1 a2 a3``, never ``a1 a2 a3 b1``.
 Admission is bounded: :meth:`FairShareQueue.push` raises
 :class:`QueueFull` once ``limit`` jobs are waiting, which the HTTP
 layer maps to ``429 Too Many Requests`` + ``Retry-After`` —
-backpressure, not unbounded memory.
+backpressure, not unbounded memory.  :meth:`FairShareQueue.pending`
+lists the waiting jobs in admission order, whatever their lane — the
+order the service persists them in.
 
 All methods run on the server's event loop thread.
 """
@@ -21,8 +23,9 @@ All methods run on the server's event loop thread.
 from __future__ import annotations
 
 import asyncio
+import heapq
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .jobs import Job
 
@@ -56,7 +59,11 @@ class FairShareQueue:
         self.limit = limit
         self.retry_after = retry_after
         # Tenant lanes in first-seen order — the WRR visiting order.
-        self._lanes: "OrderedDict[str, Deque[Job]]" = OrderedDict()
+        # Each entry carries its admission number, which orders
+        # pending() across lanes.
+        self._lanes: "OrderedDict[str, Deque[Tuple[int, Job]]]" = \
+            OrderedDict()
+        self._admitted = 0
         self._weights: Dict[str, int] = {}
         self._cursor: Optional[str] = None    # tenant currently being served
         self._credit = 0                      # remaining grants at cursor
@@ -81,8 +88,15 @@ class FairShareQueue:
             raise ValueError("weight must be >= 1")
         self._weights[tenant] = int(weight)
 
-    def push(self, job: Job) -> int:
-        """Admit *job*; returns its position in the tenant's lane (0-based).
+    def pending(self) -> List[Job]:
+        """Every waiting job, in admission order across all lanes."""
+        return [job for _, job in heapq.merge(*self._lanes.values())]
+
+    def check_room(self) -> None:
+        """Raise what :meth:`push` would raise for one more job.
+
+        Lets the caller refuse a job before it spends anything on it
+        (an id, a directory).
 
         Raises
         ------
@@ -95,11 +109,19 @@ class FairShareQueue:
             raise RuntimeError("queue is closed")
         if self._size >= self.limit:
             raise QueueFull(self.limit, self.retry_after)
+
+    def push(self, job: Job) -> int:
+        """Admit *job*; returns its position in the tenant's lane (0-based).
+
+        Raises what :meth:`check_room` raises.
+        """
+        self.check_room()
         lane = self._lanes.get(job.tenant)
         if lane is None:
             lane = self._lanes[job.tenant] = deque()
             self._weights.setdefault(job.tenant, 1)
-        lane.append(job)
+        lane.append((self._admitted, job))
+        self._admitted += 1
         self._size += 1
         self._wakeup.set()
         return len(lane) - 1
@@ -134,7 +156,7 @@ class FairShareQueue:
                     self._credit = self._weights.get(candidate, 1)
                     break
         assert self._cursor is not None
-        job = self._lanes[self._cursor].popleft()
+        _, job = self._lanes[self._cursor].popleft()
         self._size -= 1
         self._credit -= 1
         if not self._lanes[self._cursor]:
@@ -143,11 +165,11 @@ class FairShareQueue:
             self._credit = 0
         return job
 
-    def drain(self) -> list:
-        """Remove and return every waiting job (persist-on-shutdown)."""
-        out = []
+    def drain(self) -> List[Job]:
+        """Remove and return every waiting job, in admission order
+        (persist-on-shutdown)."""
+        out = self.pending()
         for lane in self._lanes.values():
-            out.extend(lane)
             lane.clear()
         self._size = 0
         return out

@@ -38,9 +38,13 @@ only.  Endpoints (full reference in ``docs/SERVICE.md``)::
     GET  /metrics                OpenMetrics exposition
     POST /v1/shutdown            graceful drain + exit
 
-Graceful shutdown (signal or ``/v1/shutdown``) drains running jobs,
-persists the waiting queue to ``<store>/service/queue.json``, and a
-restarted ``pckpt serve`` re-enqueues it — combined with store-level
+The waiting queue is persisted as a snapshot, ``<store>/service/
+queue.json``, plus a journal, ``queue.ndjson``: each admission and each
+dispatch appends one flushed line to the journal, and the snapshot is
+rewritten only at restore, at graceful shutdown (signal or
+``/v1/shutdown``, which also drains running jobs) and when the journal
+grows past a bound tied to the queue limit.  A restarted ``pckpt
+serve`` re-enqueues what was waiting — combined with store-level
 resume, an interrupted service loses no completed cell.
 """
 
@@ -54,7 +58,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..campaign.plan import content_key
 from ..campaign.progress import CampaignProgress
 from ..campaign.scheduler import run_campaign
 from ..campaign.store import ResultStore, status_payload
@@ -65,7 +68,8 @@ from ..obs.context import (SpanWriter, TraceContext, activate,
 from ..obs.slo import (DEFAULT_WINDOW_SECONDS, SLOObjectives, compute_slo,
                        render_slo_metrics)
 from ..obs.telemetry import OPENMETRICS_CONTENT_TYPE, CampaignTelemetry
-from ..spec import SpecError, build_cells, spec_from_dict, spec_hash
+from ..spec import (SpecError, build_cells, spec_from_dict, spec_hash,
+                    spec_to_dict)
 from .jobs import (
     JOB_STATES,
     SERVICE_SCHEMA_VERSION,
@@ -88,8 +92,17 @@ DEFAULT_PORT: int = 8787
 #: Directory (under the store root) holding service state.
 SERVICE_DIRNAME: str = "service"
 
-#: Persisted-queue file name inside the service directory.
+#: Persisted-queue snapshot file name inside the service directory.
 QUEUE_FILENAME: str = "queue.json"
+
+#: Queue journal file name inside the service directory: one JSON line
+#: per admission (``push``) or dispatch (``pop``) since the snapshot.
+JOURNAL_FILENAME: str = "queue.ndjson"
+
+#: The journal is folded into the snapshot once it holds this many lines
+#: per queue slot.  Each job adds at most two lines and the snapshot
+#: holds at most ``queue_limit`` entries, so a fold costs O(1) per job.
+JOURNAL_LINES_PER_SLOT: int = 4
 
 _MAX_BODY = 8 * 1024 * 1024  # spec documents are small; 8 MiB is generous
 
@@ -103,16 +116,43 @@ _STATUS_TEXT = {
 
 def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
     """Temp-file + ``os.replace`` write (same discipline as the store)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, sort_keys=True)
+            fp.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _queue_entry(job: Job) -> Dict[str, Any]:
+    """The job's persisted queue entry (snapshot ``pending`` item)."""
+    return {
+        "id": job.id,
+        "tenant": job.tenant,
+        "submitted_at": job.submitted_at,
+        "trace": (None if job.trace is None else {
+            "trace_id": job.trace.trace_id,
+            "span_id": job.trace.span_id,
+            "parent_id": job.trace.parent_id,
+        }),
+        "spec": spec_to_dict(job.spec),
+    }
+
+
+def _read_journal(path: Path) -> List[Dict[str, Any]]:
+    """The journal's complete records (none if there is no journal).
+
+    Every append ends in a newline, so the piece after the last newline
+    is empty unless the final append was torn; it is ignored.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    return [json.loads(line) for line in data.split(b"\n")[:-1]]
 
 
 def load_tokens(path: Union[str, Path]) -> Dict[str, Tuple[str, int]]:
@@ -218,6 +258,8 @@ class PckptService:
         self.jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}   # spec_hash -> job id
         self._next_seq = 1
+        self._journal: Optional[Any] = None   # queue.ndjson, held open
+        self._journal_lines = 0
         self._started_at = time.time()
         self._closing = False
         self._stopped = asyncio.Event()
@@ -238,6 +280,7 @@ class PckptService:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="pckpt-job"
         )
+        self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._restore_queue()
         self._server = await asyncio.start_server(self._handle, host, port)
         sock = self._server.sockets[0].getsockname()
@@ -265,7 +308,8 @@ class PckptService:
         self._closing = True
         pending = self.queue.drain()
         self.queue.close()
-        self._persist_queue(pending)
+        self._compact_queue(pending)
+        self._journal.close()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         if self._pool is not None:
@@ -279,43 +323,64 @@ class PckptService:
     def _queue_path(self) -> Path:
         return self.service_dir / QUEUE_FILENAME
 
-    def _persist_queue(self, pending: Optional[List[Job]] = None) -> None:
-        """Write the waiting jobs (submit order) + id counter to disk."""
-        from ..spec import spec_to_dict
+    def _journal_path(self) -> Path:
+        return self.service_dir / JOURNAL_FILENAME
 
+    def _journal_append(self, record: Dict[str, Any]) -> None:
+        """Append one flushed line to the queue journal.
+
+        Folds the journal into the snapshot once it passes
+        ``JOURNAL_LINES_PER_SLOT * queue_limit`` lines.
+        """
+        self._journal.write(
+            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        )
+        self._journal.flush()
+        self._journal_lines += 1
+        if self._journal_lines >= JOURNAL_LINES_PER_SLOT * self.queue.limit:
+            self._compact_queue()
+
+    def _compact_queue(self, pending: Optional[List[Job]] = None) -> None:
+        """Rewrite the snapshot from the waiting jobs, then empty the journal.
+
+        *pending* defaults to the queue's waiting jobs; either way they
+        are in submit order and each carries the entry built at its
+        admission.
+        """
         if pending is None:
-            pending = [
-                job for job in self.jobs.values() if job.state == "queued"
-            ]
-        pending = sorted(pending, key=lambda j: j.submitted_at)
+            pending = self.queue.pending()
         _write_atomic(self._queue_path(), {
             "kind": "pckpt-service-queue",
             "schema_version": SERVICE_SCHEMA_VERSION,
             "next_seq": self._next_seq,
-            "pending": [
-                {
-                    "id": job.id,
-                    "tenant": job.tenant,
-                    "submitted_at": job.submitted_at,
-                    "trace": (None if job.trace is None else {
-                        "trace_id": job.trace.trace_id,
-                        "span_id": job.trace.span_id,
-                        "parent_id": job.trace.parent_id,
-                    }),
-                    "spec": spec_to_dict(job.spec),
-                }
-                for job in pending
-            ],
+            "pending": [job.queue_entry for job in pending],
         })
+        self._journal.truncate(0)
+        self._journal_lines = 0
 
     def _restore_queue(self) -> None:
-        """Re-enqueue jobs persisted by a previous (interrupted) serve."""
+        """Re-enqueue jobs a previous serve left waiting; open the journal.
+
+        The waiting set is the snapshot with the journal replayed over
+        it.  Replay is idempotent — a ``push`` of a job already waiting
+        or a ``pop`` of one not waiting changes nothing — so a crash
+        between a snapshot rewrite and the journal truncation after it
+        neither loses nor duplicates a job.
+        """
+        entries: Dict[str, Dict[str, Any]] = {}
         path = self._queue_path()
-        if not path.exists():
-            return
-        data = json.loads(path.read_text(encoding="utf-8"))
-        self._next_seq = int(data.get("next_seq", 1))
-        for entry in data.get("pending", []):
+        if path.exists():
+            data = json.loads(path.read_text(encoding="utf-8"))
+            self._next_seq = int(data.get("next_seq", 1))
+            for entry in data.get("pending", []):
+                entries[entry["id"]] = entry
+        for record in _read_journal(self._journal_path()):
+            if record["op"] == "push":
+                entries.setdefault(record["entry"]["id"], record["entry"])
+                self._next_seq = max(self._next_seq, int(record["next_seq"]))
+            else:
+                entries.pop(record["id"], None)
+        for entry in entries.values():
             spec = spec_from_dict(entry["spec"])
             persisted = entry.get("trace")
             trace = None
@@ -328,19 +393,21 @@ class PckptService:
                 except (KeyError, TypeError, ValueError):
                     trace = None  # pre-v2 or mangled entry: mint fresh
             job = self._register_job(
-                spec, entry["tenant"], submitted_at=entry["submitted_at"],
-                job_id=entry["id"], trace=trace,
+                spec, entry["tenant"], spec_hash(spec),
+                submitted_at=entry["submitted_at"], job_id=entry["id"],
+                trace=trace,
             )
+            job.queue_entry = _queue_entry(job)   # with the trace it runs under
             self.queue.push(job)
-        if data.get("pending"):
-            self._persist_queue()
+        self._journal = open(self._journal_path(), "ab")
+        if entries or self._journal.tell():      # tell(): the journal's size
+            self._compact_queue()
 
     # -- job admission -------------------------------------------------------
-    def _register_job(self, spec, tenant: str,
+    def _register_job(self, spec, tenant: str, digest: str,
                       submitted_at: Optional[float] = None,
                       job_id: Optional[str] = None,
                       trace: Optional[TraceContext] = None) -> Job:
-        digest = spec_hash(spec)
         if job_id is None:
             job_id = f"j{self._next_seq:05d}-{digest[:8]}"
             self._next_seq += 1
@@ -348,14 +415,13 @@ class PckptService:
                   cells=len(build_cells(spec)), submitted_at=submitted_at,
                   trace=trace or mint_context())
         job.turnstile = asyncio.Event()
-        # Mirror the in-memory event stream to disk: one NDJSON file per
-        # job lifetime (truncated on re-registration after a restart so
-        # seq stays strictly increasing within the file).
-        events_path = self.jobs_dir / job.id / "events.ndjson"
-        if events_path.exists():
-            events_path.unlink()
-        job.events_path = events_path
-        job.persist_events()
+        # The event log: the queued line now, the rest from dispatch on
+        # (the first open truncates a file left by an earlier serve).
+        job_dir = self.jobs_dir / job.id
+        job_dir.mkdir(exist_ok=True)
+        job.events_path = job_dir / "events.ndjson"
+        job.open_log()
+        job.close_log()
         self.jobs[job.id] = job
         self._inflight[digest] = job.id
         return job
@@ -367,6 +433,7 @@ class PckptService:
         *trace* is the request's trace context (minted when ``None``).
         A deduped submission keeps the original job's context — the
         response record names the trace that actually ran the work.
+        An admitted job's journal line is flushed before this returns.
 
         Raises :class:`~repro.service.queue.QueueFull` on backpressure
         and ``RuntimeError`` once the service is shutting down.
@@ -378,21 +445,22 @@ class PckptService:
         if existing is not None and not self.jobs[existing].terminal:
             self.metrics.counter("service.jobs.deduped").inc()
             return self.jobs[existing], True
-        if weight > 1:
-            self.queue.set_weight(tenant, weight)
-        job = self._register_job(spec, tenant, trace=trace)
         try:
-            self.queue.push(job)
+            # Before registration: a refused job takes no id and no
+            # directory.
+            self.queue.check_room()
         except QueueFull:
-            del self.jobs[job.id]
-            self._inflight.pop(digest, None)
-            if job.events_path is not None and job.events_path.exists():
-                job.events_path.unlink()  # admission failed: no stream
             self.metrics.counter("service.jobs.rejected").inc()
             raise
+        if weight > 1:
+            self.queue.set_weight(tenant, weight)
+        job = self._register_job(spec, tenant, digest, trace=trace)
+        job.queue_entry = _queue_entry(job)
+        self.queue.push(job)
+        self._journal_append({"op": "push", "entry": job.queue_entry,
+                              "next_seq": self._next_seq})
         self.metrics.counter("service.jobs.submitted").inc()
         self.metrics.counter(f"service.tenant.{tenant}.submitted").inc()
-        self._persist_queue()
         return job, False
 
     # -- execution -----------------------------------------------------------
@@ -401,8 +469,10 @@ class PckptService:
             job = await self.queue.pop()
             if job is None:
                 return
+            self._journal_append({"op": "pop", "id": job.id})
+            job.queue_entry = None
+            job.open_log()              # held until the terminal event
             job.transition("running")
-            self._persist_queue()
             self._persist_job(job)
             try:
                 summary = await self._loop.run_in_executor(
@@ -426,9 +496,17 @@ class PckptService:
         """Snapshot the job record to ``<jobs>/<id>/job.json``.
 
         The on-disk record is what ``pckpt obs slo`` / ``pckpt obs
-        stitch`` analyze after the service exits.
+        stitch`` analyze after the service exits.  At dispatch the file
+        is new and is written in place (those readers skip a record torn
+        by a concurrent write); the terminal record replaces it
+        atomically.
         """
-        _write_atomic(self.jobs_dir / job.id / "job.json", job.to_record())
+        path = self.jobs_dir / job.id / "job.json"
+        if job.terminal:
+            _write_atomic(path, job.to_record())
+        else:
+            path.write_text(json.dumps(job.to_record(), sort_keys=True),
+                            encoding="utf-8")
 
     def _write_request_fragment(self, job: Job) -> None:
         """Span fragment for the service's side of one finished job.
@@ -462,10 +540,8 @@ class PckptService:
 
     def _execute(self, job: Job) -> Dict[str, Any]:
         """Worker thread: run the job's campaign against the shared store."""
-        job_dir = self.jobs_dir / job.id
-        job_dir.mkdir(parents=True, exist_ok=True)
         telemetry = _BridgedTelemetry(
-            CampaignTelemetry(job_dir / "telemetry.jsonl",
+            CampaignTelemetry(self.jobs_dir / job.id / "telemetry.jsonl",
                               trace_id=job.trace_id),
             self._loop, job,
         )
@@ -481,7 +557,7 @@ class PckptService:
             results = run_campaign(cells, store=self.store, workers=1,
                                    progress=progress, resume=True)
         job.results = results
-        job.store_keys = [content_key(c) for c in cells]
+        job.store_keys = list(progress.keys)
         executed = int(
             progress.metrics.counter("campaign.replications.executed").value
         )
@@ -756,12 +832,11 @@ class PckptService:
         )
         sent = 0
         while True:
-            while sent < len(job.events):
-                line = json.dumps(job.events[sent], sort_keys=True)
-                writer.write(line.encode("utf-8") + b"\n")
+            while sent < len(job.lines):
+                writer.write(job.lines[sent])
                 sent += 1
             await writer.drain()
-            if job.terminal and sent == len(job.events):
+            if job.terminal and sent == len(job.lines):
                 return
             turnstile = job.turnstile
             await turnstile.wait()

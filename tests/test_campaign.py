@@ -168,6 +168,19 @@ class TestStore:
         assert result_to_dict(result_from_dict(result_to_dict(result))) == \
             result_to_dict(result)
 
+    def test_entry_text_is_one_sorted_dumps(self, tmp_path, tiny_app,
+                                           hot_weibull):
+        result = run_replications(tiny_app, "B", replications=2,
+                                  weibull=hot_weibull, seed=1, workers=1)
+        key, meta = "cd" + "1" * 62, {"cell": ["B", "tiny"], "seed": 1}
+        path = ResultStore(tmp_path / "store").put(key, result, meta=meta)
+        assert path.read_text(encoding="utf-8") == json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "key": key,
+            "meta": meta,
+            "result": result_to_dict(result),
+        }, sort_keys=True)
+
     def test_miss_returns_none(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         assert store.get("ff" + "0" * 62) is None
