@@ -27,7 +27,11 @@ from ..failures.injector import FailureInjector
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.metrics import MetricsRegistry
 
-__all__ = ["OCIController"]
+__all__ = ["OCIController", "SIGMA_MAX"]
+
+#: Eq. (2) requires σ < 1: every σ-OCI (this controller and the batch
+#: scheduler's) clamps σ here for pathological thresholds.
+SIGMA_MAX = 0.999
 
 
 @dataclass
@@ -108,8 +112,7 @@ class OCIController:
                 if self.sigma_includes_recall
                 else self.assumed_recall
             )
-            # Eq. (2) requires sigma < 1; clamp for pathological thresholds.
-            self._sigma = min(recall * survival, 0.999)
+            self._sigma = min(recall * survival, SIGMA_MAX)
         # Without online estimation the rate is the oracle's, so the
         # interval is a job constant too; None means "recompute per call".
         self._fixed_interval: Optional[float] = (

@@ -19,7 +19,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
-from .exceptions import SimulationError
+from .exceptions import Interrupt, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -264,14 +264,15 @@ class Interruption(Event):
     """Kernel-internal event that throws an Interrupt into a process.
 
     Scheduled as *urgent* so that the interrupt is delivered before any
-    ordinary event at the same simulation time.
+    ordinary event at the same simulation time.  Its value is the
+    :class:`~.exceptions.Interrupt` the process catches: an interruption
+    has exactly one target, so the process throws this exception itself
+    rather than a copy (see :meth:`~.process.Process._resume`).
     """
 
     __slots__ = ("process",)
 
     def __init__(self, process: Any, cause: Any) -> None:
-        from .exceptions import Interrupt  # local to avoid cycle at import
-
         super().__init__(process.env)
         if process._value is not PENDING:
             raise SimulationError(f"{process!r} has terminated and cannot be interrupted")

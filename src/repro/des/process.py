@@ -3,9 +3,11 @@
 A :class:`Process` wraps a Python generator.  Each value the generator
 yields must be an :class:`~.events.Event`; the process suspends until that
 event is processed and is then resumed with the event's value (or, for a
-failed event, has the exception thrown into it).  The process object is
-itself an event that triggers when the generator terminates, so processes
-can wait for each other simply by yielding them.
+failed event, has a copy of the exception thrown into it; an
+:class:`~.events.Interruption` throws its own ``Interrupt``).  The
+process object is itself an event that triggers when the generator
+terminates, so processes can wait for each other simply by yielding
+them.
 """
 
 from __future__ import annotations
@@ -81,9 +83,14 @@ class Process(Event):
             try:
                 if event._ok:
                     next_event = send(event._value)
+                elif event.__class__ is Interruption:
+                    # An interruption has exactly one target, this process:
+                    # it throws the event's own Interrupt.
+                    next_event = self._generator.throw(event._value)
                 else:
                     # The event failed: mark the exception as handled (the
-                    # process is dealing with it now) and throw it in.
+                    # process is dealing with it now) and throw in a copy,
+                    # so several waiters never share one traceback.
                     event._defused = True
                     exc = type(event._value)(*event._value.args)
                     exc.__cause__ = event._value

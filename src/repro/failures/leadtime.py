@@ -66,15 +66,13 @@ class FailureSequenceSpec:
             raise ValueError("mean lead time must be positive")
         if self.sd_lead <= 0:
             raise ValueError("lead-time spread must be positive")
-
-    # Lognormal parameterization matching the requested mean/sd.
-    @property
-    def _sigma(self) -> float:
-        return math.sqrt(math.log(1.0 + (self.sd_lead / self.mean_lead) ** 2))
-
-    @property
-    def _mu(self) -> float:
-        return math.log(self.mean_lead) - 0.5 * self._sigma**2
+        # Lognormal parameterization matching the requested mean/sd, fixed
+        # per sequence, so every draw reads it instead of deriving it.
+        # Plain attributes, not fields: spec hashes and content keys walk
+        # dataclasses.fields(), which must not change.
+        sigma = math.sqrt(math.log(1.0 + (self.sd_lead / self.mean_lead) ** 2))
+        object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_mu", math.log(self.mean_lead) - 0.5 * sigma**2)
 
     def sample(self, rng: np.random.Generator, n: int | None = None):
         """Draw lead time(s) in seconds."""

@@ -175,12 +175,13 @@ class _Phase2Job:
     #: Owner name the kernel profiler files the job's events under.
     name = "pckpt-phase2"
 
-    def __init__(self, sim: "CRSimulation", outcome, provs=()) -> None:
+    def __init__(self, sim: "CRSimulation", outcome, provs) -> None:
         self.sim = sim
         self.snapshot_work = outcome.snapshot_work
         #: Provenance ids of the predictions the parent protocol served
-        #: (causal-timeline annotation carried into the phase-2 records).
-        self.provs = list(provs)
+        #: (causal-timeline annotation carried into the phase-2 records);
+        #: None in an untraced run, where no record reads them.
+        self.provs = provs
         #: Nodes whose failure does not hurt the snapshot.
         self.covers: Set[int] = set(outcome.committed) | set(sim._migrated_away)
         self.duration = sim.platform.pfs.proactive_write_time(
@@ -202,7 +203,7 @@ class _Phase2Job:
         event.succeed(priority=URGENT)
 
     def _open(self, _event) -> None:
-        self._sid = self.sim._span_begin(
+        self._sid = self.sim.trace.span_begin(
             "pckpt", "pckpt_phase2",
             {"work": self.snapshot_work, "provs": self.provs},
         )
@@ -219,9 +220,10 @@ class _Phase2Job:
         self._timer = None
         sim.drain.settle()
         sim.ledger.record_proactive(self.snapshot_work, sim.env.now)
-        sim._span_end(self._sid, "landed")
-        sim._emit("pckpt", "phase2-landed",
-                  {"work": self.snapshot_work, "provs": self.provs})
+        if sim.trace is not None:
+            sim.trace.span_end(self._sid, "landed")
+            sim.trace.emit("pckpt", "phase2-landed",
+                           {"work": self.snapshot_work, "provs": self.provs})
         sim._count("pckpt.phase2_landed")
         if sim._phase2_job is self:
             sim._phase2_job = None
@@ -242,17 +244,12 @@ class _Phase2Job:
             self._urgent(self._close)
 
     def _close(self, _event) -> None:
-        self.sim._span_end(self._sid, "cancelled")
+        self.sim.trace.span_end(self._sid, "cancelled")
 
 
 def _noop(*_args, **_kwargs) -> None:
-    """Shared do-nothing sink bound in place of disabled instrumentation."""
+    """Shared do-nothing sink bound in place of disabled metrics."""
     return None
-
-
-def _noop_span_begin(*_args, **_kwargs) -> int:
-    """Disabled ``_span_begin``: every span gets the same dummy id."""
-    return 0
 
 
 class CRSimulation:
@@ -277,6 +274,8 @@ class CRSimulation:
         Protocol phases additionally emit spans (see
         ``docs/OBSERVABILITY.md`` for the vocabulary); completed-span
         totals mirror the :class:`OverheadBreakdown` accounting exactly.
+        Every record is built behind an ``if self.trace is not None``
+        guard, so an untraced run builds no record detail at all.
     metrics:
         Optional metrics registry; when given it is attached to the run's
         environment and fed counters/gauges/histograms by every layer
@@ -306,17 +305,13 @@ class CRSimulation:
         self.trace = trace
         if trace is not None:
             trace.env = self.env
-        else:
-            # Disabled tracing must cost nothing on the event hot paths:
-            # rebind the helpers to module-level no-ops so call sites pay
-            # one attribute load instead of a method frame + None check.
-            self._emit = _noop
-            self._span_begin = _noop_span_begin
-            self._span_end = _noop
         self.metrics = metrics
         if metrics is not None:
             self.env.attach_metrics(metrics)
         else:
+            # Disabled metrics must cost nothing on the event hot paths:
+            # rebind the helpers to a module-level no-op so call sites pay
+            # one attribute load instead of a method frame + None check.
             self._count = _noop
             self._observe = _noop
 
@@ -498,22 +493,10 @@ class CRSimulation:
     # ------------------------------------------------------------------
     # notification plumbing
     # ------------------------------------------------------------------
-    # The five helpers below are rebound to module-level no-ops in
-    # __init__ when their backend is absent, so the None checks only ever
-    # run with instrumentation enabled.
-    def _emit(self, source: str, kind: str, detail=None) -> None:
-        if self.trace is not None:
-            self.trace.emit(source, kind, detail)
-
-    def _span_begin(self, source: str, kind: str, detail=None) -> int:
-        if self.trace is not None:
-            return self.trace.span_begin(source, kind, detail)
-        return 0
-
-    def _span_end(self, sid: int, detail=None) -> None:
-        if self.trace is not None:
-            self.trace.span_end(sid, detail)
-
+    # The two helpers below are rebound to the module-level no-op in
+    # __init__ when no registry is attached, so the None checks only ever
+    # run with metrics enabled.  Trace records are built at their call
+    # sites, behind ``if self.trace is not None``.
     def _count(self, name: str, amount: float = 1) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
@@ -553,14 +536,14 @@ class CRSimulation:
 
     def _mark(self, node: int, to: NodeHealth) -> None:
         """Move *node* to state *to*, enforcing the Fig 5 transitions."""
-        current = self.node_health(node)
+        state = self._node_states.get(node)
+        current = state.health if state is not None else NodeHealth.NORMAL
         if current is to:
             return
         transition(current, to)  # raises IllegalTransition on a bad move
         if to is NodeHealth.NORMAL:
             self._node_states.pop(node, None)
         else:
-            state = self._node_states.get(node)
             if state is None:
                 state = self._node_states[node] = NodeState(index=node)
             state.health = to
@@ -584,17 +567,18 @@ class CRSimulation:
         # Trace details carry the injector-assigned provenance id ("prov")
         # so repro.obs.timeline can stitch every record back to its causing
         # failure/false alarm.  See docs/OBSERVABILITY.md.
-        self._emit(
-            "predictor",
-            "prediction",
-            {
-                "node": prediction.node,
-                "action": action.value,
-                "lead": lead,
-                "real": is_real,
-                "prov": prediction.provenance,
-            },
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                "predictor",
+                "prediction",
+                {
+                    "node": prediction.node,
+                    "action": action.value,
+                    "lead": lead,
+                    "real": is_real,
+                    "prov": prediction.provenance,
+                },
+            )
         self._count("predictor.predictions")
         self._observe("predictor.lead_seconds", lead)
         rec = _MitigationRecord(action=action)
@@ -641,20 +625,25 @@ class CRSimulation:
                         watcher.committed = True
                 self._migrated_away.add(node)
                 self._mark(node, NodeHealth.NORMAL)
-                self._emit("lm", "completed",
-                           {"node": node, "prov": prediction.provenance})
+                if self.trace is not None:
+                    self.trace.emit("lm", "completed",
+                                    {"node": node, "prov": prediction.provenance})
                 self._count("lm.completed")
             else:
                 self.ft.lm_aborts += 1
                 if self.node_health(node) is NodeHealth.MIGRATING:
                     self._mark(node, NodeHealth.VULNERABLE)
                 if outcome is MigrationOutcome.ABORTED:
-                    self._emit("lm", "aborted",
-                               {"node": node, "prov": prediction.provenance})
+                    if self.trace is not None:
+                        self.trace.emit("lm", "aborted",
+                                        {"node": node,
+                                         "prov": prediction.provenance})
                     self._count("lm.aborted")
                 else:
-                    self._emit("lm", "overtaken",
-                               {"node": node, "prov": prediction.provenance})
+                    if self.trace is not None:
+                        self.trace.emit("lm", "overtaken",
+                                        {"node": node,
+                                         "prov": prediction.provenance})
                     self._count("lm.overtaken")
             self._replan()
 
@@ -670,18 +659,20 @@ class CRSimulation:
         )
         self._active_lms[node] = lm
         self._mark(node, NodeHealth.MIGRATING)
-        self._emit(
-            "lm",
-            "started",
-            {"node": node, "seconds": lm.transfer_seconds,
-             "prov": prediction.provenance},
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                "lm",
+                "started",
+                {"node": node, "seconds": lm.transfer_seconds,
+                 "prov": prediction.provenance},
+            )
         self._count("lm.started")
         self._replan()
 
     def _deliver_failure(self, ev: FailureEvent) -> None:
         self.ft.failures += 1
-        self._count("failures.injected")
+        if self.metrics is not None:
+            self.metrics.counter("failures.injected").inc()
         if ev.predicted:
             # Counted at failure (not prediction) delivery so that a
             # prediction whose failure lands after job completion does not
@@ -701,14 +692,17 @@ class CRSimulation:
             # The empty node still physically fails and gets replaced.
             self._mark(ev.node, NodeHealth.FAILED)
             self._mark(ev.node, NodeHealth.NORMAL)
-            self._emit("failure", "avoided-by-lm",
-                       {"node": ev.node, "prov": ev.provenance})
+            if self.trace is not None:
+                self.trace.emit("failure", "avoided-by-lm",
+                                {"node": ev.node, "prov": ev.provenance})
             self._count("failures.avoided_by_lm")
             return
         if ev.node in self._active_lms:
             # Transfer still in flight when the node died.
             self._active_lms[ev.node].overtake()
-        self._emit("failure", "struck", {"node": ev.node, "prov": ev.provenance})
+        if self.trace is not None:
+            self.trace.emit("failure", "struck",
+                            {"node": ev.node, "prov": ev.provenance})
         self._count("failures.struck")
         self._notify_app(("failure", ev))
 
@@ -743,7 +737,8 @@ class CRSimulation:
                 break
             yield from self._periodic_bb_checkpoint()
         self._interruptible = False
-        self._emit("app", "completed", self.work_done)
+        if self.trace is not None:
+            self.trace.emit("app", "completed", self.work_done)
 
     def _run_segments(self, goal: float) -> Optional[float]:
         """Run every periodic segment that ends before the horizon.
@@ -777,7 +772,9 @@ class CRSimulation:
             # interval >= min_interval, so every segment computes; the
             # rate is 1.0, so planned == target - work and migration
             # overhead grows by exactly 0.0.
-            target = min(work + interval, goal)
+            target = work + interval
+            if target > goal:
+                target = goal
             t1 = now + (target - work)
             writes = target < goal - _EPS
             blocks = writes and t_ckpt_bb > _EPS
@@ -842,37 +839,44 @@ class CRSimulation:
     def _periodic_bb_checkpoint(self):
         """Synchronous checkpoint to the burst buffers (+ async drain)."""
         remaining = self.t_ckpt_bb
-        self._emit("app", "ckpt_bb_start", self.work_done)
+        trace = self.trace
+        if trace is not None:
+            trace.emit("app", "ckpt_bb_start", self.work_done)
         while remaining > _EPS:
             start = self.env.now
             # One span per blocked write segment: its duration is exactly
             # the checkpoint overhead charged below, so span totals and
             # OverheadBreakdown stay reconcilable.
-            sid = self._span_begin("app", "ckpt_bb_write", self.work_done)
+            if trace is not None:
+                sid = trace.span_begin("app", "ckpt_bb_write", self.work_done)
             timer = self.env.timeout(remaining)
             try:
                 yield timer
                 self.overhead.checkpoint += self.env.now - start
-                self._span_end(sid)
+                if trace is not None:
+                    trace.span_end(sid)
                 remaining = 0.0
             except Interrupt as intr:
                 self.env.cancel(timer)
                 self.overhead.checkpoint += self.env.now - start
-                self._span_end(sid)
+                if trace is not None:
+                    trace.span_end(sid)
                 remaining -= self.env.now - start
                 kind = intr.cause[0]
                 if kind == "replan":
                     continue  # I/O speed unaffected by LM slowdown
                 if kind == "proactive":
                     # Abort the BB write; the proactive snapshot supersedes.
-                    self._emit("app", "ckpt_bb_aborted", None)
+                    if trace is not None:
+                        trace.emit("app", "ckpt_bb_aborted", None)
                     self._count("ckpt.periodic_aborted")
                     yield from self._run_proactive(intr.cause[1], intr.cause[2])
                     yield from self._drain_pending()
                     return
                 if kind == "failure":
                     # Fig 1(C): failure during a synchronous BB checkpoint.
-                    self._emit("app", "ckpt_bb_aborted", None)
+                    if trace is not None:
+                        trace.emit("app", "ckpt_bb_aborted", None)
                     self._count("ckpt.periodic_aborted")
                     yield from self._handle_failure(intr.cause[1])
                     yield from self._drain_pending()
@@ -887,7 +891,8 @@ class CRSimulation:
         self._count("ckpt.periodic_completed")
         self._observe("ckpt.bb_write_seconds", self.t_ckpt_bb)
         # Done first: the snapshot's drain_flush span opens after it.
-        self._emit("app", "ckpt_bb_done", self.work_done)
+        if self.trace is not None:
+            self.trace.emit("app", "ckpt_bb_done", self.work_done)
         self.drain.submit(snap)
 
     # ------------------------------------------------------------------
@@ -923,29 +928,34 @@ class CRSimulation:
             already_covered=set(self._migrated_away),
         )
         self._active_safeguard = run
-        prov = getattr(prediction, "provenance", -1)
-        self._emit("safeguard", "start",
-                   {"node": prediction.node, "seconds": write, "prov": prov})
+        trace = self.trace
+        if trace is not None:
+            prov = getattr(prediction, "provenance", -1)
+            trace.emit("safeguard", "start",
+                       {"node": prediction.node, "seconds": write, "prov": prov})
         self._count("safeguard.runs")
         # The safeguard only burns time inside its collective write, so
         # this span's duration equals the checkpoint overhead it charges
         # (run.spent / outcome.duration) — on aborts too.
-        sid = self._span_begin("safeguard", "safeguard_write",
-                               {"node": prediction.node, "prov": prov})
+        if trace is not None:
+            sid = trace.span_begin("safeguard", "safeguard_write",
+                                   {"node": prediction.node, "prov": prov})
         try:
             outcome = yield from run.run()
         except SafeguardAborted as exc:
             self.overhead.checkpoint += run.spent
-            self._span_end(sid, "aborted")
-            self._emit("safeguard", "aborted",
-                       {"node": exc.failure.node,
-                        "prov": exc.failure.provenance})
+            if trace is not None:
+                trace.span_end(sid, "aborted")
+                trace.emit("safeguard", "aborted",
+                           {"node": exc.failure.node,
+                            "prov": exc.failure.provenance})
             self._count("safeguard.aborts")
             yield from self._handle_failure(exc.failure)
             return
         finally:
             self._active_safeguard = None
-        self._span_end(sid, "done")
+        if trace is not None:
+            trace.span_end(sid, "done")
         self.overhead.checkpoint += outcome.duration
         self._observe("safeguard.write_seconds", outcome.duration)
         self.drain.settle()
@@ -955,18 +965,20 @@ class CRSimulation:
             if rec is not None:
                 rec.action = ProactiveAction.SAFEGUARD
                 rec.committed = True
-        self._emit(
-            "safeguard",
-            "done",
-            {"served": len(outcome.served),
-             "provs": sorted(getattr(s, "provenance", -1)
-                             for s in outcome.served)},
-        )
+        if trace is not None:
+            trace.emit(
+                "safeguard",
+                "done",
+                {"served": len(outcome.served),
+                 "provs": sorted(getattr(s, "provenance", -1)
+                                 for s in outcome.served)},
+            )
         if outcome.pending_failures:
             yield from self._recover_after_proactive(outcome.pending_failures)
 
     def _run_pckpt(self, prediction):
         per_node = self.app.checkpoint_bytes_per_node
+        trace = self.trace
         initial = [entry_from_prediction(prediction)]
         enqueued = {prediction.node}
         # node -> provenance id of the prediction that enqueued it, for
@@ -982,9 +994,10 @@ class CRSimulation:
                 initial.append(entry_from_prediction(lm.prediction))
                 enqueued.add(node)
                 prov_by_node[node] = getattr(lm.prediction, "provenance", -1)
-            self._emit("pckpt", "absorbed-lm",
-                       {"node": node,
-                        "prov": getattr(lm.prediction, "provenance", -1)})
+            if trace is not None:
+                trace.emit("pckpt", "absorbed-lm",
+                           {"node": node,
+                            "prov": getattr(lm.prediction, "provenance", -1)})
             self._count("pckpt.absorbed_lms")
         # Every other still-vulnerable node joins too: the new snapshot
         # supersedes any older protection, so their shares must be
@@ -1001,12 +1014,13 @@ class CRSimulation:
             for watcher in self._watchers.get(entry.node, ()):
                 watcher.action = ProactiveAction.PCKPT
                 watcher.committed = True
-            self._emit(
-                "pckpt",
-                "vulnerable-committed",
-                {"node": entry.node, "when": when,
-                 "prov": prov_by_node.get(entry.node, -1)},
-            )
+            if trace is not None:
+                trace.emit(
+                    "pckpt",
+                    "vulnerable-committed",
+                    {"node": entry.node, "when": when,
+                     "prov": prov_by_node.get(entry.node, -1)},
+                )
 
         protocol = PckptProtocol(
             self.env,
@@ -1024,30 +1038,35 @@ class CRSimulation:
             include_phase2=not self.config.pckpt_async_phase2,
         )
         self._active_protocol = protocol
-        nodes = [e.node for e in initial]
-        provs = sorted(prov_by_node.values())
-        self._emit("pckpt", "start", {"nodes": nodes, "provs": provs})
+        provs = None
+        if trace is not None:
+            nodes = [e.node for e in initial]
+            provs = sorted(prov_by_node.values())
+            trace.emit("pckpt", "start", {"nodes": nodes, "provs": provs})
         self._count("pckpt.runs")
         # All protocol time passes inside its interruptible waits, so this
         # span's duration equals phase1+phase2 blocked seconds — the exact
         # checkpoint overhead charged below, on aborts too.
-        sid = self._span_begin(
-            "pckpt", "pckpt_protocol", {"nodes": nodes, "provs": provs}
-        )
+        if trace is not None:
+            sid = trace.span_begin(
+                "pckpt", "pckpt_protocol", {"nodes": nodes, "provs": provs}
+            )
         try:
             outcome = yield from protocol.run()
         except ProtocolAborted as exc:
             self.overhead.checkpoint += protocol.phase1_spent + protocol.phase2_spent
-            self._span_end(sid, "aborted")
-            self._emit("pckpt", "aborted",
-                       {"node": exc.failure.node,
-                        "prov": exc.failure.provenance})
+            if trace is not None:
+                trace.span_end(sid, "aborted")
+                trace.emit("pckpt", "aborted",
+                           {"node": exc.failure.node,
+                            "prov": exc.failure.provenance})
             self._count("pckpt.aborts")
             yield from self._handle_failure(exc.failure)
             return
         finally:
             self._active_protocol = None
-        self._span_end(sid, "done")
+        if trace is not None:
+            trace.span_end(sid, "done")
         self.overhead.checkpoint += outcome.duration
         self._count("pckpt.commits", len(outcome.committed))
         self._observe("pckpt.phase1_seconds", outcome.phase1_seconds)
@@ -1060,12 +1079,13 @@ class CRSimulation:
         else:
             self.drain.settle()
             self.ledger.record_proactive(outcome.snapshot_work, self.env.now)
-        self._emit(
-            "pckpt",
-            "done",
-            {"committed": sorted(outcome.committed),
-             "duration": outcome.duration, "provs": provs},
-        )
+        if trace is not None:
+            trace.emit(
+                "pckpt",
+                "done",
+                {"committed": sorted(outcome.committed),
+                 "duration": outcome.duration, "provs": provs},
+            )
         if outcome.pending_failures:
             yield from self._recover_after_proactive(outcome.pending_failures)
 
@@ -1145,8 +1165,9 @@ class CRSimulation:
             self._mark(ev.node, NodeHealth.FAILED)
             self._mark(ev.node, NodeHealth.NORMAL)
         # In-flight LM images are stale once we roll back: abort them all.
-        for lm in list(self._active_lms.values()):
-            lm.abort("rollback-invalidates-image")
+        if self._active_lms:
+            for lm in list(self._active_lms.values()):
+                lm.abort("rollback-invalidates-image")
 
         job = self._phase2_job
         if job is not None and not job.cancelled and ev.node in job.covers:
@@ -1188,18 +1209,23 @@ class CRSimulation:
 
         lost = self.work_done - restore_work
         assert lost >= -_EPS, "recovery target ahead of current progress"
-        self.overhead.recomputation += max(lost, 0.0)
+        lost = max(lost, 0.0)
+        self.overhead.recomputation += lost
         self.overhead.recovery += restore_seconds
         self.work_done = restore_work
         self.ledger.rollback(self.work_done)
-        self._emit(
-            "recovery",
-            "restore",
-            {"work": restore_work, "seconds": restore_seconds,
-             "from_bb": from_bb, "prov": ev.provenance},
-        )
-        self._observe("recovery.restore_seconds", restore_seconds)
-        self._observe("recovery.lost_work_seconds", max(lost, 0.0))
+        trace = self.trace
+        if trace is not None:
+            trace.emit(
+                "recovery",
+                "restore",
+                {"work": restore_work, "seconds": restore_seconds,
+                 "from_bb": from_bb, "prov": ev.provenance},
+            )
+        if self.metrics is not None:
+            self.metrics.histogram("recovery.restore_seconds").observe(
+                restore_seconds)
+            self.metrics.histogram("recovery.lost_work_seconds").observe(lost)
         # The restore itself cannot be interrupted; notifications queue up.
         # The flag defers *future* notifications; interrupts already
         # scheduled this timestep still land here, so the wait itself must
@@ -1207,10 +1233,12 @@ class CRSimulation:
         # (deferral consumes no time), so this span's duration equals the
         # recovery overhead charged above; the lost work rides along in
         # the detail for the recomputation cross-check.
-        sid = self._span_begin(
-            "recovery", "recovery_restore",
-            {"work": restore_work, "from_bb": from_bb, "prov": ev.provenance},
-        )
+        if trace is not None:
+            sid = trace.span_begin(
+                "recovery", "recovery_restore",
+                {"work": restore_work, "from_bb": from_bb,
+                 "prov": ev.provenance},
+            )
         # Cancelled drains close their spans inside the restore span.
         self.drain.cancel_newer_than(self.work_done)
         self._interruptible = False
@@ -1226,7 +1254,8 @@ class CRSimulation:
                 remaining -= self.env.now - start
                 self._pending.append(intr.cause)
         self._interruptible = True
-        self._span_end(sid, {"lost": max(lost, 0.0)})
+        if trace is not None:
+            trace.span_end(sid, {"lost": lost})
 
     def _drain_pending(self):
         """Service notifications deferred during un-interruptible spans."""

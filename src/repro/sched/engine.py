@@ -31,6 +31,7 @@ import numpy as np
 
 from ..analysis.metrics import FTStats
 from ..analysis.young import sigma_adjusted_oci, young_oci
+from ..cr.oci import SIGMA_MAX
 from ..des import Environment
 from ..des.metrics import MetricsRegistry
 from ..des.monitor import Trace
@@ -283,15 +284,7 @@ class SchedSimulation:
         bb = self.platform.node.burst_buffer
         t_bb = bb.write_time(per_node)
         theta = self.platform.lm_transfer_time(per_node, model.lm_alpha)
-        rate = self.weibull.per_node_rate()
-        if model.use_sigma_oci:
-            sigma = min(
-                self.predictor.recall * float(self.lead_model.survival(theta)),
-                1.0 - 1e-9,
-            )
-            oci = sigma_adjusted_oci(t_bb, rate, job.nodes, sigma)
-        else:
-            oci = young_oci(t_bb, rate, job.nodes)
+        oci = self._job_oci(model, t_bb, theta, job.nodes)
         scaled = self.weibull.scaled_to(job.nodes)
         state = _JobState()
         sid = 0
@@ -333,6 +326,21 @@ class SchedSimulation:
         self._pool.release(rec.intervals)
         del self._running[job.id]
         self._dispatch()
+
+    def _job_oci(self, model, t_bb: float, theta: float, nodes: int) -> float:
+        """A job's checkpoint interval: Eq. (2) for σ models, else Eq. (1).
+
+        σ is clamped at :data:`~repro.cr.oci.SIGMA_MAX`, as in
+        :class:`~repro.cr.oci.OCIController`.
+        """
+        rate = self.weibull.per_node_rate()
+        if model.use_sigma_oci:
+            sigma = min(
+                self.predictor.recall * float(self.lead_model.survival(theta)),
+                SIGMA_MAX,
+            )
+            return sigma_adjusted_oci(t_bb, rate, nodes, sigma)
+        return young_oci(t_bb, rate, nodes)
 
     def _handle_failure(self, rec: JobRecord, state: _JobState, model,
                         per_node: float, theta: float, t_bb: float,

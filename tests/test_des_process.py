@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.des import Environment, Interrupt, SimulationError, StopProcess
+from repro.des.events import Interruption
 
 
 class TestProcessBasics:
@@ -224,3 +225,62 @@ class TestInterrupts:
 
     def test_interrupt_cause_repr(self):
         assert "why" in str(Interrupt("why"))
+
+
+class TestInterruptContract:
+    """An interruption throws its own Interrupt; other failures are copied."""
+
+    def test_interrupt_throws_its_one_exception(self, env, monkeypatch):
+        made = []
+        init = Interrupt.__init__
+
+        def counting_init(self, cause=None):
+            made.append(cause)
+            init(self, cause)
+
+        monkeypatch.setattr(Interrupt, "__init__", counting_init)
+        caught, sent = [], []
+
+        def victim(env):
+            try:
+                yield env.timeout(10)
+            except Interrupt as intr:
+                caught.append(intr)
+
+        def attacker(env, v):
+            yield env.timeout(1)
+            v.interrupt(("failure", 7))
+            sent.extend(entry[3] for entry in env._queue
+                        if isinstance(entry[3], Interruption))
+
+        v = env.process(victim(env))
+        env.process(attacker(env, v))
+        env.run()
+        assert made == [("failure", 7)]
+        assert len(sent) == 1 and len(caught) == 1
+        assert caught[0] is sent[0].value
+        assert caught[0].cause == ("failure", 7)
+
+    def test_failed_event_gives_each_waiter_its_own_copy(self, env):
+        failing = env.event()
+        original = ValueError("boom")
+        caught = []
+
+        def waiter(env):
+            try:
+                yield failing
+            except ValueError as exc:
+                caught.append(exc)
+
+        def trigger(env):
+            yield env.timeout(1)
+            failing.fail(original)
+
+        env.process(waiter(env))
+        env.process(waiter(env))
+        env.process(trigger(env))
+        env.run()
+        assert len(caught) == 2 and caught[0] is not caught[1]
+        for exc in caught:
+            assert exc is not original
+            assert exc.__cause__ is original and exc.args == ("boom",)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -165,3 +167,29 @@ def test_prepare_parent_copies_the_change_benchmark(tmp_path):
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(dest)],
                        cwd=repo, check=True)
+
+
+def test_compile_tree_writes_fresh_bytecode(tmp_path, monkeypatch):
+    """Every source gets a ``.pyc`` whose header matches it, stale or not."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    root = tmp_path / "tree"
+    sources = [root / "src" / "pkg" / "__init__.py",
+               root / "src" / "pkg" / "mod.py",
+               root / "benchmarks" / "e2e" / "run.py"]
+    declared = {"command": [sys.executable], "paths": ["benchmarks/e2e"]}
+    for path in sources:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("X = 1\n")
+    e2e_gate.compile_tree(root, declared)
+    # Make the first module's bytecode stale: new size, later mtime.
+    sources[1].write_text("X = 12345\n")
+    later = sources[1].stat().st_mtime + 10
+    os.utime(sources[1], (later, later))
+    e2e_gate.compile_tree(root, declared)
+    for path in sources:
+        data = Path(importlib.util.cache_from_source(str(path))).read_bytes()
+        assert data[:4] == importlib.util.MAGIC_NUMBER
+        flags, mtime, size = struct.unpack("<III", data[4:16])
+        stat = path.stat()
+        assert (flags, mtime, size) == (
+            0, int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF)

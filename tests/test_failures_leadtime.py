@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -210,3 +211,41 @@ class TestScipyParity:
                 scale=math.exp(seq._mu))
         got = PAPER_LEAD_TIME_MODEL.survival(_T_GRID)
         assert _hex(got) == _hex(expected)
+
+
+class TestCachedLognormalParameters:
+    """μ and σ are computed once per sequence, exactly, off the fields."""
+
+    @pytest.mark.parametrize("seq", PAPER_SEQUENCES,
+                             ids=lambda s: f"seq{s.sequence_id}")
+    def test_cached_values_equal_the_closed_forms(self, seq):
+        sigma = math.sqrt(math.log(1.0 + (seq.sd_lead / seq.mean_lead) ** 2))
+        mu = math.log(seq.mean_lead) - 0.5 * sigma**2
+        assert (seq._mu.hex(), seq._sigma.hex()) == (mu.hex(), sigma.hex())
+        replaced = dataclasses.replace(seq, sd_lead=2.0 * seq.sd_lead)
+        assert replaced._sigma != seq._sigma
+
+    def test_fields_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(FailureSequenceSpec)] == [
+            "sequence_id", "occurrences", "mean_lead", "sd_lead"]
+
+    def test_campaign_cell_keys_are_unchanged(self):
+        """The campaign-dense cells hash as before the parameters were cached."""
+        from repro.spec import cell_keys, spec_from_dict
+
+        spec = spec_from_dict({
+            "schema_version": 1, "name": "e2e-campaign-dense-full",
+            "apps": ["CHIMERA"], "models": ["B", "M1", "P1"],
+            "include_base": False, "failures": "lanl-system18",
+            "predictor": {"false_positive_rate": 0.0}, "replications": 32,
+            "seed": 2022,
+            "sweep": {"axis": "fn-rate",
+                      "values": [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35,
+                                 0.40]},
+        })
+        keys = cell_keys(spec)
+        assert len(keys) == 24
+        assert keys[0] == (
+            "546b2f5405ebaf091852acb940d12336f984bb9c5adc0c5ed65e4b4939d39bb7")
+        assert keys[-1] == (
+            "339a863479553eb9aa75873bdb29db89f760f01ef414dd643985102a33a9bac5")

@@ -118,3 +118,38 @@ def test_failure_at_a_landing_sees_the_landed_snapshot(traced):
         restore = [r for r in sim.trace.records if r.kind == "restore"]
         assert [r.time for r in restore] == [landing]
         assert restore[0].detail["work"] == interval
+
+
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("an untraced run reached the trace")
+
+
+class TestDisturbanceCostModel:
+    """An untraced replication builds no trace payload.
+
+    With metrics off, ``_count`` and ``_observe`` are bound to the
+    module's ``_noop``.  A recorder in its place sees every argument an
+    untraced, unmetered run still passes to instrumentation: metric names
+    and numbers, never a detail dict, list, tuple or set.
+    """
+
+    @pytest.mark.parametrize("case", ["CHIMERA/B", "CHIMERA/M1", "CHIMERA/P1",
+                                      "VULCAN/P2/titan", "POP/M2/titan"])
+    def test_untraced_run_builds_no_payload(self, case, monkeypatch):
+        calls, payloads = [], []
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            payloads.extend(a for a in (*args, *kwargs.values())
+                            if isinstance(a, (dict, list, tuple, set)))
+
+        monkeypatch.setattr("repro.models.base._noop", recorder)
+        for method in ("emit", "span_begin", "span_end"):
+            monkeypatch.setattr(Trace, method, _forbidden)
+        app, config, weibull = CONFIGS[case]
+        _, out = _run(app, config, weibull, 7, traced=False)
+        if app == "CHIMERA":
+            assert out.ft.failures > 0
+            assert out.proactive_runs > 0 or not config.use_prediction
+        assert calls
+        assert payloads == []

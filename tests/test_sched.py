@@ -15,7 +15,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL
+from repro.analysis.young import sigma_adjusted_oci
+from repro.cr.oci import SIGMA_MAX, OCIController
+from repro.failures.injector import FailureInjector
+from repro.failures.leadtime import (
+    PAPER_LEAD_TIME_MODEL,
+    FailureSequenceSpec,
+    LeadTimeModel,
+)
 from repro.failures.predictor import DEFAULT_PREDICTOR
 from repro.failures.weibull import WeibullParams
 from repro.platform.system import SUMMIT
@@ -37,7 +44,8 @@ from repro.sched.bench import (
     run_baseline,
     validate_sched_payload,
 )
-from repro.sched.engine import _NodePool
+from repro.models.registry import get_model
+from repro.sched.engine import SchedSimulation, _NodePool
 
 SMALL = dataclasses.replace(SUMMIT, total_nodes=192)
 HOT = WeibullParams("sched-test", shape=0.7, scale_hours=40.0,
@@ -216,6 +224,28 @@ class TestEngine:
         assert result.ft.failures == sum(
             r.ft.failures for out in workload_out for r in out.records
         )
+
+    def test_sigma_oci_clamps_sigma_like_the_controller(self):
+        """recall 1 and θ near 0 give σ = 1: both σ-OCIs clamp it alike."""
+        lead = LeadTimeModel([FailureSequenceSpec(1, 1, mean_lead=1e6,
+                                                  sd_lead=1.0)])
+        predictor = dataclasses.replace(DEFAULT_PREDICTOR, recall=1.0)
+        theta = 1e-6
+        assert float(lead.survival(theta)) == 1.0
+        jobs = trace_workload([{"app": "GYRO", "at": 0.0, "nodes": 64}],
+                              ("M2",))
+        sim = SchedSimulation(jobs, platform=SMALL, weibull=HOT,
+                              lead_model=lead, predictor=predictor)
+        oci = sim._job_oci(get_model("M2"), 60.0, theta, 64)
+        assert oci == sigma_adjusted_oci(60.0, HOT.per_node_rate(), 64,
+                                         SIGMA_MAX)
+        injector = FailureInjector(HOT, 64, lead, predictor,
+                                   rng=np.random.default_rng(0))
+        controller = OCIController(t_ckpt_bb=60.0, injector=injector,
+                                   nodes=64, use_sigma=True,
+                                   lm_threshold=theta,
+                                   sigma_includes_recall=True)
+        assert controller.sigma() == SIGMA_MAX
 
 
 class TestDeterminism:

@@ -34,10 +34,10 @@ TIMELINE_PY = SRC / "obs" / "timeline.py"
 CORE_PY = SRC / "des" / "core.py"
 
 #: Matches emit-family calls whose first two arguments are string
-#: literals: emit("source", "kind"), span_begin(...), span(...), and the
-#: models' _emit/_span_begin wrappers — across line breaks.
+#: literals: emit("source", "kind"), span_begin(...) and span(...) —
+#: across line breaks.
 CALL = re.compile(
-    r"\b(?:_emit|emit|_span_begin|span_begin|span)\(\s*"
+    r"\b(?:emit|span_begin|span)\(\s*"
     r"['\"]([\w/-]+)['\"]\s*,\s*['\"]([\w.-]+)['\"]"
 )
 
