@@ -30,6 +30,12 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+# At module level, not per call: a σ campaign forks its pool workers after
+# the parent imports this module, so the workers inherit scipy.special.
+# Imported per call, each worker loads it after the fork, which made
+# campaign-sigma five times slower (docs/PERFORMANCE.md, "Start-up").
+from scipy.special import ndtr, ndtri
+
 __all__ = [
     "FailureSequenceSpec",
     "LeadTimeModel",
@@ -81,10 +87,7 @@ class FailureSequenceSpec:
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(lead > t) for this sequence."""
         # The closed form scipy.stats.lognorm.sf evaluates, bit for bit,
-        # without importing scipy.stats (scipy.special is imported lazily:
-        # it is a third of a second of set-up).
-        from scipy.special import ndtr
-
+        # without importing scipy.stats.
         t = np.asarray(t, dtype=float)
         z = np.log(np.maximum(t, 1e-300) / math.exp(self._mu)) / self._sigma
         s = ndtr(-z)
@@ -93,8 +96,6 @@ class FailureSequenceSpec:
     def quantile(self, q: float | np.ndarray) -> float | np.ndarray:
         """Lead-time quantile (for box-plot statistics)."""
         # Bit-identical to scipy.stats.lognorm.ppf.
-        from scipy.special import ndtri
-
         return np.exp(self._sigma * ndtri(q)) * math.exp(self._mu)
 
 

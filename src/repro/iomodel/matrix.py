@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .bandwidth import aggregate_bandwidth, single_node_bandwidth
 from .calibration import WeakScalingSweep, run_weak_scaling_sweep
@@ -107,6 +106,12 @@ class MatrixPFSModel:
     """
 
     def __init__(self, sweep: WeakScalingSweep | None = None) -> None:
+        # Imported here, its only use: scipy.interpolate drags in
+        # scipy.optimize, linalg, sparse, fft and spatial (about 290 modules
+        # and 25 MB), which every process on the default analytic backend
+        # would otherwise load at start-up.
+        from scipy.interpolate import RegularGridInterpolator
+
         if sweep is None:
             sweep = run_weak_scaling_sweep(rng=None)
         self.sweep = sweep

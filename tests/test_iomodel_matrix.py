@@ -87,6 +87,58 @@ class TestMatrixPFSModel:
             m.write_bandwidth(4, 0.0)
 
 
+#: ``(nnodes, bytes_per_node, write_bandwidth.hex(), write_time.hex())`` of
+#: the noiseless default matrix.  The grid spans 1..4096 nodes and
+#: 1 MiB..256 GiB, so the 0.5 MiB, 1 TiB and 100 000-node rows are clamped.
+_MATRIX_GOLDEN = (
+    (1, 0.5 * MiB, "0x1.a94a3a30f63e1p+27", "0x1.3431c71c71c6ap-9"),
+    (1, 1 * MiB, "0x1.a94a3a30f63e1p+27", "0x1.3431c71c71c6ap-8"),
+    (1, 10 * GiB, "0x1.a8840e2a4fc13p+33", "0x1.81f20f98b69d0p-1"),
+    (1, 256 * GiB, "0x1.abb7f893073d4p+33", "0x1.3271c71c71c74p+4"),
+    (1, 1024 * GiB, "0x1.abb7f893073d4p+33", "0x1.3271c71c71c74p+6"),
+    (3, 0.5 * MiB, "0x1.3edd103e74d02p+29", "0x1.344b7e9a62184p-9"),
+    (3, 1 * MiB, "0x1.3edd103e74d02p+29", "0x1.344b7e9a62184p-8"),
+    (3, 10 * GiB, "0x1.37e7ceb3e2bdap+35", "0x1.89f729e04d7f0p-1"),
+    (3, 256 * GiB, "0x1.3a35ebe5e6f3fp+35", "0x1.38dc35e751d95p+4"),
+    (3, 1024 * GiB, "0x1.3a35ebe5e6f3fp+35", "0x1.38dc35e751d95p+6"),
+    (100, 0.5 * MiB, "0x1.4723e6485d485p+34", "0x1.3903ff20229c6p-9"),
+    (100, 1 * MiB, "0x1.4723e6485d485p+34", "0x1.3903ff20229c6p-8"),
+    (100, 10 * GiB, "0x1.4f87930ee76a6p+39", "0x1.7d7c89b1091adp+0"),
+    (100, 256 * GiB, "0x1.50d293ca2a703p+39", "0x1.300483a595cd2p+5"),
+    (100, 1024 * GiB, "0x1.50d293ca2a703p+39", "0x1.300483a595cd2p+7"),
+    (4096, 0.5 * MiB, "0x1.075075075074ep+39", "0x1.f1c71c71c71ccp-9"),
+    (4096, 1 * MiB, "0x1.075075075074ep+39", "0x1.f1c71c71c71ccp-8"),
+    (4096, 10 * GiB, "0x1.511b1f8d6bd94p+40", "0x1.e604f13ea560fp+4"),
+    (4096, 256 * GiB, "0x1.512b317ec0fadp+40", "0x1.84be38e38e384p+9"),
+    (4096, 1024 * GiB, "0x1.512b317ec0fadp+40", "0x1.84be38e38e384p+11"),
+    (100_000, 0.5 * MiB, "0x1.075075075074ep+39", "0x1.7bc638e38e392p-4"),
+    (100_000, 1 * MiB, "0x1.075075075074ep+39", "0x1.7bc638e38e392p-3"),
+    (100_000, 10 * GiB, "0x1.511b1f8d6bd94p+40", "0x1.72cda54e1b8c8p+9"),
+    (100_000, 256 * GiB, "0x1.512b317ec0fadp+40", "0x1.289660c71c714p+14"),
+    (100_000, 1024 * GiB, "0x1.512b317ec0fadp+40", "0x1.289660c71c714p+16"),
+)
+
+
+class TestMatrixBackendPinned:
+    def test_values_bit_identical(self):
+        m = MatrixPFSModel()
+        for nodes, size, bw_hex, t_hex in _MATRIX_GOLDEN:
+            assert m.write_bandwidth(nodes, size).hex() == bw_hex, (nodes, size)
+            assert m.write_time(nodes, size).hex() == t_hex, (nodes, size)
+
+    def test_scipy_interpolate_loads_only_when_built(self, run_python):
+        """The default analytic backend never pays for scipy.interpolate."""
+        proc = run_python(
+            "import sys\n"
+            "import repro.iomodel\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            "repro.iomodel.MatrixPFSModel()\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+
 @given(
     nodes=st.integers(min_value=1, max_value=8192),
     size=st.floats(min_value=1 * MiB, max_value=512 * GiB),
