@@ -4,7 +4,8 @@ Checkpointing* (Behera, Wan, Mueller, Wolf, Klasky — IPDPS 2022).
 The package is layered bottom-up:
 
 * :mod:`repro.des` — a from-scratch discrete-event simulation kernel
-  (the paper used SimPy; we implement the same semantics).
+  (the paper used SimPy; we implement the same semantics for the
+  primitives the models use).
 * :mod:`repro.iomodel` — the Summit-like GPFS I/O performance model
   (single-node task sweep + weak-scaling performance matrix, Fig 2b/2c).
 * :mod:`repro.platform` — compute nodes, burst buffers, interconnect, PFS.

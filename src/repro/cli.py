@@ -34,11 +34,11 @@ Subcommands
     See ``docs/SCHEDULER.md``.
 ``pckpt validate``
     Differential fuzzing of the DES kernel: random scenarios executed on
-    the inlined fast-path loop, the ``step()`` reference, and real
-    SimPy when installed, cross-checked event for event plus invariant
-    oracles, whole-simulation C/R differentials, and batch-queue
-    scheduling oracles; failing cases are shrunk to minimal reproducers
-    (see ``docs/TESTING.md``).
+    the inlined fast-path loop and the ``step()`` reference,
+    cross-checked event for event plus invariant oracles,
+    whole-simulation C/R differentials, and batch-queue scheduling
+    oracles; failing cases are shrunk to minimal reproducers (see
+    ``docs/TESTING.md``).
 ``pckpt profile APP MODEL``
     Attribution-profile one replication: per-process and
     per-event-kind simulated + wall time inside the DES kernel, with
@@ -836,7 +836,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "scenario cases": report.scenario_cases,
                 "C/R differential cases": report.cr_cases,
                 "sched oracle cases": report.sched_cases,
-                "simpy-incompatible (fast/step only) cases": report.simpy_skipped,
                 "failures": len(report.failures),
             },
             title=f"pckpt validate (seed {report.seed})",
@@ -989,55 +988,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("Variants: M2-<alpha>/P2-<alpha> (LM transfer factor), P2-fn, "
           "<model>-sync, <model>-online, <model>-nbr")
     print("Failure distributions:", ", ".join(FAILURE_DISTRIBUTIONS))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    results = bench.run_suite(
-        quick=args.quick,
-        repeats=args.repeats,
-        progress=lambda name: print(f"[bench] {name}", file=sys.stderr),
-    )
-    sha, dirty = bench.git_sha()
-    payload = bench.build_payload(results, sha, dirty, quick=args.quick)
-    print(bench.format_payload(payload))
-
-    if not args.no_write:
-        path = bench.write_payload(payload, Path(args.out))
-        print(f"[wrote {path}]")
-
-    if args.baseline is not None:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                base = json.load(fh)
-        except FileNotFoundError:
-            parent = Path(args.baseline).parent
-            search_dir = parent if str(parent) != "." else Path(args.out)
-            available = sorted(p.name for p in search_dir.glob("BENCH_*.json"))
-            listing = (
-                f"available baselines in {search_dir}: "
-                + ", ".join(available)
-                if available
-                else f"no BENCH_*.json files in {search_dir} — run "
-                     "`pckpt bench` once to create one"
-            )
-            print(
-                f"error: baseline {args.baseline} not found; expected a "
-                "committed payload matching benchmarks/kernel/"
-                f"BENCH_<git-sha>.json ({listing})",
-                file=sys.stderr,
-            )
-            return 2
-        problems = bench.validate_payload(base)
-        if problems:
-            print(f"error: baseline {args.baseline} is not a valid bench "
-                  "payload: " + "; ".join(problems), file=sys.stderr)
-            return 2
-        print(f"vs baseline {args.baseline} (@{base.get('git_sha')}):")
-        comparison = bench.compare_payloads(base, payload)
-        print(bench.format_comparison(comparison))
     return 0
 
 
@@ -1428,41 +1378,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the schema-versioned Gantt payload")
     s_gantt.set_defaults(func=_cmd_sched)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the kernel microbenchmark suite, a diagnostic "
-             "(see docs/PERFORMANCE.md)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced workload sizes (CI smoke scale)",
-    )
-    p_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed runs per benchmark; the fastest is reported (default 3)",
-    )
-    p_bench.add_argument(
-        "--out",
-        metavar="DIR",
-        default="benchmarks/kernel",
-        help="directory for BENCH_<git-sha>.json (default benchmarks/kernel)",
-    )
-    p_bench.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print results without writing a BENCH file",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="existing BENCH_*.json to print per-benchmark speedups against",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_prof = sub.add_parser(
         "profile",
         help="attribution-profile one replication "
@@ -1601,8 +1516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser(
         "validate",
-        help="differential fuzzing: fast-path kernel vs step reference "
-             "(vs SimPy when installed), plus invariant oracles",
+        help="differential fuzzing: fast-path kernel vs step reference, "
+             "plus invariant oracles",
     )
     p_val.add_argument(
         "--seed", type=int, default=0,
@@ -1614,8 +1529,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument(
         "--backend", nargs="+", default=["all"],
-        choices=["all", "fast", "step", "simpy"],
-        help="backends to cross-check (default: every available one)",
+        choices=["all", "fast", "step"],
+        help="backends to cross-check (default: all)",
     )
     p_val.add_argument(
         "--cr-cases", type=int, default=None, metavar="N",

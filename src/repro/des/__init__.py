@@ -1,22 +1,23 @@
-"""A from-scratch discrete-event simulation kernel (SimPy-compatible core).
+"""A from-scratch discrete-event simulation kernel.
 
-The paper evaluates p-ckpt with SimPy; this package provides the same
-process-based simulation semantics so the C/R models read like the paper's
-description:
+The paper evaluates p-ckpt with SimPy; this package keeps SimPy's
+process-based semantics for exactly the primitives the C/R models,
+scheduler and campaigns use, so they read like the paper's description:
 
 * :class:`Environment` — event loop with a deterministic
-  ``(time, priority, sequence)``-ordered heap;
+  ``(time, priority, sequence)``-ordered heap, plus
+  :meth:`~Environment.cancel` for a scheduled event nothing waits on;
 * generator-based :class:`Process` objects that ``yield`` events;
-* :class:`Timeout`, bare :class:`Event`, :class:`AllOf` / :class:`AnyOf`
-  conditions, and process :meth:`~Process.interrupt`;
+* :class:`Timeout`, bare :class:`Event`, and process
+  :meth:`~Process.interrupt` (:class:`Interrupt`);
 * :class:`Resource` / :class:`PriorityResource` for contended slots
   (PFS drain lanes, prioritized PFS access);
-* :class:`Store` / :class:`PriorityStore` / :class:`Container` for message
-  queues and bulk capacities.
+* :class:`Trace` and the :class:`MetricsRegistry` for observability.
 
 The kernel guarantees a deterministic total event order (the
-"Determinism contract" in ``docs/ARCHITECTURE.md``), and its hot paths
-are benchmarked and tracked by ``pckpt bench`` (``docs/PERFORMANCE.md``).
+"Determinism contract" in ``docs/ARCHITECTURE.md``); the end-to-end
+benchmark (``benchmarks/e2e``) times its dispatch where users wait for
+it (``docs/PERFORMANCE.md``).
 
 Example
 -------
@@ -33,7 +34,7 @@ Example
 """
 
 from .core import Environment, Infinity
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from .events import Event, Timeout
 from .exceptions import EmptySchedule, Interrupt, SimulationError, StopProcess
 from .metrics import (
     DEFAULT_SECONDS_BUCKETS,
@@ -45,26 +46,12 @@ from .metrics import (
 from .monitor import BEGIN, END, INSTANT, Trace, TraceRecord, load_jsonl
 from .process import Process, ProcessGenerator
 from .resources import PriorityRequest, PriorityResource, Release, Request, Resource
-from .stores import (
-    Container,
-    ContainerGet,
-    ContainerPut,
-    PriorityItem,
-    PriorityStore,
-    Store,
-    StoreGet,
-    StorePut,
-)
 
 __all__ = [
     "Environment",
     "Infinity",
     "Event",
     "Timeout",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
     "Process",
     "ProcessGenerator",
     "Interrupt",
@@ -76,14 +63,6 @@ __all__ = [
     "Request",
     "PriorityRequest",
     "Release",
-    "Store",
-    "PriorityStore",
-    "PriorityItem",
-    "StorePut",
-    "StoreGet",
-    "Container",
-    "ContainerPut",
-    "ContainerGet",
     "Trace",
     "TraceRecord",
     "load_jsonl",

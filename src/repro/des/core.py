@@ -26,7 +26,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
+from .events import NORMAL, PENDING, Event, Timeout
 from .exceptions import EmptySchedule, SimulationError
 from .process import Process, ProcessGenerator
 
@@ -40,7 +40,7 @@ __all__ = ["Environment", "Infinity", "KERNEL_OWNER"]
 Infinity: float = float("inf")
 
 #: Attribution owner used by the profiler for events whose first callback
-#: has no named owner (condition checks, bare events, clock idle
+#: has no named owner (bare events, interrupt deliveries, clock idle
 #: advances).  See ``repro.obs.profiler``.
 KERNEL_OWNER: str = "kernel"
 
@@ -247,14 +247,6 @@ class Environment:
             If *generator* is not a generator object.
         """
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Condition that fires once all *events* have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Condition that fires once any of *events* has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
@@ -487,8 +479,9 @@ class Environment:
         seconds spent in the event loop, simulated seconds elapsed, and the
         wall-per-sim-second ratio (the DES hot-loop figure of merit; wall
         values are measurement, not simulation, and are therefore excluded
-        from the deterministic metrics registry).  ``pckpt bench`` reports
-        these numbers for a fixed workload set — see ``docs/PERFORMANCE.md``.
+        from the deterministic metrics registry).  ``pckpt profile`` splits
+        the same wall time by process and event kind — see
+        ``docs/PERFORMANCE.md``.
         """
         sim_seconds = self._now - self._initial_time
         return {

@@ -17,7 +17,7 @@ unrun; a cancelled event's queue entry is then discarded unseen.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from .exceptions import Interrupt, SimulationError
 
@@ -32,10 +32,6 @@ __all__ = [
     "Timeout",
     "Initialize",
     "Interruption",
-    "Condition",
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
 ]
 
 #: Sentinel for "no value set yet".
@@ -54,11 +50,6 @@ class Event:
     ----------
     env:
         The environment the event lives in.
-
-    Notes
-    -----
-    ``Event`` supports the ``&`` and ``|`` operators to build
-    :class:`AllOf` / :class:`AnyOf` conditions, mirroring SimPy.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
@@ -180,13 +171,6 @@ class Event:
         self._value = event._value
         self.env.schedule(self, priority=NORMAL)
 
-    # -- composition -----------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
@@ -299,209 +283,3 @@ class Interruption(Event):
             except ValueError:  # pragma: no cover - defensive
                 pass
         process._resume(self)
-
-
-class ConditionValue:
-    """Ordered mapping of the events that triggered inside a condition.
-
-    Behaves like a read-only dict keyed by the original event objects, in
-    the order they were passed to the condition.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> Iterable[Event]:
-        return iter(self.events)
-
-    def values(self) -> Iterable[Any]:
-        return (e._value for e in self.events)
-
-    def items(self):
-        return ((e, e._value) for e in self.events)
-
-    def todict(self) -> dict:
-        """Return a plain dict snapshot of event → value."""
-        return {e: e._value for e in self.events}
-
-
-class Condition(Event):
-    """An event that triggers once *evaluate* is satisfied over *events*.
-
-    The condition value is a :class:`ConditionValue` containing every
-    composed event that had triggered by the time the condition fired.
-    Failed sub-events fail the condition immediately.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        # Inlined Event.__init__ (conditions are built per protocol join;
-        # keep in sync with events.Event).
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        # One pass: validate, eagerly check already-processed events, and
-        # subscribe to the rest.  Subscription stops as soon as the
-        # condition is decided — further callbacks would only be ignored
-        # by _check, and the eager pruning in _check has already cleaned
-        # up the ones added so far.
-        check = self._check
-        decided = False
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events of a condition must share an environment")
-            if decided:
-                continue
-            if event.callbacks is None:
-                check(event)
-                decided = self._value is not PENDING
-            else:
-                event.callbacks.append(check)
-
-        # An empty condition is immediately true.
-        if self._value is PENDING and self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue())
-
-        # When the condition fires, collect values and detach callbacks.
-        assert self.callbacks is not None
-        self.callbacks.append(self._build_value)
-
-    def _desc(self) -> str:
-        return f"{type(self).__name__}({self._evaluate.__name__}, {self._events})"
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            # Prune eagerly: the condition is decided, so the remaining
-            # sub-events must not keep dead callbacks on their lists.
-            self._remove_check_callbacks()
-        elif self._evaluate(self._events, self._count):
-            self.succeed(None)
-            self._remove_check_callbacks()
-
-    def _build_value(self, event: Event) -> None:
-        # _check pruned the sub-event callbacks when the condition was
-        # decided; here only the value remains to be assembled.
-        if event._ok:
-            value = ConditionValue()
-            self._populate_value(value)
-            self._value = value
-
-    def _remove_check_callbacks(self) -> None:
-        check = self._check
-        for event in self._events:
-            callbacks = event.callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(check)
-                except ValueError:
-                    pass
-            if isinstance(event, Condition):
-                event._remove_check_callbacks()
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        # Only *processed* events belong in the value: a Timeout carries
-        # its value from creation, so checking `triggered` would claim
-        # events that have not actually happened yet.
-        for event in self._events:
-            if isinstance(event, Condition) and event.callbacks is None:
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Evaluate to true once every composed event has triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """Evaluate to true once any composed event has triggered."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that fires when *all* of *events* have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-    def _check(self, event: Event) -> None:
-        # Specialized Condition._check with the all_events predicate
-        # inlined (conditions fire once per composed event on the
-        # protocol's phase-2 joins; keep in sync with Condition._check).
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            self._remove_check_callbacks()
-        elif self._count == len(self._events):
-            # No pruning needed on success: all-of can only fire once
-            # every composed event has been *processed*, so there are no
-            # live callback lists left to remove this check from (and any
-            # fired sub-condition already pruned its own sub-events).
-            self.succeed(None)
-
-
-class AnyOf(Condition):
-    """Condition that fires when *any* of *events* has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)
-
-    def _check(self, event: Event) -> None:
-        # Specialized Condition._check: any fired event decides the
-        # condition (keep in sync with Condition._check).
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(None)
-        self._remove_check_callbacks()

@@ -1,10 +1,10 @@
 """Shared-resource primitives: :class:`Resource` and :class:`PriorityResource`.
 
 These model contention points in the platform — most importantly the
-limited number of concurrent BB→PFS drain slots (plain :class:`Resource`)
-and the prioritized PFS access lanes used by the p-ckpt protocol
-(:class:`PriorityResource`, where a *lower* priority value is served first,
-matching "lower lead time ⇒ higher priority" from the paper).
+machine-wide PFS lanes of a batch-queue run (``repro.sched.contention``),
+a :class:`PriorityResource` where a *lower* priority value is served
+first, so p-ckpt's vulnerable-node commits grant ahead of periodic
+drains.
 
 Requests are events; a process acquires by ``yield resource.request()`` and
 must release with ``resource.release(req)`` (or use the request as a context
@@ -70,7 +70,7 @@ class PriorityRequest(Request):
     Ties are broken by request time, then FIFO submission order.
     """
 
-    __slots__ = ("priority", "time", "_key")
+    __slots__ = ("priority", "time")
 
     def __init__(self, resource: "PriorityResource", priority: float = 0.0) -> None:
         self.priority = float(priority)
@@ -192,11 +192,9 @@ class Resource:
 class PriorityResource(Resource):
     """A :class:`Resource` whose wait queue is ordered by priority.
 
-    Lower priority values win.  This is the primitive beneath the p-ckpt
-    node-local priority queue: vulnerable nodes request PFS access with
-    ``priority = lead_time_remaining`` while healthy nodes request with a
-    large constant, so every vulnerable node drains ahead of every healthy
-    node, and the most imminent failure drains first.
+    Lower priority values win.  ``repro.sched.contention`` requests its
+    shared PFS lanes with priority 0 for p-ckpt commits and 1 for
+    periodic drains, so vulnerable traffic always grants first.
 
     Ties are broken by request time, then submission sequence, so the
     grant order is deterministic for any mix of priorities.

@@ -18,10 +18,10 @@ Each dispatched event contributes one sample keyed ``(owner, kind)``:
     first callback — the :class:`~repro.des.process.Process` that was
     *waiting on* the event, or a named callback owner such as
     :class:`~repro.cr.drain.DrainManager` — or
-    :data:`~repro.des.core.KERNEL_OWNER` (``"kernel"``) for condition
-    checks, bare events, and clock idle advances.
+    :data:`~repro.des.core.KERNEL_OWNER` (``"kernel"``) for bare events
+    and clock idle advances.
 ``kind``
-    The event's class name (``Timeout``, ``Initialize``, ``StoreGet``, …),
+    The event's class name (``Timeout``, ``Initialize``, ``PriorityRequest``, …),
     plus the synthetic ``idle`` kind for clock advances past the last
     event of a bounded run.
 

@@ -3,10 +3,9 @@
 ``python -m repro.sched.bench --out benchmarks/sched`` runs the
 reference mixed workload (≥16 Table-I jobs, all five paper models in the
 pool, several replications) under one policy and writes a
-schema-versioned ``SCHED_<git-sha>.json`` artifact following the
-``BENCH_*`` convention.  This is the high-occupancy
-regime the ``kernel.store_backlog`` micro-benchmark stresses: many
-concurrent jobs' drains queueing on the shared PFS lanes.
+schema-versioned ``SCHED_<git-sha>.json`` artifact.  This is the
+high-occupancy regime: many concurrent jobs' drains queueing on the
+shared PFS lanes.
 
 ``tools/check_sched_schema.py`` validates committed artifacts against
 the declarative tables in :mod:`repro.sched.jobs` in CI.
@@ -16,8 +15,9 @@ from __future__ import annotations
 
 import json
 import platform as _platform
+import subprocess
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,11 +77,29 @@ def run_baseline(
     return aggregate_sched(policy, outputs)
 
 
+def git_sha() -> Tuple[str, bool]:
+    """``(short-sha, dirty)`` of the git checkout at the cwd.
+
+    Falls back to ``("unknown", False)`` outside a git checkout so the
+    harness stays usable from an sdist.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = bool(subprocess.run(
+            ["git", "status", "--porcelain"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip())
+        return sha, dirty
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown", False
+
+
 def result_payload(result: SchedResult, seed: int,
                    quick: bool = False) -> Dict[str, Any]:
     """Assemble the artifact dict (``RESULT_FIELDS`` shape) for *result*."""
-    from ..bench import git_sha
-
     sha, dirty = git_sha()
     payload: Dict[str, Any] = {
         "kind": SCHED_BASELINE_KIND,

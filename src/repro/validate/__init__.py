@@ -2,13 +2,12 @@
 
 Turns "fast and probably right" into "fast and continuously verified":
 a deterministic scenario fuzzer (:mod:`.scenarios`), a differential
-executor running each case on the inlined fast-path kernel, the
-``step()`` reference, and real SimPy when installed (:mod:`.backends`,
-:mod:`.executor`), an invariant-oracle library (:mod:`.oracles`), a
-whole-simulation C/R differential (:mod:`.crdiff`), a batch-queue
-scheduling-oracle fuzzer (:mod:`.schedval`), and a shrinker +
-regression corpus (:mod:`.shrink`, :mod:`.corpus`) feeding
-``tests/corpus/``.  :mod:`.runner` orchestrates a campaign; see
+executor running each case on the inlined fast-path kernel and the
+``step()`` reference (:mod:`.backends`, :mod:`.executor`), an
+invariant-oracle library (:mod:`.oracles`), a whole-simulation C/R
+differential (:mod:`.crdiff`), a batch-queue scheduling-oracle fuzzer
+(:mod:`.schedval`), and a shrinker + regression corpus (:mod:`.shrink`,
+:mod:`.corpus`) feeding ``tests/corpus/``.  :mod:`.runner` orchestrates a campaign; see
 ``docs/TESTING.md`` for the workflow.
 """
 

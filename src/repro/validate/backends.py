@@ -1,7 +1,7 @@
 """Execution backends for the differential validator.
 
 A backend bundles the kernel classes a scenario is interpreted against
-plus the ``drive`` function that runs the environment.  Three backends
+plus the ``drive`` function that runs the environment.  Two backends
 exist:
 
 ``fast``
@@ -12,11 +12,6 @@ exist:
     exclusively on :meth:`Environment.step` (the documented reference
     semantics).  Any fast-path/reference divergence is a kernel bug by
     definition (``docs/PERFORMANCE.md``, "Determinism contract").
-``simpy``
-    Real SimPy, when installed (the ROADMAP's multi-backend direction).
-    Our kernel is SimPy-compatible by design, so the same interpreter
-    drives ``simpy.Environment`` unchanged; scenarios using kernel
-    extensions are skipped (:meth:`Scenario.simpy_compatible`).
 
 :class:`ReferenceEnvironment` additionally lets whole C/R simulations
 run on the step reference (``repro.validate.crdiff`` swaps it into
@@ -29,17 +24,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..des import (
-    Container,
     Environment,
     Event,
     Infinity,
-    Interrupt,
-    PriorityItem,
     PriorityResource,
-    PriorityStore,
     Resource,
     SimulationError,
-    Store,
 )
 from ..des.core import _StopFlag
 
@@ -138,38 +128,27 @@ class Backend:
     Attributes
     ----------
     name:
-        ``"fast"``, ``"step"``, or ``"simpy"``.
-    kernel:
-        True for the in-repo kernel (enables kernel-stat comparison and
-        strict exception-message comparison).
+        ``"fast"`` or ``"step"`` (mutation tests add their own).
     env_factory / drive:
         Create an environment; run it (``drive(env, until)``).
     classes:
         Name → class mapping the interpreter instantiates
-        (``Store``, ``PriorityStore``, ``PriorityItem``, ``Container``,
-        ``Resource``, ``PriorityResource``, ``Interrupt``).
+        (``Resource``, ``PriorityResource``).
     """
 
     name: str
-    kernel: bool
     env_factory: Callable[[], Any]
     drive: Callable[[Any, Any], Any]
     classes: Dict[str, Any]
 
 
 _KERNEL_CLASSES: Dict[str, Any] = {
-    "Store": Store,
-    "PriorityStore": PriorityStore,
-    "PriorityItem": PriorityItem,
-    "Container": Container,
     "Resource": Resource,
     "PriorityResource": PriorityResource,
-    "Interrupt": Interrupt,
 }
 
 FAST_BACKEND = Backend(
     name="fast",
-    kernel=True,
     env_factory=Environment,
     drive=lambda env, until: env.run(until=until),
     classes=_KERNEL_CLASSES,
@@ -177,47 +156,15 @@ FAST_BACKEND = Backend(
 
 STEP_BACKEND = Backend(
     name="step",
-    kernel=True,
     env_factory=Environment,
     drive=run_reference,
     classes=_KERNEL_CLASSES,
 )
 
 
-def _make_simpy_backend() -> Optional[Backend]:
-    """Build the SimPy backend, or ``None`` when SimPy is not installed."""
-    try:
-        import simpy
-    except ImportError:
-        return None
-    classes = {
-        "Store": simpy.Store,
-        "PriorityStore": simpy.PriorityStore,
-        "PriorityItem": simpy.PriorityItem,
-        "Container": simpy.Container,
-        "Resource": simpy.Resource,
-        "PriorityResource": simpy.PriorityResource,
-        "Interrupt": simpy.Interrupt,
-    }
-    return Backend(
-        name="simpy",
-        kernel=False,
-        env_factory=simpy.Environment,
-        drive=lambda env, until: env.run(until=until),
-        classes=classes,
-    )
-
-
 def available_backends() -> Dict[str, Backend]:
-    """All backends runnable in this interpreter, keyed by name."""
-    backends = {
-        "fast": FAST_BACKEND,
-        "step": STEP_BACKEND,
-    }
-    simpy_backend = _make_simpy_backend()
-    if simpy_backend is not None:
-        backends["simpy"] = simpy_backend
-    return backends
+    """Every backend, keyed by name."""
+    return {"fast": FAST_BACKEND, "step": STEP_BACKEND}
 
 
 def resolve_backends(names) -> Dict[str, Backend]:
@@ -226,16 +173,14 @@ def resolve_backends(names) -> Dict[str, Backend]:
     Raises
     ------
     ValueError
-        For an unknown name, or for ``simpy`` when SimPy is missing.
+        For an unknown name.
     """
     have = available_backends()
     if not names or "all" in names:
         return have
     chosen: Dict[str, Backend] = {}
     for name in names:
-        if name not in ("fast", "step", "simpy"):
-            raise ValueError(f"unknown backend {name!r}")
         if name not in have:
-            raise ValueError("backend 'simpy' requires SimPy to be installed")
+            raise ValueError(f"unknown backend {name!r}")
         chosen[name] = have[name]
     return chosen

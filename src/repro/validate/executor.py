@@ -7,18 +7,16 @@ determinism contract covers:
 
 * the **trace**: one entry per completed op, ``(pid, op_index, opname,
   time, payload)``, in completion order;
-* **service logs** per store / container / resource, captured by event
-  callbacks, i.e. in kernel processing order;
-* **final state**: clock, leftover store items, container levels;
+* **service logs** per resource, captured by event callbacks, i.e. in
+  kernel processing order;
+* the **final clock**;
 * the **propagated exception** (type, normalized message, sim time) when
   the run died;
-* **kernel self-stats** (events processed, heap high-water) on kernel
-  backends.
+* **kernel self-stats** (events processed, heap high-water).
 
 :func:`compare_records` diffs two records field by field; any difference
-between the ``fast`` and ``step`` backends is a kernel bug.  Exception
-*messages* are only compared between kernel backends (SimPy words its
-errors differently); object addresses in messages are normalized away.
+between the ``fast`` and ``step`` backends is a kernel bug.  Object
+addresses in exception messages are normalized away.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..des import Interrupt
 from .backends import Backend
 from .scenarios import ProcSpec, Scenario
 
@@ -46,16 +45,10 @@ class ExecutionRecord:
 
     backend: str
     trace: List[Tuple] = field(default_factory=list)
-    store_log: Dict[str, List[Tuple]] = field(default_factory=dict)
-    container_log: Dict[str, List[Tuple]] = field(default_factory=dict)
     resource_log: Dict[str, List[Tuple]] = field(default_factory=dict)
-    store_served: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    container_served: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
-    store_final: Dict[str, List] = field(default_factory=dict)
-    container_final: Dict[str, float] = field(default_factory=dict)
     final_now: float = 0.0
     error: Optional[Tuple[str, str, float]] = None
-    kernel_stats: Optional[Dict[str, float]] = None
+    kernel_stats: Dict[str, float] = field(default_factory=dict)
 
 
 class _Interpreter:
@@ -68,29 +61,9 @@ class _Interpreter:
         self.env = backend.env_factory()
         self.record = ExecutionRecord(backend=backend.name)
         self.procs: Dict[str, Any] = {}
-        self.stores: Dict[str, Any] = {}
-        self.containers: Dict[str, Any] = {}
         self.resources: Dict[str, Any] = {}
-        #: (kind, event, payload) per store — end-of-run conservation.
-        self._store_events: Dict[str, List[Tuple[str, Any, Any]]] = {}
-        self._container_events: Dict[str, List[Tuple[str, Any, float]]] = {}
-        self._cancelled: set = set()
         self._req_seq: Dict[str, int] = {}
 
-        for spec in scenario.stores:
-            cls = self.classes[
-                "PriorityStore" if spec.kind == "priority" else "Store"
-            ]
-            capacity = float("inf") if spec.capacity is None else spec.capacity
-            self.stores[spec.id] = cls(self.env, capacity=capacity)
-            self.record.store_log[spec.id] = []
-            self._store_events[spec.id] = []
-        for spec in scenario.containers:
-            self.containers[spec.id] = self.classes["Container"](
-                self.env, capacity=spec.capacity, init=spec.init
-            )
-            self.record.container_log[spec.id] = []
-            self._container_events[spec.id] = []
         for spec in scenario.resources:
             cls = self.classes[
                 "PriorityResource" if spec.kind == "priority" else "Resource"
@@ -98,15 +71,6 @@ class _Interpreter:
             self.resources[spec.id] = cls(self.env, capacity=spec.capacity)
             self.record.resource_log[spec.id] = []
             self._req_seq[spec.id] = 0
-
-    # -- value encoding ----------------------------------------------------
-    def _encode(self, value: Any) -> Any:
-        """Backend-neutral JSON-able encoding of op payloads."""
-        if hasattr(value, "priority") and hasattr(value, "item"):
-            return ["prio", float(value.priority), self._encode(value.item)]
-        if isinstance(value, float) and value.is_integer():
-            return value
-        return value
 
     # -- process bodies ----------------------------------------------------
     def _start(self, spec: ProcSpec) -> Any:
@@ -129,74 +93,8 @@ class _Interpreter:
                 try:
                     yield env.timeout(op[1])
                     trace.append((pid, idx, "slept", env.now))
-                except self.classes["Interrupt"] as intr:
+                except Interrupt as intr:
                     trace.append((pid, idx, "interrupted", env.now, str(intr.cause)))
-            elif kind in ("put", "pput"):
-                sid = op[1]
-                if kind == "pput":
-                    item = self.classes["PriorityItem"](op[2], op[3])
-                else:
-                    item = op[2]
-                ev = self.stores[sid].put(item)
-                self._store_events[sid].append(("put", ev, self._encode(item)))
-                log = self.record.store_log[sid]
-                ev.callbacks.append(
-                    lambda e, log=log, v=self._encode(item): log.append(
-                        ("put", e.env.now, v)
-                    )
-                )
-                yield ev
-                trace.append((pid, idx, "put", env.now, self._encode(item)))
-            elif kind == "get":
-                sid = op[1]
-                ev = self.stores[sid].get()
-                self._store_events[sid].append(("get", ev, None))
-                log = self.record.store_log[sid]
-                enc = self._encode
-                ev.callbacks.append(
-                    lambda e, log=log: log.append(("get", e.env.now, enc(e.value)))
-                )
-                value = yield ev
-                trace.append((pid, idx, "get", env.now, self._encode(value)))
-            elif kind == "cancel_get":
-                sid = op[1]
-                ev = self.stores[sid].get()
-                self._store_events[sid].append(("get", ev, None))
-                log = self.record.store_log[sid]
-                enc = self._encode
-                ev.callbacks.append(
-                    lambda e, log=log: log.append(("get", e.env.now, enc(e.value)))
-                )
-                if op[2] > 0:
-                    yield env.timeout(op[2])
-                if ev.triggered:
-                    trace.append(
-                        (pid, idx, "cancel_late", env.now, self._encode(ev.value))
-                    )
-                else:
-                    ev.cancel()
-                    self._cancelled.add(id(ev))
-                    trace.append((pid, idx, "cancelled", env.now))
-            elif kind == "cput":
-                cid, amount = op[1], op[2]
-                ev = self.containers[cid].put(amount)
-                self._container_events[cid].append(("put", ev, amount))
-                log = self.record.container_log[cid]
-                ev.callbacks.append(
-                    lambda e, log=log, a=amount: log.append(("put", e.env.now, a))
-                )
-                yield ev
-                trace.append((pid, idx, "cput", env.now, amount))
-            elif kind == "cget":
-                cid, amount = op[1], op[2]
-                ev = self.containers[cid].get(amount)
-                self._container_events[cid].append(("get", ev, amount))
-                log = self.record.container_log[cid]
-                ev.callbacks.append(
-                    lambda e, log=log, a=amount: log.append(("get", e.env.now, a))
-                )
-                yield ev
-                trace.append((pid, idx, "cget", env.now, amount))
             elif kind == "acquire":
                 rid, prio, hold = op[1], op[2], op[3]
                 res = self.resources[rid]
@@ -219,7 +117,6 @@ class _Interpreter:
                         log.append(("release", env.now, seq))
                     else:
                         req.cancel()
-                        self._cancelled.add(id(req))
                         log.append(("cancel", env.now, seq))
                 trace.append((pid, idx, "released", env.now))
             elif kind == "spawn":
@@ -232,7 +129,7 @@ class _Interpreter:
                     trace.append((pid, idx, "join_missing", env.now, op[1]))
                     continue
                 value = yield target
-                trace.append((pid, idx, "joined", env.now, self._encode(value)))
+                trace.append((pid, idx, "joined", env.now, value))
             elif kind == "guard_join":
                 target = self.procs.get(op[1])
                 if target is None:
@@ -240,9 +137,7 @@ class _Interpreter:
                     continue
                 try:
                     value = yield target
-                    trace.append(
-                        (pid, idx, "joined", env.now, self._encode(value))
-                    )
+                    trace.append((pid, idx, "joined", env.now, value))
                 except Exception as exc:
                     trace.append(
                         (
@@ -268,11 +163,6 @@ class _Interpreter:
             elif kind == "raise":
                 trace.append((pid, idx, "raise", env.now, op[1]))
                 raise RuntimeError(op[1])
-            elif kind in ("allof", "anyof"):
-                events = [env.timeout(d) for d in op[1]]
-                cond = env.all_of(events) if kind == "allof" else env.any_of(events)
-                yield cond
-                trace.append((pid, idx, kind, env.now))
             else:  # pragma: no cover - fuzzer never emits unknown ops
                 raise ValueError(f"unknown op {kind!r}")
 
@@ -303,53 +193,16 @@ class _Interpreter:
             )
         record.final_now = float(self.env.now)
 
-        for sid, store in self.stores.items():
-            record.store_final[sid] = [self._encode(v) for v in list(store.items)]
-            puts: List[Any] = []
-            gets: List[Any] = []
-            cancelled = 0
-            for kind, ev, payload in self._store_events[sid]:
-                if id(ev) in self._cancelled:
-                    cancelled += 1
-                elif ev.triggered:
-                    if kind == "put":
-                        puts.append(payload)
-                    else:
-                        gets.append(self._encode(ev.value))
-            record.store_served[sid] = {
-                "puts": puts,
-                "gets": gets,
-                "cancelled_gets": cancelled,
-            }
-        for cid, container in self.containers.items():
-            record.container_final[cid] = float(container.level)
-            record.container_served[cid] = {
-                "put_amounts": [
-                    a
-                    for kind, ev, a in self._container_events[cid]
-                    if kind == "put" and ev.triggered
-                ],
-                "get_amounts": [
-                    a
-                    for kind, ev, a in self._container_events[cid]
-                    if kind == "get" and ev.triggered
-                ],
-            }
-        if self.backend.kernel:
-            record.kernel_stats = {
-                "events_processed": float(self.env.events_processed),
-                "queue_high_water": float(self.env.queue_high_water),
-            }
+        record.kernel_stats = {
+            "events_processed": float(self.env.events_processed),
+            "queue_high_water": float(self.env.queue_high_water),
+        }
         # Detach the record from the interpreter's live lists.  Processes
         # left suspended at run end are plain generators whose ``finally``
         # blocks (resource release bookkeeping) execute whenever the
         # cyclic GC finalizes them — a nondeterministic instant that must
         # not be able to mutate an already-returned record.
         record.trace = list(record.trace)
-        record.store_log = {k: list(v) for k, v in record.store_log.items()}
-        record.container_log = {
-            k: list(v) for k, v in record.container_log.items()
-        }
         record.resource_log = {
             k: list(v) for k, v in record.resource_log.items()
         }
@@ -361,14 +214,10 @@ def execute(scenario: Scenario, backend: Backend) -> ExecutionRecord:
     return _Interpreter(scenario, backend).run()
 
 
-def compare_records(
-    a: ExecutionRecord, b: ExecutionRecord, *, strict_messages: bool = True
-) -> List[str]:
+def compare_records(a: ExecutionRecord, b: ExecutionRecord) -> List[str]:
     """Describe every observable difference between two executions.
 
-    An empty list means the executions are equivalent.  *strict_messages*
-    compares exception messages verbatim (kernel backends); when off
-    (SimPy involved) only the exception type and time must agree.
+    An empty list means the executions are equivalent.
     """
     diffs: List[str] = []
     pair = f"{a.backend} vs {b.backend}"
@@ -386,23 +235,7 @@ def compare_records(
             diffs.append(f"{pair}: trace[{i}] differs: {ea!r} != {eb!r}")
             break
     check("final clock", a.final_now, b.final_now)
-    check("store logs", a.store_log, b.store_log)
-    check("container logs", a.container_log, b.container_log)
     check("resource logs", a.resource_log, b.resource_log)
-    check("store leftovers", a.store_final, b.store_final)
-    check("store accounting", a.store_served, b.store_served)
-    check("container levels", a.container_final, b.container_final)
-    check("container accounting", a.container_served, b.container_served)
-
-    if (a.error is None) != (b.error is None):
-        diffs.append(f"{pair}: error presence differs: {a.error!r} != {b.error!r}")
-    elif a.error is not None and b.error is not None:
-        if strict_messages:
-            check("error", a.error, b.error)
-        else:
-            check("error type", a.error[0], b.error[0])
-            check("error time", a.error[2], b.error[2])
-
-    if a.kernel_stats is not None and b.kernel_stats is not None:
-        check("kernel stats", a.kernel_stats, b.kernel_stats)
+    check("error", a.error, b.error)
+    check("kernel stats", a.kernel_stats, b.kernel_stats)
     return diffs

@@ -6,9 +6,8 @@ violation strings (empty = all invariants hold):
 **Scenario oracles** (:func:`check_record`) inspect one
 :class:`~.executor.ExecutionRecord` against its scenario — properties
 that must hold on *every* backend regardless of what the random program
-did: a monotonic clock, store token conservation, capacity bounds,
-FIFO / priority-ordered drains, container level conservation and bounds,
-and resource grant legality.
+did: a monotonic clock and resource grant legality (capacity bounds,
+FIFO / priority-ordered grants).
 
 **Model oracles** cross-check the C/R layers against their closed
 forms: :func:`check_bandwidth_monotonicity` (the ``iomodel`` laws are
@@ -30,7 +29,7 @@ cross-backend differential comparison.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from .executor import ExecutionRecord
 from .scenarios import Scenario
@@ -38,8 +37,6 @@ from .scenarios import Scenario
 __all__ = [
     "check_record",
     "check_monotonic_clock",
-    "check_store_invariants",
-    "check_container_invariants",
     "check_resource_invariants",
     "check_bandwidth_monotonicity",
     "check_analysis_consistency",
@@ -49,17 +46,12 @@ __all__ = [
 _TOL = 1e-9
 
 
-def _key(value: Any) -> str:
-    """Stable sort/multiset key for encoded payloads (lists, ints)."""
-    return repr(value)
-
-
 # ---------------------------------------------------------------------------
 # scenario oracles
 # ---------------------------------------------------------------------------
 
 def check_monotonic_clock(record: ExecutionRecord) -> List[str]:
-    """The clock never moves backwards across trace or service logs."""
+    """The clock never moves backwards across the trace or resource logs."""
     out: List[str] = []
     last = -math.inf
     for entry in record.trace:
@@ -67,109 +59,17 @@ def check_monotonic_clock(record: ExecutionRecord) -> List[str]:
         if t < last:
             out.append(f"clock moved backwards in trace at {entry!r}")
         last = t
-    for name, logs in (
-        ("store", record.store_log),
-        ("container", record.container_log),
-        ("resource", record.resource_log),
-    ):
-        for rid, log in logs.items():
-            last = -math.inf
-            for entry in log:
-                t = entry[1]
-                if t < last:
-                    out.append(
-                        f"clock moved backwards in {name} {rid} log at {entry!r}"
-                    )
-                last = t
+    for rid, log in record.resource_log.items():
+        last = -math.inf
+        for entry in log:
+            t = entry[1]
+            if t < last:
+                out.append(
+                    f"clock moved backwards in resource {rid} log at {entry!r}"
+                )
+            last = t
     if record.trace and record.final_now < max(e[3] for e in record.trace) - _TOL:
         out.append("final clock precedes the last trace entry")
-    return out
-
-
-def check_store_invariants(
-    record: ExecutionRecord, scenario: Scenario
-) -> List[str]:
-    """Token conservation, capacity bounds, and drain order per store."""
-    out: List[str] = []
-    specs = {s.id: s for s in scenario.stores}
-    for sid, served in record.store_served.items():
-        spec = specs[sid]
-        # Conservation: every accepted token is either retrieved or left
-        # over; nothing is duplicated or lost.  Holds in every run mode
-        # because it counts *serviced* requests, not processed events.
-        accepted = sorted(served["puts"], key=_key)
-        accounted = sorted(
-            served["gets"] + record.store_final.get(sid, []), key=_key
-        )
-        if accepted != accounted:
-            out.append(
-                f"store {sid}: conservation violated: accepted {accepted!r} "
-                f"!= retrieved+leftover {accounted!r}"
-            )
-
-        # Capacity and drain order, replayed from the service log.
-        capacity = math.inf if spec.capacity is None else spec.capacity
-        buffer: List[Any] = []
-        for entry in record.store_log.get(sid, []):
-            kind, _t, value = entry
-            if kind == "put":
-                buffer.append(value)
-                if len(buffer) > capacity:
-                    out.append(
-                        f"store {sid}: capacity {capacity} exceeded at {entry!r}"
-                    )
-            else:
-                if not buffer:
-                    out.append(f"store {sid}: get from empty store at {entry!r}")
-                    continue
-                if spec.kind == "priority":
-                    # Lowest priority first; FIFO among equals.
-                    expect_i = min(
-                        range(len(buffer)), key=lambda i: (buffer[i][1], i)
-                    )
-                else:
-                    expect_i = 0
-                expected = buffer[expect_i]
-                if _key(expected) != _key(value):
-                    out.append(
-                        f"store {sid}: out-of-order drain: expected "
-                        f"{expected!r}, got {value!r} at t={_t}"
-                    )
-                    # Resynchronize so one bug yields one violation.
-                    matches = [
-                        i for i, v in enumerate(buffer) if _key(v) == _key(value)
-                    ]
-                    expect_i = matches[0] if matches else expect_i
-                buffer.pop(expect_i)
-    return out
-
-
-def check_container_invariants(
-    record: ExecutionRecord, scenario: Scenario
-) -> List[str]:
-    """Level conservation and [0, capacity] bounds per container."""
-    out: List[str] = []
-    specs = {c.id: c for c in scenario.containers}
-    for cid, served in record.container_served.items():
-        spec = specs[cid]
-        expected = spec.init + sum(served["put_amounts"]) - sum(
-            served["get_amounts"]
-        )
-        final = record.container_final[cid]
-        if abs(expected - final) > _TOL:
-            out.append(
-                f"container {cid}: conservation violated: expected level "
-                f"{expected!r}, found {final!r}"
-            )
-        level = spec.init
-        for entry in record.container_log.get(cid, []):
-            kind, _t, amount = entry
-            level += amount if kind == "put" else -amount
-            if level < -_TOL or level > spec.capacity + _TOL:
-                out.append(
-                    f"container {cid}: level {level!r} outside "
-                    f"[0, {spec.capacity}] at {entry!r}"
-                )
     return out
 
 
@@ -241,8 +141,6 @@ def check_resource_invariants(
 def check_record(record: ExecutionRecord, scenario: Scenario) -> List[str]:
     """Run every scenario oracle over one execution record."""
     out = check_monotonic_clock(record)
-    out += check_store_invariants(record, scenario)
-    out += check_container_invariants(record, scenario)
     out += check_resource_invariants(record, scenario)
     return [f"[{record.backend}] {v}" for v in out]
 

@@ -75,7 +75,6 @@ class ValidationReport:
     scenario_cases: int = 0
     cr_cases: int = 0
     sched_cases: int = 0
-    simpy_skipped: int = 0
     failures: List[CaseFailure] = field(default_factory=list)
 
     @property
@@ -88,27 +87,19 @@ def validate_scenario(
 ) -> List[str]:
     """All divergences and invariant violations for one scenario.
 
-    Executes the scenario on every applicable backend, checks the
-    invariant oracles on each record, then diffs the kernel executions
-    strictly and any SimPy execution with relaxed exception messages.
+    Executes the scenario on every backend, checks the invariant oracles
+    on each record, then diffs the executions pairwise.
     """
     problems: List[str] = []
     records = {}
     for name, backend in backends.items():
-        if name == "simpy" and not scenario.simpy_compatible():
-            continue
         record = execute(scenario, backend)
         records[name] = record
         problems += check_record(record, scenario)
     names = sorted(records)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            strict = records[a].kernel_stats is not None and (
-                records[b].kernel_stats is not None
-            )
-            problems += compare_records(
-                records[a], records[b], strict_messages=strict
-            )
+            problems += compare_records(records[a], records[b])
     return problems
 
 
@@ -161,8 +152,6 @@ def run_validation(
 
     for i in range(cases):
         scenario = generate_scenario(seed + i)
-        if "simpy" in backends and not scenario.simpy_compatible():
-            report.simpy_skipped += 1
         problems = validate_scenario(scenario, backends)
         report.scenario_cases += 1
         if not problems:

@@ -1,13 +1,14 @@
 """Deterministic scenario fuzzer for the DES kernel.
 
-A :class:`Scenario` is a *declarative* random DES program: store /
-container / resource declarations plus a tree of process specs whose ops
-are plain JSON-serializable lists.  Being declarative is what makes the
-whole validation pipeline work:
+A :class:`Scenario` is a *declarative* random DES program over the
+kernel primitives the simulations use: resource declarations plus a
+tree of process specs (timeouts, spawns, joins, interrupts, resource
+holds) whose ops are plain JSON-serializable lists.  Being declarative
+is what makes the whole validation pipeline work:
 
 * the same scenario can be interpreted on every backend (the inlined
-  fast-path ``run()`` loops, the ``step()`` reference, real SimPy when
-  installed) and the executions compared event for event;
+  fast-path ``run()`` loop and the ``step()`` reference) and the
+  executions compared event for event;
 * a failing scenario can be *shrunk* by structural edits (drop a
   process, drop an op, zero a delay) and re-run;
 * a minimal reproducer can be committed to ``tests/corpus/`` as JSON and
@@ -24,10 +25,9 @@ A minority of scenarios (:data:`OFF_GRID_SCENARIO_RATE`) additionally
 jitter some delays *off* the grid by a non-dyadic offset, so their event
 times carry rounding error and land near, but not exactly on, other
 events: the heap then orders times that differ in their last bits, not
-only exact ties.  The draws are part of the fuzz stream — removing one
-would renumber every case — so case *N* stays the same program and the
-corpus reproducers and CI case numbers keep their meaning
-(``tests/test_validate.py`` pins the stream's hash).
+only exact ties.  The draws are part of the fuzz stream — adding or
+removing one renumbers every case — so ``tests/test_validate.py`` pins
+the stream's hash, and a deliberate grammar change re-pins it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
-    "StoreSpec",
-    "ContainerSpec",
     "ResourceSpec",
     "ProcSpec",
     "Scenario",
@@ -61,34 +59,6 @@ OFF_GRID_JITTER = DELAY_QUANTUM / 3.0
 #: Priorities are drawn from this small set so that ties are common.
 PRIORITY_CHOICES = (0.0, 1.0, 2.0)
 
-#: Ops that real SimPy cannot replay (kernel extensions).
-_KERNEL_ONLY_OPS = frozenset({"cancel_get"})
-
-
-@dataclass(frozen=True)
-class StoreSpec:
-    """One store declaration (``kind`` is ``"fifo"`` or ``"priority"``)."""
-
-    id: str
-    kind: str = "fifo"
-    capacity: Optional[int] = None  # None = unbounded
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"id": self.id, "kind": self.kind, "capacity": self.capacity}
-
-
-@dataclass(frozen=True)
-class ContainerSpec:
-    """One container declaration."""
-
-    id: str
-    capacity: float = 10.0
-    init: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"id": self.id, "capacity": self.capacity, "init": self.init}
-
-
 @dataclass(frozen=True)
 class ResourceSpec:
     """One resource declaration (``kind`` is ``"fifo"`` or ``"priority"``)."""
@@ -109,15 +79,6 @@ class ProcSpec:
 
     ``["timeout", delay]``
         Sleep for *delay* simulated seconds.
-    ``["put", store, token]`` / ``["get", store]``
-        FIFO store traffic; tokens are ints.
-    ``["pput", store, priority, token]``
-        Priority-store put of ``PriorityItem(priority, token)``.
-    ``["cancel_get", store, wait]``
-        Issue a get, sleep *wait*, withdraw the get if still pending
-        (kernel extension; not replayable on SimPy).
-    ``["cput", container, amount]`` / ``["cget", container, amount]``
-        Container deposit / withdrawal.
     ``["acquire", resource, priority_or_null, hold]``
         Request a slot (with *priority* on priority resources), hold it
         for *hold* seconds, release.
@@ -133,8 +94,6 @@ class ProcSpec:
         Sleep, catching and recording an :class:`Interrupt`.
     ``["raise", message]``
         Raise ``RuntimeError(message)`` (failure injection).
-    ``["allof", [delays]]`` / ``["anyof", [delays]]``
-        Wait on a condition over fresh timeouts.
     """
 
     pid: str
@@ -190,8 +149,6 @@ class Scenario:
     seed: int
     run_mode: str = "drain"
     until: Optional[float] = None
-    stores: Tuple[StoreSpec, ...] = ()
-    containers: Tuple[ContainerSpec, ...] = ()
     resources: Tuple[ResourceSpec, ...] = ()
     processes: Tuple[ProcSpec, ...] = ()
 
@@ -201,8 +158,6 @@ class Scenario:
             "seed": self.seed,
             "run_mode": self.run_mode,
             "until": self.until,
-            "stores": [s.to_dict() for s in self.stores],
-            "containers": [c.to_dict() for c in self.containers],
             "resources": [r.to_dict() for r in self.resources],
             "processes": [p.to_dict() for p in self.processes],
         }
@@ -213,13 +168,6 @@ class Scenario:
             seed=int(data["seed"]),
             run_mode=data["run_mode"],
             until=None if data["until"] is None else float(data["until"]),
-            stores=tuple(
-                StoreSpec(s["id"], s["kind"], s["capacity"]) for s in data["stores"]
-            ),
-            containers=tuple(
-                ContainerSpec(c["id"], float(c["capacity"]), float(c["init"]))
-                for c in data["containers"]
-            ),
             resources=tuple(
                 ResourceSpec(r["id"], r["kind"], int(r["capacity"]))
                 for r in data["resources"]
@@ -234,31 +182,6 @@ class Scenario:
     def from_json(text: str) -> "Scenario":
         return Scenario.from_dict(json.loads(text))
 
-    # -- classification ----------------------------------------------------
-    def simpy_compatible(self) -> bool:
-        """Whether real SimPy can replay this scenario faithfully.
-
-        Kernel extensions (get cancellation) and equal-priority
-        priority-store traffic (our kernel guarantees FIFO tie-breaking;
-        SimPy orders by payload) are excluded.
-        """
-        prio_puts: Dict[str, List[float]] = {}
-
-        def scan(ops) -> bool:
-            for op in ops:
-                if op[0] in _KERNEL_ONLY_OPS:
-                    return False
-                if op[0] == "pput":
-                    prio_puts.setdefault(op[1], []).append(op[2])
-                if op[0] == "spawn" and not scan(op[1].ops):
-                    return False
-            return True
-
-        for proc in self.processes:
-            if not scan(proc.ops):
-                return False
-        return all(len(set(ps)) == len(ps) for ps in prio_puts.values())
-
 
 class _Gen:
     """Stateful helper threading the RNG and fresh-name counters."""
@@ -271,7 +194,6 @@ class _Gen:
         #: Per-delay probability of adding :data:`OFF_GRID_JITTER` (0 in
         #: pure-grid scenarios).
         self.off_grid_rate = off_grid_rate
-        self.next_token = 0
         self.next_pid = 0
         #: pids generated so far — interrupt/join targets.
         self.known_pids: List[str] = []
@@ -281,10 +203,6 @@ class _Gen:
         if self.off_grid_rate and self.rng.random() < self.off_grid_rate:
             d += OFF_GRID_JITTER
         return d
-
-    def token(self) -> int:
-        self.next_token += 1
-        return self.next_token
 
     def pid(self) -> str:
         self.next_pid += 1
@@ -296,8 +214,6 @@ class _Gen:
 def _gen_ops(
     g: _Gen,
     self_pid: str,
-    stores: Tuple[StoreSpec, ...],
-    containers: Tuple[ContainerSpec, ...],
     resources: Tuple[ResourceSpec, ...],
     depth: int,
 ) -> Tuple:
@@ -307,50 +223,25 @@ def _gen_ops(
     n_ops = rng.randint(1, g.max_ops)
     for _ in range(n_ops):
         choices: List[str] = ["timeout", "timeout", "sleep_catch"]
-        if stores:
-            choices += ["put", "get", "put", "get", "cancel_get"]
-        if containers:
-            choices += ["cput", "cget"]
         if resources:
             choices += ["acquire", "acquire"]
         if depth < g.max_depth:
             choices += ["spawn", "spawn_guarded"]
         if g.known_pids:
             choices += ["interrupt", "join"]
-        choices += ["allof", "anyof"]
         kind = rng.choice(choices)
 
         if kind == "timeout":
             ops.append(("timeout", g.delay()))
         elif kind == "sleep_catch":
             ops.append(("sleep_catch", g.delay()))
-        elif kind == "put":
-            store = rng.choice(stores)
-            if store.kind == "priority":
-                ops.append(
-                    ("pput", store.id, rng.choice(PRIORITY_CHOICES), g.token())
-                )
-            else:
-                ops.append(("put", store.id, g.token()))
-        elif kind == "get":
-            ops.append(("get", rng.choice(stores).id))
-        elif kind == "cancel_get":
-            ops.append(("cancel_get", rng.choice(stores).id, g.delay()))
-        elif kind == "cput":
-            c = rng.choice(containers)
-            ops.append(("cput", c.id, float(rng.randint(1, 4))))
-        elif kind == "cget":
-            c = rng.choice(containers)
-            ops.append(("cget", c.id, float(rng.randint(1, 4))))
         elif kind == "acquire":
             res = rng.choice(resources)
             prio = rng.choice(PRIORITY_CHOICES) if res.kind == "priority" else None
             ops.append(("acquire", res.id, prio, g.delay()))
         elif kind in ("spawn", "spawn_guarded"):
             child_pid = g.pid()
-            child_ops = _gen_ops(
-                g, child_pid, stores, containers, resources, depth + 1
-            )
+            child_ops = _gen_ops(g, child_pid, resources, depth + 1)
             if kind == "spawn_guarded" and rng.random() < 0.5:
                 # Failure injection: the child dies, the parent records it.
                 child_ops = child_ops + (("raise", f"boom-{child_pid}"),)
@@ -367,10 +258,6 @@ def _gen_ops(
             target = rng.choice(g.known_pids)
             if target != self_pid:
                 ops.append(("guard_join", target))
-        elif kind == "allof":
-            ops.append(("allof", [g.delay(), g.delay()]))
-        elif kind == "anyof":
-            ops.append(("anyof", [g.delay(), g.delay()]))
     return tuple(ops)
 
 
@@ -399,15 +286,6 @@ def generate_scenario(
     )
     g = _Gen(rng, max_depth, max_ops, off_grid_rate)
 
-    stores: List[StoreSpec] = []
-    for i in range(rng.randint(0, 2)):
-        kind = rng.choice(("fifo", "priority"))
-        capacity = rng.choice((None, None, rng.randint(1, 3)))
-        stores.append(StoreSpec(f"s{i}", kind, capacity))
-    containers: List[ContainerSpec] = []
-    if rng.random() < 0.5:
-        cap = float(rng.randint(5, 20))
-        containers.append(ContainerSpec("c0", cap, float(rng.randint(0, int(cap)))))
     resources: List[ResourceSpec] = []
     for i in range(rng.randint(0, 2)):
         kind = rng.choice(("fifo", "priority"))
@@ -416,7 +294,7 @@ def generate_scenario(
     processes: List[ProcSpec] = []
     for _ in range(rng.randint(2, max_procs)):
         pid = g.pid()
-        ops = _gen_ops(g, pid, tuple(stores), tuple(containers), tuple(resources), 0)
+        ops = _gen_ops(g, pid, tuple(resources), 0)
         if rng.random() < unguarded_raise_rate:
             ops = ops + (("raise", f"unguarded-{pid}"),)
         processes.append(ProcSpec(pid, g.delay(), ops))
@@ -430,8 +308,6 @@ def generate_scenario(
         seed=seed,
         run_mode=run_mode,
         until=until,
-        stores=tuple(stores),
-        containers=tuple(containers),
         resources=tuple(resources),
         processes=tuple(processes),
     )

@@ -15,7 +15,7 @@ knowledge of op semantics beyond where delays and spawns live.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator
 
 from .scenarios import Scenario
 
@@ -40,13 +40,12 @@ def _walk_procs(data: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
 
 
 def _referenced_ids(data: Dict[str, Any]) -> set:
-    refs: set = set()
-    for proc in _walk_procs(data):
-        for op in proc["ops"]:
-            if op[0] in ("put", "pput", "get", "cancel_get", "cput", "cget",
-                         "acquire"):
-                refs.add(op[1])
-    return refs
+    return {
+        op[1]
+        for proc in _walk_procs(data)
+        for op in proc["ops"]
+        if op[0] == "acquire"
+    }
 
 
 def _variants(data: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
@@ -76,22 +75,19 @@ def _variants(data: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
             list(_walk_procs(v))[pi]["start_delay"] = 0.0
             yield v
         for oi, op in enumerate(proc["ops"]):
-            delay_arg = {
-                "timeout": 1, "sleep_catch": 1, "cancel_get": 2, "acquire": 3
-            }.get(op[0])
+            delay_arg = {"timeout": 1, "sleep_catch": 1, "acquire": 3}.get(op[0])
             if delay_arg is not None and op[delay_arg] > 0:
                 v = copy.deepcopy(data)
                 list(_walk_procs(v))[pi]["ops"][oi][delay_arg] = 0.0
                 yield v
 
-    # Drop declarations nothing references any more.
+    # Drop resources nothing references any more.
     refs = _referenced_ids(data)
-    for section in ("stores", "containers", "resources"):
-        for i, spec in enumerate(data[section]):
-            if spec["id"] not in refs:
-                v = copy.deepcopy(data)
-                del v[section][i]
-                yield v
+    for i, spec in enumerate(data["resources"]):
+        if spec["id"] not in refs:
+            v = copy.deepcopy(data)
+            del v["resources"][i]
+            yield v
 
     # Simplify the run mode down to a full drain.
     if data["run_mode"] != "drain":

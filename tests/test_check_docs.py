@@ -44,10 +44,10 @@ class TestCliModelRecovery:
         assert model.actions("campaign") == {"run", "status", "clear"}
 
     def test_per_command_flags(self, model):
-        bench = model.commands[("bench",)]
-        assert {"--quick", "--baseline", "--repeats", "--no-write"} <= bench
+        profile = model.commands[("profile",)]
+        assert {"--quick", "--flame", "--weight", "--chrome"} <= profile
         assert "--models" in model.commands[("campaign", "run")]
-        assert "--models" not in bench
+        assert "--models" not in profile
 
     def test_boolean_optional_action_negative_form(self, model):
         run = model.commands[("run",)]
@@ -66,7 +66,7 @@ class TestInvocationChecker:
 
     def test_valid_invocations_pass(self, model):
         for line in (
-            "pckpt bench --quick --repeats 1 --out /tmp/x",
+            "pckpt profile XGC P2 --quick --flame /tmp/x.folded",
             "pckpt --replications 2 campaign run model-comparison --jobs 1",
             "pckpt run --spec examples/specs/quickstart.json --no-resume",
             "PYTHONPATH=src pckpt validate --seed 0 --cases 50",
@@ -74,10 +74,11 @@ class TestInvocationChecker:
             assert self.check(line, model) == [], line
 
     def test_unknown_subcommand_caught(self, model):
-        assert self.check("pckpt frobnicate --x", model)
+        for line in ("pckpt frobnicate --x", "pckpt bench --quick"):
+            assert self.check(line, model), line
 
     def test_unknown_flag_caught(self, model):
-        problems = self.check("pckpt bench --warmup 3", model)
+        problems = self.check("pckpt profile XGC P2 --warmup 3", model)
         assert problems and "--warmup" in problems[0]
 
     def test_unknown_action_caught(self, model):
@@ -89,11 +90,11 @@ class TestInvocationChecker:
         assert self.check(snippet, model) == []  # tee's flag not pckpt's
 
     def test_multiline_continuations_join(self):
-        text = "```bash\npckpt bench --quick \\\n    --no-write\n```\n"
+        text = "```bash\npckpt profile XGC P2 \\\n    --quick\n```\n"
         snippets = check_docs.code_snippets(text)
         assert len(snippets) == 1
-        assert snippets[0].split() == ["pckpt", "bench", "--quick",
-                                       "--no-write"]
+        assert snippets[0].split() == ["pckpt", "profile", "XGC", "P2",
+                                       "--quick"]
 
     def test_code_outside_links_not_treated_as_links(self):
         assert check_docs.LINK.search(

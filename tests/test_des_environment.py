@@ -10,7 +10,6 @@ from repro.des import (
     Infinity,
     Interrupt,
     SimulationError,
-    Store,
 )
 
 
@@ -185,14 +184,17 @@ class TestRun:
 
 
 def _reference_workload(env):
-    """Store traffic, same-time cascades and off-grid timers; last event
-    at t=10.  Returns a process that finishes well before that.
+    """Bare-event handoffs, same-time cascades and off-grid timers; last
+    event at t=10.  Returns a process that finishes well before that.
 
     The last event before t=2 schedules a burst, so the deepest queue
     comes after that event's callbacks: a run bounded at t=2 must not
     count it (the high-water mark is sampled at pop time only).
     """
-    store = Store(env)
+    # The consumer always waits on handoff[0]; the producer succeeds it
+    # with the next item and swaps in a fresh event.  The consumer is
+    # back waiting before each item arrives, so none is lost.
+    handoff = [env.event()]
 
     def burst():
         yield env.timeout(1.95)
@@ -203,11 +205,12 @@ def _reference_workload(env):
     def producer():
         for i in range(5):
             yield env.timeout(0.3 * (i + 1))
-            yield store.put(i)
+            ready, handoff[0] = handoff[0], env.event()
+            ready.succeed(i)
 
     def consumer():
         while True:
-            item = yield store.get()
+            item = yield handoff[0]
             yield env.timeout(0.25)
             if item == 4:
                 return item

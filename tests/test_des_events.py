@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Environment,
-    Event,
-    SimulationError,
-    Timeout,
-)
+from repro.des import SimulationError
 
 
 class TestEventLifecycle:
@@ -93,116 +84,3 @@ class TestTimeout:
 
     def test_delay_property(self, env):
         assert env.timeout(3.0).delay == 3.0
-
-
-class TestConditions:
-    def test_allof_waits_for_all(self, env):
-        done_at = []
-
-        def proc(env):
-            t1, t2 = env.timeout(1), env.timeout(5)
-            yield env.all_of([t1, t2])
-            done_at.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done_at == [5.0]
-
-    def test_anyof_fires_on_first(self, env):
-        done_at = []
-
-        def proc(env):
-            yield env.any_of([env.timeout(3), env.timeout(9)])
-            done_at.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done_at == [3.0]
-
-    def test_operator_composition(self, env):
-        seen = {}
-
-        def proc(env):
-            t1 = env.timeout(1, value="a")
-            t2 = env.timeout(2, value="b")
-            result = yield t1 | t2
-            seen["or"] = (env.now, t1 in result, t2 in result)
-            result = yield t1 & t2
-            seen["and"] = (env.now, result[t2])
-
-        env.process(proc(env))
-        env.run()
-        assert seen["or"] == (1.0, True, False)
-        assert seen["and"] == (2.0, "b")
-
-    def test_empty_allof_fires_immediately(self, env):
-        times = []
-
-        def proc(env):
-            yield env.all_of([])
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [0.0]
-
-    def test_condition_value_mapping(self, env):
-        captured = {}
-
-        def proc(env):
-            t1 = env.timeout(1, value="x")
-            t2 = env.timeout(1, value="y")
-            result = yield env.all_of([t1, t2])
-            captured["dict"] = result.todict()
-            captured["keys"] = list(result.keys())
-            captured["values"] = list(result.values())
-            captured["items"] = list(result.items())
-
-        env.process(proc(env))
-        env.run()
-        assert set(captured["dict"].values()) == {"x", "y"}
-        assert len(captured["keys"]) == 2
-        assert sorted(captured["values"]) == ["x", "y"]
-        assert len(captured["items"]) == 2
-
-    def test_condition_value_missing_key(self, env):
-        cv = ConditionValue()
-        with pytest.raises(KeyError):
-            cv[env.event()]
-
-    def test_condition_events_must_share_env(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            AllOf(env, [env.timeout(1), other.timeout(1)])
-
-    def test_failed_subevent_fails_condition(self, env):
-        errors = []
-
-        def proc(env):
-            bad = env.event()
-            good = env.timeout(10)
-            cond = env.all_of([bad, good])
-            bad.fail(RuntimeError("sub failed"))
-            try:
-                yield cond
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        env.process(proc(env))
-        env.run()
-        assert errors == ["sub failed"]
-
-    def test_nested_condition_value_flattening(self, env):
-        captured = {}
-
-        def proc(env):
-            t1 = env.timeout(1, value=1)
-            t2 = env.timeout(2, value=2)
-            t3 = env.timeout(3, value=3)
-            result = yield (t1 | t2) & t3
-            captured["events"] = len(list(result.keys()))
-
-        env.process(proc(env))
-        env.run()
-        # t1, t2, t3 had all fired by t=3 and flatten into one value.
-        assert captured["events"] == 3

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Container, Environment, PriorityResource
+from repro.des import Environment, PriorityResource
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -79,33 +79,3 @@ def test_priority_resource_serves_in_priority_order(priorities):
         env.process(waiter(env, p))
     env.run()
     assert served == sorted(priorities)
-
-
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(["put", "get"]), st.floats(min_value=0.1, max_value=10.0)),
-        min_size=1,
-        max_size=40,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_container_conserves_mass(ops):
-    """level == init + served puts − served gets, always within bounds."""
-    env = Environment()
-    c = Container(env, capacity=1e9, init=1e6)
-    puts, gets = [], []
-
-    def driver(env):
-        for kind, amount in ops:
-            if kind == "put":
-                yield c.put(amount)
-                puts.append(amount)
-            else:
-                yield c.get(amount)
-                gets.append(amount)
-
-    env.process(driver(env))
-    env.run()
-    expected = 1e6 + sum(puts) - sum(gets)
-    assert abs(c.level - expected) < 1e-6
-    assert 0.0 <= c.level <= 1e9

@@ -33,7 +33,7 @@ from repro.validate import (
     validate_scenario,
 )
 from repro.validate.backends import FAST_BACKEND, STEP_BACKEND
-from repro.validate.scenarios import ProcSpec, StoreSpec
+from repro.validate.scenarios import ProcSpec, ResourceSpec
 
 
 class TestFuzzerDeterminism:
@@ -74,7 +74,7 @@ class TestFuzzerDeterminism:
             digest.update(generate_scenario(seed).to_json().encode())
             digest.update(b"\n")
         assert digest.hexdigest() == (
-            "1e4c8d32fc56a8a387859f5ea2cc47616f7cd934a1c0473fb59e94ee3825ad54"
+            "0ac2d3b9a63f1fd0265a2e69c1681ed24c9fa5fc6becb96c0300a15e7d5147ec"
         )
 
 
@@ -84,44 +84,11 @@ class TestScenarioSerialization:
         sc = generate_scenario(seed)
         assert Scenario.from_json(sc.to_json()) == sc
 
-    def test_simpy_compatible_rejects_kernel_extensions(self):
-        sc = Scenario(
-            seed=0,
-            stores=(StoreSpec("s0", "fifo", None),),
-            processes=(ProcSpec("p1", 0.0, (("cancel_get", "s0", 1.0),)),),
-        )
-        assert not sc.simpy_compatible()
-
-    def test_simpy_compatible_rejects_equal_priority_puts(self):
-        sc = Scenario(
-            seed=0,
-            stores=(StoreSpec("s0", "priority", None),),
-            processes=(
-                ProcSpec(
-                    "p1",
-                    0.0,
-                    (("pput", "s0", 1.0, 1), ("pput", "s0", 1.0, 2)),
-                ),
-            ),
-        )
-        assert not sc.simpy_compatible()
-
-    def test_simpy_compatible_accepts_plain_traffic(self):
-        sc = Scenario(
-            seed=0,
-            stores=(StoreSpec("s0", "fifo", None),),
-            processes=(
-                ProcSpec("p1", 0.0, (("put", "s0", 1), ("get", "s0"))),
-            ),
-        )
-        assert sc.simpy_compatible()
-
 
 class TestBackendResolution:
     def test_kernel_backends_always_available(self):
         have = available_backends()
-        assert {"fast", "step"} <= set(have)
-        assert have["fast"].kernel and have["step"].kernel
+        assert set(have) == {"fast", "step"}
 
     def test_all_resolves_to_everything(self):
         assert resolve_backends(["all"]) == available_backends()
@@ -130,10 +97,8 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backends(["quantum"])
 
-    def test_simpy_requires_simpy(self):
-        if "simpy" in available_backends():
-            pytest.skip("SimPy is installed in this interpreter")
-        with pytest.raises(ValueError, match="requires SimPy"):
+    def test_simpy_is_an_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'simpy'"):
             resolve_backends(["simpy"])
 
 
@@ -192,20 +157,20 @@ class TestShrinker:
             shrink_scenario(sc, lambda s: False)
 
     def test_shrinks_to_the_single_guilty_op(self):
-        # Predicate: "fails" iff any put targets store s0.  The shrinker
-        # should strip everything else.
+        # Predicate: "fails" iff any acquire targets resource r0x.  The
+        # shrinker should strip everything else.
         sc = generate_scenario(0)
         sc = dataclasses.replace(
             sc,
-            stores=sc.stores + (StoreSpec("s0x", "fifo", None),),
+            resources=sc.resources + (ResourceSpec("r0x", "fifo", 1),),
             processes=sc.processes
-            + (ProcSpec("guilty", 1.0, (("put", "s0x", 99),)),),
+            + (ProcSpec("guilty", 1.0, (("acquire", "r0x", None, 1.0),)),),
         )
 
         def fails(s: Scenario) -> bool:
             def scan(ops) -> bool:
                 for op in ops:
-                    if op[0] == "put" and op[1] == "s0x":
+                    if op[0] == "acquire" and op[1] == "r0x":
                         return True
                     if op[0] == "spawn" and scan(op[1].ops):
                         return True

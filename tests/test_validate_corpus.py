@@ -28,7 +28,7 @@ CORPUS = load_corpus(default_corpus_dir())
 class TestCommittedCorpus:
     def test_corpus_is_not_empty(self):
         assert CORPUS, (
-            "tests/corpus/ must hold at least the PriorityStore FIFO "
+            "tests/corpus/ must hold at least the PriorityResource "
             "tie-break reproducer"
         )
 

@@ -5,12 +5,10 @@ mutation must be (a) detected by the differential fuzzer within its
 default case budget and (b) shrunk to a minimal reproducer.  One
 mutant per bug family the validator exists for:
 
-``BuggyPriorityStore``
-    Reintroduces the pre-fix FIFO tie-break bug — heap entries as plain
-    ``(item, seq)`` tuples, whose comparison never consults ``seq``
-    because equal-priority :class:`PriorityItem` values are neither
-    equal nor ordered.  This is the exact bug whose shrunk reproducer is
-    committed in ``tests/corpus/``.
+``BuggyPriorityResource``
+    Breaks the tie-break of the PFS-lane queue: equal-priority waiters
+    are granted newest-first instead of by request time and submission
+    order.  Its shrunk reproducer is committed in ``tests/corpus/``.
 
 ``TieReversingEnvironment``
     Breaks the scheduler's determinism contract instead: same-``(time,
@@ -34,7 +32,7 @@ from heapq import heappop, heappush
 
 import pytest
 
-from repro.des import Environment, PriorityStore
+from repro.des import Environment, PriorityResource
 from repro.sched.policy import EasyBackfillPolicy
 from repro.validate import (
     check_sched_case,
@@ -48,32 +46,28 @@ from repro.validate import (
 )
 from repro.validate.backends import FAST_BACKEND, STEP_BACKEND, run_reference
 
-#: Default ``pckpt validate`` budget; both mutants must die within it.
+#: Default ``pckpt validate`` budget; every mutant must die within it.
 CASE_BUDGET = 200
 
 
-class BuggyPriorityStore(PriorityStore):
-    """The pre-fix heap: ``(item, seq)`` tuples instead of ``_HeapEntry``."""
+class BuggyPriorityResource(PriorityResource):
+    """Grants equal-priority waiters newest-first."""
 
     __slots__ = ()
 
-    def _do_put(self, event):
-        if len(self._heap) < self._capacity:
-            heappush(self._heap, (event.item, self._seq))
+    def _do_request(self, request):
+        if len(self.users) < self._capacity and not self._heap:
+            self.users.append(request)
+            request.succeed(None)
+        else:
+            # Negated time and sequence reverse the order within a
+            # priority level; lower priorities still win.
+            heappush(
+                self._heap,
+                (request.priority, -request.time, -self._seq, request),
+            )
             self._seq += 1
-            event.succeed(None)
-            return True
-        return False
-
-    def _do_get(self, event):
-        if self._heap:
-            event.succeed(heappop(self._heap)[0])
-            return True
-        return False
-
-    @property
-    def items(self):
-        return [item for item, _seq in sorted(self._heap)]
+            self.queue.append(request)
 
 
 class TieReversingEnvironment(Environment):
@@ -95,10 +89,10 @@ class TieReversingEnvironment(Environment):
         return super().step()
 
 
-BUGGY_STORE_BACKEND = dataclasses.replace(
+BUGGY_RESOURCE_BACKEND = dataclasses.replace(
     FAST_BACKEND,
-    name="mutant-store",
-    classes={**FAST_BACKEND.classes, "PriorityStore": BuggyPriorityStore},
+    name="mutant-resource",
+    classes={**FAST_BACKEND.classes, "PriorityResource": BuggyPriorityResource},
 )
 
 TIE_REVERSING_BACKEND = dataclasses.replace(
@@ -122,7 +116,7 @@ def _hunt(mutant_backend):
 
 @pytest.mark.parametrize(
     "mutant",
-    [BUGGY_STORE_BACKEND, TIE_REVERSING_BACKEND],
+    [BUGGY_RESOURCE_BACKEND, TIE_REVERSING_BACKEND],
     ids=lambda b: b.name,
 )
 def test_mutant_caught_and_shrunk_within_budget(mutant):
@@ -206,19 +200,19 @@ def test_starving_backfill_mutant_caught_and_shrunk_within_budget():
     assert check_sched_case(shrunk) == []
 
 
-def test_buggy_store_mutant_dies_on_the_committed_reproducer():
+def test_buggy_resource_mutant_dies_on_the_committed_reproducer():
     """The corpus entry for this bug kills the mutant directly."""
     from repro.validate import default_corpus_dir, load_corpus
 
     backends = {
         "fast": FAST_BACKEND,
-        BUGGY_STORE_BACKEND.name: BUGGY_STORE_BACKEND,
+        BUGGY_RESOURCE_BACKEND.name: BUGGY_RESOURCE_BACKEND,
     }
     killed = any(
         validate_scenario(scenario, backends)
         for _path, scenario, _payload in load_corpus(default_corpus_dir())
     )
     assert killed, (
-        "no committed corpus case kills the FIFO tie-break mutant — the "
-        "corpus no longer guards the bug it was created for"
+        "no committed corpus case kills the PriorityResource tie-break "
+        "mutant — the corpus no longer guards the bug it was created for"
     )

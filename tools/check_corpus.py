@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     if not paths:
         problems.append(
             f"{args.corpus} holds no corpus cases (at least the "
-            "PriorityStore tie-break reproducer must be committed)"
+            "PriorityResource tie-break reproducer must be committed)"
         )
     for path in paths:
         problems.extend(check_shape(path))
