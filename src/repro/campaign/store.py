@@ -71,7 +71,7 @@ __all__ = [
 #: the cache-key canonicalization, or the simulation outputs change
 #: incompatibly.  The version is hashed into every cache key (so stale
 #: entries can never be hit) *and* written to ``schema.json`` (so
-#: ``tools/check_store_schema.py`` can reject a stale store outright).
+#: ``tools/check_schemas.py --store`` can reject a stale store outright).
 SCHEMA_VERSION = 1
 
 

@@ -17,7 +17,9 @@ Coordinated layers over the tracing/metrics substrate of
 * :mod:`repro.obs.slo` — per-tenant latency/error/cache SLOs with
   burn-rate grading (``pckpt obs slo``, labeled ``/metrics`` series);
 * :mod:`repro.obs.gantt` — schedule Gantt/occupancy exports over the
-  batch-queue engine's placement records (``pckpt sched gantt``).
+  batch-queue engine's placement records (``pckpt sched gantt``);
+* :mod:`repro.obs.records` — :func:`~repro.obs.records.check_record`,
+  the one checker of a JSON record against a declared field table.
 
 Everything importable here is stdlib-only; numpy-backed layers are
 reached lazily (``repro.obs.gantt.run_gantt`` imports the scheduler at

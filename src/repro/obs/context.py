@@ -24,7 +24,7 @@ Design constraints, in order:
 
 Fragment records follow the declarative-table convention
 (:data:`SPAN_FIELDS`, ``SPAN_SCHEMA_VERSION``) shared with
-``docs/OBSERVABILITY.md`` and ``tools/check_obs_schema.py``.
+``docs/OBSERVABILITY.md`` and ``tools/check_schemas.py``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ TRACE_HEADER: str = "X-Pckpt-Trace"
 TRACE_DIRNAME: str = os.path.join("obs", "trace")
 
 #: Span-record fields: ``{name: (type, nullable)}`` — the single source
-#: of truth shared with ``tools/check_obs_schema.py`` and the docs.
+#: of truth shared with ``tools/check_schemas.py`` and the docs.
 #: ``t0``/``t1`` are wall-clock epoch seconds (the one timebase every
 #: process shares); ``t1`` is null for instant events (``ph`` = "i").
 SPAN_FIELDS: Dict[str, tuple] = {

@@ -7,8 +7,8 @@ were, where failures struck and drains ran.  This module renders one
 traced replication of a workload × policy cell two ways:
 
 * a **schema-versioned JSON payload** (:data:`GANTT_FIELDS` /
-  :data:`GANTT_ROW_FIELDS`, validated by ``tools/check_obs_schema.py
-  --gantt-file``): one row per job with its placement intervals and
+  :data:`GANTT_ROW_FIELDS`, validated by ``tools/check_schemas.py
+  --gantt``): one row per job with its placement intervals and
   drain/failure overlay times — machine-readable ground truth for
   plotting or regression checks;
 * a **Chrome-trace file** (Perfetto-viewable): one pid per node band
@@ -45,7 +45,7 @@ GANTT_SCHEMA_VERSION: int = 1
 GANTT_KIND: str = "pckpt-gantt"
 
 #: Payload fields: ``{name: (type, nullable)}`` — the single source of
-#: truth shared with ``tools/check_obs_schema.py`` and the docs.
+#: truth shared with ``tools/check_schemas.py`` and the docs.
 GANTT_FIELDS: Dict[str, tuple] = {
     "kind": (str, False),
     "schema_version": (int, False),

@@ -21,7 +21,7 @@ service persists under ``<store>/service/jobs/<id>/``).
 
 Rows follow the declarative-table convention (:data:`SLO_FIELDS`,
 ``SLO_SCHEMA_VERSION``) shared with ``docs/OBSERVABILITY.md`` and
-``tools/check_obs_schema.py``.  Everything here is stdlib-only.
+``tools/check_schemas.py``.  Everything here is stdlib-only.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ DEFAULT_WINDOW_SECONDS: float = 3600.0
 SLO_STATUSES = ("ok", "warn", "breach")
 
 #: SLO-row fields: ``{name: (type, nullable)}`` — the single source of
-#: truth shared with ``tools/check_obs_schema.py`` and the docs.
+#: truth shared with ``tools/check_schemas.py`` and the docs.
 #: Quantile indicators are null until at least one job reaches the
 #: needed lifecycle point inside the window; burn rates are null when
 #: the matching objective is unset.

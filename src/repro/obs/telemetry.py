@@ -8,7 +8,7 @@ pool sized, campaign end).  The sink appends one JSON object per line to
 ``pckpt top`` (or any ``tail -f``) sees progress live.
 
 Snapshot schema (``schema_version`` = :data:`OBS_SCHEMA_VERSION`,
-validated by ``tools/check_obs_schema.py``)::
+validated by ``tools/check_schemas.py --telemetry``)::
 
     kind                    "pckpt-telemetry"
     schema_version          2
@@ -66,7 +66,7 @@ OPENMETRICS_CONTENT_TYPE: str = (
 )
 
 #: Snapshot fields, their types, and whether null is allowed — the
-#: single source of truth shared with ``tools/check_obs_schema.py``.
+#: single source of truth shared with ``tools/check_schemas.py``.
 SNAPSHOT_FIELDS: Dict[str, tuple] = {
     "kind": (str, False),
     "schema_version": (int, False),

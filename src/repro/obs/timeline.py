@@ -42,7 +42,7 @@ TIMELINE_SCHEMA_VERSION: int = 1
 TIMELINE_KIND: str = "pckpt-timeline"
 
 #: Trace-record kinds that participate in causal chains (i.e. whose
-#: details carry ``prov``/``provs``).  ``tools/check_trace_kinds.py``
+#: details carry ``prov``/``provs``).  ``tools/check_schemas.py``
 #: asserts every name here is documented in ``docs/OBSERVABILITY.md``.
 TIMELINE_CHAIN_KINDS = (
     "prediction",

@@ -7,8 +7,9 @@ schema-versioned ``SCHED_<git-sha>.json`` artifact.  This is the
 high-occupancy regime: many concurrent jobs' drains queueing on the
 shared PFS lanes.
 
-``tools/check_sched_schema.py`` validates committed artifacts against
-the declarative tables in :mod:`repro.sched.jobs` in CI.
+:func:`validate_sched_payload` checks a payload against the declarative
+tables in :mod:`repro.sched.jobs`; ``tools/check_schemas.py`` runs it
+over the committed artifacts in CI.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.records import check_record
 from .engine import SchedResult, aggregate_sched, run_sched_once
 from .jobs import (
     JOB_FIELDS,
@@ -128,47 +130,39 @@ def result_payload(result: SchedResult, seed: int,
     return payload
 
 
-def _check_fields(obj: Dict[str, Any], table: Dict[str, tuple],
-                  where: str, problems: List[str]) -> None:
-    for name, (ftype, nullable) in table.items():
-        if name not in obj:
-            problems.append(f"{where}: missing field {name!r}")
-            continue
-        value = obj[name]
-        if value is None:
-            if not nullable:
-                problems.append(f"{where}: {name} must not be null")
-            continue
-        if ftype is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"{where}: {name} must be a number")
-        elif not isinstance(value, ftype) or isinstance(value, bool) and ftype is int:
-            problems.append(f"{where}: {name} must be {ftype.__name__}")
+#: Optional top-level flags ``result_payload`` stamps on top of
+#: :data:`RESULT_FIELDS`: ``dirty`` (uncommitted changes at run time)
+#: and ``quick`` (the reduced CI-scale workload).
+PAYLOAD_FLAGS = ("dirty", "quick")
 
 
 def validate_sched_payload(payload: Dict[str, Any]) -> List[str]:
     """Structural checks on a sched baseline payload; returns problems."""
-    problems: List[str] = []
-    _check_fields(payload, RESULT_FIELDS, "payload", problems)
-    if payload.get("kind") != SCHED_BASELINE_KIND:
-        problems.append(f"kind must be {SCHED_BASELINE_KIND!r}")
-    if payload.get("schema_version") != SCHED_SCHEMA_VERSION:
-        problems.append(f"schema_version must be {SCHED_SCHEMA_VERSION}")
+    if not isinstance(payload, dict):
+        return ["payload: record is not an object"]
+    problems = check_record(
+        {k: v for k, v in payload.items() if k not in PAYLOAD_FLAGS},
+        RESULT_FIELDS, "payload",
+        kind=SCHED_BASELINE_KIND, version=SCHED_SCHEMA_VERSION,
+    )
     if payload.get("policy") not in POLICY_NAMES:
-        problems.append(f"policy must be one of {POLICY_NAMES}")
+        problems.append(
+            f"payload: policy {payload.get('policy')!r} not one of "
+            f"{list(POLICY_NAMES)}"
+        )
     per_job = payload.get("per_job")
     if isinstance(per_job, list):
         if isinstance(payload.get("jobs"), int) and len(per_job) != payload["jobs"]:
-            problems.append("per_job length must equal jobs")
+            problems.append(
+                f"payload: per_job holds {len(per_job)} entries, jobs "
+                f"says {payload['jobs']}"
+            )
         for i, entry in enumerate(per_job):
-            if not isinstance(entry, dict):
-                problems.append(f"per_job[{i}] must be an object")
-                continue
-            _check_fields(entry, JOB_FIELDS, f"per_job[{i}]", problems)
+            problems.extend(check_record(entry, JOB_FIELDS, f"per_job[{i}]"))
     for name in ("utilization", "ft_ratio"):
         value = payload.get(name)
         if isinstance(value, (int, float)) and not 0.0 <= value <= 1.0:
-            problems.append(f"{name} must be in [0, 1]")
+            problems.append(f"payload: {name} must be in [0, 1], got {value!r}")
     return problems
 
 

@@ -11,7 +11,7 @@ traffic competes for the same burst-buffer drainers and PFS bandwidth
 The declarative tables below (:data:`POLICY_NAMES`, :data:`JOB_FIELDS`,
 :data:`RESULT_FIELDS`) are the single source of truth shared with
 ``docs/SCHEDULER.md``, the committed ``benchmarks/sched/SCHED_*.json``
-baseline artifacts, and ``tools/check_sched_schema.py`` — the same
+baseline artifacts, and ``tools/check_schemas.py`` — the same
 convention ``repro.service`` uses for its job schema.
 """
 

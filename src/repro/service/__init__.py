@@ -14,7 +14,7 @@ clients share instead of each running their own campaigns.
 * :mod:`repro.service.queue` — the bounded weighted-round-robin
   fair-share queue;
 * :mod:`repro.service.jobs` — the job state machine and the
-  schema-versioned record/event tables (``tools/check_service_schema.py``
+  schema-versioned record/event tables (``tools/check_schemas.py``
   keeps ``docs/SERVICE.md`` and captured event streams in sync with them);
 * :mod:`repro.service.client` — the stdlib HTTP client behind
   ``pckpt submit`` / ``pckpt jobs`` / ``pckpt watch``.

@@ -27,8 +27,8 @@ and every stream reader write those same bytes.
 The declarative tables below (:data:`JOB_STATES`,
 :data:`JOB_TRANSITIONS`, :data:`EVENT_KINDS`, :data:`JOB_FIELDS`,
 :data:`EVENT_FIELDS`) are the single source of truth shared with
-``docs/SERVICE.md`` and ``tools/check_service_schema.py``, following
-the ``SNAPSHOT_FIELDS``/``check_obs_schema`` convention.
+``docs/SERVICE.md`` and ``tools/check_schemas.py``, following the
+``SNAPSHOT_FIELDS`` convention of :mod:`repro.obs.telemetry`.
 """
 
 from __future__ import annotations

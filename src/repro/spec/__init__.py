@@ -9,7 +9,7 @@ pattern into the single source of truth:
 
 * :mod:`repro.spec.schema` — the schema-versioned
   :class:`~repro.spec.schema.ExperimentSpec` document and its field
-  tables (``tools/check_spec_schema.py`` keeps code, docs and examples
+  tables (``tools/check_schemas.py`` keeps code, docs and examples
   in sync);
 * :mod:`repro.spec.loader` — validating loader (every problem reported
   at once), canonical serialization, and the stable

@@ -22,10 +22,10 @@ same document instead of its own ad-hoc kwargs.  The schema is:
   content-addressed store entries remain reachable.
 
 The field inventory lives in the ``*_FIELDS`` tables below;
-``tools/check_spec_schema.py`` parses them from source (dependency-free)
-and fails CI when ``docs/EXPERIMENT_SPEC.md``, the docstrings in this
-module, or the committed ``examples/specs/*.json`` files drift from
-them.  See ``docs/EXPERIMENT_SPEC.md`` for the user-facing reference.
+``tools/check_schemas.py`` fails CI when ``docs/EXPERIMENT_SPEC.md``,
+the docstrings in this module, or the committed ``examples/specs/*.json``
+files drift from them.  See ``docs/EXPERIMENT_SPEC.md`` for the
+user-facing reference.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ __all__ = [
 SPEC_SCHEMA_VERSION: int = 1
 
 #: Top-level spec fields: name -> (type tag, required).  Type tags are
-#: what ``tools/check_spec_schema.py`` validates example files against:
+#: what :func:`repro.spec.loader.spec_from_dict` validates documents against:
 #: ``str`` / ``int`` / ``float`` / ``bool`` are JSON scalars (``float``
 #: accepts ints, never booleans), ``list`` a JSON array, ``object`` a
 #: JSON object; ``X_or_Y`` accepts either form (shorthands the loader

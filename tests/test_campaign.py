@@ -408,7 +408,7 @@ class TestCheckStoreSchemaTool:
         run_campaign([make_cell("B", replications=1)], store=store, workers=1)
         root = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
-            [sys.executable, str(root / "tools" / "check_store_schema.py"),
+            [sys.executable, str(root / "tools" / "check_schemas.py"),
              "--store", str(tmp_path / "store")],
             capture_output=True, text=True,
         )
@@ -422,8 +422,9 @@ class TestCheckStoreSchemaTool:
         )
         repo = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
-            [sys.executable, str(repo / "tools" / "check_store_schema.py"),
+            [sys.executable, str(repo / "tools" / "check_schemas.py"),
              "--store", str(root_dir)],
             capture_output=True, text=True,
         )
         assert proc.returncode != 0
+        assert f"schema_version is {SCHEMA_VERSION + 99}" in proc.stderr

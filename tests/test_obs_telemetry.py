@@ -14,6 +14,7 @@ from repro.campaign.progress import CampaignProgress
 from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL
 from repro.failures.predictor import DEFAULT_PREDICTOR
 from repro.models.registry import get_model
+from repro.obs.records import check_record
 from repro.obs.telemetry import (
     OBS_SCHEMA_VERSION,
     SNAPSHOT_FIELDS,
@@ -46,16 +47,7 @@ class TestSnapshotSchema:
         progress = _progress(telemetry=sink)
         progress.campaign_begin(2, 12)
         record = json.loads(buf.getvalue().splitlines()[0])
-        assert set(record) == set(SNAPSHOT_FIELDS)
-        for field, (typ, nullable) in SNAPSHOT_FIELDS.items():
-            value = record[field]
-            if value is None:
-                assert nullable, field
-            elif typ is float:
-                assert isinstance(value, (int, float)), field
-                assert not isinstance(value, bool), field
-            else:
-                assert isinstance(value, typ), field
+        assert check_record(record, SNAPSHOT_FIELDS, "snapshot") == []
 
     def test_stamped_envelope(self):
         sink = CampaignTelemetry(io.StringIO())
@@ -260,8 +252,8 @@ class TestCampaignIntegration:
         run_campaign([cell], store=store, workers=1)
         repo = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
-            [sys.executable, str(repo / "tools" / "check_obs_schema.py"),
-             "--file", store.telemetry_path()],
+            [sys.executable, str(repo / "tools" / "check_schemas.py"),
+             "--telemetry", store.telemetry_path()],
             capture_output=True, text=True, cwd=repo,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr

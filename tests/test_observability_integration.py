@@ -153,9 +153,9 @@ class TestDocsInSync:
     def test_every_emitted_kind_is_documented(self, capsys):
         tool = (
             Path(__file__).resolve().parent.parent
-            / "tools" / "check_trace_kinds.py"
+            / "tools" / "check_schemas.py"
         )
-        spec = importlib.util.spec_from_file_location("check_trace_kinds", tool)
+        spec = importlib.util.spec_from_file_location("check_schemas", tool)
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        assert mod.main() == 0, capsys.readouterr().out
+        assert mod.main([]) == 0, capsys.readouterr().err

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,21 @@ class TestBenchPayload:
         bad = dict(payload)
         bad["utilization"] = 1.5
         assert any("utilization" in p for p in validate_sched_payload(bad))
+
+    def test_validator_rejects_undeclared_fields_but_not_flags(self):
+        baseline = next(Path(__file__).resolve().parent.parent
+                        .joinpath("benchmarks", "sched").glob("SCHED_*.json"))
+        payload = json.loads(baseline.read_text(encoding="utf-8"))
+        assert validate_sched_payload(payload) == []
+        assert validate_sched_payload({**payload, "quick": True,
+                                       "dirty": True}) == []
+        assert validate_sched_payload({**payload, "colour": "red"}) == [
+            "payload: undeclared field 'colour'"
+        ]
+        per_job = [{**payload["per_job"][0], "colour": "red"}]
+        problems = validate_sched_payload({**payload, "per_job": per_job,
+                                           "jobs": 1})
+        assert problems == ["per_job[0]: undeclared field 'colour'"]
 
 
 class TestSpecWiring:

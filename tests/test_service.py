@@ -37,12 +37,19 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.store import ResultStore, result_to_dict
+from repro.obs.records import check_record
 from repro.service import (
     EVENT_FIELDS,
     EVENT_KINDS,
+    JOB_EVENT_KIND,
     JOB_FIELDS,
+    JOB_KIND,
+    JOB_RESULT_KIND,
     JOB_STATES,
+    JOB_TRANSITIONS,
     SERVICE_SCHEMA_VERSION,
+    SERVICE_STATUS_KIND,
+    TERMINAL_STATES,
     FairShareQueue,
     Job,
     QueueFull,
@@ -216,20 +223,22 @@ class TestJobModel:
         with pytest.raises(ValueError):
             job.transition("running")  # terminal states are final
 
+    def test_declared_state_machine_is_coherent(self):
+        for state in TERMINAL_STATES:
+            assert state in JOB_STATES
+            assert not JOB_TRANSITIONS.get(state)
+        for source, targets in JOB_TRANSITIONS.items():
+            assert {source, *targets} <= set(JOB_STATES)
+        assert set(JOB_STATES) <= set(EVENT_KINDS)
+        kinds = (JOB_KIND, JOB_EVENT_KIND, JOB_RESULT_KIND,
+                 SERVICE_STATUS_KIND)
+        assert len(set(kinds)) == len(kinds)
+
     def test_record_matches_field_table(self):
         job = _job("t", "j1")
         record = job.to_record()
-        assert set(record) == set(JOB_FIELDS)
-        for name, (typ, nullable) in JOB_FIELDS.items():
-            value = record[name]
-            if value is None:
-                assert nullable, f"{name} is null but not nullable"
-            else:
-                assert isinstance(value, typ) or (
-                    typ is float and isinstance(value, int)
-                ), f"{name}: {value!r} is not {typ}"
-        assert record["kind"] == "pckpt-job"
-        assert record["schema_version"] == SERVICE_SCHEMA_VERSION
+        assert check_record(record, JOB_FIELDS, "job", kind="pckpt-job",
+                            version=SERVICE_SCHEMA_VERSION) == []
         assert record["state"] in JOB_STATES
 
     def test_events_sequenced_and_typed(self):

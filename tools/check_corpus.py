@@ -13,9 +13,9 @@ Two layers, mirroring the other ``tools/check_*`` scripts:
 * **Replay** (needs the repo's runtime deps): each scenario is re-run
   through the differential validator on the fast and step kernels and
   must come back clean — the bug the case reproduces must stay fixed.
-  Skipped with a notice when imports are unavailable (the docs-check CI
-  job is dependency-free); pass ``--require-replay`` to make that an
-  error instead (the tests CI job does).
+  Skipped with a notice when imports are unavailable; pass
+  ``--require-replay`` to make that an error instead (the tests CI job
+  does).
 
 Exits non-zero with a description of every problem.
 """
