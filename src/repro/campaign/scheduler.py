@@ -33,6 +33,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+# Loaded here, before the pool forks: numpy imports numpy.random on first
+# use, which no campaign parent makes, so each forked worker would import
+# it (about 13 ms) after the fork.
+import numpy.random  # noqa: F401
 
 from ..analysis.sweeps import evaluate_analytical_batch
 from ..experiments.runner import SimulationResult, _aggregate, _run_once

@@ -1656,6 +1656,11 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ImportError as exc:
+        if exc.name != "scipy":  # only the optional extra is the user's to fix
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

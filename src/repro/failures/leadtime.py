@@ -30,11 +30,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-# At module level, not per call: a σ campaign forks its pool workers after
-# the parent imports this module, so the workers inherit scipy.special.
-# Imported per call, each worker loads it after the fork, which made
-# campaign-sigma five times slower (docs/PERFORMANCE.md, "Start-up").
-from scipy.special import ndtr, ndtri
+# Not scipy.special.ndtr: a pure-Python port of the Cephes code it runs,
+# equal to it by bits, so no process imports scipy to get σ's ten scalars
+# (docs/PERFORMANCE.md, "Start-up").
+from ._ndtr import ndtr
 
 __all__ = [
     "FailureSequenceSpec",
@@ -87,14 +86,24 @@ class FailureSequenceSpec:
     def survival(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(lead > t) for this sequence."""
         # The closed form scipy.stats.lognorm.sf evaluates, bit for bit,
-        # without importing scipy.stats.
+        # without importing scipy.  z is numpy's on purpose: math.log
+        # differs from np.log in the last bit on about 1 input in 10,000.
         t = np.asarray(t, dtype=float)
         z = np.log(np.maximum(t, 1e-300) / math.exp(self._mu)) / self._sigma
-        s = ndtr(-z)
-        return float(s) if s.ndim == 0 else s
+        if z.ndim == 0:
+            return ndtr(float(-z))
+        return np.array([ndtr(v) for v in (-z).ravel().tolist()]).reshape(z.shape)
 
     def quantile(self, q: float | np.ndarray) -> float | np.ndarray:
         """Lead-time quantile (for box-plot statistics)."""
+        # Only Fig 2a's box statistics call this, so only they need scipy.
+        try:
+            from scipy.special import ndtri
+        except ImportError as exc:
+            raise ImportError(
+                "lead-time quantiles need scipy: pip install repro[figures]",
+                name="scipy",
+            ) from exc
         # Bit-identical to scipy.stats.lognorm.ppf.
         return np.exp(self._sigma * ndtri(q)) * math.exp(self._mu)
 
@@ -180,7 +189,7 @@ class LeadTimeModel:
         s = np.zeros_like(t_arr, dtype=float)
         for w, seq in zip(self._weights, self.sequences):
             s = s + w * np.asarray(seq.survival(t_arr))
-        return float(s) if np.isscalar(t) else s
+        return float(s) if t_arr.ndim == 0 else s
 
     def mean_lead(self) -> float:
         """Mean lead time of the mixture (seconds)."""
@@ -245,7 +254,7 @@ class UniformLeadTimeModel:
         t_arr = np.asarray(t, dtype=float)
         s = np.clip((self.high - t_arr) / (self.high - self.low), 0.0, 1.0)
         s = np.where(t_arr < self.low, 1.0, s)
-        return float(s) if np.isscalar(t) else s
+        return float(s) if t_arr.ndim == 0 else s
 
     def mean_lead(self) -> float:
         """Mean of the uniform distribution."""

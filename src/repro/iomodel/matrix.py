@@ -109,8 +109,15 @@ class MatrixPFSModel:
         # Imported here, its only use: scipy.interpolate drags in
         # scipy.optimize, linalg, sparse, fft and spatial (about 290 modules
         # and 25 MB), which every process on the default analytic backend
-        # would otherwise load at start-up.
-        from scipy.interpolate import RegularGridInterpolator
+        # would otherwise load at start-up.  scipy itself is optional.
+        try:
+            from scipy.interpolate import RegularGridInterpolator
+        except ImportError as exc:
+            raise ImportError(
+                "the measured-matrix PFS backend needs scipy: "
+                "pip install repro[figures]",
+                name="scipy",
+            ) from exc
 
         if sweep is None:
             sweep = run_weak_scaling_sweep(rng=None)

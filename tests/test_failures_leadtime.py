@@ -15,6 +15,7 @@ from repro.failures.leadtime import (
     PAPER_SEQUENCES,
     FailureSequenceSpec,
     LeadTimeModel,
+    UniformLeadTimeModel,
 )
 
 
@@ -211,6 +212,34 @@ class TestScipyParity:
                 scale=math.exp(seq._mu))
         got = PAPER_LEAD_TIME_MODEL.survival(_T_GRID)
         assert _hex(got) == _hex(expected)
+
+
+class TestSurvivalReturnRule:
+    """A 0-d input, whatever its type, gives a float with the same bits."""
+
+    # (t, mixture, sequence 6), recorded before the rule was unified.
+    _PINNED = [
+        (3.0, "0x1.fffe55493503dp-1", "0x1.0000000000000p+0"),
+        (41.0, "0x1.17469f358f7d8p-1", "0x1.f9b00b16a685dp-1"),
+    ]
+
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array],
+                             ids=["float", "float64", "0d-array"])
+    @pytest.mark.parametrize("t, mixture_hex, seq_hex", _PINNED)
+    def test_zero_dim_input_returns_float(self, wrap, t, mixture_hex, seq_hex):
+        mixture = PAPER_LEAD_TIME_MODEL.survival(wrap(t))
+        seq = PAPER_SEQUENCES[5].survival(wrap(t))
+        uniform = UniformLeadTimeModel(0.0, 60.0).survival(wrap(t))
+        assert type(mixture) is float and mixture.hex() == mixture_hex
+        assert type(seq) is float and seq.hex() == seq_hex
+        assert type(uniform) is float and uniform == (60.0 - t) / 60.0
+
+    def test_one_dim_input_returns_array(self):
+        t = np.array([3.0, 41.0])
+        for model in (PAPER_LEAD_TIME_MODEL, PAPER_SEQUENCES[5],
+                      UniformLeadTimeModel(0.0, 60.0)):
+            out = model.survival(t)
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
 
 
 class TestCachedLognormalParameters:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestLazyExports:
@@ -38,39 +45,86 @@ class TestLazyExports:
         assert first is second
 
 
+# Installed as sitecustomize, so every process of a run has it: the parent,
+# forked pool workers (inherited) and spawned ones (run at start-up).  It
+# logs and refuses any scipy import.
+_SCIPY_GUARD = """\
+import os, sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            with open(os.environ["SCIPY_IMPORT_LOG"], "a") as log:
+                log.write(f"{os.getpid()} {name}\\n")
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
 class TestImportFootprint:
-    def test_p2_cell_never_imports_scipy_stats(self, run_python):
-        """σ's lognormal survival uses scipy.special, not scipy.stats."""
-        proc = run_python(
-            "import sys\n"
-            "import repro\n"
-            "from repro.spec import run_spec, spec_from_dict\n"
-            "run_spec(spec_from_dict({'schema_version': 1, 'name': 'p2',\n"
-            "    'apps': ['XGC'], 'models': ['P2'], 'include_base': False,\n"
-            "    'replications': 1, 'seed': 3}), workers=1)\n"
-            "print('scipy.stats' in sys.modules)\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+    def test_start_up_loads_no_scipy(self, run_python):
+        """The entry points load no scipy module at all.
 
-    def test_start_up_loads_scipy_special_but_not_interpolate(self, run_python):
-        """The entry points load scipy.special and nothing else of scipy's.
-
-        scipy.interpolate (and with it scipy.optimize, linalg, sparse, fft
-        and spatial) belongs to the measured-matrix PFS backend only, so no
-        entry point may import it at start-up.  scipy.special, on the
-        other hand, must already be loaded once ``repro.spec`` is: a σ
-        campaign forks its pool workers from this parent, and a worker
-        that imports scipy.special itself after the fork took campaign-sigma
-        ``wall_s`` from 0.09 s to 0.39 s.
+        σ's ``ndtr`` is a pure-Python port (``failures/_ndtr.py``), and the
+        only scipy users, Fig 2a's quantiles and Fig 2c's measured-matrix
+        backend, import it when they run.
         """
         proc = run_python(
             "import sys\n"
-            "import repro.spec\n"
-            "print('scipy.special' in sys.modules)\n"
-            "import repro.campaign, repro.cli, repro.service\n"
-            "print('scipy.interpolate' in sys.modules)\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "import repro.spec, repro.campaign, repro.cli, repro.service\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "False", "False"]
+        assert proc.stdout.split() == ["[]"]
+
+    def test_p2_campaign_on_two_workers_never_imports_scipy(self, tmp_path):
+        """A σ campaign imports scipy neither in the parent nor in a worker."""
+        (tmp_path / "sitecustomize.py").write_text(_SCIPY_GUARD)
+        log = tmp_path / "scipy-imports.log"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tmp_path), _SRC, env.get("PYTHONPATH")) if p)
+        env["SCIPY_IMPORT_LOG"] = str(log)
+        code = (
+            "import sys\n"
+            "assert any(type(f).__name__ == '_NoScipy' for f in sys.meta_path)\n"
+            "from repro.spec import run_spec, spec_from_dict\n"
+            "res = run_spec(spec_from_dict({'schema_version': 1, 'name': 'p2',\n"
+            "    'apps': ['XGC', 'POP'], 'models': ['P2'], 'include_base': False,\n"
+            "    'replications': 4, 'seed': 3}), workers=2)\n"
+            "print(len(res))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2"]
+        assert not log.exists(), log.read_text()
+
+
+class TestScipyOptional:
+    """Without scipy the simulations run; the figures that need it say so."""
+
+    @staticmethod
+    def _cli_without_scipy(run_python, *argv):
+        return run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from repro.cli import main\n"
+            f"sys.exit(main({list(argv)!r}))\n"
+        )
+
+    def test_quickstart_runs_without_scipy(self, run_python):
+        spec = Path(__file__).resolve().parent.parent / "examples/specs/quickstart.json"
+        proc = self._cli_without_scipy(run_python, "run", "--spec", str(spec))
+        assert proc.returncode == 0, proc.stderr
+        assert "spec hash:" in proc.stdout
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig2c"])
+    def test_scipy_figures_name_the_extra(self, run_python, figure):
+        proc = self._cli_without_scipy(run_python, "experiment", figure)
+        assert proc.returncode == 2
+        assert "pip install repro[figures]" in proc.stderr
+        assert "Traceback" not in proc.stderr
