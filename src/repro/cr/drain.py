@@ -11,9 +11,9 @@ now-invalid snapshots.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from ..des import Environment, Event, Infinity, Trace
+from ..des import Environment, Infinity, Trace
 from ..des.metrics import MetricsRegistry
 from ..platform.pfs import PFSSpec
 from .checkpoint import Snapshot, SnapshotKind, SnapshotLedger
@@ -35,12 +35,11 @@ class DrainManager:
     survives a cancel is re-armed for what is left of its transfer.
     :meth:`settle` applies every landing due at or before the clock;
     every reader of drain or ledger state calls it first (:meth:`submit`,
-    :meth:`cancel_newer_than` and :attr:`busy` do so themselves).  An
-    untraced manager schedules nothing on the kernel.  A traced one arms
-    one :class:`~repro.des.Timeout` per drain whose callback settles it,
-    so its ``drain_flush`` span closes at the landing time.  Either way a
-    landing is applied before anything else that reads drain state at
-    the same instant.
+    :meth:`cancel_newer_than` and :attr:`busy` do so themselves), and a
+    traced manager holds its next landing on the trace
+    (:meth:`~repro.des.Trace.hold`), which applies it before the first
+    record stamped at or after it.  Nothing is scheduled on the kernel,
+    and a landing comes before anything else at the same instant.
 
     Parameters
     ----------
@@ -54,20 +53,14 @@ class DrainManager:
         Application node count.
     bytes_per_node:
         Per-node checkpoint size.
-    on_drained:
-        Optional callback invoked with the snapshot when its landing is
-        applied: at the landing time when traced, at the next
-        :meth:`settle` otherwise.
     trace:
         Optional trace; each drain becomes a ``drain_flush`` span on the
-        ``drain`` source (cancellations close the span early).
+        ``drain`` source (cancellations close the span early); the
+        manager must be the trace's only holder.
     metrics:
         Optional registry fed ``drain.completed`` / ``drain.cancelled``
         counters and a ``drain.seconds`` histogram.
     """
-
-    #: Owner name the kernel profiler files landing events under.
-    name = "drain-worker"
 
     def __init__(
         self,
@@ -76,7 +69,6 @@ class DrainManager:
         ledger: SnapshotLedger,
         nodes: int,
         bytes_per_node: float,
-        on_drained: Optional[Callable[[Snapshot], None]] = None,
         trace: Optional[Trace] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -85,20 +77,17 @@ class DrainManager:
         self.ledger = ledger
         self.nodes = nodes
         self.bytes_per_node = bytes_per_node
-        self.on_drained = on_drained
         self.trace = trace
         self.metrics = metrics
         #: Seconds one snapshot takes to drain (fixed for the job).
         self.duration = pfs.drain_time(nodes, bytes_per_node)
         self._pending: List[Snapshot] = []
-        # The snapshot in flight, its drain_flush span id, the
-        # (remaining, start) pair a surviving cancel re-arms from, and
-        # (traced only) its armed landing timeout.
+        # The snapshot in flight, its drain_flush span id and the
+        # (remaining, start) pair a surviving cancel re-arms from.
         self._snap: Optional[Snapshot] = None
         self._sid = 0
         self._remaining = 0.0
         self._start = 0.0
-        self._timer: Optional[Event] = None
         #: Landing time of the snapshot in flight (``inf`` when idle).
         self.landing = Infinity
         #: Completed drain count (diagnostics / tests).
@@ -112,17 +101,20 @@ class DrainManager:
         self.settle()
         return self._snap is not None or bool(self._pending)
 
-    def settle(self) -> None:
-        """Apply every landing due at or before the current time."""
-        now = self.env.now
+    def settle(self, now: Optional[float] = None) -> None:
+        """Apply every landing due at or before *now* (default: the clock)."""
+        now = self.env.now if now is None else now
+        if self.trace is not None:
+            self.trace.flush(now)
         while self.landing <= now:
             self._finish()
 
-    def submit(self, snap: Snapshot) -> None:
-        """Queue a freshly staged periodic snapshot for draining."""
-        self.settle()
+    def submit(self, snap: Snapshot, now: Optional[float] = None) -> None:
+        """Queue a periodic snapshot staged at *now* (default: the clock)."""
+        now = self.env.now if now is None else now
+        self.settle(now)
         if self._snap is None:
-            self._begin(snap, self.env.now)
+            self._begin(snap, now)
         else:
             self._pending.append(snap)
 
@@ -130,17 +122,14 @@ class DrainManager:
                    newest: Snapshot) -> None:
         """Queue a run of periodic snapshots staged at increasing *times*.
 
-        The same as one :meth:`submit` per ``(work, time)`` pair with the
-        clock at that time, for an untraced manager: the chain advances
-        with :meth:`settle` and :meth:`submit`'s own arithmetic, and the
-        ledger, counters and metrics are updated once at the end.  A
-        :class:`Snapshot` is built only for one still queued or in flight
-        afterwards, or the last to land; *newest* is the last pair's (the
-        one the ledger holds in the BBs).
+        The same state as one :meth:`submit` per ``(work, time)`` pair:
+        the chain advances with :meth:`settle` and :meth:`submit`'s own
+        arithmetic, and the ledger, counters and metrics are updated once
+        at the end.  A :class:`Snapshot` is built only for one still
+        queued or in flight afterwards, or the last to land; *newest* is
+        the last pair's (the one the ledger holds in the BBs).  It records
+        nothing, so a traced run submits its snapshots one by one.
         """
-        if self.trace is not None or self.on_drained is not None:
-            raise ValueError("submit_run needs an untraced manager "
-                             "without on_drained")
         duration = self.duration
         last = len(times) - 1
         # A chain entry is an existing Snapshot or an index into the run.
@@ -206,13 +195,12 @@ class DrainManager:
         snap = self._snap
         if snap is None:
             return
-        self._disarm()
         now = self.env.now
         if snap.work > work:
             # This snapshot was invalidated mid-flight.
             self.cancelled += 1
             if self.trace is not None:
-                self.trace.span_end(self._sid, "cancelled")
+                self.trace.span_end(self._sid, "cancelled", time=now)
             if self.metrics is not None:
                 self.metrics.counter("drain.cancelled").inc()
             self._next(now)
@@ -225,7 +213,8 @@ class DrainManager:
         """Put *snap* in flight from *start* for the full drain duration."""
         self._snap = snap
         if self.trace is not None:
-            self._sid = self.trace.span_begin("drain", "drain_flush", snap.work)
+            self._sid = self.trace.span_begin("drain", "drain_flush",
+                                              snap.work, time=start)
         self._remaining = self.duration
         self._start = start
         self._arm()
@@ -235,39 +224,22 @@ class DrainManager:
         if self._remaining > 0:
             self.landing = self._start + self._remaining
             if self.trace is not None:
-                # Armed when the drain starts, so now == _start and the
-                # timeout fires at exactly the computed landing.
-                self._timer = self.env.timeout(self._remaining)
-                self._timer.callbacks.append(self._land)
+                self.trace.hold(self.landing, self._finish)
         else:
             self.landing = self._start
             self._finish()
-
-    def _disarm(self) -> None:
-        """Withdraw the armed landing timeout from the kernel."""
-        if self._timer is not None:
-            self.env.cancel(self._timer)
-            self._timer = None
-
-    def _land(self, _event: Event) -> None:
-        """Landing callback of a traced drain's timeout."""
-        self._timer = None
-        self.settle()
 
     def _finish(self) -> None:
         """Record the in-flight snapshot as on the PFS, start the next."""
         snap = self._snap
         landed = self.landing
-        self._disarm()
         if self.trace is not None:
-            self.trace.span_end(self._sid, "landed")
+            self.trace.span_end(self._sid, "landed", time=landed)
         self.ledger.record_drained(snap)
         self.completed += 1
         if self.metrics is not None:
             self.metrics.counter("drain.completed").inc()
             self.metrics.histogram("drain.seconds").observe(self.duration)
-        if self.on_drained is not None:
-            self.on_drained(snap)
         self._next(landed)
 
     def _next(self, start: float) -> None:
@@ -276,3 +248,5 @@ class DrainManager:
         self.landing = Infinity
         if self._pending:
             self._begin(self._pending.pop(0), start)
+        elif self.trace is not None:
+            self.trace.hold(Infinity, None)

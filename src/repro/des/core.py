@@ -50,7 +50,8 @@ def _owner_name(callbacks: List[Any]) -> str:
 
     The ``name`` string of the object whose bound method is the first
     callback — a :class:`Process` resume, or a named callback owner such
-    as ``repro.cr.DrainManager`` — else :data:`KERNEL_OWNER`.
+    as the async p-ckpt phase 2 of ``repro.models.base`` — else
+    :data:`KERNEL_OWNER`.
     """
     owner = getattr(callbacks[0], "__self__", None) if callbacks else None
     name = getattr(owner, "name", None)

@@ -1,7 +1,10 @@
 """Experiment drivers: one module per paper table/figure, plus the
-Monte-Carlo runner and report formatting (see DESIGN.md §3)."""
+Monte-Carlo runner and report formatting (see DESIGN.md §3).
 
-from . import export, fig2a, fig2b, fig2c, fig6, fig6c, fig8, ftratio, leadvar, obs9
+The figure drivers (``fig2a`` … ``obs9``) and ``export`` are submodules
+imported by name (``from repro.experiments import fig6``), so a process
+that only runs replications does not load them."""
+
 from .config import BENCH_SCALE, PAPER_SCALE, SMOKE_SCALE, ExperimentScale
 from .runner import SimulationResult, run_replications, simulate_application
 from .sweep import false_negative_sweep, lead_time_sweep, model_comparison
@@ -17,14 +20,4 @@ __all__ = [
     "model_comparison",
     "lead_time_sweep",
     "false_negative_sweep",
-    "export",
-    "fig2a",
-    "fig2b",
-    "fig2c",
-    "fig6",
-    "fig6c",
-    "fig8",
-    "ftratio",
-    "leadvar",
-    "obs9",
 ]

@@ -712,16 +712,14 @@ class CRSimulation:
     def _app(self):
         """Main loop: compute for one OCI, checkpoint to BB, repeat.
 
-        An untraced run with no live migration in flight runs its
-        segments in batches (:meth:`_run_segments`); the first segment a
-        batch cannot finish, and every segment of a traced run, goes
-        through the kernel.
+        With no live migration in flight the segments run in batches
+        (:meth:`_run_segments`), traced or not; the first segment a batch
+        cannot finish goes through the kernel.
         """
         goal = self.app.compute_seconds
-        inline = self.trace is None
         self._interruptible = True
         while self.work_done < goal - _EPS:
-            if inline and not self._active_lms:
+            if not self._active_lms:
                 interval = self._run_segments(goal)
                 if interval is None:
                     break
@@ -750,7 +748,8 @@ class CRSimulation:
         arithmetic: the event path's own expressions in its order, with
         the interval read per segment as the main loop reads it.  The
         clock, progress, overhead, counters, ledger and drain chain are
-        then committed once.
+        then committed once; a traced batch records and submits its
+        checkpoints one by one instead (:meth:`_record_segments`).
 
         Returns the interval read for the first segment that does not end
         before the horizon (the caller runs it on the event path), or
@@ -789,19 +788,40 @@ class CRSimulation:
             if writes:
                 works.append(target)
                 times.append(t2)
-        if now != env.now:
-            env.advance(now)
-        self.work_done = work
-        self.overhead.checkpoint = checkpoint
-        self.oci_final = interval
-        if works:
+        if works and self.trace is not None:
+            self._record_segments(env.now, self.work_done, works, times)
+        elif works:
             n = len(works)
             self.periodic_checkpoints += n
             self._count("ckpt.periodic_completed", n)
             self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
             newest = self.ledger.record_periodic(works[-1], times[-1], count=n)
             self.drain.submit_run(works, times, newest)
+        if now != env.now:
+            env.advance(now)
+        self.work_done = work
+        self.overhead.checkpoint = checkpoint
+        self.oci_final = interval
         return deferred
+
+    def _record_segments(self, now: float, work: float, works: List[float],
+                         times: List[float]) -> None:
+        """Record a traced batch's checkpoints at the event path's times.
+
+        ``t1`` is rebuilt from the previous segment's end (*now*, *work*
+        for the first) with the batch's own expression.  The trace
+        releases the drain landings held in between in time order.
+        """
+        trace = self.trace
+        blocks = self.t_ckpt_bb > _EPS
+        for target, t2 in zip(works, times):
+            t1 = now + (target - work)
+            trace.emit("app", "ckpt_bb_start", target, time=t1)
+            if blocks:
+                sid = trace.span_begin("app", "ckpt_bb_write", target, time=t1)
+                trace.span_end(sid, time=t2)
+            self._bb_checkpoint_done(target, t2)
+            now, work = t2, target
 
     def _advance_to(self, target: float):
         """Compute until *target* work, servicing interruptions."""
@@ -882,18 +902,18 @@ class CRSimulation:
                     yield from self._drain_pending()
                     return
                 raise RuntimeError(f"unexpected interrupt {intr.cause!r}")
-        self._bb_checkpoint_done()
+        self._bb_checkpoint_done(self.work_done, self.env.now)
 
-    def _bb_checkpoint_done(self) -> None:
-        """Record a completed periodic BB checkpoint and start its drain."""
-        snap = self.ledger.record_periodic(self.work_done, self.env.now)
+    def _bb_checkpoint_done(self, work: float, time: float) -> None:
+        """Record a periodic BB checkpoint of *work* at *time*; drain it."""
+        snap = self.ledger.record_periodic(work, time)
         self.periodic_checkpoints += 1
         self._count("ckpt.periodic_completed")
         self._observe("ckpt.bb_write_seconds", self.t_ckpt_bb)
         # Done first: the snapshot's drain_flush span opens after it.
         if self.trace is not None:
-            self.trace.emit("app", "ckpt_bb_done", self.work_done)
-        self.drain.submit(snap)
+            self.trace.emit("app", "ckpt_bb_done", work, time=time)
+        self.drain.submit(snap, time)
 
     # ------------------------------------------------------------------
     # proactive actions (blocked)

@@ -16,8 +16,8 @@ Each dispatched event contributes one sample keyed ``(owner, kind)``:
 ``owner``
     The ``name`` string of the object whose bound method is the event's
     first callback — the :class:`~repro.des.process.Process` that was
-    *waiting on* the event, or a named callback owner such as
-    :class:`~repro.cr.drain.DrainManager` — or
+    *waiting on* the event, or a named callback owner such as the async
+    p-ckpt phase 2 (``pckpt-phase2``) — or
     :data:`~repro.des.core.KERNEL_OWNER` (``"kernel"``) for bare events
     and clock idle advances.
 ``kind``

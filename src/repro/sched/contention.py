@@ -1,7 +1,7 @@
 """Shared-storage contention: every running job drains into one PFS.
 
 In the single-application experiments each job owns the whole machine,
-so :class:`~repro.experiments.pipeline.DrainManager`'s per-job drain
+so :class:`~repro.cr.drain.DrainManager`'s per-job drain
 lanes are the only queueing that matters.  Under a batch queue that
 assumption breaks: *all* running jobs' burst-buffer drains and priority
 PFS commits share the machine's parallel file system.  This module

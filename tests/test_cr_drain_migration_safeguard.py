@@ -93,15 +93,18 @@ class TestDrainManager:
         _run_drains(env, dm)
         assert dm.completed == 1
 
-    def test_on_drained_callback(self, env):
-        landed = []
+    def test_landing_applies_on_settle(self, env):
+        """The landing time is known at submit; the ledger sees it on settle."""
         ledger = SnapshotLedger()
-        dm = DrainManager(env, PFSSpec(), ledger, 4, 1 * GiB,
-                          on_drained=landed.append)
+        dm = DrainManager(env, PFSSpec(), ledger, 4, 1 * GiB)
         snap = ledger.record_periodic(10.0, 0.0)
         dm.submit(snap)
-        _run_drains(env, dm)
-        assert landed == [snap]
+        assert dm.landing == dm.duration
+        env.run(until=dm.landing)
+        assert ledger.recovery_snapshot() is None and dm.completed == 0
+        dm.settle()
+        assert ledger.recovery_snapshot() is snap
+        assert dm.completed == 1 and dm.landing == float("inf")
 
     def test_busy_flag(self, env):
         dm, ledger, _ = self._make(env)
@@ -127,17 +130,20 @@ class TestDrainManager:
         assert seen == [True, False]
 
     def test_drains_land_fifo(self, env):
-        landed = []
         ledger = SnapshotLedger()
-        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB,
-                          on_drained=lambda s: landed.append((s, env.now)))
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB)
         snaps = [ledger.record_periodic(w, 0.0) for w in (10.0, 20.0, 30.0)]
         for snap in snaps:
             dm.submit(snap)
-        _run_drains(env, dm)
+        landed = []
+        while dm.busy:
+            landing = dm.landing
+            env.run(until=landing)
+            dm.settle()
+            landed.append((ledger.recovery_snapshot(), landing, dm.completed))
         d = dm.duration
-        assert [s for s, _ in landed] == snaps
-        assert [t for _, t in landed] == [d, d + d, d + d + d]
+        assert landed == [(snaps[0], d, 1), (snaps[1], d + d, 2),
+                          (snaps[2], d + d + d, 3)]
 
     def test_queued_drains_chain_from_each_landing(self, env):
         """A queued drain starts at its predecessor's landing, to the bit.
@@ -267,10 +273,8 @@ class TestDrainManager:
         ``now + (remaining - elapsed)`` per cancel, to the last bit.  The
         times are chosen so that it differs from ``submit + duration``.
         """
-        landed = []
         ledger = SnapshotLedger()
-        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB,
-                          on_drained=lambda s: landed.append(env.now))
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB)
         submit_at, cuts = 0.1, (0.2, 1.0)
 
         def at(t, action):
@@ -281,14 +285,17 @@ class TestDrainManager:
             ledger.record_periodic(100.0, env.now))))
         for cut in cuts:
             env.process(at(cut, lambda: dm.cancel_newer_than(150.0)))
-        _run_drains(env, dm)
+        env.run()
         remaining, start = dm.duration, submit_at
         for cut in cuts:
             remaining -= cut - start
             start = cut
         expected = start + remaining
         assert expected != submit_at + dm.duration
-        assert [t.hex() for t in landed] == [expected.hex()]
+        assert dm.landing.hex() == expected.hex()
+        env.run(until=expected)
+        dm.settle()
+        assert ledger.recovery_snapshot().work == 100.0
         assert dm.completed == 1 and dm.cancelled == 0
 
     def _instrumented_run(self, env):
@@ -319,6 +326,31 @@ class TestDrainManager:
             0.0, dm.duration, dm.duration, 1.5 * dm.duration,
         ]
         assert trace.open_spans() == ()
+
+    def test_held_landings_record_in_time_order(self, env):
+        """A traced landing records before the first record at or after it.
+
+        Two drains queue at 0; a record stamped exactly at the second
+        landing is preceded by both landings and the BEGIN the first one
+        started, with no kernel event scheduled for any of them.
+        """
+        trace = Trace(env)
+        ledger = SnapshotLedger()
+        dm = DrainManager(env, PFSSpec(), ledger, 16, 8 * GiB, trace=trace)
+        dm.submit(ledger.record_periodic(100.0, 0.0))
+        dm.submit(ledger.record_periodic(200.0, 0.0))
+        d = dm.duration
+        assert env.queue_size == 0 and dm.completed == 0
+        trace.emit("app", "probe", time=d + d)
+        assert [(r.time, r.kind, r.ph, r.detail) for r in trace.records] == [
+            (0.0, "drain_flush", BEGIN, 100.0),
+            (d, "drain_flush", END, "landed"),
+            (d, "drain_flush", BEGIN, 200.0),
+            (d + d, "drain_flush", END, "landed"),
+            (d + d, "probe", "I", None),
+        ]
+        assert dm.completed == 2 and trace.due == float("inf")
+        assert trace.span_seconds("drain_flush") == d + d
 
     def test_drain_metrics_recorded(self, env):
         dm, _, metrics = self._instrumented_run(env)

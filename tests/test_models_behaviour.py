@@ -160,21 +160,20 @@ class TestOCIBehaviour:
 
 
 class TestEventBudget:
-    """What a replication costs, traced and untraced.
+    """What a replication costs, traced or not.
 
-    A traced run keeps the event path: a periodic checkpoint costs at
-    most three events (compute segment, BB write, drain landing), and
-    failures and the proactive runs they cause get an allowance of their
-    own.  An untraced run schedules no drain landing and runs, in one
-    batch call, every segment that ends before the next kernel event, so
-    both its events and its batch calls scale with the disturbances
-    (failures and false alarms), not with the checkpoints.  Before
-    batching, an untraced CHIMERA/B replication under lanl-system18 at
-    seed 7 made one segment call per checkpoint (845 for 104 failures),
-    and a failure-free VULCAN/P2 one on titan 1668.
+    A replication schedules no drain landing and runs, in one batch
+    call, every segment that ends before the next kernel event, so both
+    its events and its batch calls scale with the disturbances (failures
+    and false alarms), not with the checkpoints.  A traced run records
+    its checkpoints and landings from the same batches and meets the
+    same bounds.  Before batching, an untraced CHIMERA/B replication
+    under lanl-system18 at seed 7 made one segment call per checkpoint
+    (845 for 104 failures), and a failure-free VULCAN/P2 one on titan
+    1668; a traced run then also dispatched up to three events per
+    checkpoint.
     """
 
-    PER_CHECKPOINT = 3
     PER_FAILURE = 12
     FAILURE_FREE = 20
     BATCHES_PER_DISTURBANCE = 3
@@ -205,22 +204,22 @@ class TestEventBudget:
         return sim, sim.run(), len(calls)
 
     @staticmethod
-    def _vulcan():
+    def _vulcan(trace=None):
         from repro.failures.weibull import TITAN_WEIBULL
         from repro.workloads.applications import APPLICATIONS
 
         return CRSimulation(APPLICATIONS["VULCAN"], get_model("P2"),
                             weibull=TITAN_WEIBULL,
-                            rng=np.random.default_rng(0))
+                            rng=np.random.default_rng(0), trace=trace)
 
     @pytest.mark.parametrize("model", ["B", "P1"])
     def test_events_per_replication(self, model):
+        """A traced run meets the untraced per-disturbance bounds."""
         sim, out, batches = self._chimera(model, trace=Trace(env=None))
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
-        budget = (self.PER_CHECKPOINT * out.periodic_checkpoints
-                  + self.PER_FAILURE * out.ft.failures)
-        assert sim.env.events_processed <= budget
-        assert batches == 0  # a traced run keeps the event path
+        disturbances = out.ft.failures + out.ft.false_alarms
+        assert sim.env.events_processed <= self.PER_FAILURE * disturbances
+        assert batches <= self.BATCHES_PER_DISTURBANCE * disturbances + 2
 
     @pytest.mark.parametrize("model", ["B", "P1"])
     def test_untraced_events_per_disturbance(self, model):
@@ -243,6 +242,15 @@ class TestEventBudget:
         assert out.ft.failures == 0 and out.periodic_checkpoints > 1000
         assert sim.env.events_processed <= self.FAILURE_FREE
         assert len(batches) <= self.BATCHES_FAILURE_FREE
+
+    def test_traced_failure_free_replication(self):
+        sim = self._vulcan(trace=Trace(env=None))
+        batches = self._count_batches(sim)
+        out = sim.run()
+        assert out.ft.failures == 0 and out.periodic_checkpoints > 1000
+        assert sim.env.events_processed <= self.FAILURE_FREE
+        assert len(batches) <= self.BATCHES_FAILURE_FREE
+        assert sim.trace.count("ckpt_bb_done") == out.periodic_checkpoints
 
     def test_online_interval_follows_failures(self, tiny_app, hot_weibull):
         from dataclasses import replace

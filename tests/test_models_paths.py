@@ -1,9 +1,10 @@
-"""The inline path of an untraced run against the traced event path.
+"""An untraced run against a traced one.
 
-An untraced replication computes drain landings and runs, in batches,
-every periodic segment nothing can interrupt without a kernel event; a
-traced one dispatches an event per segment, BB write and landing.  Both
-must give bit-identical results (``float.hex``) and metrics, and both
+Both compute drain landings and run, in batches, every periodic segment
+nothing can interrupt without a kernel event; a traced one also records
+each checkpoint and landing at its own time.  Both must give
+bit-identical results (``float.hex``) and metrics, dispatch the same
+kernel events (but for the traced p-ckpt phase-2 span events), and
 apply a drain landing before anything else that happens at the same
 instant.
 """
@@ -61,7 +62,11 @@ def test_untraced_equals_traced(case, seed):
     event_sim, event = _run(app, config, weibull, seed, traced=True)
     assert _fingerprint(fast) == _fingerprint(event)
     assert fast_sim.drain.completed == event_sim.drain.completed
-    assert fast_sim.env.events_processed < event_sim.env.events_processed
+    if config.supports_pckpt:
+        # Urgent events open and close the traced phase-2 spans.
+        assert fast_sim.env.events_processed <= event_sim.env.events_processed
+    else:
+        assert fast_sim.env.events_processed == event_sim.env.events_processed
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))

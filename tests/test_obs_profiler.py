@@ -209,8 +209,8 @@ class TestSimulationReconciliation:
             out.makespan, abs=1e-6
         )
 
-    def test_traced_run_keeps_the_drain_row(self):
-        """A traced drain is one timeout whose owner is the drain manager."""
+    def test_traced_and_untraced_application_rows_equal(self, profiled_run):
+        """Tracing adds no kernel event to the application's row."""
         import numpy as np
 
         from repro.des import Trace
@@ -219,6 +219,7 @@ class TestSimulationReconciliation:
         from repro.models.registry import get_model
         from repro.workloads.applications import APPLICATIONS
 
+        _, untraced, _ = profiled_run
         child = np.random.SeedSequence(2022).spawn(1)[0]
         sim = CRSimulation(
             APPLICATIONS["VULCAN"], get_model("P2"),
@@ -228,10 +229,14 @@ class TestSimulationReconciliation:
         profiler = KernelProfiler()
         sim.env.attach_profiler(profiler)
         out = sim.run()
-        rows = {(e.owner, e.kind): e for e in profiler.entries()}
-        assert rows[("drain-worker", "Timeout")].count == sim.drain.completed
-        assert not any(kind == "Initialize" and owner == "drain-worker"
-                       for owner, kind in rows)
+
+        def rows(prof):
+            return {e.kind: (e.count, e.sim_seconds) for e in prof.entries()
+                    if e.owner == "application"}
+
+        assert rows(profiler) and rows(profiler) == rows(untraced)
+        assert not any(e.owner == "drain-worker" for e in profiler.entries())
+        assert sim.trace.count("drain_flush") >= sim.drain.completed > 1000
         assert profiler.total_sim_seconds() == pytest.approx(
             out.makespan, abs=1e-6
         )

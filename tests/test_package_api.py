@@ -80,6 +80,25 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
 
+    def test_campaign_scheduler_loads_no_figure_driver(self, run_python):
+        """``run_spec``'s deferred scheduler import stops at the runner.
+
+        ``repro.experiments`` imports its figure drivers and ``export``
+        only when they are asked for by name.
+        """
+        proc = run_python(
+            "import sys\n"
+            "import repro.campaign.scheduler\n"
+            "import repro.experiments\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.experiments.fig',\n"
+            "                              'repro.experiments.export'))))\n"
+            "from repro.experiments import fig6\n"
+            "print(fig6.__name__)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "repro.experiments.fig6"]
+
     def test_p2_campaign_on_two_workers_never_imports_scipy(self, tmp_path):
         """A σ campaign imports scipy neither in the parent nor in a worker."""
         (tmp_path / "sitecustomize.py").write_text(_SCIPY_GUARD)

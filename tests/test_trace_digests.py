@@ -1,13 +1,14 @@
 """Traced replications keep their record stream to the last bit.
 
-A traced run takes the event path: one kernel event per compute
-segment, BB write and drain landing.  The digests in
+A traced run batches its undisturbed segments and computes its drain
+landings, as an untraced one does, and records each checkpoint and
+landing at its own time.  The digests in
 ``tests/data/trace_digests.json`` hash the full record list of five
-such runs, captured before untraced runs stopped scheduling drain
-landings and periodic segments on the kernel.  Every record contributes
-its time (``float.hex``), source, kind, span id and ``repr`` of its
-detail, in emission order, so a landing recorded when it was applied
-rather than when it landed changes the digest.
+traced runs, captured when every segment, BB write and drain landing
+of a traced run was its own kernel event.  Every record contributes its
+time (``float.hex``), source, kind, span id and ``repr`` of its detail,
+in emission order, so a record stamped with the wrong time, or stored
+out of time order, changes the digest.
 
 Recapture only with the pre-change code in hand::
 
