@@ -187,6 +187,38 @@ class TestSpans:
         assert len(list(tr.filter(ph=BEGIN))) == 1
         assert len(list(tr.filter(ph=END))) == 1
 
+    def test_explicit_times_and_held_release(self, env):
+        """Records take explicit stamps.
+
+        A held release runs once, cleared before it runs, just before the
+        first record stamped at or after its time; a withdrawn one never.
+        """
+        tr = Trace(env)
+        sid = tr.span_begin("drain", "flush", time=1.0)
+        released = []
+
+        def land():
+            released.append(tr.due)
+            tr.span_end(sid, "landed", time=4.0)
+
+        tr.hold(4.0, land)
+        tr.emit("app", "before", time=3.5)
+        tr.emit("app", "tie", time=4.0)
+        tr.emit("app", "after", time=6.0)
+        assert [(r.time, r.kind, r.ph) for r in tr] == [
+            (1.0, "flush", BEGIN), (3.5, "before", INSTANT),
+            (4.0, "flush", END), (4.0, "tie", INSTANT),
+            (6.0, "after", INSTANT),
+        ]
+        assert released == [float("inf")]
+        assert tr.span_seconds("flush") == 3.0
+
+        tr.hold(7.0, land)
+        tr.hold(float("inf"), None)  # withdrawn
+        tr.flush(10.0)
+        tr.emit("app", "late", time=10.0)
+        assert [r.kind for r in tr][-1] == "late" and len(released) == 1
+
     def test_format_marks_span_boundaries(self, env):
         tr = Trace(env)
         tr.span_end(tr.span_begin("s", "k"))
