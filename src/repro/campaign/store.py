@@ -31,7 +31,11 @@ regime ``repro.service`` runs it in: many jobs sharing one store):
   vanishing mid-scan (a concurrent ``clear``) instead of crashing;
 * :meth:`ResultStore.put` re-creates its fan-out directory if a
   concurrent ``clear`` removed it between ``mkdir`` and the temp-file
-  creation.
+  creation;
+* :meth:`ResultStore.clear` removes only temp files older than
+  :data:`STALE_TMP_SECONDS`, the leftovers of killed writers: a live
+  writer's temp file vanishing before its ``os.replace`` would fail the
+  write.
 
 ``tests/test_store_concurrency.py`` stress-tests exactly these races
 with real processes.
@@ -42,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
@@ -51,6 +56,10 @@ from ..analysis.sweeps import AnalyticalResult
 from ..des.metrics import MetricsRegistry
 from ..experiments.runner import SimulationResult
 from ..sched.engine import SchedResult
+
+#: Age past which a ``??/*.tmp`` staging file is a killed writer's
+#: leftover; a live ``put`` holds its own for milliseconds.
+STALE_TMP_SECONDS = 60.0
 
 #: What a store entry can hold: a Monte-Carlo aggregate, a closed-form
 #: analytical evaluation, or a batch-queue schedule aggregate (the three
@@ -336,8 +345,10 @@ class ResultStore:
         """Delete every entry (keeps ``schema.json``); returns count removed.
 
         Safe against concurrent writers: entries another process already
-        removed are skipped, and a fan-out directory refilled between
-        the emptiness check and ``rmdir`` is left alone.
+        removed are skipped, a staging file younger than
+        :data:`STALE_TMP_SECONDS` (a live writer's) is left alone, and a
+        fan-out directory refilled between the emptiness check and
+        ``rmdir`` is left alone.
         """
         removed = 0
         for path in self._scan(self.root, "??/*.json"):
@@ -346,9 +357,11 @@ class ResultStore:
             except FileNotFoundError:
                 continue
             removed += 1
+        stale = time.time() - STALE_TMP_SECONDS
         for stray in self._scan(self.root, "??/*.tmp"):
             try:  # staging files left behind by killed writers
-                stray.unlink()
+                if stray.stat().st_mtime < stale:
+                    stray.unlink()
             except FileNotFoundError:
                 continue
         for sub in self._scan(self.root, "??"):

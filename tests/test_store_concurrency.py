@@ -174,6 +174,24 @@ class TestPutVsClear:
             assert result_to_dict(final) == result_to_dict(make_result(7))
 
 
+    def test_clear_removes_only_stale_staging_files(self, tmp_path):
+        """A live writer's temp file survives clear; a killed one's goes."""
+        import os
+
+        from repro.campaign.store import STALE_TMP_SECONDS
+
+        store = ResultStore(str(tmp_path / "store"))
+        fanout = store.root / "ab"
+        fanout.mkdir()
+        live, dead = fanout / "live.tmp", fanout / "dead.tmp"
+        live.write_text("{}")
+        dead.write_text("{}")
+        old = dead.stat().st_mtime - STALE_TMP_SECONDS - 1.0
+        os.utime(dead, (old, old))
+        store.clear()
+        assert live.exists() and not dead.exists()
+
+
 class TestConcurrentInit:
     def test_many_processes_open_fresh_store(self, tmp_path, ctx):
         root = str(tmp_path / "store")
