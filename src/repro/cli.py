@@ -111,21 +111,7 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import (
-    BENCH_SCALE,
-    ExperimentScale,
-    export,
-    fig2a,
-    fig2b,
-    fig2c,
-    fig6,
-    fig6c,
-    fig8,
-    ftratio,
-    leadvar,
-    obs9,
-    run_replications,
-)
+from .experiments import BENCH_SCALE, ExperimentScale, run_replications
 from .experiments.report import format_kv
 from .failures.weibull import (
     FAILURE_DISTRIBUTIONS,
@@ -345,6 +331,9 @@ ALL_EXPERIMENTS = (
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import (fig2a, fig2b, fig2c, fig6, fig6c, fig8,
+                              ftratio, leadvar, obs9)
+
     scale = _scale(args)
     exp = args.id.lower()
     if exp == "all":
@@ -426,6 +415,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
 
     if getattr(args, "json", None) or getattr(args, "csv", None):
+        from .experiments import export
+
         rows = [rec for r in results for rec in export.records(r)]
         if args.json:
             export.write_json(args.json, rows)
@@ -1127,7 +1118,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    """List a running service's jobs (newest last)."""
+    """List every job the service's store holds, oldest first."""
     client = _service_client(args)
 
     def _go() -> int:

@@ -14,8 +14,9 @@ violated right now).  Status is the worst objective's grade:
 
 Inputs are plain :data:`~repro.service.jobs.JOB_FIELDS`-shaped dicts,
 so the same code serves both the **live** path (the service's
-``/metrics`` exposition renders labeled ``pckpt_tenant_*`` series from
-its in-memory jobs via :func:`render_slo_metrics`) and the **offline**
+``/metrics`` exposition renders labeled ``pckpt_tenant_*`` series via
+:func:`render_slo_metrics` from its live jobs and the fields it keeps of
+the jobs it finished inside the window) and the **offline**
 path (``pckpt obs slo <store>`` loads the ``job.json`` records the
 service persists under ``<store>/service/jobs/<id>/``).
 

@@ -28,7 +28,6 @@ fetched from the service is bit-identical to ``pckpt run --spec`` of
 the same document.  User-facing reference: ``docs/SERVICE.md``.
 """
 
-from .client import ServiceBusy, ServiceClient, ServiceError, SpecRejected
 from .jobs import (
     EVENT_FIELDS,
     EVENT_KINDS,
@@ -71,3 +70,21 @@ __all__ = [
     "ServiceBusy",
     "SpecRejected",
 ]
+
+#: The client's names load :mod:`http.client` on first use, so a server
+#: (``pckpt serve``) never imports it (PEP 562, as in :mod:`repro`).
+_LAZY = ("ServiceClient", "ServiceBusy", "ServiceError", "SpecRejected")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import client
+
+    value = getattr(client, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

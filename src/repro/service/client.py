@@ -188,8 +188,19 @@ class ServiceClient:
         return self._json("GET", f"/v1/jobs/{job_id}")
 
     def jobs(self) -> List[Dict[str, Any]]:
-        """``GET /v1/jobs`` — every job record, submit order."""
-        return self._json("GET", "/v1/jobs")["jobs"]
+        """``GET /v1/jobs``, every page — all job records the store holds.
+
+        Job-sequence order, oldest first.  The service answers one page
+        per request; this follows each page's ``next`` to the end.
+        """
+        records: List[Dict[str, Any]] = []
+        path = "/v1/jobs"
+        while True:
+            page = self._json("GET", path)
+            records.extend(page["jobs"])
+            if page["next"] is None:
+                return records
+            path = f"/v1/jobs?after={page['next']}"
 
     def result(self, job_id: str) -> Dict[str, Any]:
         """``GET /v1/jobs/<id>/result`` — per-cell results (done jobs)."""

@@ -17,6 +17,12 @@ state machine is deliberately small::
     Terminal.  ``done`` jobs serve their result set from
     ``GET /v1/jobs/<id>/result``; ``failed`` jobs carry ``error``.
 
+A :class:`Job` lives in the server's job table only while it is queued
+or running.  Its terminal transition writes the last event to
+``events.ndjson``; the server then writes the terminal ``job.json`` and
+drops the job, and answers for it from those files and the
+``cells.json`` (:data:`JOB_CELLS_FIELDS`) its worker wrote.
+
 Every observable change appends one **event** to the job's history —
 the NDJSON records ``GET /v1/jobs/<id>/events`` streams.  Event kinds:
 the four state entries plus ``telemetry`` (one per campaign-progress
@@ -26,9 +32,10 @@ and every stream reader write those same bytes.
 
 The declarative tables below (:data:`JOB_STATES`,
 :data:`JOB_TRANSITIONS`, :data:`EVENT_KINDS`, :data:`JOB_FIELDS`,
-:data:`EVENT_FIELDS`) are the single source of truth shared with
-``docs/SERVICE.md`` and ``tools/check_schemas.py``, following the
-``SNAPSHOT_FIELDS`` convention of :mod:`repro.obs.telemetry`.
+:data:`EVENT_FIELDS`, :data:`JOB_CELLS_FIELDS`) are the single source
+of truth shared with ``docs/SERVICE.md`` and ``tools/check_schemas.py``,
+following the ``SNAPSHOT_FIELDS`` convention of
+:mod:`repro.obs.telemetry`.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "JOB_KIND",
     "JOB_EVENT_KIND",
     "JOB_RESULT_KIND",
+    "JOB_CELLS_KIND",
     "SERVICE_STATUS_KIND",
     "JOB_STATES",
     "TERMINAL_STATES",
@@ -50,6 +58,7 @@ __all__ = [
     "EVENT_KINDS",
     "JOB_FIELDS",
     "EVENT_FIELDS",
+    "JOB_CELLS_FIELDS",
     "Job",
 ]
 
@@ -63,6 +72,7 @@ SERVICE_SCHEMA_VERSION: int = 2
 JOB_KIND: str = "pckpt-job"
 JOB_EVENT_KIND: str = "pckpt-job-event"
 JOB_RESULT_KIND: str = "pckpt-job-result"
+JOB_CELLS_KIND: str = "pckpt-job-cells"
 SERVICE_STATUS_KIND: str = "pckpt-service-status"
 
 #: Every state a job can be in, in lifecycle order.
@@ -121,6 +131,18 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "data": (dict, True),
 }
 
+#: ``cells.json`` fields: ``{name: (type, nullable)}``.  A done job's
+#: result set, by reference: ``cells`` holds one ``{"key": [...],
+#: "store_key": "<hex>"}`` per grid cell, in grid order, and
+#: ``GET /v1/jobs/<id>/result`` reads the store entry each one names.
+JOB_CELLS_FIELDS: Dict[str, tuple] = {
+    "kind": (str, False),
+    "schema_version": (int, False),
+    "job_id": (str, False),
+    "spec_hash": (str, False),
+    "cells": (list, False),
+}
+
 
 class Job:
     """In-memory job: spec + state + event history.
@@ -158,10 +180,6 @@ class Job:
         self.error: Optional[str] = None
         self.replications_executed: Optional[int] = None
         self.cache_hit_rate: Optional[float] = None
-        #: ``{(model, column) -> SimulationResult}`` once done.
-        self.results: Optional[Dict[tuple, Any]] = None
-        #: Store keys aligned with ``results`` (grid order).
-        self.store_keys: Optional[List[str]] = None
         #: The event history: one newline-terminated NDJSON line per
         #: event, the only copy the job keeps (:attr:`events` parses it).
         self.lines: List[bytes] = []
@@ -286,29 +304,6 @@ class Job:
             "replications_executed": self.replications_executed,
             "cache_hit_rate": self.cache_hit_rate,
             "events": len(self.lines),
-        }
-
-    def result_payload(self) -> Dict[str, Any]:
-        """The ``GET /v1/jobs/<id>/result`` body (job must be done)."""
-        from ..campaign.store import result_to_dict
-
-        if self.state != "done" or self.results is None:
-            raise ValueError(f"job {self.id} is {self.state}, not done")
-        keys = self.store_keys or [None] * len(self.results)
-        return {
-            "kind": JOB_RESULT_KIND,
-            "schema_version": SERVICE_SCHEMA_VERSION,
-            "job_id": self.id,
-            "spec_hash": self.spec_hash,
-            "cells": [
-                {
-                    "key": list(cell_key),
-                    "store_key": store_key,
-                    "result": result_to_dict(result),
-                }
-                for (cell_key, result), store_key
-                in zip(self.results.items(), keys)
-            ],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -30,7 +30,7 @@ Transport is deliberately minimal: HTTP/1.1 over ``asyncio`` streams,
 only.  Endpoints (full reference in ``docs/SERVICE.md``)::
 
     POST /v1/jobs                submit a spec          -> job record
-    GET  /v1/jobs                list jobs
+    GET  /v1/jobs                list jobs, one page (?after=<id>&limit=<n>)
     GET  /v1/jobs/<id>           one job record
     GET  /v1/jobs/<id>/events    NDJSON event stream (live until terminal)
     GET  /v1/jobs/<id>/result    per-cell SimulationResults (done jobs)
@@ -46,17 +46,29 @@ rewritten only at restore, at graceful shutdown (signal or
 grows past a bound tied to the queue limit.  A restarted ``pckpt
 serve`` re-enqueues what was waiting — combined with store-level
 resume, an interrupted service loses no completed cell.
+
+Memory holds what is live, not every job ever run.  The job table
+(:attr:`PckptService.jobs`) keeps queued and running jobs; a job leaves
+it at its terminal transition, once its terminal ``job.json`` is
+written, and the server answers for it from ``job.json``,
+``events.ndjson`` and the store entries its ``cells.json`` names, with
+the bytes the live job would have produced.  Status and metrics read
+running counts and a window-trimmed list of compact terminal records.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
+import re
+import sys
 import tempfile
 import time
+from array import array
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..campaign.progress import CampaignProgress
 from ..campaign.scheduler import run_campaign
@@ -71,9 +83,12 @@ from ..obs.telemetry import OPENMETRICS_CONTENT_TYPE, CampaignTelemetry
 from ..spec import (SpecError, build_cells, spec_from_dict, spec_hash,
                     spec_to_dict)
 from .jobs import (
+    JOB_CELLS_KIND,
+    JOB_RESULT_KIND,
     JOB_STATES,
     SERVICE_SCHEMA_VERSION,
     SERVICE_STATUS_KIND,
+    TERMINAL_STATES,
     Job,
 )
 from .queue import FairShareQueue, QueueFull
@@ -104,12 +119,28 @@ JOURNAL_FILENAME: str = "queue.ndjson"
 #: holds at most ``queue_limit`` entries, so a fold costs O(1) per job.
 JOURNAL_LINES_PER_SLOT: int = 4
 
+#: A done job's result index (``JOB_CELLS_FIELDS``) inside its directory.
+CELLS_FILENAME: str = "cells.json"
+
+#: ``GET /v1/jobs`` page size: the default and the largest accepted.
+PAGE_LIMIT: int = 100
+MAX_PAGE_LIMIT: int = 1000
+
+#: A job id, ``j<seq>-<spec-hash prefix>``; group 1 is the sequence
+#: number that orders the listing (``j99999`` sorts before ``j100000``).
+_JOB_ID = re.compile(r"j(\d+)-[0-9a-f]+\Z")
+
+#: Response head of an event stream, live or read back from disk.
+_NDJSON_HEAD = (b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Cache-Control: no-store\r\nConnection: close\r\n\r\n")
+
 _MAX_BODY = 8 * 1024 * 1024  # spec documents are small; 8 MiB is generous
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 401: "Unauthorized",
     404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-    429: "Too Many Requests", 500: "Internal Server Error",
+    410: "Gone", 429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
@@ -212,6 +243,65 @@ class _BridgedTelemetry:
         self._inner.close()
 
 
+class _FinishedJobs:
+    """What the SLO rows need of this serve's finished jobs, oldest first.
+
+    ``compute_slo`` reads six job-record fields: ``tenant``, ``state``
+    and the four numbers in :attr:`NUMBERS`.  They are kept in flat
+    arrays, not as a tuple of float objects per job.  Small objects
+    that outlive the requests around them pin the heap pages those
+    requests freed, and the process would keep growing.
+    """
+
+    #: The numeric fields, in their order within :attr:`numbers`.
+    NUMBERS: Tuple[str, ...] = ("submitted_at", "started_at", "finished_at",
+                                "cache_hit_rate")
+    _FINISHED_AT = NUMBERS.index("finished_at")
+
+    def __init__(self) -> None:
+        self.tenants: List[str] = []
+        self.failed = array("b")
+        self.numbers = array("d")    # NUMBERS per job; NaN stands for null
+        self.expired = 0             # leading jobs known to be out of window
+
+    def append(self, job: Job) -> None:
+        self.tenants.append(sys.intern(job.tenant))
+        self.failed.append(job.state == "failed")
+        for name in self.NUMBERS:
+            value = getattr(job, name)
+            self.numbers.append(math.nan if value is None else value)
+
+    def trim(self, cutoff: float) -> None:
+        """Forget the jobs that finished before *cutoff*.
+
+        They are deleted once they are half the list, so a job costs
+        O(1) amortized; until then :meth:`records` skips them.
+        """
+        width = len(self.NUMBERS)
+        count = len(self.tenants)
+        while self.expired < count and \
+                self.numbers[self.expired * width + self._FINISHED_AT] < cutoff:
+            self.expired += 1
+        if self.expired and 2 * self.expired >= count:
+            del self.tenants[:self.expired]
+            del self.failed[:self.expired]
+            del self.numbers[:self.expired * width]
+            self.expired = 0
+
+    def records(self) -> Iterator[Dict[str, Any]]:
+        """The kept jobs as job records holding the six fields."""
+        width = len(self.NUMBERS)
+        for i in range(self.expired, len(self.tenants)):
+            record: Dict[str, Any] = {
+                "tenant": self.tenants[i],
+                "state": "failed" if self.failed[i] else "done",
+            }
+            for name, value in zip(self.NUMBERS,
+                                   self.numbers[i * width:(i + 1) * width]):
+                record[name] = None if math.isnan(value) else value
+            yield record
+
+
 class PckptService:
     """The service: store + queue + worker pool + HTTP front end.
 
@@ -255,8 +345,14 @@ class PckptService:
         self.slo = slo or SLOObjectives()
         self.slo_window = float(slo_window)
         self.metrics = MetricsRegistry()
+        #: The live jobs, queued or running; see :meth:`_retire`.
         self.jobs: Dict[str, Job] = {}
-        self._inflight: Dict[str, str] = {}   # spec_hash -> job id
+        self._inflight: Dict[str, Job] = {}   # spec_hash -> live job
+        # This serve's jobs: how many per state and per tenant, and what
+        # the SLO rows need of those that finished inside the window.
+        self._states: Dict[str, int] = dict.fromkeys(JOB_STATES, 0)
+        self._tenants: Dict[str, int] = {}
+        self._finished = _FinishedJobs()
         self._next_seq = 1
         self._journal: Optional[Any] = None   # queue.ndjson, held open
         self._journal_lines = 0
@@ -423,7 +519,9 @@ class PckptService:
         job.open_log()
         job.close_log()
         self.jobs[job.id] = job
-        self._inflight[digest] = job.id
+        self._inflight[digest] = job
+        self._states["queued"] += 1
+        self._tenants[tenant] = self._tenants.get(tenant, 0) + 1
         return job
 
     def submit(self, spec, tenant: str, weight: int = 1,
@@ -442,9 +540,9 @@ class PckptService:
             raise RuntimeError("service is shutting down")
         digest = spec_hash(spec)
         existing = self._inflight.get(digest)
-        if existing is not None and not self.jobs[existing].terminal:
+        if existing is not None:
             self.metrics.counter("service.jobs.deduped").inc()
-            return self.jobs[existing], True
+            return existing, True
         try:
             # Before registration: a refused job takes no id and no
             # directory.
@@ -472,7 +570,7 @@ class PckptService:
             self._journal_append({"op": "pop", "id": job.id})
             job.queue_entry = None
             job.open_log()              # held until the terminal event
-            job.transition("running")
+            self._transition(job, "running")
             self._persist_job(job)
             try:
                 summary = await self._loop.run_in_executor(
@@ -480,17 +578,37 @@ class PckptService:
                 )
                 job.replications_executed = summary["replications_executed"]
                 job.cache_hit_rate = summary["cache_hit_rate"]
-                job.transition("done", summary)
+                self._transition(job, "done", summary)
                 self.metrics.counter("service.jobs.completed").inc()
             except Exception as exc:
                 job.error = f"{type(exc).__name__}: {exc}"
-                job.transition("failed", {"error": job.error})
+                self._transition(job, "failed", {"error": job.error})
                 self.metrics.counter("service.jobs.failed").inc()
             finally:
-                if self._inflight.get(job.spec_hash) == job.id:
-                    del self._inflight[job.spec_hash]
                 self._persist_job(job)
                 self._write_request_fragment(job)
+                self._retire(job)
+
+    def _transition(self, job: Job, state: str,
+                    data: Optional[Dict[str, Any]] = None) -> None:
+        """:meth:`Job.transition`, kept in the per-state counts."""
+        before = job.state
+        job.transition(state, data)
+        self._states[before] -= 1
+        self._states[state] += 1
+
+    def _retire(self, job: Job) -> None:
+        """Drop a terminal job from memory; its files now answer for it.
+
+        Keeps only what the SLO rows read of it (:class:`_FinishedJobs`).
+        A stream reader that was following the job keeps its own
+        reference until it has sent the terminal event.
+        """
+        del self.jobs[job.id]
+        if self._inflight.get(job.spec_hash) is job:
+            del self._inflight[job.spec_hash]
+        self._finished.append(job)
+        self._finished.trim(job.finished_at - self.slo_window)
 
     def _persist_job(self, job: Job) -> None:
         """Snapshot the job record to ``<jobs>/<id>/job.json``.
@@ -556,8 +674,17 @@ class PckptService:
         with activate(job.trace):
             results = run_campaign(cells, store=self.store, workers=1,
                                    progress=progress, resume=True)
-        job.results = results
-        job.store_keys = list(progress.keys)
+        # The result set by reference.  Written in place: the terminal
+        # job.json, replaced atomically after this, is what makes a
+        # reader trust it.
+        (self.jobs_dir / job.id / CELLS_FILENAME).write_text(json.dumps({
+            "kind": JOB_CELLS_KIND,
+            "schema_version": SERVICE_SCHEMA_VERSION,
+            "job_id": job.id,
+            "spec_hash": job.spec_hash,
+            "cells": [{"key": list(cell_key), "store_key": store_key}
+                      for cell_key, store_key in zip(results, progress.keys)],
+        }, sort_keys=True), encoding="utf-8")
         executed = int(
             progress.metrics.counter("campaign.replications.executed").value
         )
@@ -574,12 +701,7 @@ class PckptService:
 
     # -- status / metrics ----------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        states = {state: 0 for state in JOB_STATES}
-        tenants: Dict[str, Dict[str, Any]] = {}
-        for job in self.jobs.values():
-            states[job.state] += 1
-            per = tenants.setdefault(job.tenant, {"jobs": 0})
-            per["jobs"] += 1
+        """The ``GET /v1/status`` body; job counts cover this serve's jobs."""
         payload = status_payload(self.store)
         return {
             "kind": SERVICE_STATUS_KIND,
@@ -592,8 +714,9 @@ class PckptService:
                 "limit": self.queue.limit,
                 "by_tenant": self.queue.depth_by_tenant(),
             },
-            "jobs": dict(states, total=len(self.jobs)),
-            "tenants": tenants,
+            "jobs": dict(self._states, total=sum(self._states.values())),
+            "tenants": {tenant: {"jobs": count}
+                        for tenant, count in self._tenants.items()},
             "store": payload["store"],
             "store_telemetry": payload["telemetry"],
         }
@@ -602,12 +725,11 @@ class PckptService:
         """Service-level OpenMetrics exposition (``GET /metrics``).
 
         Includes the per-tenant SLO series (``pckpt_tenant_*``, labeled
-        by tenant) computed over the in-memory job records; see
-        :mod:`repro.obs.slo`.
+        by tenant) over this serve's jobs in the SLO window: the live
+        jobs' records and what :class:`_FinishedJobs` keeps of the
+        finished ones, in submit order as ``pckpt obs slo`` reads them
+        from disk; see :mod:`repro.obs.slo`.
         """
-        states = {state: 0 for state in JOB_STATES}
-        for job in self.jobs.values():
-            states[job.state] += 1
         lines = [
             "# TYPE pckpt_service_info gauge",
             f'pckpt_service_info{{schema_version="{SERVICE_SCHEMA_VERSION}"}}'
@@ -616,7 +738,8 @@ class PckptService:
         ]
         for state in JOB_STATES:
             lines.append(
-                f'pckpt_service_jobs{{state="{state}"}} {states[state]}'
+                f'pckpt_service_jobs{{state="{state}"}} '
+                f'{self._states[state]}'
             )
         for name in ("submitted", "deduped", "rejected", "completed",
                      "failed"):
@@ -636,11 +759,13 @@ class PckptService:
         ):
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric} {float(value):g}")
-        rows = compute_slo(
-            [job.to_record() for job in self.jobs.values()],
-            window_seconds=self.slo_window, objectives=self.slo,
-            now=time.time(),
-        )
+        now = time.time()
+        self._finished.trim(now - self.slo_window)
+        records = list(self._finished.records())
+        records.extend(job.to_record() for job in self.jobs.values())
+        records.sort(key=lambda rec: rec["submitted_at"])
+        rows = compute_slo(records, window_seconds=self.slo_window,
+                           objectives=self.slo, now=now)
         lines.extend(render_slo_metrics(rows))
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
@@ -705,7 +830,7 @@ class PckptService:
 
     async def _route(self, method: str, path: str, headers: Dict[str, str],
                      body: bytes, writer: asyncio.StreamWriter) -> None:
-        path = path.split("?", 1)[0]
+        path, _, query = path.partition("?")
         if path == "/metrics" and method == "GET":
             await self._send_text(
                 writer, 200, self.render_metrics(),
@@ -723,10 +848,17 @@ class PckptService:
             await self._post_job(headers, body, writer)
             return
         if path == "/v1/jobs" and method == "GET":
-            jobs = sorted(self.jobs.values(), key=lambda j: j.submitted_at)
-            await self._send_json(
-                writer, 200, {"jobs": [j.to_record() for j in jobs]}
-            )
+            params = dict(part.partition("=")[::2]
+                          for part in query.split("&") if part)
+            try:
+                limit = int(params.get("limit", PAGE_LIMIT))
+                if not 1 <= limit <= MAX_PAGE_LIMIT:
+                    raise ValueError(f"limit must be 1..{MAX_PAGE_LIMIT}")
+                page = self._job_page(params.get("after") or None, limit)
+            except ValueError as exc:
+                await self._send_json(writer, 400, {"error": str(exc)})
+                return
+            await self._send_json(writer, 200, page)
             return
         if path.startswith("/v1/jobs/"):
             await self._job_route(method, path, writer)
@@ -791,45 +923,141 @@ class PckptService:
             {"job": job.to_record(), "deduped": deduped},
         )
 
+    def _job_page(self, after: Optional[str] = None,
+                 limit: int = PAGE_LIMIT) -> Dict[str, Any]:
+        """One ``GET /v1/jobs`` page: the records of the jobs after *after*.
+
+        Jobs are in job-sequence order, oldest first, and include the
+        jobs earlier serves on this store finished.  The page covers the
+        next *limit* jobs; one with no terminal record on disk that is
+        not live either (a serve died while it ran) is left out.
+        ``next`` is the *after* of the following page, ``None`` on the
+        last one.
+        """
+        start = 0
+        if after is not None:
+            match = _JOB_ID.match(after)
+            if match is None:
+                raise ValueError(f"after: not a job id: {after!r}")
+            start = int(match.group(1))
+        ids = []
+        for name in os.listdir(self.jobs_dir):
+            match = _JOB_ID.match(name)
+            if match is not None and int(match.group(1)) > start:
+                ids.append((int(match.group(1)), name))
+        ids.sort()
+        records = []
+        for _, job_id in ids[:limit]:
+            job = self.jobs.get(job_id)
+            if job is not None:
+                records.append(job.to_record())
+                continue
+            finished = self._read_finished(job_id)
+            if finished is not None:
+                records.append(finished[1])
+        return {"jobs": records,
+                "next": ids[limit - 1][1] if len(ids) > limit else None}
+
+    def _read_finished(self, job_id: str
+                       ) -> Optional[Tuple[bytes, Dict[str, Any]]]:
+        """A finished job's ``job.json`` as ``(bytes, record)``.
+
+        ``None`` unless the file holds a terminal record: a job that a
+        killed serve had dispatched keeps its ``running`` record, and
+        no serve answers for it.
+        """
+        if _JOB_ID.match(job_id) is None:
+            return None
+        try:
+            raw = (self.jobs_dir / job_id / "job.json").read_bytes()
+            record = json.loads(raw)
+        except (OSError, ValueError):
+            return None
+        if not isinstance(record, dict) \
+                or record.get("state") not in TERMINAL_STATES:
+            return None
+        return raw, record
+
+    def _result_payload(self, job_id: str) -> Dict[str, Any]:
+        """A done job's ``/result`` body, read back from disk.
+
+        ``cells.json`` names each cell's store entry, and the entry holds
+        ``result_to_dict`` of the result the job computed, so the body
+        is the one the job's in-memory results would give.  Raises
+        ``FileNotFoundError`` once the index or an entry is gone.
+        """
+        index = json.loads(
+            (self.jobs_dir / job_id / CELLS_FILENAME).read_bytes())
+        cells = []
+        for cell in index["cells"]:
+            entry = json.loads(
+                self.store.path_for(cell["store_key"]).read_bytes())
+            cells.append({"key": cell["key"], "store_key": cell["store_key"],
+                          "result": entry["result"]})
+        return {
+            "kind": JOB_RESULT_KIND,
+            "schema_version": SERVICE_SCHEMA_VERSION,
+            "job_id": job_id,
+            "spec_hash": index["spec_hash"],
+            "cells": cells,
+        }
+
     async def _job_route(self, method: str, path: str,
                          writer: asyncio.StreamWriter) -> None:
         parts = path.strip("/").split("/")   # v1 jobs <id> [sub]
-        job = self.jobs.get(parts[2]) if len(parts) >= 3 else None
-        if job is None:
+        job_id = parts[2] if len(parts) >= 3 else ""
+        job = self.jobs.get(job_id)
+        finished = None if job is not None else self._read_finished(job_id)
+        if job is None and finished is None:
             await self._send_json(writer, 404, {"error": "no such job"})
             return
         sub = parts[3] if len(parts) == 4 else None
         if method != "GET" or len(parts) > 4:
             await self._send_json(writer, 405, {"error": "method not allowed"})
             return
-        if sub is None:
+        if sub not in (None, "events", "result"):
+            await self._send_json(writer, 404, {"error": f"no such view {sub}"})
+        elif finished is not None:
+            await self._finished_view(job_id, *finished, sub, writer)
+        elif sub is None:
             await self._send_json(writer, 200, job.to_record())
         elif sub == "events":
             await self._stream_events(job, writer)
-        elif sub == "result":
-            if job.state == "done":
-                await self._send_json(writer, 200, job.result_payload())
-            elif job.state == "failed":
-                await self._send_json(
-                    writer, 409,
-                    {"error": f"job failed: {job.error}", "state": job.state},
-                )
-            else:
-                await self._send_json(
-                    writer, 409,
-                    {"error": "job not finished", "state": job.state},
-                )
         else:
-            await self._send_json(writer, 404, {"error": f"no such view {sub}"})
+            await self._send_json(
+                writer, 409, {"error": "job not finished", "state": job.state}
+            )
+
+    async def _finished_view(self, job_id: str, raw: bytes,
+                             record: Dict[str, Any], sub: Optional[str],
+                             writer: asyncio.StreamWriter) -> None:
+        """Answer for a job no longer in memory, from its files."""
+        if sub is None:
+            await self._send_body(writer, 200, raw + b"\n",
+                                  "application/json")
+        elif sub == "events":
+            data = (self.jobs_dir / job_id / "events.ndjson").read_bytes()
+            writer.write(_NDJSON_HEAD + data[:data.rfind(b"\n") + 1])
+            await writer.drain()
+        elif record["state"] == "failed":
+            await self._send_json(
+                writer, 409,
+                {"error": f"job failed: {record['error']}", "state": "failed"},
+            )
+        else:
+            try:
+                payload = self._result_payload(job_id)
+            except FileNotFoundError:
+                await self._send_json(writer, 410, {
+                    "error": "the job's result cells are no longer in the "
+                             "store", "state": "done"})
+                return
+            await self._send_json(writer, 200, payload)
 
     async def _stream_events(self, job: Job,
                              writer: asyncio.StreamWriter) -> None:
         """NDJSON: replay history, then follow live until terminal."""
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\nConnection: close\r\n\r\n"
-        )
+        writer.write(_NDJSON_HEAD)
         sent = 0
         while True:
             while sent < len(job.lines):
@@ -855,7 +1083,13 @@ class PckptService:
                          text: str, content_type: str = "text/plain",
                          extra_headers: Optional[Dict[str, str]] = None
                          ) -> None:
-        body = text.encode("utf-8")
+        await self._send_body(writer, status, text.encode("utf-8"),
+                              content_type, extra_headers)
+
+    async def _send_body(self, writer: asyncio.StreamWriter, status: int,
+                         body: bytes, content_type: str,
+                         extra_headers: Optional[Dict[str, str]] = None
+                         ) -> None:
         head = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             f"Content-Type: {content_type}",

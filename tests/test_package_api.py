@@ -99,6 +99,25 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "repro.experiments.fig6"]
 
+    def test_server_loads_no_http_client_and_no_figure_driver(self, run_python):
+        """``pckpt serve`` imports neither the HTTP client nor the figures.
+
+        ``repro.service`` re-exports the client's names lazily, and the
+        CLI imports ``export`` and the figure drivers in the commands
+        that use them.
+        """
+        proc = run_python(
+            "import sys\n"
+            "import repro.cli, repro.service.server\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('http.client', 'repro.experiments.export')\n"
+            "             or m.startswith('repro.experiments.fig')))\n"
+            "from repro.service import ServiceClient\n"
+            "print(ServiceClient.__module__, 'http.client' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "repro.service.client", "True"]
+
     def test_p2_campaign_on_two_workers_never_imports_scipy(self, tmp_path):
         """A σ campaign imports scipy neither in the parent nor in a worker."""
         (tmp_path / "sitecustomize.py").write_text(_SCIPY_GUARD)

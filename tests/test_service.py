@@ -16,6 +16,10 @@ Covers the full promise stack, bottom-up:
 * the per-job persistence cost: no atomic rewrite on admission or
   dispatch, event-log handles bounded by the worker count, one
   serialization per event shared by the log and the stream;
+* finished jobs leave memory: the job table holds live jobs only, and a
+  finished job's record, events and result are read back from disk as
+  the bytes it sent while live, also by a restarted service; status,
+  SLO rows and the paged listing agree with the records on disk;
 * the HTTP surface: validation errors, auth modes, status, metrics.
 
 Specs are capped at 1 replication (the same client-side cap
@@ -721,6 +725,273 @@ class TestServiceCostModel:
                 # job.json holds the terminal record the API serves.
                 status, _, body = client._request("GET", f"/v1/jobs/{job_id}")
                 assert (job_dir / "job.json").read_bytes() + b"\n" == body
+
+
+def fail_spec_named(service, name: str) -> None:
+    """Make every job whose spec is called *name* fail when it runs."""
+    execute = service._execute
+
+    def failing(job):
+        if job.spec.name == name:
+            raise RuntimeError("injected failure")
+        return execute(job)
+
+    service._execute = failing
+
+
+def body(client, path: str) -> tuple:
+    """``(status, body bytes)`` of one GET."""
+    status, _, data = client._request("GET", path)
+    return status, data
+
+
+def as_json(payload) -> bytes:
+    """The bytes the service sends for a JSON *payload*."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestFinishedJobsOnDisk:
+    """Memory holds the live jobs only.  A job leaves the table at its
+    terminal transition, and its record, events and result are read back
+    from ``job.json``, ``events.ndjson`` and the store entries its
+    ``cells.json`` names, as the bytes the live job would have sent."""
+
+    def test_job_table_holds_only_live_jobs(self, tmp_path):
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            gate = hold_dispatch(svc.service)
+            ids = [client.submit(tiny_spec(seed=600))["job"]["id"]]
+            wait_running(client, ids[0])
+            ids += [client.submit(tiny_spec(seed=601 + n))["job"]["id"]
+                    for n in range(4)]
+            table = svc.service.jobs
+            assert sorted(table) == sorted(ids)
+            assert sorted(job.state for job in table.values()) == \
+                ["queued"] * 4 + ["running"]
+            gate.set()
+            for job_id in ids:
+                assert client.wait(job_id, timeout=120.0)["state"] == "done"
+            assert svc.service.jobs == {}
+            assert svc.service._inflight == {}
+            assert svc.service.status()["jobs"] == {
+                "queued": 0, "running": 0, "done": 5, "failed": 0,
+                "total": 5}
+
+    def test_finished_job_answers_as_it_did_live(self, tmp_path):
+        """A done job with a deduped submission on it, and a failed job:
+        record, events and result after eviction against the live job's
+        bytes, a live stream reader's bytes and a local ``run_spec``."""
+        import http.client
+
+        document = tiny_spec(seed=610)
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            service = svc.service
+            client = ServiceClient(port=svc.port, token="alice")
+            gate = hold_dispatch(service)
+            fail_spec_named(service, "doomed")
+            done_id = client.submit(document)["job"]["id"]
+            wait_running(client, done_id)
+            coalesced = ServiceClient(port=svc.port, token="bob").submit(
+                document)
+            assert coalesced["deduped"] is True
+            assert coalesced["job"]["id"] == done_id
+            failed_id = client.submit(
+                dict(tiny_spec(seed=611), name="doomed"))["job"]["id"]
+            live = {job_id: service.jobs[job_id]
+                    for job_id in (done_id, failed_id)}
+
+            streams, attached = {}, threading.Barrier(3)
+
+            def follow(job_id):
+                conn = http.client.HTTPConnection("127.0.0.1", svc.port,
+                                                  timeout=120)
+                try:
+                    conn.request("GET", f"/v1/jobs/{job_id}/events")
+                    response = conn.getresponse()
+                    first = response.readline()      # served while live
+                    attached.wait(60)
+                    streams[job_id] = first + response.read()
+                finally:
+                    conn.close()
+
+            readers = [threading.Thread(target=follow, args=(job_id,))
+                       for job_id in live]
+            for reader in readers:
+                reader.start()
+            attached.wait(60)
+            gate.set()
+            for reader in readers:
+                reader.join(120)
+                assert not reader.is_alive()
+            assert client.wait(done_id)["state"] == "done"
+            assert client.wait(failed_id)["state"] == "failed"
+            assert service.jobs == {}
+
+            for job_id, job in live.items():
+                job_dir = tmp_path / "store" / "service" / "jobs" / job_id
+                assert body(client, f"/v1/jobs/{job_id}") == \
+                    (200, as_json(job.to_record()))
+                assert body(client, f"/v1/jobs/{job_id}/events") == \
+                    (200, streams[job_id])
+                assert streams[job_id] == b"".join(job.lines) == \
+                    (job_dir / "events.ndjson").read_bytes()
+            assert body(client, f"/v1/jobs/{failed_id}/result") == (409, as_json(
+                {"error": "job failed: RuntimeError: injected failure",
+                 "state": "failed"}))
+            status, result = body(client, f"/v1/jobs/{done_id}/result")
+            assert not (tmp_path / "store" / "service" / "jobs" / failed_id
+                        / "cells.json").exists()
+
+        local_store = ResultStore(tmp_path / "local-store")
+        local = run_spec(spec_from_dict(document), store=local_store,
+                         workers=1)
+        store_keys = [cell["store_key"] for cell in json.loads(result)["cells"]]
+        assert sorted(store_keys) == sorted(local_store.keys())
+        assert (status, result) == (200, as_json({
+            "kind": JOB_RESULT_KIND,
+            "schema_version": SERVICE_SCHEMA_VERSION,
+            "job_id": done_id,
+            "spec_hash": live[done_id].spec_hash,
+            "cells": [{"key": list(key), "store_key": store_key,
+                       "result": result_to_dict(cell_result)}
+                      for (key, cell_result), store_key
+                      in zip(local.items(), store_keys)],
+        }))
+
+    def test_restarted_serve_answers_for_earlier_jobs(self, tmp_path):
+        store = tmp_path / "store"
+        paths = []
+        with ServiceThread(store, jobs=1) as svc:
+            fail_spec_named(svc.service, "doomed")
+            client = ServiceClient(port=svc.port, token="alice")
+            ids = [client.submit(tiny_spec(seed=620))["job"]["id"],
+                   client.submit(dict(tiny_spec(seed=621),
+                                      name="doomed"))["job"]["id"]]
+            for job_id in ids:
+                client.wait(job_id, timeout=120.0)
+            paths = [f"/v1/jobs/{job_id}{view}" for job_id in ids
+                     for view in ("", "/events", "/result")]
+            before = [body(client, path) for path in paths]
+            listed = client.jobs()
+        assert [status for status, _ in before] == [200, 200, 200,
+                                                    200, 200, 409]
+
+        with ServiceThread(store, jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            assert [body(client, path) for path in paths] == before
+            assert client.jobs() == listed
+            fresh = client.submit(tiny_spec(seed=622))["job"]["id"]
+            assert fresh.startswith("j00003-")
+            client.wait(fresh, timeout=120.0)
+            assert [j["id"] for j in client.jobs()] == ids + [fresh]
+            # Status counts this serve's jobs.
+            assert client.status()["jobs"]["total"] == 1
+
+    def test_status_and_slo_rows_equal_the_records_on_disk(self, tmp_path):
+        from collections import Counter
+
+        from repro.obs.slo import (compute_slo, load_job_records,
+                                   render_slo_metrics)
+
+        store = tmp_path / "store"
+        with ServiceThread(store, jobs=1) as svc:
+            fail_spec_named(svc.service, "doomed")
+            gate = hold_dispatch(svc.service)
+            alice = ServiceClient(port=svc.port, token="alice")
+            bob = ServiceClient(port=svc.port, token="bob")
+            ids = [alice.submit(tiny_spec(seed=630))["job"]["id"]]
+            wait_running(alice, ids[0])
+            assert bob.submit(tiny_spec(seed=630))["deduped"] is True
+            ids += [bob.submit(tiny_spec(seed=631))["job"]["id"],
+                    bob.submit(dict(tiny_spec(seed=632),
+                                    name="doomed"))["job"]["id"],
+                    alice.submit(tiny_spec(seed=631, replications=2))
+                    ["job"]["id"]]
+            gate.set()
+            for job_id in ids:
+                alice.wait(job_id, timeout=120.0)
+            status = alice.status()
+            text = alice.metrics_text()
+            service = svc.service
+            window, objectives = service.slo_window, service.slo
+
+        records = load_job_records(store)
+        assert [r["id"] for r in records] == ids
+        states = Counter(r["state"] for r in records)
+        assert states == {"done": 3, "failed": 1}
+        assert status["jobs"] == {"queued": 0, "running": 0,
+                                  "done": states["done"],
+                                  "failed": states["failed"],
+                                  "total": len(records)}
+        assert status["tenants"] == {
+            tenant: {"jobs": n}
+            for tenant, n in Counter(r["tenant"] for r in records).items()}
+        rows = render_slo_metrics(compute_slo(
+            records, window_seconds=window, objectives=objectives))
+        assert text.splitlines()[-len(rows) - 1:] == rows + ["# EOF"]
+
+    def test_result_of_a_cleared_store_is_gone(self, tmp_path):
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            job_id = client.submit(tiny_spec(seed=650))["job"]["id"]
+            client.wait(job_id, timeout=120.0)
+            assert body(client, f"/v1/jobs/{job_id}/result")[0] == 200
+            assert svc.service.store.clear() == 1
+            status, data = body(client, f"/v1/jobs/{job_id}/result")
+            assert status == 410
+            assert json.loads(data)["state"] == "done"
+            # The record and events do not depend on the store.
+            assert body(client, f"/v1/jobs/{job_id}")[0] == 200
+            assert body(client, f"/v1/jobs/{job_id}/events")[0] == 200
+
+    def test_finished_list_keeps_the_slo_window(self):
+        from types import SimpleNamespace
+
+        from repro.service.server import _FinishedJobs
+
+        finished = _FinishedJobs()
+        jobs = [SimpleNamespace(tenant=f"t{n % 2}", submitted_at=n + 0.5,
+                                started_at=n + 0.75, finished_at=n + 1.0,
+                                state="failed" if n == 2 else "done",
+                                cache_hit_rate=None if n == 2 else n / 4)
+                for n in range(4)]
+        for job in jobs:
+            finished.append(job)
+        expected = [{name: getattr(job, name) for name in (
+            "tenant", "state", "submitted_at", "started_at", "finished_at",
+            "cache_hit_rate")} for job in jobs]
+        assert list(finished.records()) == expected
+        finished.trim(1.5)              # one of four out: skipped, kept
+        assert list(finished.records()) == expected[1:]
+        assert len(finished.tenants) == 4
+        finished.trim(2.5)              # half out: deleted
+        assert list(finished.records()) == expected[2:]
+        assert len(finished.tenants) == 2
+        assert len(finished.numbers) == 2 * len(finished.NUMBERS)
+
+    def test_listing_pages_in_job_sequence_order(self, tmp_path):
+        """Ids are ``j{seq:05d}-…``: ``j100000`` sorts before ``j99999``
+        as a string, so the listing orders by the number."""
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            svc.service._next_seq = 99998
+            client = ServiceClient(port=svc.port, token="alice")
+            ids = [client.submit(tiny_spec(seed=640 + n))["job"]["id"]
+                   for n in range(3)]
+            assert [job_id.split("-")[0] for job_id in ids] == \
+                ["j99998", "j99999", "j100000"]
+            for job_id in ids:
+                client.wait(job_id, timeout=120.0)
+            assert [j["id"] for j in client.jobs()] == ids
+
+            first = client._json("GET", "/v1/jobs?limit=2")
+            assert [j["id"] for j in first["jobs"]] == ids[:2]
+            assert first["next"] == ids[1]
+            last = client._json("GET", f"/v1/jobs?after={ids[1]}&limit=2")
+            assert [j["id"] for j in last["jobs"]] == ids[2:]
+            assert last["next"] is None
+            for query in ("limit=0", "limit=x", "after=nope",
+                          f"limit={10 ** 6}"):
+                assert body(client, f"/v1/jobs?{query}")[0] == 400, query
 
 
 # ---------------------------------------------------------------------------

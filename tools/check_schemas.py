@@ -135,10 +135,12 @@ DOCS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Iterable[str]]]] = {
     "SERVICE.md": (("SERVICE_SCHEMA_VERSION",), {
         "job field": service_jobs.JOB_FIELDS,
         "event field": service_jobs.EVENT_FIELDS,
+        "cells field": service_jobs.JOB_CELLS_FIELDS,
         "job state": service_jobs.JOB_STATES,
         "event kind": service_jobs.EVENT_KINDS,
         "record kind": (service_jobs.JOB_KIND, service_jobs.JOB_EVENT_KIND,
                         service_jobs.JOB_RESULT_KIND,
+                        service_jobs.JOB_CELLS_KIND,
                         service_jobs.SERVICE_STATUS_KIND),
     }),
 }
@@ -313,8 +315,9 @@ def check_stitched(path: Path, trace_id: Optional[str]) -> List[str]:
 
 
 def check_store(root: Path) -> List[str]:
-    """``schema.json`` and every entry carry the code's version, and each
-    entry lives at the path its key derives."""
+    """``schema.json`` and every entry carry the code's version, each
+    entry lives at the path its key derives, and a service's job records
+    and result indexes match their tables, each cell naming an entry."""
     version = store.SCHEMA_VERSION
     problems = []
     for path in [root / "schema.json", *sorted(root.glob("??/*.json"))]:
@@ -328,6 +331,26 @@ def check_store(root: Path) -> List[str]:
         if path.name != "schema.json" and (
                 path.stem != key or path.parent.name != key[:2]):
             problems.append(f"{path}: path does not match its key {key!r}")
+    version = service_jobs.SERVICE_SCHEMA_VERSION
+    for path in sorted(root.glob("service/jobs/*/job.json")):
+        problems.extend(check_record(load(path), service_jobs.JOB_FIELDS,
+                                     str(path), service_jobs.JOB_KIND,
+                                     version))
+    for path in sorted(root.glob("service/jobs/*/cells.json")):
+        index = load(path)
+        problems.extend(check_record(index, service_jobs.JOB_CELLS_FIELDS,
+                                     str(path), service_jobs.JOB_CELLS_KIND,
+                                     version))
+        cells = index.get("cells") if isinstance(index, dict) else None
+        for i, cell in enumerate(cells if isinstance(cells, list) else []):
+            key = cell.get("store_key") if isinstance(cell, dict) else None
+            if not (isinstance(cell, dict) and isinstance(cell.get("key"), list)
+                    and isinstance(key, str)):
+                problems.append(f"{path}: cells[{i}] is not "
+                                f"{{\"key\": [...], \"store_key\": str}}")
+            elif not (root / key[:2] / f"{key}.json").is_file():
+                problems.append(f"{path}: cells[{i}] names {key!r}, which "
+                                f"the store does not hold")
     return problems
 
 
