@@ -249,6 +249,31 @@ class Environment:
         """
         return Process(self, generator, name=name)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A :class:`Timeout` processed at the absolute time *when*.
+
+        ``timeout(when - now)`` lands at ``now + (when - now)``, which can
+        miss *when* in the last bit; this keeps a time fixed before the
+        clock reached :attr:`now` exactly.  Sequence-numbered like every
+        other schedule.
+
+        Raises
+        ------
+        ValueError
+            If *when* is before :attr:`now`.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when} is before now ({self._now})")
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._ok = True
+        timeout._value = value
+        timeout._delay = when - self._now
+        heappush(self._queue, (when, NORMAL, self._eid, timeout))
+        self._eid += 1
+        return timeout
+
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule *event* to be processed after *delay*.

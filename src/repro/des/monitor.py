@@ -54,9 +54,14 @@ BEGIN = "B"
 END = "E"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One trace entry.
+
+    A slots class rather than a frozen one: a traced replication builds
+    thousands, and a frozen dataclass's ``__init__`` costs several times
+    as much.  Records are never hashed, and nothing mutates one once
+    stored.
 
     Attributes
     ----------

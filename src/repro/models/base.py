@@ -18,7 +18,7 @@ Accounting identity (asserted by the integration tests)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from ..workloads.applications import ApplicationSpec
 __all__ = ["ModelConfig", "RunOutput", "CRSimulation"]
 
 _EPS = 1e-6
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,38 @@ class _Phase2Job:
         self.sim.trace.span_end(self._sid, "cancelled")
 
 
+class _Draw:
+    """One drawn failure and the times the event path delivers it at.
+
+    The event path delivers a failure's prediction (when the model acts
+    on predictions) and then the failure, each after a timeout armed
+    from the clock; both times follow from *t0*, the previous failure's
+    landing, where the draw is made.  ``tp`` is None once the prediction
+    is delivered, or when there is none to deliver.  A stage due no
+    later than the one before it is delivered in that stage's callback:
+    ``f_wait`` is False for such a failure, and ``at_once`` says that the
+    draw's first stage comes with its predecessor's landing.
+    """
+
+    __slots__ = ("ev", "tp", "tf", "f_wait", "at_once")
+
+    def __init__(self, ev: FailureEvent, t0: float, predicted: bool) -> None:
+        self.ev = ev
+        base = t0
+        if predicted:
+            pt = ev.prediction_time
+            waits = pt > t0
+            if waits:
+                base = t0 + (pt - t0)
+            self.tp: Optional[float] = base
+        else:
+            self.tp = None
+        t = ev.time
+        self.f_wait = t > base
+        self.tf = base + (t - base) if self.f_wait else base
+        self.at_once = not (waits if predicted else self.f_wait)
+
+
 def _noop(*_args, **_kwargs) -> None:
     """Shared do-nothing sink bound in place of disabled metrics."""
     return None
@@ -282,6 +315,9 @@ class CRSimulation:
         (ledger, drain, OCI, recovery planning, the protocol drivers, and
         the DES kernel itself).  Cheap enough to leave on.
     """
+
+    #: Owner name the kernel profiler files the failure timers under.
+    name = "failures"
 
     def __init__(
         self,
@@ -338,6 +374,10 @@ class CRSimulation:
                 per_node
             ) + bb.write_time(per_node)
         self.lm_seconds = platform.lm_transfer_time(per_node, config.lm_alpha)
+        # What plan_recovery reads besides the ledger: fixed for the job.
+        self._plan_specs = (platform.pfs, bb, app.nodes, per_node,
+                            platform.restart_delay)
+        self._neighbor = platform.interconnect if config.neighbor_level else None
         self.coordinator = ProactiveCoordinator(
             supports_lm=config.supports_lm,
             supports_pckpt=config.supports_pckpt,
@@ -388,6 +428,13 @@ class CRSimulation:
         self._computing = False
         self._pending: List[tuple] = []
         self._app_proc = None
+        # The failure stream: drawn but undelivered failures in order
+        # (the first is the next to land; more are drawn ahead only once
+        # their predecessor is sure to land), the last landing time, and
+        # the kernel timeout of the first one's next stage while armed.
+        self._draws: List[_Draw] = []
+        self._landed = self.env.now
+        self._timer: Optional[Timeout] = None
 
         # -- run stats ---------------------------------------------------------
         self.periodic_checkpoints = 0
@@ -406,10 +453,15 @@ class CRSimulation:
         callers that need stepwise control (the
         :class:`repro.spec.engine.SimEngine` facade) call it directly and
         drive ``env.step()`` themselves, then :meth:`finish`.
+
+        Failures need no process: the next draw is held on the
+        simulation.  The segment batch lands it inline when nothing else
+        comes first (:meth:`_run_segments`); otherwise it is armed as a
+        kernel timeout (:meth:`_arm`) whenever the application leaves the
+        batch.  False alarms keep their own driver process.
         """
         if self._app_proc is None:
             self._app_proc = self.env.process(self._app(), name="application")
-            self.env.process(self._failure_driver(), name="failure-driver")
             if self.config.use_prediction and self.injector.false_alarm_rate > 0:
                 self.env.process(
                     self._false_alarm_driver(), name="false-alarm-driver"
@@ -466,17 +518,48 @@ class CRSimulation:
     # ------------------------------------------------------------------
     # event drivers
     # ------------------------------------------------------------------
-    def _failure_driver(self):
-        """Inject failures (and their predictions) forever."""
-        while True:
+    def _held(self, i: int) -> _Draw:
+        """The *i*-th undelivered failure, drawing up to it.
+
+        Each :meth:`~repro.failures.injector.FailureInjector.next_failure`
+        call stays where the event path makes it, right after the previous
+        failure lands: a draw is only made ahead once that landing is
+        certain, and nothing else draws from the stream in between.
+        """
+        draws = self._draws
+        while len(draws) <= i:
             ev = self.injector.next_failure()
-            if ev.predicted and self.config.use_prediction:
-                if ev.prediction_time > self.env.now:
-                    yield self.env.timeout(ev.prediction_time - self.env.now)
-                self._deliver_prediction(ev)
-            if ev.time > self.env.now:
-                yield self.env.timeout(ev.time - self.env.now)
-            self._deliver_failure(ev)
+            draws.append(_Draw(ev, draws[-1].tf if draws else self._landed,
+                               self.config.use_prediction and ev.predicted))
+        return draws[i]
+
+    def _arm(self) -> None:
+        """Put the next failure's next stage on the kernel (the event path).
+
+        The next failure is drawn by then: every caller has looked at it.
+        """
+        d = self._draws[0]
+        self._timer = self.env.timeout_at(d.tf if d.tp is None else d.tp)
+        self._timer.callbacks.append(self._on_due)
+
+    def _on_due(self, _event) -> None:
+        """Deliver the armed stage and the stages due with it; arm the next."""
+        draws = self._draws
+        d = draws[0]
+        while True:
+            if d.tp is not None:
+                d.tp = None
+                self._deliver_prediction(d.ev)
+                if d.f_wait:
+                    break
+            else:
+                del draws[0]
+                self._landed = d.tf
+                self._deliver_failure(d.ev)
+                d = self._held(0)
+                if not d.at_once:
+                    break
+        self._arm()
 
     def _false_alarm_driver(self):
         """Inject false-alarm predictions forever."""
@@ -669,6 +752,17 @@ class CRSimulation:
         self._count("lm.started")
         self._replan()
 
+    def _avoided(self, ev: FailureEvent) -> bool:
+        """True when a completed live migration vacated *ev*'s node."""
+        # Only live migration commits a record this way, and only a
+        # delivered prediction registers one.
+        if not (self.config.supports_lm and ev.predicted):
+            return False
+        rec = self._records.get(ev)
+        return (rec is not None
+                and rec.action is ProactiveAction.LIVE_MIGRATION
+                and rec.committed)
+
     def _deliver_failure(self, ev: FailureEvent) -> None:
         self.ft.failures += 1
         if self.metrics is not None:
@@ -679,12 +773,7 @@ class CRSimulation:
             # break the predicted <= failures invariant.
             self.ft.predicted += 1
         self.oci.record_failure()
-        rec = self._records.get(ev)
-        if (
-            rec is not None
-            and rec.action is ProactiveAction.LIVE_MIGRATION
-            and rec.committed
-        ):
+        if self._avoided(ev):
             # The process vacated this node before it died: failure avoided.
             self.ft.mitigated_lm += 1
             self._migrated_away.discard(ev.node)
@@ -712,17 +801,23 @@ class CRSimulation:
     def _app(self):
         """Main loop: compute for one OCI, checkpoint to BB, repeat.
 
-        With no live migration in flight the segments run in batches
-        (:meth:`_run_segments`), traced or not; the first segment a batch
-        cannot finish goes through the kernel.
+        With no live migration in flight the segments, and the failures
+        that land among them, run in batches (:meth:`_run_segments`),
+        traced or not; the first segment or restore a batch cannot finish
+        goes through the kernel.
         """
         goal = self.app.compute_seconds
         self._interruptible = True
         while self.work_done < goal - _EPS:
             if not self._active_lms:
-                interval = self._run_segments(goal)
-                if interval is None:
+                step = self._run_segments(goal)
+                if step is None:
                     break
+                if isinstance(step, tuple):
+                    yield from self._restore(*step)
+                    yield from self._drain_pending()
+                    continue
+                interval = step
             else:
                 self.oci.record_time(self.env.now)
                 interval = self.oci.interval()
@@ -738,71 +833,205 @@ class CRSimulation:
         if self.trace is not None:
             self.trace.emit("app", "completed", self.work_done)
 
-    def _run_segments(self, goal: float) -> Optional[float]:
-        """Run every periodic segment that ends before the horizon.
+    def _run_segments(self, goal: float) -> Union[float, tuple, None]:
+        """Run every segment and failure landing that comes before the horizon.
 
         With no live migration in flight the compute rate is exactly 1.0,
-        so only a kernel event can disturb a segment.  Each segment that
-        ends, BB write included, strictly before
-        :meth:`~repro.des.Environment.horizon` runs here as float
-        arithmetic: the event path's own expressions in its order, with
-        the interval read per segment as the main loop reads it.  The
-        clock, progress, overhead, counters, ledger and drain chain are
-        then committed once; a traced batch records and submits its
-        checkpoints one by one instead (:meth:`_record_segments`).
+        so only a kernel event or a failure can disturb a segment.  Each
+        segment that ends, BB write included, strictly before the horizon
+        (:meth:`_stretch`) runs here as float arithmetic: the event path's
+        own expressions in its order, with the interval read per segment
+        as the main loop reads it.  The clock, progress, overhead,
+        counters, ledger and drain chain are then committed once; a
+        traced batch records and submits its checkpoints one by one
+        instead (:meth:`_record_segments`).  A failure that lands first,
+        strictly before the horizon, strikes here too (:meth:`_strike`),
+        and the batch goes on after its restore.
 
         Returns the interval read for the first segment that does not end
-        before the horizon (the caller runs it on the event path), or
-        None once the job's work is done.
+        before the horizon (the caller runs it on the event path), the
+        ``(seconds, lost, sid)`` of a restore that may be disturbed (the
+        caller waits it out, :meth:`_restore`), or None once the job's
+        work is done.  Unless the work is done, the next failure leaves
+        armed on the kernel.
         """
         env = self.env
         oci = self.oci
-        horizon = env.horizon()
         t_ckpt_bb = self.t_ckpt_bb
-        now = env.now
-        work = self.work_done
-        checkpoint = self.overhead.checkpoint
-        works: List[float] = []
-        times: List[float] = []
-        deferred: Optional[float] = None
-        while work < goal - _EPS:
-            oci.record_time(now)
-            interval = oci.interval()
-            # interval >= min_interval, so every segment computes; the
-            # rate is 1.0, so planned == target - work and migration
-            # overhead grows by exactly 0.0.
-            target = work + interval
-            if target > goal:
-                target = goal
-            t1 = now + (target - work)
-            writes = target < goal - _EPS
-            blocks = writes and t_ckpt_bb > _EPS
-            t2 = t1 + t_ckpt_bb if blocks else t1
-            if not t2 < horizon:
-                deferred = interval
-                break
-            if blocks:
-                checkpoint += t2 - t1
-            now = t2
-            work = target
-            if writes:
-                works.append(target)
-                times.append(t2)
-        if works and self.trace is not None:
-            self._record_segments(env.now, self.work_done, works, times)
-        elif works:
-            n = len(works)
-            self.periodic_checkpoints += n
-            self._count("ckpt.periodic_completed", n)
-            self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
-            newest = self.ledger.record_periodic(works[-1], times[-1], count=n)
-            self.drain.submit_run(works, times, newest)
-        if now != env.now:
-            env.advance(now)
-        self.work_done = work
-        self.overhead.checkpoint = checkpoint
-        self.oci_final = interval
-        return deferred
+        while True:
+            horizon, land = self._stretch()
+            # land < horizon when finite: one test per segment for both.
+            limit = land if land < horizon else horizon
+            now = env.now
+            work = self.work_done
+            checkpoint = self.overhead.checkpoint
+            works: List[float] = []
+            times: List[float] = []
+            deferred: Optional[float] = None
+            strikes = False
+            while work < goal - _EPS:
+                oci.record_time(now)
+                interval = oci.interval()
+                # interval >= min_interval, so every segment computes; the
+                # rate is 1.0, so planned == target - work and migration
+                # overhead grows by exactly 0.0.
+                target = work + interval
+                if target > goal:
+                    target = goal
+                t1 = now + (target - work)
+                writes = target < goal - _EPS
+                blocks = writes and t_ckpt_bb > _EPS
+                t2 = t1 + t_ckpt_bb if blocks else t1
+                if not t2 < limit:
+                    # The kernel delivers a landing that brings the next
+                    # draw's first stage with it.
+                    strikes = land <= t2 and not self._held(1).at_once
+                    if not strikes:
+                        deferred = interval
+                    break
+                if blocks:
+                    checkpoint += t2 - t1
+                now = t2
+                work = target
+                if writes:
+                    works.append(target)
+                    times.append(t2)
+            if works and self.trace is not None:
+                self._record_segments(env.now, self.work_done, works, times)
+            elif works:
+                n = len(works)
+                self.periodic_checkpoints += n
+                self._count("ckpt.periodic_completed", n)
+                self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
+                newest = self.ledger.record_periodic(works[-1], times[-1],
+                                                     count=n)
+                self.drain.submit_run(works, times, newest)
+            self.work_done = work
+            self.overhead.checkpoint = checkpoint
+            self.oci_final = interval
+            if strikes:
+                restore = self._strike(land, now, t1, target)
+                if restore is not None:
+                    return restore
+                continue
+            if now != env.now:
+                env.advance(now)
+            if deferred is not None and self._timer is None:
+                self._arm()
+            return deferred
+
+    def _stretch(self) -> Tuple[float, float]:
+        """The batch's horizon, and when the next failure lands in it.
+
+        The horizon is :meth:`~repro.des.Environment.horizon`, or earlier
+        a prediction still to deliver, or a landing the kernel must
+        deliver because a completed live migration avoids it.  A landing
+        strictly before the horizon comes back as the second value
+        (``inf`` when there is none), its armed timeout withdrawn.
+        """
+        env = self.env
+        horizon = env.horizon()
+        d = self._held(0)
+        if d.tp is not None:
+            return (d.tp if d.tp < horizon else horizon), _INF
+        tf = d.tf
+        if tf > horizon:
+            return horizon, _INF
+        if self._avoided(d.ev):
+            return tf, _INF
+        if self._timer is not None:
+            env.cancel(self._timer)
+            self._timer = None
+            horizon = env.horizon()
+        return horizon, (tf if tf < horizon else _INF)
+
+    def _strike(self, tf: float, now: float, t1: float,
+                target: float) -> Optional[tuple]:
+        """Land the next failure at *tf* in the segment computing to *target*.
+
+        The segment began at *now*.  The event path's order and
+        expressions, with the clock moved to *tf*: the failure is
+        delivered, then the application stops.  At or before the compute
+        end *t1* it interrupts the compute, which reached
+        ``work + (tf - now) * 1.0``; later it aborts the BB write begun at
+        *t1*, charging ``tf - t1``.  Then the application recovers
+        (:meth:`_restore_inline`), whose result this returns.
+        """
+        env = self.env
+        trace = self.trace
+        aborts = tf > t1
+        if not aborts:
+            self.work_done += (tf - now) * 1.0
+        else:
+            self.work_done = target
+            if trace is not None:
+                trace.emit("app", "ckpt_bb_start", target, time=t1)
+                sid = trace.span_begin("app", "ckpt_bb_write", target, time=t1)
+        env.advance(tf)
+        # Deliveries queue up from here, as they do during a restore.
+        self._interruptible = False
+        d = self._draws.pop(0)
+        self._landed = d.tf
+        self._deliver_failure(d.ev)
+        if aborts:
+            self.overhead.checkpoint += tf - t1
+            if trace is not None:
+                trace.span_end(sid)
+                trace.emit("app", "ckpt_bb_aborted", None)
+            self._count("ckpt.periodic_aborted")
+        return self._restore_inline()
+
+    def _restore_inline(self) -> Optional[tuple]:
+        """Recover from the queued failures while nothing else happens.
+
+        Each recovers in turn (:meth:`_recover`), and the failures landing
+        at or before the end of its restore are delivered at their own
+        times and queue behind it, as on the event path.  A restore that
+        something else may disturb (:meth:`_landings`) is returned as
+        ``(seconds, lost, sid)`` for the event path to wait out, the next
+        failure armed; None once every queued failure is recovered.
+        """
+        env = self.env
+        draws = self._draws
+        while self._pending:
+            seconds, lost, sid = self._recover(self._pending.pop(0)[1])
+            end = env.now + seconds
+            n = self._landings(end) if seconds > _EPS else -1
+            if n < 0:
+                if self._timer is None:
+                    self._arm()
+                return seconds, lost, sid
+            for _ in range(n):
+                d = draws.pop(0)
+                self._landed = d.tf
+                env.advance(d.tf)
+                self._deliver_failure(d.ev)
+            env.advance(end)
+            if self.trace is not None:
+                self.trace.span_end(sid, {"lost": lost})
+        self._interruptible = True
+        return None
+
+    def _landings(self, end: float) -> int:
+        """How many failures land in a restore ending at *end*.
+
+        -1 unless nothing else happens until then: *end* comes strictly
+        before the kernel's horizon, no prediction is due by then, and no
+        failure landing by then brings the next draw's first stage with
+        it.
+        """
+        if not end < self.env.horizon():
+            return -1
+        i = 0
+        while True:
+            d = self._held(i)
+            if d.tp is not None:
+                return i if d.tp > end else -1
+            if d.tf > end:
+                return i
+            i += 1
+            if self._held(i).at_once:
+                return -1
 
     def _record_segments(self, now: float, work: float, works: List[float],
                          times: List[float]) -> None:
@@ -850,7 +1079,7 @@ class CRSimulation:
                     yield from self._drain_pending()
                     return _Status.RESET
                 if kind == "failure":
-                    yield from self._handle_failure(intr.cause[1])
+                    yield from self._restore(*self._recover(intr.cause[1]))
                     yield from self._drain_pending()
                     return _Status.RESET
                 raise RuntimeError(f"unexpected interrupt {intr.cause!r}")
@@ -898,7 +1127,7 @@ class CRSimulation:
                     if trace is not None:
                         trace.emit("app", "ckpt_bb_aborted", None)
                     self._count("ckpt.periodic_aborted")
-                    yield from self._handle_failure(intr.cause[1])
+                    yield from self._restore(*self._recover(intr.cause[1]))
                     yield from self._drain_pending()
                     return
                 raise RuntimeError(f"unexpected interrupt {intr.cause!r}")
@@ -970,7 +1199,7 @@ class CRSimulation:
                            {"node": exc.failure.node,
                             "prov": exc.failure.provenance})
             self._count("safeguard.aborts")
-            yield from self._handle_failure(exc.failure)
+            yield from self._restore(*self._recover(exc.failure))
             return
         finally:
             self._active_safeguard = None
@@ -1081,7 +1310,7 @@ class CRSimulation:
                            {"node": exc.failure.node,
                             "prov": exc.failure.provenance})
             self._count("pckpt.aborts")
-            yield from self._handle_failure(exc.failure)
+            yield from self._restore(*self._recover(exc.failure))
             return
         finally:
             self._active_protocol = None
@@ -1112,7 +1341,7 @@ class CRSimulation:
     def _recover_after_proactive(self, failures: List[FailureEvent]):
         """One recovery pass covering failures that struck mid-protocol."""
         # Classification happens per failure; the restore happens once.
-        yield from self._handle_failure(failures[0])
+        yield from self._restore(*self._recover(failures[0]))
         for extra in failures[1:]:
             self._classify_mitigation(extra)
             self._forget_prediction(extra)
@@ -1150,7 +1379,8 @@ class CRSimulation:
     def _forget_prediction(self, ev: FailureEvent) -> None:
         """Drop the bookkeeping for a delivered failure's prediction."""
         self._vulnerable.pop(ev.node, None)
-        rec = self._records.pop(ev, None)
+        # Only a delivered prediction registers a record.
+        rec = self._records.pop(ev, None) if ev.predicted else None
         if rec is not None:
             watchers = self._watchers.get(ev.node)
             if watchers is not None:
@@ -1162,7 +1392,7 @@ class CRSimulation:
                     del self._watchers[ev.node]
 
     def _classify_mitigation(self, ev: FailureEvent) -> None:
-        rec = self._records.get(ev)
+        rec = self._records.get(ev) if ev.predicted else None
         if rec is None or not rec.committed:
             return
         if rec.action is ProactiveAction.PCKPT:
@@ -1172,8 +1402,13 @@ class CRSimulation:
         elif rec.action is ProactiveAction.LIVE_MIGRATION:  # pragma: no cover
             self.ft.mitigated_lm += 1
 
-    def _handle_failure(self, ev: FailureEvent):
-        """Roll back, restore, and account for one unavoided failure."""
+    def _recover(self, ev: FailureEvent) -> Tuple[float, float, int]:
+        """Roll back and plan the restore after one unavoided failure.
+
+        The recovery arithmetic of both paths, at the clock.  Returns the
+        restore's seconds, the work lost and its ``recovery_restore`` span
+        id (0 untraced), for :meth:`_restore` or the batch to finish.
+        """
         # Drains that landed by now count for the recovery plan.
         self.drain.settle()
         self._classify_mitigation(ev)
@@ -1209,20 +1444,8 @@ class CRSimulation:
                 # A non-covered node died: its share of the in-flight
                 # snapshot is gone; the snapshot is unusable.
                 job.cancel()
-            plan = plan_recovery(
-                self.ledger,
-                self.platform.pfs,
-                self.platform.node.burst_buffer,
-                self.app.nodes,
-                self.app.checkpoint_bytes_per_node,
-                self.platform.restart_delay,
-                neighbor=(
-                    self.platform.interconnect
-                    if self.config.neighbor_level
-                    else None
-                ),
-                metrics=self.metrics,
-            )
+            plan = plan_recovery(self.ledger, *self._plan_specs,
+                                 neighbor=self._neighbor, metrics=self.metrics)
             restore_work = plan.restore_work
             restore_seconds = plan.total_seconds
             from_bb = plan.from_bb
@@ -1246,13 +1469,11 @@ class CRSimulation:
             self.metrics.histogram("recovery.restore_seconds").observe(
                 restore_seconds)
             self.metrics.histogram("recovery.lost_work_seconds").observe(lost)
-        # The restore itself cannot be interrupted; notifications queue up.
-        # The flag defers *future* notifications; interrupts already
-        # scheduled this timestep still land here, so the wait itself must
-        # also catch and defer.  The wait lasts exactly restore_seconds
-        # (deferral consumes no time), so this span's duration equals the
-        # recovery overhead charged above; the lost work rides along in
-        # the detail for the recomputation cross-check.
+        # The restore lasts exactly restore_seconds, so this span's
+        # duration equals the recovery overhead charged above; the lost
+        # work rides along in the detail for the recomputation
+        # cross-check.
+        sid = 0
         if trace is not None:
             sid = trace.span_begin(
                 "recovery", "recovery_restore",
@@ -1261,8 +1482,18 @@ class CRSimulation:
             )
         # Cancelled drains close their spans inside the restore span.
         self.drain.cancel_newer_than(self.work_done)
+        return restore_seconds, lost, sid
+
+    def _restore(self, seconds: float, lost: float, sid: int):
+        """Wait out a restore on the event path.
+
+        The restore itself cannot be interrupted; notifications queue up.
+        The flag defers *future* notifications; interrupts already
+        scheduled this timestep still land here, so the wait itself must
+        also catch and defer.  Deferral consumes no time.
+        """
         self._interruptible = False
-        remaining = restore_seconds
+        remaining = seconds
         while remaining > _EPS:
             start = self.env.now
             timer = self.env.timeout(remaining)
@@ -1274,8 +1505,8 @@ class CRSimulation:
                 remaining -= self.env.now - start
                 self._pending.append(intr.cause)
         self._interruptible = True
-        if trace is not None:
-            trace.span_end(sid, {"lost": lost})
+        if self.trace is not None:
+            self.trace.span_end(sid, {"lost": lost})
 
     def _drain_pending(self):
         """Service notifications deferred during un-interruptible spans."""
@@ -1283,7 +1514,7 @@ class CRSimulation:
             cause = self._pending.pop(0)
             kind = cause[0]
             if kind == "failure":
-                yield from self._handle_failure(cause[1])
+                yield from self._restore(*self._recover(cause[1]))
             elif kind == "proactive":
                 yield from self._run_proactive(cause[1], cause[2])
             # replans are moot here: the main loop re-plans anyway

@@ -35,6 +35,7 @@ from ..des.core import _StopFlag
 
 __all__ = [
     "Backend",
+    "EventPathEnvironment",
     "ReferenceEnvironment",
     "run_reference",
     "available_backends",
@@ -119,6 +120,20 @@ class ReferenceEnvironment(Environment):
 
     def run(self, until: Any = None) -> Any:
         return run_reference(self, until)
+
+
+class EventPathEnvironment(Environment):
+    """An :class:`Environment` whose :meth:`horizon` is always ``-inf``.
+
+    Nothing may run ahead of the clock on it, so a C/R simulation built
+    on it runs every segment and every failure through the kernel: the
+    event path the batched runs must reproduce.
+    """
+
+    __slots__ = ()
+
+    def horizon(self) -> float:
+        return -Infinity
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,18 @@ p-ckpt/C/R configuration — on two kernels:
   dispatch), substituted into ``repro.models.base`` for the duration;
 
 untraced and traced (a :class:`~repro.des.Trace` attached).  Both
-compute drain landings and run undisturbed periodic segments inline,
-without kernel events; a traced run records them at their own times.
+compute drain landings and run undisturbed periodic segments, and the
+failures landing among them, inline, without kernel events; a traced
+run records them at their own times.  A fifth, untraced run uses
+:class:`~.backends.EventPathEnvironment`, whose horizon lets nothing run
+inline: every segment and failure takes the event path.
 
-All four runs share the seed, so the injected failure schedule is
+All five runs share the seed, so the injected failure schedule is
 identical and the flattened :class:`~repro.models.base.RunOutput`
 fingerprints (floats compared bit-exactly via ``float.hex``) must match
-exactly, and all four process the same number of events, but for a
-traced p-ckpt model's phase-2 span events.
+exactly.  The first four process the same number of events, but for a
+traced p-ckpt model's phase-2 span events; the event-path run is
+compared by fingerprint only.
 
 Every run also swaps :class:`~repro.cr.checkpoint.SnapshotLedger` for a
 checking subclass that validates ledger conservation on every update
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..cr.checkpoint import SnapshotLedger
-from .backends import ReferenceEnvironment
+from .backends import EventPathEnvironment, ReferenceEnvironment
 
 __all__ = ["CRCase", "generate_cr_case", "run_cr_case", "diff_cr_case"]
 
@@ -159,7 +163,8 @@ def _flatten(obj: Any, prefix: str = "") -> Dict[str, Any]:
 
 
 def run_cr_case(
-    case: CRCase, *, reference: bool = False, traced: bool = False
+    case: CRCase, *, reference: bool = False, traced: bool = False,
+    event_path: bool = False,
 ) -> Tuple[Optional[Dict[str, Any]], List[str]]:
     """Run one C/R case; return (flattened fingerprint, violations).
 
@@ -167,8 +172,10 @@ def run_cr_case(
     :class:`ReferenceEnvironment` — the kernel substitution the
     ROADMAP's multi-backend direction calls for, done by patching the
     ``Environment`` symbol ``repro.models.base`` instantiates.  With
-    ``traced=True`` a trace is attached; the simulation takes the same
-    segment batches and records them.
+    ``event_path=True`` it executes on :class:`EventPathEnvironment`
+    instead, so nothing runs inline.  With ``traced=True`` a trace is
+    attached; the simulation takes the same segment batches and records
+    them.
 
     A fingerprint of ``None`` means the run itself raised; the exception
     is reported as a violation (e.g. ``IllegalTransition`` from the
@@ -203,6 +210,8 @@ def run_cr_case(
     try:
         if reference:
             base_mod.Environment = ReferenceEnvironment
+        elif event_path:
+            base_mod.Environment = EventPathEnvironment
         base_mod.SnapshotLedger = _make_checked_ledger(violations)
         sim = base_mod.CRSimulation(
             app,
@@ -227,12 +236,13 @@ def run_cr_case(
         base_mod.SnapshotLedger = saved_ledger
 
 
-#: Run labels of :func:`diff_cr_case`: (reference kernel, traced).
+#: Run labels of :func:`diff_cr_case`: their :func:`run_cr_case` options.
 _RUNS = {
-    "fast": (False, False),
-    "step": (True, False),
-    "fast+trace": (False, True),
-    "step+trace": (True, True),
+    "fast": {},
+    "step": {"reference": True},
+    "fast+trace": {"traced": True},
+    "step+trace": {"reference": True, "traced": True},
+    "event-path": {"event_path": True},
 }
 
 
@@ -250,8 +260,8 @@ def _compare(label: str, a_fp: Dict[str, Any], b_fp: Dict[str, Any],
 def diff_cr_case(case: CRCase) -> List[str]:
     """Differential + oracle report for one C/R case (empty = clean)."""
     runs = {
-        label: run_cr_case(case, reference=ref, traced=traced)
-        for label, (ref, traced) in _RUNS.items()
+        label: run_cr_case(case, **options)
+        for label, options in _RUNS.items()
     }
     problems = [
         f"[{label}] {v}" for label, (_, violations) in runs.items()
@@ -271,4 +281,7 @@ def diff_cr_case(case: CRCase) -> List[str]:
     ignore = ("env.events_processed",) if pckpt else ()
     problems += _compare("untraced vs traced", fp["fast"], fp["fast+trace"],
                          ignore=ignore)
+    # Inline landings and batches against the event path they stand for.
+    problems += _compare("fast vs event path", fp["fast"], fp["event-path"],
+                         ignore=("env.events_processed",))
     return problems

@@ -297,6 +297,40 @@ def _cancel_workload(env, fired):
     return sleeping
 
 
+class TestTimeoutAt:
+    """``Environment.timeout_at``: a timeout at an absolute time."""
+
+    # now + (when - now) rounds to the next float above when.
+    NOW, WHEN = 7739.8464590918975, 29041.758534080367
+
+    def test_lands_exactly_where_a_relative_delay_misses(self):
+        env = Environment(initial_time=self.NOW)
+        assert self.NOW + (self.WHEN - self.NOW) != self.WHEN
+        landed = []
+        env.timeout_at(self.WHEN).callbacks.append(
+            lambda _e: landed.append(env.now))
+        env.run()
+        assert landed == [self.WHEN]
+
+    def test_orders_and_cancels_like_any_timeout(self, env):
+        order = []
+        first = env.timeout(2.0)
+        later = env.timeout_at(2.0, value="at")
+        gone = env.timeout_at(1.0)
+        for ev in (first, later):
+            ev.callbacks.append(lambda e: order.append(e.value))
+        env.cancel(gone)
+        assert env.peek() == 2.0
+        env.run()
+        assert order == [None, "at"]
+        assert env.events_processed == 2
+
+    def test_rejects_a_time_before_now(self, env):
+        env.run(until=5.0)
+        with pytest.raises(ValueError):
+            env.timeout_at(4.0)
+
+
 class TestCancel:
     """``Environment.cancel``: lazy deletion, skipped alike everywhere."""
 

@@ -1,12 +1,14 @@
-"""An untraced run against a traced one.
+"""An untraced run against a traced one, and both against the event path.
 
 Both compute drain landings and run, in batches, every periodic segment
-nothing can interrupt without a kernel event; a traced one also records
-each checkpoint and landing at its own time.  Both must give
-bit-identical results (``float.hex``) and metrics, dispatch the same
-kernel events (but for the traced p-ckpt phase-2 span events), and
-apply a drain landing before anything else that happens at the same
-instant.
+and failure landing nothing else comes before; a traced one also
+records each checkpoint, landing and restore at its own time.  Both
+must give bit-identical results (``float.hex``) and metrics, dispatch
+the same kernel events (but for the traced p-ckpt phase-2 span events),
+and apply a drain landing before anything else that happens at the same
+instant.  On :class:`~repro.validate.backends.EventPathEnvironment`,
+whose horizon lets nothing run inline, every segment and failure goes
+through the kernel; the batched run must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.failures.injector import FailureEvent
 from repro.failures.weibull import LANL_SYSTEM18_WEIBULL, TITAN_WEIBULL
 from repro.models.base import CRSimulation
 from repro.models.registry import get_model
+from repro.validate.backends import EventPathEnvironment
 from repro.validate.crdiff import _flatten as _fingerprint
 from repro.workloads.applications import APPLICATIONS
 
@@ -90,6 +93,32 @@ def test_untraced_metrics_equal_traced(case):
     fast, event = snapshot(False), snapshot(True)
     assert fast["counters"]["ckpt.periodic_completed"] > 0
     assert fast == event
+
+
+@pytest.mark.parametrize("case,seed", itertools.product(sorted(CONFIGS), SEEDS))
+def test_inline_equals_event_path(case, seed, monkeypatch):
+    """Inline failure landings and batches reproduce the event path.
+
+    The default predictor raises false alarms, so the M1..P2 cases
+    (CHIMERA/M1 among them) deliver them too.
+    """
+    app, config, weibull = CONFIGS[case]
+
+    def run():
+        sim, out = _run(app, config, weibull, seed, traced=False,
+                        metrics=MetricsRegistry())
+        metrics = {kind: {name: value for name, value in rows.items()
+                          if not name.startswith("des.")}
+                   for kind, rows in out.metrics.items()}
+        return _fingerprint(out), sim.drain.completed, metrics, sim
+
+    fast = run()
+    monkeypatch.setattr("repro.models.base.Environment", EventPathEnvironment)
+    event = run()
+    assert isinstance(event[3].env, EventPathEnvironment)
+    assert fast[:3] == event[:3]
+    if app == "CHIMERA":
+        assert fast[3].env.events_processed < event[3].env.events_processed
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
