@@ -9,7 +9,7 @@ property tests fuzz the machine directly.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, Tuple
 
 from ..platform.node import NodeHealth
 
@@ -58,6 +58,15 @@ ALLOWED_TRANSITIONS: Dict[NodeHealth, FrozenSet[NodeHealth]] = {
 }
 
 
+# The same table for :func:`transition`, keyed by member identity:
+# ``NodeHealth.__hash__`` is Python-level, ``id`` and an identity scan of
+# a tuple are not, and every failure makes two transitions.  Members are
+# singletons, so their ids are fixed for the process.
+_DESTINATIONS: Dict[int, Tuple[NodeHealth, ...]] = {
+    id(src): tuple(dsts) for src, dsts in ALLOWED_TRANSITIONS.items()
+}
+
+
 def can_transition(src: NodeHealth, dst: NodeHealth) -> bool:
     """Whether Fig 5 permits the transition *src* → *dst*."""
     return dst in ALLOWED_TRANSITIONS[src]
@@ -71,6 +80,6 @@ def transition(src: NodeHealth, dst: NodeHealth) -> NodeHealth:
     IllegalTransition
         If the move is not in :data:`ALLOWED_TRANSITIONS`.
     """
-    if not can_transition(src, dst):
+    if dst not in _DESTINATIONS[id(src)]:
         raise IllegalTransition(f"illegal node transition {src.value} -> {dst.value}")
     return dst

@@ -24,7 +24,8 @@ import numpy as np
 
 from ..analysis.metrics import FTStats, OverheadBreakdown
 from ..core.coordinator import ProactiveAction, ProactiveCoordinator
-from ..core.pckpt import PckptProtocol, ProtocolAborted, entry_from_prediction
+from ..core.pckpt import (PckptProtocol, ProtocolAborted, ProtocolOutcome,
+                          entry_from_prediction)
 from ..core.priority import VulnerableEntry
 from ..core.statemachine import transition
 from ..platform.node import NodeHealth, NodeState
@@ -212,11 +213,15 @@ class _Phase2Job:
             self._arm()
 
     def _arm(self) -> None:
-        self._timer = self.sim.env.timeout(self.duration)
+        self._timer = self.sim.env.timeout_at(self.eta)
         self._timer.callbacks.append(self._land)
 
     def _land(self, _event) -> None:
-        """Landing callback: the snapshot is PFS-complete."""
+        """Landing callback: the snapshot is PFS-complete.
+
+        A restore that reaches :attr:`eta` calls it inline instead, its
+        timer withdrawn (:meth:`CRSimulation._landings`).
+        """
         sim = self.sim
         self._timer = None
         sim.drain.settle()
@@ -374,6 +379,11 @@ class CRSimulation:
                 per_node
             ) + bb.write_time(per_node)
         self.lm_seconds = platform.lm_transfer_time(per_node, config.lm_alpha)
+        # The blocked protocols' PFS writes, fixed for the job: the
+        # safeguard's all-node commit and one p-ckpt priority commit.
+        self._safeguard_seconds = platform.pfs.proactive_write_time(
+            app.nodes, per_node)
+        self._priority_seconds = platform.pfs.priority_write_time(per_node)
         # What plan_recovery reads besides the ledger: fixed for the job.
         self._plan_specs = (platform.pfs, bb, app.nodes, per_node,
                             platform.restart_delay)
@@ -422,8 +432,6 @@ class CRSimulation:
         # fail loudly instead of corrupting FT accounting.
         self._node_states: Dict[int, NodeState] = {}
         self._phase2_job: Optional[_Phase2Job] = None
-        self._active_protocol: Optional[PckptProtocol] = None
-        self._active_safeguard: Optional[SafeguardCheckpoint] = None
         self._interruptible = False
         self._computing = False
         self._pending: List[tuple] = []
@@ -456,7 +464,10 @@ class CRSimulation:
 
         Failures need no process: the next draw is held on the
         simulation.  The segment batch lands it inline when nothing else
-        comes first (:meth:`_run_segments`); otherwise it is armed as a
+        comes first (:meth:`_run_segments`), and its prediction too when
+        the draw alone decides the safeguard or p-ckpt phase 1 it starts
+        (:meth:`_decided`); a restore that reaches an in-flight phase-2
+        flush lands the flush inline.  Otherwise the draw is armed as a
         kernel timeout (:meth:`_arm`) whenever the application leaves the
         batch.  False alarms keep their own driver process.
         """
@@ -819,7 +830,8 @@ class CRSimulation:
                     continue
                 interval = step
             else:
-                self.oci.record_time(self.env.now)
+                if self.oci.online_estimation:
+                    self.oci.record_time(self.env.now)
                 interval = self.oci.interval()
                 self.oci_final = interval
             target = min(self.work_done + interval, goal)
@@ -834,19 +846,22 @@ class CRSimulation:
             self.trace.emit("app", "completed", self.work_done)
 
     def _run_segments(self, goal: float) -> Union[float, tuple, None]:
-        """Run every segment and failure landing that comes before the horizon.
+        """Run every segment and disturbance that comes before the horizon.
 
         With no live migration in flight the compute rate is exactly 1.0,
-        so only a kernel event or a failure can disturb a segment.  Each
-        segment that ends, BB write included, strictly before the horizon
-        (:meth:`_stretch`) runs here as float arithmetic: the event path's
-        own expressions in its order, with the interval read per segment
-        as the main loop reads it.  The clock, progress, overhead,
-        counters, ledger and drain chain are then committed once; a
-        traced batch records and submits its checkpoints one by one
-        instead (:meth:`_record_segments`).  A failure that lands first,
-        strictly before the horizon, strikes here too (:meth:`_strike`),
-        and the batch goes on after its restore.
+        so only a kernel event or the next failure can disturb a segment.
+        Each segment that ends, BB write included, strictly before the
+        horizon (:meth:`_stretch`) runs here as float arithmetic: the
+        event path's own expressions in its order, with the interval read
+        per segment as the main loop reads it.  The clock, progress,
+        overhead, counters, ledger and drain chain are then committed
+        once; a traced batch records and submits its checkpoints one by
+        one instead (:meth:`_record_segments`).  What lands first,
+        strictly before the horizon, stops the segment here too
+        (:meth:`_cut`): a failure, and the application recovers
+        (:meth:`_restore_inline`), or its prediction, and the blocked
+        protocol it starts runs as arithmetic (:meth:`_protect_inline`).
+        The batch goes on after either.
 
         Returns the interval read for the first segment that does not end
         before the horizon (the caller runs it on the event path), the
@@ -857,9 +872,11 @@ class CRSimulation:
         """
         env = self.env
         oci = self.oci
+        # Only the online estimator reads the observed time.
+        online = oci.online_estimation
         t_ckpt_bb = self.t_ckpt_bb
         while True:
-            horizon, land = self._stretch()
+            horizon, land, struck = self._stretch()
             # land < horizon when finite: one test per segment for both.
             limit = land if land < horizon else horizon
             now = env.now
@@ -870,7 +887,8 @@ class CRSimulation:
             deferred: Optional[float] = None
             strikes = False
             while work < goal - _EPS:
-                oci.record_time(now)
+                if online:
+                    oci.record_time(now)
                 interval = oci.interval()
                 # interval >= min_interval, so every segment computes; the
                 # rate is 1.0, so planned == target - work and migration
@@ -885,7 +903,8 @@ class CRSimulation:
                 if not t2 < limit:
                     # The kernel delivers a landing that brings the next
                     # draw's first stage with it.
-                    strikes = land <= t2 and not self._held(1).at_once
+                    strikes = land <= t2 and not (
+                        struck and self._held(1).at_once)
                     if not strikes:
                         deferred = interval
                     break
@@ -910,7 +929,10 @@ class CRSimulation:
             self.overhead.checkpoint = checkpoint
             self.oci_final = interval
             if strikes:
-                restore = self._strike(land, now, t1, target)
+                if self._cut(land, now, t1, target):
+                    restore = self._protect_inline(struck)
+                else:
+                    restore = self._restore_inline()
                 if restore is not None:
                     return restore
                 continue
@@ -920,118 +942,246 @@ class CRSimulation:
                 self._arm()
             return deferred
 
-    def _stretch(self) -> Tuple[float, float]:
-        """The batch's horizon, and when the next failure lands in it.
+    def _stretch(self) -> Tuple[float, float, bool]:
+        """The batch's horizon, what lands in it, and whether a failure does.
 
         The horizon is :meth:`~repro.des.Environment.horizon`, or earlier
-        a prediction still to deliver, or a landing the kernel must
-        deliver because a completed live migration avoids it.  A landing
-        strictly before the horizon comes back as the second value
-        (``inf`` when there is none), its armed timeout withdrawn.
+        a prediction the batch cannot land, or a landing the kernel must
+        deliver because a completed live migration avoids it.  The next
+        failure landing strictly before the horizon comes back as the
+        second value, with True.  So does its prediction when the draw
+        alone decides the blocked protocol it starts (:meth:`_decided`)
+        and that is decided strictly before the horizon, with True when
+        the failure aborts the protocol.  Whatever lands has its armed
+        timeout withdrawn; the second value is ``inf`` when nothing does.
         """
         env = self.env
         horizon = env.horizon()
         d = self._held(0)
-        if d.tp is not None:
-            return (d.tp if d.tp < horizon else horizon), _INF
-        tf = d.tf
-        if tf > horizon:
-            return horizon, _INF
-        if self._avoided(d.ev):
-            return tf, _INF
+        t = d.tf if d.tp is None else d.tp  # the next stage
+        if t > horizon:
+            return horizon, _INF, False
+        # When what the stage starts is decided: a landing at once, a
+        # prediction when its protocol aborts or commits.
+        if d.tp is None:
+            end = None if self._avoided(d.ev) else t
+        else:
+            end = self._decided(d)
+        if end is None:
+            return t, _INF, False
         if self._timer is not None:
             env.cancel(self._timer)
             self._timer = None
             horizon = env.horizon()
-        return horizon, (tf if tf < horizon else _INF)
+        if end < horizon:
+            return horizon, t, end == d.tf
+        return t, _INF, False
 
-    def _strike(self, tf: float, now: float, t1: float,
-                target: float) -> Optional[tuple]:
-        """Land the next failure at *tf* in the segment computing to *target*.
+    def _decided(self, d: _Draw) -> Optional[float]:
+        """When *d* alone decides the blocked protocol its prediction starts.
+
+        That takes a model without live migration and a failure due
+        strictly after its prediction at ``tp``.  A safeguard's
+        all-node write ``W`` is aborted by the failure when
+        ``tf < tp + W``; p-ckpt phase 1 is one priority write ``w`` when
+        the predicted node is the only vulnerable entry still live at
+        ``tp``, aborted when ``tf < tp + w`` and committed at
+        ``tp + w`` when ``tf > tp + w``.  Returns ``tf`` or that commit
+        time; None when the event path must run the protocol: a
+        safeguard that completes, an exact tie, more than one queued
+        entry, or p-ckpt that blocks for phase 2.
+        """
+        config = self.config
+        if config.supports_lm or not d.f_wait:
+            return None
+        tp = d.tp
+        tf = d.tf
+        action = self.coordinator.decide(d.ev.time - tp)
+        if action is ProactiveAction.SAFEGUARD:
+            write = self._safeguard_seconds
+            return tf if write > _EPS and tf < tp + write else None
+        if action is not ProactiveAction.PCKPT or not config.pckpt_async_phase2:
+            return None
+        node = d.ev.node
+        for other, pred in self._vulnerable.items():
+            if other != node and self._prediction_deadline(pred) > tp:
+                return None
+        write = self._priority_seconds
+        if not write > _EPS:
+            return None
+        tc = tp + write
+        if tf < tc:
+            return tf
+        return tc if tf > tc else None
+
+    def _cut(self, t: float, now: float, t1: float, target: float) -> bool:
+        """Stop the segment computing to *target* at *t* with the next stage.
 
         The segment began at *now*.  The event path's order and
-        expressions, with the clock moved to *tf*: the failure is
-        delivered, then the application stops.  At or before the compute
-        end *t1* it interrupts the compute, which reached
-        ``work + (tf - now) * 1.0``; later it aborts the BB write begun at
-        *t1*, charging ``tf - t1``.  Then the application recovers
-        (:meth:`_restore_inline`), whose result this returns.
+        expressions, with the clock moved to *t*: the next failure's next
+        stage is delivered, then the application stops.  At or before the
+        compute end *t1* it interrupts the compute, which reached
+        ``work + (t - now) * 1.0``; later it aborts the BB write begun at
+        *t1*, charging ``t - t1``.  Deliveries queue up from here, as they
+        do during a restore.  True when the stage was the prediction.
         """
-        env = self.env
         trace = self.trace
-        aborts = tf > t1
+        aborts = t > t1
         if not aborts:
-            self.work_done += (tf - now) * 1.0
+            self.work_done += (t - now) * 1.0
         else:
             self.work_done = target
             if trace is not None:
                 trace.emit("app", "ckpt_bb_start", target, time=t1)
                 sid = trace.span_begin("app", "ckpt_bb_write", target, time=t1)
-        env.advance(tf)
-        # Deliveries queue up from here, as they do during a restore.
         self._interruptible = False
-        d = self._draws.pop(0)
-        self._landed = d.tf
-        self._deliver_failure(d.ev)
+        d = self._draws[0]
+        predicted = d.tp is not None
+        if predicted:
+            self.env.advance(t)
+            d.tp = None
+            self._deliver_prediction(d.ev)
+        else:
+            self._land_next()
         if aborts:
-            self.overhead.checkpoint += tf - t1
+            self.overhead.checkpoint += t - t1
             if trace is not None:
                 trace.span_end(sid)
                 trace.emit("app", "ckpt_bb_aborted", None)
             self._count("ckpt.periodic_aborted")
-        return self._restore_inline()
+        return predicted
+
+    def _land_next(self) -> None:
+        """Move the clock to the next failure and deliver it there."""
+        d = self._draws.pop(0)
+        self._landed = d.tf
+        self.env.advance(d.tf)
+        self._deliver_failure(d.ev)
+
+    def _protect_inline(self, struck: bool) -> Optional[tuple]:
+        """Run the protocol the prediction just delivered starts, inline.
+
+        :meth:`_decided` found that its failure alone decides it, so
+        nothing else happens until then.  The bookkeeping is the event
+        path's, and protocol time is charged as its waits charge it,
+        ``0.0 + (t - tp)`` (p-ckpt adds phase 2's ``0.0``).  When the
+        failure aborts it (*struck*), the failure lands at its own time
+        and the application recovers (:meth:`_restore_inline`), whose
+        result this returns.  Otherwise p-ckpt phase 1 commits at
+        ``tp + w``, phase 2 starts in the background and None is
+        returned: the batch goes on.
+        """
+        env = self.env
+        tp = env.now
+        # A real prediction is its failure's own event: it aborts too.
+        _, prediction, action = self._pending.pop()
+        self.proactive_runs += 1
+        if action is ProactiveAction.SAFEGUARD:
+            sid = self._safeguard_begin(prediction)
+            self._land_next()
+            self._aborted("safeguard", 0.0 + (env.now - tp), prediction, sid)
+            return self._restore_inline()
+        _, prov_by_node, provs, sid = self._pckpt_begin(prediction)
+        if struck:
+            self._land_next()
+            self._aborted("pckpt", (0.0 + (env.now - tp)) + 0.0, prediction,
+                          sid)
+            return self._restore_inline()
+        env.advance(tp + self._priority_seconds)
+        tc = env.now
+        node = prediction.node
+        self._pckpt_commit(node, tc, prov_by_node)
+        self._pckpt_done(
+            ProtocolOutcome(
+                snapshot_work=self.work_done,
+                committed={node: tc},
+                pending_failures=[],
+                phase1_seconds=0.0 + (tc - tp),
+                phase2_seconds=0.0,
+                healthy_nodes=self.app.nodes - 1 - len(self._migrated_away),
+            ),
+            provs, sid,
+        )
+        self._interruptible = True
+        return None
 
     def _restore_inline(self) -> Optional[tuple]:
         """Recover from the queued failures while nothing else happens.
 
         Each recovers in turn (:meth:`_recover`), and the failures landing
         at or before the end of its restore are delivered at their own
-        times and queue behind it, as on the event path.  A restore that
-        something else may disturb (:meth:`_landings`) is returned as
-        ``(seconds, lost, sid)`` for the event path to wait out, the next
-        failure armed; None once every queued failure is recovered.
+        times and queue behind it, as on the event path; an in-flight
+        phase-2 flush due by then lands at its ``eta`` in time order
+        among them.  A restore that something else may disturb
+        (:meth:`_landings`) is returned as ``(seconds, lost, sid)`` for
+        the event path to wait out, the next failure armed; None once
+        every queued failure is recovered.
         """
         env = self.env
-        draws = self._draws
         while self._pending:
             seconds, lost, sid = self._recover(self._pending.pop(0)[1])
             end = env.now + seconds
-            n = self._landings(end) if seconds > _EPS else -1
+            n, job = self._landings(end) if seconds > _EPS else (-1, None)
             if n < 0:
                 if self._timer is None:
                     self._arm()
                 return seconds, lost, sid
             for _ in range(n):
-                d = draws.pop(0)
-                self._landed = d.tf
-                env.advance(d.tf)
-                self._deliver_failure(d.ev)
+                if job is not None and job.eta < self._draws[0].tf:
+                    env.advance(job.eta)
+                    job._land(None)
+                    job = None
+                self._land_next()
+            if job is not None:
+                env.advance(job.eta)
+                job._land(None)
             env.advance(end)
             if self.trace is not None:
                 self.trace.span_end(sid, {"lost": lost})
         self._interruptible = True
         return None
 
-    def _landings(self, end: float) -> int:
-        """How many failures land in a restore ending at *end*.
+    def _landings(self, end: float) -> Tuple[int, Optional[_Phase2Job]]:
+        """How many failures land in a restore ending at *end*, and the flush.
 
         -1 unless nothing else happens until then: *end* comes strictly
         before the kernel's horizon, no prediction is due by then, and no
         failure landing by then brings the next draw's first stage with
-        it.
+        it.  The in-flight phase-2 flush is looked past when it is next
+        and due by *end*: its timer is withdrawn and the job comes back
+        second, to land inline.  A failure at exactly its ``eta`` leaves
+        the order to the kernel: -1, and the timer is armed again.
         """
-        if not end < self.env.horizon():
-            return -1
-        i = 0
-        while True:
-            d = self._held(i)
-            if d.tp is not None:
-                return i if d.tp > end else -1
-            if d.tf > end:
-                return i
-            i += 1
-            if self._held(i).at_once:
-                return -1
+        env = self.env
+        horizon = env.horizon()
+        job = self._phase2_job
+        if (job is not None and job._timer is not None
+                and job.eta == horizon and job.eta <= end):
+            env.cancel(job._timer)
+            job._timer = None
+            horizon = env.horizon()
+        else:
+            job = None
+        n = -1
+        if end < horizon:
+            i = 0
+            while True:
+                d = self._held(i)
+                if d.tp is not None:
+                    if d.tp > end:
+                        n = i
+                    break
+                if d.tf > end:
+                    n = i
+                    break
+                if job is not None and d.tf == job.eta:
+                    break
+                i += 1
+                if self._held(i).at_once:
+                    break
+        if n < 0 and job is not None:
+            job._arm()
+        return n, job
 
     def _record_segments(self, now: float, work: float, works: List[float],
                          times: List[float]) -> None:
@@ -1151,12 +1301,7 @@ class CRSimulation:
         """Run a safeguard or p-ckpt protocol inside the app process."""
         # A stale notification: the predicted failure already passed
         # (it was deferred behind a recovery).  Nothing to protect anymore.
-        deadline = (
-            prediction.time
-            if isinstance(prediction, FailureEvent)
-            else prediction.prediction_time + prediction.claimed_lead
-        )
-        if deadline <= self.env.now:
+        if self._prediction_deadline(prediction) <= self.env.now:
             return
         self.proactive_runs += 1
         if action is ProactiveAction.SAFEGUARD:
@@ -1167,42 +1312,22 @@ class CRSimulation:
             raise RuntimeError(f"cannot run proactive action {action}")
 
     def _run_safeguard(self, prediction):
-        per_node = self.app.checkpoint_bytes_per_node
-        write = self.platform.pfs.proactive_write_time(self.app.nodes, per_node)
+        """Wait out a safeguard's collective write on the event path."""
         run = SafeguardCheckpoint(
             self.env,
             self.work_done,
-            write,
+            self._safeguard_seconds,
             prediction,
             already_covered=set(self._migrated_away),
         )
-        self._active_safeguard = run
-        trace = self.trace
-        if trace is not None:
-            prov = getattr(prediction, "provenance", -1)
-            trace.emit("safeguard", "start",
-                       {"node": prediction.node, "seconds": write, "prov": prov})
-        self._count("safeguard.runs")
-        # The safeguard only burns time inside its collective write, so
-        # this span's duration equals the checkpoint overhead it charges
-        # (run.spent / outcome.duration) — on aborts too.
-        if trace is not None:
-            sid = trace.span_begin("safeguard", "safeguard_write",
-                                   {"node": prediction.node, "prov": prov})
+        sid = self._safeguard_begin(prediction)
         try:
             outcome = yield from run.run()
         except SafeguardAborted as exc:
-            self.overhead.checkpoint += run.spent
-            if trace is not None:
-                trace.span_end(sid, "aborted")
-                trace.emit("safeguard", "aborted",
-                           {"node": exc.failure.node,
-                            "prov": exc.failure.provenance})
-            self._count("safeguard.aborts")
+            self._aborted("safeguard", run.spent, exc.failure, sid)
             yield from self._restore(*self._recover(exc.failure))
             return
-        finally:
-            self._active_safeguard = None
+        trace = self.trace
         if trace is not None:
             trace.span_end(sid, "done")
         self.overhead.checkpoint += outcome.duration
@@ -1225,13 +1350,80 @@ class CRSimulation:
         if outcome.pending_failures:
             yield from self._recover_after_proactive(outcome.pending_failures)
 
+    def _safeguard_begin(self, prediction) -> int:
+        """Start a safeguard at the clock; return its span id (0 untraced)."""
+        trace = self.trace
+        if trace is not None:
+            prov = getattr(prediction, "provenance", -1)
+            trace.emit("safeguard", "start",
+                       {"node": prediction.node,
+                        "seconds": self._safeguard_seconds, "prov": prov})
+        self._count("safeguard.runs")
+        # The safeguard only burns time inside its collective write, so
+        # this span's duration equals the checkpoint overhead it charges
+        # (run.spent / outcome.duration) — on aborts too.
+        if trace is not None:
+            return trace.span_begin("safeguard", "safeguard_write",
+                                    {"node": prediction.node, "prov": prov})
+        return 0
+
+    def _aborted(self, source: str, spent: float, failure: FailureEvent,
+                 sid: int) -> None:
+        """Charge a protocol that *failure* aborted after *spent* seconds.
+
+        *source* is ``"safeguard"`` or ``"pckpt"``; the caller recovers.
+        """
+        self.overhead.checkpoint += spent
+        trace = self.trace
+        if trace is not None:
+            trace.span_end(sid, "aborted")
+            trace.emit(source, "aborted",
+                       {"node": failure.node, "prov": failure.provenance})
+        self._count(source + ".aborts")
+
     def _run_pckpt(self, prediction):
+        """Wait out a p-ckpt protocol on the event path."""
         per_node = self.app.checkpoint_bytes_per_node
+        initial, prov_by_node, provs, sid = self._pckpt_begin(prediction)
+        protocol = PckptProtocol(
+            self.env,
+            snapshot_work=self.work_done,
+            total_nodes=self.app.nodes,
+            priority_write_seconds=lambda _n: self._priority_seconds,
+            phase2_write_seconds=lambda n: self.platform.pfs.proactive_write_time(
+                n, per_node
+            ),
+            initial=initial,
+            already_covered=set(self._migrated_away),
+            on_commit=lambda entry, when: self._pckpt_commit(
+                entry.node, when, prov_by_node),
+            include_phase2=not self.config.pckpt_async_phase2,
+        )
+        try:
+            outcome = yield from protocol.run()
+        except ProtocolAborted as exc:
+            self._aborted("pckpt", protocol.phase1_spent + protocol.phase2_spent,
+                          exc.failure, sid)
+            yield from self._restore(*self._recover(exc.failure))
+            return
+        self._pckpt_done(outcome, provs, sid)
+        if outcome.pending_failures:
+            yield from self._recover_after_proactive(outcome.pending_failures)
+
+    def _pckpt_begin(self, prediction) -> Tuple[List[VulnerableEntry],
+                                                 Dict[int, int],
+                                                 Optional[List[int]], int]:
+        """Start a p-ckpt at the clock.
+
+        Returns its initial queue entries, the provenance id of the
+        prediction behind each queued node, the sorted ids (None
+        untraced) and the protocol's span id (0 untraced).
+        """
         trace = self.trace
         initial = [entry_from_prediction(prediction)]
         enqueued = {prediction.node}
         # node -> provenance id of the prediction that enqueued it, for
-        # the causal-timeline annotations on every protocol record below.
+        # the causal-timeline annotations on every protocol record.
         prov_by_node = {prediction.node: getattr(prediction, "provenance", -1)}
         # Fig 5: starting p-ckpt aborts in-flight LMs; their nodes join
         # the priority queue (their snapshot share must now be committed).
@@ -1257,37 +1449,8 @@ class CRSimulation:
             initial.append(entry_from_prediction(pred))
             enqueued.add(node)
             prov_by_node[node] = getattr(pred, "provenance", -1)
-
-        def _on_commit(entry: VulnerableEntry, when: float) -> None:
-            # The commit covers every live prediction for this node.
-            for watcher in self._watchers.get(entry.node, ()):
-                watcher.action = ProactiveAction.PCKPT
-                watcher.committed = True
-            if trace is not None:
-                trace.emit(
-                    "pckpt",
-                    "vulnerable-committed",
-                    {"node": entry.node, "when": when,
-                     "prov": prov_by_node.get(entry.node, -1)},
-                )
-
-        protocol = PckptProtocol(
-            self.env,
-            snapshot_work=self.work_done,
-            total_nodes=self.app.nodes,
-            priority_write_seconds=lambda _n: self.platform.pfs.priority_write_time(
-                per_node
-            ),
-            phase2_write_seconds=lambda n: self.platform.pfs.proactive_write_time(
-                n, per_node
-            ),
-            initial=initial,
-            already_covered=set(self._migrated_away),
-            on_commit=_on_commit,
-            include_phase2=not self.config.pckpt_async_phase2,
-        )
-        self._active_protocol = protocol
         provs = None
+        sid = 0
         if trace is not None:
             nodes = [e.node for e in initial]
             provs = sorted(prov_by_node.values())
@@ -1295,25 +1458,31 @@ class CRSimulation:
         self._count("pckpt.runs")
         # All protocol time passes inside its interruptible waits, so this
         # span's duration equals phase1+phase2 blocked seconds — the exact
-        # checkpoint overhead charged below, on aborts too.
+        # checkpoint overhead charged at its end, on aborts too.
         if trace is not None:
             sid = trace.span_begin(
                 "pckpt", "pckpt_protocol", {"nodes": nodes, "provs": provs}
             )
-        try:
-            outcome = yield from protocol.run()
-        except ProtocolAborted as exc:
-            self.overhead.checkpoint += protocol.phase1_spent + protocol.phase2_spent
-            if trace is not None:
-                trace.span_end(sid, "aborted")
-                trace.emit("pckpt", "aborted",
-                           {"node": exc.failure.node,
-                            "prov": exc.failure.provenance})
-            self._count("pckpt.aborts")
-            yield from self._restore(*self._recover(exc.failure))
-            return
-        finally:
-            self._active_protocol = None
+        return initial, prov_by_node, provs, sid
+
+    def _pckpt_commit(self, node: int, when: float,
+                      prov_by_node: Dict[int, int]) -> None:
+        """A phase-1 commit of *node* at *when* covers its live predictions."""
+        for watcher in self._watchers.get(node, ()):
+            watcher.action = ProactiveAction.PCKPT
+            watcher.committed = True
+        if self.trace is not None:
+            self.trace.emit(
+                "pckpt",
+                "vulnerable-committed",
+                {"node": node, "when": when,
+                 "prov": prov_by_node.get(node, -1)},
+            )
+
+    def _pckpt_done(self, outcome: ProtocolOutcome,
+                    provs: Optional[List[int]], sid: int) -> None:
+        """Charge a completed p-ckpt and start its phase 2 (or land it)."""
+        trace = self.trace
         if trace is not None:
             trace.span_end(sid, "done")
         self.overhead.checkpoint += outcome.duration
@@ -1335,8 +1504,6 @@ class CRSimulation:
                 {"committed": sorted(outcome.committed),
                  "duration": outcome.duration, "provs": provs},
             )
-        if outcome.pending_failures:
-            yield from self._recover_after_proactive(outcome.pending_failures)
 
     def _recover_after_proactive(self, failures: List[FailureEvent]):
         """One recovery pass covering failures that struck mid-protocol."""

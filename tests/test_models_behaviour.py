@@ -176,12 +176,14 @@ class TestEventBudget:
     VULCAN/P2 one on titan 1668; a traced run then also dispatched up to
     three events per checkpoint.  Before failures landed in the batch,
     that CHIMERA/B replication dispatched 316 events, and P1 5.7 per
-    disturbance untraced and 6.3 traced.
+    disturbance untraced and 6.3 traced.  Before predictions and the
+    protocols they start landed in the batch too, M1 dispatched 4.1 per
+    disturbance, traced or not, and P1 4.5 untraced and 6.1 traced.
     """
 
     FLAT = 4
-    PER_DISTURBANCE = 5
-    TRACED_PER_DISTURBANCE = 7
+    PER_DISTURBANCE = 2
+    TRACED_PER_DISTURBANCE = 5
     FAILURE_FREE = 20
     BATCHES_PER_DISTURBANCE = 3
     BATCHES_FAILURE_FREE = 2
@@ -220,13 +222,14 @@ class TestEventBudget:
                             rng=np.random.default_rng(0), trace=trace)
 
     def _event_budget(self, model, out, traced):
-        """B's flat budget, or P1's per disturbance."""
+        """B's flat budget, or M1's and P1's per disturbance."""
         if model == "B":
             return self.FLAT
-        per = self.TRACED_PER_DISTURBANCE if traced else self.PER_DISTURBANCE
+        per = (self.TRACED_PER_DISTURBANCE if traced and model == "P1"
+               else self.PER_DISTURBANCE)
         return per * (out.ft.failures + out.ft.false_alarms)
 
-    @pytest.mark.parametrize("model", ["B", "P1"])
+    @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_events_per_replication(self, model):
         """A traced run adds only P1's phase-2 span events."""
         sim, out, batches = self._chimera(model, trace=Trace(env=None))
@@ -236,7 +239,7 @@ class TestEventBudget:
                 <= self._event_budget(model, out, traced=True))
         assert batches <= self.BATCHES_PER_DISTURBANCE * disturbances + 2
 
-    @pytest.mark.parametrize("model", ["B", "P1"])
+    @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_untraced_events_per_disturbance(self, model):
         sim, out, _ = self._chimera(model)
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50

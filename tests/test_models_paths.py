@@ -19,8 +19,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.cr.checkpoint import SnapshotLedger
 from repro.des import MetricsRegistry, Trace
 from repro.failures.injector import FailureEvent
+from repro.failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
 from repro.failures.weibull import LANL_SYSTEM18_WEIBULL, TITAN_WEIBULL
 from repro.models.base import CRSimulation
 from repro.models.registry import get_model
@@ -30,28 +32,63 @@ from repro.workloads.applications import APPLICATIONS
 
 SEEDS = (0, 7, 11)
 
-#: case id -> (application, model config, failure distribution).  The
-#: default predictor raises false alarms, so M1..P2 see them too.
+#: Predictors without false alarms, whose timers would often end a batch
+#: before a prediction can land in it.
+NO_ALARMS = PredictorSpec(false_positive_rate=0.0)
+#: Leads too short for most p-ckpt priority writes: phase 1 aborts.
+SHORT_LEADS = PredictorSpec(false_positive_rate=0.0, lead_scale=0.3)
+
+#: case id -> (application, model config, failure distribution,
+#: predictor).  The default predictor raises false alarms, so M1..P2
+#: see them too.
 CONFIGS = {
-    **{f"CHIMERA/{m}": ("CHIMERA", get_model(m), LANL_SYSTEM18_WEIBULL)
+    **{f"CHIMERA/{m}": ("CHIMERA", get_model(m), LANL_SYSTEM18_WEIBULL,
+                        DEFAULT_PREDICTOR)
        for m in ("B", "M1", "M2", "P1", "P2")},
-    "VULCAN/P2/titan": ("VULCAN", get_model("P2"), TITAN_WEIBULL),
-    "POP/M2/titan": ("POP", get_model("M2"), TITAN_WEIBULL),
+    "VULCAN/P2/titan": ("VULCAN", get_model("P2"), TITAN_WEIBULL,
+                        DEFAULT_PREDICTOR),
+    "POP/M2/titan": ("POP", get_model("M2"), TITAN_WEIBULL,
+                     DEFAULT_PREDICTOR),
     "CHIMERA/P2/oci_online": (
         "CHIMERA", dataclasses.replace(get_model("P2"), oci_online=True),
-        LANL_SYSTEM18_WEIBULL),
+        LANL_SYSTEM18_WEIBULL, DEFAULT_PREDICTOR),
     "CHIMERA/B/neighbor_level": (
         "CHIMERA", dataclasses.replace(get_model("B"), neighbor_level=True),
-        LANL_SYSTEM18_WEIBULL),
+        LANL_SYSTEM18_WEIBULL, DEFAULT_PREDICTOR),
     "CHIMERA/P1/sync_phase2": (
         "CHIMERA",
         dataclasses.replace(get_model("P1"), pckpt_async_phase2=False),
-        LANL_SYSTEM18_WEIBULL),
+        LANL_SYSTEM18_WEIBULL, DEFAULT_PREDICTOR),
+    # Every prediction's safeguard is aborted by its failure, or p-ckpt
+    # phase 1 commits and phase 2 lands in a later restore.
+    "CHIMERA/M1/no_alarms": ("CHIMERA", get_model("M1"),
+                             LANL_SYSTEM18_WEIBULL, NO_ALARMS),
+    "CHIMERA/P1/no_alarms": ("CHIMERA", get_model("P1"),
+                             LANL_SYSTEM18_WEIBULL, NO_ALARMS),
+    "CHIMERA/P1/short_leads": ("CHIMERA", get_model("P1"),
+                               LANL_SYSTEM18_WEIBULL, SHORT_LEADS),
+    # False alarms that stay live for minutes: a prediction often finds
+    # another vulnerable entry still live, and its p-ckpt queues both.
+    "CHIMERA/P1/long_alarms": (
+        "CHIMERA", get_model("P1"), LANL_SYSTEM18_WEIBULL,
+        PredictorSpec(false_positive_rate=0.6, lead_scale=3.0)),
+    # Unpredicted failures often land in a restore that waits for phase 2,
+    # before or after the flush.
+    "CHIMERA/P1/low_recall": ("CHIMERA", get_model("P1"),
+                              LANL_SYSTEM18_WEIBULL,
+                              PredictorSpec(recall=0.6,
+                                            false_positive_rate=0.0)),
+    # A 17.6 s all-node write: most safeguards complete before their
+    # failure, and those take the event path.
+    "S3D/M1/no_alarms": ("S3D", get_model("M1"), LANL_SYSTEM18_WEIBULL,
+                         NO_ALARMS),
 }
 
 
-def _run(app, config, weibull, seed, traced, metrics=None):
+def _run(case, seed, traced, metrics=None):
+    app, config, weibull, predictor = CONFIGS[case]
     sim = CRSimulation(APPLICATIONS[app], config, weibull=weibull,
+                       predictor=predictor,
                        rng=np.random.default_rng(seed),
                        trace=Trace(env=None) if traced else None,
                        metrics=metrics)
@@ -60,12 +97,11 @@ def _run(app, config, weibull, seed, traced, metrics=None):
 
 @pytest.mark.parametrize("case,seed", itertools.product(sorted(CONFIGS), SEEDS))
 def test_untraced_equals_traced(case, seed):
-    app, config, weibull = CONFIGS[case]
-    fast_sim, fast = _run(app, config, weibull, seed, traced=False)
-    event_sim, event = _run(app, config, weibull, seed, traced=True)
+    fast_sim, fast = _run(case, seed, traced=False)
+    event_sim, event = _run(case, seed, traced=True)
     assert _fingerprint(fast) == _fingerprint(event)
     assert fast_sim.drain.completed == event_sim.drain.completed
-    if config.supports_pckpt:
+    if CONFIGS[case][1].supports_pckpt:
         # Urgent events open and close the traced phase-2 spans.
         assert fast_sim.env.events_processed <= event_sim.env.events_processed
     else:
@@ -81,11 +117,8 @@ def test_untraced_metrics_equal_traced(case):
     counts and float sums must still match the traced run's to the bit.
     Only the kernel's own ``des.*`` rows may differ.
     """
-    app, config, weibull = CONFIGS[case]
-
     def snapshot(traced):
-        _, out = _run(app, config, weibull, 7, traced,
-                      metrics=MetricsRegistry())
+        _, out = _run(case, 7, traced, metrics=MetricsRegistry())
         return {kind: {name: value for name, value in rows.items()
                        if not name.startswith("des.")}
                 for kind, rows in out.metrics.items()}
@@ -97,28 +130,46 @@ def test_untraced_metrics_equal_traced(case):
 
 @pytest.mark.parametrize("case,seed", itertools.product(sorted(CONFIGS), SEEDS))
 def test_inline_equals_event_path(case, seed, monkeypatch):
-    """Inline failure landings and batches reproduce the event path.
+    """Inline landings, protocols and batches reproduce the event path.
 
     The default predictor raises false alarms, so the M1..P2 cases
-    (CHIMERA/M1 among them) deliver them too.
+    (CHIMERA/M1 among them) deliver them too; the ``no_alarms`` and
+    ``short_leads`` cases land most predictions, and the protocols they
+    start, in the batch.  Every proactive snapshot must reach the ledger
+    with the same work at the same time (a phase-2 flush landing in a
+    restore included), and a traced run must record what the event path
+    records, at the same times and in the same order.
     """
-    app, config, weibull = CONFIGS[case]
+    app = CONFIGS[case][0]
+    proactive = []
+    record = SnapshotLedger.record_proactive
+
+    def spy(ledger, work, time):
+        proactive.append((work.hex(), time.hex()))
+        return record(ledger, work, time)
+
+    monkeypatch.setattr(SnapshotLedger, "record_proactive", spy)
 
     def run():
-        sim, out = _run(app, config, weibull, seed, traced=False,
-                        metrics=MetricsRegistry())
+        del proactive[:]
+        sim, out = _run(case, seed, traced=False, metrics=MetricsRegistry())
         metrics = {kind: {name: value for name, value in rows.items()
                           if not name.startswith("des.")}
                    for kind, rows in out.metrics.items()}
-        return _fingerprint(out), sim.drain.completed, metrics, sim
+        landed = list(proactive)
+        traced, _ = _run(case, seed, traced=True)
+        records = [(r.time.hex(), r.source, r.kind, r.sid, repr(r.detail))
+                   for r in traced.trace.records]
+        return (_fingerprint(out), sim.drain.completed, metrics, landed,
+                records, sim)
 
     fast = run()
     monkeypatch.setattr("repro.models.base.Environment", EventPathEnvironment)
     event = run()
-    assert isinstance(event[3].env, EventPathEnvironment)
-    assert fast[:3] == event[:3]
+    assert isinstance(event[-1].env, EventPathEnvironment)
+    assert fast[:-1] == event[:-1]
     if app == "CHIMERA":
-        assert fast[3].env.events_processed < event[3].env.events_processed
+        assert fast[-1].env.events_processed < event[-1].env.events_processed
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -168,7 +219,9 @@ class TestDisturbanceCostModel:
     """
 
     @pytest.mark.parametrize("case", ["CHIMERA/B", "CHIMERA/M1", "CHIMERA/P1",
-                                      "VULCAN/P2/titan", "POP/M2/titan"])
+                                      "VULCAN/P2/titan", "POP/M2/titan",
+                                      "CHIMERA/M1/no_alarms",
+                                      "CHIMERA/P1/no_alarms"])
     def test_untraced_run_builds_no_payload(self, case, monkeypatch):
         calls, payloads = [], []
 
@@ -180,8 +233,8 @@ class TestDisturbanceCostModel:
         monkeypatch.setattr("repro.models.base._noop", recorder)
         for method in ("emit", "span_begin", "span_end"):
             monkeypatch.setattr(Trace, method, _forbidden)
-        app, config, weibull = CONFIGS[case]
-        _, out = _run(app, config, weibull, 7, traced=False)
+        app, config = CONFIGS[case][:2]
+        _, out = _run(case, 7, traced=False)
         if app == "CHIMERA":
             assert out.ft.failures > 0
             assert out.proactive_runs > 0 or not config.use_prediction
