@@ -5,7 +5,7 @@ from .checkpoint import Snapshot, SnapshotKind, SnapshotLedger
 from .drain import DrainManager
 from .migration import LiveMigration, MigrationOutcome
 from .oci import OCIController
-from .recovery import RecoveryPlan, plan_recovery
+from .recovery import RecoveryCosts, RecoveryPlan, plan_recovery, recovery_costs
 from .safeguard import SafeguardAborted, SafeguardCheckpoint, SafeguardOutcome
 
 __all__ = [
@@ -19,6 +19,8 @@ __all__ = [
     "LiveMigration",
     "MigrationOutcome",
     "OCIController",
+    "RecoveryCosts",
     "RecoveryPlan",
     "plan_recovery",
+    "recovery_costs",
 ]

@@ -21,8 +21,7 @@ survives, so the neighbor copy is always usable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.metrics import MetricsRegistry
@@ -30,14 +29,62 @@ if TYPE_CHECKING:  # pragma: no cover
 from ..platform.burstbuffer import BurstBufferSpec
 from ..platform.interconnect import InterconnectSpec
 from ..platform.pfs import PFSSpec
-from .checkpoint import Snapshot, SnapshotKind, SnapshotLedger
+from .checkpoint import SnapshotKind, SnapshotLedger
 
-__all__ = ["RecoveryPlan", "plan_recovery"]
+__all__ = ["RecoveryCosts", "RecoveryPlan", "plan_recovery", "recovery_costs"]
 
 
-@dataclass(frozen=True)
-class RecoveryPlan:
+class RecoveryCosts(NamedTuple):
+    """One job's recovery read times and relaunch delay (seconds).
+
+    They depend only on the job's storage, size and node count, so
+    :func:`recovery_costs` derives them once per job and each
+    :func:`plan_recovery` call only picks one.  ``bb_read``: survivors
+    read their BBs while the replacement node alone reads the PFS.
+    ``pfs_read``: every node reads the PFS.  ``neighbor_read``: the
+    replacement node streams its share from the partner's BB (None
+    without a neighbor copy).
+    """
+
+    bb_read: float
+    pfs_read: float
+    neighbor_read: Optional[float]
+    restart_delay: float
+
+
+def recovery_costs(
+    pfs: PFSSpec,
+    bb: BurstBufferSpec,
+    nodes: int,
+    bytes_per_node: float,
+    restart_delay: float,
+    neighbor: Optional[InterconnectSpec] = None,
+) -> RecoveryCosts:
+    """The recovery costs of a *nodes*-node job, for :func:`plan_recovery`.
+
+    *neighbor* is the interconnect the replacement node pulls its share
+    over when the job runs neighbor-level checkpointing; survivors still
+    use their BBs.
+    """
+    neighbor_read = None
+    if neighbor is not None:
+        neighbor_read = max(
+            bb.read_time(bytes_per_node),
+            neighbor.transfer_time(bytes_per_node) + bb.read_time(bytes_per_node),
+        )
+    return RecoveryCosts(
+        max(bb.read_time(bytes_per_node),
+            pfs.replacement_read_time(bytes_per_node)),
+        pfs.full_restore_read_time(nodes, bytes_per_node),
+        neighbor_read,
+        restart_delay,
+    )
+
+
+class RecoveryPlan(NamedTuple):
     """The cost and target of one recovery operation.
+
+    Immutable; a named tuple because one is built per failure.
 
     Attributes
     ----------
@@ -65,80 +112,54 @@ class RecoveryPlan:
 
 def plan_recovery(
     ledger: SnapshotLedger,
-    pfs: PFSSpec,
-    bb: BurstBufferSpec,
-    nodes: int,
-    bytes_per_node: float,
-    restart_delay: float,
-    neighbor: Optional[InterconnectSpec] = None,
+    costs: RecoveryCosts,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> RecoveryPlan:
     """Determine the best recovery action after a node failure.
+
+    The one recovery planner: the ledger decides which snapshot survives
+    and where it is read from; the job's *costs* say how long that takes.
 
     Parameters
     ----------
     ledger:
         The job's snapshot ledger.
-    pfs, bb:
-        Storage specs for read-time queries.
-    nodes:
-        Application node count (restore fan-in for the PFS path).
-    bytes_per_node:
-        Per-node checkpoint size.
-    restart_delay:
-        Platform relaunch latency (seconds).
-    neighbor:
-        When the job runs neighbor-level checkpointing, the interconnect
-        the replacement node pulls its share over; survivors still use
-        their BBs.  The neighbor copy covers the *newest BB generation*
-        (it is written alongside the BB stage), so recovery no longer
-        waits for the PFS drain.
+    costs:
+        The job's :func:`recovery_costs`.  With a neighbor copy the newest
+        BB generation is recoverable (it is written alongside the BB
+        stage), so recovery no longer waits for the PFS drain.
     metrics:
         Optional registry fed ``recovery.plans`` / ``recovery.from_bb`` /
         ``recovery.full_restarts`` counters and a ``recovery.read_seconds``
         histogram.
     """
-
-    def _record(plan: RecoveryPlan) -> RecoveryPlan:
-        if metrics is not None:
-            metrics.counter("recovery.plans").inc()
-            if plan.from_bb:
-                metrics.counter("recovery.from_bb").inc()
-            if plan.restore_work == 0.0:
-                metrics.counter("recovery.full_restarts").inc()
-            metrics.histogram("recovery.read_seconds").observe(plan.read_seconds)
-        return plan
-
     snap = ledger.recovery_snapshot()
-    if neighbor is not None and ledger.bb is not None and (
-        snap is None or ledger.bb.work >= snap.work
+    newest = ledger.bb
+    if costs.neighbor_read is not None and newest is not None and (
+        snap is None or newest.work >= snap.work
     ):
         # Neighbor level: the newest BB generation is recoverable even
         # before its drain lands — the partner holds the dead node's copy
         # and streams it to the replacement over the interconnect.
-        read = max(
-            bb.read_time(bytes_per_node),
-            neighbor.transfer_time(bytes_per_node) + bb.read_time(bytes_per_node),
-        )
-        return _record(
-            RecoveryPlan(ledger.bb.work, read, restart_delay, from_bb=True)
-        )
-
-    if snap is None:
+        plan = RecoveryPlan(newest.work, costs.neighbor_read,
+                            costs.restart_delay, True)
+    elif snap is None:
         # Nothing committed anywhere: full restart, nothing to read.
-        return _record(RecoveryPlan(0.0, 0.0, restart_delay, from_bb=False))
-
-    if snap.kind is SnapshotKind.PERIODIC and ledger.survivors_can_use_bb():
+        plan = RecoveryPlan(0.0, 0.0, costs.restart_delay, False)
+    elif snap.kind is SnapshotKind.PERIODIC and ledger.survivors_can_use_bb():
         # Survivors hit their BBs in parallel; the replacement node is the
         # only PFS reader.  The two proceed concurrently.
-        read = max(
-            bb.read_time(bytes_per_node),
-            pfs.replacement_read_time(bytes_per_node),
-        )
-        return _record(
-            RecoveryPlan(snap.work, read, restart_delay, from_bb=True)
-        )
-
-    # Proactive snapshot (or BBs out of sync): everyone reads the PFS.
-    read = pfs.full_restore_read_time(nodes, bytes_per_node)
-    return _record(RecoveryPlan(snap.work, read, restart_delay, from_bb=False))
+        plan = RecoveryPlan(snap.work, costs.bb_read, costs.restart_delay,
+                            True)
+    else:
+        # Proactive snapshot (or BBs out of sync): everyone reads the PFS.
+        plan = RecoveryPlan(snap.work, costs.pfs_read, costs.restart_delay,
+                            False)
+    if metrics is not None:
+        metrics.counter("recovery.plans").inc()
+        if plan.from_bb:
+            metrics.counter("recovery.from_bb").inc()
+        if plan.restore_work == 0.0:
+            metrics.counter("recovery.full_restarts").inc()
+        metrics.histogram("recovery.read_seconds").observe(plan.read_seconds)
+    return plan

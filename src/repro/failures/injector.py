@@ -16,21 +16,24 @@ wasting samples or running out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .leadtime import LeadTimeModel, PAPER_LEAD_TIME_MODEL
 from .predictor import DEFAULT_PREDICTOR, PredictorSpec
-from .weibull import SECONDS_PER_HOUR, WeibullParams
+from .weibull import SECONDS_PER_HOUR, WeibullParams, interarrival_seconds
 
 __all__ = ["FailureEvent", "FalseAlarmEvent", "FailureInjector"]
 
 
-@dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(NamedTuple):
     """One real failure hitting the application.
+
+    Immutable, and equal and hashed by value: the simulation keys the
+    record of how its prediction was handled by the event itself.  A
+    named tuple, so hashing and comparing one run in C and building one
+    allocates a single tuple (one is drawn per failure).
 
     Attributes
     ----------
@@ -66,9 +69,11 @@ class FailureEvent:
         return self.time - self.lead
 
 
-@dataclass(frozen=True)
-class FalseAlarmEvent:
+class FalseAlarmEvent(NamedTuple):
     """A prediction that no failure follows.
+
+    Immutable, equal and hashed by value, and as cheap to build as
+    :class:`FailureEvent`.
 
     Attributes
     ----------
@@ -127,6 +132,21 @@ class FailureInjector:
         # random numbers across C/R models: whether a model consumes
         # prediction or false-alarm draws cannot perturb the failures.
         self._rng_failures, self._rng_predict, self._rng_alarms = base.spawn(3)
+        # The draw inputs fixed for the job, bound once: each draw then
+        # makes the same generator calls without looking them up.
+        self._weibull = self._rng_failures.weibull
+        self._failure_node = self._rng_failures.integers
+        self._predict = self._rng_predict.random
+        self._scale_hours = self.weibull_app.scale_hours
+        self._shape = self.weibull_app.shape
+        self._recall = predictor.recall
+        self._lead = lead_model.sample
+        self._effective_lead = predictor.effective_lead
+        self._alarm_gap = self._rng_alarms.exponential
+        self._alarm_node = self._rng_alarms.integers
+        self._alarm_rate = predictor.false_alarm_rate(
+            predictor.recall * self.app_failure_rate
+        )
         self._last_failure_time = 0.0
         self._last_alarm_time = 0.0
         # Monotonic causal-id counter shared by both event streams.  Pure
@@ -143,43 +163,46 @@ class FailureInjector:
     @property
     def false_alarm_rate(self) -> float:
         """False alarms per second implied by the predictor's FP fraction."""
-        return self.predictor.false_alarm_rate(
-            self.predictor.recall * self.app_failure_rate
-        )
+        return self._alarm_rate
 
     # -- event streams -------------------------------------------------------
     def next_failure(self) -> FailureEvent:
-        """Sample the next failure after the previous one (renewal)."""
-        gap = self.weibull_app.sample_interarrival_seconds(self._rng_failures)
+        """Sample the next failure after the previous one (renewal).
+
+        Draws, in this order: the Weibull gap and the node from the
+        failure stream, then whether the predictor catches it and, if so,
+        the lead time from the prediction stream.
+        """
+        gap = interarrival_seconds(self._weibull, self._scale_hours,
+                                   self._shape)
         t = self._last_failure_time + gap
         self._last_failure_time = t
-        node = int(self._rng_failures.integers(0, self.app_nodes))
+        node = int(self._failure_node(0, self.app_nodes))
         prov = self._next_provenance
-        self._next_provenance += 1
-        if self.predictor.predicts(self._rng_predict):
-            seq_id, raw_lead = self.lead_model.sample(self._rng_predict)
-            lead = self.predictor.effective_lead(raw_lead)
+        self._next_provenance = prov + 1
+        # PredictorSpec.predicts on the bound generator method.
+        if self._predict() < self._recall:
+            seq_id, raw_lead = self._lead(self._rng_predict)
+            lead = self._effective_lead(raw_lead)
             # The prediction cannot precede the previous failure's time
             # (the chain starts after the machine is back in service).
             lead = min(lead, gap)
-            return FailureEvent(t, node, seq_id, True, lead, provenance=prov)
-        return FailureEvent(t, node, None, False, 0.0, provenance=prov)
+            return FailureEvent(t, node, seq_id, True, lead, prov)
+        return FailureEvent(t, node, None, False, 0.0, prov)
 
     def next_false_alarm(self) -> Optional[FalseAlarmEvent]:
         """Sample the next false alarm, or None if FP rate is zero."""
         rate = self.false_alarm_rate
         if rate <= 0.0:
             return None
-        gap = float(self._rng_alarms.exponential(1.0 / rate))
+        gap = float(self._alarm_gap(1.0 / rate))
         t = self._last_alarm_time + gap
         self._last_alarm_time = t
-        node = int(self._rng_alarms.integers(0, self.app_nodes))
-        _, raw_lead = self.lead_model.sample(self._rng_alarms)
+        node = int(self._alarm_node(0, self.app_nodes))
+        _, raw_lead = self._lead(self._rng_alarms)
         prov = self._next_provenance
-        self._next_provenance += 1
-        return FalseAlarmEvent(
-            t, node, self.predictor.effective_lead(raw_lead), provenance=prov
-        )
+        self._next_provenance = prov + 1
+        return FalseAlarmEvent(t, node, self._effective_lead(raw_lead), prov)
 
     # -- analysis shortcuts -----------------------------------------------------
     def predictable_fraction(self, threshold_lead: float) -> float:

@@ -169,7 +169,9 @@ class LeadTimeModel:
     def sample(self, rng: np.random.Generator) -> Tuple[int, float]:
         """Draw one (sequence_id, lead_time_seconds) pair."""
         seq = self.sequences[bisect_right(self._cdf, rng.random())]
-        return seq.sequence_id, float(seq.sample(rng))
+        # FailureSequenceSpec.sample's draw, without its frame: one
+        # lead-time draw per predicted failure and per false alarm.
+        return seq.sequence_id, rng.lognormal(seq._mu, seq._sigma)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized draw of *n* (sequence_id, lead_time) pairs."""

@@ -29,6 +29,7 @@ __all__ = [
     "LANL_SYSTEM8_WEIBULL",
     "LANL_SYSTEM18_WEIBULL",
     "FAILURE_DISTRIBUTIONS",
+    "interarrival_seconds",
 ]
 
 SECONDS_PER_HOUR = 3600.0
@@ -109,13 +110,25 @@ class WeibullParams:
 
     def sample_interarrival_seconds(self, rng: np.random.Generator) -> float:
         """Draw one inter-arrival time in seconds (simulation clock unit)."""
-        return float(self.scale_hours * rng.weibull(self.shape) * SECONDS_PER_HOUR)
+        return float(interarrival_seconds(rng.weibull, self.scale_hours,
+                                          self.shape))
 
     def survival_hours(self, t_hours: float | np.ndarray) -> float | np.ndarray:
         """P(inter-arrival > t) for t in hours."""
         t = np.asarray(t_hours, dtype=float)
         s = np.exp(-((np.maximum(t, 0.0) / self.scale_hours) ** self.shape))
         return float(s) if np.isscalar(t_hours) else s
+
+
+def interarrival_seconds(weibull, scale_hours: float, shape: float) -> float:
+    """One inter-arrival time in seconds from a ``Generator.weibull`` method.
+
+    The one place the expression lives: both
+    :meth:`WeibullParams.sample_interarrival_seconds` and the failure
+    injector (which binds its generator's method and the job's scale and
+    shape once) draw through it.
+    """
+    return scale_hours * weibull(shape) * SECONDS_PER_HOUR
 
 
 #: OLCF Titan (18 868 nodes) — the distribution assumed for Summit (Fig 6a).

@@ -33,7 +33,7 @@ from ..cr.checkpoint import SnapshotLedger
 from ..cr.drain import DrainManager
 from ..cr.migration import LiveMigration, MigrationOutcome
 from ..cr.oci import OCIController
-from ..cr.recovery import plan_recovery
+from ..cr.recovery import plan_recovery, recovery_costs
 from ..cr.safeguard import SafeguardAborted, SafeguardCheckpoint
 from ..des import Environment, Interrupt, MetricsRegistry, Timeout, Trace
 from ..des.events import URGENT
@@ -384,10 +384,11 @@ class CRSimulation:
         self._safeguard_seconds = platform.pfs.proactive_write_time(
             app.nodes, per_node)
         self._priority_seconds = platform.pfs.priority_write_time(per_node)
-        # What plan_recovery reads besides the ledger: fixed for the job.
-        self._plan_specs = (platform.pfs, bb, app.nodes, per_node,
-                            platform.restart_delay)
-        self._neighbor = platform.interconnect if config.neighbor_level else None
+        # The recovery reads and relaunch delay: fixed for the job.
+        self._recovery_costs = recovery_costs(
+            platform.pfs, bb, app.nodes, per_node, platform.restart_delay,
+            neighbor=platform.interconnect if config.neighbor_level else None,
+        )
         self.coordinator = ProactiveCoordinator(
             supports_lm=config.supports_lm,
             supports_pckpt=config.supports_pckpt,
@@ -415,9 +416,9 @@ class CRSimulation:
         # -- dynamic state --------------------------------------------------
         self.work_done = 0.0
         # Real failure -> the record of how its prediction was handled.
-        # Keyed by the frozen event itself, which carries the injector's
-        # unique provenance id: an id() key could be taken over by a later
-        # event allocated at a freed one's address.
+        # Keyed by the immutable event's value, which includes the
+        # injector's unique provenance id: an id() key could be taken over
+        # by a later event allocated at a freed one's address.
         self._records: Dict[FailureEvent, _MitigationRecord] = {}
         # node -> records of all live predictions on it; a node-level
         # commit (p-ckpt phase 1, LM completion) covers every one of them.
@@ -642,6 +643,20 @@ class CRSimulation:
                 state = self._node_states[node] = NodeState(index=node)
             state.health = to
 
+    def _replace(self, node: int) -> None:
+        """Fig 5: *node* fails and a healthy spare replaces it.
+
+        Both transitions go through :func:`transition`; an untracked
+        (NORMAL) node gets no ``NodeState`` for the instant it is FAILED.
+        """
+        state = self._node_states.get(node)
+        if state is None:
+            transition(NodeHealth.NORMAL, NodeHealth.FAILED)
+        else:
+            transition(state.health, NodeHealth.FAILED)
+            del self._node_states[node]
+        transition(NodeHealth.FAILED, NodeHealth.NORMAL)
+
     # ------------------------------------------------------------------
     # prediction / failure delivery
     # ------------------------------------------------------------------
@@ -790,8 +805,7 @@ class CRSimulation:
             self._migrated_away.discard(ev.node)
             self._forget_prediction(ev)
             # The empty node still physically fails and gets replaced.
-            self._mark(ev.node, NodeHealth.FAILED)
-            self._mark(ev.node, NodeHealth.NORMAL)
+            self._replace(ev.node)
             if self.trace is not None:
                 self.trace.emit("failure", "avoided-by-lm",
                                 {"node": ev.node, "prov": ev.provenance})
@@ -1584,8 +1598,7 @@ class CRSimulation:
         # Fig 5: the node fails and is replaced by a healthy spare.  Its
         # in-flight migration (if any) resolves via the abort below.
         if self.node_health(ev.node) is not NodeHealth.MIGRATING:
-            self._mark(ev.node, NodeHealth.FAILED)
-            self._mark(ev.node, NodeHealth.NORMAL)
+            self._replace(ev.node)
         # In-flight LM images are stale once we roll back: abort them all.
         if self._active_lms:
             for lm in list(self._active_lms.values()):
@@ -1598,21 +1611,16 @@ class CRSimulation:
             # daemons to finish flushing, then restores everyone from PFS.
             wait = max(job.eta - self.env.now, 0.0)
             restore_work = job.snapshot_work
-            restore_seconds = (
-                wait
-                + self.platform.pfs.full_restore_read_time(
-                    self.app.nodes, self.app.checkpoint_bytes_per_node
-                )
-                + self.platform.restart_delay
-            )
+            costs = self._recovery_costs
+            restore_seconds = wait + costs.pfs_read + costs.restart_delay
             from_bb = False
         else:
             if job is not None and not job.cancelled:
                 # A non-covered node died: its share of the in-flight
                 # snapshot is gone; the snapshot is unusable.
                 job.cancel()
-            plan = plan_recovery(self.ledger, *self._plan_specs,
-                                 neighbor=self._neighbor, metrics=self.metrics)
+            plan = plan_recovery(self.ledger, self._recovery_costs,
+                                 metrics=self.metrics)
             restore_work = plan.restore_work
             restore_seconds = plan.total_seconds
             from_bb = plan.from_bb

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,66 @@ class TestFailureInjector:
     def test_validation(self):
         with pytest.raises(ValueError):
             FailureInjector(TITAN_WEIBULL, 0)
+
+
+class TestDrawStream:
+    """Which generator calls each draw makes, and in which order.
+
+    The first 500 failures and 100 false alarms of the default predictor,
+    as sha256 over every field (floats by ``float.hex``).  1515 is not a
+    power of two, so ``integers`` may take extra words per node draw
+    there.  Any reorder of the calls (the node drawn before the gap, the
+    prediction decided before the node) moves the digest.
+    """
+
+    DIGESTS = {
+        (0, 1024): "50d4781fa76fb875460beb2cacfafe5552865be6ecb01ddbd22e21a11fb56d16",
+        (0, 1515): "5d3b1991c00de56abc0ee1cdce71911632aa295799b690fa887fb6a5353b4fd3",
+        (2022, 1024): "3db2328604a49d69279314239949cd5e120ffc6aa40db4afc1df41107de55222",
+        (2022, 1515): "2b97f1f366510440bf5c83bcdb47d70b4baf24a67fb6a1a20764d3b3376dd5c4",
+    }
+
+    @pytest.mark.parametrize("seed,nodes", sorted(DIGESTS))
+    def test_stream_pinned(self, seed, nodes):
+        inj = FailureInjector(TITAN_WEIBULL, nodes, PAPER_LEAD_TIME_MODEL,
+                              DEFAULT_PREDICTOR, rng=np.random.default_rng(seed))
+        h = hashlib.sha256()
+        for _ in range(500):
+            ev = inj.next_failure()
+            h.update(f"{ev.time.hex()} {ev.node} {ev.sequence_id} "
+                     f"{ev.predicted} {ev.lead.hex()} {ev.provenance}\n"
+                     .encode())
+        for _ in range(100):
+            a = inj.next_false_alarm()
+            h.update(f"{a.prediction_time.hex()} {a.node} "
+                     f"{a.claimed_lead.hex()} {a.provenance}\n".encode())
+        assert h.hexdigest() == self.DIGESTS[(seed, nodes)]
+
+
+class TestEventRecords:
+    """Events are immutable values: the simulation keys records by them."""
+
+    def test_failure_event_immutable_and_value_keyed(self):
+        ev = FailureEvent(10.0, 3, 6, True, 2.5, 7)
+        with pytest.raises(AttributeError):
+            ev.time = 11.0
+        twin = FailureEvent(time=10.0, node=3, sequence_id=6, predicted=True,
+                            lead=2.5, provenance=7)
+        assert twin == ev and hash(twin) == hash(ev)
+        assert {ev: "rec"}[twin] == "rec"
+        assert ev != twin._replace(provenance=8)
+        assert ev.prediction_time == 7.5
+        assert repr(ev) == ("FailureEvent(time=10.0, node=3, sequence_id=6, "
+                            "predicted=True, lead=2.5, provenance=7)")
+        assert FailureEvent(1.0, 0, None, False, 0.0).provenance == -1
+
+    def test_false_alarm_immutable_and_value_keyed(self):
+        alarm = FalseAlarmEvent(5.0, 2, 30.0, 4)
+        with pytest.raises(AttributeError):
+            alarm.node = 1
+        twin = FalseAlarmEvent(prediction_time=5.0, node=2, claimed_lead=30.0,
+                               provenance=4)
+        assert twin == alarm and hash(twin) == hash(alarm)
+        assert repr(alarm) == ("FalseAlarmEvent(prediction_time=5.0, node=2, "
+                               "claimed_lead=30.0, provenance=4)")
+        assert FalseAlarmEvent(0.0, 0, 1.0).provenance == -1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cr.checkpoint import SnapshotLedger
-from repro.cr.recovery import plan_recovery
+from repro.cr.recovery import plan_recovery, recovery_costs
 from repro.iomodel.bandwidth import GiB, TiB
 from repro.models.base import CRSimulation
 from repro.models.registry import get_model
@@ -21,32 +21,33 @@ class TestNeighborRecoveryPlan:
     pfs = PFSSpec()
     ic = InterconnectSpec()
 
+    def _costs(self, neighbor=None):
+        return recovery_costs(self.pfs, self.bb, 64, 8 * GiB, 60.0,
+                              neighbor=neighbor)
+
     def test_undrained_generation_recoverable(self):
         """The headline benefit: no Fig 1(B) loss with a neighbor copy."""
         ledger = SnapshotLedger()
         ledger.record_periodic(500.0, time=1.0)  # drain still pending
-        plan = plan_recovery(ledger, self.pfs, self.bb, 64, 8 * GiB, 60.0,
-                             neighbor=self.ic)
+        plan = plan_recovery(ledger, self._costs(self.ic))
         assert plan.restore_work == 500.0
         assert plan.from_bb
         # Without the neighbor, the same state restores nothing.
-        bare = plan_recovery(ledger, self.pfs, self.bb, 64, 8 * GiB, 60.0)
+        bare = plan_recovery(ledger, self._costs())
         assert bare.restore_work == 0.0
 
     def test_newer_proactive_still_preferred(self):
         ledger = SnapshotLedger()
         ledger.record_periodic(500.0, time=1.0)
         ledger.record_proactive(900.0, time=2.0)
-        plan = plan_recovery(ledger, self.pfs, self.bb, 64, 8 * GiB, 60.0,
-                             neighbor=self.ic)
+        plan = plan_recovery(ledger, self._costs(self.ic))
         assert plan.restore_work == 900.0
         assert not plan.from_bb
 
     def test_read_time_includes_partner_stream(self):
         ledger = SnapshotLedger()
         ledger.record_periodic(500.0, time=1.0)
-        plan = plan_recovery(ledger, self.pfs, self.bb, 64, 8 * GiB, 60.0,
-                             neighbor=self.ic)
+        plan = plan_recovery(ledger, self._costs(self.ic))
         expected = self.ic.transfer_time(8 * GiB) + self.bb.read_time(8 * GiB)
         assert plan.read_seconds == pytest.approx(expected)
 
