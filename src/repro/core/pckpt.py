@@ -28,8 +28,7 @@ checkpoint-overhead accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Union
 
 from ..des import Environment, Interrupt
 from ..failures.injector import FailureEvent, FalseAlarmEvent
@@ -57,9 +56,10 @@ class ProtocolAborted(Exception):
         self.failure = failure
 
 
-@dataclass
-class ProtocolOutcome:
+class ProtocolOutcome(NamedTuple):
     """Result of a completed p-ckpt protocol run.
+
+    Immutable; a named tuple because one is built per event-path p-ckpt.
 
     Attributes
     ----------
@@ -286,16 +286,13 @@ class PckptProtocol:
             # A new vulnerable node arrived: reopen phase 1.
 
         return ProtocolOutcome(
-            snapshot_work=self.snapshot_work,
-            committed=dict(self.committed),
-            pending_failures=list(self.pending_failures),
-            phase1_seconds=self._phase1_spent,
-            phase2_seconds=self._phase2_spent,
-            healthy_nodes=(
-                0
-                if self.include_phase2
-                else self.total_nodes - len(self.committed) - len(self.already_covered)
-            ),
+            self.snapshot_work,
+            dict(self.committed),
+            list(self.pending_failures),
+            self._phase1_spent,
+            self._phase2_spent,
+            0 if self.include_phase2
+            else self.total_nodes - len(self.committed) - len(self.already_covered),
         )
 
     @property

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..failures.injector import FailureEvent, FalseAlarmEvent
 
 __all__ = ["VulnerableEntry", "LeadTimePriorityQueue"]
 
 
-@dataclass(frozen=True)
-class VulnerableEntry:
+class VulnerableEntry(NamedTuple):
     """One vulnerable node awaiting its prioritized PFS commit.
+
+    Immutable and equal by value; a named tuple because one is built per
+    queued node of every p-ckpt.
 
     Attributes
     ----------

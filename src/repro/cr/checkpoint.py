@@ -18,18 +18,12 @@ checkpoint is still draining forfeits it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.metrics import MetricsRegistry
 
 __all__ = ["SnapshotKind", "Snapshot", "SnapshotLedger"]
-
-
-def _noop(*_args, **_kwargs) -> None:
-    """Do-nothing sink bound in place of disabled metrics recording."""
-    return None
 
 
 class SnapshotKind(enum.Enum):
@@ -41,9 +35,11 @@ class SnapshotKind(enum.Enum):
     PROACTIVE = "proactive"
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """One application-wide consistent checkpoint.
+
+    Immutable; a named tuple because one is built per proactive commit
+    and per batch of periodic checkpoints.
 
     Attributes
     ----------
@@ -76,16 +72,9 @@ class SnapshotLedger:
         #: Newest snapshot fully committed to the PFS (drained periodic or
         #: proactive).
         self.pfs: Optional[Snapshot] = None
+        #: Fed ``ledger.*`` counters when given; every update tests it
+        #: once, so disabled metrics cost one comparison per update.
         self.metrics = metrics
-        if metrics is None:
-            # Ledger updates run once per checkpoint/rollback event; with
-            # metrics disabled the counter helper is rebound to a no-op so
-            # those paths skip the None check entirely.
-            self._count = _noop
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     # -- updates -------------------------------------------------------------
     def record_periodic(self, work: float, time: float,
@@ -97,7 +86,8 @@ class SnapshotLedger:
         """
         snap = Snapshot(work, SnapshotKind.PERIODIC, time)
         self.bb = snap
-        self._count("ledger.periodic_recorded", count)
+        if self.metrics is not None:
+            self.metrics.counter("ledger.periodic_recorded").inc(count)
         return snap
 
     def record_drained(self, snap: Snapshot, count: int = 1) -> None:
@@ -110,14 +100,16 @@ class SnapshotLedger:
         """
         if self.pfs is None or snap.work >= self.pfs.work:
             self.pfs = snap
-        self._count("ledger.drained", count)
+        if self.metrics is not None:
+            self.metrics.counter("ledger.drained").inc(count)
 
     def record_proactive(self, work: float, time: float) -> Snapshot:
         """A proactive (safeguard / p-ckpt) PFS commit completed."""
         snap = Snapshot(work, SnapshotKind.PROACTIVE, time)
         if self.pfs is None or snap.work >= self.pfs.work:
             self.pfs = snap
-        self._count("ledger.proactive_recorded")
+        if self.metrics is not None:
+            self.metrics.counter("ledger.proactive_recorded").inc()
         return snap
 
     # -- queries -----------------------------------------------------------
@@ -149,13 +141,16 @@ class SnapshotLedger:
         After recovery to *work*, BB contents ahead of it are useless
         (Fig 1B: the failure forfeited the undrained generation).
         """
+        metrics = self.metrics
         if self.bb is not None and self.bb.work > work:
             self.bb = None
-            self._count("ledger.bb_forfeited")
+            if metrics is not None:
+                metrics.counter("ledger.bb_forfeited").inc()
         if self.pfs is not None and self.pfs.work > work:  # pragma: no cover
             # Recovery never restores below the PFS snapshot; guard anyway.
             self.pfs = None
-        self._count("ledger.rollbacks")
+        if metrics is not None:
+            metrics.counter("ledger.rollbacks").inc()
 
     def __repr__(self) -> str:
         return f"<SnapshotLedger bb={self.bb} pfs={self.pfs}>"

@@ -35,7 +35,8 @@ class DrainManager:
     survives a cancel is re-armed for what is left of its transfer.
     :meth:`settle` applies every landing due at or before the clock;
     every reader of drain or ledger state calls it first (:meth:`submit`,
-    :meth:`cancel_newer_than` and :attr:`busy` do so themselves), and a
+    :meth:`cancel_newer_than` and :attr:`busy` do so themselves; a caller
+    that settled already drops with :meth:`drop_newer_than`), and a
     traced manager holds its next landing on the trace
     (:meth:`~repro.des.Trace.hold`), which applies it before the first
     record stamped at or after it.  Nothing is scheduled on the kernel,
@@ -188,14 +189,23 @@ class DrainManager:
         application state.  A surviving in-flight snapshot keeps draining
         for what is left of its transfer.
         """
-        self.settle()
-        before = len(self._pending)
-        self._pending = [s for s in self._pending if s.work <= work]
-        self.cancelled += before - len(self._pending)
+        now = self.env.now
+        self.settle(now)
+        self.drop_newer_than(work, now)
+
+    def drop_newer_than(self, work: float, now: float) -> None:
+        """:meth:`cancel_newer_than` for a caller that settled at *now*.
+
+        The clock must still read *now*: a recovery settles once before
+        it plans, then rolls back and drops.
+        """
+        pending = self._pending
+        if pending:
+            self._pending = [s for s in pending if s.work <= work]
+            self.cancelled += len(pending) - len(self._pending)
         snap = self._snap
         if snap is None:
             return
-        now = self.env.now
         if snap.work > work:
             # This snapshot was invalidated mid-flight.
             self.cancelled += 1

@@ -24,11 +24,10 @@ import numpy as np
 
 from ..analysis.metrics import FTStats, OverheadBreakdown
 from ..core.coordinator import ProactiveAction, ProactiveCoordinator
-from ..core.pckpt import (PckptProtocol, ProtocolAborted, ProtocolOutcome,
-                          entry_from_prediction)
+from ..core.pckpt import PckptProtocol, ProtocolAborted, entry_from_prediction
 from ..core.priority import VulnerableEntry
 from ..core.statemachine import transition
-from ..platform.node import NodeHealth, NodeState
+from ..platform.node import NodeHealth
 from ..cr.checkpoint import SnapshotLedger
 from ..cr.drain import DrainManager
 from ..cr.migration import LiveMigration, MigrationOutcome
@@ -36,7 +35,6 @@ from ..cr.oci import OCIController
 from ..cr.recovery import plan_recovery, recovery_costs
 from ..cr.safeguard import SafeguardAborted, SafeguardCheckpoint
 from ..des import Environment, Interrupt, MetricsRegistry, Timeout, Trace
-from ..des.events import URGENT
 from ..failures.injector import FailureEvent, FailureInjector, FalseAlarmEvent
 from ..failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from ..failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
@@ -48,6 +46,10 @@ __all__ = ["ModelConfig", "RunOutput", "CRSimulation"]
 
 _EPS = 1e-6
 _INF = float("inf")
+_NORMAL = NodeHealth.NORMAL
+_VULNERABLE = NodeHealth.VULNERABLE
+_MIGRATING = NodeHealth.MIGRATING
+_FAILED = NodeHealth.FAILED
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,17 @@ class RunOutput:
     metrics: Optional[Dict] = None
 
 
-@dataclass
 class _MitigationRecord:
-    """Per-prediction bookkeeping linking predictions to outcomes."""
+    """Per-prediction bookkeeping linking predictions to outcomes.
 
-    action: ProactiveAction = ProactiveAction.IGNORE
-    committed: bool = False
+    Mutable, and one is built per delivered prediction: a slots class.
+    """
+
+    __slots__ = ("action", "committed")
+
+    def __init__(self, action: ProactiveAction) -> None:
+        self.action = action
+        self.committed = False
 
 
 class _Status:
@@ -167,90 +174,91 @@ class _Phase2Job:
     on completion.  A failure of a non-covered node mid-flight destroys a
     share and invalidates the snapshot; the owner cancels the job.
 
-    The flush is one :class:`~repro.des.Timeout` whose callback lands the
-    snapshot at :attr:`eta`; a cancel withdraws it from the kernel.  A
-    traced job opens its ``pckpt_phase2`` span, arms the timeout and
-    closes a cancelled span from urgent events at the instant, after the
-    records the protocol itself still emits then.
+    The flush lands the snapshot at :attr:`eta`.  Like the next failure
+    draw, it is held on the simulation while the application runs in the
+    segment batch, which stops short of :attr:`eta` and lands the flush
+    inline in a restore that reaches it (:meth:`CRSimulation._landings`);
+    only when the application leaves the batch is it armed as a kernel
+    :class:`~repro.des.Timeout` (:meth:`arm`), which a cancel withdraws.
+    A traced job's ``pckpt_phase2`` span opens, and a cancelled one
+    closes, at its instant but when the application next waits
+    (:meth:`CRSimulation._record_held`): after the records the protocol
+    itself still makes then, where the event path records them.
     """
+
+    __slots__ = ("sim", "snapshot_work", "provs", "covers", "eta",
+                 "_timer", "_sid")
 
     #: Owner name the kernel profiler files the job's events under.
     name = "pckpt-phase2"
 
-    def __init__(self, sim: "CRSimulation", outcome, provs) -> None:
+    def __init__(self, sim: "CRSimulation", work: float, committed,
+                 healthy: int, provs: Optional[List[int]],
+                 now: float) -> None:
         self.sim = sim
-        self.snapshot_work = outcome.snapshot_work
+        self.snapshot_work = work
         #: Provenance ids of the predictions the parent protocol served
         #: (causal-timeline annotation carried into the phase-2 records);
         #: None in an untraced run, where no record reads them.
         self.provs = provs
         #: Nodes whose failure does not hurt the snapshot.
-        self.covers: Set[int] = set(outcome.committed) | set(sim._migrated_away)
-        self.duration = sim.platform.pfs.proactive_write_time(
-            outcome.healthy_nodes, sim.app.checkpoint_bytes_per_node
-        )
-        self.eta = sim.env.now + self.duration
-        self.cancelled = False
+        self.covers: Set[int] = set(committed)
+        if sim._migrated_away:
+            self.covers |= sim._migrated_away
+        self.eta = now + sim._phase2_seconds(healthy)
         self._timer: Optional[Timeout] = None
         self._sid = 0
-        if sim.trace is None:
-            self._arm()
-        else:
-            self._urgent(self._open)
+        if sim.trace is not None:
+            sim._held_records.append((self._open, now))
 
-    def _urgent(self, callback) -> None:
-        """Run *callback* from an urgent event at the current instant."""
-        event = self.sim.env.event()
-        event.callbacks.append(callback)
-        event.succeed(priority=URGENT)
-
-    def _open(self, _event) -> None:
+    def _open(self, time: float) -> None:
         self._sid = self.sim.trace.span_begin(
             "pckpt", "pckpt_phase2",
-            {"work": self.snapshot_work, "provs": self.provs},
+            {"work": self.snapshot_work, "provs": self.provs}, time=time,
         )
-        if not self.cancelled:
-            self._arm()
 
-    def _arm(self) -> None:
-        self._timer = self.sim.env.timeout_at(self.eta)
-        self._timer.callbacks.append(self._land)
+    def arm(self) -> None:
+        """Put the flush on the kernel, landing at :attr:`eta`."""
+        self._timer = timer = self.sim.env.timeout_at(self.eta)
+        timer.callbacks.append(self.land)
 
-    def _land(self, _event) -> None:
-        """Landing callback: the snapshot is PFS-complete.
+    def land(self, _event=None) -> None:
+        """The snapshot is PFS-complete at :attr:`eta`.
 
-        A restore that reaches :attr:`eta` calls it inline instead, its
-        timer withdrawn (:meth:`CRSimulation._landings`).
+        The kernel calls it from the armed timeout; a restore that
+        reaches :attr:`eta` calls it inline (:meth:`CRSimulation._landings`).
         """
         sim = self.sim
+        eta = self.eta
         self._timer = None
-        sim.drain.settle()
-        sim.ledger.record_proactive(self.snapshot_work, sim.env.now)
-        if sim.trace is not None:
-            sim.trace.span_end(self._sid, "landed")
-            sim.trace.emit("pckpt", "phase2-landed",
-                           {"work": self.snapshot_work, "provs": self.provs})
-        sim._count("pckpt.phase2_landed")
-        if sim._phase2_job is self:
-            sim._phase2_job = None
+        sim.drain.settle(eta)
+        sim.ledger.record_proactive(self.snapshot_work, eta)
+        trace = sim.trace
+        if trace is not None:
+            trace.span_end(self._sid, "landed", time=eta)
+            trace.emit("pckpt", "phase2-landed",
+                       {"work": self.snapshot_work, "provs": self.provs},
+                       time=eta)
+        if sim.metrics is not None:
+            sim._count("pckpt.phase2_landed")
+        sim._phase2_job = None
+        sim._eta = _INF
 
-    def cancel(self) -> None:
-        """Invalidate the in-flight snapshot (superseded or share lost)."""
-        if self.cancelled:
-            return
+    def cancel(self, now: float) -> None:
+        """Invalidate the in-flight snapshot at *now* (superseded or lost)."""
         sim = self.sim
-        self.cancelled = True
         if self._timer is not None:
             sim.env.cancel(self._timer)
             self._timer = None
-        sim._count("pckpt.phase2_cancelled")
-        if sim._phase2_job is self:
-            sim._phase2_job = None
+        if sim.metrics is not None:
+            sim._count("pckpt.phase2_cancelled")
+        sim._phase2_job = None
+        sim._eta = _INF
         if sim.trace is not None:
-            self._urgent(self._close)
+            sim._held_records.append((self._close, now))
 
-    def _close(self, _event) -> None:
-        self.sim.trace.span_end(self._sid, "cancelled")
+    def _close(self, time: float) -> None:
+        self.sim.trace.span_end(self._sid, "cancelled", time=time)
 
 
 class _Draw:
@@ -266,10 +274,13 @@ class _Draw:
     draw's first stage comes with its predecessor's landing.
     """
 
-    __slots__ = ("ev", "tp", "tf", "f_wait", "at_once")
+    __slots__ = ("ev", "tp", "tf", "f_wait", "at_once", "action")
 
     def __init__(self, ev: FailureEvent, t0: float, predicted: bool) -> None:
         self.ev = ev
+        #: The action its prediction starts, once :meth:`CRSimulation._decided`
+        #: has decided it.
+        self.action: Optional[ProactiveAction] = None
         base = t0
         if predicted:
             pt = ev.prediction_time
@@ -283,11 +294,6 @@ class _Draw:
         self.f_wait = t > base
         self.tf = base + (t - base) if self.f_wait else base
         self.at_once = not (waits if predicted else self.f_wait)
-
-
-def _noop(*_args, **_kwargs) -> None:
-    """Shared do-nothing sink bound in place of disabled metrics."""
-    return None
 
 
 class CRSimulation:
@@ -349,12 +355,6 @@ class CRSimulation:
         self.metrics = metrics
         if metrics is not None:
             self.env.attach_metrics(metrics)
-        else:
-            # Disabled metrics must cost nothing on the event hot paths:
-            # rebind the helpers to a module-level no-op so call sites pay
-            # one attribute load instead of a method frame + None check.
-            self._count = _noop
-            self._observe = _noop
 
         per_node = app.checkpoint_bytes_per_node
         bb = platform.node.burst_buffer
@@ -384,6 +384,8 @@ class CRSimulation:
         self._safeguard_seconds = platform.pfs.proactive_write_time(
             app.nodes, per_node)
         self._priority_seconds = platform.pfs.priority_write_time(per_node)
+        # Phase 2's all-healthy-node write by node count (_phase2_seconds).
+        self._flush_seconds: Dict[int, float] = {}
         # The recovery reads and relaunch delay: fixed for the job.
         self._recovery_costs = recovery_costs(
             platform.pfs, bb, app.nodes, per_node, platform.restart_delay,
@@ -428,11 +430,17 @@ class CRSimulation:
         # node -> latest live prediction on it (for re-enqueueing
         # still-vulnerable nodes into a fresh protocol).
         self._vulnerable: Dict[int, Union[FailureEvent, FalseAlarmEvent]] = {}
-        # Sparse Fig 5 state machine: only non-NORMAL nodes are tracked;
-        # every change goes through transition() so illegal interleavings
-        # fail loudly instead of corrupting FT accounting.
-        self._node_states: Dict[int, NodeState] = {}
+        # Sparse Fig 5 state machine: node -> health, only non-NORMAL
+        # nodes tracked; every change goes through transition() so illegal
+        # interleavings fail loudly instead of corrupting FT accounting.
+        self._node_states: Dict[int, NodeHealth] = {}
+        # The in-flight phase-2 flush, and its eta while it is held off
+        # the kernel (inf when none is held).
         self._phase2_job: Optional[_Phase2Job] = None
+        self._eta = _INF
+        # Traced phase-2 span records, (record, time), that the event
+        # path stores when the application next waits (_record_held).
+        self._held_records: List[tuple] = []
         self._interruptible = False
         self._computing = False
         self._pending: List[tuple] = []
@@ -468,9 +476,10 @@ class CRSimulation:
         comes first (:meth:`_run_segments`), and its prediction too when
         the draw alone decides the safeguard or p-ckpt phase 1 it starts
         (:meth:`_decided`); a restore that reaches an in-flight phase-2
-        flush lands the flush inline.  Otherwise the draw is armed as a
-        kernel timeout (:meth:`_arm`) whenever the application leaves the
-        batch.  False alarms keep their own driver process.
+        flush lands the flush inline.  Otherwise the draw, and a phase-2
+        flush held with it, are armed as kernel timeouts
+        (:meth:`_leave_batch`) whenever the application leaves the batch.
+        False alarms keep their own driver process.
         """
         if self._app_proc is None:
             self._app_proc = self.env.process(self._app(), name="application")
@@ -554,6 +563,35 @@ class CRSimulation:
         self._timer = self.env.timeout_at(d.tf if d.tp is None else d.tp)
         self._timer.callbacks.append(self._on_due)
 
+    def _leave_batch(self) -> None:
+        """Arm what the batch held: the phase-2 flush, then the next draw."""
+        self._arm_flush()
+        if self._timer is None:
+            self._arm()
+
+    def _record_held(self) -> None:
+        """Store the held phase-2 span records: the application waits now.
+
+        A phase-2 span opens, or a cancelled one closes, at its instant,
+        but the event path stored those records only once the application
+        next waited, after what it still recorded first.  Each place the
+        application waits from stores them: the batch, a compute segment
+        on the event path, a protocol's first wait, and the restore every
+        :meth:`_recover` leads to.
+        """
+        for record, time in self._held_records:
+            record(time)
+        self._held_records.clear()
+
+    def _phase2_seconds(self, healthy: int) -> float:
+        """Phase 2's write of *healthy* nodes, computed once per count."""
+        seconds = self._flush_seconds.get(healthy)
+        if seconds is None:
+            seconds = self._flush_seconds[healthy] = (
+                self.platform.pfs.proactive_write_time(
+                    healthy, self.app.checkpoint_bytes_per_node))
+        return seconds
+
     def _on_due(self, _event) -> None:
         """Deliver the armed stage and the stages due with it; arm the next."""
         draws = self._draws
@@ -561,7 +599,7 @@ class CRSimulation:
         while True:
             if d.tp is not None:
                 d.tp = None
-                self._deliver_prediction(d.ev)
+                self._deliver_prediction(d.ev, self.env.now)
                 if d.f_wait:
                     break
             else:
@@ -582,23 +620,22 @@ class CRSimulation:
             if alarm.prediction_time > self.env.now:
                 yield self.env.timeout(alarm.prediction_time - self.env.now)
             self.ft.false_alarms += 1
-            self._count("predictor.false_alarms")
-            self._deliver_prediction(alarm)
+            if self.metrics is not None:
+                self._count("predictor.false_alarms")
+            self._deliver_prediction(alarm, self.env.now)
 
     # ------------------------------------------------------------------
     # notification plumbing
     # ------------------------------------------------------------------
-    # The two helpers below are rebound to the module-level no-op in
-    # __init__ when no registry is attached, so the None checks only ever
-    # run with metrics enabled.  Trace records are built at their call
-    # sites, behind ``if self.trace is not None``.
+    # Callers of the two metric helpers test ``self.metrics is not None``
+    # first, once per site, so disabled metrics cost one comparison; trace
+    # records are built at their call sites, behind
+    # ``if self.trace is not None``.
     def _count(self, name: str, amount: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+        self.metrics.counter(name).inc(amount)
 
     def _observe(self, name: str, value: float, times: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(name).observe(value, times)
+        self.metrics.histogram(name).observe(value, times)
 
     def _notify_app(self, cause: tuple) -> None:
         """Interrupt the application, or defer if it is un-interruptible."""
@@ -626,43 +663,41 @@ class CRSimulation:
     # ------------------------------------------------------------------
     def node_health(self, node: int) -> NodeHealth:
         """Current Fig 5 state of *node* (NORMAL when untracked)."""
-        state = self._node_states.get(node)
-        return state.health if state is not None else NodeHealth.NORMAL
+        return self._node_states.get(node, _NORMAL)
 
     def _mark(self, node: int, to: NodeHealth) -> None:
         """Move *node* to state *to*, enforcing the Fig 5 transitions."""
-        state = self._node_states.get(node)
-        current = state.health if state is not None else NodeHealth.NORMAL
+        states = self._node_states
+        current = states.get(node, _NORMAL)
         if current is to:
             return
         transition(current, to)  # raises IllegalTransition on a bad move
-        if to is NodeHealth.NORMAL:
-            self._node_states.pop(node, None)
+        if to is _NORMAL:
+            del states[node]
         else:
-            if state is None:
-                state = self._node_states[node] = NodeState(index=node)
-            state.health = to
+            states[node] = to
 
     def _replace(self, node: int) -> None:
         """Fig 5: *node* fails and a healthy spare replaces it.
 
-        Both transitions go through :func:`transition`; an untracked
-        (NORMAL) node gets no ``NodeState`` for the instant it is FAILED.
+        Both transitions go through :func:`transition`; the node is
+        untracked (NORMAL) afterwards.
         """
-        state = self._node_states.get(node)
-        if state is None:
-            transition(NodeHealth.NORMAL, NodeHealth.FAILED)
-        else:
-            transition(state.health, NodeHealth.FAILED)
-            del self._node_states[node]
-        transition(NodeHealth.FAILED, NodeHealth.NORMAL)
+        transition(self._node_states.pop(node, _NORMAL), _FAILED)
+        transition(_FAILED, _NORMAL)
 
     # ------------------------------------------------------------------
     # prediction / failure delivery
     # ------------------------------------------------------------------
     def _deliver_prediction(
-        self, prediction: Union[FailureEvent, FalseAlarmEvent]
+        self, prediction: Union[FailureEvent, FalseAlarmEvent], now: float,
+        action: Optional[ProactiveAction] = None,
     ) -> None:
+        """Act on *prediction* at the clock, *now*.
+
+        *action* is the one :meth:`_decided` already chose for it, if any:
+        the same decision on the same lead.
+        """
         is_real = isinstance(prediction, FailureEvent)
         if not self.config.use_prediction:
             return
@@ -671,8 +706,9 @@ class CRSimulation:
             if is_real
             else prediction.prediction_time + prediction.claimed_lead
         )
-        lead = max(deadline - self.env.now, 0.0)
-        action = self.coordinator.decide(lead)
+        lead = max(deadline - now, 0.0)
+        if action is None:
+            action = self.coordinator.decide(lead)
         # Trace details carry the injector-assigned provenance id ("prov")
         # so repro.obs.timeline can stitch every record back to its causing
         # failure/false alarm.  See docs/OBSERVABILITY.md.
@@ -688,35 +724,41 @@ class CRSimulation:
                     "prov": prediction.provenance,
                 },
             )
-        self._count("predictor.predictions")
-        self._observe("predictor.lead_seconds", lead)
-        rec = _MitigationRecord(action=action)
+        if self.metrics is not None:
+            self._count("predictor.predictions")
+            self._observe("predictor.lead_seconds", lead)
+        rec = _MitigationRecord(action)
+        node = prediction.node
         if is_real:
             # Only a failure's delivery reads a record; no failure follows
             # a false alarm, so its record is never registered.
             self._records[prediction] = rec
-            self._watchers.setdefault(prediction.node, []).append(rec)
+            watchers = self._watchers.get(node)
+            if watchers is None:
+                self._watchers[node] = [rec]
+            else:
+                watchers.append(rec)
 
         if action is ProactiveAction.IGNORE:
             return
-        self._vulnerable[prediction.node] = prediction
-        if prediction.node in self._migrated_away:
+        self._vulnerable[node] = prediction
+        if node in self._migrated_away:
             # The process already vacated this node; any failure there is
             # moot, so the prediction is covered for free.
             rec.action = ProactiveAction.LIVE_MIGRATION
             rec.committed = True
             return
         if action is ProactiveAction.LIVE_MIGRATION:
-            if prediction.node in self._active_lms:
+            if node in self._active_lms:
                 # A migration for this node is already in flight; its
                 # completion covers this prediction too (watcher list).
                 rec.action = ProactiveAction.LIVE_MIGRATION
                 return
-            self._mark(prediction.node, NodeHealth.VULNERABLE)
+            self._mark(node, _VULNERABLE)
             self._start_migration(prediction, rec)
             return
         # Blocked protocols run inside the application process.
-        self._mark(prediction.node, NodeHealth.VULNERABLE)
+        self._mark(node, _VULNERABLE)
         self._notify_app(("proactive", prediction, action))
 
     def _start_migration(
@@ -733,27 +775,30 @@ class CRSimulation:
                     if watcher.action is ProactiveAction.LIVE_MIGRATION:
                         watcher.committed = True
                 self._migrated_away.add(node)
-                self._mark(node, NodeHealth.NORMAL)
+                self._mark(node, _NORMAL)
                 if self.trace is not None:
                     self.trace.emit("lm", "completed",
                                     {"node": node, "prov": prediction.provenance})
-                self._count("lm.completed")
+                if self.metrics is not None:
+                    self._count("lm.completed")
             else:
                 self.ft.lm_aborts += 1
-                if self.node_health(node) is NodeHealth.MIGRATING:
-                    self._mark(node, NodeHealth.VULNERABLE)
+                if self._node_states.get(node) is _MIGRATING:
+                    self._mark(node, _VULNERABLE)
                 if outcome is MigrationOutcome.ABORTED:
                     if self.trace is not None:
                         self.trace.emit("lm", "aborted",
                                         {"node": node,
                                          "prov": prediction.provenance})
-                    self._count("lm.aborted")
+                    if self.metrics is not None:
+                        self._count("lm.aborted")
                 else:
                     if self.trace is not None:
                         self.trace.emit("lm", "overtaken",
                                         {"node": node,
                                          "prov": prediction.provenance})
-                    self._count("lm.overtaken")
+                    if self.metrics is not None:
+                        self._count("lm.overtaken")
             self._replan()
 
         lm = LiveMigration(
@@ -767,7 +812,7 @@ class CRSimulation:
             trace=self.trace,
         )
         self._active_lms[node] = lm
-        self._mark(node, NodeHealth.MIGRATING)
+        self._mark(node, _MIGRATING)
         if self.trace is not None:
             self.trace.emit(
                 "lm",
@@ -775,7 +820,8 @@ class CRSimulation:
                 {"node": node, "seconds": lm.transfer_seconds,
                  "prov": prediction.provenance},
             )
-        self._count("lm.started")
+        if self.metrics is not None:
+            self._count("lm.started")
         self._replan()
 
     def _avoided(self, ev: FailureEvent) -> bool:
@@ -790,14 +836,16 @@ class CRSimulation:
                 and rec.committed)
 
     def _deliver_failure(self, ev: FailureEvent) -> None:
-        self.ft.failures += 1
-        if self.metrics is not None:
-            self.metrics.counter("failures.injected").inc()
+        ft = self.ft
+        ft.failures += 1
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("failures.injected").inc()
         if ev.predicted:
             # Counted at failure (not prediction) delivery so that a
             # prediction whose failure lands after job completion does not
             # break the predicted <= failures invariant.
-            self.ft.predicted += 1
+            ft.predicted += 1
         self.oci.record_failure()
         if self._avoided(ev):
             # The process vacated this node before it died: failure avoided.
@@ -809,7 +857,8 @@ class CRSimulation:
             if self.trace is not None:
                 self.trace.emit("failure", "avoided-by-lm",
                                 {"node": ev.node, "prov": ev.provenance})
-            self._count("failures.avoided_by_lm")
+            if metrics is not None:
+                metrics.counter("failures.avoided_by_lm").inc()
             return
         if ev.node in self._active_lms:
             # Transfer still in flight when the node died.
@@ -817,7 +866,8 @@ class CRSimulation:
         if self.trace is not None:
             self.trace.emit("failure", "struck",
                             {"node": ev.node, "prov": ev.provenance})
-        self._count("failures.struck")
+        if metrics is not None:
+            metrics.counter("failures.struck").inc()
         self._notify_app(("failure", ev))
 
     # ------------------------------------------------------------------
@@ -844,6 +894,8 @@ class CRSimulation:
                     continue
                 interval = step
             else:
+                if self._held_records:
+                    self._record_held()
                 if self.oci.online_estimation:
                     self.oci.record_time(self.env.now)
                 interval = self.oci.interval()
@@ -881,15 +933,22 @@ class CRSimulation:
         before the horizon (the caller runs it on the event path), the
         ``(seconds, lost, sid)`` of a restore that may be disturbed (the
         caller waits it out, :meth:`_restore`), or None once the job's
-        work is done.  Unless the work is done, the next failure leaves
-        armed on the kernel.
+        work is done.  Unless the work is done, the next failure and an
+        in-flight phase-2 flush leave armed on the kernel.
         """
         env = self.env
         oci = self.oci
+        read_interval = oci.interval
         # Only the online estimator reads the observed time.
         online = oci.online_estimation
         t_ckpt_bb = self.t_ckpt_bb
+        # The loop's constant operands, each the same float every time.
+        unfinished = goal - _EPS
+        bb_blocks = t_ckpt_bb > _EPS
         while True:
+            if self._held_records:
+                # The event path's application waits from here on.
+                self._record_held()
             horizon, land, struck = self._stretch()
             # land < horizon when finite: one test per segment for both.
             limit = land if land < horizon else horizon
@@ -900,10 +959,10 @@ class CRSimulation:
             times: List[float] = []
             deferred: Optional[float] = None
             strikes = False
-            while work < goal - _EPS:
+            while work < unfinished:
                 if online:
                     oci.record_time(now)
-                interval = oci.interval()
+                interval = read_interval()
                 # interval >= min_interval, so every segment computes; the
                 # rate is 1.0, so planned == target - work and migration
                 # overhead grows by exactly 0.0.
@@ -911,8 +970,8 @@ class CRSimulation:
                 if target > goal:
                     target = goal
                 t1 = now + (target - work)
-                writes = target < goal - _EPS
-                blocks = writes and t_ckpt_bb > _EPS
+                writes = target < unfinished
+                blocks = writes and bb_blocks
                 t2 = t1 + t_ckpt_bb if blocks else t1
                 if not t2 < limit:
                     # The kernel delivers a landing that brings the next
@@ -934,8 +993,9 @@ class CRSimulation:
             elif works:
                 n = len(works)
                 self.periodic_checkpoints += n
-                self._count("ckpt.periodic_completed", n)
-                self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
+                if self.metrics is not None:
+                    self._count("ckpt.periodic_completed", n)
+                    self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
                 newest = self.ledger.record_periodic(works[-1], times[-1],
                                                      count=n)
                 self.drain.submit_run(works, times, newest)
@@ -944,7 +1004,7 @@ class CRSimulation:
             self.oci_final = interval
             if strikes:
                 if self._cut(land, now, t1, target):
-                    restore = self._protect_inline(struck)
+                    restore = self._protect_inline(land, struck)
                 else:
                     restore = self._restore_inline()
                 if restore is not None:
@@ -952,26 +1012,31 @@ class CRSimulation:
                 continue
             if now != env.now:
                 env.advance(now)
-            if deferred is not None and self._timer is None:
-                self._arm()
+            if deferred is not None:
+                self._leave_batch()
             return deferred
 
     def _stretch(self) -> Tuple[float, float, bool]:
         """The batch's horizon, what lands in it, and whether a failure does.
 
         The horizon is :meth:`~repro.des.Environment.horizon`, or earlier
-        a prediction the batch cannot land, or a landing the kernel must
-        deliver because a completed live migration avoids it.  The next
-        failure landing strictly before the horizon comes back as the
-        second value, with True.  So does its prediction when the draw
-        alone decides the blocked protocol it starts (:meth:`_decided`)
-        and that is decided strictly before the horizon, with True when
-        the failure aborts the protocol.  Whatever lands has its armed
-        timeout withdrawn; the second value is ``inf`` when nothing does.
+        the held phase-2 flush's ``eta``, a prediction the batch cannot
+        land, or a landing the kernel must deliver because a completed
+        live migration avoids it.  The next failure landing strictly
+        before the horizon comes back as the second value, with True.  So
+        does its prediction when the draw alone decides the blocked
+        protocol it starts (:meth:`_decided`) and that is decided strictly
+        before the horizon, with True when the failure aborts the
+        protocol.  Whatever lands has its armed timeout withdrawn; the
+        second value is ``inf`` when nothing does.
         """
         env = self.env
         horizon = env.horizon()
-        d = self._held(0)
+        eta = self._eta
+        if eta < horizon:
+            horizon = eta
+        draws = self._draws
+        d = draws[0] if draws else self._held(0)
         t = d.tf if d.tp is None else d.tp  # the next stage
         if t > horizon:
             return horizon, _INF, False
@@ -987,6 +1052,8 @@ class CRSimulation:
             env.cancel(self._timer)
             self._timer = None
             horizon = env.horizon()
+            if eta < horizon:
+                horizon = eta
         if end < horizon:
             return horizon, t, end == d.tf
         return t, _INF, False
@@ -1003,14 +1070,15 @@ class CRSimulation:
         ``tp + w`` when ``tf > tp + w``.  Returns ``tf`` or that commit
         time; None when the event path must run the protocol: a
         safeguard that completes, an exact tie, more than one queued
-        entry, or p-ckpt that blocks for phase 2.
+        entry, or p-ckpt that blocks for phase 2.  The action decided
+        is kept on *d* for its delivery (:meth:`_cut`).
         """
         config = self.config
         if config.supports_lm or not d.f_wait:
             return None
         tp = d.tp
         tf = d.tf
-        action = self.coordinator.decide(d.ev.time - tp)
+        d.action = action = self.coordinator.decide(d.ev.time - tp)
         if action is ProactiveAction.SAFEGUARD:
             write = self._safeguard_seconds
             return tf if write > _EPS and tf < tp + write else None
@@ -1054,7 +1122,7 @@ class CRSimulation:
         if predicted:
             self.env.advance(t)
             d.tp = None
-            self._deliver_prediction(d.ev)
+            self._deliver_prediction(d.ev, t, d.action)
         else:
             self._land_next()
         if aborts:
@@ -1062,18 +1130,20 @@ class CRSimulation:
             if trace is not None:
                 trace.span_end(sid)
                 trace.emit("app", "ckpt_bb_aborted", None)
-            self._count("ckpt.periodic_aborted")
+            if self.metrics is not None:
+                self._count("ckpt.periodic_aborted")
         return predicted
 
-    def _land_next(self) -> None:
-        """Move the clock to the next failure and deliver it there."""
+    def _land_next(self) -> float:
+        """Move the clock to the next failure, deliver it there; the time."""
         d = self._draws.pop(0)
-        self._landed = d.tf
-        self.env.advance(d.tf)
+        tf = self._landed = d.tf
+        self.env.advance(tf)
         self._deliver_failure(d.ev)
+        return tf
 
-    def _protect_inline(self, struck: bool) -> Optional[tuple]:
-        """Run the protocol the prediction just delivered starts, inline.
+    def _protect_inline(self, tp: float, struck: bool) -> Optional[tuple]:
+        """Run the protocol the prediction delivered at *tp* starts, inline.
 
         :meth:`_decided` found that its failure alone decides it, so
         nothing else happens until then.  The bookkeeping is the event
@@ -1082,40 +1152,38 @@ class CRSimulation:
         failure aborts it (*struck*), the failure lands at its own time
         and the application recovers (:meth:`_restore_inline`), whose
         result this returns.  Otherwise p-ckpt phase 1 commits at
-        ``tp + w``, phase 2 starts in the background and None is
-        returned: the batch goes on.
+        ``tp + w``, phase 2 starts in the background, held on the
+        simulation, and None is returned: the batch goes on.
         """
-        env = self.env
-        tp = env.now
         # A real prediction is its failure's own event: it aborts too.
         _, prediction, action = self._pending.pop()
         self.proactive_runs += 1
         if action is ProactiveAction.SAFEGUARD:
             sid = self._safeguard_begin(prediction)
-            self._land_next()
-            self._aborted("safeguard", 0.0 + (env.now - tp), prediction, sid)
+            tf = self._land_next()
+            self._aborted("safeguard", 0.0 + (tf - tp), prediction, sid)
             return self._restore_inline()
-        _, prov_by_node, provs, sid = self._pckpt_begin(prediction)
+        if self.trace is not None:
+            _, prov_by_node, provs, sid = self._pckpt_begin(prediction)
+        else:
+            # The queue would hold the predicted node alone (_decided):
+            # only the pruning and the counter are left to do.
+            self._live_vulnerable(tp)
+            if self.metrics is not None:
+                self._count("pckpt.runs")
+            prov_by_node = provs = None
+            sid = 0
         if struck:
-            self._land_next()
-            self._aborted("pckpt", (0.0 + (env.now - tp)) + 0.0, prediction,
-                          sid)
+            tf = self._land_next()
+            self._aborted("pckpt", (0.0 + (tf - tp)) + 0.0, prediction, sid)
             return self._restore_inline()
-        env.advance(tp + self._priority_seconds)
-        tc = env.now
+        tc = tp + self._priority_seconds
+        self.env.advance(tc)
         node = prediction.node
         self._pckpt_commit(node, tc, prov_by_node)
-        self._pckpt_done(
-            ProtocolOutcome(
-                snapshot_work=self.work_done,
-                committed={node: tc},
-                pending_failures=[],
-                phase1_seconds=0.0 + (tc - tp),
-                phase2_seconds=0.0,
-                healthy_nodes=self.app.nodes - 1 - len(self._migrated_away),
-            ),
-            provs, sid,
-        )
+        self._pckpt_done(self.work_done, (node,), 0.0 + (tc - tp), 0.0,
+                         self.app.nodes - 1 - len(self._migrated_away),
+                         provs, sid, tc)
         self._interruptible = True
         return None
 
@@ -1128,7 +1196,7 @@ class CRSimulation:
         phase-2 flush due by then lands at its ``eta`` in time order
         among them.  A restore that something else may disturb
         (:meth:`_landings`) is returned as ``(seconds, lost, sid)`` for
-        the event path to wait out, the next failure armed; None once
+        the event path to wait out, what the batch held armed; None once
         every queued failure is recovered.
         """
         env = self.env
@@ -1137,18 +1205,15 @@ class CRSimulation:
             end = env.now + seconds
             n, job = self._landings(end) if seconds > _EPS else (-1, None)
             if n < 0:
-                if self._timer is None:
-                    self._arm()
+                self._leave_batch()
                 return seconds, lost, sid
             for _ in range(n):
                 if job is not None and job.eta < self._draws[0].tf:
-                    env.advance(job.eta)
-                    job._land(None)
+                    job.land()
                     job = None
                 self._land_next()
             if job is not None:
-                env.advance(job.eta)
-                job._land(None)
+                job.land()
             env.advance(end)
             if self.trace is not None:
                 self.trace.span_end(sid, {"lost": lost})
@@ -1161,21 +1226,25 @@ class CRSimulation:
         -1 unless nothing else happens until then: *end* comes strictly
         before the kernel's horizon, no prediction is due by then, and no
         failure landing by then brings the next draw's first stage with
-        it.  The in-flight phase-2 flush is looked past when it is next
-        and due by *end*: its timer is withdrawn and the job comes back
-        second, to land inline.  A failure at exactly its ``eta`` leaves
-        the order to the kernel: -1, and the timer is armed again.
+        it.  The in-flight phase-2 flush is looked past when nothing on
+        the kernel comes before it and it is due by *end*: it comes back
+        second, to land inline, withdrawn from the kernel if armed there.
+        A failure at exactly its ``eta`` leaves the order to the kernel:
+        -1, and the flush is held until the application leaves the batch.
         """
         env = self.env
         horizon = env.horizon()
         job = self._phase2_job
-        if (job is not None and job._timer is not None
-                and job.eta == horizon and job.eta <= end):
-            env.cancel(job._timer)
-            job._timer = None
-            horizon = env.horizon()
-        else:
-            job = None
+        if job is not None:
+            eta = job.eta
+            if not (eta <= end and eta <= horizon):
+                job = None
+            elif job._timer is not None:
+                # Armed when the application last left the batch.
+                env.cancel(job._timer)
+                job._timer = None
+                self._eta = eta
+                horizon = env.horizon()
         n = -1
         if end < horizon:
             i = 0
@@ -1193,8 +1262,6 @@ class CRSimulation:
                 i += 1
                 if self._held(i).at_once:
                     break
-        if n < 0 and job is not None:
-            job._arm()
         return n, job
 
     def _record_segments(self, now: float, work: float, works: List[float],
@@ -1282,7 +1349,8 @@ class CRSimulation:
                     # Abort the BB write; the proactive snapshot supersedes.
                     if trace is not None:
                         trace.emit("app", "ckpt_bb_aborted", None)
-                    self._count("ckpt.periodic_aborted")
+                    if self.metrics is not None:
+                        self._count("ckpt.periodic_aborted")
                     yield from self._run_proactive(intr.cause[1], intr.cause[2])
                     yield from self._drain_pending()
                     return
@@ -1290,7 +1358,8 @@ class CRSimulation:
                     # Fig 1(C): failure during a synchronous BB checkpoint.
                     if trace is not None:
                         trace.emit("app", "ckpt_bb_aborted", None)
-                    self._count("ckpt.periodic_aborted")
+                    if self.metrics is not None:
+                        self._count("ckpt.periodic_aborted")
                     yield from self._restore(*self._recover(intr.cause[1]))
                     yield from self._drain_pending()
                     return
@@ -1301,8 +1370,9 @@ class CRSimulation:
         """Record a periodic BB checkpoint of *work* at *time*; drain it."""
         snap = self.ledger.record_periodic(work, time)
         self.periodic_checkpoints += 1
-        self._count("ckpt.periodic_completed")
-        self._observe("ckpt.bb_write_seconds", self.t_ckpt_bb)
+        if self.metrics is not None:
+            self._count("ckpt.periodic_completed")
+            self._observe("ckpt.bb_write_seconds", self.t_ckpt_bb)
         # Done first: the snapshot's drain_flush span opens after it.
         if self.trace is not None:
             self.trace.emit("app", "ckpt_bb_done", work, time=time)
@@ -1345,7 +1415,8 @@ class CRSimulation:
         if trace is not None:
             trace.span_end(sid, "done")
         self.overhead.checkpoint += outcome.duration
-        self._observe("safeguard.write_seconds", outcome.duration)
+        if self.metrics is not None:
+            self._observe("safeguard.write_seconds", outcome.duration)
         self.drain.settle()
         self.ledger.record_proactive(outcome.snapshot_work, self.env.now)
         for served in outcome.served:
@@ -1372,7 +1443,8 @@ class CRSimulation:
             trace.emit("safeguard", "start",
                        {"node": prediction.node,
                         "seconds": self._safeguard_seconds, "prov": prov})
-        self._count("safeguard.runs")
+        if self.metrics is not None:
+            self._count("safeguard.runs")
         # The safeguard only burns time inside its collective write, so
         # this span's duration equals the checkpoint overhead it charges
         # (run.spent / outcome.duration) — on aborts too.
@@ -1393,26 +1465,26 @@ class CRSimulation:
             trace.span_end(sid, "aborted")
             trace.emit(source, "aborted",
                        {"node": failure.node, "prov": failure.provenance})
-        self._count(source + ".aborts")
+        if self.metrics is not None:
+            self._count(source + ".aborts")
 
     def _run_pckpt(self, prediction):
         """Wait out a p-ckpt protocol on the event path."""
-        per_node = self.app.checkpoint_bytes_per_node
         initial, prov_by_node, provs, sid = self._pckpt_begin(prediction)
         protocol = PckptProtocol(
             self.env,
             snapshot_work=self.work_done,
             total_nodes=self.app.nodes,
             priority_write_seconds=lambda _n: self._priority_seconds,
-            phase2_write_seconds=lambda n: self.platform.pfs.proactive_write_time(
-                n, per_node
-            ),
+            phase2_write_seconds=self._phase2_seconds,
             initial=initial,
             already_covered=set(self._migrated_away),
             on_commit=lambda entry, when: self._pckpt_commit(
                 entry.node, when, prov_by_node),
             include_phase2=not self.config.pckpt_async_phase2,
         )
+        if self._held_records:
+            self._record_held()
         try:
             outcome = yield from protocol.run()
         except ProtocolAborted as exc:
@@ -1420,25 +1492,32 @@ class CRSimulation:
                           exc.failure, sid)
             yield from self._restore(*self._recover(exc.failure))
             return
-        self._pckpt_done(outcome, provs, sid)
+        self._pckpt_done(outcome.snapshot_work, outcome.committed,
+                         outcome.phase1_seconds, outcome.phase2_seconds,
+                         outcome.healthy_nodes, provs, sid, self.env.now)
+        self._arm_flush()
         if outcome.pending_failures:
             yield from self._recover_after_proactive(outcome.pending_failures)
 
     def _pckpt_begin(self, prediction) -> Tuple[List[VulnerableEntry],
-                                                 Dict[int, int],
+                                                 Optional[Dict[int, int]],
                                                  Optional[List[int]], int]:
         """Start a p-ckpt at the clock.
 
         Returns its initial queue entries, the provenance id of the
-        prediction behind each queued node, the sorted ids (None
+        prediction behind each queued node and the sorted ids (both None
         untraced) and the protocol's span id (0 untraced).
         """
         trace = self.trace
+        metrics = self.metrics
         initial = [entry_from_prediction(prediction)]
         enqueued = {prediction.node}
         # node -> provenance id of the prediction that enqueued it, for
         # the causal-timeline annotations on every protocol record.
-        prov_by_node = {prediction.node: getattr(prediction, "provenance", -1)}
+        prov_by_node = None
+        if trace is not None:
+            prov_by_node = {
+                prediction.node: getattr(prediction, "provenance", -1)}
         # Fig 5: starting p-ckpt aborts in-flight LMs; their nodes join
         # the priority queue (their snapshot share must now be committed).
         for node, lm in list(self._active_lms.items()):
@@ -1448,28 +1527,33 @@ class CRSimulation:
             if node not in enqueued:
                 initial.append(entry_from_prediction(lm.prediction))
                 enqueued.add(node)
-                prov_by_node[node] = getattr(lm.prediction, "provenance", -1)
+                if trace is not None:
+                    prov_by_node[node] = getattr(lm.prediction, "provenance",
+                                                 -1)
             if trace is not None:
                 trace.emit("pckpt", "absorbed-lm",
                            {"node": node,
                             "prov": getattr(lm.prediction, "provenance", -1)})
-            self._count("pckpt.absorbed_lms")
+            if metrics is not None:
+                self._count("pckpt.absorbed_lms")
         # Every other still-vulnerable node joins too: the new snapshot
         # supersedes any older protection, so their shares must be
         # re-committed under it before their failures strike.
-        for node, pred in list(self._live_vulnerable().items()):
+        for node, pred in self._live_vulnerable(self.env.now).items():
             if node in enqueued or node in self._migrated_away:
                 continue
             initial.append(entry_from_prediction(pred))
             enqueued.add(node)
-            prov_by_node[node] = getattr(pred, "provenance", -1)
+            if trace is not None:
+                prov_by_node[node] = getattr(pred, "provenance", -1)
         provs = None
         sid = 0
         if trace is not None:
             nodes = [e.node for e in initial]
             provs = sorted(prov_by_node.values())
             trace.emit("pckpt", "start", {"nodes": nodes, "provs": provs})
-        self._count("pckpt.runs")
+        if metrics is not None:
+            self._count("pckpt.runs")
         # All protocol time passes inside its interruptible waits, so this
         # span's duration equals phase1+phase2 blocked seconds — the exact
         # checkpoint overhead charged at its end, on aborts too.
@@ -1480,7 +1564,7 @@ class CRSimulation:
         return initial, prov_by_node, provs, sid
 
     def _pckpt_commit(self, node: int, when: float,
-                      prov_by_node: Dict[int, int]) -> None:
+                      prov_by_node: Optional[Dict[int, int]]) -> None:
         """A phase-1 commit of *node* at *when* covers its live predictions."""
         for watcher in self._watchers.get(node, ()):
             watcher.action = ProactiveAction.PCKPT
@@ -1493,39 +1577,56 @@ class CRSimulation:
                  "prov": prov_by_node.get(node, -1)},
             )
 
-    def _pckpt_done(self, outcome: ProtocolOutcome,
-                    provs: Optional[List[int]], sid: int) -> None:
-        """Charge a completed p-ckpt and start its phase 2 (or land it)."""
+    def _pckpt_done(self, work: float, committed, phase1: float,
+                    phase2: float, healthy: int, provs: Optional[List[int]],
+                    sid: int, now: float) -> None:
+        """Charge a p-ckpt completed at *now*; start its phase 2 (or land it).
+
+        The protocol captured *work* and committed the nodes *committed*
+        in phase 1, blocking *phase1* and *phase2* seconds; *healthy*
+        nodes are left for an asynchronous phase 2, which is held on the
+        simulation (:meth:`_arm_flush` puts it on the kernel).
+        """
         trace = self.trace
         if trace is not None:
             trace.span_end(sid, "done")
-        self.overhead.checkpoint += outcome.duration
-        self._count("pckpt.commits", len(outcome.committed))
-        self._observe("pckpt.phase1_seconds", outcome.phase1_seconds)
+        duration = phase1 + phase2
+        self.overhead.checkpoint += duration
+        if self.metrics is not None:
+            self._count("pckpt.commits", len(committed))
+            self._observe("pckpt.phase1_seconds", phase1)
         if self.config.pckpt_async_phase2:
             # Phase 2 flushes in the background; the snapshot becomes
             # PFS-complete (and recovery-usable) when the job lands.
             if self._phase2_job is not None:
-                self._phase2_job.cancel()  # superseded by the newer snapshot
-            self._phase2_job = _Phase2Job(self, outcome, provs)
+                # Superseded by the newer snapshot.
+                self._phase2_job.cancel(now)
+            job = self._phase2_job = _Phase2Job(self, work, committed,
+                                                healthy, provs, now)
+            self._eta = job.eta
         else:
-            self.drain.settle()
-            self.ledger.record_proactive(outcome.snapshot_work, self.env.now)
+            self.drain.settle(now)
+            self.ledger.record_proactive(work, now)
         if trace is not None:
             trace.emit(
                 "pckpt",
                 "done",
-                {"committed": sorted(outcome.committed),
-                 "duration": outcome.duration, "provs": provs},
+                {"committed": sorted(committed),
+                 "duration": duration, "provs": provs},
             )
+
+    def _arm_flush(self) -> None:
+        """Put the phase-2 flush held on the simulation on the kernel."""
+        if self._eta < _INF:
+            self._eta = _INF
+            self._phase2_job.arm()
 
     def _recover_after_proactive(self, failures: List[FailureEvent]):
         """One recovery pass covering failures that struck mid-protocol."""
         # Classification happens per failure; the restore happens once.
         yield from self._restore(*self._recover(failures[0]))
         for extra in failures[1:]:
-            self._classify_mitigation(extra)
-            self._forget_prediction(extra)
+            self._classify_mitigation(self._forget_prediction(extra))
 
     # ------------------------------------------------------------------
     # failure handling / recovery
@@ -1539,9 +1640,13 @@ class CRSimulation:
             return prediction.time
         return prediction.prediction_time + prediction.claimed_lead
 
-    def _live_vulnerable(self) -> Dict[int, Union[FailureEvent, FalseAlarmEvent]]:
-        """Nodes still awaiting their predicted failure (prunes expired)."""
-        now = self.env.now
+    def _live_vulnerable(
+        self, now: float
+    ) -> Dict[int, Union[FailureEvent, FalseAlarmEvent]]:
+        """Nodes still awaiting their predicted failure at the clock, *now*.
+
+        Prunes the expired ones.
+        """
         stale = [
             node
             for node, pred in self._vulnerable.items()
@@ -1553,12 +1658,18 @@ class CRSimulation:
             # nodes with a transfer still in flight are left to the LM
             # completion callback.
             if (node not in self._active_lms
-                    and self.node_health(node) is NodeHealth.VULNERABLE):
-                self._mark(node, NodeHealth.NORMAL)
+                    and self._node_states.get(node) is _VULNERABLE):
+                self._mark(node, _NORMAL)
         return self._vulnerable
 
-    def _forget_prediction(self, ev: FailureEvent) -> None:
-        """Drop the bookkeeping for a delivered failure's prediction."""
+    def _forget_prediction(
+        self, ev: FailureEvent
+    ) -> Optional[_MitigationRecord]:
+        """Drop the bookkeeping for a delivered failure's prediction.
+
+        Returns the record of how its prediction was handled, if one was
+        registered.
+        """
         self._vulnerable.pop(ev.node, None)
         # Only a delivered prediction registers a record.
         rec = self._records.pop(ev, None) if ev.predicted else None
@@ -1571,9 +1682,10 @@ class CRSimulation:
                     pass
                 if not watchers:
                     del self._watchers[ev.node]
+        return rec
 
-    def _classify_mitigation(self, ev: FailureEvent) -> None:
-        rec = self._records.get(ev) if ev.predicted else None
+    def _classify_mitigation(self, rec: Optional[_MitigationRecord]) -> None:
+        """Count a failure whose prediction *rec* committed as mitigated."""
         if rec is None or not rec.committed:
             return
         if rec.action is ProactiveAction.PCKPT:
@@ -1589,36 +1701,39 @@ class CRSimulation:
         The recovery arithmetic of both paths, at the clock.  Returns the
         restore's seconds, the work lost and its ``recovery_restore`` span
         id (0 untraced), for :meth:`_restore` or the batch to finish.
+        Every caller waits the restore out next, so the held phase-2 span
+        records are stored here.
         """
+        now = self.env.now
+        node = ev.node
         # Drains that landed by now count for the recovery plan.
-        self.drain.settle()
-        self._classify_mitigation(ev)
-        self._forget_prediction(ev)
-        self._migrated_away.discard(ev.node)
+        self.drain.settle(now)
+        self._classify_mitigation(self._forget_prediction(ev))
+        self._migrated_away.discard(node)
         # Fig 5: the node fails and is replaced by a healthy spare.  Its
         # in-flight migration (if any) resolves via the abort below.
-        if self.node_health(ev.node) is not NodeHealth.MIGRATING:
-            self._replace(ev.node)
+        if self._node_states.get(node) is not _MIGRATING:
+            self._replace(node)
         # In-flight LM images are stale once we roll back: abort them all.
         if self._active_lms:
             for lm in list(self._active_lms.values()):
                 lm.abort("rollback-invalidates-image")
 
         job = self._phase2_job
-        if job is not None and not job.cancelled and ev.node in job.covers:
+        if job is not None and node in job.covers:
             # The in-flight p-ckpt snapshot survives this failure (the
             # node's share is already on the PFS).  Recovery waits for the
             # daemons to finish flushing, then restores everyone from PFS.
-            wait = max(job.eta - self.env.now, 0.0)
+            wait = max(job.eta - now, 0.0)
             restore_work = job.snapshot_work
             costs = self._recovery_costs
             restore_seconds = wait + costs.pfs_read + costs.restart_delay
             from_bb = False
         else:
-            if job is not None and not job.cancelled:
+            if job is not None:
                 # A non-covered node died: its share of the in-flight
                 # snapshot is gone; the snapshot is unusable.
-                job.cancel()
+                job.cancel(now)
             plan = plan_recovery(self.ledger, self._recovery_costs,
                                  metrics=self.metrics)
             restore_work = plan.restore_work
@@ -1631,7 +1746,7 @@ class CRSimulation:
         self.overhead.recomputation += lost
         self.overhead.recovery += restore_seconds
         self.work_done = restore_work
-        self.ledger.rollback(self.work_done)
+        self.ledger.rollback(restore_work)
         trace = self.trace
         if trace is not None:
             trace.emit(
@@ -1656,7 +1771,9 @@ class CRSimulation:
                  "prov": ev.provenance},
             )
         # Cancelled drains close their spans inside the restore span.
-        self.drain.cancel_newer_than(self.work_done)
+        self.drain.drop_newer_than(restore_work, now)
+        if self._held_records:
+            self._record_held()
         return restore_seconds, lost, sid
 
     def _restore(self, seconds: float, lost: float, sid: int):

@@ -7,7 +7,7 @@ the paper's Sec. II system model (512 GB DRAM, 1.6 TB BB at 2.1/5.5 GB/s,
 
 from .burstbuffer import SUMMIT_BURST_BUFFER, BurstBufferSpec
 from .interconnect import SUMMIT_INTERCONNECT, InterconnectSpec
-from .node import SUMMIT_NODE, NodeHealth, NodeSpec, NodeState
+from .node import SUMMIT_NODE, NodeHealth, NodeSpec
 from .pfs import PFSSpec
 from .system import SUMMIT, PlatformSpec
 
@@ -17,7 +17,6 @@ __all__ = [
     "InterconnectSpec",
     "SUMMIT_INTERCONNECT",
     "NodeSpec",
-    "NodeState",
     "NodeHealth",
     "SUMMIT_NODE",
     "PFSSpec",

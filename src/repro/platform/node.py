@@ -1,21 +1,20 @@
-"""Compute-node model: static spec and per-node dynamic simulation state.
+"""Compute-node model: the static spec and the Fig 5 health states.
 
 The C/R simulation keeps the *application* as a single process (as the
-paper's SimPy framework does) but tracks per-node state where the protocol
-depends on it: which nodes are vulnerable, their predicted failure times,
-and what checkpoint data their BB holds.
+paper's SimPy framework does) and tracks per node only its
+:class:`NodeHealth` where the protocol depends on it
+(:meth:`repro.models.base.CRSimulation.node_health`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from ..iomodel.bandwidth import GiB
 from .burstbuffer import SUMMIT_BURST_BUFFER, BurstBufferSpec
 
-__all__ = ["NodeSpec", "NodeHealth", "NodeState", "SUMMIT_NODE"]
+__all__ = ["NodeSpec", "NodeHealth", "SUMMIT_NODE"]
 
 
 @dataclass(frozen=True)
@@ -56,55 +55,6 @@ class NodeHealth(enum.Enum):
     WAITING = "waiting"
     #: The node has failed.
     FAILED = "failed"
-
-
-@dataclass
-class NodeState:
-    """Dynamic per-node bookkeeping during a simulation run.
-
-    Attributes
-    ----------
-    index:
-        Node rank within the application (0..c-1).
-    health:
-        Current :class:`NodeHealth` state.
-    predicted_failure_time:
-        Absolute simulation time of the predicted failure, when vulnerable.
-    prediction_time:
-        When the prediction was received.
-    bb_checkpoint_work:
-        Application progress (useful seconds) captured by the newest
-        checkpoint resident in this node's BB, or ``None`` if none.
-    """
-
-    index: int
-    health: NodeHealth = NodeHealth.NORMAL
-    predicted_failure_time: Optional[float] = None
-    prediction_time: Optional[float] = None
-    bb_checkpoint_work: Optional[float] = None
-
-    @property
-    def is_vulnerable(self) -> bool:
-        """True while a failure is predicted and not yet resolved."""
-        return self.health in (NodeHealth.VULNERABLE, NodeHealth.MIGRATING)
-
-    def lead_time_remaining(self, now: float) -> float:
-        """Seconds until the predicted failure; requires a live prediction."""
-        if self.predicted_failure_time is None:
-            raise ValueError(f"node {self.index} has no pending prediction")
-        return self.predicted_failure_time - now
-
-    def mark_vulnerable(self, now: float, failure_time: float) -> None:
-        """Transition to VULNERABLE on a prediction notification."""
-        self.health = NodeHealth.VULNERABLE
-        self.prediction_time = now
-        self.predicted_failure_time = failure_time
-
-    def clear_prediction(self) -> None:
-        """Return to NORMAL after the prediction is resolved or expires."""
-        self.health = NodeHealth.NORMAL
-        self.prediction_time = None
-        self.predicted_failure_time = None
 
 
 #: A Summit compute node.

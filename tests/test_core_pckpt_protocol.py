@@ -7,6 +7,7 @@ import pytest
 from repro.core.pckpt import (
     PckptProtocol,
     ProtocolAborted,
+    ProtocolOutcome,
     entry_from_prediction,
 )
 from repro.core.priority import VulnerableEntry
@@ -52,6 +53,22 @@ def make_protocol(env, vulnerable, total_nodes=100, write_s=10.0, phase2_s=40.0,
         else None,
         include_phase2=include_phase2,
     )
+
+
+class TestProtocolOutcome:
+    def test_duration_is_both_phases(self):
+        out = ProtocolOutcome(snapshot_work=5.0, committed={3: 1.5},
+                              pending_failures=[], phase1_seconds=0.1,
+                              phase2_seconds=0.2, healthy_nodes=7)
+        assert out.duration == out.phase1_seconds + out.phase2_seconds
+        assert out.duration.hex() == (0.1 + 0.2).hex()
+        assert ProtocolOutcome(1.0, {}, [], 2.5, 0.0).healthy_nodes == 0
+
+    def test_outcome_is_immutable(self):
+        out = ProtocolOutcome(1.0, {}, [], 2.5, 0.0)
+        with pytest.raises(AttributeError):
+            out.phase1_seconds = 3.0
+        assert out == ProtocolOutcome(1.0, {}, [], 2.5, 0.0)
 
 
 class TestHappyPath:

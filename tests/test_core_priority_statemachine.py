@@ -77,6 +77,23 @@ class TestPriorityQueue:
         e = entry(1, 100.0)
         assert e.lead_time_remaining(40.0) == pytest.approx(60.0)
 
+    def test_entry_is_immutable_and_equal_by_value(self):
+        e = entry(3, 100.0)
+        with pytest.raises(AttributeError):
+            e.node = 4
+        same = entry(3, 100.0)
+        assert same is not e and same == e and hash(same) == hash(e)
+        assert entry(3, 101.0) != e
+        assert {e: "queued"}[same] == "queued"
+
+    def test_rekeyed_equal_entry_still_pops_once(self):
+        """The queue tracks the entry object, not an equal one."""
+        q = LeadTimePriorityQueue()
+        q.push(entry(1, 10.0))
+        q.push(entry(1, 10.0))  # an equal re-prediction supersedes
+        assert q.pop().node == 1
+        assert not q and q.peek() is None
+
 
 @given(
     items=st.lists(

@@ -169,8 +169,8 @@ class TestEventBudget:
     else comes before lands in the batch too, so a model that never acts
     on predictions (B) dispatches a fixed handful of events however many
     failures strike.  A traced run records its checkpoints, landings and
-    restores from the same batches and meets the same bounds, but for
-    the p-ckpt phase-2 span events.  Before batching, an untraced
+    restores from the same batches and meets the same bounds.  Before
+    batching, an untraced
     CHIMERA/B replication under lanl-system18 at seed 7 made one segment
     call per checkpoint (845 for 104 failures), and a failure-free
     VULCAN/P2 one on titan 1668; a traced run then also dispatched up to
@@ -179,11 +179,14 @@ class TestEventBudget:
     disturbance untraced and 6.3 traced.  Before predictions and the
     protocols they start landed in the batch too, M1 dispatched 4.1 per
     disturbance, traced or not, and P1 4.5 untraced and 6.1 traced.
+    Before the phase-2 flush was held on the simulation, urgent events
+    opened and closed a traced P1 run's phase-2 spans and ended its
+    batch at every commit: 4.2 events per disturbance traced, against
+    1.8 untraced (and traced, since).
     """
 
     FLAT = 4
     PER_DISTURBANCE = 2
-    TRACED_PER_DISTURBANCE = 5
     FAILURE_FREE = 20
     BATCHES_PER_DISTURBANCE = 3
     BATCHES_FAILURE_FREE = 2
@@ -221,30 +224,68 @@ class TestEventBudget:
                             weibull=TITAN_WEIBULL,
                             rng=np.random.default_rng(0), trace=trace)
 
-    def _event_budget(self, model, out, traced):
+    def _event_budget(self, model, out):
         """B's flat budget, or M1's and P1's per disturbance."""
         if model == "B":
             return self.FLAT
-        per = (self.TRACED_PER_DISTURBANCE if traced and model == "P1"
-               else self.PER_DISTURBANCE)
-        return per * (out.ft.failures + out.ft.false_alarms)
+        return self.PER_DISTURBANCE * (out.ft.failures + out.ft.false_alarms)
 
     @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_events_per_replication(self, model):
-        """A traced run adds only P1's phase-2 span events."""
+        """A traced run dispatches no more than an untraced one."""
         sim, out, batches = self._chimera(model, trace=Trace(env=None))
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
         disturbances = out.ft.failures + out.ft.false_alarms
-        assert (sim.env.events_processed
-                <= self._event_budget(model, out, traced=True))
+        assert sim.env.events_processed <= self._event_budget(model, out)
         assert batches <= self.BATCHES_PER_DISTURBANCE * disturbances + 2
 
     @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_untraced_events_per_disturbance(self, model):
         sim, out, _ = self._chimera(model)
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
-        assert (sim.env.events_processed
-                <= self._event_budget(model, out, traced=False))
+        assert sim.env.events_processed <= self._event_budget(model, out)
+
+    def test_phase2_flush_armed_only_leaving_the_batch(self, monkeypatch):
+        """A p-ckpt's phase-2 flush is held until the application leaves.
+
+        Every untraced flush starts off the kernel, and each one still in
+        flight when the application leaves the batch for the event path
+        is armed by then.  Before the flush was held, each commit armed a
+        kernel timeout that a restore reaching it withdrew: over three
+        CHIMERA/P1 replications without false alarms (seeds 7-9), 249
+        phase-2 timers for 220 flushes, against 34 now.
+        """
+        from repro.failures.predictor import PredictorSpec
+        from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
+        from repro.models.base import _Phase2Job
+        from repro.workloads.applications import APPLICATIONS
+
+        held, armed_leaving = [], []
+        init = _Phase2Job.__init__
+
+        def created(job, *args, **kwargs):
+            init(job, *args, **kwargs)
+            held.append(job._timer is None)
+
+        monkeypatch.setattr(_Phase2Job, "__init__", created)
+        sim = CRSimulation(APPLICATIONS["CHIMERA"], get_model("P1"),
+                           weibull=LANL_SYSTEM18_WEIBULL,
+                           predictor=PredictorSpec(false_positive_rate=0.0),
+                           rng=np.random.default_rng(7))
+        batch = sim._run_segments
+
+        def leaving(goal):
+            step = batch(goal)
+            job = sim._phase2_job
+            if step is not None and job is not None:
+                armed_leaving.append(job._timer is not None)
+            return step
+
+        sim._run_segments = leaving
+        out = sim.run()
+        assert out.ft.mitigated_pckpt > 20
+        assert len(held) > 50 and all(held)
+        assert armed_leaving and all(armed_leaving)
 
     @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_untraced_batches_per_disturbance(self, model):

@@ -292,6 +292,31 @@ class TestStateMachineIntegration:
         assert not sim._node_states
 
 
+    def test_node_health_follows_each_fig5_state(self):
+        """Tracked nodes answer their state; NORMAL ones are untracked."""
+        from repro.core.statemachine import IllegalTransition
+        from repro.platform.node import NodeHealth
+
+        sim = CRSimulation(APP, get_model("P2"), weibull=QUIET,
+                           rng=np.random.default_rng(0))
+        assert sim.node_health(9) is NodeHealth.NORMAL
+        for state in (NodeHealth.VULNERABLE, NodeHealth.MIGRATING,
+                      NodeHealth.FAILED):
+            sim._mark(9, state)
+            assert sim.node_health(9) is state
+            assert sim._node_states == {9: state}
+        sim._mark(9, NodeHealth.NORMAL)
+        assert sim.node_health(9) is NodeHealth.NORMAL
+        assert not sim._node_states
+        with pytest.raises(IllegalTransition):
+            sim._mark(9, NodeHealth.MIGRATING)  # Fig 5: predict first
+        assert not sim._node_states
+        sim._mark(2, NodeHealth.VULNERABLE)
+        sim._replace(2)  # fails and is replaced by a healthy spare
+        assert sim.node_health(2) is NodeHealth.NORMAL
+        assert not sim._node_states
+
+
 class TestFalseAlarms:
     def test_false_alarm_costs_a_protocol_run(self):
         alarm = FalseAlarmEvent(prediction_time=500.0, node=3, claimed_lead=60.0)

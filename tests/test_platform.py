@@ -9,9 +9,7 @@ from repro.platform import (
     SUMMIT,
     BurstBufferSpec,
     InterconnectSpec,
-    NodeHealth,
     NodeSpec,
-    NodeState,
     PFSSpec,
     PlatformSpec,
 )
@@ -72,17 +70,6 @@ class TestNode:
         node = NodeSpec()
         assert node.dram_bytes == pytest.approx(512 * GiB)
         assert node.cores == 42
-
-    def test_state_transitions(self):
-        st = NodeState(index=3)
-        assert not st.is_vulnerable
-        st.mark_vulnerable(now=10.0, failure_time=55.0)
-        assert st.is_vulnerable
-        assert st.lead_time_remaining(20.0) == pytest.approx(35.0)
-        st.clear_prediction()
-        assert st.health is NodeHealth.NORMAL
-        with pytest.raises(ValueError):
-            st.lead_time_remaining(0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
