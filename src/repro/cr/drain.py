@@ -11,7 +11,7 @@ now-invalid snapshots.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 from ..des import Environment, Infinity, Trace
 from ..des.metrics import MetricsRegistry
@@ -119,68 +119,74 @@ class DrainManager:
         else:
             self._pending.append(snap)
 
-    def submit_run(self, works: Sequence[float], times: Sequence[float],
-                   newest: Snapshot) -> None:
-        """Queue a run of periodic snapshots staged at increasing *times*.
+    def queue_end(self, gap: float) -> float:
+        """The staging time before which a periodic snapshot can queue.
 
-        The same state as one :meth:`submit` per ``(work, time)`` pair:
-        the chain advances with :meth:`settle` and :meth:`submit`'s own
-        arithmetic, and the ledger, counters and metrics are updated once
-        at the end.  A :class:`Snapshot` is built only for one still
-        queued or in flight afterwards, or the last to land; *newest* is
-        the last pair's (the one the ledger holds in the BBs).  It records
-        nothing, so a traced run submits its snapshots one by one.
+        A snapshot staged at or after it finds every drain landed, ties
+        included, and goes in flight at once.  When every later staging
+        comes at least *gap* after the one before, exactly, and a drain
+        takes no longer than *gap*, each of those lands before the next
+        is staged, so :meth:`submit_run` can jump over them.  ``-inf``
+        when nothing is queued or in flight; ``inf`` when a drain may
+        outlast *gap*: each staging must then be submitted one by one.
         """
         duration = self.duration
-        last = len(times) - 1
-        # A chain entry is an existing Snapshot or an index into the run.
-        snap: Union[Snapshot, int, None] = self._snap
-        pending: List[Union[Snapshot, int]] = list(self._pending)
-        landing = self.landing
-        remaining = self._remaining
-        start = self._start
-        landed = 0
-        newest_landed: Union[Snapshot, int, None] = None
-        for i, now in enumerate(times):
-            # settle(): _finish every landing due, each starting the next.
-            while landing <= now:
-                newest_landed = snap
-                landed += 1
-                begin = landing
-                snap, landing = None, Infinity
-                if pending:
-                    snap, remaining, start = pending.pop(0), duration, begin
-                    landing = start + remaining if remaining > 0 else start
-            if snap is not None:
-                pending.append(i)
-                continue
-            # _begin() and _arm(); a zero-length drain lands at once.
-            remaining, start = duration, now
-            if remaining > 0:
-                snap, landing = i, start + remaining
-            else:
-                newest_landed = i
-                landed += 1
+        if not duration <= gap:
+            return Infinity
+        if self._snap is None:
+            return -Infinity
+        # Each queued drain starts at its predecessor's landing (_next);
+        # a drain that queues has a positive duration.
+        end = self.landing
+        for _ in self._pending:
+            end = end + duration
+        return end
 
-        def built(entry: Union[Snapshot, int]) -> Snapshot:
-            if isinstance(entry, Snapshot):
-                return entry
-            if entry == last:
-                return newest
-            return Snapshot(works[entry], SnapshotKind.PERIODIC, times[entry])
+    def submit_run(self, count: int, prior_work: float, prior_time: float,
+                   newest: Snapshot) -> None:
+        """Queue *count* periodic snapshots that cannot queue behind a drain.
 
+        The first is staged at or after :meth:`queue_end`, and each later
+        one at least its ``gap`` after the one before, so the state ends
+        as after one :meth:`submit` per snapshot: every drain in the
+        chain lands by the first staging, each snapshot of the run lands
+        before the next is staged, and *newest*, the last one (the
+        snapshot the ledger holds in the BBs), is left in flight, or
+        lands at once when a drain takes no time.  *prior_work* and
+        *prior_time* stage the snapshot before *newest* (read when
+        *count* > 1): the last of the run to land.  The ledger, counters
+        and metrics are updated once.  It records nothing, so a traced
+        run submits its snapshots one by one.
+        """
+        duration = self.duration
+        landed = count - 1
+        last: Optional[Snapshot] = None
+        snap = self._snap
+        if snap is not None:
+            pending = self._pending
+            landed += 1 + len(pending)
+            last = pending[-1] if pending else snap
+            self._pending = []
+        if count > 1:
+            last = Snapshot(prior_work, SnapshotKind.PERIODIC, prior_time)
+        now = newest.time
+        self._remaining = duration
+        self._start = now
+        if duration > 0:
+            self._snap = newest
+            self.landing = now + duration
+        else:
+            landed += 1
+            last = newest
+            self._snap = None
+            self.landing = Infinity
         if landed:
-            self.ledger.record_drained(built(newest_landed), count=landed)
+            self.ledger.record_drained(last, count=landed)
             self.completed += landed
             if self.metrics is not None:
                 self.metrics.counter("drain.completed").inc(landed)
                 self.metrics.histogram("drain.seconds").observe(
                     duration, times=landed)
-        self._snap = built(snap) if snap is not None else None
-        self._pending = [built(entry) for entry in pending]
-        self.landing = landing
-        self._remaining = remaining
-        self._start = start
 
     def cancel_newer_than(self, work: float) -> None:
         """Drop queued/in-flight drains of snapshots newer than *work*.

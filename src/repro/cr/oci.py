@@ -157,6 +157,16 @@ class OCIController:
             self.metrics.gauge("oci.interval_seconds").set(oci)
         return oci
 
+    def count_reads(self, oci: float, reads: int) -> None:
+        """Meter *reads* reads of the interval *oci* as :meth:`interval` would.
+
+        For a caller that reads a fixed interval once for many segments:
+        the metrics end as after one :meth:`interval` call per segment.
+        """
+        if self.metrics is not None and reads:
+            self.metrics.counter("oci.recomputes").inc(reads)
+            self.metrics.gauge("oci.interval_seconds").set(oci, times=reads)
+
     def _compute_interval(self) -> float:
         """Eq. (1) or (2) at the current rate estimate, floored."""
         rate = self.per_node_rate()

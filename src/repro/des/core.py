@@ -97,7 +97,7 @@ class Environment:
         "_eid",
         "_active_proc",
         "_until",
-        "_cancels",
+        "cancels",
         "_discards",
         "metrics",
         "profiler",
@@ -118,9 +118,12 @@ class Environment:
         #: run to exhaustion or to an event); ``-inf`` outside any run
         #: loop, so nothing may :meth:`advance` under a bare :meth:`step`.
         self._until: float = -Infinity
-        # Lazy deletion of cancelled entries (see :meth:`cancel`): every
-        # cancel so far, and every cancelled entry since popped unseen.
-        self._cancels: int = 0
+        #: Every :meth:`cancel` so far.  Cancelled entries are deleted
+        #: lazily (see :meth:`cancel`); a caller that read
+        #: :meth:`horizon` and schedules nothing may reuse it while this
+        #: stays the same.
+        self.cancels: int = 0
+        # Every cancelled entry since popped unseen.
         self._discards: int = 0
         #: Optional :class:`~repro.des.metrics.MetricsRegistry` shared by
         #: components holding this environment (attach via
@@ -195,7 +198,14 @@ class Environment:
         SimulationError
             If *t* is before :attr:`now` or not before :meth:`horizon`.
         """
-        if not self._now <= t < self.horizon():
+        # horizon() inlined: the head of the queue, cancelled entries
+        # discarded as peek() does, and the loop's bound.
+        queue = self._queue
+        while queue and queue[0][3].callbacks is None:
+            heappop(queue)
+            self._discards += 1
+        if not (self._now <= t < self._until
+                and (not queue or t < queue[0][0])):
             raise SimulationError(
                 f"cannot advance from {self._now} to {t} "
                 f"(horizon {self.horizon()})"
@@ -208,7 +218,7 @@ class Environment:
 
         Cancelled entries still in the heap are not counted.
         """
-        return len(self._queue) - (self._cancels - self._discards)
+        return len(self._queue) - (self.cancels - self._discards)
 
     def cancel(self, event: Event) -> None:
         """Withdraw the scheduled *event*: it will never be processed.
@@ -233,7 +243,7 @@ class Environment:
         if event._value is PENDING:
             raise SimulationError(f"{event!r} is not scheduled")
         event.callbacks = None
-        self._cancels += 1
+        self.cancels += 1
 
     # -- event factories ---------------------------------------------------
     # ``event`` and ``timeout`` are per-instance partials (see __init__):

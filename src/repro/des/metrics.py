@@ -79,12 +79,12 @@ class Gauge:
         self.high_water: float = 0.0
         self.updates: int = 0
 
-    def set(self, value: float) -> None:
-        """Record the current value (and bump the high-water mark)."""
+    def set(self, value: float, times: int = 1) -> None:
+        """Record the current value *times* over (and bump the high-water mark)."""
         self.value = value
         if value > self.high_water or self.updates == 0:
             self.high_water = value
-        self.updates += 1
+        self.updates += times
 
     def merge(self, other: "Gauge") -> None:
         """Fold another replication's gauge in (max semantics)."""

@@ -46,6 +46,10 @@ __all__ = ["ModelConfig", "RunOutput", "CRSimulation"]
 
 _EPS = 1e-6
 _INF = float("inf")
+#: Relative bound on what a batch's float recurrence can round off the
+#: time between two stagings, taken over the magnitudes of the times,
+#: the work and the period (each rounding costs at most 2**-53 of one).
+_ROUNDING = 2.0 ** -49
 _NORMAL = NodeHealth.NORMAL
 _VULNERABLE = NodeHealth.VULNERABLE
 _MIGRATING = NodeHealth.MIGRATING
@@ -452,6 +456,10 @@ class CRSimulation:
         self._draws: List[_Draw] = []
         self._landed = self.env.now
         self._timer: Optional[Timeout] = None
+        # The kernel horizon the batch last read (_stretch) and the
+        # kernel's cancel count then.
+        self._horizon = -_INF
+        self._cancels = -1
 
         # -- run stats ---------------------------------------------------------
         self.periodic_checkpoints = 0
@@ -918,16 +926,22 @@ class CRSimulation:
         so only a kernel event or the next failure can disturb a segment.
         Each segment that ends, BB write included, strictly before the
         horizon (:meth:`_stretch`) runs here as float arithmetic: the
-        event path's own expressions in its order, with the interval read
-        per segment as the main loop reads it.  The clock, progress,
-        overhead, counters, ledger and drain chain are then committed
-        once; a traced batch records and submits its checkpoints one by
-        one instead (:meth:`_record_segments`).  What lands first,
-        strictly before the horizon, stops the segment here too
-        (:meth:`_cut`): a failure, and the application recovers
-        (:meth:`_restore_inline`), or its prediction, and the blocked
-        protocol it starts runs as arithmetic (:meth:`_protect_inline`).
-        The batch goes on after either.
+        event path's own expressions in its order.  A fixed interval is
+        read once per call and metered once per segment in bulk; the
+        online estimator is fed the time and read per segment, as the
+        main loop does.  The clock, progress, overhead, counters, ledger
+        and drain chain are then committed once.  A checkpoint staged
+        before :meth:`~repro.cr.drain.DrainManager.queue_end` may queue
+        behind a drain and is submitted as it is staged; the rest cannot,
+        and the batch keeps only their count and where the last two
+        began for :meth:`~repro.cr.drain.DrainManager.submit_run`.  A
+        traced batch records and submits its checkpoints one by one
+        instead (:meth:`_record_segments`).  What lands first, strictly
+        before the horizon, stops the segment here too (:meth:`_cut`): a
+        failure, and the application recovers (:meth:`_restore_inline`),
+        or its prediction, and the blocked protocol it starts runs as
+        arithmetic (:meth:`_protect_inline`).  The batch goes on after
+        either.
 
         Returns the interval read for the first segment that does not end
         before the horizon (the caller runs it on the event path), the
@@ -938,13 +952,28 @@ class CRSimulation:
         """
         env = self.env
         oci = self.oci
-        read_interval = oci.interval
-        # Only the online estimator reads the observed time.
+        drain = self.drain
+        ledger = self.ledger
+        metrics = self.metrics
+        traced = self.trace is not None
+        # Only the online estimator reads the observed time, and its
+        # interval changes with it: it is read per segment.  A fixed
+        # interval is read here, for the first segment; the reads of
+        # the others are metered in bulk (count_reads).
         online = oci.online_estimation
+        interval = None if online else oci.interval()
+        metered = 1  # that read, already metered
         t_ckpt_bb = self.t_ckpt_bb
         # The loop's constant operands, each the same float every time.
         unfinished = goal - _EPS
-        bb_blocks = t_ckpt_bb > _EPS
+        # A write too short to block adds exactly 0.0 to t1 and the
+        # checkpoint overhead.
+        blocked = t_ckpt_bb if t_ckpt_bb > _EPS else 0.0
+        # Two stagings are at least this far apart before rounding: a
+        # segment computes at least the interval, then writes.
+        period = (oci.min_interval if online else interval) + blocked
+        works: List[float] = []
+        times: List[float] = []
         while True:
             if self._held_records:
                 # The event path's application waits from here on.
@@ -953,52 +982,94 @@ class CRSimulation:
             # land < horizon when finite: one test per segment for both.
             limit = land if land < horizon else horizon
             now = env.now
-            work = self.work_done
+            work = start = self.work_done
             checkpoint = self.overhead.checkpoint
-            works: List[float] = []
-            times: List[float] = []
+            # Every staging comes before the limit, so the batch's
+            # rounding takes less than this off the period.
+            gap = period - (limit + goal + period) * _ROUNDING
+            ready = _INF if traced else drain.queue_end(gap)
+            walked = jumped = 0
+            # Where the last staging after ``ready`` began: at the one
+            # before it, when there is one.
+            prior_work = prior_time = 0.0
+            # Where the segment that finishes the work began.
+            last_work = last_time = 0.0
             deferred: Optional[float] = None
             strikes = False
             while work < unfinished:
                 if online:
                     oci.record_time(now)
-                interval = read_interval()
+                    interval = oci.interval()
                 # interval >= min_interval, so every segment computes; the
                 # rate is 1.0, so planned == target - work and migration
                 # overhead grows by exactly 0.0.
                 target = work + interval
-                if target > goal:
-                    target = goal
-                t1 = now + (target - work)
-                writes = target < unfinished
-                blocks = writes and bb_blocks
-                t2 = t1 + t_ckpt_bb if blocks else t1
-                if not t2 < limit:
-                    # The kernel delivers a landing that brings the next
-                    # draw's first stage with it.
-                    strikes = land <= t2 and not (
-                        struck and self._held(1).at_once)
-                    if not strikes:
-                        deferred = interval
-                    break
-                if blocks:
-                    checkpoint += t2 - t1
-                now = t2
-                work = target
-                if writes:
-                    works.append(target)
-                    times.append(t2)
-            if works and self.trace is not None:
-                self._record_segments(env.now, self.work_done, works, times)
-            elif works:
-                n = len(works)
+                if target < unfinished:
+                    # It writes a checkpoint; target < goal needs no clamp.
+                    t1 = now + (target - work)
+                    t2 = t1 + blocked
+                    if t2 < limit:
+                        checkpoint += t2 - t1
+                        if t2 < ready:
+                            walked += 1
+                            if traced:
+                                works.append(target)
+                                times.append(t2)
+                            else:
+                                # It may queue behind a drain: submit it.
+                                drain.submit(
+                                    ledger.record_periodic(target, t2), t2)
+                                ready = drain.queue_end(gap)
+                        else:
+                            jumped += 1
+                            prior_work = work
+                            prior_time = now
+                        now = t2
+                        work = target
+                        continue
+                else:
+                    # The last segment: it finishes the work, no write.
+                    if target > goal:
+                        target = goal
+                    t1 = t2 = now + (target - work)
+                    if t2 < limit:
+                        last_work = work
+                        last_time = now
+                        now = t2
+                        work = target
+                        continue
+                # The segment does not end before the limit.  The kernel
+                # delivers a landing that brings the next draw's first
+                # stage with it.
+                strikes = land <= t2 and not (
+                    struck and self._held(1).at_once)
+                if not strikes:
+                    deferred = interval
+                break
+            if works:
+                self._record_segments(env.now, start, works, times)
+                works.clear()
+                times.clear()
+            elif walked or jumped:
+                n = walked + jumped
                 self.periodic_checkpoints += n
-                if self.metrics is not None:
+                if metrics is not None:
                     self._count("ckpt.periodic_completed", n)
                     self._observe("ckpt.bb_write_seconds", t_ckpt_bb, n)
-                newest = self.ledger.record_periodic(works[-1], times[-1],
-                                                     count=n)
-                self.drain.submit_run(works, times, newest)
+                if jumped:
+                    # The newest staging ended the last segment, or began
+                    # the one that finished the work.
+                    if work < unfinished:
+                        last_work = work
+                        last_time = now
+                    drain.submit_run(
+                        jumped, prior_work, prior_time,
+                        ledger.record_periodic(last_work, last_time,
+                                               count=jumped))
+            if metrics is not None and not online and start < unfinished:
+                # One read per segment begun: every staging and the last.
+                oci.count_reads(interval, walked + jumped + 1 - metered)
+                metered = 0
             self.work_done = work
             self.overhead.checkpoint = checkpoint
             self.oci_final = interval
@@ -1031,10 +1102,9 @@ class CRSimulation:
         second value is ``inf`` when nothing does.
         """
         env = self.env
-        horizon = env.horizon()
+        kernel = env.horizon()
         eta = self._eta
-        if eta < horizon:
-            horizon = eta
+        horizon = eta if eta < kernel else kernel
         draws = self._draws
         d = draws[0] if draws else self._held(0)
         t = d.tf if d.tp is None else d.tp  # the next stage
@@ -1051,9 +1121,11 @@ class CRSimulation:
         if self._timer is not None:
             env.cancel(self._timer)
             self._timer = None
-            horizon = env.horizon()
-            if eta < horizon:
-                horizon = eta
+            kernel = env.horizon()
+            horizon = eta if eta < kernel else kernel
+        # Kept for _landings, which reuses it until a timer is withdrawn.
+        self._horizon = kernel
+        self._cancels = env.cancels
         if end < horizon:
             return horizon, t, end == d.tf
         return t, _INF, False
@@ -1233,7 +1305,10 @@ class CRSimulation:
         -1, and the flush is held until the application leaves the batch.
         """
         env = self.env
-        horizon = env.horizon()
+        # The kernel's horizon as _stretch read it, unless a timer was
+        # withdrawn since: the batch schedules nothing.
+        horizon = (self._horizon if env.cancels == self._cancels
+                   else env.horizon())
         job = self._phase2_job
         if job is not None:
             eta = job.eta
@@ -1708,7 +1783,9 @@ class CRSimulation:
         node = ev.node
         # Drains that landed by now count for the recovery plan.
         self.drain.settle(now)
-        self._classify_mitigation(self._forget_prediction(ev))
+        if self._records or self._vulnerable:
+            # Only a delivered prediction leaves either behind.
+            self._classify_mitigation(self._forget_prediction(ev))
         self._migrated_away.discard(node)
         # Fig 5: the node fails and is replaced by a healthy spare.  Its
         # in-flight migration (if any) resolves via the abort below.

@@ -135,6 +135,11 @@ class EventPathEnvironment(Environment):
     def horizon(self) -> float:
         return -Infinity
 
+    def advance(self, t: float) -> None:
+        # Environment.advance reads the queue, not horizon(): no t passes.
+        raise SimulationError(
+            f"cannot advance from {self.now} to {t} (horizon -inf)")
+
 
 @dataclass(frozen=True)
 class Backend:

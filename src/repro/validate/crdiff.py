@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..cr.checkpoint import SnapshotLedger
+from ..platform.pfs import PFSSpec
+from ..platform.system import SUMMIT, PlatformSpec
 from .backends import EventPathEnvironment, ReferenceEnvironment
 
 __all__ = ["CRCase", "generate_cr_case", "run_cr_case", "diff_cr_case"]
@@ -57,6 +59,9 @@ class CRCase:
     weibull_shape: float
     weibull_scale_hours: float
     sim_seed: int
+    #: Share of its bandwidth the PFS drain gets; the smallest makes
+    #: most drains slower than the checkpoint period.
+    drain_share: float = 1.0
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -68,7 +73,11 @@ def generate_cr_case(seed: int) -> CRCase:
     Sizes are kept small (tens of nodes, an hour or two of compute, a
     hot failure distribution) so one case simulates in well under a
     second while still exercising predictions, failures, proactive
-    protocols, recovery, and drain cancellation.
+    protocols, recovery, and drain cancellation.  The drain throttle is
+    drawn last, so the other fields are those of a case without it.
+    One case in four drains at 0.2% of its bandwidth: most of those
+    drain slower than their checkpoint period, and their drains queue
+    behind each other.
     """
     rng = random.Random(f"pckpt-crdiff-{seed}")
     model = rng.choice(("B", "M1", "M2", "P1", "P2"))
@@ -82,7 +91,26 @@ def generate_cr_case(seed: int) -> CRCase:
         weibull_shape=rng.choice((0.6, 0.7, 0.9)),
         weibull_scale_hours=rng.choice((0.25, 0.4, 0.7)),
         sim_seed=rng.randint(0, 2**31 - 1),
+        drain_share=rng.choice((1.0, 1.0, 0.1, 0.002)),
     )
+
+
+@dataclass
+class _ThrottledPFS(PFSSpec):
+    """A PFS whose background drain gets only *share* of its bandwidth."""
+
+    share: float = 1.0
+
+    def drain_time(self, nnodes: int, bytes_per_node: float) -> float:
+        return super().drain_time(nnodes, bytes_per_node) / self.share
+
+
+def _platform(drain_share: float) -> PlatformSpec:
+    """Summit, its drain given *drain_share* of the bandwidth."""
+    pfs = SUMMIT.pfs
+    return dataclasses.replace(SUMMIT, pfs=_ThrottledPFS(
+        model=pfs.model, drain_fraction=pfs.drain_fraction,
+        drain_min_nodes=pfs.drain_min_nodes, share=drain_share))
 
 
 def _make_checked_ledger(violations: List[str]) -> Type[SnapshotLedger]:
@@ -216,6 +244,7 @@ def run_cr_case(
         sim = base_mod.CRSimulation(
             app,
             config,
+            platform=_platform(case.drain_share),
             weibull=weibull,
             rng=np.random.default_rng(case.sim_seed),
             trace=Trace(env=None) if traced else None,

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cr.checkpoint import SnapshotLedger
 from repro.cr.drain import DrainManager
@@ -36,6 +41,61 @@ def _run_drains(env, dm):
             dm.settle()
         else:
             return
+
+
+def _exact_gap(times):
+    """The largest float no greater than every exact gap between *times*."""
+    gaps = [Fraction(b) - Fraction(a) for a, b in zip(times, times[1:])]
+    if not gaps:
+        return math.inf
+    low = min(gaps)
+    gap = float(low)
+    return gap if Fraction(gap) <= low else math.nextafter(gap, -math.inf)
+
+
+def _submit_batched(dm, ledger, works, times):
+    """Stage a run of snapshots as an untraced segment batch does.
+
+    Each snapshot staged before ``queue_end`` is submitted on its own;
+    the rest go to one ``submit_run``.  Returns how many took each way.
+    """
+    gap = _exact_gap(times)
+    ready = dm.queue_end(gap)
+    walked = jumped = 0
+    prior = newest = (0.0, 0.0)
+    for work, time in zip(works, times):
+        if time < ready:
+            walked += 1
+            dm.submit(ledger.record_periodic(work, time), time)
+            ready = dm.queue_end(gap)
+        else:
+            jumped += 1
+            prior, newest = newest, (work, time)
+    if jumped:
+        dm.submit_run(jumped, *prior,
+                      ledger.record_periodic(*newest, count=jumped))
+    return walked, jumped
+
+
+def _drain_state(dm, ledger, metrics):
+    """The chain, ledger and metrics of *dm*, times by ``float.hex``."""
+    def key(snap):
+        if snap is None:
+            return None
+        return (snap.kind, snap.work, snap.time.hex())
+
+    return {
+        "landing": dm.landing.hex(),
+        "remaining": dm._remaining.hex(),
+        "start": dm._start.hex(),
+        "in_flight": key(dm._snap),
+        "pending": [key(s) for s in dm._pending],
+        "completed": dm.completed,
+        "cancelled": dm.cancelled,
+        "bb": key(ledger.bb),
+        "pfs": key(ledger.pfs),
+        "metrics": metrics.snapshot(),
+    }
 
 
 class TestDrainManager:
@@ -182,9 +242,10 @@ class TestDrainManager:
         assert not late.busy and late.completed == 3
 
     @pytest.mark.parametrize("case", ["backlog", "zero", "rearmed",
-                                      "rearmed-short"])
+                                      "rearmed-short", "steady", "ties",
+                                      "rearmed-steady"])
     def test_submit_run_equals_one_submit_per_snapshot(self, case):
-        """One ``submit_run`` leaves the state one ``submit`` per pair does.
+        """A batch's stagings leave the state one ``submit`` per pair does.
 
         Seven snapshots staged ``0.37 * duration`` apart, so the drains
         back up behind each other (``backlog``); a zero-byte drain that
@@ -192,7 +253,13 @@ class TestDrainManager:
         flight, re-armed for its rest by ``cancel_newer_than`` after a
         queued one was cancelled (``rearmed``; ``rearmed-short`` stages
         one snapshot, so the survivor is still in flight after the batch).
-        Chain times compare by ``float.hex``.
+        Forty snapshots ``2.7 * duration`` apart never queue and are
+        jumped over (``steady``); snapshots exactly ``duration`` apart
+        land each drain at the next staging's instant, landing first
+        (``ties``); and twelve ``1.3 * duration`` apart queue behind a
+        re-armed survivor before the run goes steady
+        (``rearmed-steady``).  The batch submits as a segment batch does
+        (:func:`_submit_batched`).  Chain times compare by ``float.hex``.
         """
         per_node = 0.0 if case == "zero" else 8 * GiB
         states = []
@@ -213,36 +280,26 @@ class TestDrainManager:
                 assert dm.cancelled == 1 and dm._remaining < d
             gap = 0.37 * d if d > 0 else 0.37
             start = env.now
-            n = 1 if case == "rearmed-short" else 7
+            n = {"rearmed-short": 1, "steady": 40, "ties": 12,
+                 "rearmed-steady": 12}.get(case, 7)
             works = [100.0 + 10.0 * k for k in range(n)]
             times = [start + gap * (k + 1) for k in range(n)]
+            if case == "steady":
+                times = [start + 2.7 * d * (k + 1) for k in range(n)]
+            elif case == "ties":
+                times = [start + d]
+                for _ in range(n - 1):
+                    times.append(times[-1] + d)
+            elif case == "rearmed-steady":
+                times = [start + 0.1 * d + 1.3 * d * k for k in range(n)]
             if batched:
                 env.run(until=times[-1])
-                newest = ledger.record_periodic(works[-1], times[-1],
-                                                count=len(works))
-                dm.submit_run(works, times, newest)
+                walked, jumped = _submit_batched(dm, ledger, works, times)
             else:
                 for work, time in zip(works, times):
                     env.run(until=time)
                     dm.submit(ledger.record_periodic(work, time))
-
-            def key(snap):
-                if snap is None:
-                    return None
-                return (snap.kind, snap.work, snap.time.hex())
-
-            states.append({
-                "landing": dm.landing.hex(),
-                "remaining": dm._remaining.hex(),
-                "start": dm._start.hex(),
-                "in_flight": key(dm._snap),
-                "pending": [key(s) for s in dm._pending],
-                "completed": dm.completed,
-                "cancelled": dm.cancelled,
-                "bb": key(ledger.bb),
-                "pfs": key(ledger.pfs),
-                "metrics": metrics.snapshot(),
-            })
+            states.append(_drain_state(dm, ledger, metrics))
         one_by_one, batch = states
         assert batch == one_by_one
         if case == "backlog":
@@ -252,9 +309,71 @@ class TestDrainManager:
             assert one_by_one["in_flight"] is None
         elif case == "rearmed":
             assert one_by_one["pfs"][1] > 10.0
-        else:
+        elif case == "rearmed-short":
             assert one_by_one["in_flight"][1] == 10.0
             assert one_by_one["completed"] == 0
+        elif case == "steady":
+            assert (walked, jumped) == (0, n)
+            assert one_by_one["completed"] == n - 1
+        elif case == "ties":
+            assert all(a + d == b for a, b in zip(times, times[1:]))
+            assert one_by_one["completed"] == n - 1
+            assert one_by_one["in_flight"][1] == works[-1]
+        else:
+            assert walked >= 2 and jumped >= 5 and walked + jumped == n
+            assert one_by_one["completed"] == n
+            assert one_by_one["pending"] == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gib=st.sampled_from([0.0, 0.5, 2.0, 8.0, 13.0]),
+        chain=st.lists(st.floats(0.05, 3.0), max_size=3),
+        keep=st.one_of(st.none(), st.integers(0, 3)),
+        lead=st.floats(0.0, 2.0),
+        factors=st.lists(st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
+                         min_size=1, max_size=25),
+    )
+    def test_submit_run_property(self, gib, chain, keep, lead, factors):
+        """Random durations, starting chains and gaps, batched or not.
+
+        *chain* stages up to three snapshots before the run, ``factor *
+        duration`` apart; *keep*, when given, then rolls back to the
+        first *keep* of them, re-arming a survivor.  The run starts
+        *lead* durations later, each staging ``factor * duration`` after
+        the one before (a factor of 1.0 adds the duration itself, so the
+        landing ties with the staging).  The batch must leave the state,
+        by ``float.hex``, that one ``submit`` per staging leaves.
+        """
+        states = []
+        for batched in (False, True):
+            env = Environment()
+            metrics = MetricsRegistry()
+            ledger = SnapshotLedger(metrics=metrics)
+            dm = DrainManager(env, PFSSpec(), ledger, 16, gib * GiB,
+                              metrics=metrics)
+            d = dm.duration
+            unit = d if d > 0 else 1.0
+            t = 0.0
+            for k, factor in enumerate(chain):
+                t = t + factor * unit
+                dm.submit(ledger.record_periodic(10.0 * (k + 1), t), t)
+            if keep is not None and chain:
+                t = t + 0.25 * unit
+                env.run(until=t)
+                dm.cancel_newer_than(10.0 * keep + 5.0)
+            t = t + lead * unit
+            works, times = [], []
+            for k, factor in enumerate(factors):
+                t = t + (d if factor == 1.0 else factor * unit)
+                works.append(100.0 + 10.0 * k)
+                times.append(t)
+            if batched:
+                _submit_batched(dm, ledger, works, times)
+            else:
+                for work, time in zip(works, times):
+                    dm.submit(ledger.record_periodic(work, time), time)
+            states.append(_drain_state(dm, ledger, metrics))
+        assert states[1] == states[0]
 
     def test_zero_byte_drain_lands_at_once(self, env):
         ledger = SnapshotLedger()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.young import sigma_adjusted_oci, young_oci
 from repro.cr.oci import OCIController
+from repro.des import MetricsRegistry
 from repro.failures.injector import FailureInjector
 from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from repro.failures.predictor import DEFAULT_PREDICTOR
@@ -163,14 +164,14 @@ class TestSigmaComputedOnce:
         app = APPLICATIONS["VULCAN"]
         lead_model = CountingLeadModel()
         sim = CRSimulation(app, get_model("P2"), lead_model=lead_model,
-                           rng=np.random.default_rng(0))
-        intervals = []
-        interval = sim.oci.interval
-        sim.oci.interval = lambda: intervals.append(1) or interval()
+                           rng=np.random.default_rng(0),
+                           metrics=MetricsRegistry())
         out = sim.run()
 
         assert len(lead_model.calls) == 1
-        assert len(intervals) > 1000
+        # One interval read per segment: the batches meter the fixed
+        # interval they read once.
+        assert out.metrics["counters"]["oci.recomputes"] > 1000
         # The Eq. (2) interval, from σ evaluated the way the model does it.
         sigma = min(0.85 * PAPER_LEAD_TIME_MODEL.survival(
             sim.lm_seconds / DEFAULT_PREDICTOR.lead_scale), 0.999)

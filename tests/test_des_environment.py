@@ -68,6 +68,47 @@ class TestHorizon:
             env.run()
         assert seen == [3.0]
 
+    def test_advance_looks_past_cancelled_entries(self, env):
+        """``advance`` reads the queue itself, cancelled heads discarded.
+
+        Its bound is the one ``horizon()`` gives: the next live event or
+        the loop's ``until``, whichever is first, excluded.
+        """
+        seen = []
+
+        def proc():
+            yield env.timeout(1.0)
+            env.cancel(stale)
+            env.advance(5.5)
+            seen.append(env.now)
+            with pytest.raises(SimulationError):
+                env.advance(6.0)
+            with pytest.raises(SimulationError):
+                env.advance(5.0)
+
+        env.process(proc())
+        stale = env.timeout(2.0)
+        env.timeout(7.0)
+        env.run(until=6.0)
+        assert seen == [5.5] and env.now == 6.0
+
+    def test_event_path_environment_never_advances(self):
+        from repro.validate.backends import EventPathEnvironment
+
+        env = EventPathEnvironment()
+        seen = []
+
+        def proc():
+            yield env.timeout(1.0)
+            seen.append(env.horizon())
+            with pytest.raises(SimulationError):
+                env.advance(1.0)
+
+        env.process(proc())
+        env.timeout(5.0)
+        env.run()
+        assert seen == [-Infinity]
+
     def test_advance_moves_clock_and_profiler_charges_the_event(self, env):
         from repro.obs import KernelProfiler
 

@@ -190,6 +190,7 @@ class TestEventBudget:
     FAILURE_FREE = 20
     BATCHES_PER_DISTURBANCE = 3
     BATCHES_FAILURE_FREE = 2
+    HORIZON_PER_DISTURBANCE = 2
 
     @staticmethod
     def _count_batches(sim):
@@ -205,7 +206,12 @@ class TestEventBudget:
         return calls
 
     @classmethod
-    def _chimera(cls, model, trace=None):
+    def _chimera(cls, model, trace=None, segments=None):
+        """Run CHIMERA/*model* at seed 7; also the number of batch calls.
+
+        *segments*, a list, collects the targets of the segments the
+        event path computes.
+        """
         from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
         from repro.workloads.applications import APPLICATIONS
 
@@ -213,6 +219,14 @@ class TestEventBudget:
                            weibull=LANL_SYSTEM18_WEIBULL,
                            rng=np.random.default_rng(7), trace=trace)
         calls = cls._count_batches(sim)
+        if segments is not None:
+            advance_to = sim._advance_to
+
+            def counted(target):
+                segments.append(target)
+                return advance_to(target)
+
+            sim._advance_to = counted
         return sim, sim.run(), len(calls)
 
     @staticmethod
@@ -293,6 +307,58 @@ class TestEventBudget:
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
         disturbances = out.ft.failures + out.ft.false_alarms
         assert batches <= self.BATCHES_PER_DISTURBANCE * disturbances + 2
+
+    @pytest.mark.parametrize("model", ["B", "M1", "P1"])
+    def test_interval_calls_per_replication(self, model, monkeypatch):
+        """A fixed interval is read once per batch, not once per segment.
+
+        The bound is the constructor's call, one per batch and one per
+        segment the event path computes (the segment a batch hands back
+        reads none).  When
+        every segment called ``OCIController.interval()``, these untraced
+        CHIMERA replications at seed 7 made 846 (B), 853 (M1) and 854
+        (P1) calls, against 1 / 36 / 64 batches and 0 / 27 / 51 event-path
+        segments.
+        """
+        from repro.cr.oci import OCIController
+
+        calls = []
+        interval = OCIController.interval
+
+        def counted(oci):
+            calls.append(oci)
+            return interval(oci)
+
+        monkeypatch.setattr(OCIController, "interval", counted)
+        segments = []
+        sim, out, batches = self._chimera(model, segments=segments)
+        assert out.periodic_checkpoints > 600 and not sim.oci.online_estimation
+        assert len(calls) <= 1 + batches + len(segments)
+
+    @pytest.mark.parametrize("model", ["B", "M1", "P1"])
+    def test_horizon_reads_per_disturbance(self, model, monkeypatch):
+        """The batch reads the kernel's horizon about once per landing.
+
+        ``advance`` checks its bound against the head of the queue
+        itself, and a restore in the batch reuses the horizon its stretch
+        read.  Before, these untraced CHIMERA replications at seed 7 read
+        ``Environment.horizon`` 3.97 (B), 4.08 (M1) and 4.82 (P1) times
+        per disturbance.
+        """
+        from repro.des import Environment
+
+        calls = []
+        horizon = Environment.horizon
+
+        def counted(env):
+            calls.append(env)
+            return horizon(env)
+
+        monkeypatch.setattr(Environment, "horizon", counted)
+        _, out, _ = self._chimera(model)
+        disturbances = out.ft.failures + out.ft.false_alarms
+        assert out.ft.failures > 50
+        assert len(calls) <= self.HORIZON_PER_DISTURBANCE * disturbances
 
     def test_untraced_failure_free_replication(self):
         sim = self._vulcan()

@@ -24,8 +24,11 @@ from repro.des import MetricsRegistry, Trace
 from repro.failures.injector import FailureEvent
 from repro.failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
 from repro.failures.weibull import LANL_SYSTEM18_WEIBULL, TITAN_WEIBULL
+from repro.cr.drain import DrainManager
 from repro.models.base import CRSimulation
 from repro.models.registry import get_model
+from repro.platform.pfs import PFSSpec
+from repro.platform.system import SUMMIT
 from repro.validate.backends import EventPathEnvironment
 from repro.validate.crdiff import _flatten as _fingerprint
 from repro.workloads.applications import APPLICATIONS
@@ -82,12 +85,25 @@ CONFIGS = {
     # failure, and those take the event path.
     "S3D/M1/no_alarms": ("S3D", get_model("M1"), LANL_SYSTEM18_WEIBULL,
                          NO_ALARMS),
+    # Drains slower than the checkpoint period (PLATFORMS): each staging
+    # queues behind the one before, and the batch submits it as staged.
+    "CHIMERA/B/slow_drain": ("CHIMERA", get_model("B"),
+                             LANL_SYSTEM18_WEIBULL, DEFAULT_PREDICTOR),
+}
+
+#: case id -> platform, for the cases not on SUMMIT.  One node in a
+#: hundred drains at a time: a CHIMERA drain takes 2,660 s against a
+#: 1,939 s checkpoint period.
+PLATFORMS = {
+    "CHIMERA/B/slow_drain": dataclasses.replace(
+        SUMMIT, pfs=PFSSpec(drain_fraction=0.01, drain_min_nodes=1)),
 }
 
 
 def _run(case, seed, traced, metrics=None):
     app, config, weibull, predictor = CONFIGS[case]
-    sim = CRSimulation(APPLICATIONS[app], config, weibull=weibull,
+    sim = CRSimulation(APPLICATIONS[app], config,
+                       platform=PLATFORMS.get(case, SUMMIT), weibull=weibull,
                        predictor=predictor,
                        rng=np.random.default_rng(seed),
                        trace=Trace(env=None) if traced else None,
@@ -166,6 +182,65 @@ def test_inline_equals_event_path(case, seed, monkeypatch):
     assert fast[:-1] == event[:-1]
     if app == "CHIMERA":
         assert fast[-1].env.events_processed < event[-1].env.events_processed
+
+
+@pytest.mark.parametrize("case", ["CHIMERA/P1", "CHIMERA/P1/long_alarms",
+                                  "CHIMERA/P2"])
+def test_reused_horizon_changes_nothing(case, monkeypatch):
+    """A restore in the batch reuses the horizon only while it holds.
+
+    ``_landings`` takes the kernel horizon ``_stretch`` read unless a
+    timer was withdrawn since.  A run that hands it the kernel's horizon
+    at every call must dispatch the same events and give the same
+    results.  In each case some of these seeds have a recovery withdraw
+    an armed phase-2 flush between the two, and a ``_landings`` that
+    kept the stale, earlier horizon would leave restores to the kernel
+    that the batch can land.
+    """
+    def run():
+        out = [_run(case, seed, traced=False) for seed in range(6)]
+        return [(_fingerprint(o), sim.env.events_processed)
+                for sim, o in out]
+
+    reused = run()
+    landings = CRSimulation._landings
+
+    def fresh(sim, end):
+        # What _landings reads: the kernel's horizon now.
+        sim._horizon = sim.env.horizon()
+        sim._cancels = sim.env.cancels
+        return landings(sim, end)
+
+    monkeypatch.setattr(CRSimulation, "_landings", fresh)
+    assert run() == reused
+
+
+def test_slow_drain_queues_in_the_batch(monkeypatch):
+    """The slow-drain case backs the chain up inside untraced batches.
+
+    Its drain outlasts the checkpoint period, so no staging can be
+    jumped over: the batch submits each one as it is staged, and most
+    find the previous drain still in flight and queue.
+    """
+    queued, runs = [], []
+    submit = DrainManager.submit
+    submit_run = DrainManager.submit_run
+
+    def spy(dm, snap, now=None):
+        submit(dm, snap, now)
+        queued.append(bool(dm._pending))
+
+    def spy_run(dm, *args):
+        runs.append(args)
+        submit_run(dm, *args)
+
+    monkeypatch.setattr(DrainManager, "submit", spy)
+    monkeypatch.setattr(DrainManager, "submit_run", spy_run)
+    sim, out = _run("CHIMERA/B/slow_drain", 7, traced=False)
+    assert sim.drain.duration > sim.oci_initial + sim.t_ckpt_bb
+    assert len(queued) == out.periodic_checkpoints and not runs
+    assert sum(queued) > len(queued) // 2
+    assert sim.drain.cancelled > 100
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
