@@ -10,7 +10,7 @@ failure-prone machine — runs it under P1 with structured tracing
 enabled, and then uses the full observability API:
 
 * prints the record stream (spans rendered as ``>``/``<`` markers);
-* filters it down to one protocol round (``only``-style queries);
+* filters it down to one protocol round with :meth:`~repro.des.Trace.filter`;
 * reconciles completed-span totals against the run's own overhead
   accounting via :func:`repro.analysis.metrics.trace_summary`;
 * exports a Perfetto-viewable Chrome trace and a JSONL dump.
@@ -52,7 +52,7 @@ def main() -> None:
     weibull = WeibullParams("angry-machine", shape=0.7, scale_hours=1.1,
                             system_nodes=256)
 
-    trace = Trace(env=None, max_records=2000)  # adopted by the sim's env
+    trace = Trace(env=None)  # adopted by the sim's env
     sim = CRSimulation(
         app,
         get_model("P1"),

@@ -5,12 +5,10 @@ components.  Two record shapes exist:
 
 * **instant events** (:meth:`Trace.emit`) — a point-in-time fact
   ("failure struck node 12");
-* **spans** (:meth:`Trace.span_begin` / :meth:`Trace.span_end`, or the
-  :meth:`Trace.span` context manager) — a named interval bracketing a
-  protocol phase (a BB checkpoint, a p-ckpt phase 1, a recovery restore).
-  Span durations are accumulated per name in :attr:`Trace.span_totals`
-  even when the backing record buffer is bounded, so accounting
-  cross-checks survive truncation.
+* **spans** (:meth:`Trace.span_begin` / :meth:`Trace.span_end`) — a
+  named interval bracketing a protocol phase (a BB checkpoint, a p-ckpt
+  phase 1, a recovery restore).  Span durations are accumulated per name
+  in :attr:`Trace.span_totals`.
 
 Every recording method takes an optional ``time``: a component that
 computes a stretch of simulated time ahead of the clock stamps its
@@ -19,12 +17,6 @@ not reached yet (:meth:`Trace.hold`): a drain's landing is known when
 the drain starts, so its ``drain_flush`` END is recorded just before
 the first record stamped at or after the landing, with no kernel event
 scheduled for it.
-
-Recording can be bounded two ways: ``max_records`` with ``ring=False``
-(the default) keeps the *first* N records and drops the rest;
-``ring=True`` keeps the *most recent* N (a flight recorder).  Emit-time
-filters (``only_kinds`` / ``only_sources``) cut storage cost before a
-record is built.
 
 Traces export to JSONL (one record per line, :meth:`Trace.to_jsonl` /
 :func:`load_jsonl`) and to the Chrome trace-event format
@@ -36,10 +28,9 @@ See ``docs/OBSERVABILITY.md`` for the vocabulary and a walkthrough.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Collection, Dict, IO,
-                    Iterator, List, Optional, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, IO, Iterator, List,
+                    Optional, Tuple, Union)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -102,28 +93,6 @@ class _OpenSpan:
         self.begin = begin
 
 
-class _SpanContext:
-    """Context manager returned by :meth:`Trace.span`."""
-
-    __slots__ = ("_trace", "_source", "_kind", "_detail", "sid")
-
-    def __init__(self, trace: "Trace", source: str, kind: str,
-                 detail: Any) -> None:
-        self._trace = trace
-        self._source = source
-        self._kind = kind
-        self._detail = detail
-        self.sid = 0
-
-    def __enter__(self) -> "_SpanContext":
-        self.sid = self._trace.span_begin(self._source, self._kind,
-                                          self._detail)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._trace.span_end(self.sid)
-
-
 class Trace:
     """An append-only, filterable record of simulation activity.
 
@@ -134,16 +103,6 @@ class Trace:
     ----------
     env:
         The environment whose clock timestamps records.
-    enabled:
-        Master switch; a disabled trace records nothing.
-    max_records:
-        Bound on stored records (``None`` = unbounded).
-    ring:
-        With ``max_records`` set: ``False`` keeps the first N records
-        (historic behaviour), ``True`` keeps the most recent N.
-    only_kinds / only_sources:
-        When given, only matching records are stored *or counted* — the
-        cheapest way to trace one protocol phase in a long run.
     trace_id:
         Optional request-correlation id (see :mod:`repro.obs.context`);
         stamped on every :meth:`to_jsonl` line and into the Chrome
@@ -151,76 +110,26 @@ class Trace:
         request that caused them.
     """
 
-    def __init__(self, env: "Environment", enabled: bool = True,
-                 max_records: Optional[int] = None, ring: bool = False,
-                 only_kinds: Optional[Collection[str]] = None,
-                 only_sources: Optional[Collection[str]] = None,
+    def __init__(self, env: "Environment",
                  trace_id: Optional[str] = None) -> None:
         self.env = env
-        self.enabled = enabled
-        self.max_records = max_records
-        self.ring = ring
         self.trace_id = trace_id
-        self.only_kinds = frozenset(only_kinds) if only_kinds else None
-        self.only_sources = frozenset(only_sources) if only_sources else None
-        self._records: Union[List[TraceRecord], deque] = (
-            deque(maxlen=max_records) if (ring and max_records) else []
-        )
-        #: Live subscribers: callables invoked with every accepted record
-        #: the moment it is emitted, **before** any storage bound drops
-        #: it — the stream the :class:`repro.spec.engine.SimEngine`
-        #: ``subscribe`` hook (and any future service layer) feeds from.
-        #: Subscribe via :meth:`add_listener`.
-        self.listeners: List[Any] = []
+        self._records: List[TraceRecord] = []
         self._counts: Dict[str, int] = {}
         self._next_sid = 1
         self._open_spans: Dict[int, _OpenSpan] = {}
         #: Completed-span accounting: kind -> [count, total seconds].
-        #: Maintained even past max_records truncation (like counts).
         self.span_totals: Dict[str, List[float]] = {}
         #: Time of the held release (``inf`` when none is held).
         self.due = _INF
         self._release: Optional[Callable[[], None]] = None
 
-    # -- properties kept for backwards compatibility ---------------------
     @property
     def records(self) -> List[TraceRecord]:
         """Stored records as a list (oldest first)."""
-        recs = self._records
-        return recs if isinstance(recs, list) else list(recs)
+        return self._records
 
     # -- recording ----------------------------------------------------------
-    def _accepts(self, source: str, kind: str) -> bool:
-        if not self.enabled:
-            return False
-        if self.only_kinds is not None and kind not in self.only_kinds:
-            return False
-        if self.only_sources is not None and source not in self.only_sources:
-            return False
-        return True
-
-    def add_listener(self, handler) -> None:
-        """Stream every accepted record to *handler* as it is emitted.
-
-        Listeners see records that storage bounds (``max_records``)
-        would drop; emit-time filters (``only_kinds``/``only_sources``)
-        still apply.  Handlers must not raise — an exception propagates
-        into the emitting simulation component.
-        """
-        self.listeners.append(handler)
-
-    def _store(self, rec: TraceRecord) -> None:
-        if self.listeners:
-            for handler in self.listeners:
-                handler(rec)
-        recs = self._records
-        if isinstance(recs, deque):
-            recs.append(rec)  # maxlen evicts the oldest automatically
-            return
-        if self.max_records is not None and len(recs) >= self.max_records:
-            return
-        recs.append(rec)
-
     def hold(self, time: float,
              release: Optional[Callable[[], None]]) -> None:
         """Call *release* before storing any record stamped at or after *time*.
@@ -248,36 +157,31 @@ class Trace:
             time = self.env.now
         if time >= self.due:
             self.flush(time)
-        if not self._accepts(source, kind):
-            return
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        self._store(TraceRecord(time, source, kind, detail))
+        self._records.append(TraceRecord(time, source, kind, detail))
 
     # -- spans ---------------------------------------------------------------
     def span_begin(self, source: str, kind: str, detail: Any = None,
                    time: Optional[float] = None) -> int:
-        """Open a span at *time* (default: the clock); returns its id.
-
-        The id is 0 when the record is filtered out or tracing disabled.
-        """
+        """Open a span at *time* (default: the clock); returns its id."""
         if time is None:
             time = self.env.now
         if time >= self.due:
             self.flush(time)
-        if not self._accepts(source, kind):
-            return 0
         sid = self._next_sid
         self._next_sid += 1
         self._open_spans[sid] = _OpenSpan(sid, source, kind, time)
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        self._store(TraceRecord(time, source, kind, detail, BEGIN, sid))
+        self._records.append(
+            TraceRecord(time, source, kind, detail, BEGIN, sid)
+        )
         return sid
 
     def span_end(self, sid: int, detail: Any = None,
                  time: Optional[float] = None) -> float:
         """Close span *sid* at *time* (default: the clock).
 
-        Returns its duration (0.0 for id 0 / unknown).
+        Returns its duration (0.0 for an unknown id).
         """
         if time is None:
             time = self.env.now
@@ -292,14 +196,10 @@ class Trace:
             totals = self.span_totals[span.kind] = [0, 0.0]
         totals[0] += 1
         totals[1] += duration
-        self._store(
+        self._records.append(
             TraceRecord(time, span.source, span.kind, detail, END, sid)
         )
         return duration
-
-    def span(self, source: str, kind: str, detail: Any = None) -> _SpanContext:
-        """Context manager emitting a BEGIN/END pair around its body."""
-        return _SpanContext(self, source, kind, detail)
 
     def open_spans(self) -> Tuple[Tuple[str, str], ...]:
         """(source, kind) of spans still open (diagnostics)."""
@@ -314,7 +214,7 @@ class Trace:
 
     # -- queries -----------------------------------------------------------
     def count(self, kind: str) -> int:
-        """Number of records of *kind* (counted even past max_records)."""
+        """Number of records of *kind*."""
         return self._counts.get(kind, 0)
 
     def filter(self, kind: Optional[str] = None, source: Optional[str] = None,

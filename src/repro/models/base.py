@@ -470,14 +470,8 @@ class CRSimulation:
     # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
-    def start(self):
-        """Register the simulation's processes without running the clock.
-
-        Idempotent; returns the application :class:`~repro.des.Process`
-        whose completion ends the run.  ``run()`` calls this internally;
-        callers that need stepwise control (the
-        :class:`repro.spec.engine.SimEngine` facade) call it directly and
-        drive ``env.step()`` themselves, then :meth:`finish`.
+    def run(self) -> RunOutput:
+        """Execute the simulation to job completion and return results.
 
         Failures need no process: the next draw is held on the
         simulation.  The segment batch lands it inline when nothing else
@@ -489,17 +483,12 @@ class CRSimulation:
         (:meth:`_leave_batch`) whenever the application leaves the batch.
         False alarms keep their own driver process.
         """
-        if self._app_proc is None:
-            self._app_proc = self.env.process(self._app(), name="application")
-            if self.config.use_prediction and self.injector.false_alarm_rate > 0:
-                self.env.process(
-                    self._false_alarm_driver(), name="false-alarm-driver"
-                )
-        return self._app_proc
-
-    def run(self) -> RunOutput:
-        """Execute the simulation to job completion and return results."""
-        self.env.run(until=self.start())
+        self._app_proc = self.env.process(self._app(), name="application")
+        if self.config.use_prediction and self.injector.false_alarm_rate > 0:
+            self.env.process(
+                self._false_alarm_driver(), name="false-alarm-driver"
+            )
+        self.env.run(until=self._app_proc)
         return self.finish()
 
     def finish(self) -> RunOutput:

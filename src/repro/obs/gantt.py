@@ -154,7 +154,7 @@ def run_gantt(policy: str = "easy", n_jobs: int = 16, seed: int = 0,
         interarrival_seconds=interarrival_seconds,
         hours_scale=hours_scale,
     )
-    trace = Trace(env=None, enabled=True)  # engine re-binds trace.env
+    trace = Trace(env=None)  # engine re-binds trace.env
     sim = SchedSimulation(
         workload, policy=policy, platform=SUMMIT, weibull=TITAN_WEIBULL,
         lead_model=PAPER_LEAD_TIME_MODEL, predictor=DEFAULT_PREDICTOR,

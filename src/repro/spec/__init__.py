@@ -17,10 +17,7 @@ pattern into the single source of truth:
 * :mod:`repro.spec.build` — resolution to simulation objects and the
   **single** grid constructor both the spec path and the sweep engines
   use, so spec-launched campaigns hit exactly the store keys
-  kwargs-driven ones always produced;
-* :mod:`repro.spec.engine` — the :class:`~repro.spec.engine.SimEngine`
-  facade (build-from-spec / run / step / pause / reset / subscribe)
-  that gives the future service layer live control over one replication.
+  kwargs-driven ones always produced.
 
 User-facing reference: ``docs/EXPERIMENT_SPEC.md``.  Example documents:
 ``examples/specs/``.  CLI: ``pckpt run --spec FILE`` and
@@ -35,7 +32,6 @@ from .build import (
     run_resolved,
     run_spec,
 )
-from .engine import SimEngine
 from .loader import (
     SpecError,
     canonical_spec_json,
@@ -80,5 +76,4 @@ __all__ = [
     "cell_keys",
     "run_spec",
     "run_resolved",
-    "SimEngine",
 ]

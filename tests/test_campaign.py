@@ -43,7 +43,7 @@ from repro.campaign import (
 from repro.campaign import scheduler as scheduler_mod
 from repro.des.metrics import MetricsRegistry
 from repro.des.monitor import Trace
-from repro.experiments.runner import run_replications
+from repro.experiments.runner import _run_once, run_replications
 from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL
 from repro.failures.predictor import DEFAULT_PREDICTOR
 from repro.failures.weibull import WeibullParams
@@ -239,6 +239,17 @@ class TestCampaignParity:
             assert got.ft == direct.ft
             assert got.oci_initial == direct.oci_initial
             assert got.oci_final == direct.oci_final
+        # Replication k of a cell is child k of SeedSequence(seed), and
+        # two replications of one cell differ.
+        cell = cells[1]
+        shard = scheduler_mod._run_shard(cell, 0, 2)
+        for k, got in enumerate(shard):
+            ref = _run_once(cell.app, cell.model, cell.platform, cell.weibull,
+                            cell.lead_model, cell.predictor,
+                            np.random.SeedSequence(entropy=5, spawn_key=(k,)))
+            assert (got.makespan, got.overhead, got.ft) == (
+                ref.makespan, ref.overhead, ref.ft)
+        assert shard[0].makespan != shard[1].makespan
 
 
 class TestCampaignCache:
