@@ -1,6 +1,5 @@
 """Analytical models: OCI formulas (Eqs 1–2), LM-vs-p-ckpt break-even
-(Eqs 4–8), vectorized sweep evaluation, and the overhead/FT metric
-containers."""
+(Eqs 4–8), and the overhead/FT metric containers."""
 
 from .breakeven import (
     SIGMA_UPPER_BOUND,
@@ -14,12 +13,6 @@ from .breakeven import (
 )
 from .expected import ExpectedOverheads, expected_base_overheads
 from .metrics import FTStats, OverheadBreakdown, percent_reduction
-from .sweeps import (
-    ANALYTICAL_KINDS,
-    AnalyticalResult,
-    analytical_params,
-    evaluate_analytical_batch,
-)
 from .young import oci_elongation_percent, sigma_adjusted_oci, young_oci
 
 __all__ = [
@@ -39,8 +32,4 @@ __all__ = [
     "percent_reduction",
     "ExpectedOverheads",
     "expected_base_overheads",
-    "ANALYTICAL_KINDS",
-    "AnalyticalResult",
-    "analytical_params",
-    "evaluate_analytical_batch",
 ]

@@ -12,7 +12,6 @@ interrupted one resumes from the last completed cell.  See
 """
 
 from .plan import (
-    AnalyticalCellSpec,
     CampaignPlan,
     CellSpec,
     WorkUnit,
@@ -32,7 +31,6 @@ from .store import (
 )
 
 __all__ = [
-    "AnalyticalCellSpec",
     "CampaignPlan",
     "CellSpec",
     "WorkUnit",

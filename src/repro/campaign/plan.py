@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.sweeps import analytical_params
 from ..failures.leadtime import LeadTimeModel
 from ..failures.predictor import PredictorSpec
 from ..failures.weibull import WeibullParams
@@ -40,7 +39,6 @@ from ..workloads.applications import ApplicationSpec
 from .store import SCHEMA_VERSION
 
 __all__ = [
-    "AnalyticalCellSpec",
     "CellSpec",
     "SchedCellSpec",
     "WorkUnit",
@@ -134,44 +132,6 @@ class CellSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class AnalyticalCellSpec:
-    """One closed-form grid point: evaluated analytically, never simulated.
-
-    The campaign scheduler recognizes these cells and routes them
-    through :func:`repro.analysis.sweeps.evaluate_analytical_batch` —
-    one vectorized pass per model kind, zero DES replications — while
-    caching the outcome in the same result store as simulated cells.
-
-    Attributes
-    ----------
-    key:
-        Caller-facing grid key (e.g. ``("breakeven", 0.25)``); names the
-        slot, not the computation, exactly like :attr:`CellSpec.key`.
-    kind:
-        Which closed form applies — one of
-        :data:`repro.analysis.sweeps.ANALYTICAL_KINDS`.
-    params:
-        The closed form's inputs, normalized to floats on construction
-        (the full parameter set of *kind*; anything missing or extra is
-        rejected immediately rather than at evaluation time).
-    """
-
-    key: tuple
-    kind: str
-    params: Dict[str, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "params", analytical_params(self.kind, self.params)
-        )
-
-    @property
-    def replications(self) -> int:
-        """Analytical cells run zero DES replications, by definition."""
-        return 0
-
-
-@dataclass(frozen=True, eq=False)
 class SchedCellSpec:
     """One batch-queue grid point: a workload × policy schedule.
 
@@ -221,23 +181,15 @@ class SchedCellSpec:
 
 
 def canonical_config(
-    cell: "Union[CellSpec, AnalyticalCellSpec, SchedCellSpec]",
+    cell: "Union[CellSpec, SchedCellSpec]",
 ) -> Dict[str, object]:
     """The cell's full configuration in canonical (hash-input) form.
 
-    Analytical cells hash ``{schema_version, analytical kind, params}``
-    and sched cells ``{schema_version, sched policy, workload, ...}`` —
-    shapes disjoint from simulation cells and from each other, so the
-    three families can never collide on a store key, and
-    simulation-cell keys are exactly what they were before the other
-    families existed.
+    Sched cells hash ``{schema_version, sched policy, workload, ...}`` —
+    a shape disjoint from simulation cells, so the two families can
+    never collide on a store key, and simulation-cell keys are exactly
+    what they were before sched cells existed.
     """
-    if isinstance(cell, AnalyticalCellSpec):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "analytical": cell.kind,
-            "params": _canonical(cell.params),
-        }
     if isinstance(cell, SchedCellSpec):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -268,7 +220,7 @@ def canonical_config(
 
 
 def content_key(
-    cell: "Union[CellSpec, AnalyticalCellSpec, SchedCellSpec]",
+    cell: "Union[CellSpec, SchedCellSpec]",
 ) -> str:
     """Stable SHA-256 content hash of the cell configuration (64 hex)."""
     blob = json.dumps(canonical_config(cell), sort_keys=True,
@@ -296,19 +248,16 @@ class CampaignPlan:
     ----------
     cells:
         Grid cells in the order the caller's result dict should present
-        them — simulated (:class:`CellSpec`), analytical
-        (:class:`AnalyticalCellSpec`) and batch-queue
+        them — simulated (:class:`CellSpec`) and batch-queue
         (:class:`SchedCellSpec`) cells may be freely mixed.
         Duplicate cache keys are rejected — two cells with the same full
         configuration would race on one store entry.
     """
 
     def __init__(
-        self, cells:
-            "Sequence[Union[CellSpec, AnalyticalCellSpec, SchedCellSpec]]"
+        self, cells: "Sequence[Union[CellSpec, SchedCellSpec]]"
     ) -> None:
-        self.cells: \
-            "Tuple[Union[CellSpec, AnalyticalCellSpec, SchedCellSpec], ...]" = \
+        self.cells: "Tuple[Union[CellSpec, SchedCellSpec], ...]" = \
             tuple(cells)
         self.keys: Tuple[str, ...] = tuple(content_key(c) for c in self.cells)
         seen: Dict[str, int] = {}

@@ -1,10 +1,12 @@
 """Shared-pool campaign execution with dynamic scheduling and caching.
 
-:func:`run_campaign` is the engine under every sweep driver: it takes a
-flat list of cells, serves what it can from the result store, slices the
-rest into replication shards, and runs **all** shards of **all** cells on
-one shared :class:`~concurrent.futures.ProcessPoolExecutor` — no
-per-cell pool churn, no idle cores while a small cell finishes.
+:func:`run_campaign` is the engine under every sweep driver, and under
+``run_replications`` whenever it runs on more than one worker: it takes
+a flat list of cells, serves what it can from the result store, slices
+the rest into replication shards, and runs **all** shards of **all**
+cells on one shared :class:`~concurrent.futures.ProcessPoolExecutor` —
+the program's only process pool for simulations; no per-cell pool
+churn, no idle cores while a small cell finishes.
 
 Determinism is identical to the serial path by construction:
 
@@ -14,9 +16,10 @@ Determinism is identical to the serial path by construction:
   ``SeedSequence(seed).spawn(n)[i]`` produces);
 * per-cell outputs are reassembled in replication order before
   aggregation, and aggregation is the runner's own ``_aggregate`` — so a
-  campaign result is **bit-identical** to ``run_replications`` for every
-  worker count, and a cached result is bit-identical to a computed one
-  (the store round-trips floats exactly).
+  campaign result is **bit-identical** to the serial reference loop of
+  ``run_replications(workers=1)`` for every worker count, and a cached
+  result is bit-identical to a computed one (the store round-trips
+  floats exactly).
 
 Robustness: a shard that crashes in a worker is re-run serially in the
 parent, replication by replication, so completed work is never discarded
@@ -38,13 +41,12 @@ import numpy as np
 # it (about 13 ms) after the fork.
 import numpy.random  # noqa: F401
 
-from ..analysis.sweeps import evaluate_analytical_batch
 from ..experiments.runner import SimulationResult, _aggregate, _run_once
 from ..obs.context import SpanWriter, current as current_trace, \
     trace_fragment_dir
 from ..obs.telemetry import TELEMETRY_FILENAME, CampaignTelemetry
 from ..sched.engine import aggregate_sched, run_sched_once
-from .plan import AnalyticalCellSpec, CampaignPlan, CellSpec, SchedCellSpec, WorkUnit
+from .plan import CampaignPlan, CellSpec, SchedCellSpec, WorkUnit
 from .progress import CampaignProgress
 from .store import ResultStore, StoredResult
 
@@ -128,7 +130,9 @@ def _rerun_serially(cell: CellSpec, unit: WorkUnit,
 
 
 def _default_workers(pending_replications: int) -> int:
-    """Same heuristic as ``run_replications``: serial below 8 runs."""
+    """Pool width for a run count: serial below 8 runs, else one
+    process per core (at most one per run).  ``run_replications`` sizes
+    its runs with it too."""
     if pending_replications < 8:
         return 1
     return min(os.cpu_count() or 1, pending_replications)
@@ -144,17 +148,16 @@ def run_campaign(
 ) -> Dict[tuple, StoredResult]:
     """Execute a campaign; returns ``{cell.key: result}``.
 
-    Simulated cells yield :class:`SimulationResult` aggregates;
-    analytical cells (:class:`~repro.campaign.plan.AnalyticalCellSpec`)
-    yield :class:`~repro.analysis.sweeps.AnalyticalResult` objects,
-    evaluated in one vectorized closed-form pass with zero DES
-    replications.
+    Simulated cells (:class:`~repro.campaign.plan.CellSpec`) yield
+    :class:`SimulationResult` aggregates; batch-queue cells
+    (:class:`~repro.campaign.plan.SchedCellSpec`) yield
+    :class:`~repro.sched.engine.SchedResult` aggregates.
 
     Parameters
     ----------
     cells:
-        Grid cells in presentation order, simulated and analytical
-        freely mixed (duplicate configurations are rejected — see
+        Grid cells in presentation order, both families freely mixed
+        (duplicate configurations are rejected — see
         :class:`~repro.campaign.plan.CampaignPlan`).
     store:
         Result store for cache hits and persistence (``None`` = compute
@@ -202,7 +205,6 @@ def run_campaign(
 
     results: Dict[int, StoredResult] = {}
     pending: List[int] = []
-    analytical: List[int] = []
     progress.campaign_begin(len(plan.cells), plan.total_replications,
                             plan.keys)
     for i, cell in enumerate(plan.cells):
@@ -211,33 +213,8 @@ def run_campaign(
         if cached is not None:
             results[i] = cached
             progress.cell_cached(cell, plan.keys[i])
-        elif isinstance(cell, AnalyticalCellSpec):
-            analytical.append(i)
         else:
             pending.append(i)
-
-    # Analytical fast path: closed-form cells never reach the DES or the
-    # pool — the whole batch is evaluated in one vectorized pass (per
-    # model kind) and persisted like any other cell.
-    if analytical:
-        for i in analytical:
-            progress.cell_started(plan.cells[i], i)
-        for i, result in zip(
-            analytical,
-            evaluate_analytical_batch([plan.cells[i] for i in analytical]),
-        ):
-            cell = plan.cells[i]
-            if store is not None:
-                store.put(
-                    plan.keys[i], result,
-                    meta={
-                        "cell": [str(part) for part in cell.key],
-                        "analytical": cell.kind,
-                        "replications": 0,
-                    },
-                )
-            results[i] = result
-            progress.cell_done(cell, i)
 
     pending_reps = sum(plan.cells[i].replications for i in pending)
     if workers is None:

@@ -1,8 +1,9 @@
 """Content-addressed, on-disk store for per-cell campaign results.
 
 One entry per grid cell, keyed by the cell's configuration hash (see
-:mod:`repro.campaign.plan`).  Entries hold the cell's aggregated
-:class:`~repro.experiments.runner.SimulationResult` serialized to JSON.
+:mod:`repro.campaign.plan`).  Entries hold the cell's aggregate — a
+:class:`~repro.experiments.runner.SimulationResult` or a
+:class:`~repro.sched.engine.SchedResult` — serialized to JSON.
 Python's ``repr``-based float serialization round-trips exactly (shortest
 round-trip representation), so a result read back from the store is
 **bit-identical** to the one that was written — the property the campaign
@@ -52,7 +53,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from ..analysis.metrics import FTStats, OverheadBreakdown
-from ..analysis.sweeps import AnalyticalResult
 from ..des.metrics import MetricsRegistry
 from ..experiments.runner import SimulationResult
 from ..sched.engine import SchedResult
@@ -61,10 +61,9 @@ from ..sched.engine import SchedResult
 #: leftover; a live ``put`` holds its own for milliseconds.
 STALE_TMP_SECONDS = 60.0
 
-#: What a store entry can hold: a Monte-Carlo aggregate, a closed-form
-#: analytical evaluation, or a batch-queue schedule aggregate (the three
-#: cell families of a campaign plan).
-StoredResult = Union[SimulationResult, AnalyticalResult, SchedResult]
+#: What a store entry can hold: a Monte-Carlo aggregate or a batch-queue
+#: schedule aggregate (the two cell families of a campaign plan).
+StoredResult = Union[SimulationResult, SchedResult]
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -91,20 +90,11 @@ class StoreSchemaError(RuntimeError):
 def result_to_dict(result: StoredResult) -> Dict:
     """Serialize a result to a JSON-friendly dict.
 
-    Analytical results carry an ``"analytical": True`` marker and sched
-    results a ``"sched": True`` marker so :func:`result_from_dict` can
-    reconstruct the right type; the simulation-result layout is exactly
-    what it always was, so existing store entries keep their bytes (and
-    their keys).
+    Sched results carry a ``"sched": True`` marker so
+    :func:`result_from_dict` can reconstruct the right type; the
+    simulation-result layout is exactly what it always was, so existing
+    store entries keep their bytes (and their keys).
     """
-    if isinstance(result, AnalyticalResult):
-        return {
-            "analytical": True,
-            "kind": result.kind,
-            "params": result.params,
-            "outputs": result.outputs,
-            "replications": 0,
-        }
     if isinstance(result, SchedResult):
         return {
             "sched": True,
@@ -140,12 +130,6 @@ def result_from_dict(payload: Dict) -> StoredResult:
     JSON round-trips every float exactly (shortest-repr serialization),
     so the reconstructed result is bit-identical for both families.
     """
-    if payload.get("analytical"):
-        return AnalyticalResult(
-            kind=payload["kind"],
-            params=dict(payload["params"]),
-            outputs=dict(payload["outputs"]),
-        )
     if payload.get("sched"):
         return SchedResult(
             policy=payload["policy"],

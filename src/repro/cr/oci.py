@@ -26,12 +26,39 @@ from ..failures.injector import FailureInjector
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.metrics import MetricsRegistry
+    from ..failures.leadtime import LeadTimeModel
+    from ..failures.predictor import PredictorSpec
 
-__all__ = ["OCIController", "SIGMA_MAX"]
+__all__ = ["OCIController", "SIGMA_MAX", "ASSUMED_RECALL", "lm_sigma"]
 
 #: Eq. (2) requires σ < 1: every σ-OCI (this controller and the batch
 #: scheduler's) clamps σ here for pathological thresholds.
 SIGMA_MAX = 0.999
+
+#: The predictor recall the failure-analysis model *believes* it has (a
+#: design-time constant).  The paper's models keep it at the nominal 85%
+#: even when the actual false-negative rate is swept upward — which is
+#: exactly why the LM-based models overestimate their mitigation ability
+#: in Observation 9.
+ASSUMED_RECALL = 0.85
+
+
+def lm_sigma(
+    lead_model: "LeadTimeModel",
+    predictor: "PredictorSpec",
+    lm_threshold: float,
+    sigma_includes_recall: bool,
+) -> float:
+    """Eq. (2)'s σ — the fraction of failures live migration averts.
+
+    σ = recall × P(lead ≥ θ), on the predictor's lead scale, clamped at
+    :data:`SIGMA_MAX`.  The recall is :data:`ASSUMED_RECALL` unless
+    *sigma_includes_recall*.  The single σ of :class:`OCIController`
+    and the batch scheduler, so both compute it bit for bit alike.
+    """
+    survival = float(lead_model.survival(lm_threshold / predictor.lead_scale))
+    recall = predictor.recall if sigma_includes_recall else ASSUMED_RECALL
+    return min(recall * survival, SIGMA_MAX)
 
 
 @dataclass
@@ -50,18 +77,11 @@ class OCIController:
         Apply Eq. (2)'s σ discount (models M2 and P2) instead of Eq. (1).
     lm_threshold:
         θ — seconds a live migration needs; failures with longer lead are
-        considered avoidable when computing σ.
-    assumed_recall:
-        The predictor recall the failure-analysis model *believes* it has
-        (a design-time constant).  σ = assumed_recall × P(lead ≥ θ).
-        The paper's models keep this at the nominal 85% even when the
-        actual false-negative rate is swept upward — which is exactly why
-        the LM-based models overestimate their mitigation ability in
-        Observation 9.
+        considered avoidable when computing σ (:func:`lm_sigma`).
     sigma_includes_recall:
-        Use the predictor's *actual* recall instead of the assumed one
-        (the paper's stated future-work fix; off by default to match the
-        published model).
+        Use the predictor's *actual* recall instead of
+        :data:`ASSUMED_RECALL` (the paper's stated future-work fix; off
+        by default to match the published model).
     online_estimation:
         Blend the oracle failure rate with the empirically observed rate.
     min_interval:
@@ -77,7 +97,6 @@ class OCIController:
     nodes: int
     use_sigma: bool = False
     lm_threshold: float = 0.0
-    assumed_recall: float = 0.85
     sigma_includes_recall: bool = False
     online_estimation: bool = False
     min_interval: float = 1.0
@@ -102,17 +121,10 @@ class OCIController:
         # every interval().
         self._sigma = 0.0
         if self.use_sigma:
-            survival = float(
-                self.injector.lead_model.survival(
-                    self.lm_threshold / self.injector.predictor.lead_scale
-                )
+            self._sigma = lm_sigma(
+                self.injector.lead_model, self.injector.predictor,
+                self.lm_threshold, self.sigma_includes_recall,
             )
-            recall = (
-                self.injector.predictor.recall
-                if self.sigma_includes_recall
-                else self.assumed_recall
-            )
-            self._sigma = min(recall * survival, SIGMA_MAX)
         # Without online estimation the rate is the oracle's, so the
         # interval is a job constant too; None means "recompute per call".
         self._fixed_interval: Optional[float] = (

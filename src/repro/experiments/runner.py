@@ -1,21 +1,20 @@
 """Monte-Carlo experiment runner.
 
 One replication = one :class:`~repro.models.base.CRSimulation` run with a
-dedicated child seed.  Replications are embarrassingly parallel; the
-runner vectorizes the outer loop across processes (HPC-parallel idiom:
-keep the inner simulation single-threaded and simple, parallelize the
-replication loop) while staying exactly reproducible — child seeds come
-from ``SeedSequence.spawn``, so the result is independent of worker count
-and scheduling order.
+dedicated child seed.  Replications are embarrassingly parallel: on more
+than one worker, :func:`run_replications` hands its cell to
+:func:`repro.campaign.scheduler.run_campaign`, whose shared process pool
+runs the replication loop (HPC-parallel idiom: keep the inner simulation
+single-threaded and simple, parallelize the replication loop) while
+staying exactly reproducible — child seeds come from
+``SeedSequence.spawn``, so the result is independent of worker count and
+scheduling order.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -129,72 +128,6 @@ def _run_once(
     return sim.run()
 
 
-#: Chunks submitted per worker: enough slack for dynamic load balancing
-#: near the tail, few enough that pickling/IPC stays per-chunk.
-_CHUNKS_PER_WORKER = 4
-
-
-def _run_chunk(
-    app: ApplicationSpec,
-    config: ModelConfig,
-    platform: PlatformSpec,
-    weibull: WeibullParams,
-    lead_model: LeadTimeModel,
-    predictor: PredictorSpec,
-    children: Sequence,
-    collect_metrics: bool,
-) -> List[RunOutput]:
-    """Worker: a contiguous chunk of replications (top-level for pickling)."""
-    return [
-        _run_once(app, config, platform, weibull, lead_model, predictor,
-                  c, collect_metrics)
-        for c in children
-    ]
-
-
-def _chunk_spans(n: int, workers: int) -> List[tuple]:
-    """``(start, stop)`` chunk bounds: ~4 chunks per worker, order-stable."""
-    size = max(1, math.ceil(n / (workers * _CHUNKS_PER_WORKER)))
-    return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-
-def _retry_chunk_serially(
-    app: ApplicationSpec,
-    config: ModelConfig,
-    platform: PlatformSpec,
-    weibull: WeibullParams,
-    lead_model: LeadTimeModel,
-    predictor: PredictorSpec,
-    children: Sequence,
-    start: int,
-    collect_metrics: bool,
-    cause: BaseException,
-) -> List[RunOutput]:
-    """Re-run a crashed chunk in the parent, one replication at a time.
-
-    A worker crash surfaces as one failed chunk future and would discard
-    every completed replication; instead the chunk is retried serially
-    once, which both salvages the run (transient crashes — OOM kill,
-    interpreter death) and pins a deterministic failure to a replication
-    index and seed before giving up.
-    """
-    outputs = []
-    for offset, child in enumerate(children):
-        index = start + offset
-        try:
-            outputs.append(
-                _run_once(app, config, platform, weibull, lead_model,
-                          predictor, child, collect_metrics)
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                f"replication {index} (app={app.name}, model={config.name}, "
-                f"seed spawn_key={tuple(child.spawn_key)}) failed in a "
-                f"worker ({cause!r}) and again on serial retry"
-            ) from exc
-    return outputs
-
-
 def _aggregate(
     app: ApplicationSpec, config: ModelConfig, outputs: Sequence[RunOutput]
 ) -> SimulationResult:
@@ -273,59 +206,36 @@ def run_replications(
     seed:
         Root seed; children are spawned deterministically per replication.
     workers:
-        Process count; ``None`` chooses serial below a size threshold and
-        ``os.cpu_count()`` above it; 1 forces serial.
+        Process count; ``None`` chooses serial below 8 replications and
+        one process per core above; 1 forces the serial loop.  Any other
+        count runs the cell on :func:`~repro.campaign.scheduler.run_campaign`'s
+        pool, bit-identically to the serial loop.
     collect_metrics:
         Attach a metrics registry to every replication and return the
         merged registry on the result.  Each worker ships back a plain
-        snapshot dict; the merge happens here in replication order, so
-        the aggregate is identical whatever *workers* is.
+        snapshot dict; the merge happens in replication order, so the
+        aggregate is identical whatever *workers* is.
     """
+    # The campaign layer imports this module, so it is imported here.
+    from ..campaign.plan import CellSpec
+    from ..campaign.scheduler import _default_workers, run_campaign
+
     if replications < 1:
         raise ValueError("replications must be >= 1")
     config = _resolve_model(model)
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(replications)
-
     if workers is None:
-        workers = 1 if replications < 8 else min(os.cpu_count() or 1, replications)
-
-    if workers <= 1:
-        outputs = [
-            _run_once(app, config, platform, weibull, lead_model, predictor,
-                      c, collect_metrics)
-            for c in children
-        ]
-    else:
-        # Submit worker-count-aware chunks (not one future per
-        # replication): pickling and result IPC are paid per chunk, which
-        # matters at PAPER_SCALE.  Futures are gathered in submission
-        # order, so outputs stay in replication order and aggregation is
-        # independent of which worker ran what.
-        spans = _chunk_spans(replications, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (
-                    start,
-                    stop,
-                    pool.submit(
-                        _run_chunk, app, config, platform, weibull,
-                        lead_model, predictor, children[start:stop],
-                        collect_metrics,
-                    ),
-                )
-                for start, stop in spans
-            ]
-            outputs = []
-            for start, stop, future in futures:
-                try:
-                    outputs.extend(future.result())
-                except Exception as exc:
-                    outputs.extend(
-                        _retry_chunk_serially(
-                            app, config, platform, weibull, lead_model,
-                            predictor, children[start:stop], start,
-                            collect_metrics, exc,
-                        )
-                    )
+        workers = _default_workers(replications)
+    if workers > 1:
+        cell = CellSpec(
+            key=(config.name, app.name), app=app, model=config,
+            platform=platform, weibull=weibull, lead_model=lead_model,
+            predictor=predictor, seed=seed, replications=replications,
+            collect_metrics=collect_metrics,
+        )
+        return run_campaign([cell], workers=workers)[cell.key]
+    outputs = [
+        _run_once(app, config, platform, weibull, lead_model, predictor,
+                  c, collect_metrics)
+        for c in np.random.SeedSequence(seed).spawn(replications)
+    ]
     return _aggregate(app, config, outputs)

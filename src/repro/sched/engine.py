@@ -31,7 +31,7 @@ import numpy as np
 
 from ..analysis.metrics import FTStats
 from ..analysis.young import sigma_adjusted_oci, young_oci
-from ..cr.oci import SIGMA_MAX
+from ..cr.oci import lm_sigma
 from ..des import Environment
 from ..des.metrics import MetricsRegistry
 from ..des.monitor import Trace
@@ -330,15 +330,13 @@ class SchedSimulation:
     def _job_oci(self, model, t_bb: float, theta: float, nodes: int) -> float:
         """A job's checkpoint interval: Eq. (2) for σ models, else Eq. (1).
 
-        σ is clamped at :data:`~repro.cr.oci.SIGMA_MAX`, as in
+        σ is :func:`~repro.cr.oci.lm_sigma`, the σ of
         :class:`~repro.cr.oci.OCIController`.
         """
         rate = self.weibull.per_node_rate()
         if model.use_sigma_oci:
-            sigma = min(
-                self.predictor.recall * float(self.lead_model.survival(theta)),
-                SIGMA_MAX,
-            )
+            sigma = lm_sigma(self.lead_model, self.predictor, theta,
+                             model.sigma_includes_recall)
             return sigma_adjusted_oci(t_bb, rate, nodes, sigma)
         return young_oci(t_bb, rate, nodes)
 

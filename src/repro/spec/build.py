@@ -58,8 +58,6 @@ __all__ = [
     "ResolvedExperiment",
     "resolve",
     "build_cells",
-    "build_oci_cells",
-    "build_breakeven_cells",
     "build_sched_cells",
     "cell_keys",
     "run_spec",
@@ -236,37 +234,6 @@ def build_cells(experiment: Union[ExperimentSpec, ResolvedExperiment],
     ]
 
 
-def build_oci_cells(experiment: Union[ExperimentSpec, ResolvedExperiment],
-                    ) -> "List":
-    """Closed-form OCI cells for every application of *experiment*.
-
-    One analytical cell per app, keyed ``("young-oci", app_name)``, with
-    the Eq. (1) inputs derived exactly as the simulator derives them
-    (BB write time of the app's per-node checkpoint, per-node failure
-    rate of the experiment's distribution).  Evaluated via the campaign
-    scheduler these run zero DES replications — the vectorized fast
-    path of :mod:`repro.analysis.sweeps`.
-    """
-    from ..campaign.plan import AnalyticalCellSpec
-
-    if isinstance(experiment, ExperimentSpec):
-        experiment = resolve(experiment)
-    bb = experiment.platform.node.burst_buffer
-    rate = experiment.weibull.per_node_rate()
-    return [
-        AnalyticalCellSpec(
-            key=("young-oci", app.name),
-            kind="young-oci",
-            params={
-                "t_ckpt_bb": bb.write_time(app.checkpoint_bytes_per_node),
-                "per_node_rate": rate,
-                "nodes": float(app.nodes),
-            },
-        )
-        for app in experiment.apps
-    ]
-
-
 def build_sched_cells(spec: ExperimentSpec) -> "List":
     """Batch-queue cells for a sched spec, keyed ``("sched", policy)``.
 
@@ -326,25 +293,6 @@ def build_sched_cells(spec: ExperimentSpec) -> "List":
             collect_metrics=spec.collect_metrics,
         )
         for policy in policies
-    ]
-
-
-def build_breakeven_cells(sigmas: Sequence[float]) -> "List":
-    """Break-even cells for a σ sweep, keyed ``("breakeven", σ)``.
-
-    Each cell evaluates the published Eq. (8) bound and its exact
-    counterpart for one σ; the campaign scheduler computes the whole
-    sweep in a single vectorized pass (Fig. 8's analytical companion).
-    """
-    from ..campaign.plan import AnalyticalCellSpec
-
-    return [
-        AnalyticalCellSpec(
-            key=("breakeven", float(sigma)),
-            kind="breakeven",
-            params={"sigma": float(sigma)},
-        )
-        for sigma in sigmas
     ]
 
 

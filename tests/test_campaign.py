@@ -41,6 +41,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import scheduler as scheduler_mod
+from repro.campaign.plan import SchedCellSpec
 from repro.des.metrics import MetricsRegistry
 from repro.des.monitor import Trace
 from repro.experiments.runner import _run_once, run_replications
@@ -49,6 +50,7 @@ from repro.failures.predictor import DEFAULT_PREDICTOR
 from repro.failures.weibull import WeibullParams
 from repro.models.registry import get_model
 from repro.platform.system import SUMMIT
+from repro.sched import aggregate_sched, run_sched_once, trace_workload
 
 
 @pytest.fixture
@@ -227,8 +229,26 @@ class TestCampaignParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bit_identical_to_run_replications(self, make_cell, tiny_app,
                                                hot_weibull, workers):
-        cells = [make_cell("B"), make_cell("P1")]
+        # A batch-queue cell rides in the same plan as the simulation
+        # cells: both families share one pool and keep their results.
+        sched = SchedCellSpec(
+            key=("sched", "easy"),
+            workload=trace_workload([{"app": "GYRO", "at": 0.0, "nodes": 16},
+                                     {"app": "POP", "at": 0.0, "nodes": 16}],
+                                    ("P2",), hours_scale=0.05),
+            policy="easy", platform=dataclasses.replace(SUMMIT,
+                                                        total_nodes=16),
+            weibull=hot_weibull, lead_model=PAPER_LEAD_TIME_MODEL,
+            predictor=DEFAULT_PREDICTOR, seed=5, replications=3,
+        )
+        cells = [make_cell("B"), make_cell("P1"), sched]
         results = run_campaign(cells, workers=workers)
+        assert results[sched.key] == aggregate_sched("easy", [
+            run_sched_once(sched.workload, "easy", sched.platform,
+                           hot_weibull, PAPER_LEAD_TIME_MODEL,
+                           DEFAULT_PREDICTOR, child)
+            for child in np.random.SeedSequence(5).spawn(3)
+        ])
         for model in ("B", "P1"):
             direct = run_replications(tiny_app, model, replications=6,
                                       weibull=hot_weibull, seed=5, workers=1)

@@ -47,6 +47,7 @@ from repro.sched.bench import (
 )
 from repro.models.registry import get_model
 from repro.sched.engine import SchedSimulation, _NodePool
+from repro.workloads.applications import APPLICATIONS
 
 SMALL = dataclasses.replace(SUMMIT, total_nodes=192)
 HOT = WeibullParams("sched-test", shape=0.7, scale_hours=40.0,
@@ -227,17 +228,19 @@ class TestEngine:
         )
 
     def test_sigma_oci_clamps_sigma_like_the_controller(self):
-        """recall 1 and θ near 0 give σ = 1: both σ-OCIs clamp it alike."""
+        """recall 1 and θ near 0 give σ = 1: both σ-OCIs clamp it alike.
+
+        P2-fn is the model whose σ uses the predictor's actual recall."""
         lead = LeadTimeModel([FailureSequenceSpec(1, 1, mean_lead=1e6,
                                                   sd_lead=1.0)])
         predictor = dataclasses.replace(DEFAULT_PREDICTOR, recall=1.0)
         theta = 1e-6
         assert float(lead.survival(theta)) == 1.0
         jobs = trace_workload([{"app": "GYRO", "at": 0.0, "nodes": 64}],
-                              ("M2",))
+                              ("P2-fn",))
         sim = SchedSimulation(jobs, platform=SMALL, weibull=HOT,
                               lead_model=lead, predictor=predictor)
-        oci = sim._job_oci(get_model("M2"), 60.0, theta, 64)
+        oci = sim._job_oci(get_model("P2-fn"), 60.0, theta, 64)
         assert oci == sigma_adjusted_oci(60.0, HOT.per_node_rate(), 64,
                                          SIGMA_MAX)
         injector = FailureInjector(HOT, 64, lead, predictor,
@@ -247,6 +250,32 @@ class TestEngine:
                                    lm_threshold=theta,
                                    sigma_includes_recall=True)
         assert controller.sigma() == SIGMA_MAX
+
+    @pytest.mark.parametrize("model_name", ["M2", "P2", "P2-fn"])
+    def test_sigma_oci_uses_the_controllers_sigma(self, model_name):
+        """Off the reference predictor, a job's σ-OCI is the one its
+        controller computes: assumed recall unless the model uses the
+        actual one, survival on the predictor's lead scale."""
+        predictor = dataclasses.replace(DEFAULT_PREDICTOR, recall=0.6,
+                                        lead_scale=0.5)
+        model = get_model(model_name)
+        per_node = APPLICATIONS["GYRO"].checkpoint_bytes_per_node
+        t_bb = SMALL.node.burst_buffer.write_time(per_node)
+        theta = SMALL.lm_transfer_time(per_node, model.lm_alpha)
+        jobs = trace_workload([{"app": "GYRO", "at": 0.0, "nodes": 64}],
+                              (model_name,))
+        sim = SchedSimulation(jobs, platform=SMALL, weibull=HOT,
+                              lead_model=PAPER_LEAD_TIME_MODEL,
+                              predictor=predictor)
+        injector = FailureInjector(HOT, 64, PAPER_LEAD_TIME_MODEL, predictor,
+                                   rng=np.random.default_rng(0))
+        controller = OCIController(
+            t_ckpt_bb=t_bb, injector=injector, nodes=64, use_sigma=True,
+            lm_threshold=theta,
+            sigma_includes_recall=model.sigma_includes_recall,
+        )
+        assert sim._job_oci(model, t_bb, theta, 64) == sigma_adjusted_oci(
+            t_bb, HOT.per_node_rate(), 64, controller.sigma())
 
 
 class TestDeterminism:

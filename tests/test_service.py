@@ -404,14 +404,17 @@ class TestServiceLifecycle:
         with ServiceThread(tmp_path / "store", jobs=1) as svc:
             alice = ServiceClient(port=svc.port, token="alice")
             bob = ServiceClient(port=svc.port, token="bob")
+            gate = hold_dispatch(svc.service)
             first = alice.submit(document)
             assert first["deduped"] is False
+            wait_running(alice, first["job"]["id"])
             # Same spec hash while queued/running coalesces — across
             # tenants, onto the original job.
             second = bob.submit(document)
             assert second["deduped"] is True
             assert second["job"]["id"] == first["job"]["id"]
             assert second["job"]["tenant"] == "alice"
+            gate.set()
             final = alice.wait(first["job"]["id"])
             assert final["state"] == "done"
             assert svc.service.metrics.counter(
@@ -1217,18 +1220,18 @@ class TestServiceShutdownSemantics:
     def test_submit_after_shutdown_is_503(self, tmp_path):
         with ServiceThread(tmp_path / "store", jobs=1) as svc:
             client = ServiceClient(port=svc.port, token="alice")
+            gate = hold_dispatch(svc.service)
             running = client.submit(tiny_spec(seed=80, replications=2))
+            wait_running(client, running["job"]["id"])
             assert client.shutdown() == {"state": "draining"}
-            # New admissions refused while draining...
-            deadline = time.monotonic() + 30
+            # New admissions refused while the drain waits on the held
+            # job...
             status = None
-            while time.monotonic() < deadline:
-                try:
-                    client.submit(tiny_spec(seed=81))
-                except Exception as exc:
-                    status = getattr(exc, "status", None)
-                    break
-                time.sleep(0.05)
+            try:
+                client.submit(tiny_spec(seed=81))
+            except Exception as exc:
+                status = getattr(exc, "status", None)
+            gate.set()
             assert status == 503
             # ...and the running job still drains to completion before
             # the socket closes (ServiceThread.__exit__ joins it).
