@@ -33,7 +33,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 # Loaded here, before the pool forks: numpy imports numpy.random on first
@@ -43,7 +43,7 @@ import numpy.random  # noqa: F401
 
 from ..experiments.runner import SimulationResult, _aggregate, _run_once
 from ..obs.context import SpanWriter, current as current_trace, \
-    trace_fragment_dir
+    current_sink, trace_fragment_dir
 from ..obs.telemetry import TELEMETRY_FILENAME, CampaignTelemetry
 from ..sched.engine import aggregate_sched, run_sched_once
 from .plan import CampaignPlan, CellSpec, SchedCellSpec, WorkUnit
@@ -80,7 +80,8 @@ def _run_one(cell, k: int):
 
 
 def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
-               obs: Optional[Tuple[str, str, str]] = None) -> List:
+               obs: Optional[Tuple[str, str, str]] = None,
+               sink: Optional[Callable[[bytes], object]] = None) -> List:
     """Worker: replications [rep_start, rep_stop) of one cell.
 
     Top-level for pickling.  Ships one ``CellSpec`` instead of a child
@@ -90,7 +91,8 @@ def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
     ``(trace_id, parent_span_id, fragment_dir)`` triple: each
     replication is then wall-clock timed and appended as one
     ``kernel.run`` span to this worker process's own fragment file
-    (``worker-<pid>.jsonl``) — span ids come from :mod:`secrets`, so
+    (``worker-<pid>.jsonl``), or to *sink* when the shard runs in the
+    thread that activated one — span ids come from :mod:`secrets`, so
     tracing consumes no simulation RNG and results stay bit-identical.
     """
     if obs is None:
@@ -98,7 +100,7 @@ def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
     trace_id, parent_id, frag_dir = obs
     pid = os.getpid()
     writer = SpanWriter(Path(frag_dir) / f"worker-{pid}.jsonl",
-                        trace_id, f"worker/{pid}")
+                        trace_id, f"worker/{pid}", sink=sink)
     cell_label = "/".join(str(part) for part in cell.key)
     outputs: List = []
     try:
@@ -187,11 +189,13 @@ def run_campaign(
             trace_id=ctx.trace_id if ctx is not None else None,
         )
 
-    # Active trace context + store -> span fragments for `obs stitch`.
-    # `obs` ships to workers (picklable strings); the campaign span
-    # itself is written at the end, parenting every kernel span.
+    # Active trace context + store -> span fragments for `obs stitch`,
+    # or lines of the sink activated with the context (in this process
+    # only).  `obs` ships to workers (picklable strings); the campaign
+    # span itself is written at the end, parenting every kernel span.
     obs: Optional[Tuple[str, str, str]] = None
     obs_writer: Optional[SpanWriter] = None
+    sink = current_sink()
     run_ctx = None
     t_campaign = time.time()
     if ctx is not None and store is not None:
@@ -199,7 +203,7 @@ def run_campaign(
         run_ctx = ctx.child()
         obs_writer = SpanWriter(
             frag_dir / f"campaign-{os.getpid()}.jsonl",
-            ctx.trace_id, f"campaign/{os.getpid()}",
+            ctx.trace_id, f"campaign/{os.getpid()}", sink=sink,
         )
         obs = (ctx.trace_id, run_ctx.span_id, str(frag_dir))
 
@@ -271,7 +275,7 @@ def run_campaign(
             cell = plan.cells[unit.cell_index]
             try:
                 outputs = _run_shard(cell, unit.rep_start, unit.rep_stop,
-                                     obs)
+                                     obs, sink)
                 retried = False
             except Exception as exc:
                 progress.shard_crashed(unit, exc)

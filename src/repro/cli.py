@@ -51,8 +51,8 @@ Subcommands
     Live dashboard tailing a running campaign's telemetry feed
     (``--once`` for a single snapshot, ``--openmetrics`` for a scrape).
     On a service-managed store the store-level feed does not exist;
-    ``top`` falls back to the most recent per-job feed under
-    ``<store>/service/jobs/`` (pick one explicitly with ``--job ID``).
+    ``top`` shows the newest job telemetry event in the service journal,
+    ``<store>/service/journal/`` (pick one job with ``--job ID``).
     While tailing, ``--timeout SECONDS`` gives up with a friendly
     message if no telemetry ever appears.
 ``pckpt obs stitch|slo``
@@ -677,57 +677,54 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_telemetry_path(store: str, job: str = None) -> str:
-    """Locate the telemetry feed to tail under *store*.
+def _latest_telemetry(store: str, job: str = None) -> tuple:
+    """The newest telemetry snapshot for ``pckpt top``, and its source.
 
-    A locally-run campaign streams to ``<store>/telemetry.jsonl``; a
-    service-managed store has no store-level feed (each job streams its
-    own), so fall back to the most recently written
-    ``<store>/service/jobs/<id>/telemetry.jsonl`` — or the one named by
-    ``--job ID``.
+    A locally-run campaign streams to ``<store>/telemetry.jsonl``.  A
+    service-managed store has no store-level feed: each job's snapshots
+    are the ``data`` of its ``telemetry`` events in the service journal,
+    and the newest one is shown — of job *job* (``--job ID``) if given.
+    Returns ``(snapshot or None, path)``.
     """
-    import glob as _glob
+    from .obs.journal import journal_dir, read_journal
+    from .obs.telemetry import TELEMETRY_FILENAME, latest_snapshot
 
-    from .obs.telemetry import TELEMETRY_FILENAME
-
-    if job:
-        return os.path.join(store, "service", "jobs", job,
-                            TELEMETRY_FILENAME)
     direct = os.path.join(store, TELEMETRY_FILENAME)
-    if os.path.exists(direct):
-        return direct
-    candidates = _glob.glob(
-        os.path.join(store, "service", "jobs", "*", TELEMETRY_FILENAME)
-    )
-    if candidates:
-        return max(candidates, key=os.path.getmtime)
-    return direct
+    if not job and os.path.exists(direct):
+        return latest_snapshot(direct), direct
+    snapshot = None
+    for record in read_journal(store):
+        if record.get("event") == "telemetry" and \
+                record.get("kind") == "pckpt-job-event" and \
+                (not job or record.get("job_id") == job):
+            snapshot = record.get("data")
+    if snapshot is None and not job:
+        return None, direct
+    return snapshot, str(journal_dir(store))
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live campaign dashboard tailing a store's telemetry feed."""
     import time
 
-    from .obs.telemetry import (format_top, latest_snapshot,
-                                render_openmetrics)
+    from .obs.telemetry import format_top, render_openmetrics
 
-    path = _resolve_telemetry_path(args.store, args.job)
     if args.openmetrics:
-        snapshot = latest_snapshot(path)
+        snapshot, path = _latest_telemetry(args.store, args.job)
         if snapshot is None:
             print(f"error: no telemetry at {path}", file=sys.stderr)
             return 2
         sys.stdout.write(render_openmetrics(snapshot))
         return 0
     if args.once:
-        print(format_top(latest_snapshot(path), path))
+        print(format_top(*_latest_telemetry(args.store, args.job)))
         return 0
     deadline = None
     if args.timeout is not None:
         deadline = time.monotonic() + args.timeout
     try:
         while True:
-            snapshot = latest_snapshot(path)
+            snapshot, path = _latest_telemetry(args.store, args.job)
             if (snapshot is None and deadline is not None
                     and time.monotonic() >= deadline):
                 print(f"pckpt top: no telemetry at {path} "
@@ -1438,8 +1435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--store", metavar="PATH", required=True)
     p_top.add_argument(
         "--job", metavar="ID", default=None,
-        help="on a service-managed store: tail this job's feed "
-             "(default: the most recently written one)",
+        help="on a service-managed store: show this job's telemetry "
+             "(default: the newest job telemetry in the service journal)",
     )
     p_top.add_argument(
         "--once", action="store_true",

@@ -602,7 +602,7 @@ class CRSimulation:
             else:
                 del draws[0]
                 self._landed = d.tf
-                self._deliver_failure(d.ev)
+                self._deliver_failure(d.ev, self._avoided(d.ev))
                 d = self._held(0)
                 if not d.at_once:
                     break
@@ -832,7 +832,8 @@ class CRSimulation:
                 and rec.action is ProactiveAction.LIVE_MIGRATION
                 and rec.committed)
 
-    def _deliver_failure(self, ev: FailureEvent) -> None:
+    def _deliver_failure(self, ev: FailureEvent, avoided: bool) -> None:
+        """Deliver the failure *ev*; *avoided* is :meth:`_avoided` of it."""
         ft = self.ft
         ft.failures += 1
         metrics = self.metrics
@@ -844,7 +845,7 @@ class CRSimulation:
             # break the predicted <= failures invariant.
             ft.predicted += 1
         self.oci.record_failure()
-        if self._avoided(ev):
+        if avoided:
             # The process vacated this node before it died: failure avoided.
             self.ft.mitigated_lm += 1
             self._migrated_away.discard(ev.node)
@@ -1195,12 +1196,17 @@ class CRSimulation:
                 self._count("ckpt.periodic_aborted")
         return predicted
 
-    def _land_next(self) -> float:
-        """Move the clock to the next failure, deliver it there; the time."""
+    def _land_next(self, avoided: bool = False) -> float:
+        """Move the clock to the next failure, deliver it there; the time.
+
+        *avoided* is :meth:`_avoided` of it, as the caller found it: a
+        landing :meth:`_stretch` passes is never avoided, and a model
+        whose prediction :meth:`_decided` holds has no live migration.
+        """
         d = self._draws.pop(0)
         tf = self._landed = d.tf
         self.env.advance(tf)
-        self._deliver_failure(d.ev)
+        self._deliver_failure(d.ev, avoided)
         return tf
 
     def _protect_inline(self, tp: float, struck: bool) -> Optional[tuple]:
@@ -1272,7 +1278,7 @@ class CRSimulation:
                 if job is not None and job.eta < self._draws[0].tf:
                     job.land()
                     job = None
-                self._land_next()
+                self._land_next(self._avoided(self._draws[0].ev))
             if job is not None:
                 job.land()
             env.advance(end)

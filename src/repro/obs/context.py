@@ -20,7 +20,8 @@ Design constraints, in order:
   ``<store>/obs/trace/<trace_id>/`` (:func:`trace_fragment_dir`), one
   JSON object per line, flushed per span — no cross-process file
   sharing, no partial-line interleaving, and a killed worker loses at
-  most its open spans.
+  most its open spans.  Under ``pckpt serve`` they go to the service
+  journal instead (:func:`current_sink`).
 
 Fragment records follow the declarative-table convention
 (:data:`SPAN_FIELDS`, ``SPAN_SCHEMA_VERSION``) shared with
@@ -36,7 +37,7 @@ import secrets
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Dict, Iterator, Optional, Union
+from typing import IO, Callable, Dict, Iterator, Optional, Union
 
 __all__ = [
     "SPAN_SCHEMA_VERSION",
@@ -50,6 +51,7 @@ __all__ = [
     "format_trace_header",
     "activate",
     "current",
+    "current_sink",
     "trace_fragment_dir",
     "SpanWriter",
     "read_spans",
@@ -184,9 +186,17 @@ def current() -> Optional[TraceContext]:
     return getattr(_active, "ctx", None)
 
 
+def current_sink() -> Optional[Callable[[bytes], object]]:
+    """The span sink activated with the thread's context, or ``None``:
+    a callable taking whole lines, such as ``Journal.append``."""
+    return getattr(_active, "sink", None)
+
+
 @contextmanager
-def activate(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
-    """Make *ctx* the thread's active context for the ``with`` body.
+def activate(ctx: Optional[TraceContext],
+             sink: Optional[Callable[[bytes], object]] = None
+             ) -> Iterator[Optional[TraceContext]]:
+    """Make *ctx* (and *sink*) the thread's active context for the body.
 
     Nests (the previous context is restored on exit); ``activate(None)``
     is a no-op pass-through so callers need not branch.
@@ -194,12 +204,12 @@ def activate(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
     if ctx is None:
         yield None
         return
-    previous = current()
-    _active.ctx = ctx
+    previous = current(), current_sink()
+    _active.ctx, _active.sink = ctx, sink
     try:
         yield ctx
     finally:
-        _active.ctx = previous
+        _active.ctx, _active.sink = previous
 
 
 def trace_fragment_dir(store_root: Union[str, Path],
@@ -216,23 +226,28 @@ class SpanWriter:
     costs nothing but the object), appends one JSON line per record,
     and flushes per line so a crash loses at most the open span.  One
     file per process/role is the concurrency discipline — never share a
-    ``SpanWriter`` path across processes.
+    ``SpanWriter`` path across processes.  With a *sink* each line goes
+    to the sink instead, and *path* is not used.
     """
 
-    def __init__(self, path: Union[str, os.PathLike], trace_id: str,
-                 source: str) -> None:
-        self.path = Path(path)
+    def __init__(self, path: Optional[Union[str, os.PathLike]],
+                 trace_id: str, source: str,
+                 sink: Optional[Callable[[bytes], object]] = None) -> None:
+        self.path = None if path is None else Path(path)
         self.trace_id = trace_id
         self.source = source
+        self._sink = sink
         self._fp: Optional[IO[str]] = None
 
     def _emit(self, record: Dict[str, object]) -> Dict[str, object]:
+        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        if self._sink is not None:
+            self._sink(line.encode("utf-8") + b"\n")
+            return record
         if self._fp is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fp = open(self.path, "a", encoding="utf-8")
-        self._fp.write(json.dumps(record, separators=(",", ":"),
-                                  sort_keys=True))
-        self._fp.write("\n")
+        self._fp.write(line + "\n")
         self._fp.flush()
         return record
 

@@ -52,8 +52,6 @@ from __future__ import annotations
 import json
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..des.core import KERNEL_OWNER
-
 __all__ = ["KernelProfiler", "ProfileEntry", "PROFILE_SCHEMA_VERSION", "PROFILE_KIND"]
 
 #: Schema version of the JSON payload written by :meth:`KernelProfiler.to_json`.
@@ -136,32 +134,6 @@ class KernelProfiler:
         ]
         rows.sort(key=lambda e: (-e.wall_seconds, e.owner, e.kind))
         return rows
-
-    def by_kind(self) -> Dict[str, ProfileEntry]:
-        """Rows aggregated over owners, keyed by event kind."""
-        out: Dict[str, ProfileEntry] = {}
-        for (owner, kind), (c, w, s) in sorted(self._acc.items()):
-            entry = out.get(kind)
-            if entry is None:
-                out[kind] = ProfileEntry(KERNEL_OWNER, kind, int(c), w, s)
-            else:
-                entry.count += int(c)
-                entry.wall_seconds += w
-                entry.sim_seconds += s
-        return out
-
-    def by_owner(self) -> Dict[str, ProfileEntry]:
-        """Rows aggregated over kinds, keyed by owning process name."""
-        out: Dict[str, ProfileEntry] = {}
-        for (owner, kind), (c, w, s) in sorted(self._acc.items()):
-            entry = out.get(owner)
-            if entry is None:
-                out[owner] = ProfileEntry(owner, "*", int(c), w, s)
-            else:
-                entry.count += int(c)
-                entry.wall_seconds += w
-                entry.sim_seconds += s
-        return out
 
     def total_count(self) -> int:
         """Total dispatched events (== ``Environment.events_processed``),

@@ -17,8 +17,8 @@ so the same code serves both the **live** path (the service's
 ``/metrics`` exposition renders labeled ``pckpt_tenant_*`` series via
 :func:`render_slo_metrics` from its live jobs and the fields it keeps of
 the jobs it finished inside the window) and the **offline**
-path (``pckpt obs slo <store>`` loads the ``job.json`` records the
-service persists under ``<store>/service/jobs/<id>/``).
+path (``pckpt obs slo <store>`` loads the job records the service
+appends to its journal, ``<store>/service/journal/``).
 
 Rows follow the declarative-table convention (:data:`SLO_FIELDS`,
 ``SLO_SCHEMA_VERSION``) shared with ``docs/OBSERVABILITY.md`` and
@@ -27,10 +27,11 @@ Rows follow the declarative-table convention (:data:`SLO_FIELDS`,
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
+
+from .journal import read_journal
 
 __all__ = [
     "SLO_SCHEMA_VERSION",
@@ -223,24 +224,17 @@ def compute_slo(records: Sequence[Dict[str, object]],
 
 def load_job_records(store_root: Union[str, Path]
                      ) -> List[Dict[str, object]]:
-    """The persisted ``job.json`` records under ``<store>/service/jobs``.
+    """Each job's newest record in the store's service journal.
 
-    Sorted by ``submitted_at`` (unreadable files are skipped — a
-    service may be writing concurrently).
+    Sorted by ``submitted_at`` (undecodable lines are skipped — a
+    service may be appending concurrently).
     """
-    out: List[Dict[str, object]] = []
-    jobs_dir = Path(store_root) / "service" / "jobs"
-    if not jobs_dir.is_dir():
-        return out
-    for path in sorted(jobs_dir.glob("*/job.json")):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(record, dict):
-            out.append(record)
-    out.sort(key=lambda rec: rec.get("submitted_at") or 0.0)
-    return out
+    newest: Dict[object, Dict[str, object]] = {}
+    for record in read_journal(store_root):
+        if record.get("kind") == "pckpt-job":
+            newest[record.get("id")] = record
+    return sorted(newest.values(),
+                  key=lambda rec: rec.get("submitted_at") or 0.0)
 
 
 def _escape(value: str) -> str:

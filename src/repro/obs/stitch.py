@@ -1,18 +1,20 @@
 """Stitch one request's cross-process fragments into a Chrome trace.
 
-A traced service request leaves artifacts in three places under the
-store, written by three different layers (and as many processes as the
-campaign pool used):
+A traced request leaves records in up to three places under the store,
+written by different layers (and as many processes as the campaign pool
+used):
 
+* **the service journal** — ``<store>/service/journal/``
+  (:mod:`repro.obs.journal`): a service job's lifecycle and bridged
+  telemetry events (:mod:`repro.service.jobs`), each stamped with the
+  job's ``trace_id``, and the spans of the serve's own process: the
+  ``request`` root span, the campaign's ``campaign.run`` span and one
+  ``kernel.run`` span per replication it ran in process;
 * **span fragments** — ``<store>/obs/trace/<trace_id>/*.jsonl``
-  (:mod:`repro.obs.context`): the service's ``request`` root span, the
-  campaign's ``campaign.run`` span, and one ``kernel.run`` span per
-  replication from each pool worker;
-* **job events** — ``<store>/service/jobs/<id>/events.ndjson``
-  (:mod:`repro.service.jobs`): lifecycle + bridged telemetry events,
-  each stamped with the job's ``trace_id``;
-* **telemetry snapshots** — per-job ``telemetry.jsonl``
-  (:mod:`repro.obs.telemetry`), likewise stamped.
+  (:mod:`repro.obs.context`): the spans of pool workers in other
+  processes and of campaigns run outside the service;
+* **the store's telemetry feed** — ``<store>/telemetry.jsonl``
+  (:mod:`repro.obs.telemetry`), snapshots stamped likewise.
 
 :func:`collect_trace` gathers everything for one ``trace_id``;
 :func:`stitch_chrome` lays it out as one Chrome-trace JSON file
@@ -34,7 +36,9 @@ import os
 from pathlib import Path
 from typing import IO, Dict, List, Optional, Union
 
-from .context import read_spans, trace_fragment_dir
+from .context import SPAN_KIND, read_spans, trace_fragment_dir
+from .journal import read_journal
+from .telemetry import TELEMETRY_FILENAME, read_telemetry
 
 __all__ = [
     "collect_trace",
@@ -44,60 +48,55 @@ __all__ = [
 ]
 
 
+#: Record kinds of the service journal read here (importing them from
+#: ``repro.service.jobs`` would load the server with this package).
+_JOB_KIND = "pckpt-job"
+_EVENT_KIND = "pckpt-job-event"
+
+
 def list_traces(store_root: Union[str, Path]) -> List[str]:
-    """Trace ids with at least one span fragment under *store_root*."""
+    """Trace ids with at least one span under *store_root*."""
     base = Path(store_root) / "obs" / "trace"
-    if not base.is_dir():
-        return []
-    return sorted(
-        entry.name for entry in base.iterdir()
-        if entry.is_dir() and any(entry.glob("*.jsonl"))
-    )
+    traces = {record["trace_id"] for record in read_journal(store_root)
+              if record.get("kind") == SPAN_KIND}
+    if base.is_dir():
+        traces.update(entry.name for entry in base.iterdir()
+                      if entry.is_dir() and any(entry.glob("*.jsonl")))
+    return sorted(traces)
 
 
 def resolve_job_trace(store_root: Union[str, Path],
                       job_id: str) -> Optional[str]:
-    """The ``trace_id`` of a persisted service job, or ``None``."""
-    path = Path(store_root) / "service" / "jobs" / job_id / "job.json"
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    trace_id = record.get("trace_id") if isinstance(record, dict) else None
+    """The ``trace_id`` of a journaled service job, or ``None``."""
+    trace_id = None
+    for record in read_journal(store_root):
+        if record.get("kind") == _JOB_KIND and record.get("id") == job_id:
+            trace_id = record.get("trace_id")
     return trace_id if isinstance(trace_id, str) else None
-
-
-def _read_ndjson(path: Path) -> List[Dict[str, object]]:
-    out: List[Dict[str, object]] = []
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError:
-        return out
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail: writer interrupted mid-append
-            continue
-        if isinstance(record, dict):
-            out.append(record)
-    return out
 
 
 def collect_trace(store_root: Union[str, Path],
                   trace_id: str) -> Dict[str, object]:
     """Everything recorded for *trace_id* under *store_root*.
 
-    Returns ``{"trace_id", "spans", "events", "telemetry"}`` — span
-    fragments merged across files (ordered by start time), job events
-    and telemetry snapshots filtered to the trace.
+    Returns ``{"trace_id", "spans", "events", "telemetry"}`` — spans
+    from the journal and the fragment files (ordered by start time),
+    job events and telemetry snapshots filtered to the trace.  A job's
+    telemetry snapshots are the ``data`` of its ``telemetry`` events.
     """
     store_root = Path(store_root)
     spans: List[Dict[str, object]] = []
+    events: List[Dict[str, object]] = []
+    telemetry: List[Dict[str, object]] = []
+    for record in read_journal(store_root):
+        if record.get("trace_id") != trace_id:
+            continue
+        if record.get("kind") == SPAN_KIND:
+            spans.append(record)
+        elif record.get("kind") == _EVENT_KIND:
+            events.append(record)
+            if record.get("event") == "telemetry":
+                telemetry.append(record.get("data"))
     frag_dir = trace_fragment_dir(store_root, trace_id)
     if frag_dir.is_dir():
         for path in sorted(frag_dir.glob("*.jsonl")):
@@ -105,19 +104,8 @@ def collect_trace(store_root: Union[str, Path],
                 if record.get("trace_id") == trace_id:
                     spans.append(record)
     spans.sort(key=lambda rec: (rec.get("t0") or 0.0))
-
-    events: List[Dict[str, object]] = []
-    telemetry: List[Dict[str, object]] = []
-    jobs_dir = store_root / "service" / "jobs"
-    if jobs_dir.is_dir():
-        for job_dir in sorted(p for p in jobs_dir.iterdir() if p.is_dir()):
-            for record in _read_ndjson(job_dir / "events.ndjson"):
-                if record.get("trace_id") == trace_id:
-                    events.append(record)
-            for record in _read_ndjson(job_dir / "telemetry.jsonl"):
-                if record.get("trace_id") == trace_id:
-                    telemetry.append(record)
-    for record in _read_ndjson(store_root / "telemetry.jsonl"):
+    feed = store_root / TELEMETRY_FILENAME
+    for record in read_telemetry(feed) if feed.exists() else ():
         if record.get("trace_id") == trace_id:
             telemetry.append(record)
     return {

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Callable, Dict, List, Optional, Union
 
 __all__ = [
     "OBS_SCHEMA_VERSION",
@@ -98,15 +98,18 @@ class CampaignTelemetry:
     ----------
     path_or_fp:
         Target file path (truncated at construction — a telemetry file
-        describes exactly one run) or an open text stream.
+        describes exactly one run), an open text stream, or a callable
+        that :meth:`write` hands each stamped snapshot to.
     trace_id:
         Request trace id stamped on every snapshot (``None`` for
         untraced local runs); see :mod:`repro.obs.context`.
     """
 
-    def __init__(self, path_or_fp: Union[str, "os.PathLike[str]", IO[str]],
+    def __init__(self,
+                 path_or_fp: Union[str, "os.PathLike[str]", IO[str],
+                                   Callable[[Dict[str, object]], object]],
                  trace_id: Optional[str] = None) -> None:
-        if hasattr(path_or_fp, "write"):
+        if callable(path_or_fp) or hasattr(path_or_fp, "write"):
             self._fp: IO[str] = path_or_fp  # type: ignore[assignment]
             self._owns_fp = False
             self.path: Optional[str] = None
@@ -125,6 +128,9 @@ class CampaignTelemetry:
         record["seq"] = self._seq
         record["trace_id"] = self.trace_id
         self._seq += 1
+        if callable(self._fp):
+            self._fp(record)
+            return record
         self._fp.write(json.dumps(record, separators=(",", ":"),
                                   sort_keys=True))
         self._fp.write("\n")

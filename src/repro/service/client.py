@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -140,23 +139,6 @@ class ServiceClient:
                 and "problems" in payload:
             raise SpecRejected(status, payload, payload["problems"])
         raise ServiceError(status, payload)
-
-    # -- readiness -----------------------------------------------------------
-    def wait_ready(self, timeout: float = 10.0, interval: float = 0.1) -> None:
-        """Block until the service answers ``/v1/status`` (startup race)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                self.status()
-                return
-            except (ConnectionRefusedError, ConnectionResetError,
-                    socket.timeout, OSError):
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"service at {self.host}:{self.port} not ready "
-                        f"after {timeout:g}s"
-                    )
-                time.sleep(interval)
 
     # -- API -----------------------------------------------------------------
     def submit(self, spec: Dict[str, Any], retries: int = 0,

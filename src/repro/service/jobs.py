@@ -18,17 +18,17 @@ state machine is deliberately small::
     ``GET /v1/jobs/<id>/result``; ``failed`` jobs carry ``error``.
 
 A :class:`Job` lives in the server's job table only while it is queued
-or running.  Its terminal transition writes the last event to
-``events.ndjson``; the server then writes the terminal ``job.json`` and
-drops the job, and answers for it from those files and the
-``cells.json`` (:data:`JOB_CELLS_FIELDS`) its worker wrote.
+or running.  Its events, its job record at dispatch and at the end, and
+its result index (:data:`JOB_CELLS_FIELDS`) are lines of the service
+journal (:mod:`repro.obs.journal`); once the terminal record is there,
+the server drops the job and answers for it from those lines.
 
 Every observable change appends one **event** to the job's history —
 the NDJSON records ``GET /v1/jobs/<id>/events`` streams.  Event kinds:
 the four state entries plus ``telemetry`` (one per campaign-progress
-snapshot, bridged live from the job's ``telemetry.jsonl``).  Each event
-is serialized once, to the line the job keeps; the event log on disk
-and every stream reader write those same bytes.
+snapshot, bridged live from the job's campaign).  Each event is
+serialized once, to the line the job keeps; the journal and every
+stream reader write those same bytes.
 
 The declarative tables below (:data:`JOB_STATES`,
 :data:`JOB_TRANSITIONS`, :data:`EVENT_KINDS`, :data:`JOB_FIELDS`,
@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "SERVICE_SCHEMA_VERSION",
@@ -131,8 +131,8 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "data": (dict, True),
 }
 
-#: ``cells.json`` fields: ``{name: (type, nullable)}``.  A done job's
-#: result set, by reference: ``cells`` holds one ``{"key": [...],
+#: Result-index fields: ``{name: (type, nullable)}``.  A done job's
+#: result set, by reference, as its worker appends it to the journal: ``cells`` holds one ``{"key": [...],
 #: "store_key": "<hex>"}`` per grid cell, in grid order, and
 #: ``GET /v1/jobs/<id>/result`` reads the store entry each one names.
 JOB_CELLS_FIELDS: Dict[str, tuple] = {
@@ -151,12 +151,6 @@ class Job:
     threads bridge through ``call_soon_threadsafe``), so no lock is
     needed; streaming readers wake on :attr:`turnstile`, an
     ``asyncio.Event`` rotated on every append.
-
-    The event log (:attr:`events_path`) is written through a handle the
-    server opens with :meth:`open_log`: once at admission for the
-    ``queued`` line, then again at dispatch, held while the job runs
-    and closed by the terminal transition.  Open handles are therefore
-    bounded by the worker count, not by the queue.
     """
 
     def __init__(self, job_id: str, tenant: str, spec,
@@ -183,11 +177,9 @@ class Job:
         #: The event history: one newline-terminated NDJSON line per
         #: event, the only copy the job keeps (:attr:`events` parses it).
         self.lines: List[bytes] = []
-        #: NDJSON file mirroring :attr:`lines` on disk (set by the
-        #: server at admission; ``None`` keeps events in memory only).
-        self.events_path: Optional[Any] = None
-        self._log: Optional[IO[bytes]] = None  # held by open_log
-        self._logged = 0                       # lines already on disk
+        #: Where each event line after the first is also appended (set
+        #: by the server at admission; ``None`` keeps events in memory).
+        self.sink: Optional[Callable[[bytes], Any]] = None
         #: The job's persisted queue entry while it waits: built once at
         #: admission, dropped at dispatch (set by the server).
         self.queue_entry: Optional[Dict[str, Any]] = None
@@ -220,8 +212,6 @@ class Job:
         if state in TERMINAL_STATES:
             self.finished_at = now
         self.record_event(state, data)
-        if state in TERMINAL_STATES:
-            self.close_log()
 
     @property
     def events(self) -> List[Dict[str, Any]]:
@@ -230,12 +220,11 @@ class Job:
 
     def record_event(self, event: str,
                      data: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Append one event, write it to a held log, wake stream readers.
+        """Append one event, pass it to the sink, wake stream readers.
 
-        While :meth:`open_log` holds the log, the line is written and
-        flushed before this returns, which keeps the on-disk stream live
-        for ``pckpt obs stitch`` even if the service later dies
-        uncleanly.
+        The server's sink appends the line to the journal and flushes
+        it before this returns, which keeps the on-disk stream live for
+        ``pckpt obs stitch`` even if the service later dies uncleanly.
         """
         if event not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {event!r}")
@@ -252,10 +241,8 @@ class Job:
         }
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         self.lines.append(line)
-        if self._log is not None:
-            self._log.write(line)
-            self._log.flush()
-            self._logged += 1
+        if self.sink is not None:
+            self.sink(line)
         turnstile = self.turnstile
         if turnstile is not None:
             # Rotate: wake everyone blocked on the old event, give new
@@ -263,25 +250,6 @@ class Job:
             self.turnstile = asyncio.Event()
             turnstile.set()
         return record
-
-    def open_log(self) -> None:
-        """Hold an append handle on :attr:`events_path` and flush to it
-        every line not yet on disk.
-
-        The first open truncates, so a job re-registered after a restart
-        starts a fresh file and ``seq`` stays strictly increasing in it.
-        """
-        if self._log is None:
-            self._log = open(self.events_path, "ab" if self._logged else "wb")
-        self._log.writelines(self.lines[self._logged:])
-        self._log.flush()
-        self._logged = len(self.lines)
-
-    def close_log(self) -> None:
-        """Release the handle :meth:`open_log` holds (no-op if none)."""
-        if self._log is not None:
-            self._log.close()
-            self._log = None
 
     # -- serialization -------------------------------------------------------
     def to_record(self) -> Dict[str, Any]:

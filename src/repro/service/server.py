@@ -47,13 +47,17 @@ grows past a bound tied to the queue limit.  A restarted ``pckpt
 serve`` re-enqueues what was waiting — combined with store-level
 resume, an interrupted service loses no completed cell.
 
+A job creates no file but its store entries: its events, job records,
+result index and spans are lines of one append-only journal,
+``<store>/service/journal/`` (:mod:`repro.obs.journal`).
+
 Memory holds what is live, not every job ever run.  The job table
 (:attr:`PckptService.jobs`) keeps queued and running jobs; a job leaves
-it at its terminal transition, once its terminal ``job.json`` is
-written, and the server answers for it from ``job.json``,
-``events.ndjson`` and the store entries its ``cells.json`` names, with
-the bytes the live job would have produced.  Status and metrics read
-running counts and a window-trimmed list of compact terminal records.
+it once its terminal record is in the journal, and the server answers
+for it from its journal lines (located by :class:`_JobIndex`) and the
+store entries its result index names, with the bytes the live job would
+have produced.  Status and metrics read running counts and a
+window-trimmed list of compact terminal records.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import sys
 import tempfile
 import time
 from array import array
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -75,8 +80,8 @@ from ..campaign.scheduler import run_campaign
 from ..campaign.store import ResultStore, status_payload
 from ..des.metrics import MetricsRegistry
 from ..obs.context import (SpanWriter, TraceContext, activate,
-                           mint_context, parse_trace_header,
-                           trace_fragment_dir)
+                           mint_context, parse_trace_header)
+from ..obs.journal import Journal, journal_dir
 from ..obs.slo import (DEFAULT_WINDOW_SECONDS, SLOObjectives, compute_slo,
                        render_slo_metrics)
 from ..obs.telemetry import OPENMETRICS_CONTENT_TYPE, CampaignTelemetry
@@ -84,6 +89,8 @@ from ..spec import (SpecError, build_cells, spec_from_dict, spec_hash,
                     spec_to_dict)
 from .jobs import (
     JOB_CELLS_KIND,
+    JOB_EVENT_KIND,
+    JOB_KIND,
     JOB_RESULT_KIND,
     JOB_STATES,
     SERVICE_SCHEMA_VERSION,
@@ -112,15 +119,13 @@ QUEUE_FILENAME: str = "queue.json"
 
 #: Queue journal file name inside the service directory: one JSON line
 #: per admission (``push``) or dispatch (``pop``) since the snapshot.
-JOURNAL_FILENAME: str = "queue.ndjson"
+QUEUE_JOURNAL_FILENAME: str = "queue.ndjson"
 
-#: The journal is folded into the snapshot once it holds this many lines
-#: per queue slot.  Each job adds at most two lines and the snapshot
-#: holds at most ``queue_limit`` entries, so a fold costs O(1) per job.
+#: The queue journal is folded into the snapshot once it holds this many
+#: lines per queue slot.  Each job adds at most two lines and the
+#: snapshot holds at most ``queue_limit`` entries, so a fold costs O(1)
+#: per job.
 JOURNAL_LINES_PER_SLOT: int = 4
-
-#: A done job's result index (``JOB_CELLS_FIELDS``) inside its directory.
-CELLS_FILENAME: str = "cells.json"
 
 #: ``GET /v1/jobs`` page size: the default and the largest accepted.
 PAGE_LIMIT: int = 100
@@ -128,7 +133,16 @@ MAX_PAGE_LIMIT: int = 1000
 
 #: A job id, ``j<seq>-<spec-hash prefix>``; group 1 is the sequence
 #: number that orders the listing (``j99999`` sorts before ``j100000``).
-_JOB_ID = re.compile(r"j(\d+)-[0-9a-f]+\Z")
+_JOB_ID = re.compile(r"j(\d+)-([0-9a-f]{8})\Z")
+
+#: Bytes that pick lines out of the journal without decoding them:
+#: ``sort_keys`` puts ``job_id`` and ``kind`` side by side, and a string
+#: value holds no unescaped quote.  A job's events and result index:
+_EVENT_OF = '"job_id": "%s", "kind": "' + JOB_EVENT_KIND + '"'
+_CELLS_OF = '"job_id": "%s", "kind": "' + JOB_CELLS_KIND + '"'
+#: What a restarted serve decodes: job records and ``queued`` events.
+_RECORD_MARK = b'"kind": "' + JOB_KIND.encode() + b'", '
+_QUEUED_MARK = b'"event": "queued", '
 
 #: Response head of an event stream, live or read back from disk.
 _NDJSON_HEAD = (b"HTTP/1.1 200 OK\r\n"
@@ -173,8 +187,13 @@ def _queue_entry(job: Job) -> Dict[str, Any]:
     }
 
 
-def _read_journal(path: Path) -> List[Dict[str, Any]]:
-    """The journal's complete records (none if there is no journal).
+def _json_line(payload: Dict[str, Any]) -> bytes:
+    """*payload* as the service sends and journals it."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _read_queue_journal(path: Path) -> List[Dict[str, Any]]:
+    """The queue journal's complete records (none if there is none).
 
     Every append ends in a newline, so the piece after the last newline
     is empty unless the final append was torn; it is ignored.
@@ -216,31 +235,6 @@ def load_tokens(path: Union[str, Path]) -> Dict[str, Tuple[str, int]]:
                 "a tenant name or {'tenant': ..., 'weight': N}"
             )
     return out
-
-
-class _BridgedTelemetry:
-    """Telemetry sink tee: per-job ``telemetry.jsonl`` + live job events.
-
-    Runs in the job's worker thread; event appends hop to the server's
-    loop thread via ``call_soon_threadsafe`` so all job mutation stays
-    single-threaded.
-    """
-
-    def __init__(self, inner: CampaignTelemetry,
-                 loop: asyncio.AbstractEventLoop, job: Job) -> None:
-        self._inner = inner
-        self._loop = loop
-        self._job = job
-
-    def write(self, snapshot: Dict[str, object]) -> Dict[str, object]:
-        record = self._inner.write(snapshot)
-        self._loop.call_soon_threadsafe(
-            self._job.record_event, "telemetry", record
-        )
-        return record
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 class _FinishedJobs:
@@ -302,6 +296,52 @@ class _FinishedJobs:
             yield record
 
 
+class _JobIndex:
+    """Where each job's lines lie in the journal, in flat arrays.
+
+    Sorted by job sequence number: the spec-hash prefix that completes
+    the job's id, the offset of the ``queued`` event of its latest
+    registration, and the span of its terminal record (-1 until it has
+    one), the job's last line.  A job costs 32 bytes here.
+    """
+
+    def __init__(self) -> None:
+        self.seqs, self.prefixes = array("I"), array("I")
+        self.first, self.record, self.end = array("q"), array("q"), array("q")
+
+    def job_id(self, i: int) -> str:
+        return f"j{self.seqs[i]:05d}-{self.prefixes[i]:08x}"
+
+    def find(self, job_id: str) -> Optional[int]:
+        """The slot of *job_id*, or ``None`` if it was never registered."""
+        match = _JOB_ID.match(job_id)
+        i = bisect_left(self.seqs, int(match.group(1))) if match else -1
+        return i if 0 <= i < len(self.seqs) and self.job_id(i) == job_id \
+            else None
+
+    def registered(self, job_id: str, offset: int) -> None:
+        """*job_id*'s ``queued`` event is at *offset*: it is queued anew."""
+        match = _JOB_ID.match(job_id)
+        if match is None:
+            return
+        seq = int(match.group(1))
+        i = bisect_left(self.seqs, seq)
+        if i == len(self.seqs) or self.seqs[i] != seq:
+            for column in (self.seqs, self.prefixes, self.first,
+                           self.record, self.end):
+                column.insert(i, 0)
+        # A torn queue journal can hand an unacknowledged job's sequence
+        # number to a new job: the slot then names the new one.
+        self.seqs[i], self.prefixes[i] = seq, int(match.group(2), 16)
+        self.first[i], self.record[i] = offset, -1
+
+    def finished(self, job_id: str, offset: int, end: int) -> None:
+        """*job_id*'s terminal record is ``[offset, end)``."""
+        i = self.find(job_id)
+        if i is not None:
+            self.record[i], self.end[i] = offset, end
+
+
 class PckptService:
     """The service: store + queue + worker pool + HTTP front end.
 
@@ -338,7 +378,9 @@ class PckptService:
             raise ValueError("jobs must be >= 1")
         self.store = ResultStore(store)
         self.service_dir = self.store.root / SERVICE_DIRNAME
-        self.jobs_dir = self.service_dir / "jobs"
+        #: Every job's lines (events, records, result index, spans).
+        self.journal = Journal(journal_dir(self.store.root))
+        self._index = _JobIndex()
         self.workers = int(jobs)
         self.tokens = tokens
         self.queue = FairShareQueue(queue_limit, retry_after)
@@ -354,8 +396,8 @@ class PckptService:
         self._tenants: Dict[str, int] = {}
         self._finished = _FinishedJobs()
         self._next_seq = 1
-        self._journal: Optional[Any] = None   # queue.ndjson, held open
-        self._journal_lines = 0
+        self._queue_journal: Optional[Any] = None   # queue.ndjson, held open
+        self._queue_journal_lines = 0
         self._started_at = time.time()
         self._closing = False
         self._stopped = asyncio.Event()
@@ -376,7 +418,8 @@ class PckptService:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="pckpt-job"
         )
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        self._replay_journal()
+        self.journal.open()
         self._restore_queue()
         self._server = await asyncio.start_server(self._handle, host, port)
         sock = self._server.sockets[0].getsockname()
@@ -405,11 +448,12 @@ class PckptService:
         pending = self.queue.drain()
         self.queue.close()
         self._compact_queue(pending)
-        self._journal.close()
+        self._queue_journal.close()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
+        self.journal.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -419,21 +463,20 @@ class PckptService:
     def _queue_path(self) -> Path:
         return self.service_dir / QUEUE_FILENAME
 
-    def _journal_path(self) -> Path:
-        return self.service_dir / JOURNAL_FILENAME
+    def _queue_journal_path(self) -> Path:
+        return self.service_dir / QUEUE_JOURNAL_FILENAME
 
-    def _journal_append(self, record: Dict[str, Any]) -> None:
+    def _queue_append(self, record: Dict[str, Any]) -> None:
         """Append one flushed line to the queue journal.
 
-        Folds the journal into the snapshot once it passes
+        Folds the queue journal into the snapshot once it passes
         ``JOURNAL_LINES_PER_SLOT * queue_limit`` lines.
         """
-        self._journal.write(
-            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        )
-        self._journal.flush()
-        self._journal_lines += 1
-        if self._journal_lines >= JOURNAL_LINES_PER_SLOT * self.queue.limit:
+        self._queue_journal.write(_json_line(record))
+        self._queue_journal.flush()
+        self._queue_journal_lines += 1
+        if self._queue_journal_lines >= \
+                JOURNAL_LINES_PER_SLOT * self.queue.limit:
             self._compact_queue()
 
     def _compact_queue(self, pending: Optional[List[Job]] = None) -> None:
@@ -451,8 +494,8 @@ class PckptService:
             "next_seq": self._next_seq,
             "pending": [job.queue_entry for job in pending],
         })
-        self._journal.truncate(0)
-        self._journal_lines = 0
+        self._queue_journal.truncate(0)
+        self._queue_journal_lines = 0
 
     def _restore_queue(self) -> None:
         """Re-enqueue jobs a previous serve left waiting; open the journal.
@@ -470,7 +513,7 @@ class PckptService:
             self._next_seq = int(data.get("next_seq", 1))
             for entry in data.get("pending", []):
                 entries[entry["id"]] = entry
-        for record in _read_journal(self._journal_path()):
+        for record in _read_queue_journal(self._queue_journal_path()):
             if record["op"] == "push":
                 entries.setdefault(record["entry"]["id"], record["entry"])
                 self._next_seq = max(self._next_seq, int(record["next_seq"]))
@@ -495,9 +538,27 @@ class PckptService:
             )
             job.queue_entry = _queue_entry(job)   # with the trace it runs under
             self.queue.push(job)
-        self._journal = open(self._journal_path(), "ab")
-        if entries or self._journal.tell():      # tell(): the journal's size
+        self._queue_journal = open(self._queue_journal_path(), "ab")
+        if entries or self._queue_journal.tell():    # tell(): its size
             self._compact_queue()
+
+    def _replay_journal(self) -> None:
+        """Rebuild :attr:`_index` from the journal, in one read.
+
+        Only job records and ``queued`` events are decoded.  A torn last
+        line is no line (:meth:`~repro.obs.journal.Journal.lines`), so a
+        job whose terminal record was torn is not answered.
+        """
+        for offset, line in self.journal.lines():
+            if _RECORD_MARK not in line and _QUEUED_MARK not in line:
+                continue
+            record = json.loads(line)
+            if record.get("kind") == JOB_KIND:
+                if record["state"] in TERMINAL_STATES:
+                    self._index.finished(record["id"], offset,
+                                         offset + len(line))
+            elif record.get("kind") == JOB_EVENT_KIND and record["seq"] == 0:
+                self._index.registered(record["job_id"], offset)
 
     # -- job admission -------------------------------------------------------
     def _register_job(self, spec, tenant: str, digest: str,
@@ -511,13 +572,9 @@ class PckptService:
                   cells=len(build_cells(spec)), submitted_at=submitted_at,
                   trace=trace or mint_context())
         job.turnstile = asyncio.Event()
-        # The event log: the queued line now, the rest from dispatch on
-        # (the first open truncates a file left by an earlier serve).
-        job_dir = self.jobs_dir / job.id
-        job_dir.mkdir(exist_ok=True)
-        job.events_path = job_dir / "events.ndjson"
-        job.open_log()
-        job.close_log()
+        # The queued line now, the rest as they happen.
+        self._index.registered(job.id, self.journal.append(job.lines[0]))
+        job.sink = self.journal.append
         self.jobs[job.id] = job
         self._inflight[digest] = job
         self._states["queued"] += 1
@@ -544,8 +601,8 @@ class PckptService:
             self.metrics.counter("service.jobs.deduped").inc()
             return existing, True
         try:
-            # Before registration: a refused job takes no id and no
-            # directory.
+            # Before registration: a refused job takes no id and writes
+            # no line.
             self.queue.check_room()
         except QueueFull:
             self.metrics.counter("service.jobs.rejected").inc()
@@ -555,8 +612,8 @@ class PckptService:
         job = self._register_job(spec, tenant, digest, trace=trace)
         job.queue_entry = _queue_entry(job)
         self.queue.push(job)
-        self._journal_append({"op": "push", "entry": job.queue_entry,
-                              "next_seq": self._next_seq})
+        self._queue_append({"op": "push", "entry": job.queue_entry,
+                            "next_seq": self._next_seq})
         self.metrics.counter("service.jobs.submitted").inc()
         self.metrics.counter(f"service.tenant.{tenant}.submitted").inc()
         return job, False
@@ -567,9 +624,8 @@ class PckptService:
             job = await self.queue.pop()
             if job is None:
                 return
-            self._journal_append({"op": "pop", "id": job.id})
+            self._queue_append({"op": "pop", "id": job.id})
             job.queue_entry = None
-            job.open_log()              # held until the terminal event
             self._transition(job, "running")
             self._persist_job(job)
             try:
@@ -585,8 +641,8 @@ class PckptService:
                 self._transition(job, "failed", {"error": job.error})
                 self.metrics.counter("service.jobs.failed").inc()
             finally:
+                self._write_request_spans(job)
                 self._persist_job(job)
-                self._write_request_fragment(job)
                 self._retire(job)
 
     def _transition(self, job: Job, state: str,
@@ -598,7 +654,7 @@ class PckptService:
         self._states[state] += 1
 
     def _retire(self, job: Job) -> None:
-        """Drop a terminal job from memory; its files now answer for it.
+        """Drop a terminal job from memory; the journal now answers for it.
 
         Keeps only what the SLO rows read of it (:class:`_FinishedJobs`).
         A stream reader that was following the job keeps its own
@@ -611,23 +667,20 @@ class PckptService:
         self._finished.trim(job.finished_at - self.slo_window)
 
     def _persist_job(self, job: Job) -> None:
-        """Snapshot the job record to ``<jobs>/<id>/job.json``.
+        """Append the job record to the journal (dispatch and terminal).
 
-        The on-disk record is what ``pckpt obs slo`` / ``pckpt obs
-        stitch`` analyze after the service exits.  At dispatch the file
-        is new and is written in place (those readers skip a record torn
-        by a concurrent write); the terminal record replaces it
-        atomically.
+        The journaled record is what ``pckpt obs slo`` / ``pckpt obs
+        stitch`` analyze after the service exits.  The terminal record
+        is the job's last line: until it is whole, no serve answers for
+        the job from the journal.
         """
-        path = self.jobs_dir / job.id / "job.json"
+        line = _json_line(job.to_record())
+        offset = self.journal.append(line)
         if job.terminal:
-            _write_atomic(path, job.to_record())
-        else:
-            path.write_text(json.dumps(job.to_record(), sort_keys=True),
-                            encoding="utf-8")
+            self._index.finished(job.id, offset, offset + len(line))
 
-    def _write_request_fragment(self, job: Job) -> None:
-        """Span fragment for the service's side of one finished job.
+    def _write_request_spans(self, job: Job) -> None:
+        """The service's spans of one finished job, to the journal.
 
         The ``request`` span (admission → terminal state) roots the
         stitched trace; ``queue.wait`` and ``execute`` children split
@@ -635,56 +688,49 @@ class PckptService:
         """
         if job.trace is None or job.finished_at is None:
             return
-        writer = SpanWriter(
-            trace_fragment_dir(self.store.root, job.trace.trace_id)
-            / f"service-{job.id}.jsonl",
-            job.trace.trace_id, f"service/{job.id}",
+        writer = SpanWriter(None, job.trace.trace_id, f"service/{job.id}",
+                            sink=self.journal.append)
+        writer.span(
+            "request", job.submitted_at, job.finished_at,
+            span_id=job.trace.span_id, parent_id=job.trace.parent_id,
+            args={"job_id": job.id, "tenant": job.tenant,
+                  "state": job.state, "spec_hash": job.spec_hash},
         )
-        try:
-            writer.span(
-                "request", job.submitted_at, job.finished_at,
-                span_id=job.trace.span_id, parent_id=job.trace.parent_id,
-                args={"job_id": job.id, "tenant": job.tenant,
-                      "state": job.state, "spec_hash": job.spec_hash},
-            )
-            if job.started_at is not None:
-                writer.span("queue.wait", job.submitted_at, job.started_at,
-                            parent_id=job.trace.span_id)
-                writer.span("execute", job.started_at, job.finished_at,
-                            parent_id=job.trace.span_id,
-                            args={"state": job.state})
-        finally:
-            writer.close()
+        if job.started_at is not None:
+            writer.span("queue.wait", job.submitted_at, job.started_at,
+                        parent_id=job.trace.span_id)
+            writer.span("execute", job.started_at, job.finished_at,
+                        parent_id=job.trace.span_id,
+                        args={"state": job.state})
 
     def _execute(self, job: Job) -> Dict[str, Any]:
         """Worker thread: run the job's campaign against the shared store."""
-        telemetry = _BridgedTelemetry(
-            CampaignTelemetry(self.jobs_dir / job.id / "telemetry.jsonl",
-                              trace_id=job.trace_id),
-            self._loop, job,
-        )
-        progress = CampaignProgress(telemetry=telemetry)
+        # Each stamped snapshot becomes a telemetry event, written once,
+        # on the loop thread like every other change to the job.
+        progress = CampaignProgress(telemetry=CampaignTelemetry(
+            lambda record: self._loop.call_soon_threadsafe(
+                job.record_event, "telemetry", record),
+            trace_id=job.trace_id))
         # build_cells resolves on the fly and routes sched specs to
         # build_sched_cells (a resolved experiment has no sched block).
         cells = build_cells(job.spec)
         # workers=1: the job IS the unit of parallelism; in-process
         # execution is bit-identical to `pckpt run --spec` by the
         # campaign scheduler's determinism contract — the trace context
-        # activated here only adds wall-clock span records on the side.
-        with activate(job.trace):
+        # activated here only adds wall-clock span lines to the journal.
+        with activate(job.trace, sink=self.journal.append):
             results = run_campaign(cells, store=self.store, workers=1,
                                    progress=progress, resume=True)
-        # The result set by reference.  Written in place: the terminal
-        # job.json, replaced atomically after this, is what makes a
-        # reader trust it.
-        (self.jobs_dir / job.id / CELLS_FILENAME).write_text(json.dumps({
+        # The result set by reference.  The terminal record, appended
+        # after this, is what makes a reader trust it.
+        self.journal.append(_json_line({
             "kind": JOB_CELLS_KIND,
             "schema_version": SERVICE_SCHEMA_VERSION,
             "job_id": job.id,
             "spec_hash": job.spec_hash,
             "cells": [{"key": list(cell_key), "store_key": store_key}
                       for cell_key, store_key in zip(results, progress.keys)],
-        }, sort_keys=True), encoding="utf-8")
+        }))
         executed = int(
             progress.metrics.counter("campaign.replications.executed").value
         )
@@ -929,10 +975,10 @@ class PckptService:
 
         Jobs are in job-sequence order, oldest first, and include the
         jobs earlier serves on this store finished.  The page covers the
-        next *limit* jobs; one with no terminal record on disk that is
-        not live either (a serve died while it ran) is left out.
-        ``next`` is the *after* of the following page, ``None`` on the
-        last one.
+        next *limit* jobs the journal registered; one with no terminal
+        record that is not live either (a serve died while it ran) is
+        left out.  ``next`` is the *after* of the following page,
+        ``None`` on the last one.
         """
         start = 0
         if after is not None:
@@ -940,54 +986,40 @@ class PckptService:
             if match is None:
                 raise ValueError(f"after: not a job id: {after!r}")
             start = int(match.group(1))
-        ids = []
-        for name in os.listdir(self.jobs_dir):
-            match = _JOB_ID.match(name)
-            if match is not None and int(match.group(1)) > start:
-                ids.append((int(match.group(1)), name))
-        ids.sort()
+        index = self._index
+        first = bisect_right(index.seqs, start)
+        stop = min(first + limit, len(index.seqs))
         records = []
-        for _, job_id in ids[:limit]:
-            job = self.jobs.get(job_id)
+        for i in range(first, stop):
+            job = self.jobs.get(index.job_id(i))
             if job is not None:
                 records.append(job.to_record())
-                continue
-            finished = self._read_finished(job_id)
-            if finished is not None:
-                records.append(finished[1])
+            elif index.record[i] >= 0:
+                records.append(json.loads(self._record_line(i)))
         return {"jobs": records,
-                "next": ids[limit - 1][1] if len(ids) > limit else None}
+                "next": index.job_id(stop - 1)
+                if len(index.seqs) > stop else None}
 
-    def _read_finished(self, job_id: str
-                       ) -> Optional[Tuple[bytes, Dict[str, Any]]]:
-        """A finished job's ``job.json`` as ``(bytes, record)``.
+    def _record_line(self, i: int) -> bytes:
+        """The newest job record of index slot *i*, as journaled."""
+        return self.journal.read(self._index.record[i], self._index.end[i])
 
-        ``None`` unless the file holds a terminal record: a job that a
-        killed serve had dispatched keeps its ``running`` record, and
-        no serve answers for it.
-        """
-        if _JOB_ID.match(job_id) is None:
-            return None
-        try:
-            raw = (self.jobs_dir / job_id / "job.json").read_bytes()
-            record = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict) \
-                or record.get("state") not in TERMINAL_STATES:
-            return None
-        return raw, record
+    def _job_lines(self, i: int, marker: str) -> List[bytes]:
+        """The lines of slot *i*'s job holding *marker* % its id."""
+        index = self._index
+        key = (marker % index.job_id(i)).encode("utf-8")
+        data = self.journal.read(index.first[i], index.end[i])
+        return [line + b"\n" for line in data.split(b"\n") if key in line]
 
-    def _result_payload(self, job_id: str) -> Dict[str, Any]:
+    def _result_payload(self, i: int) -> Dict[str, Any]:
         """A done job's ``/result`` body, read back from disk.
 
-        ``cells.json`` names each cell's store entry, and the entry holds
-        ``result_to_dict`` of the result the job computed, so the body
-        is the one the job's in-memory results would give.  Raises
-        ``FileNotFoundError`` once the index or an entry is gone.
+        The job's result index names each cell's store entry, and the
+        entry holds ``result_to_dict`` of the result the job computed,
+        so the body is the one the job's in-memory results would give.
+        Raises ``FileNotFoundError`` once an entry is gone.
         """
-        index = json.loads(
-            (self.jobs_dir / job_id / CELLS_FILENAME).read_bytes())
+        index = json.loads(self._job_lines(i, _CELLS_OF)[0])
         cells = []
         for cell in index["cells"]:
             entry = json.loads(
@@ -997,7 +1029,7 @@ class PckptService:
         return {
             "kind": JOB_RESULT_KIND,
             "schema_version": SERVICE_SCHEMA_VERSION,
-            "job_id": job_id,
+            "job_id": index["job_id"],
             "spec_hash": index["spec_hash"],
             "cells": cells,
         }
@@ -1007,8 +1039,10 @@ class PckptService:
         parts = path.strip("/").split("/")   # v1 jobs <id> [sub]
         job_id = parts[2] if len(parts) >= 3 else ""
         job = self.jobs.get(job_id)
-        finished = None if job is not None else self._read_finished(job_id)
-        if job is None and finished is None:
+        slot = None if job is not None else self._index.find(job_id)
+        if slot is not None and self._index.record[slot] < 0:
+            slot = None      # dispatched by a serve that died: no answer
+        if job is None and slot is None:
             await self._send_json(writer, 404, {"error": "no such job"})
             return
         sub = parts[3] if len(parts) == 4 else None
@@ -1017,8 +1051,8 @@ class PckptService:
             return
         if sub not in (None, "events", "result"):
             await self._send_json(writer, 404, {"error": f"no such view {sub}"})
-        elif finished is not None:
-            await self._finished_view(job_id, *finished, sub, writer)
+        elif slot is not None:
+            await self._finished_view(slot, sub, writer)
         elif sub is None:
             await self._send_json(writer, 200, job.to_record())
         elif sub == "events":
@@ -1028,25 +1062,24 @@ class PckptService:
                 writer, 409, {"error": "job not finished", "state": job.state}
             )
 
-    async def _finished_view(self, job_id: str, raw: bytes,
-                             record: Dict[str, Any], sub: Optional[str],
+    async def _finished_view(self, i: int, sub: Optional[str],
                              writer: asyncio.StreamWriter) -> None:
-        """Answer for a job no longer in memory, from its files."""
+        """Answer for a job no longer in memory, from its journal lines."""
+        line = self._record_line(i)
         if sub is None:
-            await self._send_body(writer, 200, raw + b"\n",
-                                  "application/json")
+            await self._send_body(writer, 200, line, "application/json")
         elif sub == "events":
-            data = (self.jobs_dir / job_id / "events.ndjson").read_bytes()
-            writer.write(_NDJSON_HEAD + data[:data.rfind(b"\n") + 1])
+            writer.write(_NDJSON_HEAD
+                         + b"".join(self._job_lines(i, _EVENT_OF)))
             await writer.drain()
-        elif record["state"] == "failed":
+        elif (record := json.loads(line))["state"] == "failed":
             await self._send_json(
                 writer, 409,
                 {"error": f"job failed: {record['error']}", "state": "failed"},
             )
         else:
             try:
-                payload = self._result_payload(job_id)
+                payload = self._result_payload(i)
             except FileNotFoundError:
                 await self._send_json(writer, 410, {
                     "error": "the job's result cells are no longer in the "

@@ -244,3 +244,62 @@ def test_kernel_idle_row_found_through_a_private_record(tmp_path,
         core.replace("record(KERNEL_OWNER", "self._record(KERNEL_OWNER"))
     monkeypatch.setattr(check_schemas, "SRC", tmp_path)
     assert "idle" in check_schemas.emitted_kinds()
+
+
+def _journal_store(tmp_path, *lines):
+    """A clean store whose service journal holds *lines* (str: as is)."""
+    from repro.obs.journal import journal_dir
+
+    store = _write(tmp_path, "--store", _clean("--store"))
+    segment = journal_dir(store) / f"{0:020d}.ndjson"
+    segment.parent.mkdir(parents=True)
+    segment.write_text("".join(
+        line if isinstance(line, str) else json.dumps(line) + "\n"
+        for line in lines))
+    return store
+
+
+def _journal_lines():
+    """One clean line of each kind a serve journals."""
+    from repro.service.jobs import (JOB_CELLS_FIELDS, JOB_CELLS_KIND,
+                                    JOB_FIELDS, JOB_KIND)
+
+    version = {"schema_version": SERVICE_SCHEMA_VERSION}
+    return [
+        *_clean("--events"),
+        _record(JOB_FIELDS, kind=JOB_KIND, state="done", **version),
+        _record(JOB_CELLS_FIELDS, kind=JOB_CELLS_KIND, **version),
+        *_clean("--spans"),
+    ]
+
+
+def test_store_journal_lines_pass_their_tables(tmp_path, capsys):
+    code, err = _run(capsys, "--store",
+                     _journal_store(tmp_path, *_journal_lines()))
+    assert code == 0, err
+
+
+def test_store_journal_bad_line_is_named(tmp_path, capsys):
+    lines = _journal_lines()
+    lines[2]["events"] = "three"
+    store = _journal_store(tmp_path, *lines)
+    offset = sum(len(json.dumps(line)) + 1 for line in lines[:2])
+    code, err = _run(capsys, "--store", store)
+    assert code == 1
+    assert f"@{offset}: events must be int, got 'three'" in err, err
+
+
+def test_store_journal_cells_must_name_store_entries(tmp_path, capsys):
+    lines = _journal_lines()
+    lines[3]["cells"] = [{"key": ["XGC", "P2"], "store_key": "ab" * 32}]
+    code, err = _run(capsys, "--store", _journal_store(tmp_path, *lines))
+    assert code == 1
+    assert f"names {'ab' * 32!r}, which the store does not hold" in err, err
+
+
+def test_store_journal_torn_tail_is_torn_not_bad(tmp_path, capsys):
+    store = _journal_store(tmp_path, *_journal_lines(), TORN)
+    code = check_schemas.main(["--store", str(store)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert f"torn final line ({len(TORN)} bytes" in out, out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -230,40 +232,47 @@ class TestCampaignStatusJSON:
 
 
 class TestTelemetryPathResolution:
+    """Which telemetry ``pckpt top --store`` shows (``_latest_telemetry``)."""
+
+    @staticmethod
+    def _journal_telemetry(store, *jobs):
+        """One telemetry event per job id in *jobs*, journaled in order."""
+        segment = store / "service" / "journal" / f"{0:020d}.ndjson"
+        segment.parent.mkdir(parents=True)
+        segment.write_text("".join(json.dumps({
+            "kind": "pckpt-job-event", "job_id": job, "event": "telemetry",
+            "data": {"kind": "pckpt-telemetry", "seq": n}}) + "\n"
+            for n, job in enumerate(jobs)))
+        return str(segment.parent)
+
     def test_local_store_uses_direct_feed(self, tmp_path):
-        from repro.cli import _resolve_telemetry_path
+        from repro.cli import _latest_telemetry
 
         direct = tmp_path / "telemetry.jsonl"
-        direct.write_text("{}\n")
-        assert _resolve_telemetry_path(str(tmp_path)) == str(direct)
+        direct.write_text('{"seq": 3}\n')
+        assert _latest_telemetry(str(tmp_path)) == ({"seq": 3}, str(direct))
 
     def test_service_store_falls_back_to_newest_job_feed(self, tmp_path):
-        import os
+        from repro.cli import _latest_telemetry
 
-        from repro.cli import _resolve_telemetry_path
-
-        jobs = tmp_path / "service" / "jobs"
-        old = jobs / "j00001-aaaaaaaa" / "telemetry.jsonl"
-        new = jobs / "j00002-bbbbbbbb" / "telemetry.jsonl"
-        for i, feed in enumerate((old, new)):
-            feed.parent.mkdir(parents=True)
-            feed.write_text("{}\n")
-            os.utime(feed, (1000 + i, 1000 + i))
-        assert _resolve_telemetry_path(str(tmp_path)) == str(new)
+        where = self._journal_telemetry(tmp_path, "j00001-aaaaaaaa",
+                                        "j00002-bbbbbbbb")
+        snapshot, path = _latest_telemetry(str(tmp_path))
+        assert (snapshot["seq"], path) == (1, where)
 
     def test_explicit_job_wins(self, tmp_path):
-        from repro.cli import _resolve_telemetry_path
+        from repro.cli import _latest_telemetry
 
-        path = _resolve_telemetry_path(str(tmp_path), job="j00009-ffffffff")
-        assert path == str(tmp_path / "service" / "jobs" /
-                           "j00009-ffffffff" / "telemetry.jsonl")
+        self._journal_telemetry(tmp_path, "j00009-ffffffff",
+                                "j00010-aaaaaaaa")
+        snapshot, _ = _latest_telemetry(str(tmp_path), job="j00009-ffffffff")
+        assert snapshot["seq"] == 0
 
     def test_empty_store_returns_direct_path(self, tmp_path):
-        from repro.cli import _resolve_telemetry_path
+        from repro.cli import _latest_telemetry
 
-        assert _resolve_telemetry_path(str(tmp_path)) == str(
-            tmp_path / "telemetry.jsonl"
-        )
+        assert _latest_telemetry(str(tmp_path)) == (
+            None, str(tmp_path / "telemetry.jsonl"))
 
 
 class TestServiceCommands:
@@ -460,13 +469,14 @@ class TestObsCli:
     def test_obs_slo_from_store(self, capsys, tmp_path):
         import json
 
-        d = tmp_path / "service" / "jobs" / "j0"
+        d = tmp_path / "service" / "journal"
         d.mkdir(parents=True)
-        d.joinpath("job.json").write_text(json.dumps({
+        d.joinpath(f"{0:020d}.ndjson").write_text(json.dumps({
+            "kind": "pckpt-job", "id": "j00001-aaaaaaaa",
             "tenant": "acme", "state": "done", "submitted_at": 100.0,
             "started_at": 101.0, "finished_at": 111.0,
             "cache_hit_rate": 1.0,
-        }))
+        }) + "\n")
         assert main(["obs", "slo", "--store", str(tmp_path)]) == 0
         assert "acme" in capsys.readouterr().out
         assert main(["obs", "slo", "--store", str(tmp_path),

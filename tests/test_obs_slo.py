@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs.journal import journal_dir
 from repro.obs.slo import (
     SLO_FIELDS,
     SLO_KIND,
@@ -119,22 +120,27 @@ class TestComputeSlo:
 
 
 class TestLoadJobRecords:
+    @staticmethod
+    def _journal(store, *lines):
+        segment = journal_dir(store) / f"{0:020d}.ndjson"
+        segment.parent.mkdir(parents=True)
+        segment.write_bytes(b"".join(lines))
+
     def test_loads_and_sorts_persisted_records(self, tmp_path):
-        jobs_dir = tmp_path / "service" / "jobs"
-        for i, submitted in enumerate([5.0, 1.0]):
-            d = jobs_dir / f"j{i}"
-            d.mkdir(parents=True)
-            (d / "job.json").write_text(
-                json.dumps(job(submitted=submitted,
-                               finished=submitted + 10.0))
-            )
-        records = load_job_records(tmp_path)
-        assert [r["submitted_at"] for r in records] == [1.0, 5.0]
+        """Each job's newest journaled record, by submit time."""
+        records = [dict(job(submitted=submitted, finished=finished),
+                        kind="pckpt-job", id=f"j{i}")
+                   for i, submitted, finished in ((0, 5.0, None),
+                                                  (1, 1.0, 11.0),
+                                                  (0, 5.0, 15.0))]
+        self._journal(tmp_path, *(json.dumps(r).encode() + b"\n"
+                                  for r in records))
+        loaded = load_job_records(tmp_path)
+        assert [r["submitted_at"] for r in loaded] == [1.0, 5.0]
+        assert loaded[1]["finished_at"] == 15.0
 
     def test_skips_unreadable_files(self, tmp_path):
-        d = tmp_path / "service" / "jobs" / "j0"
-        d.mkdir(parents=True)
-        (d / "job.json").write_text("{ torn")
+        self._journal(tmp_path, b"{ torn\n", b'{"kind": "pckpt-job", "id"')
         assert load_job_records(tmp_path) == []
 
     def test_missing_store_is_empty(self, tmp_path):

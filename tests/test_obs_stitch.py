@@ -6,6 +6,7 @@ import io
 import json
 
 from repro.obs.context import SpanWriter, trace_fragment_dir
+from repro.obs.journal import Journal, journal_dir
 from repro.obs.stitch import (
     collect_trace,
     list_traces,
@@ -16,44 +17,50 @@ from repro.obs.stitch import (
 TRACE = "feedc0de11223344"
 
 
+def append(store, *records):
+    """Append *records* to the store's service journal, one line each."""
+    journal = Journal(journal_dir(store))
+    journal.open()
+    try:
+        for record in records:
+            journal.append(json.dumps(record).encode() + b"\n")
+    finally:
+        journal.close()
+
+
 def write_fragments(store, trace_id=TRACE):
-    """A plausible three-process fragment set for one traced request."""
+    """A plausible three-process span set for one traced request: the
+    serve's own spans in its journal, a pool worker's in a fragment."""
+    journal = Journal(journal_dir(store))
+    journal.open()
+    w = SpanWriter(None, trace_id, "service", sink=journal.append)
+    w.span("request", 100.0, 110.0, span_id="aaaa0001",
+           args={"job_id": "j0"})
+    w.span("queue.wait", 100.0, 101.0, parent_id="aaaa0001")
+    w.span("execute", 101.0, 110.0, parent_id="aaaa0001",
+           span_id="aaaa0002")
+    w = SpanWriter(None, trace_id, "campaign/123", sink=journal.append)
+    w.span("campaign.run", 101.5, 109.5, parent_id="aaaa0002")
+    journal.close()
     frag = trace_fragment_dir(store, trace_id)
-    with SpanWriter(frag / "service-j0.jsonl", trace_id, "service") as w:
-        w.span("request", 100.0, 110.0, span_id="aaaa0001",
-               args={"job_id": "j0"})
-        w.span("queue.wait", 100.0, 101.0, parent_id="aaaa0001")
-        w.span("execute", 101.0, 110.0, parent_id="aaaa0001",
-               span_id="aaaa0002")
-    with SpanWriter(frag / "campaign-123.jsonl", trace_id,
-                    "campaign/123") as w:
-        w.span("campaign.run", 101.5, 109.5, parent_id="aaaa0002")
     with SpanWriter(frag / "worker-124.jsonl", trace_id, "worker/124") as w:
         w.span("kernel.run", 102.0, 105.0, parent_id="aaaa0002")
 
 
 def write_job(store, job_id="j0", trace_id=TRACE, with_telemetry=False):
-    d = store / "service" / "jobs" / job_id
-    d.mkdir(parents=True)
-    (d / "job.json").write_text(json.dumps(
-        {"job_id": job_id, "trace_id": trace_id, "state": "done"}
-    ))
+    event = {"kind": "pckpt-job-event", "job_id": job_id,
+             "trace_id": trace_id}
     events = [
-        {"event": "queued", "job_id": job_id, "trace_id": trace_id,
-         "ts": 100.0, "state": "queued", "seq": 0},
-        {"event": "done", "job_id": job_id, "trace_id": trace_id,
-         "ts": 110.0, "state": "done", "seq": 1},
+        dict(event, event="queued", ts=100.0, state="queued", seq=0),
+        dict(event, event="done", ts=110.0, state="done", seq=1),
     ]
     if with_telemetry:
-        events.insert(1, {
-            "event": "telemetry", "job_id": job_id, "trace_id": trace_id,
-            "ts": 105.0, "state": "running", "seq": 5,
-            "data": {"cells_done": 1, "replications_executed": 2,
-                     "replications_cached": 0},
-        })
-    (d / "events.ndjson").write_text(
-        "".join(json.dumps(e) + "\n" for e in events)
-    )
+        events.insert(1, dict(
+            event, event="telemetry", ts=105.0, state="running", seq=5,
+            data={"cells_done": 1, "replications_executed": 2,
+                  "replications_cached": 0}))
+    append(store, *events, {"kind": "pckpt-job", "id": job_id,
+                            "trace_id": trace_id, "state": "done"})
 
 
 class TestDiscovery:
@@ -70,10 +77,7 @@ class TestDiscovery:
         assert resolve_job_trace(tmp_path, "missing") is None
 
     def test_resolve_job_without_trace(self, tmp_path):
-        d = tmp_path / "service" / "jobs" / "j1"
-        d.mkdir(parents=True)
-        (d / "job.json").write_text(json.dumps({"job_id": "j1",
-                                                "trace_id": None}))
+        append(tmp_path, {"kind": "pckpt-job", "id": "j1", "trace_id": None})
         assert resolve_job_trace(tmp_path, "j1") is None
 
 
@@ -91,15 +95,13 @@ class TestCollect:
         assert {e["job_id"] for e in coll["events"]} == {"j0"}
 
     def test_collect_picks_up_job_telemetry(self, tmp_path):
+        """A job's snapshots are the data of its telemetry events."""
         write_fragments(tmp_path)
-        write_job(tmp_path)
-        d = tmp_path / "service" / "jobs" / "j0"
-        (d / "telemetry.jsonl").write_text(json.dumps(
-            {"kind": "pckpt-telemetry", "trace_id": TRACE, "seq": 0,
-             "state": "done"}
-        ) + "\n")
+        write_job(tmp_path, with_telemetry=True)
         coll = collect_trace(tmp_path, TRACE)
-        assert len(coll["telemetry"]) == 1
+        assert coll["telemetry"] == [{"cells_done": 1,
+                                      "replications_executed": 2,
+                                      "replications_cached": 0}]
 
     def test_collect_empty_store(self, tmp_path):
         coll = collect_trace(tmp_path, TRACE)

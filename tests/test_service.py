@@ -13,13 +13,14 @@ Covers the full promise stack, bottom-up:
   ``run_spec`` of the same document;
 * queue persistence across a service restart, and the queue journal
   across a crash (a copy of the store taken while the service runs);
-* the per-job persistence cost: no atomic rewrite on admission or
-  dispatch, event-log handles bounded by the worker count, one
-  serialization per event shared by the log and the stream;
+* the per-job persistence cost: no atomic rewrite for a job, one open
+  journal segment whatever the queue holds, one serialization per event
+  shared by the journal and the stream;
 * finished jobs leave memory: the job table holds live jobs only, and a
-  finished job's record, events and result are read back from disk as
-  the bytes it sent while live, also by a restarted service; status,
-  SLO rows and the paged listing agree with the records on disk;
+  finished job's record, events and result are read back from the
+  journal as the bytes it sent while live, also by a restarted service;
+  status, SLO rows and the paged listing agree with the journaled
+  records;
 * the HTTP surface: validation errors, auth modes, status, metrics.
 
 Specs are capped at 1 replication (the same client-side cap
@@ -41,6 +42,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.store import ResultStore, result_to_dict
+from repro.obs.journal import Journal, journal_dir, read_journal
 from repro.obs.records import check_record
 from repro.service import (
     EVENT_FIELDS,
@@ -106,6 +108,17 @@ def hold_dispatch(service) -> threading.Event:
 
     service._execute = held
     return gate
+
+
+def journal_lines(store, job_id: str, kind: str) -> bytes:
+    """The journal lines of *kind* that name *job_id*, joined."""
+    out = []
+    for _, line in Journal(journal_dir(store)).lines():
+        record = json.loads(line)
+        if record["kind"] == kind and \
+                record.get("job_id", record.get("id")) == job_id:
+            out.append(line)
+    return b"".join(out)
 
 
 def wait_running(client, job_id: str, timeout: float = 30.0) -> None:
@@ -463,15 +476,16 @@ class TestServiceLifecycle:
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after == 7.0
             # A rejected submission leaves no job behind: no record, no
-            # directory, no id.
+            # journal line, no id.
             rejected_hashes = {r["job"]["spec_hash"]
                                for r in [running] + queued}
             assert len(client.jobs()) == 3
             assert {j["spec_hash"] for j in client.jobs()} \
                 == rejected_hashes
             admitted = sorted(r["job"]["id"] for r in [running] + queued)
-            jobs_dir = tmp_path / "store" / "service" / "jobs"
-            assert sorted(p.name for p in jobs_dir.iterdir()) == admitted
+            assert sorted({r["job_id"] for r in read_journal(
+                tmp_path / "store") if r["kind"] == JOB_EVENT_KIND}) \
+                == admitted
             # Once the queue drains, the same submission is admitted
             # under the next id.
             gate.set()
@@ -504,18 +518,17 @@ class TestServiceLifecycle:
             assert list(client.events(job_id)) == events
 
     def test_per_job_telemetry_on_disk(self, tmp_path):
-        """Each job streams its own telemetry.jsonl under the service
-        root — the feed `pckpt top --store` falls back to."""
+        """Each job's telemetry snapshots are its telemetry events in the
+        service journal — what `pckpt top --store` shows."""
         with ServiceThread(tmp_path / "store", jobs=1) as svc:
             client = ServiceClient(port=svc.port, token="alice")
             record = client.wait(
                 client.submit(tiny_spec(seed=440))["job"]["id"]
             )
-        feed = (tmp_path / "store" / "service" / "jobs" / record["id"]
-                / "telemetry.jsonl")
-        assert feed.exists()
-        lines = [json.loads(line)
-                 for line in feed.read_text().splitlines()]
+        lines = [json.loads(line)["data"] for line in journal_lines(
+            tmp_path / "store", record["id"], JOB_EVENT_KIND).splitlines()
+            if b'"event": "telemetry"' in line]
+        assert lines[-1]["kind"] == "pckpt-telemetry"
         assert lines[-1]["state"] == "done"
         # The store-level feed does NOT exist on a service-managed
         # store (jobs stream per-job, not per-store).
@@ -643,9 +656,8 @@ class TestQueueJournal:
 
 
 class TestServiceCostModel:
-    """Per-job persistence is O(1) appends: the atomic rewrites happen
-    at the terminal record and at snapshot time, not per admission or
-    dispatch."""
+    """Per-job persistence is O(1) appends to one journal: the only
+    atomic rewrites are queue snapshots, never one per job."""
 
     def test_submit_and_dispatch_replace_no_file(self, tmp_path,
                                                  monkeypatch):
@@ -671,9 +683,8 @@ class TestServiceCostModel:
             assert replaced == []
             gate.set()
             client.wait(first, timeout=120.0)
-            # Terminal job records are the only atomic replaces.
-            assert replaced
-            assert {Path(p).name for p in replaced} == {"job.json"}
+            # Terminal job records are journal lines, not replaces.
+            assert replaced == []
 
     def test_event_log_handles_bounded_by_workers(self, tmp_path):
         fd_dir = Path("/proc/self/fd")
@@ -699,16 +710,16 @@ class TestServiceCostModel:
             wait_running(client, ids[0])
             ids += [client.submit(tiny_spec(seed=171 + n))["job"]["id"]
                     for n in range(19)]
-            # Twenty jobs admitted, one running: one event log is open.
-            assert open_into_store() == sorted([
-                os.path.join("service", "queue.ndjson"),
-                os.path.join("service", "jobs", ids[0], "events.ndjson"),
-            ])
+            # Twenty jobs admitted, one running: the queue journal and
+            # one journal segment are open, nothing per job.
+            held = sorted([os.path.join("service", "queue.ndjson"),
+                           os.path.join("service", "journal",
+                                        f"{0:020d}.ndjson")])
+            assert open_into_store() == held
             gate.set()
             for job_id in ids:
                 assert client.wait(job_id, timeout=120.0)["state"] == "done"
-            assert open_into_store() == [os.path.join("service",
-                                                      "queue.ndjson")]
+            assert open_into_store() == held
         assert open_into_store() == []
 
     def test_event_log_is_the_stream_byte_for_byte(self, tmp_path):
@@ -718,16 +729,17 @@ class TestServiceCostModel:
                    for n in range(3)]
             for job_id in ids:
                 client.wait(job_id, timeout=120.0)
+            store = tmp_path / "store"
             for job_id in ids:
-                job_dir = tmp_path / "store" / "service" / "jobs" / job_id
                 status, _, body = client._request(
                     "GET", f"/v1/jobs/{job_id}/events")
                 assert status == 200
-                assert (job_dir / "events.ndjson").read_bytes() == body
+                assert journal_lines(store, job_id, JOB_EVENT_KIND) == body
                 assert b'"event": "telemetry"' in body
-                # job.json holds the terminal record the API serves.
+                # The last journaled record is the one the API serves.
                 status, _, body = client._request("GET", f"/v1/jobs/{job_id}")
-                assert (job_dir / "job.json").read_bytes() + b"\n" == body
+                assert journal_lines(store, job_id, JOB_KIND) \
+                    .splitlines(keepends=True)[-1] == body
 
 
 def fail_spec_named(service, name: str) -> None:
@@ -756,8 +768,8 @@ def as_json(payload) -> bytes:
 class TestFinishedJobsOnDisk:
     """Memory holds the live jobs only.  A job leaves the table at its
     terminal transition, and its record, events and result are read back
-    from ``job.json``, ``events.ndjson`` and the store entries its
-    ``cells.json`` names, as the bytes the live job would have sent."""
+    from its journal lines and the store entries its result index
+    names, as the bytes the live job would have sent."""
 
     def test_job_table_holds_only_live_jobs(self, tmp_path):
         with ServiceThread(tmp_path / "store", jobs=1) as svc:
@@ -831,19 +843,18 @@ class TestFinishedJobsOnDisk:
             assert service.jobs == {}
 
             for job_id, job in live.items():
-                job_dir = tmp_path / "store" / "service" / "jobs" / job_id
                 assert body(client, f"/v1/jobs/{job_id}") == \
                     (200, as_json(job.to_record()))
                 assert body(client, f"/v1/jobs/{job_id}/events") == \
                     (200, streams[job_id])
                 assert streams[job_id] == b"".join(job.lines) == \
-                    (job_dir / "events.ndjson").read_bytes()
+                    journal_lines(tmp_path / "store", job_id, JOB_EVENT_KIND)
             assert body(client, f"/v1/jobs/{failed_id}/result") == (409, as_json(
                 {"error": "job failed: RuntimeError: injected failure",
                  "state": "failed"}))
             status, result = body(client, f"/v1/jobs/{done_id}/result")
-            assert not (tmp_path / "store" / "service" / "jobs" / failed_id
-                        / "cells.json").exists()
+            assert journal_lines(tmp_path / "store", failed_id,
+                                 "pckpt-job-cells") == b""
 
         local_store = ResultStore(tmp_path / "local-store")
         local = run_spec(spec_from_dict(document), store=local_store,
@@ -1083,7 +1094,7 @@ class TestTracePropagation:
             yield service
 
     def test_header_propagates_to_record_events_and_fragments(self, svc):
-        from repro.obs.context import read_spans, trace_fragment_dir
+        from repro.obs.context import trace_fragment_dir
 
         client = ServiceClient(port=svc.port, token="acme")
         record = client.submit(
@@ -1094,23 +1105,20 @@ class TestTracePropagation:
         final = client.wait(record["id"], timeout=120.0)
         assert final["state"] == "done"
 
-        # persisted job record + events carry the trace id
-        job_dir = Path(svc.service.store.root) / "service" / "jobs" \
-            / record["id"]
-        persisted = json.loads((job_dir / "job.json").read_text())
+        # journaled job record + events carry the trace id
+        store = svc.service.store.root
+        persisted = json.loads(journal_lines(
+            store, record["id"], JOB_KIND).splitlines()[-1])
         assert persisted["trace_id"] == "feedc0de11223344"
-        events = [json.loads(line) for line in
-                  (job_dir / "events.ndjson").read_text().splitlines()]
+        events = [json.loads(line) for line in journal_lines(
+            store, record["id"], JOB_EVENT_KIND).splitlines()]
         assert events
         assert all(e["trace_id"] == "feedc0de11223344" for e in events)
 
-        # span fragments: the service's request span adopts the trace
+        # spans, journaled: the service's request span adopts the trace
         # and parents to the caller's span; the campaign ran under it
-        frag_dir = trace_fragment_dir(svc.service.store.root,
-                                      "feedc0de11223344")
-        spans = []
-        for path in sorted(frag_dir.glob("*.jsonl")):
-            spans.extend(read_spans(path))
+        spans = [r for r in read_journal(store) if r["kind"] == "pckpt-span"]
+        assert not trace_fragment_dir(store, "feedc0de11223344").exists()
         names = {s["name"] for s in spans}
         assert {"request", "queue.wait", "execute",
                 "campaign.run", "kernel.run"} <= names

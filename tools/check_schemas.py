@@ -46,6 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.campaign import store  # noqa: E402
 from repro.des.core import KERNEL_OWNER  # noqa: E402
 from repro.obs import context, gantt, profiler, slo, telemetry, timeline  # noqa: E402
+from repro.obs.journal import Journal, journal_dir  # noqa: E402
 from repro.obs.records import check_record  # noqa: E402
 from repro.sched import jobs as sched_jobs  # noqa: E402
 from repro.sched.bench import sched_filename, validate_sched_payload  # noqa: E402
@@ -314,10 +315,22 @@ def check_stitched(path: Path, trace_id: Optional[str]) -> List[str]:
     return problems
 
 
+#: The service journal's record kinds and the table each line must match.
+JOURNAL_TABLES = {
+    service_jobs.JOB_KIND: (service_jobs.JOB_FIELDS,
+                            service_jobs.SERVICE_SCHEMA_VERSION),
+    service_jobs.JOB_EVENT_KIND: (service_jobs.EVENT_FIELDS,
+                                  service_jobs.SERVICE_SCHEMA_VERSION),
+    service_jobs.JOB_CELLS_KIND: (service_jobs.JOB_CELLS_FIELDS,
+                                  service_jobs.SERVICE_SCHEMA_VERSION),
+    context.SPAN_KIND: (context.SPAN_FIELDS, context.SPAN_SCHEMA_VERSION),
+}
+
+
 def check_store(root: Path) -> List[str]:
     """``schema.json`` and every entry carry the code's version, each
-    entry lives at the path its key derives, and a service's job records
-    and result indexes match their tables, each cell naming an entry."""
+    entry lives at the path its key derives, and the service journal's
+    lines match their tables (:func:`check_journal`)."""
     version = store.SCHEMA_VERSION
     problems = []
     for path in [root / "schema.json", *sorted(root.glob("??/*.json"))]:
@@ -331,26 +344,63 @@ def check_store(root: Path) -> List[str]:
         if path.name != "schema.json" and (
                 path.stem != key or path.parent.name != key[:2]):
             problems.append(f"{path}: path does not match its key {key!r}")
-    version = service_jobs.SERVICE_SCHEMA_VERSION
-    for path in sorted(root.glob("service/jobs/*/job.json")):
-        problems.extend(check_record(load(path), service_jobs.JOB_FIELDS,
-                                     str(path), service_jobs.JOB_KIND,
-                                     version))
-    for path in sorted(root.glob("service/jobs/*/cells.json")):
-        index = load(path)
-        problems.extend(check_record(index, service_jobs.JOB_CELLS_FIELDS,
-                                     str(path), service_jobs.JOB_CELLS_KIND,
-                                     version))
-        cells = index.get("cells") if isinstance(index, dict) else None
-        for i, cell in enumerate(cells if isinstance(cells, list) else []):
-            key = cell.get("store_key") if isinstance(cell, dict) else None
-            if not (isinstance(cell, dict) and isinstance(cell.get("key"), list)
-                    and isinstance(key, str)):
-                problems.append(f"{path}: cells[{i}] is not "
-                                f"{{\"key\": [...], \"store_key\": str}}")
-            elif not (root / key[:2] / f"{key}.json").is_file():
-                problems.append(f"{path}: cells[{i}] names {key!r}, which "
-                                f"the store does not hold")
+    return problems + check_journal(root)
+
+
+def check_journal(root: Path) -> List[str]:
+    """Every journal line against its kind's table.
+
+    Events must be known and, per job, ``seq`` must increase except where
+    a 0 begins a new registration (a restarted serve re-enqueued the
+    job).  Each result index must name entries the store holds.  A
+    piece after the last newline is an interrupted append: it is printed
+    as torn, not counted as a problem.
+    """
+    journal = Journal(journal_dir(root))
+    problems = []
+    seqs: Dict[object, int] = {}
+    for offset, line in journal.lines():
+        where = f"{journal.directory}@{offset}"
+        try:
+            record = json.loads(line)
+        except ValueError:
+            problems.append(f"{where}: invalid JSON")
+            continue
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if kind not in JOURNAL_TABLES:
+            problems.append(f"{where}: unknown record kind {kind!r}")
+            continue
+        fields, version = JOURNAL_TABLES[kind]
+        problems.extend(check_record(record, fields, where, kind, version))
+        if kind == service_jobs.JOB_EVENT_KIND:
+            if record.get("event") not in service_jobs.EVENT_KINDS:
+                problems.append(f"{where}: unknown event "
+                                f"{record.get('event')!r}")
+            seq, job = record.get("seq"), record.get("job_id")
+            if isinstance(seq, int) and seq != 0 and seq <= seqs.get(job, -1):
+                problems.append(f"{where}: seq {seq} not increasing "
+                                f"(last {seqs[job]})")
+            seqs[job] = seq
+        elif kind == service_jobs.JOB_CELLS_KIND:
+            cells = record.get("cells")
+            for i, cell in enumerate(cells if isinstance(cells, list) else []):
+                key = cell.get("store_key") if isinstance(cell, dict) else None
+                if not (isinstance(cell, dict)
+                        and isinstance(cell.get("key"), list)
+                        and isinstance(key, str)):
+                    problems.append(f"{where}: cells[{i}] is not "
+                                    f"{{\"key\": [...], \"store_key\": str}}")
+                elif not (root / key[:2] / f"{key}.json").is_file():
+                    problems.append(f"{where}: cells[{i}] names {key!r}, "
+                                    f"which the store does not hold")
+    if journal.starts:
+        last = journal.starts[-1]
+        data = journal.segment_path(last).read_bytes()
+        torn = len(data) - data.rfind(b"\n") - 1
+        if torn:
+            print(f"note: {journal.directory}@{last + len(data) - torn}: "
+                  f"torn final line ({torn} bytes of an interrupted "
+                  f"append)")
     return problems
 
 
