@@ -39,11 +39,6 @@ Subcommands
     whole-simulation C/R differentials, and batch-queue scheduling
     oracles; failing cases are shrunk to minimal reproducers (see
     ``docs/TESTING.md``).
-``pckpt profile APP MODEL``
-    Attribution-profile one replication: per-process and
-    per-event-kind simulated + wall time inside the DES kernel, with
-    collapsed-stack (``--flame``), JSON (``--json``) and Chrome-trace
-    (``--chrome``, profiler tracks included; traces the run) exports.
 ``pckpt timeline [APP MODEL | --input TRACE.jsonl]``
     Causal failure→action chains: every checkpoint action traced back to
     the failure/false alarm that caused it (``--jsonl`` to export).
@@ -98,7 +93,6 @@ Examples
     pckpt submit --spec examples/specs/quickstart.json --wait
     pckpt jobs --json
     pckpt shutdown
-    pckpt profile XGC P2 --quick --flame /tmp/xgc.folded
     pckpt timeline XGC P2 --limit 10
     pckpt validate --seed 0 --cases 200
 """
@@ -561,78 +555,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         else:
             n = trace.to_chrome_trace(args.trace)
         print(f"[wrote {n} campaign trace events to {args.trace}]")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Attribution-profile one replication (``repro.obs.profiler``).
-
-    The replication runs untraced, as campaigns run it, unless
-    ``--chrome`` asks for a trace.  A traced run takes the same segment
-    batches and computed drain landings; only a traced p-ckpt phase 2
-    adds kernel events (the urgent events around its span).
-    """
-    from dataclasses import replace
-
-    import numpy as np
-
-    from .des import Trace
-    from .models.base import CRSimulation
-    from .obs import KernelProfiler
-
-    app = APPLICATIONS[args.app.upper()]
-    if args.quick:
-        # Smoke scale: cap the job's compute demand so the profiled
-        # replication finishes in well under a second of wall time.
-        app = replace(app, compute_hours=min(app.compute_hours, 24.0))
-    weibull = FAILURE_DISTRIBUTIONS[args.distribution]
-    child = np.random.SeedSequence(args.seed).spawn(1)[0]
-    # Adopted by the simulation's environment.
-    trace = Trace(env=None) if args.chrome else None
-    sim = CRSimulation(
-        app,
-        get_model(args.model),
-        weibull=weibull,
-        rng=np.random.default_rng(child),
-        trace=trace,
-    )
-    profiler = KernelProfiler()
-    sim.env.attach_profiler(profiler)
-    out = sim.run()
-
-    print(f"kernel attribution profile — {app.name} under {args.model} "
-          f"(seed {args.seed}, replication 0, "
-          f"{'traced' if trace is not None else 'untraced'})")
-    print(profiler.format_table())
-    stats = sim.env.kernel_stats()
-    print(
-        f"kernel: {stats['events_processed']:.0f} events, "
-        f"{stats['wall_seconds'] * 1e3:.1f} ms wall, "
-        f"{stats['sim_seconds']:.1f} s simulated"
-    )
-
-    # Accounting identity: per-event sim attributions sum to the makespan
-    # (which OverheadBreakdown decomposes into useful + overheads).
-    attributed = profiler.total_sim_seconds()
-    drift = abs(attributed - out.makespan)
-    print(f"attributed sim seconds: {attributed:.6f} "
-          f"(makespan {out.makespan:.6f}, drift {drift:.2e})")
-    if drift > 1e-6 or profiler.total_count() != sim.env.events_processed:
-        print("error: attribution totals do not reconcile with kernel stats",
-              file=sys.stderr)
-        return 1
-
-    if args.flame:
-        with open(args.flame, "w", encoding="utf-8") as fp:
-            fp.write(profiler.collapsed_stacks(weight=args.weight))
-        print(f"[wrote collapsed stacks ({args.weight}) to {args.flame}]")
-    if args.json:
-        profiler.to_json(args.json)
-        print(f"[wrote profile snapshot to {args.json}]")
-    if args.chrome:
-        n = trace.to_chrome_trace(args.chrome, profiler=profiler)
-        print(f"[wrote {n} Chrome trace events (with profiler tracks) "
-              f"to {args.chrome}]")
     return 0
 
 
@@ -1366,41 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_gantt.add_argument("--json", action="store_true",
                          help="print the schema-versioned Gantt payload")
     s_gantt.set_defaults(func=_cmd_sched)
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="attribution-profile one replication "
-             "(per-process / per-event-kind sim+wall time)",
-    )
-    p_prof.add_argument("app", help="application name (Table I)")
-    p_prof.add_argument("model", help="model name (B/M1/M2/P1/P2/...)")
-    p_prof.add_argument(
-        "--distribution",
-        choices=sorted(FAILURE_DISTRIBUTIONS),
-        default=TITAN_WEIBULL.name,
-    )
-    p_prof.add_argument(
-        "--quick", action="store_true",
-        help="cap the job's compute demand (CI smoke scale)",
-    )
-    p_prof.add_argument(
-        "--flame", metavar="PATH", default=None,
-        help="write collapsed-stack lines for flamegraph renderers",
-    )
-    p_prof.add_argument(
-        "--weight", choices=("wall", "sim", "count"), default="wall",
-        help="value column for --flame (default wall microseconds)",
-    )
-    p_prof.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the schema-versioned profile snapshot as JSON",
-    )
-    p_prof.add_argument(
-        "--chrome", metavar="PATH", default=None,
-        help="write a Chrome trace with per-owner profiler tracks "
-             "(traces the replication)",
-    )
-    p_prof.set_defaults(func=_cmd_profile)
 
     p_tl = sub.add_parser(
         "timeline",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time as _time
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from .events import NORMAL, PENDING, Event, Timeout
 from .exceptions import EmptySchedule, SimulationError
@@ -34,28 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .metrics import MetricsRegistry
     from ..obs.profiler import KernelProfiler
 
-__all__ = ["Environment", "Infinity", "KERNEL_OWNER"]
+__all__ = ["Environment", "Infinity"]
 
 #: Positive infinity, usable as an `until` value meaning "run to exhaustion".
 Infinity: float = float("inf")
-
-#: Attribution owner used by the profiler for events whose first callback
-#: has no named owner (bare events, interrupt deliveries, clock idle
-#: advances).  See ``repro.obs.profiler``.
-KERNEL_OWNER: str = "kernel"
-
-
-def _owner_name(callbacks: List[Any]) -> str:
-    """Profiler owner of an event with these callbacks.
-
-    The ``name`` string of the object whose bound method is the first
-    callback — a :class:`Process` resume, or a named callback owner such
-    as the async p-ckpt phase 2 of ``repro.models.base`` — else
-    :data:`KERNEL_OWNER`.
-    """
-    owner = getattr(callbacks[0], "__self__", None) if callbacks else None
-    name = getattr(owner, "name", None)
-    return name if isinstance(name, str) else KERNEL_OWNER
 
 
 class Environment:
@@ -92,7 +74,6 @@ class Environment:
 
     __slots__ = (
         "_now",
-        "_initial_time",
         "_queue",
         "_eid",
         "_active_proc",
@@ -110,7 +91,6 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
-        self._initial_time: float = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid: int = 0
         self._active_proc: Optional[Process] = None
@@ -130,7 +110,7 @@ class Environment:
         #: :meth:`attach_metrics`); ``None`` keeps recording disabled.
         self.metrics: Optional["MetricsRegistry"] = None
         #: Optional :class:`~repro.obs.profiler.KernelProfiler` (attach via
-        #: :meth:`attach_profiler`); ``None`` keeps per-event attribution
+        #: :meth:`attach_profiler`); ``None`` keeps callback timing
         #: disabled.  :meth:`run` loads it into a local once per call, so
         #: the disabled mode pays one local test per event.
         self.profiler: Optional["KernelProfiler"] = None
@@ -230,7 +210,7 @@ class Environment:
         of the queue — by :meth:`peek`, :meth:`horizon`, :meth:`step` or
         :meth:`run`, all alike.  A discarded entry is not an event: it
         does not move the clock, is not counted in
-        :attr:`events_processed`, and the profiler never sees it.
+        :attr:`events_processed`.
 
         Raises
         ------
@@ -323,7 +303,6 @@ class Environment:
         qlen = len(self._queue)
         if qlen > self.queue_high_water:
             self.queue_high_water = qlen
-        prev_now = self._now
         try:
             self._now, _, _, event = heappop(self._queue)
         except IndexError:
@@ -332,21 +311,8 @@ class Environment:
 
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None, "event processed twice"
-        profiler = self.profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            t0 = _time.perf_counter()
-            for callback in callbacks:
-                callback(event)
-            wall = _time.perf_counter() - t0
-            profiler.record(
-                _owner_name(callbacks),
-                type(event).__name__,
-                wall,
-                self._now - prev_now,
-            )
+        for callback in callbacks:
+            callback(event)
 
         if not event._ok and not event._defused:
             # Nobody handled the failure — propagate it out of the loop.
@@ -382,7 +348,8 @@ class Environment:
         """
         # Hot path: one loop inlines step() with the heap, heappop, and
         # the profiler in locals.  Any semantic change here must be
-        # mirrored in step() (and vice versa).
+        # mirrored in step() (and vice versa); only the callback timing
+        # of an attached profiler is run()'s alone.
         if until is None:
             at = Infinity
             stop_event: Optional[Event] = None
@@ -417,7 +384,6 @@ class Environment:
         pop = heappop
         perf = _time.perf_counter
         profiler = self.profiler
-        record = profiler.record if profiler is not None else None
         eid_start = self._eid
         len_start = len(queue)
         discards_start = self._discards
@@ -438,7 +404,6 @@ class Environment:
                 qlen = len(queue) + 1
                 if qlen > hw:
                     hw = qlen
-                prev_now = self._now
                 self._now = when
                 event.callbacks = None
                 if profiler is None:
@@ -448,20 +413,10 @@ class Environment:
                         for callback in callbacks:
                             callback(event)
                 else:
-                    # Attribution rules, kept identical to step(): the
-                    # owner is the first callback's named object, wall is
-                    # the callback span, and sim runs from before the pop
-                    # to after the callbacks (so an advance() counts
-                    # toward its event).
                     t0 = perf()
                     for callback in callbacks:
                         callback(event)
-                    record(
-                        _owner_name(callbacks),
-                        type(event).__name__,
-                        perf() - t0,
-                        self._now - prev_now,
-                    )
+                    profiler.wall += perf() - t0
                 if not event._ok and not event._defused:
                     raise event._value
                 if stop_event is not None and stop_event.callbacks is None:
@@ -484,10 +439,7 @@ class Environment:
                 f"simulation ended before the until-event {stop_event!r} was triggered"
             )
         if at != Infinity and self._now < at:
-            # Nothing left before the target time: advance the clock, and
-            # charge the stretch to the kernel's idle row when profiling.
-            if profiler is not None:
-                record(KERNEL_OWNER, "idle", 0.0, at - self._now)
+            # Nothing left before the target time: advance the clock.
             self._now = at
         return None
 
@@ -497,38 +449,13 @@ class Environment:
         self.metrics = registry
 
     def attach_profiler(self, profiler: "KernelProfiler") -> None:
-        """Enable per-event attribution profiling (see ``repro.obs``).
-
-        Subsequent :meth:`run` and :meth:`step` calls record per-event
-        attributions into *profiler*.  Attach before running.
-        """
+        """Time the callbacks of subsequent :meth:`run` calls into
+        *profiler*'s ``wall`` (see :mod:`repro.obs.profiler`)."""
         self.profiler = profiler
 
     def detach_profiler(self) -> None:
-        """Disable attribution profiling."""
+        """Stop timing callbacks."""
         self.profiler = None
-
-    def kernel_stats(self) -> Dict[str, float]:
-        """Kernel self-profile of this environment.
-
-        Returns events processed, the heap-depth high-water mark, wall
-        seconds spent in the event loop, simulated seconds elapsed, and the
-        wall-per-sim-second ratio (the DES hot-loop figure of merit; wall
-        values are measurement, not simulation, and are therefore excluded
-        from the deterministic metrics registry).  ``pckpt profile`` splits
-        the same wall time by process and event kind — see
-        ``docs/PERFORMANCE.md``.
-        """
-        sim_seconds = self._now - self._initial_time
-        return {
-            "events_processed": float(self.events_processed),
-            "queue_high_water": float(self.queue_high_water),
-            "wall_seconds": self.wall_seconds,
-            "sim_seconds": sim_seconds,
-            "wall_per_sim_second": (
-                self.wall_seconds / sim_seconds if sim_seconds > 0 else 0.0
-            ),
-        }
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={self.queue_size}>"

@@ -289,8 +289,7 @@ class Trace:
         return _write(path_or_fp)
 
     def to_chrome_trace(self, path_or_fp: Union[str, IO[str]],
-                        time_scale: float = 1e6,
-                        profiler: Optional[Any] = None) -> int:
+                        time_scale: float = 1e6) -> int:
         """Write the trace in Chrome trace-event JSON (Perfetto-viewable).
 
         Each source becomes one named "thread"; spans map to ``B``/``E``
@@ -298,14 +297,6 @@ class Trace:
         seconds are scaled by *time_scale* into the format's microsecond
         timestamps (the default renders 1 sim-second as 1 display-second).
         Returns the number of trace events written (metadata included).
-
-        When a :class:`~repro.obs.profiler.KernelProfiler` is passed, a
-        second process named ``kernel-profiler`` is appended with one
-        thread per attribution owner; each thread lays out that owner's
-        per-event-kind simulated-time totals as complete (``X``) events
-        placed end-to-end, with dispatch count and wall seconds in the
-        event args.  The tracks visualize *where simulated time went*,
-        not when — positions are cumulative offsets, not timestamps.
         """
         tids: Dict[str, int] = {}
         events: List[Dict[str, Any]] = []
@@ -333,27 +324,6 @@ class Trace:
              "args": {"name": source}}
             for source, tid in tids.items()
         ]
-        if profiler is not None:
-            meta.append({"name": "process_name", "ph": "M", "pid": 2,
-                         "args": {"name": "kernel-profiler"}})
-            prof_tids: Dict[str, int] = {}
-            offsets: Dict[str, float] = {}
-            for entry in profiler.entries():
-                tid = prof_tids.get(entry.owner)
-                if tid is None:
-                    tid = prof_tids[entry.owner] = len(prof_tids) + 1
-                    meta.append({"name": "thread_name", "ph": "M", "pid": 2,
-                                 "tid": tid, "args": {"name": entry.owner}})
-                start = offsets.get(entry.owner, 0.0)
-                dur = entry.sim_seconds * time_scale
-                offsets[entry.owner] = start + dur
-                events.append({
-                    "name": entry.kind, "ph": "X", "ts": start, "dur": dur,
-                    "pid": 2, "tid": tid,
-                    "args": {"count": entry.count,
-                             "wall_seconds": entry.wall_seconds,
-                             "sim_seconds": entry.sim_seconds},
-                })
         payload = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
         if self.trace_id is not None:
             payload["otherData"] = {"trace_id": self.trace_id}

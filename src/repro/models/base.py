@@ -193,9 +193,6 @@ class _Phase2Job:
     __slots__ = ("sim", "snapshot_work", "provs", "covers", "eta",
                  "_timer", "_sid")
 
-    #: Owner name the kernel profiler files the job's events under.
-    name = "pckpt-phase2"
-
     def __init__(self, sim: "CRSimulation", work: float, committed,
                  healthy: int, provs: Optional[List[int]],
                  now: float) -> None:
@@ -330,9 +327,6 @@ class CRSimulation:
         (ledger, drain, OCI, recovery planning, the protocol drivers, and
         the DES kernel itself).  Cheap enough to leave on.
     """
-
-    #: Owner name the kernel profiler files the failure timers under.
-    name = "failures"
 
     def __init__(
         self,
@@ -515,7 +509,7 @@ class CRSimulation:
         """Record end-of-run totals into the metrics registry.
 
         Only deterministic quantities go in — wall-clock figures stay on
-        :meth:`Environment.kernel_stats` so merged registries are
+        :attr:`Environment.wall_seconds` so merged registries are
         bit-identical regardless of worker count or machine load.
         """
         if self.metrics is None:

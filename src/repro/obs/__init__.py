@@ -1,11 +1,8 @@
-"""Deep observability: profiling, timelines, telemetry, tracing, SLOs.
+"""Deep observability: timelines, telemetry, tracing, SLOs.
 
 Coordinated layers over the tracing/metrics substrate of
 :mod:`repro.des` (see ``docs/OBSERVABILITY.md``):
 
-* :mod:`repro.obs.profiler` — exact per-process / per-event-kind
-  accounting of simulated and wall-clock time inside the DES kernel
-  (``pckpt profile``);
 * :mod:`repro.obs.timeline` — failure→action causal chains stitched
   from provenance-annotated trace records (``pckpt timeline``);
 * :mod:`repro.obs.telemetry` — streaming campaign snapshots with an
@@ -33,8 +30,6 @@ from .context import (SPAN_FIELDS, SPAN_KIND, SPAN_SCHEMA_VERSION,
 from .gantt import (GANTT_FIELDS, GANTT_KIND, GANTT_ROW_FIELDS,
                     GANTT_SCHEMA_VERSION, build_gantt, format_gantt,
                     gantt_to_chrome, run_gantt)
-from .profiler import (PROFILE_KIND, PROFILE_SCHEMA_VERSION, KernelProfiler,
-                       ProfileEntry)
 from .slo import (DEFAULT_WINDOW_SECONDS, SLO_FIELDS, SLO_KIND,
                   SLO_SCHEMA_VERSION, SLO_STATUSES, SLOObjectives,
                   compute_slo, format_slo, load_job_records,
@@ -51,10 +46,6 @@ from .timeline import (TIMELINE_CHAIN_KINDS, TIMELINE_KIND,
                        timelines_to_jsonl)
 
 __all__ = [
-    "KernelProfiler",
-    "ProfileEntry",
-    "PROFILE_KIND",
-    "PROFILE_SCHEMA_VERSION",
     "CausalChain",
     "TIMELINE_CHAIN_KINDS",
     "TIMELINE_KIND",

@@ -44,10 +44,10 @@ class TestCliModelRecovery:
         assert model.actions("campaign") == {"run", "status", "clear"}
 
     def test_per_command_flags(self, model):
-        profile = model.commands[("profile",)]
-        assert {"--quick", "--flame", "--weight", "--chrome"} <= profile
+        timeline = model.commands[("timeline",)]
+        assert {"--distribution", "--input", "--limit", "--jsonl"} <= timeline
         assert "--models" in model.commands[("campaign", "run")]
-        assert "--models" not in profile
+        assert "--models" not in timeline
 
     def test_boolean_optional_action_negative_form(self, model):
         run = model.commands[("run",)]
@@ -66,7 +66,7 @@ class TestInvocationChecker:
 
     def test_valid_invocations_pass(self, model):
         for line in (
-            "pckpt profile XGC P2 --quick --flame /tmp/x.folded",
+            "pckpt timeline XGC P2 --limit 10 --jsonl /tmp/x.jsonl",
             "pckpt --replications 2 campaign run model-comparison --jobs 1",
             "pckpt run --spec examples/specs/quickstart.json --no-resume",
             "PYTHONPATH=src pckpt validate --seed 0 --cases 50",
@@ -78,7 +78,7 @@ class TestInvocationChecker:
             assert self.check(line, model), line
 
     def test_unknown_flag_caught(self, model):
-        problems = self.check("pckpt profile XGC P2 --warmup 3", model)
+        problems = self.check("pckpt timeline XGC P2 --warmup 3", model)
         assert problems and "--warmup" in problems[0]
 
     def test_unknown_action_caught(self, model):
@@ -90,11 +90,11 @@ class TestInvocationChecker:
         assert self.check(snippet, model) == []  # tee's flag not pckpt's
 
     def test_multiline_continuations_join(self):
-        text = "```bash\npckpt profile XGC P2 \\\n    --quick\n```\n"
+        text = "```bash\npckpt timeline XGC P2 \\\n    --limit 10\n```\n"
         snippets = check_docs.code_snippets(text)
         assert len(snippets) == 1
-        assert snippets[0].split() == ["pckpt", "profile", "XGC", "P2",
-                                       "--quick"]
+        assert snippets[0].split() == ["pckpt", "timeline", "XGC", "P2",
+                                       "--limit", "10"]
 
     def test_code_outside_links_not_treated_as_links(self):
         assert check_docs.LINK.search(

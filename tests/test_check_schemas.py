@@ -225,7 +225,6 @@ def test_appended_stream_may_end_in_a_torn_line(flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("emitted, expected", [
     (set(), "found no emit/span call sites"),
-    ({"kernel.run"}, "no longer records its 'idle' row"),
 ])
 def test_trace_kind_scan_that_stops_matching_is_named(
         emitted, expected, capsys, monkeypatch):
@@ -233,17 +232,6 @@ def test_trace_kind_scan_that_stops_matching_is_named(
     code, err = _run(capsys)
     assert code == 1
     assert expected in err, err
-
-
-def test_kernel_idle_row_found_through_a_private_record(tmp_path,
-                                                       monkeypatch):
-    core = (REPO_ROOT / "src" / "repro" / "des" / "core.py").read_text(
-        encoding="utf-8")
-    assert "record(KERNEL_OWNER" in core
-    (tmp_path / "core.py").write_text(
-        core.replace("record(KERNEL_OWNER", "self._record(KERNEL_OWNER"))
-    monkeypatch.setattr(check_schemas, "SRC", tmp_path)
-    assert "idle" in check_schemas.emitted_kinds()
 
 
 def _journal_store(tmp_path, *lines):

@@ -73,28 +73,6 @@ class TestCommands:
 
 
 class TestObservabilityCommands:
-    def test_profile_quick_with_exports(self, capsys, tmp_path):
-        import json
-
-        flame = tmp_path / "profile.folded"
-        jpath = tmp_path / "profile.json"
-        chrome = tmp_path / "profile.trace.json"
-        code = main(["profile", "VULCAN", "P2", "--quick",
-                     "--flame", str(flame), "--json", str(jpath),
-                     "--chrome", str(chrome)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "owner" in out
-        assert "drift" in out
-        # collapsed stacks: "owner;kind value" per line
-        lines = flame.read_text(encoding="utf-8").splitlines()
-        assert lines
-        assert all(len(line.rsplit(" ", 1)) == 2 for line in lines)
-        payload = json.loads(jpath.read_text(encoding="utf-8"))
-        assert payload["kind"] == "pckpt-profile"
-        trace = json.loads(chrome.read_text(encoding="utf-8"))
-        assert any(ev.get("pid") == 2 for ev in trace["traceEvents"])
-
     def test_timeline_with_jsonl_export(self, capsys, tmp_path):
         import json
 

@@ -109,20 +109,19 @@ class TestHorizon:
         env.run()
         assert seen == [-Infinity]
 
-    def test_advance_moves_clock_and_profiler_charges_the_event(self, env):
-        from repro.obs import KernelProfiler
+    def test_advance_moves_clock_in_the_profiled_loop(self, env):
+        from repro.obs.profiler import KernelProfiler
 
         seen = []
-        proc = self._probe(env, 1.0, seen, to=2.5)
-        proc.name = "prober"
+        self._probe(env, 1.0, seen, to=2.5)
         env.timeout(4.0)
         profiler = KernelProfiler()
         env.attach_profiler(profiler)
         env.run()
         assert seen == [4.0, 2.5]
-        rows = {(e.owner, e.kind): e for e in profiler.entries()}
-        assert rows[("prober", "Timeout")].sim_seconds == 2.5
-        assert profiler.total_sim_seconds() == env.now == 4.0
+        assert env.now == 4.0
+        assert env.events_processed == 4
+        assert 0.0 <= profiler.wall <= env.wall_seconds
 
     def test_reference_loop_publishes_its_bound(self, env):
         from repro.validate.backends import run_reference
@@ -273,7 +272,7 @@ class TestRunMatchesReference:
     @pytest.mark.parametrize("until", [None, 2.0, 12.5, "event"],
                              ids=["drain", "before-last", "after-last", "event"])
     def test_clock_and_stats_match_run_reference(self, until, profiled):
-        from repro.obs import KernelProfiler
+        from repro.obs.profiler import KernelProfiler
         from repro.validate.backends import run_reference
 
         results = []
@@ -285,10 +284,10 @@ class TestRunMatchesReference:
                 env.attach_profiler(profiler)
             drive(env, done if until == "event" else until)
             assert env.horizon() == -Infinity
-            if profiled and drive is Environment.run:
-                # run() charges the clock advance past the last event
-                # to the idle row, so the sim column sums to now.
-                assert profiler.total_sim_seconds() == env.now
+            if profiled:
+                # Only run() times callbacks; step() leaves wall at 0.
+                assert 0.0 <= profiler.wall <= env.wall_seconds
+                assert (profiler.wall == 0.0) == (drive is run_reference)
             results.append((env.now.hex(), env.events_processed,
                             env.queue_high_water))
         assert results[0] == results[1]
@@ -432,7 +431,7 @@ class TestCancel:
     @pytest.mark.parametrize("until", [None, 4.0, 12.5, "event"],
                              ids=["drain", "before-last", "after-last", "event"])
     def test_run_matches_run_reference(self, until, profiled):
-        from repro.obs import KernelProfiler
+        from repro.obs.profiler import KernelProfiler
         from repro.validate.backends import run_reference
 
         results = []
@@ -448,7 +447,7 @@ class TestCancel:
                         if isinstance(tag, str) and tag.startswith("c")]
             assert ("horizon", 3.0) in fired
             if profiled:
-                assert profiler.total_count() == env.events_processed
+                assert 0.0 <= profiler.wall <= env.wall_seconds
             results.append((env.now.hex(), env.events_processed,
                             env.queue_high_water, env.queue_size, fired))
         assert results[0] == results[1]

@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.des import Environment, Interrupt, SimulationError
-from repro.obs import KernelProfiler
+from repro.obs.profiler import KernelProfiler
 from repro.validate import run_reference
 
 

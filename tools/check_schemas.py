@@ -44,8 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.campaign import store  # noqa: E402
-from repro.des.core import KERNEL_OWNER  # noqa: E402
-from repro.obs import context, gantt, profiler, slo, telemetry, timeline  # noqa: E402
+from repro.obs import context, gantt, slo, telemetry, timeline  # noqa: E402
 from repro.obs.journal import Journal, journal_dir  # noqa: E402
 from repro.obs.records import check_record  # noqa: E402
 from repro.sched import jobs as sched_jobs  # noqa: E402
@@ -69,7 +68,6 @@ VERSIONS = {
     "SPAN_SCHEMA_VERSION": context.SPAN_SCHEMA_VERSION,
     "SLO_SCHEMA_VERSION": slo.SLO_SCHEMA_VERSION,
     "GANTT_SCHEMA_VERSION": gantt.GANTT_SCHEMA_VERSION,
-    "PROFILE_SCHEMA_VERSION": profiler.PROFILE_SCHEMA_VERSION,
     "TIMELINE_SCHEMA_VERSION": timeline.TIMELINE_SCHEMA_VERSION,
 }
 
@@ -87,9 +85,6 @@ EMIT_CALL = re.compile(
 #: ``SpanWriter`` emits: ``writer.span("name", t0, ...)`` and
 #: ``.instant("name", t, ...)``; the lookahead skips ``Trace.span``.
 SPAN_NAME = re.compile(r"\.(?:span|instant)\(\s*['\"]([\w.-]+)['\"]\s*,\s*(?!['\"])")
-#: The profiler's synthetic kernel rows, such as ``idle``; the kernel
-#: may call it as ``record`` or ``self._record``.
-KERNEL_RECORD = re.compile(r"\b_?record\(\s*KERNEL_OWNER\s*,\s*['\"]([\w.-]+)['\"]")
 
 
 def emitted_kinds() -> Set[str]:
@@ -97,7 +92,7 @@ def emitted_kinds() -> Set[str]:
     kinds: Set[str] = set()
     for path in SRC.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
-        for pattern in (EMIT_CALL, SPAN_NAME, KERNEL_RECORD):
+        for pattern in (EMIT_CALL, SPAN_NAME):
             kinds.update(pattern.findall(text))
     return kinds
 
@@ -115,16 +110,14 @@ DOCS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Iterable[str]]]] = {
     }),
     "OBSERVABILITY.md": (
         ("OBS_SCHEMA_VERSION", "SPAN_SCHEMA_VERSION", "SLO_SCHEMA_VERSION",
-         "GANTT_SCHEMA_VERSION", "PROFILE_SCHEMA_VERSION",
-         "TIMELINE_SCHEMA_VERSION"),
+         "GANTT_SCHEMA_VERSION", "TIMELINE_SCHEMA_VERSION"),
         {
             "telemetry field": telemetry.SNAPSHOT_FIELDS,
             "span field": context.SPAN_FIELDS,
             "SLO field": slo.SLO_FIELDS,
             "Gantt field": gantt.GANTT_FIELDS,
             "Gantt row field": gantt.GANTT_ROW_FIELDS,
-            "trace kind": sorted(set(timeline.TIMELINE_CHAIN_KINDS)
-                                 | {KERNEL_OWNER} | EMITTED),
+            "trace kind": sorted(set(timeline.TIMELINE_CHAIN_KINDS) | EMITTED),
         },
     ),
     "SCHEDULER.md": (("SCHED_SCHEMA_VERSION", "GANTT_SCHEMA_VERSION"), {
@@ -153,9 +146,6 @@ def check_docs() -> List[str]:
     if not EMITTED:
         problems.append(f"found no emit/span call sites under {SRC} "
                         f"(trace-kind scan broken?)")
-    elif "idle" not in EMITTED:
-        problems.append("the kernel no longer records its 'idle' row "
-                        "(trace-kind scan broken?)")
     for path in sorted(DOCS_DIR.glob("*.md")):
         text = path.read_text(encoding="utf-8")
         for name, version in VERSIONS.items():
