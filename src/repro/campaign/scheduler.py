@@ -6,7 +6,10 @@ a flat list of cells, serves what it can from the result store, slices
 the rest into replication shards, and runs **all** shards of **all**
 cells on one shared :class:`~concurrent.futures.ProcessPoolExecutor` —
 the program's only process pool for simulations; no per-cell pool
-churn, no idle cores while a small cell finishes.
+churn, no idle cores while a small cell finishes.  In process
+(``workers=1``) it drains :func:`campaign_steps`, the same campaign as
+a generator that yields after each replication; ``pckpt serve`` steps
+that generator on its event loop instead.
 
 Determinism is identical to the serial path by construction:
 
@@ -33,7 +36,8 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 # Loaded here, before the pool forks: numpy imports numpy.random on first
@@ -50,7 +54,7 @@ from .plan import CampaignPlan, CellSpec, SchedCellSpec, WorkUnit
 from .progress import CampaignProgress
 from .store import ResultStore, StoredResult
 
-__all__ = ["CampaignExecutionError", "run_campaign"]
+__all__ = ["CampaignExecutionError", "campaign_steps", "run_campaign"]
 
 
 class CampaignExecutionError(RuntimeError):
@@ -79,40 +83,50 @@ def _run_one(cell, k: int):
     )
 
 
-def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
-               obs: Optional[Tuple[str, str, str]] = None,
-               sink: Optional[Callable[[bytes], object]] = None) -> List:
-    """Worker: replications [rep_start, rep_stop) of one cell.
-
-    Top-level for pickling.  Ships one ``CellSpec`` instead of a child
-    seed per replication, so IPC cost is per-shard, not per-replication.
+def _replications(cell: CellSpec, rep_start: int, rep_stop: int,
+                  obs: Optional[Tuple[str, str, str]] = None,
+                  sink: Optional[Callable[[bytes], object]] = None
+                  ) -> Iterator:
+    """Replications [rep_start, rep_stop) of one cell, one output per step.
 
     *obs* is ``None`` (the zero-overhead default) or a picklable
     ``(trace_id, parent_span_id, fragment_dir)`` triple: each
     replication is then wall-clock timed and appended as one
-    ``kernel.run`` span to this worker process's own fragment file
-    (``worker-<pid>.jsonl``), or to *sink* when the shard runs in the
-    thread that activated one — span ids come from :mod:`secrets`, so
-    tracing consumes no simulation RNG and results stay bit-identical.
+    ``kernel.run`` span to this process's own fragment file
+    (``worker-<pid>.jsonl``), or to *sink* when the caller activated
+    one — span ids come from :mod:`secrets`, so tracing consumes no
+    simulation RNG and results stay bit-identical.
     """
     if obs is None:
-        return [_run_one(cell, k) for k in range(rep_start, rep_stop)]
+        for k in range(rep_start, rep_stop):
+            yield _run_one(cell, k)
+        return
     trace_id, parent_id, frag_dir = obs
     pid = os.getpid()
     writer = SpanWriter(Path(frag_dir) / f"worker-{pid}.jsonl",
                         trace_id, f"worker/{pid}", sink=sink)
     cell_label = "/".join(str(part) for part in cell.key)
-    outputs: List = []
     try:
         for k in range(rep_start, rep_stop):
             t0 = time.time()
-            outputs.append(_run_one(cell, k))
+            output = _run_one(cell, k)
             writer.span("kernel.run", t0, time.time(), parent_id=parent_id,
                         args={"cell": cell_label, "replication": k,
                               "seed": cell.seed})
+            yield output
     finally:
         writer.close()
-    return outputs
+
+
+def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
+               obs: Optional[Tuple[str, str, str]] = None) -> List:
+    """Pool worker: replications [rep_start, rep_stop) of one cell.
+
+    Top-level for pickling.  Ships one ``CellSpec`` instead of a child
+    seed per replication, so IPC cost is per-shard, not per-replication.
+    *obs* as for :func:`_replications`.
+    """
+    return list(_replications(cell, rep_start, rep_stop, obs))
 
 
 def _rerun_serially(cell: CellSpec, unit: WorkUnit,
@@ -176,6 +190,33 @@ def run_campaign(
         omitted; pass your own to read the counters afterwards).
     max_shard:
         Upper bound on replications per work unit.
+    """
+    steps = campaign_steps(cells, store, workers, resume, progress,
+                           max_shard)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+def campaign_steps(
+    cells: Sequence[CellSpec],
+    store: Optional[ResultStore] = None,
+    workers: Optional[int] = None,
+    resume: bool = True,
+    progress: Optional[CampaignProgress] = None,
+    max_shard: Optional[int] = None,
+) -> Generator[None, None, Dict[tuple, StoredResult]]:
+    """:func:`run_campaign` as a generator, one replication per step.
+
+    In-process (``workers <= 1``) it yields after each executed
+    replication, once the replication's shard and cell are recorded if
+    it completed them, and returns ``{cell.key: result}``, so a caller
+    can run other work between replications; ``pckpt serve`` steps a
+    job's campaign this way on its event loop.  On a pool it yields
+    nothing.  The trace context is read at the first step.  Arguments
+    as for :func:`run_campaign`.
     """
     plan = CampaignPlan(cells)
     ctx = current_trace()
@@ -273,15 +314,21 @@ def run_campaign(
     if workers <= 1:
         for unit in units:
             cell = plan.cells[unit.cell_index]
+            outputs: List = []
             try:
-                outputs = _run_shard(cell, unit.rep_start, unit.rep_stop,
-                                     obs, sink)
+                for output in _replications(cell, unit.rep_start,
+                                            unit.rep_stop, obs, sink):
+                    outputs.append(output)
+                    if len(outputs) < unit.replications:
+                        yield
                 retried = False
             except Exception as exc:
                 progress.shard_crashed(unit, exc)
                 outputs = _rerun_serially(cell, unit, exc)
                 retried = True
+            # The shard's last step also records it (and its cell).
             complete(unit, outputs, retried)
+            yield
     elif units:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

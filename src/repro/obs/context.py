@@ -13,8 +13,8 @@ Design constraints, in order:
 * **Zero overhead when disabled.**  Nothing here touches simulation
   state: ids come from :mod:`secrets`, never from an experiment's
   ``SeedSequence``, so activating a trace cannot perturb results, and
-  :func:`current` is a thread-local attribute read returning ``None``
-  when no context is active.
+  :func:`current` is a context-variable read returning ``None`` when
+  no context is active.
 * **Crash-safe multi-process collection.**  Each process/role appends
   to its **own** fragment file under
   ``<store>/obs/trace/<trace_id>/`` (:func:`trace_fragment_dir`), one
@@ -34,10 +34,10 @@ import json
 import os
 import re
 import secrets
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import IO, Callable, Dict, Iterator, Optional, Union
+from typing import IO, Callable, Dict, Iterator, Optional, Tuple, Union
 
 __all__ = [
     "SPAN_SCHEMA_VERSION",
@@ -178,38 +178,45 @@ def format_trace_header(ctx: TraceContext) -> str:
     return f"{ctx.trace_id}-{ctx.span_id}"
 
 
-_active = threading.local()
+#: The active ``(context, sink)``.  A context variable, not a
+#: thread-local: each asyncio task runs in its own copy, so jobs that
+#: interleave on one event loop never see each other's trace.  A new
+#: thread starts with none; a forked process keeps its parent's.
+_active: ContextVar[Tuple[Optional[TraceContext],
+                          Optional[Callable[[bytes], object]]]] = \
+    ContextVar("pckpt_trace", default=(None, None))
 
 
 def current() -> Optional[TraceContext]:
-    """The thread's active context, or ``None`` (the common, free case)."""
-    return getattr(_active, "ctx", None)
+    """The active context, or ``None`` (the common, free case)."""
+    return _active.get()[0]
 
 
 def current_sink() -> Optional[Callable[[bytes], object]]:
-    """The span sink activated with the thread's context, or ``None``:
+    """The span sink activated with the active context, or ``None``:
     a callable taking whole lines, such as ``Journal.append``."""
-    return getattr(_active, "sink", None)
+    return _active.get()[1]
 
 
 @contextmanager
 def activate(ctx: Optional[TraceContext],
              sink: Optional[Callable[[bytes], object]] = None
              ) -> Iterator[Optional[TraceContext]]:
-    """Make *ctx* (and *sink*) the thread's active context for the body.
+    """Make *ctx* (and *sink*) the active context for the body.
 
     Nests (the previous context is restored on exit); ``activate(None)``
-    is a no-op pass-through so callers need not branch.
+    is a no-op pass-through so callers need not branch.  The body may
+    span ``await`` points: the activation belongs to the task that made
+    it.
     """
     if ctx is None:
         yield None
         return
-    previous = current(), current_sink()
-    _active.ctx, _active.sink = ctx, sink
+    token = _active.set((ctx, sink))
     try:
         yield ctx
     finally:
-        _active.ctx, _active.sink = previous
+        _active.reset(token)
 
 
 def trace_fragment_dir(store_root: Union[str, Path],

@@ -8,9 +8,9 @@ clients share instead of each running their own campaigns.
 
 * :mod:`repro.service.server` — the asyncio HTTP server: admission
   (validation, auth-lite tenancy, in-flight dedup by spec hash, bounded
-  queue with 429 backpressure), fair-share scheduling onto a shared
-  worker pool, live NDJSON event streaming, OpenMetrics, graceful
-  drain + queue persistence;
+  queue with 429 backpressure), fair-share scheduling onto worker
+  tasks that step their jobs on the event loop, live NDJSON event
+  streaming, OpenMetrics, graceful drain + queue persistence;
 * :mod:`repro.service.queue` — the bounded weighted-round-robin
   fair-share queue;
 * :mod:`repro.service.jobs` — the job state machine and the

@@ -10,9 +10,9 @@ state machine is deliberately small::
 ``queued``
     Admitted and waiting in the fair-share queue.
 ``running``
-    Executing on the shared worker pool (one campaign, ``workers=1``
-    inside the job — jobs are the unit of parallelism, which keeps
-    every job bit-identical to a serial ``pckpt run --spec``).
+    Executing on a worker task: one in-process campaign, stepped on the
+    event loop a replication at a time, which keeps every job
+    bit-identical to a serial ``pckpt run --spec``.
 ``done`` / ``failed``
     Terminal.  ``done`` jobs serve their result set from
     ``GET /v1/jobs/<id>/result``; ``failed`` jobs carry ``error``.
@@ -26,7 +26,7 @@ the server drops the job and answers for it from those lines.
 Every observable change appends one **event** to the job's history —
 the NDJSON records ``GET /v1/jobs/<id>/events`` streams.  Event kinds:
 the four state entries plus ``telemetry`` (one per campaign-progress
-snapshot, bridged live from the job's campaign).  Each event is
+snapshot, recorded live by the job's campaign).  Each event is
 serialized once, to the line the job keeps; the journal and every
 stream reader write those same bytes.
 
@@ -88,7 +88,7 @@ JOB_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Event kinds on the NDJSON stream: one per state entry, plus a
-#: ``telemetry`` event per bridged campaign-progress snapshot.
+#: ``telemetry`` event per campaign-progress snapshot.
 EVENT_KINDS: Tuple[str, ...] = (
     "queued", "running", "telemetry", "done", "failed",
 )
@@ -147,9 +147,9 @@ JOB_CELLS_FIELDS: Dict[str, tuple] = {
 class Job:
     """In-memory job: spec + state + event history.
 
-    All mutation happens on the server's event loop thread (worker
-    threads bridge through ``call_soon_threadsafe``), so no lock is
-    needed; streaming readers wake on :attr:`turnstile`, an
+    All mutation happens on the server's event loop thread, the job's
+    campaign included (it runs there a replication per step), so no
+    lock is needed; streaming readers wake on :attr:`turnstile`, an
     ``asyncio.Event`` rotated on every append.
     """
 

@@ -18,12 +18,19 @@ done twice:
   replications.
 
 Scheduling is **fair-share**, not FIFO: admitted jobs wait in
-per-tenant lanes and a weighted round-robin dispatcher feeds the shared
-worker pool (:mod:`repro.service.queue`).  Admission is bounded —
-``429`` + ``Retry-After`` once ``queue_limit`` jobs wait.  Each job
-executes its campaign with ``workers=1`` (jobs are the unit of
-parallelism), so every result set is **bit-identical** to a local
-``pckpt run --spec`` of the same document.
+per-tenant lanes and a weighted round-robin dispatcher feeds ``--jobs``
+worker tasks (:mod:`repro.service.queue`).  Admission is bounded —
+``429`` + ``Retry-After`` once ``queue_limit`` jobs wait.
+
+Everything runs on one thread, the event loop's.  A worker task steps
+its job's campaign one replication at a time
+(:func:`~repro.campaign.scheduler.campaign_steps`, ``workers=1``) and
+yields to the loop between steps, so running jobs interleave with each
+other and with every request, and no request waits behind more than one
+replication.  The simulation is pure Python under one interpreter lock,
+so job threads would add lock handoffs, not parallelism.  In-process
+execution keeps every result set **bit-identical** to a local ``pckpt
+run --spec`` of the same document.
 
 Transport is deliberately minimal: HTTP/1.1 over ``asyncio`` streams,
 ``Connection: close``, JSON bodies, NDJSON event streaming — stdlib
@@ -63,6 +70,7 @@ window-trimmed list of compact terminal records.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import os
@@ -76,7 +84,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..campaign.progress import CampaignProgress
-from ..campaign.scheduler import run_campaign
+from ..campaign.scheduler import campaign_steps
+# Not called here: benchmarks/e2e/layers.py wraps the campaign layer at
+# this name, and a wrapper whose target is gone reports its metrics null.
+from ..campaign.scheduler import run_campaign  # noqa: F401
 from ..campaign.store import ResultStore, status_payload
 from ..des.metrics import MetricsRegistry
 from ..obs.context import (SpanWriter, TraceContext, activate,
@@ -343,7 +354,7 @@ class _JobIndex:
 
 
 class PckptService:
-    """The service: store + queue + worker pool + HTTP front end.
+    """The service: store + queue + worker tasks + HTTP front end.
 
     Parameters
     ----------
@@ -351,7 +362,8 @@ class PckptService:
         Result-store directory (created if missing); service state lives
         under ``<store>/service/``.
     jobs:
-        Worker-pool width — how many jobs execute concurrently.
+        How many jobs run at once, interleaved on the event loop one
+        replication at a time.
     queue_limit:
         Maximum jobs waiting for a worker (backpressure bound).
     tokens:
@@ -404,7 +416,6 @@ class PckptService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_tasks: List[asyncio.Task] = []
-        self._pool = None                     # ThreadPoolExecutor
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -412,12 +423,7 @@ class PckptService:
     async def start(self, host: str = "127.0.0.1",
                     port: int = DEFAULT_PORT) -> None:
         """Bind the listener, restore the persisted queue, start workers."""
-        from concurrent.futures import ThreadPoolExecutor
-
         self._loop = asyncio.get_running_loop()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="pckpt-job"
-        )
         self._replay_journal()
         self.journal.open()
         self._restore_queue()
@@ -451,8 +457,6 @@ class PckptService:
         self._queue_journal.close()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         self.journal.close()
         if self._server is not None:
             self._server.close()
@@ -629,9 +633,7 @@ class PckptService:
             self._transition(job, "running")
             self._persist_job(job)
             try:
-                summary = await self._loop.run_in_executor(
-                    self._pool, self._execute, job
-                )
+                summary = await self._execute(job)
                 job.replications_executed = summary["replications_executed"]
                 job.cache_hit_rate = summary["cache_hit_rate"]
                 self._transition(job, "done", summary)
@@ -703,24 +705,32 @@ class PckptService:
                         parent_id=job.trace.span_id,
                         args={"state": job.state})
 
-    def _execute(self, job: Job) -> Dict[str, Any]:
-        """Worker thread: run the job's campaign against the shared store."""
-        # Each stamped snapshot becomes a telemetry event, written once,
-        # on the loop thread like every other change to the job.
+    async def _execute(self, job: Job) -> Dict[str, Any]:
+        """Run the job's campaign on the loop, one replication per step."""
+        # Each stamped snapshot becomes a telemetry event, written once.
         progress = CampaignProgress(telemetry=CampaignTelemetry(
-            lambda record: self._loop.call_soon_threadsafe(
-                job.record_event, "telemetry", record),
+            functools.partial(job.record_event, "telemetry"),
             trace_id=job.trace_id))
         # build_cells resolves on the fly and routes sched specs to
         # build_sched_cells (a resolved experiment has no sched block).
         cells = build_cells(job.spec)
-        # workers=1: the job IS the unit of parallelism; in-process
-        # execution is bit-identical to `pckpt run --spec` by the
-        # campaign scheduler's determinism contract — the trace context
-        # activated here only adds wall-clock span lines to the journal.
+        # workers=1: in-process execution is bit-identical to `pckpt run
+        # --spec` by the campaign scheduler's determinism contract — the
+        # trace context activated here only adds wall-clock span lines
+        # to the journal.  It is this task's own: the jobs interleaving
+        # with this one activate theirs.
         with activate(job.trace, sink=self.journal.append):
-            results = run_campaign(cells, store=self.store, workers=1,
+            steps = campaign_steps(cells, store=self.store, workers=1,
                                    progress=progress, resume=True)
+            while True:
+                # Between steps every request and job waiting for the
+                # loop runs: none waits behind more than one replication.
+                await asyncio.sleep(0)
+                try:
+                    next(steps)
+                except StopIteration as stop:
+                    results = stop.value
+                    break
         # The result set by reference.  The terminal record, appended
         # after this, is what makes a reader trust it.
         self.journal.append(_json_line({
@@ -1197,12 +1207,11 @@ class ServiceThread:
     def stop(self, timeout: float = 120.0) -> None:
         loop = self.service._loop
         if loop is not None and not self.service._stopped.is_set():
+            shutdown = self.service.shutdown()
             try:
-                loop.call_soon_threadsafe(
-                    lambda: asyncio.ensure_future(self.service.shutdown())
-                )
+                asyncio.run_coroutine_threadsafe(shutdown, loop)
             except RuntimeError:
-                pass  # loop already closed
+                shutdown.close()  # loop already closed
         self._thread.join(timeout)
         if self._error is not None:
             raise RuntimeError("service thread crashed") from self._error

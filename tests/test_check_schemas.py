@@ -216,6 +216,20 @@ def test_wrong_version_statement_is_named(tmp_path, capsys, monkeypatch):
             f"code declares {SCHEMA_VERSION}") in err, err
 
 
+def test_version_statement_of_undeclared_constant_is_named(
+        tmp_path, capsys, monkeypatch):
+    docs = tmp_path / "docs"
+    shutil.copytree(REPO_ROOT / "docs", docs)
+    page = docs / "OBSERVABILITY.md"
+    page.write_text(page.read_text(encoding="utf-8")
+                    + "\nRetired: `PROFILE_SCHEMA_VERSION = 1`.\n")
+    monkeypatch.setattr(check_schemas, "DOCS_DIR", docs)
+    code, err = _run(capsys)
+    assert code == 1
+    assert ("OBSERVABILITY.md states PROFILE_SCHEMA_VERSION = 1, "
+            "code declares no PROFILE_SCHEMA_VERSION") in err, err
+
+
 @pytest.mark.parametrize("flag", ["--telemetry", "--spans"])
 def test_appended_stream_may_end_in_a_torn_line(flag, tmp_path, capsys):
     artifact = _clean(flag) + [TORN]

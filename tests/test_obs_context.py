@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 
@@ -16,6 +17,7 @@ from repro.obs.context import (
     TraceContext,
     activate,
     current,
+    current_sink,
     format_trace_header,
     mint_context,
     parse_trace_header,
@@ -106,6 +108,23 @@ class TestActivation:
             t.start()
             t.join()
         assert seen == [None]
+
+    def test_activation_is_task_local(self):
+        """Tasks interleaving on one event loop each see their own."""
+        contexts = {"a": mint_context(), "b": mint_context()}
+        seen = {}
+
+        async def job(name):
+            with activate(contexts[name], sink=name):
+                await asyncio.sleep(0)
+                seen[name] = (current(), current_sink())
+
+        async def main():
+            await asyncio.gather(job("a"), job("b"))
+            return current()
+
+        assert asyncio.run(main()) is None
+        assert seen == {name: (ctx, name) for name, ctx in contexts.items()}
 
 
 class TestSpanWriter:

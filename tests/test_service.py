@@ -21,6 +21,9 @@ Covers the full promise stack, bottom-up:
   journal as the bytes it sent while live, also by a restarted service;
   status, SLO rows and the paged listing agree with the journaled
   records;
+* jobs run on the event loop, a replication per step: a job held
+  between two replications delays no request and no other job, and two
+  interleaved jobs each keep their own trace id;
 * the HTTP surface: validation errors, auth modes, status, metrics.
 
 Specs are capped at 1 replication (the same client-side cap
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -44,6 +48,8 @@ import pytest
 from repro.campaign.store import ResultStore, result_to_dict
 from repro.obs.journal import Journal, journal_dir, read_journal
 from repro.obs.records import check_record
+from repro.obs.stitch import collect_trace
+from repro.service import server as server_module
 from repro.service import (
     EVENT_FIELDS,
     EVENT_KINDS,
@@ -92,22 +98,57 @@ def tiny_spec(seed: int, replications: int = 1) -> dict:
 
 
 def hold_dispatch(service) -> threading.Event:
-    """Make every job the worker pool starts wait until the event is set.
+    """Make every job a worker task starts wait until the event is set.
 
     The job is dispatched (``running``, ``started_at`` stamped) and then
     held, so a test can submit more work while the worker is provably
-    busy instead of hoping the first job is still running.
+    busy instead of hoping the first job is still running.  The held
+    job awaits the gate: the loop keeps serving requests.
     """
     gate = threading.Event()
     execute = service._execute
 
-    def held(job):
-        if not gate.wait(120.0):
-            raise TimeoutError("dispatch gate never released")
-        return execute(job)
+    async def held(job):
+        deadline = time.monotonic() + 120.0
+        while not gate.is_set():
+            if time.monotonic() > deadline:
+                raise TimeoutError("dispatch gate never released")
+            await asyncio.sleep(0.005)
+        return await execute(job)
 
     service._execute = held
     return gate
+
+
+def hold_steps(monkeypatch, after: int, campaigns: int):
+    """Hold the next *campaigns* job campaigns a serve steps, each after
+    its first *after* steps, until the returned gate is set.
+
+    Returns ``(gate, holding)``; *holding* is set once every held
+    campaign waits.  A held campaign takes steps that run nothing, so
+    the loop serves everything else while it waits.
+    """
+    real = server_module.campaign_steps
+    gate, holding = threading.Event(), threading.Event()
+    started, waiting = itertools.count(1), itertools.count(1)
+
+    def stepped(*args, **kwargs):
+        steps = real(*args, **kwargs)
+        if next(started) <= campaigns:
+            for _ in range(after):
+                yield next(steps)
+            if next(waiting) == campaigns:
+                holding.set()
+            deadline = time.monotonic() + 120.0
+            while not gate.is_set():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("step gate never released")
+                time.sleep(0.001)    # spare the CPU; the loop runs between
+                yield
+        return (yield from steps)
+
+    monkeypatch.setattr(server_module, "campaign_steps", stepped)
+    return gate, holding
 
 
 def journal_lines(store, job_id: str, kind: str) -> bytes:
@@ -746,10 +787,10 @@ def fail_spec_named(service, name: str) -> None:
     """Make every job whose spec is called *name* fail when it runs."""
     execute = service._execute
 
-    def failing(job):
+    async def failing(job):
         if job.spec.name == name:
             raise RuntimeError("injected failure")
-        return execute(job)
+        return await execute(job)
 
     service._execute = failing
 
@@ -1187,6 +1228,80 @@ class TestTracePropagation:
                     'status="breach"} 1') in text
             assert ('pckpt_tenant_slo_burn_rate{tenant="acme",'
                     'objective="latency_p99"}') in text
+
+
+class TestJobsOnTheLoop:
+    """Jobs run on the event loop, a replication per step, interleaved."""
+
+    def test_requests_and_jobs_run_while_a_job_is_held(self, tmp_path,
+                                                       monkeypatch):
+        """A job held between its first and second replication delays
+        no request and no other job."""
+        gate, holding = hold_steps(monkeypatch, after=1, campaigns=1)
+        threads_before = set(threading.enumerate())
+        with ServiceThread(tmp_path / "store", jobs=2) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            held_id = client.submit(tiny_spec(seed=120, replications=2)
+                                    )["job"]["id"]
+            assert holding.wait(60), "the job never reached the gate"
+            telemetry = [e["data"] for e in svc.service.jobs[held_id].events
+                         if e["event"] == "telemetry"]
+            assert telemetry[-1]["replications_executed"] == 1
+            # No thread but the serve's own.
+            assert set(threading.enumerate()) - threads_before == \
+                {svc._thread}
+
+            status = client.status()
+            assert status["kind"] == SERVICE_STATUS_KIND
+            assert status["jobs"]["running"] == 1
+            assert client.job(held_id)["state"] == "running"
+            other = client.submit(tiny_spec(seed=121))["job"]["id"]
+            assert client.wait(other, timeout=120.0)["state"] == "done"
+            assert client.job(held_id)["state"] == "running"
+
+            gate.set()
+            final = client.wait(held_id, timeout=120.0)
+            assert final["state"] == "done"
+            assert final["replications_executed"] == 2
+
+    def test_interleaved_jobs_keep_their_own_traces(self, tmp_path,
+                                                    monkeypatch):
+        """Two jobs stepping in turn on one loop: each trace id stitches
+        to its own job's campaign and kernel spans only."""
+        gate, holding = hold_steps(monkeypatch, after=0, campaigns=2)
+        traces = {"a1a1a1a1a1a1a1a1": 130, "b2b2b2b2b2b2b2b2": 131}
+        with ServiceThread(tmp_path / "store", jobs=2) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            jobs = {trace_id: client.submit(
+                        tiny_spec(seed=seed, replications=2),
+                        trace=trace_id)["job"]["id"]
+                    for trace_id, seed in traces.items()}
+            # Both campaigns have started under their own activation
+            # before either takes a step.
+            assert holding.wait(60), "the jobs never reached the gate"
+            gate.set()
+            for job_id in jobs.values():
+                assert client.wait(job_id, timeout=120.0)["state"] == "done"
+            store = svc.service.store.root
+
+        runs = {}
+        for trace_id, job_id in jobs.items():
+            spans = collect_trace(store, trace_id)["spans"]
+            assert {s["trace_id"] for s in spans} == {trace_id}
+            campaign = [s for s in spans if s["name"] == "campaign.run"]
+            kernel = [s for s in spans if s["name"] == "kernel.run"]
+            assert len(campaign) == 1
+            assert sorted(s["args"]["replication"] for s in kernel) == [0, 1]
+            assert {s["parent_id"] for s in kernel} == \
+                {campaign[0]["span_id"]}
+            request = next(s for s in spans if s["name"] == "request")
+            assert request["args"]["job_id"] == job_id
+            runs[trace_id] = (campaign[0], {s["args"]["seed"]
+                                            for s in kernel})
+        (run_a, seeds_a), (run_b, seeds_b) = runs.values()
+        assert len(seeds_a) == len(seeds_b) == 1 and seeds_a != seeds_b
+        # The two campaigns overlapped in time: they interleaved.
+        assert run_a["t0"] < run_b["t1"] and run_b["t0"] < run_a["t1"]
 
 
 class TestClosedAuthMode:

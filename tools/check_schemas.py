@@ -148,11 +148,14 @@ def check_docs() -> List[str]:
                         f"(trace-kind scan broken?)")
     for path in sorted(DOCS_DIR.glob("*.md")):
         text = path.read_text(encoding="utf-8")
-        for name, version in VERSIONS.items():
-            for stated in re.findall(rf"`{name} = (\d+)`", text):
-                if int(stated) != version:
-                    problems.append(f"{path.name} states {name} = {stated}, "
-                                    f"code declares {version}")
+        for name, stated in re.findall(r"`([A-Z0-9_]*SCHEMA_VERSION) = "
+                                       r"(\d+)`", text):
+            if name not in VERSIONS:
+                problems.append(f"{path.name} states {name} = {stated}, "
+                                f"code declares no {name}")
+            elif int(stated) != VERSIONS[name]:
+                problems.append(f"{path.name} states {name} = {stated}, "
+                                f"code declares {VERSIONS[name]}")
     for page, (versions, groups) in DOCS.items():
         text = (DOCS_DIR / page).read_text(encoding="utf-8")
         for name in versions:
