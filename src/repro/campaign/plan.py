@@ -2,9 +2,12 @@
 
 A **cell** is one Monte-Carlo grid point — the full configuration tuple
 (application, model, platform, failure distribution, lead-time model,
-predictor, root seed, replication count).  A **shard** is a contiguous
-slice of one cell's replications, the unit of work the scheduler hands to
-the shared process pool.
+predictor, root seed, replication count).  Cells whose failure streams
+are equal — they differ only in their C/R model or platform — form a
+**stream group** (:func:`stream_key`).  A **shard** is a contiguous
+slice of replications of one cell, or of several cells of one stream
+group, the unit of work the scheduler hands to the shared process pool;
+a shared shard runs each replication of all its cells on one stream.
 
 Cache keys are SHA-256 hashes of a canonical JSON rendering of the whole
 configuration plus the store schema version, so
@@ -45,6 +48,7 @@ __all__ = [
     "CampaignPlan",
     "canonical_config",
     "content_key",
+    "stream_key",
 ]
 
 
@@ -228,17 +232,47 @@ def content_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def stream_key(cell: "Union[CellSpec, SchedCellSpec]") -> Optional[str]:
+    """What fixes a simulated cell's failure streams, or None (sched cells).
+
+    Two cells with the same key draw the same failures and false alarms
+    in every replication: the injector depends on the seed, the failure
+    distribution, the application's node count, the lead-time model and
+    the predictor, not on the C/R model.  The replication count is part
+    of the key so a shared shard covers the same replications of each
+    of its cells.
+    """
+    if isinstance(cell, SchedCellSpec):
+        return None
+    return json.dumps(
+        [int(cell.seed), int(cell.replications), int(cell.app.nodes),
+         _canonical(cell.weibull), _canonical(cell.lead_model),
+         _canonical(cell.predictor)],
+        sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class WorkUnit:
-    """One schedulable slice: replications [rep_start, rep_stop) of a cell."""
+    """One schedulable slice: replications [rep_start, rep_stop) of a cell.
+
+    *sharing* names further cells of the first one's stream group: the
+    unit then runs each replication of every cell on one failure stream,
+    which the first cell's run draws.
+    """
 
     cell_index: int
     rep_start: int
     rep_stop: int
+    sharing: Tuple[int, ...] = ()
+
+    @property
+    def cell_indices(self) -> Tuple[int, ...]:
+        return (self.cell_index,) + self.sharing
 
     @property
     def replications(self) -> int:
-        return self.rep_stop - self.rep_start
+        """Cell replications (simulations) the unit runs."""
+        return (self.rep_stop - self.rep_start) * (1 + len(self.sharing))
 
 
 class CampaignPlan:
@@ -281,9 +315,15 @@ class CampaignPlan:
 
         Targets ~4 shards per worker across the whole campaign so the
         shared pool stays busy near the tail without drowning in IPC;
-        *max_shard* caps the shard size explicitly.  Sharding never
-        crosses a cell boundary and never affects results — aggregation
-        reassembles outputs in replication order.
+        *max_shard* caps the shard size explicitly.  Sizes count
+        simulations (cell replications).  Cells of one stream group
+        (:func:`stream_key`) share units: each unit runs a range of
+        replications of several of them.  A group gets at least as many
+        units as its cells would get alone, and no unit is larger than
+        the largest per-cell unit; a group that cannot meet both, and a
+        group of one, is sliced cell by cell.  Sharding never affects
+        results — aggregation reassembles each cell's outputs in
+        replication order.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -293,9 +333,34 @@ class CampaignPlan:
         target = max(1, math.ceil(pending / (workers * 4)))
         if max_shard is not None:
             target = max(1, min(target, max_shard))
-        units: List[WorkUnit] = []
+        largest = min(target,
+                      max(self.cells[i].replications for i in cell_indices))
+        groups: Dict[object, List[int]] = {}
         for i in cell_indices:
-            reps = self.cells[i].replications
-            for start in range(0, reps, target):
-                units.append(WorkUnit(i, start, min(start + target, reps)))
+            # A lone pending cell shares with no one: no key to compute.
+            key = stream_key(self.cells[i]) if len(cell_indices) > 1 else None
+            groups.setdefault(i if key is None else key, []).append(i)
+        units: List[WorkUnit] = []
+        for group in groups.values():
+            # A unit of w cells holds w simulations per replication, so
+            # at most `largest` cells share one.
+            for at in range(0, len(group), largest):
+                units.extend(self._group_units(group[at:at + largest],
+                                               target, largest))
         return units
+
+    def _group_units(self, group: List[int], target: int,
+                     largest: int) -> List[WorkUnit]:
+        """Units of cells with one stream and replication count."""
+        reps = self.cells[group[0]].replications
+        alone = math.ceil(reps / target)
+        # Enough units to match the cells sliced alone and to keep each
+        # within `largest` simulations; equal-sized, so no short tail.
+        n = max(len(group) * alone,
+                math.ceil(reps / (largest // len(group))))
+        if len(group) == 1 or n > reps:
+            return [WorkUnit(i, start, min(start + target, reps))
+                    for i in group for start in range(0, reps, target)]
+        bounds = [reps * j // n for j in range(n + 1)]
+        return [WorkUnit(group[0], bounds[j], bounds[j + 1], tuple(group[1:]))
+                for j in range(n)]

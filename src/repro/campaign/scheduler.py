@@ -11,12 +11,21 @@ churn, no idle cores while a small cell finishes.  In process
 a generator that yields after each replication; ``pckpt serve`` steps
 that generator on its event loop instead.
 
+Cells that differ only in their C/R model draw equal failure streams, so
+a shard may cross cell boundaries: it runs a range of replications of
+several cells of one stream group
+(:meth:`~repro.campaign.plan.CampaignPlan.shards`), and each of its
+replications draws its failures and false alarms once, for every cell
+(:class:`~repro.failures.injector.SharedStream`).  A cell alone in its
+group draws its own, as ``run_replications(workers=1)`` does.
+
 Determinism is identical to the serial path by construction:
 
 * replication *i* of a cell always runs from the same
   ``SeedSequence.spawn`` child (workers reconstruct child *i* as
   ``SeedSequence(entropy=seed, spawn_key=(i,))``, exactly what
-  ``SeedSequence(seed).spawn(n)[i]`` produces);
+  ``SeedSequence(seed).spawn(n)[i]`` produces), and a shared stream
+  delivers each cell the events its own injector would;
 * per-cell outputs are reassembled in replication order before
   aggregation, and aggregation is the runner's own ``_aggregate`` — so a
   campaign result is **bit-identical** to the serial reference loop of
@@ -25,9 +34,11 @@ Determinism is identical to the serial path by construction:
   floats exactly).
 
 Robustness: a shard that crashes in a worker is re-run serially in the
-parent, replication by replication, so completed work is never discarded
-and a genuinely failing replication is reported by cell, replication
-index, and seed.
+parent, cell by cell and replication by replication, so completed work
+is never discarded.  A cell whose replication fails again leaves the
+campaign's later shards; every other cell still finishes (and is
+stored), and then the campaign raises, naming the failing cell,
+replication index, and seed.
 """
 
 from __future__ import annotations
@@ -45,7 +56,9 @@ import numpy as np
 # it (about 13 ms) after the fork.
 import numpy.random  # noqa: F401
 
-from ..experiments.runner import SimulationResult, _aggregate, _run_once
+from ..experiments.runner import (SimulationResult, _aggregate, _run_once,
+                                  shared_stream)
+from ..failures.injector import SharedStream
 from ..obs.context import SpanWriter, current as current_trace, \
     current_sink, trace_fragment_dir
 from ..obs.telemetry import TELEMETRY_FILENAME, CampaignTelemetry
@@ -66,8 +79,12 @@ def _spawn_child(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
-def _run_one(cell, k: int):
-    """Replication *k* of one cell, dispatched by cell family."""
+def _run_one(cell, k: int, stream: Optional[SharedStream] = None):
+    """Replication *k* of one cell, dispatched by cell family.
+
+    *stream* is replication *k*'s failure stream when the cell shares it
+    with others of its stream group (:func:`_stream`).
+    """
     if isinstance(cell, SchedCellSpec):
         return run_sched_once(
             cell.workload, cell.policy, cell.platform, cell.weibull,
@@ -76,73 +93,107 @@ def _run_one(cell, k: int):
             background_load=cell.background_load,
             collect_metrics=cell.collect_metrics,
         )
-    return _run_once(
-        cell.app, cell.model, cell.platform, cell.weibull,
-        cell.lead_model, cell.predictor,
-        _spawn_child(cell.seed, k), cell.collect_metrics,
-    )
+    args = (cell.app, cell.model, cell.platform, cell.weibull,
+            cell.lead_model, cell.predictor, _spawn_child(cell.seed, k),
+            cell.collect_metrics)
+    return _run_once(*args) if stream is None else _run_once(*args, stream)
 
 
-def _replications(cell: CellSpec, rep_start: int, rep_stop: int,
+def _stream(cell: CellSpec, k: int) -> SharedStream:
+    """Replication *k*'s failure stream for every cell of *cell*'s group."""
+    return shared_stream(cell.app, cell.weibull, cell.lead_model,
+                         cell.predictor, _spawn_child(cell.seed, k))
+
+
+def _replications(cells: Sequence[CellSpec], rep_start: int, rep_stop: int,
                   obs: Optional[Tuple[str, str, str]] = None,
                   sink: Optional[Callable[[bytes], object]] = None
                   ) -> Iterator:
-    """Replications [rep_start, rep_stop) of one cell, one output per step.
+    """Replications [rep_start, rep_stop) of *cells*, one output per step.
+
+    The cells are one shard's: one cell, or several of one stream group.
+    For each replication every cell runs in order, on one shared failure
+    stream when there are several (the first cell's run draws it), so
+    the outputs come replication-major.
 
     *obs* is ``None`` (the zero-overhead default) or a picklable
-    ``(trace_id, parent_span_id, fragment_dir)`` triple: each
+    ``(trace_id, parent_span_id, fragment_dir)`` triple: each cell
     replication is then wall-clock timed and appended as one
     ``kernel.run`` span to this process's own fragment file
     (``worker-<pid>.jsonl``), or to *sink* when the caller activated
     one — span ids come from :mod:`secrets`, so tracing consumes no
     simulation RNG and results stay bit-identical.
     """
+    shared = len(cells) > 1
     if obs is None:
         for k in range(rep_start, rep_stop):
-            yield _run_one(cell, k)
+            stream = _stream(cells[0], k) if shared else None
+            for cell in cells:
+                yield _run_one(cell, k, stream)
         return
     trace_id, parent_id, frag_dir = obs
     pid = os.getpid()
     writer = SpanWriter(Path(frag_dir) / f"worker-{pid}.jsonl",
                         trace_id, f"worker/{pid}", sink=sink)
-    cell_label = "/".join(str(part) for part in cell.key)
+    labels = ["/".join(str(part) for part in cell.key) for cell in cells]
     try:
         for k in range(rep_start, rep_stop):
-            t0 = time.time()
-            output = _run_one(cell, k)
-            writer.span("kernel.run", t0, time.time(), parent_id=parent_id,
-                        args={"cell": cell_label, "replication": k,
-                              "seed": cell.seed})
-            yield output
+            stream = _stream(cells[0], k) if shared else None
+            for cell, label in zip(cells, labels):
+                t0 = time.time()
+                output = _run_one(cell, k, stream)
+                writer.span("kernel.run", t0, time.time(),
+                            parent_id=parent_id,
+                            args={"cell": label, "replication": k,
+                                  "seed": cell.seed})
+                yield output
     finally:
         writer.close()
 
 
 def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
-               obs: Optional[Tuple[str, str, str]] = None) -> List:
-    """Pool worker: replications [rep_start, rep_stop) of one cell.
+               obs: Optional[Tuple[str, str, str]] = None,
+               sharing: Sequence[CellSpec] = ()) -> List:
+    """Pool worker: replications [rep_start, rep_stop) of one shard.
 
-    Top-level for pickling.  Ships one ``CellSpec`` instead of a child
-    seed per replication, so IPC cost is per-shard, not per-replication.
-    *obs* as for :func:`_replications`.
+    The shard is *cell*, and the cells of its stream group *sharing*
+    its failure streams.  Top-level for pickling.  Ships the shard's
+    ``CellSpec`` objects instead of a child seed per replication, so
+    IPC cost is per-shard, not per-replication.  Outputs come as from
+    :func:`_replications`; *obs* as there.
     """
-    return list(_replications(cell, rep_start, rep_stop, obs))
+    return list(_replications((cell, *sharing), rep_start, rep_stop, obs))
 
 
-def _rerun_serially(cell: CellSpec, unit: WorkUnit,
+def _by_cell(outputs: List, n_cells: int) -> List[List]:
+    """Replication-major shard outputs, split into one list per cell."""
+    return [outputs[j::n_cells] for j in range(n_cells)]
+
+
+def _rerun_serially(cells: Sequence[CellSpec], unit: WorkUnit,
                     cause: BaseException) -> List:
-    """Serial retry of a crashed shard, isolating the failing replication."""
-    outputs = []
-    for k in range(unit.rep_start, unit.rep_stop):
+    """Serial retry of a crashed shard, isolating the failing replication.
+
+    Each cell runs alone, drawing its own stream, which delivers the
+    same events as the shared one.  Returns one entry per cell: its
+    outputs, or the :class:`CampaignExecutionError` naming the
+    replication that failed again.
+    """
+    per_cell: List = []
+    for cell in cells:
+        outputs: List = []
         try:
-            outputs.append(_run_one(cell, k))
+            for k in range(unit.rep_start, unit.rep_stop):
+                outputs.append(_run_one(cell, k))
         except Exception as exc:
-            raise CampaignExecutionError(
+            error = CampaignExecutionError(
                 f"cell {cell.key!r}: replication {k} "
                 f"(seed={cell.seed}, spawn_key=({k},)) failed in a worker "
-                f"({cause!r}) and again on serial retry"
-            ) from exc
-    return outputs
+                f"({cause!r}) and again on serial retry")
+            error.__cause__ = exc
+            outputs = error
+        per_cell.append(outputs)
+    return per_cell
 
 
 def _default_workers(pending_replications: int) -> int:
@@ -211,12 +262,12 @@ def campaign_steps(
     """:func:`run_campaign` as a generator, one replication per step.
 
     In-process (``workers <= 1``) it yields after each executed
-    replication, once the replication's shard and cell are recorded if
-    it completed them, and returns ``{cell.key: result}``, so a caller
-    can run other work between replications; ``pckpt serve`` steps a
-    job's campaign this way on its event loop.  On a pool it yields
-    nothing.  The trace context is read at the first step.  Arguments
-    as for :func:`run_campaign`.
+    replication of a cell, once the replication's shard and cells are
+    recorded if it completed them, and returns ``{cell.key: result}``,
+    so a caller can run other work between replications; ``pckpt
+    serve`` steps a job's campaign this way on its event loop.  On a
+    pool it yields nothing.  The trace context is read at the first
+    step.  Arguments as for :func:`run_campaign`.
     """
     plan = CampaignPlan(cells)
     ctx = current_trace()
@@ -271,7 +322,8 @@ def campaign_steps(
     shard_outputs: Dict[int, Dict[int, List]] = {i: {} for i in pending}
     shards_left: Dict[int, int] = {i: 0 for i in pending}
     for unit in units:
-        shards_left[unit.cell_index] += 1
+        for i in unit.cell_indices:
+            shards_left[i] += 1
     for i in pending:
         progress.cell_started(plan.cells[i], i)
 
@@ -304,36 +356,59 @@ def campaign_steps(
         del shard_outputs[i]
         progress.cell_done(cell, i)
 
-    def complete(unit: WorkUnit, outputs: List, retried: bool) -> None:
-        shard_outputs[unit.cell_index][unit.rep_start] = outputs
-        shards_left[unit.cell_index] -= 1
+    # A cell whose replication failed again on serial retry leaves the
+    # campaign's later shards; the other cells finish before it raises.
+    failed: Dict[int, CampaignExecutionError] = {}
+
+    def live(unit: WorkUnit) -> List[int]:
+        return [i for i in unit.cell_indices if i not in failed]
+
+    def complete(unit: WorkUnit, indices: Sequence[int], per_cell: List,
+                 retried: bool) -> None:
         progress.shard_done(unit, retried=retried)
-        if shards_left[unit.cell_index] == 0:
-            finish_cell(unit.cell_index)
+        for i, outputs in zip(indices, per_cell):
+            if isinstance(outputs, CampaignExecutionError):
+                failed.setdefault(i, outputs)
+            if i in failed:
+                continue
+            shard_outputs[i][unit.rep_start] = outputs
+            shards_left[i] -= 1
+            if shards_left[i] == 0:
+                finish_cell(i)
+
+    def retry(unit: WorkUnit, cause: BaseException) -> None:
+        progress.shard_crashed(unit, cause)
+        indices = live(unit)
+        complete(unit, indices, _rerun_serially(
+            [plan.cells[i] for i in indices], unit, cause), retried=True)
 
     if workers <= 1:
         for unit in units:
-            cell = plan.cells[unit.cell_index]
+            indices = live(unit)
+            if not indices:
+                continue
+            steps = len(indices) * (unit.rep_stop - unit.rep_start)
             outputs: List = []
             try:
-                for output in _replications(cell, unit.rep_start,
-                                            unit.rep_stop, obs, sink):
+                for output in _replications(
+                        [plan.cells[i] for i in indices], unit.rep_start,
+                        unit.rep_stop, obs, sink):
                     outputs.append(output)
-                    if len(outputs) < unit.replications:
+                    if len(outputs) < steps:
                         yield
-                retried = False
             except Exception as exc:
-                progress.shard_crashed(unit, exc)
-                outputs = _rerun_serially(cell, unit, exc)
-                retried = True
-            # The shard's last step also records it (and its cell).
-            complete(unit, outputs, retried)
+                retry(unit, exc)
+            else:
+                complete(unit, indices, _by_cell(outputs, len(indices)),
+                         retried=False)
+            # The shard's last step also records it (and its cells).
             yield
     elif units:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_run_shard, plan.cells[u.cell_index],
-                            u.rep_start, u.rep_stop, obs): u
+                            u.rep_start, u.rep_stop, obs,
+                            [plan.cells[i] for i in u.sharing]): u
                 for u in units
             }
             not_done = set(futures)
@@ -341,15 +416,16 @@ def campaign_steps(
                 done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for future in done:
                     unit = futures[future]
-                    cell = plan.cells[unit.cell_index]
                     try:
                         outputs = future.result()
-                        retried = False
                     except Exception as exc:
-                        progress.shard_crashed(unit, exc)
-                        outputs = _rerun_serially(cell, unit, exc)
-                        retried = True
-                    complete(unit, outputs, retried)
+                        retry(unit, exc)
+                    else:
+                        complete(unit, unit.cell_indices,
+                                 _by_cell(outputs, len(unit.cell_indices)),
+                                 retried=False)
+    if failed:
+        raise next(iter(failed.values()))
 
     progress.campaign_end()
     if obs_writer is not None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..analysis.metrics import FTStats, OverheadBreakdown, percent_reduction
 from ..des.metrics import MetricsRegistry
+from ..failures.injector import FailureInjector, SharedStream
 from ..failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from ..failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
 from ..failures.weibull import TITAN_WEIBULL, WeibullParams
@@ -110,11 +111,21 @@ def _run_once(
     predictor: PredictorSpec,
     seed_seq,
     collect_metrics: bool = False,
+    stream: Optional[SharedStream] = None,
 ) -> RunOutput:
-    """Worker: one replication (top-level for pickling)."""
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        seed_seq = np.random.SeedSequence(seed_seq)
-    rng = np.random.default_rng(seed_seq)
+    """Worker: one replication (top-level for pickling).
+
+    *stream*, when given, is this replication's failure stream shared
+    with other cells (:func:`shared_stream` of the same seed): the run
+    reads it through its own view instead of drawing its own.
+    """
+    rng = injector = None
+    if stream is not None:
+        injector = stream.view()
+    else:
+        if not isinstance(seed_seq, np.random.SeedSequence):
+            seed_seq = np.random.SeedSequence(seed_seq)
+        rng = np.random.default_rng(seed_seq)
     sim = CRSimulation(
         app,
         config,
@@ -124,8 +135,27 @@ def _run_once(
         predictor=predictor,
         rng=rng,
         metrics=MetricsRegistry() if collect_metrics else None,
+        injector=injector,
     )
     return sim.run()
+
+
+def shared_stream(
+    app: ApplicationSpec,
+    weibull: WeibullParams,
+    lead_model: LeadTimeModel,
+    predictor: PredictorSpec,
+    seed_seq: np.random.SeedSequence,
+) -> SharedStream:
+    """One replication's failure stream, for every cell that shares it.
+
+    Built from the injector :class:`~repro.models.base.CRSimulation`
+    would build for the same arguments, so each cell reading it through
+    :func:`_run_once` gets the run a private injector would give it.
+    """
+    return SharedStream(FailureInjector(
+        weibull, app.nodes, lead_model, predictor,
+        rng=np.random.default_rng(seed_seq)))
 
 
 def _aggregate(

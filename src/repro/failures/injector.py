@@ -12,11 +12,16 @@ Produces a lazy, seeded stream of three event kinds:
 The stream is lazy because the simulation clock stretches as overheads
 accrue — we cannot pre-generate a fixed horizon of failures without either
 wasting samples or running out.
+
+Simulations that differ only in their C/R model consume equal streams, so
+a campaign draws each replication's streams once: a
+:class:`SharedStream` logs one injector's draws and every simulation
+reads them through its own :class:`StreamView`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +29,8 @@ from .leadtime import LeadTimeModel, PAPER_LEAD_TIME_MODEL
 from .predictor import DEFAULT_PREDICTOR, PredictorSpec
 from .weibull import SECONDS_PER_HOUR, WeibullParams, interarrival_seconds
 
-__all__ = ["FailureEvent", "FalseAlarmEvent", "FailureInjector"]
+__all__ = ["FailureEvent", "FalseAlarmEvent", "FailureInjector",
+           "SharedStream", "StreamView"]
 
 
 class FailureEvent(NamedTuple):
@@ -131,6 +137,9 @@ class FailureInjector:
         # Independent child streams so failure arrival times are common
         # random numbers across C/R models: whether a model consumes
         # prediction or false-alarm draws cannot perturb the failures.
+        # The n-th failure and the n-th false alarm are therefore the
+        # same for every model, which is what lets the models of one
+        # campaign replication share one injector (SharedStream).
         self._rng_failures, self._rng_predict, self._rng_alarms = base.spawn(3)
         # The draw inputs fixed for the job, bound once: each draw then
         # makes the same generator calls without looking them up.
@@ -219,3 +228,82 @@ class FailureInjector:
             self.predictor.recall
             * self.lead_model.survival(threshold_lead / self.predictor.lead_scale)
         )
+
+
+class SharedStream:
+    """One injector's draws, logged for every simulation that reads them.
+
+    Simulations with equal failure streams (the same seed, failure
+    distribution, node count, lead-time model and predictor, whatever
+    their C/R model) run one replication on one :class:`SharedStream`:
+    each reads through its own :meth:`view`.  The first view to need an
+    event draws it with :meth:`FailureInjector.next_failure` or
+    :meth:`FailureInjector.next_false_alarm` and logs it; the others read
+    the log.  By the injector's common-random-numbers contract the
+    *n*-th failure and the *n*-th false alarm do not depend on how the
+    two kinds of call interleave, so every view sees exactly what a
+    private injector of the same seed would deliver.
+    """
+
+    def __init__(self, injector: FailureInjector) -> None:
+        self.injector = injector
+        self.failures: List[FailureEvent] = []
+        self.alarms: List[FalseAlarmEvent] = []
+
+    def view(self) -> "StreamView":
+        """A fresh reader, positioned at the start of both streams."""
+        return StreamView(self)
+
+
+class StreamView:
+    """One simulation's reader of a :class:`SharedStream`.
+
+    Offers what a simulation uses of :class:`FailureInjector`.
+    Provenance ids come from the view's own counter, in its call order,
+    exactly as a private injector assigns them: how another simulation
+    interleaved failures and false alarms cannot move this one's ids.
+    """
+
+    def __init__(self, stream: SharedStream) -> None:
+        injector = stream.injector
+        self._stream = stream
+        self.weibull_app = injector.weibull_app
+        self.lead_model = injector.lead_model
+        self.predictor = injector.predictor
+        self.false_alarm_rate = injector.false_alarm_rate
+        self._failures = 0
+        self._alarms = 0
+        self._next_provenance = 0
+
+    def next_failure(self) -> FailureEvent:
+        """The next failure of the shared stream, with this view's id."""
+        log = self._stream.failures
+        i = self._failures
+        if i == len(log):
+            log.append(self._stream.injector.next_failure())
+        self._failures = i + 1
+        ev = log[i]
+        prov = self._next_provenance
+        self._next_provenance = prov + 1
+        if ev.provenance == prov:
+            return ev
+        return FailureEvent(ev.time, ev.node, ev.sequence_id, ev.predicted,
+                            ev.lead, prov)
+
+    def next_false_alarm(self) -> Optional[FalseAlarmEvent]:
+        """The next false alarm of the shared stream, or None if FP rate
+        is zero."""
+        if self.false_alarm_rate <= 0.0:
+            return None
+        log = self._stream.alarms
+        i = self._alarms
+        if i == len(log):
+            log.append(self._stream.injector.next_false_alarm())
+        self._alarms = i + 1
+        alarm = log[i]
+        prov = self._next_provenance
+        self._next_provenance = prov + 1
+        if alarm.provenance == prov:
+            return alarm
+        return FalseAlarmEvent(alarm.prediction_time, alarm.node,
+                               alarm.claimed_lead, prov)

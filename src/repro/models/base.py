@@ -35,7 +35,8 @@ from ..cr.oci import OCIController
 from ..cr.recovery import plan_recovery, recovery_costs
 from ..cr.safeguard import SafeguardAborted, SafeguardCheckpoint
 from ..des import Environment, Interrupt, MetricsRegistry, Timeout, Trace
-from ..failures.injector import FailureEvent, FailureInjector, FalseAlarmEvent
+from ..failures.injector import (FailureEvent, FailureInjector,
+                                 FalseAlarmEvent, StreamView)
 from ..failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from ..failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
 from ..failures.weibull import WeibullParams
@@ -326,6 +327,12 @@ class CRSimulation:
         environment and fed counters/gauges/histograms by every layer
         (ledger, drain, OCI, recovery planning, the protocol drivers, and
         the DES kernel itself).  Cheap enough to leave on.
+    injector:
+        Where the run reads its failures and false alarms.  ``None``
+        (the default) builds a private :class:`FailureInjector` from
+        *rng*; a campaign passes a
+        :class:`~repro.failures.injector.StreamView` of the replication's
+        shared stream instead, which delivers the same events.
     """
 
     def __init__(
@@ -339,6 +346,7 @@ class CRSimulation:
         rng: np.random.Generator | None = None,
         trace: Optional[Trace] = None,
         metrics: Optional[MetricsRegistry] = None,
+        injector: Optional[StreamView] = None,
     ) -> None:
         from ..failures.weibull import TITAN_WEIBULL
 
@@ -366,9 +374,9 @@ class CRSimulation:
         if per_node > platform.node.dram_bytes:
             raise ValueError(f"{app.name}: checkpoint exceeds DRAM")
 
-        self.injector = FailureInjector(
-            self.weibull, app.nodes, lead_model, predictor, rng=rng
-        )
+        self.injector = injector if injector is not None else \
+            FailureInjector(self.weibull, app.nodes, lead_model, predictor,
+                            rng=rng)
         self.t_ckpt_bb = bb.write_time(per_node)
         if config.neighbor_level:
             # Local BB stage, then the mirror copy to the partner's BB

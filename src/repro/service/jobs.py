@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SERVICE_SCHEMA_VERSION",
@@ -156,12 +156,14 @@ class Job:
     def __init__(self, job_id: str, tenant: str, spec,
                  spec_hash: str, cells: int,
                  submitted_at: Optional[float] = None,
-                 trace=None) -> None:
+                 trace=None, campaign: Sequence = ()) -> None:
         self.id = job_id
         self.tenant = tenant
         self.spec = spec                      # validated ExperimentSpec
         self.spec_hash = spec_hash
         self.cells = int(cells)
+        #: The campaign cells the job runs, built once at admission.
+        self.campaign = campaign
         #: :class:`~repro.obs.context.TraceContext` naming the request
         #: that created this job (``None`` only for legacy callers; the
         #: server always mints one when no header is supplied).

@@ -572,9 +572,12 @@ class PckptService:
         if job_id is None:
             job_id = f"j{self._next_seq:05d}-{digest[:8]}"
             self._next_seq += 1
-        job = Job(job_id, tenant, spec, digest,
-                  cells=len(build_cells(spec)), submitted_at=submitted_at,
-                  trace=trace or mint_context())
+        # build_cells resolves on the fly and routes sched specs to
+        # build_sched_cells (a resolved experiment has no sched block).
+        cells = build_cells(spec)
+        job = Job(job_id, tenant, spec, digest, cells=len(cells),
+                  submitted_at=submitted_at, trace=trace or mint_context(),
+                  campaign=cells)
         job.turnstile = asyncio.Event()
         # The queued line now, the rest as they happen.
         self._index.registered(job.id, self.journal.append(job.lines[0]))
@@ -711,9 +714,7 @@ class PckptService:
         progress = CampaignProgress(telemetry=CampaignTelemetry(
             functools.partial(job.record_event, "telemetry"),
             trace_id=job.trace_id))
-        # build_cells resolves on the fly and routes sched specs to
-        # build_sched_cells (a resolved experiment has no sched block).
-        cells = build_cells(job.spec)
+        cells = job.campaign
         # workers=1: in-process execution is bit-identical to `pckpt run
         # --spec` by the campaign scheduler's determinism contract — the
         # trace context activated here only adds wall-clock span lines

@@ -151,6 +151,69 @@ class TestPlanShards:
         assert all(u.replications <= 2 for u in units)
 
 
+def dense_cells(separate_streams: bool = False):
+    """campaign-dense's 24 cells: CHIMERA x B/M1/P1 over 8 FN rates.
+
+    With *separate_streams* every cell gets its own seed, so no two
+    share a stream and the plan slices them cell by cell.
+    """
+    from repro.spec import build_cells, spec_from_dict
+
+    cells = build_cells(spec_from_dict({
+        "schema_version": 1, "name": "dense", "apps": ["CHIMERA"],
+        "models": ["B", "M1", "P1"], "include_base": False,
+        "failures": "lanl-system18",
+        "predictor": {"false_positive_rate": 0.0},
+        "sweep": {"axis": "fn-rate",
+                  "values": [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40]},
+        "replications": 32, "seed": 2022,
+    }))
+    if separate_streams:
+        cells = [dataclasses.replace(c, seed=c.seed + i)
+                 for i, c in enumerate(cells)]
+    return cells
+
+
+class TestStreamGroupShards:
+    def covered(self, plan, units):
+        seen = {i: [] for i in range(len(plan.cells))}
+        for u in units:
+            for i in u.cell_indices:
+                seen[i].extend(range(u.rep_start, u.rep_stop))
+        return {i: sorted(reps) for i, reps in seen.items()}
+
+    def test_groups_keep_unit_count_and_size(self):
+        per_cell_plan = CampaignPlan(dense_cells(separate_streams=True))
+        per_cell = per_cell_plan.shards(range(24), workers=2)
+        plan = CampaignPlan(dense_cells())
+        units = plan.shards(range(24), workers=2)
+        assert all(not u.sharing for u in per_cell)
+        assert len(per_cell) == 24
+        # One group per FN rate, each unit running all three models.
+        assert all(len(u.cell_indices) == 3 for u in units)
+        assert len(units) >= len(per_cell)
+        assert max(u.replications for u in units) <= \
+            max(u.replications for u in per_cell)
+        assert self.covered(plan, units) == {
+            i: list(range(32)) for i in range(24)}
+
+    @pytest.mark.parametrize("max_shard", [1, 2, 5, 7])
+    def test_max_shard_bounds_a_shared_unit(self, max_shard):
+        plan = CampaignPlan(dense_cells())
+        units = plan.shards(range(24), workers=2, max_shard=max_shard)
+        assert all(u.replications <= max_shard for u in units)
+        assert self.covered(plan, units) == {
+            i: list(range(32)) for i in range(24)}
+
+    def test_group_of_one_is_sliced_as_before(self, make_cell):
+        plan = CampaignPlan([make_cell("P1", replications=10),
+                             make_cell("P1", replications=3, seed=6)])
+        units = plan.shards([0, 1], workers=1)
+        assert [(u.cell_index, u.rep_start, u.rep_stop, u.sharing)
+                for u in units] == [(0, 0, 4, ()), (0, 4, 8, ()),
+                                    (0, 8, 10, ()), (1, 0, 3, ())]
+
+
 class TestStore:
     def test_roundtrip_bit_identical(self, tmp_path, tiny_app, hot_weibull):
         result = run_replications(tiny_app, "P1", replications=4,

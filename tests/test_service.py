@@ -399,6 +399,21 @@ class TestServiceLifecycle:
         ]
         assert service_cells == local_cells
 
+    def test_cold_job_builds_its_cells_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = server_module.build_cells
+
+        def counting(spec):
+            calls.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(server_module, "build_cells", counting)
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            job = client.wait(client.submit(tiny_spec(seed=412))["job"]["id"])
+        assert job["state"] == "done" and job["replications_executed"] == 1
+        assert calls == ["tiny-412"]
+
     def test_warm_resubmit_executes_zero_replications(self, tmp_path):
         document = tiny_spec(seed=411)
         with ServiceThread(tmp_path / "store", jobs=2) as svc:
