@@ -10,7 +10,7 @@ clients share instead of each running their own campaigns.
   (validation, auth-lite tenancy, in-flight dedup by spec hash, bounded
   queue with 429 backpressure), fair-share scheduling onto worker
   tasks that step their jobs on the event loop, live NDJSON event
-  streaming, OpenMetrics, graceful drain + queue persistence;
+  streaming, OpenMetrics, graceful drain + queue restore;
 * :mod:`repro.service.queue` — the bounded weighted-round-robin
   fair-share queue;
 * :mod:`repro.service.jobs` — the job state machine and the

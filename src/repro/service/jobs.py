@@ -18,10 +18,11 @@ state machine is deliberately small::
     ``GET /v1/jobs/<id>/result``; ``failed`` jobs carry ``error``.
 
 A :class:`Job` lives in the server's job table only while it is queued
-or running.  Its events, its job record at dispatch and at the end, and
-its result index (:data:`JOB_CELLS_FIELDS`) are lines of the service
-journal (:mod:`repro.obs.journal`); once the terminal record is there,
-the server drops the job and answers for it from those lines.
+or running.  Its admission entry (:data:`JOB_ENTRY_FIELDS`), its events,
+its job record at dispatch and at the end, and its result index
+(:data:`JOB_CELLS_FIELDS`) are lines of the service journal
+(:mod:`repro.obs.journal`); once the terminal record is there, the
+server drops the job and answers for it from those lines.
 
 Every observable change appends one **event** to the job's history —
 the NDJSON records ``GET /v1/jobs/<id>/events`` streams.  Event kinds:
@@ -32,10 +33,10 @@ stream reader write those same bytes.
 
 The declarative tables below (:data:`JOB_STATES`,
 :data:`JOB_TRANSITIONS`, :data:`EVENT_KINDS`, :data:`JOB_FIELDS`,
-:data:`EVENT_FIELDS`, :data:`JOB_CELLS_FIELDS`) are the single source
-of truth shared with ``docs/SERVICE.md`` and ``tools/check_schemas.py``,
-following the ``SNAPSHOT_FIELDS`` convention of
-:mod:`repro.obs.telemetry`.
+:data:`EVENT_FIELDS`, :data:`JOB_CELLS_FIELDS`, :data:`JOB_ENTRY_FIELDS`)
+are the single source of truth shared with ``docs/SERVICE.md`` and
+``tools/check_schemas.py``, following the ``SNAPSHOT_FIELDS``
+convention of :mod:`repro.obs.telemetry`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "JOB_EVENT_KIND",
     "JOB_RESULT_KIND",
     "JOB_CELLS_KIND",
+    "JOB_ENTRY_KIND",
     "SERVICE_STATUS_KIND",
     "JOB_STATES",
     "TERMINAL_STATES",
@@ -59,6 +61,7 @@ __all__ = [
     "JOB_FIELDS",
     "EVENT_FIELDS",
     "JOB_CELLS_FIELDS",
+    "JOB_ENTRY_FIELDS",
     "Job",
 ]
 
@@ -73,6 +76,7 @@ JOB_KIND: str = "pckpt-job"
 JOB_EVENT_KIND: str = "pckpt-job-event"
 JOB_RESULT_KIND: str = "pckpt-job-result"
 JOB_CELLS_KIND: str = "pckpt-job-cells"
+JOB_ENTRY_KIND: str = "pckpt-job-entry"
 SERVICE_STATUS_KIND: str = "pckpt-service-status"
 
 #: Every state a job can be in, in lifecycle order.
@@ -132,15 +136,31 @@ EVENT_FIELDS: Dict[str, tuple] = {
 }
 
 #: Result-index fields: ``{name: (type, nullable)}``.  A done job's
-#: result set, by reference, as its worker appends it to the journal: ``cells`` holds one ``{"key": [...],
-#: "store_key": "<hex>"}`` per grid cell, in grid order, and
-#: ``GET /v1/jobs/<id>/result`` reads the store entry each one names.
+#: result set, by reference, as its worker appends it to the journal:
+#: ``cells`` holds one ``{"key": [...], "store_key": "<hex>"}`` per grid
+#: cell, in grid order, and ``GET /v1/jobs/<id>/result`` reads the store
+#: entry each one names.
 JOB_CELLS_FIELDS: Dict[str, tuple] = {
     "kind": (str, False),
     "schema_version": (int, False),
     "job_id": (str, False),
     "spec_hash": (str, False),
     "cells": (list, False),
+}
+
+#: Admission-entry fields: ``{name: (type, nullable)}``.  What a
+#: restarted serve needs to re-enqueue a job that was still waiting:
+#: ``trace`` holds the ``trace_id``/``span_id``/``parent_id`` the job
+#: runs under, ``spec`` the validated document (``spec_to_dict``).  The
+#: server appends it with the job's ``queued`` event, just before it.
+JOB_ENTRY_FIELDS: Dict[str, tuple] = {
+    "kind": (str, False),
+    "schema_version": (int, False),
+    "id": (str, False),
+    "tenant": (str, False),
+    "submitted_at": (float, False),
+    "trace": (dict, False),
+    "spec": (dict, False),
 }
 
 
@@ -182,9 +202,6 @@ class Job:
         #: Where each event line after the first is also appended (set
         #: by the server at admission; ``None`` keeps events in memory).
         self.sink: Optional[Callable[[bytes], Any]] = None
-        #: The job's persisted queue entry while it waits: built once at
-        #: admission, dropped at dispatch (set by the server).
-        self.queue_entry: Optional[Dict[str, Any]] = None
         self.turnstile: Any = None            # asyncio.Event, set by server
         self.record_event("queued")
 

@@ -13,9 +13,7 @@ is ``a1 b1 a2 a3``, never ``a1 a2 a3 b1``.
 Admission is bounded: :meth:`FairShareQueue.push` raises
 :class:`QueueFull` once ``limit`` jobs are waiting, which the HTTP
 layer maps to ``429 Too Many Requests`` + ``Retry-After`` —
-backpressure, not unbounded memory.  :meth:`FairShareQueue.pending`
-lists the waiting jobs in admission order, whatever their lane — the
-order the service persists them in.
+backpressure, not unbounded memory.
 
 All methods run on the server's event loop thread.
 """
@@ -23,9 +21,8 @@ All methods run on the server's event loop thread.
 from __future__ import annotations
 
 import asyncio
-import heapq
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from .jobs import Job
 
@@ -59,11 +56,7 @@ class FairShareQueue:
         self.limit = limit
         self.retry_after = retry_after
         # Tenant lanes in first-seen order — the WRR visiting order.
-        # Each entry carries its admission number, which orders
-        # pending() across lanes.
-        self._lanes: "OrderedDict[str, Deque[Tuple[int, Job]]]" = \
-            OrderedDict()
-        self._admitted = 0
+        self._lanes: "OrderedDict[str, Deque[Job]]" = OrderedDict()
         self._weights: Dict[str, int] = {}
         self._cursor: Optional[str] = None    # tenant currently being served
         self._credit = 0                      # remaining grants at cursor
@@ -88,15 +81,11 @@ class FairShareQueue:
             raise ValueError("weight must be >= 1")
         self._weights[tenant] = int(weight)
 
-    def pending(self) -> List[Job]:
-        """Every waiting job, in admission order across all lanes."""
-        return [job for _, job in heapq.merge(*self._lanes.values())]
-
     def check_room(self) -> None:
         """Raise what :meth:`push` would raise for one more job.
 
-        Lets the caller refuse a job before it spends anything on it
-        (an id, a directory).
+        Lets the caller refuse a job before it spends anything on it:
+        it takes no id and writes no line.
 
         Raises
         ------
@@ -120,8 +109,7 @@ class FairShareQueue:
         if lane is None:
             lane = self._lanes[job.tenant] = deque()
             self._weights.setdefault(job.tenant, 1)
-        lane.append((self._admitted, job))
-        self._admitted += 1
+        lane.append(job)
         self._size += 1
         self._wakeup.set()
         return len(lane) - 1
@@ -156,7 +144,7 @@ class FairShareQueue:
                     self._credit = self._weights.get(candidate, 1)
                     break
         assert self._cursor is not None
-        _, job = self._lanes[self._cursor].popleft()
+        job = self._lanes[self._cursor].popleft()
         self._size -= 1
         self._credit -= 1
         if not self._lanes[self._cursor]:
@@ -165,14 +153,11 @@ class FairShareQueue:
             self._credit = 0
         return job
 
-    def drain(self) -> List[Job]:
-        """Remove and return every waiting job, in admission order
-        (persist-on-shutdown)."""
-        out = self.pending()
+    def drain(self) -> None:
+        """Remove every waiting job (shutdown: they stay on disk)."""
         for lane in self._lanes.values():
             lane.clear()
         self._size = 0
-        return out
 
     def close(self) -> None:
         """Stop admissions; blocked ``pop``s return ``None`` when empty."""

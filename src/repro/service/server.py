@@ -45,18 +45,13 @@ only.  Endpoints (full reference in ``docs/SERVICE.md``)::
     GET  /metrics                OpenMetrics exposition
     POST /v1/shutdown            graceful drain + exit
 
-The waiting queue is persisted as a snapshot, ``<store>/service/
-queue.json``, plus a journal, ``queue.ndjson``: each admission and each
-dispatch appends one flushed line to the journal, and the snapshot is
-rewritten only at restore, at graceful shutdown (signal or
-``/v1/shutdown``, which also drains running jobs) and when the journal
-grows past a bound tied to the queue limit.  A restarted ``pckpt
-serve`` re-enqueues what was waiting — combined with store-level
-resume, an interrupted service loses no completed cell.
-
-A job creates no file but its store entries: its events, job records,
-result index and spans are lines of one append-only journal,
-``<store>/service/journal/`` (:mod:`repro.obs.journal`).
+The serve's one state file is an append-only journal,
+``<store>/service/journal/`` (:mod:`repro.obs.journal`).  A job creates
+no file but its store entries: its admission entry, events, job
+records, result index and spans are lines of the journal.  A restarted
+``pckpt serve`` replays it once and re-enqueues every job that was
+admitted and not dispatched — combined with store-level resume, an
+interrupted service loses no completed cell.
 
 Memory holds what is live, not every job ever run.  The job table
 (:attr:`PckptService.jobs`) keeps queued and running jobs; a job leaves
@@ -73,10 +68,8 @@ import asyncio
 import functools
 import json
 import math
-import os
 import re
 import sys
-import tempfile
 import time
 from array import array
 from bisect import bisect_left, bisect_right
@@ -100,6 +93,7 @@ from ..spec import (SpecError, build_cells, spec_from_dict, spec_hash,
                     spec_to_dict)
 from .jobs import (
     JOB_CELLS_KIND,
+    JOB_ENTRY_KIND,
     JOB_EVENT_KIND,
     JOB_KIND,
     JOB_RESULT_KIND,
@@ -122,22 +116,6 @@ __all__ = [
 #: Default TCP port for ``pckpt serve`` / the client.
 DEFAULT_PORT: int = 8787
 
-#: Directory (under the store root) holding service state.
-SERVICE_DIRNAME: str = "service"
-
-#: Persisted-queue snapshot file name inside the service directory.
-QUEUE_FILENAME: str = "queue.json"
-
-#: Queue journal file name inside the service directory: one JSON line
-#: per admission (``push``) or dispatch (``pop``) since the snapshot.
-QUEUE_JOURNAL_FILENAME: str = "queue.ndjson"
-
-#: The queue journal is folded into the snapshot once it holds this many
-#: lines per queue slot.  Each job adds at most two lines and the
-#: snapshot holds at most ``queue_limit`` entries, so a fold costs O(1)
-#: per job.
-JOURNAL_LINES_PER_SLOT: int = 4
-
 #: ``GET /v1/jobs`` page size: the default and the largest accepted.
 PAGE_LIMIT: int = 100
 MAX_PAGE_LIMIT: int = 1000
@@ -151,6 +129,8 @@ _JOB_ID = re.compile(r"j(\d+)-([0-9a-f]{8})\Z")
 #: value holds no unescaped quote.  A job's events and result index:
 _EVENT_OF = '"job_id": "%s", "kind": "' + JOB_EVENT_KIND + '"'
 _CELLS_OF = '"job_id": "%s", "kind": "' + JOB_CELLS_KIND + '"'
+#: A job's admission entry, whose first key is ``id``:
+_ENTRY_OF = '{"id": "%s", "kind": "' + JOB_ENTRY_KIND + '", '
 #: What a restarted serve decodes: job records and ``queued`` events.
 _RECORD_MARK = b'"kind": "' + JOB_KIND.encode() + b'", '
 _QUEUED_MARK = b'"event": "queued", '
@@ -170,50 +150,24 @@ _STATUS_TEXT = {
 }
 
 
-def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
-    """Temp-file + ``os.replace`` write (same discipline as the store)."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fp:
-            fp.write(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _queue_entry(job: Job) -> Dict[str, Any]:
-    """The job's persisted queue entry (snapshot ``pending`` item)."""
-    return {
-        "id": job.id,
-        "tenant": job.tenant,
-        "submitted_at": job.submitted_at,
-        "trace": (None if job.trace is None else {
-            "trace_id": job.trace.trace_id,
-            "span_id": job.trace.span_id,
-            "parent_id": job.trace.parent_id,
-        }),
-        "spec": spec_to_dict(job.spec),
-    }
-
-
 def _json_line(payload: Dict[str, Any]) -> bytes:
     """*payload* as the service sends and journals it."""
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _read_queue_journal(path: Path) -> List[Dict[str, Any]]:
-    """The queue journal's complete records (none if there is none).
-
-    Every append ends in a newline, so the piece after the last newline
-    is empty unless the final append was torn; it is ignored.
-    """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return []
-    return [json.loads(line) for line in data.split(b"\n")[:-1]]
+def _entry_line(job: Job) -> bytes:
+    """The job's admission entry, a ``JOB_ENTRY_FIELDS`` line."""
+    return _json_line({
+        "kind": JOB_ENTRY_KIND,
+        "schema_version": SERVICE_SCHEMA_VERSION,
+        "id": job.id,
+        "tenant": job.tenant,
+        "submitted_at": job.submitted_at,
+        "trace": {"trace_id": job.trace.trace_id,
+                  "span_id": job.trace.span_id,
+                  "parent_id": job.trace.parent_id},
+        "spec": spec_to_dict(job.spec),
+    })
 
 
 def load_tokens(path: Union[str, Path]) -> Dict[str, Tuple[str, int]]:
@@ -341,7 +295,7 @@ class _JobIndex:
             for column in (self.seqs, self.prefixes, self.first,
                            self.record, self.end):
                 column.insert(i, 0)
-        # A torn queue journal can hand an unacknowledged job's sequence
+        # A torn admission can hand an unacknowledged job's sequence
         # number to a new job: the slot then names the new one.
         self.seqs[i], self.prefixes[i] = seq, int(match.group(2), 16)
         self.first[i], self.record[i] = offset, -1
@@ -359,8 +313,8 @@ class PckptService:
     Parameters
     ----------
     store:
-        Result-store directory (created if missing); service state lives
-        under ``<store>/service/``.
+        Result-store directory (created if missing); the service journal
+        lives under ``<store>/service/journal/``.
     jobs:
         How many jobs run at once, interleaved on the event loop one
         replication at a time.
@@ -389,8 +343,7 @@ class PckptService:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.store = ResultStore(store)
-        self.service_dir = self.store.root / SERVICE_DIRNAME
-        #: Every job's lines (events, records, result index, spans).
+        #: Every job's lines (entry, events, records, result index, spans).
         self.journal = Journal(journal_dir(self.store.root))
         self._index = _JobIndex()
         self.workers = int(jobs)
@@ -408,8 +361,6 @@ class PckptService:
         self._tenants: Dict[str, int] = {}
         self._finished = _FinishedJobs()
         self._next_seq = 1
-        self._queue_journal: Optional[Any] = None   # queue.ndjson, held open
-        self._queue_journal_lines = 0
         self._started_at = time.time()
         self._closing = False
         self._stopped = asyncio.Event()
@@ -422,11 +373,12 @@ class PckptService:
     # -- lifecycle -----------------------------------------------------------
     async def start(self, host: str = "127.0.0.1",
                     port: int = DEFAULT_PORT) -> None:
-        """Bind the listener, restore the persisted queue, start workers."""
+        """Restore the waiting queue, bind the listener, start workers."""
         self._loop = asyncio.get_running_loop()
-        self._replay_journal()
+        waiting = self._replay_journal()
         self.journal.open()
-        self._restore_queue()
+        for line in waiting:
+            self._restore(json.loads(line))
         self._server = await asyncio.start_server(self._handle, host, port)
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
@@ -441,20 +393,19 @@ class PckptService:
         await self._stopped.wait()
 
     async def shutdown(self) -> None:
-        """Graceful drain: finish running jobs, persist the waiting queue.
+        """Graceful drain: finish running jobs, leave waiting ones waiting.
 
         New submissions are refused (503) immediately; jobs already on a
         worker run to completion (their cells persist to the store
-        either way); jobs still waiting stay ``queued`` on disk and a
-        restarted service re-enqueues them.
+        either way); jobs still waiting stay ``queued`` in the journal,
+        which holds their entries since admission, and a restarted
+        service re-enqueues them.
         """
         if self._closing:
             return
         self._closing = True
-        pending = self.queue.drain()
+        self.queue.drain()
         self.queue.close()
-        self._compact_queue(pending)
-        self._queue_journal.close()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self.journal.close()
@@ -463,106 +414,51 @@ class PckptService:
             await self._server.wait_closed()
         self._stopped.set()
 
-    # -- queue persistence ---------------------------------------------------
-    def _queue_path(self) -> Path:
-        return self.service_dir / QUEUE_FILENAME
-
-    def _queue_journal_path(self) -> Path:
-        return self.service_dir / QUEUE_JOURNAL_FILENAME
-
-    def _queue_append(self, record: Dict[str, Any]) -> None:
-        """Append one flushed line to the queue journal.
-
-        Folds the queue journal into the snapshot once it passes
-        ``JOURNAL_LINES_PER_SLOT * queue_limit`` lines.
-        """
-        self._queue_journal.write(_json_line(record))
-        self._queue_journal.flush()
-        self._queue_journal_lines += 1
-        if self._queue_journal_lines >= \
-                JOURNAL_LINES_PER_SLOT * self.queue.limit:
-            self._compact_queue()
-
-    def _compact_queue(self, pending: Optional[List[Job]] = None) -> None:
-        """Rewrite the snapshot from the waiting jobs, then empty the journal.
-
-        *pending* defaults to the queue's waiting jobs; either way they
-        are in submit order and each carries the entry built at its
-        admission.
-        """
-        if pending is None:
-            pending = self.queue.pending()
-        _write_atomic(self._queue_path(), {
-            "kind": "pckpt-service-queue",
-            "schema_version": SERVICE_SCHEMA_VERSION,
-            "next_seq": self._next_seq,
-            "pending": [job.queue_entry for job in pending],
-        })
-        self._queue_journal.truncate(0)
-        self._queue_journal_lines = 0
-
-    def _restore_queue(self) -> None:
-        """Re-enqueue jobs a previous serve left waiting; open the journal.
-
-        The waiting set is the snapshot with the journal replayed over
-        it.  Replay is idempotent — a ``push`` of a job already waiting
-        or a ``pop`` of one not waiting changes nothing — so a crash
-        between a snapshot rewrite and the journal truncation after it
-        neither loses nor duplicates a job.
-        """
-        entries: Dict[str, Dict[str, Any]] = {}
-        path = self._queue_path()
-        if path.exists():
-            data = json.loads(path.read_text(encoding="utf-8"))
-            self._next_seq = int(data.get("next_seq", 1))
-            for entry in data.get("pending", []):
-                entries[entry["id"]] = entry
-        for record in _read_queue_journal(self._queue_journal_path()):
-            if record["op"] == "push":
-                entries.setdefault(record["entry"]["id"], record["entry"])
-                self._next_seq = max(self._next_seq, int(record["next_seq"]))
-            else:
-                entries.pop(record["id"], None)
-        for entry in entries.values():
-            spec = spec_from_dict(entry["spec"])
-            persisted = entry.get("trace")
-            trace = None
-            if isinstance(persisted, dict):
-                try:
-                    trace = TraceContext(
-                        persisted["trace_id"], persisted["span_id"],
-                        persisted.get("parent_id"),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    trace = None  # pre-v2 or mangled entry: mint fresh
-            job = self._register_job(
-                spec, entry["tenant"], spec_hash(spec),
-                submitted_at=entry["submitted_at"], job_id=entry["id"],
-                trace=trace,
-            )
-            job.queue_entry = _queue_entry(job)   # with the trace it runs under
-            self.queue.push(job)
-        self._queue_journal = open(self._queue_journal_path(), "ab")
-        if entries or self._queue_journal.tell():    # tell(): its size
-            self._compact_queue()
-
-    def _replay_journal(self) -> None:
-        """Rebuild :attr:`_index` from the journal, in one read.
+    # -- restart -------------------------------------------------------------
+    def _replay_journal(self) -> List[bytes]:
+        """Rebuild :attr:`_index` from the journal, in one read; returns
+        the admission entries of the jobs still waiting.
 
         Only job records and ``queued`` events are decoded.  A torn last
         line is no line (:meth:`~repro.obs.journal.Journal.lines`), so a
-        job whose terminal record was torn is not answered.
+        job whose terminal record was torn is not answered.  A job waits
+        from its ``queued`` event to its first job record (``running``);
+        its entry is the line just before that event, appended with it.
+        Keyed by job id, a job restored by several serves waits once, at
+        its first admission's place.
         """
+        waiting: Dict[str, bytes] = {}
+        previous = b""
         for offset, line in self.journal.lines():
-            if _RECORD_MARK not in line and _QUEUED_MARK not in line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") == JOB_KIND:
-                if record["state"] in TERMINAL_STATES:
-                    self._index.finished(record["id"], offset,
-                                         offset + len(line))
-            elif record.get("kind") == JOB_EVENT_KIND and record["seq"] == 0:
-                self._index.registered(record["job_id"], offset)
+            if _RECORD_MARK in line or _QUEUED_MARK in line:
+                record = json.loads(line)
+                if record.get("kind") == JOB_KIND:
+                    waiting.pop(record["id"], None)
+                    if record["state"] in TERMINAL_STATES:
+                        self._index.finished(record["id"], offset,
+                                             offset + len(line))
+                elif record.get("kind") == JOB_EVENT_KIND and \
+                        record["seq"] == 0:
+                    job_id = record["job_id"]
+                    self._index.registered(job_id, offset)
+                    if previous.startswith((_ENTRY_OF % job_id).encode()):
+                        waiting[job_id] = previous
+            previous = line
+        seqs = self._index.seqs
+        self._next_seq = seqs[-1] + 1 if seqs else 1
+        return list(waiting.values())
+
+    def _restore(self, entry: Dict[str, Any]) -> None:
+        """Re-enqueue a job from its admission entry, under its id."""
+        spec = spec_from_dict(entry["spec"])
+        trace = entry["trace"]
+        job = self._register_job(
+            spec, entry["tenant"], spec_hash(spec),
+            submitted_at=entry["submitted_at"], job_id=entry["id"],
+            trace=TraceContext(trace["trace_id"], trace["span_id"],
+                               trace["parent_id"]),
+        )
+        self.queue.push(job)
 
     # -- job admission -------------------------------------------------------
     def _register_job(self, spec, tenant: str, digest: str,
@@ -579,8 +475,11 @@ class PckptService:
                   submitted_at=submitted_at, trace=trace or mint_context(),
                   campaign=cells)
         job.turnstile = asyncio.Event()
-        # The queued line now, the rest as they happen.
-        self._index.registered(job.id, self.journal.append(job.lines[0]))
+        # The entry and the queued line now, in one append; the rest as
+        # they happen.
+        entry = _entry_line(job)
+        offset = self.journal.append(entry + job.lines[0])
+        self._index.registered(job.id, offset + len(entry))
         job.sink = self.journal.append
         self.jobs[job.id] = job
         self._inflight[digest] = job
@@ -595,7 +494,7 @@ class PckptService:
         *trace* is the request's trace context (minted when ``None``).
         A deduped submission keeps the original job's context — the
         response record names the trace that actually ran the work.
-        An admitted job's journal line is flushed before this returns.
+        An admitted job's journal lines are flushed before this returns.
 
         Raises :class:`~repro.service.queue.QueueFull` on backpressure
         and ``RuntimeError`` once the service is shutting down.
@@ -617,10 +516,7 @@ class PckptService:
         if weight > 1:
             self.queue.set_weight(tenant, weight)
         job = self._register_job(spec, tenant, digest, trace=trace)
-        job.queue_entry = _queue_entry(job)
         self.queue.push(job)
-        self._queue_append({"op": "push", "entry": job.queue_entry,
-                            "next_seq": self._next_seq})
         self.metrics.counter("service.jobs.submitted").inc()
         self.metrics.counter(f"service.tenant.{tenant}.submitted").inc()
         return job, False
@@ -631,8 +527,6 @@ class PckptService:
             job = await self.queue.pop()
             if job is None:
                 return
-            self._queue_append({"op": "pop", "id": job.id})
-            job.queue_entry = None
             self._transition(job, "running")
             self._persist_job(job)
             try:

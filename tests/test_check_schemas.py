@@ -264,6 +264,7 @@ def _journal_store(tmp_path, *lines):
 def _journal_lines():
     """One clean line of each kind a serve journals."""
     from repro.service.jobs import (JOB_CELLS_FIELDS, JOB_CELLS_KIND,
+                                    JOB_ENTRY_FIELDS, JOB_ENTRY_KIND,
                                     JOB_FIELDS, JOB_KIND)
 
     version = {"schema_version": SERVICE_SCHEMA_VERSION}
@@ -272,6 +273,7 @@ def _journal_lines():
         _record(JOB_FIELDS, kind=JOB_KIND, state="done", **version),
         _record(JOB_CELLS_FIELDS, kind=JOB_CELLS_KIND, **version),
         *_clean("--spans"),
+        _record(JOB_ENTRY_FIELDS, kind=JOB_ENTRY_KIND, **version),
     ]
 
 
@@ -289,6 +291,18 @@ def test_store_journal_bad_line_is_named(tmp_path, capsys):
     code, err = _run(capsys, "--store", store)
     assert code == 1
     assert f"@{offset}: events must be int, got 'three'" in err, err
+
+
+def test_store_journal_bad_entry_line_is_named(tmp_path, capsys):
+    lines = _journal_lines()
+    del lines[-1]["spec"]
+    lines[-1]["trace"] = None
+    store = _journal_store(tmp_path, *lines)
+    offset = sum(len(json.dumps(line)) + 1 for line in lines[:-1])
+    code, err = _run(capsys, "--store", store)
+    assert code == 1
+    assert f"@{offset}: missing field 'spec'" in err, err
+    assert f"@{offset}: trace is null but not nullable" in err, err
 
 
 def test_store_journal_cells_must_name_store_entries(tmp_path, capsys):

@@ -11,11 +11,12 @@ Covers the full promise stack, bottom-up:
   duplicate-submit coalescing, warm re-submits executing **zero**
   replications, and bit-identical parity with a local
   ``run_spec`` of the same document;
-* queue persistence across a service restart, and the queue journal
-  across a crash (a copy of the store taken while the service runs);
-* the per-job persistence cost: no atomic rewrite for a job, one open
-  journal segment whatever the queue holds, one serialization per event
-  shared by the journal and the stream;
+* the waiting queue across a service restart and across a crash (a copy
+  of the store taken while the service runs), restored from the
+  admission entries in the service journal;
+* the per-job persistence cost: no atomic rewrite under the service
+  directory, one open journal segment whatever the queue holds, one
+  serialization per event shared by the journal and the stream;
 * finished jobs leave memory: the job table holds live jobs only, and a
   finished job's record, events and result are read back from the
   journal as the bytes it sent while live, also by a restarted service;
@@ -50,6 +51,7 @@ from repro.obs.journal import Journal, journal_dir, read_journal
 from repro.obs.records import check_record
 from repro.obs.stitch import collect_trace
 from repro.service import server as server_module
+from repro.service.jobs import JOB_ENTRY_FIELDS, JOB_ENTRY_KIND
 from repro.service import (
     EVENT_FIELDS,
     EVENT_KINDS,
@@ -227,17 +229,6 @@ class TestFairShareQueue:
             queue.push(_job("a", "a1"))
         assert asyncio.run(queue.pop()) is None
 
-    def test_pending_lists_admission_order_across_lanes(self):
-        queue = FairShareQueue(limit=8)
-        for tenant, name in (("a", "a1"), ("b", "b1"), ("a", "a2"),
-                             ("c", "c1"), ("b", "b2")):
-            queue.push(_job(tenant, name))
-        assert [j.id for j in queue.pending()] == \
-            ["a1", "b1", "a2", "c1", "b2"]
-        asyncio.run(queue.pop())                      # a1 under WRR
-        assert [j.id for j in queue.pending()] == ["b1", "a2", "c1", "b2"]
-        assert [j.id for j in queue.drain()] == ["b1", "a2", "c1", "b2"]
-
     def test_check_room_refuses_without_admitting(self):
         queue = FairShareQueue(limit=1, retry_after=3.5)
         queue.check_room()
@@ -253,10 +244,11 @@ class TestFairShareQueue:
         queue = FairShareQueue(limit=8)
         for tenant, name in (("a", "a1"), ("b", "b1"), ("a", "a2")):
             queue.push(_job(tenant, name))
-        drained = queue.drain()
-        assert sorted(j.id for j in drained) == ["a1", "a2", "b1"]
+        queue.drain()
         assert len(queue) == 0
         assert queue.depth_by_tenant() == {}
+        queue.close()
+        assert asyncio.run(queue.pop()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +604,23 @@ class TestQueuePersistence:
 
             queue.close = close_then_release
             first = client.submit(tiny_spec(seed=50, replications=3))
-            wait_running(client, first["job"]["id"])
+            first_id = first["job"]["id"]
+            wait_running(client, first_id)
             for seed in (51, 52):
                 pending_ids.append(
                     client.submit(tiny_spec(seed=seed))["job"]["id"]
                 )
-        # Graceful shutdown (context exit): running job drained,
-        # waiting jobs persisted.
-        state = json.loads(
-            (store / "service" / "queue.json").read_text()
-        )
-        assert state["kind"] == "pckpt-service-queue"
-        assert [e["id"] for e in state["pending"]] == pending_ids
-        assert state["next_seq"] == 4
+        # Graceful shutdown (context exit): running job drained, waiting
+        # jobs left in the journal as their admissions wrote them.
+        assert os.listdir(store / "service") == ["journal"]
+        records = list(read_journal(store))
+        entries = [r for r in records if r["kind"] == JOB_ENTRY_KIND]
+        assert [e["id"] for e in entries] == [first_id] + pending_ids
+        assert {r["id"] for r in records if r["kind"] == JOB_KIND} == \
+            {first_id}
+        for entry in entries:
+            assert check_record(entry, JOB_ENTRY_FIELDS, entry["id"],
+                                JOB_ENTRY_KIND, SERVICE_SCHEMA_VERSION) == []
 
         with ServiceThread(store, jobs=1) as svc:
             client = ServiceClient(port=svc.port, token="alice")
@@ -640,8 +636,8 @@ class TestQueuePersistence:
 
 class TestQueueJournal:
     """A copy of the store taken while the service runs is what a SIGKILL
-    leaves behind: every admission and dispatch is flushed to the journal
-    before the response goes out or the job starts."""
+    leaves behind: every admission and dispatch is flushed to the service
+    journal before the response goes out or the job starts."""
 
     def _copy_while_held(self, tmp_path, seeds):
         """Hold one job on the single worker, queue *seeds*, copy the store.
@@ -666,10 +662,11 @@ class TestQueueJournal:
             client = ServiceClient(port=svc.port, token="alice")
             # The held job was dispatched before the copy: not re-enqueued.
             assert [j["id"] for j in client.jobs()] == restored
-            # The restore folded the journal into the snapshot.
-            snapshot = json.loads((copy / "service" / "queue.json").read_text())
-            assert [e["id"] for e in snapshot["pending"]] == restored
-            assert snapshot["next_seq"] == int(next_id[1:6])
+            # Each restored job was admitted anew, in admission order.
+            entries = [r["id"] for r in read_journal(copy)
+                       if r["kind"] == JOB_ENTRY_KIND]
+            assert entries[len(entries) - len(restored):] == restored
+            assert svc.service._next_seq == int(next_id[1:6])
             for job_id in restored:
                 final = client.wait(job_id, timeout=120.0)
                 assert final["state"] == "done"
@@ -679,68 +676,56 @@ class TestQueueJournal:
 
     def test_killed_service_restores_queued_jobs(self, tmp_path):
         copy, queued = self._copy_while_held(tmp_path, (151, 152))
-        assert not (copy / "service" / "queue.json").exists()
+        assert os.listdir(copy / "service") == ["journal"]
         self._assert_restores(copy, queued, "j00004-")
 
     def test_torn_final_journal_line_is_ignored(self, tmp_path):
         copy, queued = self._copy_while_held(tmp_path, (151, 152, 153))
-        journal = copy / "service" / "queue.ndjson"
-        data = journal.read_bytes()
-        last = data.rstrip(b"\n").rfind(b"\n") + 1
-        journal.write_bytes(data[:last + 20])       # mid-way into the line
+        segment = Journal(journal_dir(copy)).segment_path(0)
+        data = segment.read_bytes()
+        # The last append is the last admission: an entry, then its
+        # queued event.
+        entry, queued_line = data.splitlines(keepends=True)[-2:]
+        assert json.loads(entry)["id"] == queued[2]
+        last = len(data) - len(queued_line) - len(entry)
+        segment.write_bytes(data[:last + 20])       # mid-way into the entry
         # Everything before the torn admission restores; its id is
-        # reused, since the torn line also carried the id counter.
+        # reused, since the job it would have named is unknown.
         self._assert_restores(copy, queued[:2], "j00004-")
-
-    def test_stale_journal_over_its_snapshot_changes_nothing(self, tmp_path):
-        """A crash between a snapshot rewrite and the journal truncation
-        after it leaves both: replaying the journal again must neither
-        duplicate nor drop a job."""
-        copy, queued = self._copy_while_held(tmp_path, (151, 152))
-        service_dir = copy / "service"
-        records = [json.loads(line) for line in
-                   (service_dir / "queue.ndjson").read_text().splitlines()]
-        popped = {r["id"] for r in records if r["op"] == "pop"}
-        (service_dir / "queue.json").write_text(json.dumps({
-            "kind": "pckpt-service-queue",
-            "schema_version": SERVICE_SCHEMA_VERSION,
-            "next_seq": records[-1]["next_seq"],
-            "pending": [r["entry"] for r in records
-                        if r["op"] == "push" and r["entry"]["id"] not in popped],
-        }))
-        self._assert_restores(copy, queued, "j00004-")
 
 
 class TestServiceCostModel:
-    """Per-job persistence is O(1) appends to one journal: the only
-    atomic rewrites are queue snapshots, never one per job."""
+    """Per-job persistence is O(1) appends to one journal: nothing under
+    the service directory is ever rewritten."""
 
     def test_submit_and_dispatch_replace_no_file(self, tmp_path,
                                                  monkeypatch):
-        from repro.service import server
+        store = os.path.realpath(tmp_path / "store")
+        replaced = []       # every replaced file, relative to the store
+        real_replace = os.replace
 
-        replaced = []
+        def counting_replace(src, dst, **kwargs):
+            replaced.append(os.path.relpath(os.path.realpath(dst), store))
+            return real_replace(src, dst, **kwargs)
 
-        class CountingOS:
-            def __getattr__(self, name):
-                return getattr(os, name)
+        def service_state():
+            return [p for p in replaced if p.split(os.sep)[0] == "service"]
 
-            def replace(self, src, dst):
-                replaced.append(os.fspath(dst))
-                return os.replace(src, dst)
-
-        monkeypatch.setattr(server, "os", CountingOS())
-        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+        monkeypatch.setattr(os, "replace", counting_replace)
+        with ServiceThread(store, jobs=1) as svc:
             client = ServiceClient(port=svc.port, token="alice")
             gate = hold_dispatch(svc.service)
             first = client.submit(tiny_spec(seed=160))["job"]["id"]
             wait_running(client, first)
             client.submit(tiny_spec(seed=161))
-            assert replaced == []
+            assert service_state() == []
             gate.set()
             client.wait(first, timeout=120.0)
-            # Terminal job records are journal lines, not replaces.
-            assert replaced == []
+            # Terminal job records are journal lines, not replaces; the
+            # store's entries are (the hook sees them).
+            assert service_state() == []
+            assert any(len(p.split(os.sep)[0]) == 2 for p in replaced)
+        assert service_state() == []
 
     def test_event_log_handles_bounded_by_workers(self, tmp_path):
         fd_dir = Path("/proc/self/fd")
@@ -766,11 +751,9 @@ class TestServiceCostModel:
             wait_running(client, ids[0])
             ids += [client.submit(tiny_spec(seed=171 + n))["job"]["id"]
                     for n in range(19)]
-            # Twenty jobs admitted, one running: the queue journal and
-            # one journal segment are open, nothing per job.
-            held = sorted([os.path.join("service", "queue.ndjson"),
-                           os.path.join("service", "journal",
-                                        f"{0:020d}.ndjson")])
+            # Twenty jobs admitted, one running: one journal segment is
+            # open, nothing per job.
+            held = [os.path.join("service", "journal", f"{0:020d}.ndjson")]
             assert open_into_store() == held
             gate.set()
             for job_id in ids:

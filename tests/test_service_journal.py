@@ -8,9 +8,14 @@ segments.  These tests pin what that must not cost:
 * a journal cut at any byte of its last line restarts into a serve that
   neither loses a finished job nor answers for one whose terminal
   record is torn, and keeps counting job ids;
+* the waiting queue restores from the journal: a job restored by two
+  serves runs once under its id, a job dispatched in a later segment
+  than its admission is not re-run, and an admission cut at any byte
+  restores its job once or not at all;
 * a job's timestamp-stripped event stream hashes the same while it is
   live, after it is retired and after a restart;
-* a job leaves no file behind but its store entries.
+* a job leaves no file behind but its store entries; the service
+  directory holds the journal only.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import pytest
 
 from repro.obs.journal import Journal, journal_dir
 from repro.service import ServiceClient, ServiceThread
+from repro.service.jobs import JOB_ENTRY_KIND, JOB_KIND
 from repro.service.server import PckptService
 
-from test_service import body, hold_dispatch, tiny_spec, wait_running
+from test_service import (body, hold_dispatch, journal_lines, tiny_spec,
+                          wait_running)
 
 
 def event_stream_hash(data: bytes) -> str:
@@ -189,8 +196,8 @@ class TestServeJournal:
             for start in journal.starts)
         records = [json.loads(line) for line in lines]
         kinds = {r["kind"] for r in records}
-        assert kinds == {"pckpt-job", "pckpt-job-event", "pckpt-job-cells",
-                         "pckpt-span"}
+        assert kinds == {"pckpt-job-entry", "pckpt-job", "pckpt-job-event",
+                         "pckpt-job-cells", "pckpt-span"}
         spans = [r for r in records if r["kind"] == "pckpt-span"]
         assert sum(s["name"] == "kernel.run" for s in spans) == 8
 
@@ -218,14 +225,11 @@ class TestServeJournal:
     def test_torn_terminal_record_at_every_offset(self, finished_store):
         """Restart (replay and open) at every cut of the last line."""
         store, (kept, cut), _, segment, data, last = finished_store
-        queue = (store / "service" / "queue.json").read_bytes()
         for k in range(last, len(data) + 1):
             segment.write_bytes(data[:k])
-            (store / "service" / "queue.json").write_bytes(queue)
             service = PckptService(store, jobs=1)
-            service._replay_journal()
+            assert service._replay_journal() == []      # nothing waits
             service.journal.open()
-            service._restore_queue()
             try:
                 index = service._index
                 whole = k == len(data)
@@ -234,7 +238,6 @@ class TestServeJournal:
                 assert service.journal.end == (k if whole else last)
                 assert service._next_seq == 3
             finally:
-                service._queue_journal.close()
                 service.journal.close()
             assert segment.read_bytes() == data[:k if whole else last]
 
@@ -267,7 +270,7 @@ class TestServeJournal:
 
 
     def test_a_reused_job_id_answers_for_its_new_job(self, tmp_path):
-        """A queue push torn by a crash gives its sequence number to the
+        """An admission torn by a crash gives its sequence number to the
         next job, whose id differs in its spec-hash part; once done, the
         new job answers, and the torn one never does."""
         store, copy = tmp_path / "store", tmp_path / "copy"
@@ -279,9 +282,12 @@ class TestServeJournal:
             torn = client.submit(tiny_spec(seed=751))["job"]["id"]
             shutil.copytree(store, copy)
             gate.set()
-        queue = copy / "service" / "queue.ndjson"
-        data = queue.read_bytes()
-        queue.write_bytes(data[:data.rstrip(b"\n").rfind(b"\n") + 20])
+        segment = Journal(journal_dir(copy)).segment_path(0)
+        data = segment.read_bytes()
+        entry, queued = data.splitlines(keepends=True)[-2:]
+        assert json.loads(entry)["id"] == torn
+        # Mid-way into the admission's entry line.
+        segment.write_bytes(data[:len(data) - len(queued) - len(entry) + 20])
         with ServiceThread(copy, jobs=1) as svc:
             client = ServiceClient(port=svc.port, token="alice")
             fresh = client.submit(tiny_spec(seed=752))["job"]["id"]
@@ -290,6 +296,131 @@ class TestServeJournal:
             assert body(client, f"/v1/jobs/{fresh}")[0] == 200
             assert body(client, f"/v1/jobs/{torn}")[0] == 404
             assert [j["id"] for j in client.jobs()] == [fresh]
+
+
+# ---------------------------------------------------------------------------
+# the waiting queue, restored from the journal
+# ---------------------------------------------------------------------------
+def copy_while_held(tmp_path, seeds, segment_bytes=None):
+    """Hold one job on a single worker, admit *seeds*, copy the store:
+    what a SIGKILL leaves.  Returns the copy, the held id and the
+    waiting ids."""
+    store, copy = tmp_path / "store", tmp_path / "copy"
+    svc = ServiceThread(store, jobs=1)
+    if segment_bytes is not None:
+        svc.service.journal.segment_bytes = segment_bytes
+    with svc:
+        client = ServiceClient(port=svc.port, token="alice")
+        gate = hold_dispatch(svc.service)
+        held = client.submit(tiny_spec(seed=seeds[0]))["job"]["id"]
+        wait_running(client, held)
+        waiting = [client.submit(tiny_spec(seed=seed))["job"]["id"]
+                   for seed in seeds[1:]]
+        shutil.copytree(store, copy)
+        gate.set()
+    return copy, held, waiting
+
+
+def journaled(store, job_id, kind):
+    """The records of *kind* that name *job_id*, oldest first."""
+    return [json.loads(line)
+            for line in journal_lines(store, job_id, kind).splitlines()]
+
+
+async def no_worker():
+    """A worker task that dispatches nothing."""
+
+
+class TestQueueRestore:
+    def test_a_job_restored_twice_runs_once_under_its_id(self, tmp_path):
+        """Two restarts in a row, the first dispatching nothing: the
+        waiting job is restored by each, once, and runs once."""
+        copy, held, (waiting,) = copy_while_held(tmp_path, (760, 761))
+        idle = ServiceThread(copy, jobs=1)
+        idle.service._worker = no_worker
+        with idle:
+            client = ServiceClient(port=idle.port, token="alice")
+            assert [j["id"] for j in client.jobs()] == [waiting]
+            assert client.job(waiting)["state"] == "queued"
+            assert len(idle.service.queue) == 1
+        with ServiceThread(copy, jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            assert client.wait(waiting, timeout=120.0)["state"] == "done"
+            assert [j["id"] for j in client.jobs()] == [waiting]
+            assert body(client, f"/v1/jobs/{held}")[0] == 404
+        # Admitted by three serves, dispatched by one.
+        assert len(journaled(copy, waiting, JOB_ENTRY_KIND)) == 3
+        assert [r["state"] for r in journaled(copy, waiting, JOB_KIND)] == \
+            ["running", "done"]
+        assert [r["state"] for r in journaled(copy, held, JOB_KIND)] == \
+            ["running"]
+
+    def test_a_dispatch_in_a_later_segment_is_not_rerun(self, tmp_path):
+        """Tiny segments: each admission fills one, so a job's entry and
+        its running record lie in different segments.  The dispatched
+        job is not re-enqueued; the waiting one is, once."""
+        copy, held, waiting = copy_while_held(tmp_path, (770, 771, 772),
+                                              segment_bytes=700)
+        journal = Journal(journal_dir(copy))
+        segment_of = {}
+        for offset, line in journal.lines():
+            record = json.loads(line)
+            if record["kind"] in (JOB_ENTRY_KIND, JOB_KIND):
+                segment_of[record["kind"], record["id"]] = \
+                    max(s for s in journal.starts if s <= offset)
+        assert segment_of[JOB_ENTRY_KIND, held] < segment_of[JOB_KIND, held]
+        with ServiceThread(copy, jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            assert [j["id"] for j in client.jobs()] == waiting
+            for job_id in waiting:
+                assert client.wait(job_id, timeout=120.0)["state"] == "done"
+        assert len(journaled(copy, held, JOB_ENTRY_KIND)) == 1
+        assert [r["state"] for r in journaled(copy, held, JOB_KIND)] == \
+            ["running"]
+        for job_id in waiting:
+            assert len(journaled(copy, job_id, JOB_ENTRY_KIND)) == 2
+
+    def test_an_admission_cut_at_every_byte(self, tmp_path):
+        """Cut the journal inside the last admission (entry, then queued
+        event) at every byte and restart: the job is restored once under
+        its id, or it is unknown and the next job takes its sequence
+        number.  It is never known but left unrun."""
+        copy, _, (cut,) = copy_while_held(tmp_path, (780, 781))
+        segment = Journal(journal_dir(copy)).segment_path(0)
+        data = segment.read_bytes()
+        entry, queued = data.splitlines(keepends=True)[-2:]
+        assert json.loads(entry)["id"] == cut
+        start = len(data) - len(entry) - len(queued)
+        for k in range(start, len(data) + 1):
+            segment.write_bytes(data[:k])
+            service = PckptService(copy, jobs=1)
+            waiting = service._replay_journal()
+            service.journal.open()
+            try:
+                for line in waiting:
+                    service._restore(json.loads(line))
+                whole = k == len(data)
+                assert list(service.jobs) == ([cut] if whole else []), k
+                assert len(service.queue) == whole
+                assert (service._index.find(cut) is not None) is whole, k
+                assert service._next_seq == (3 if whole else 2), k
+            finally:
+                service.journal.close()
+        # Over HTTP, at the cuts that end a line and at the last byte.
+        for k in (start, start + len(entry), len(data) - 1, len(data)):
+            segment.write_bytes(data[:k])
+            with ServiceThread(copy, jobs=1) as svc:
+                client = ServiceClient(port=svc.port, token="alice")
+                if k == len(data):
+                    assert client.wait(cut, timeout=120.0)["state"] == "done"
+                    assert [j["id"] for j in client.jobs()] == [cut]
+                else:
+                    assert body(client, f"/v1/jobs/{cut}")[0] == 404
+                    fresh = client.submit(tiny_spec(seed=782 + k))
+                    fresh = fresh["job"]["id"]
+                    assert fresh.startswith("j00002-") and fresh != cut
+                    client.wait(fresh, timeout=120.0)
+                    assert [j["id"] for j in client.jobs()] == [fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +469,8 @@ class TestEventStreamOracle:
 # ---------------------------------------------------------------------------
 def test_jobs_create_no_file_but_their_store_entries(tmp_path):
     """N cold and N warm jobs, traced and untraced: the store holds its
-    entries, their fan-out directories, schema.json, the queue files
-    and the journal segments, and nothing per job."""
+    entries, their fan-out directories, schema.json and the journal
+    segments, and nothing per job."""
     store = tmp_path / "store"
     cold = 3
     with ServiceThread(store, jobs=2) as svc:
@@ -365,6 +496,4 @@ def test_jobs_create_no_file_but_their_store_entries(tmp_path):
     segments = {os.path.join("service", "journal", f"{s:020d}.ndjson")
                 for s in Journal(journal_dir(store)).starts}
     assert found - entries - fanout - segments == {
-        "schema.json", "service", os.path.join("service", "journal"),
-        os.path.join("service", "queue.json"),
-        os.path.join("service", "queue.ndjson")}
+        "schema.json", "service", os.path.join("service", "journal")}

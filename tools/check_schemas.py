@@ -130,11 +130,13 @@ DOCS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Iterable[str]]]] = {
         "job field": service_jobs.JOB_FIELDS,
         "event field": service_jobs.EVENT_FIELDS,
         "cells field": service_jobs.JOB_CELLS_FIELDS,
+        "entry field": service_jobs.JOB_ENTRY_FIELDS,
         "job state": service_jobs.JOB_STATES,
         "event kind": service_jobs.EVENT_KINDS,
         "record kind": (service_jobs.JOB_KIND, service_jobs.JOB_EVENT_KIND,
                         service_jobs.JOB_RESULT_KIND,
                         service_jobs.JOB_CELLS_KIND,
+                        service_jobs.JOB_ENTRY_KIND,
                         service_jobs.SERVICE_STATUS_KIND),
     }),
 }
@@ -315,6 +317,8 @@ JOURNAL_TABLES = {
     service_jobs.JOB_EVENT_KIND: (service_jobs.EVENT_FIELDS,
                                   service_jobs.SERVICE_SCHEMA_VERSION),
     service_jobs.JOB_CELLS_KIND: (service_jobs.JOB_CELLS_FIELDS,
+                                  service_jobs.SERVICE_SCHEMA_VERSION),
+    service_jobs.JOB_ENTRY_KIND: (service_jobs.JOB_ENTRY_FIELDS,
                                   service_jobs.SERVICE_SCHEMA_VERSION),
     context.SPAN_KIND: (context.SPAN_FIELDS, context.SPAN_SCHEMA_VERSION),
 }
