@@ -64,8 +64,9 @@ Subcommands
     schedules tenants fair-share onto one worker pool.  See
     ``docs/SERVICE.md``.
 ``pckpt submit --spec FILE [--wait | --watch]``
-    Submit a spec document to a running service; ``--wait`` polls to
-    completion, ``--watch`` streams the job's NDJSON events live,
+    Submit a spec document to a running service; ``--wait`` follows the
+    job's event stream to completion, ``--watch`` streams the job's
+    NDJSON events live,
     ``--trace-id`` propagates a caller trace context via the
     ``X-Pckpt-Trace`` header.
 ``pckpt jobs`` / ``pckpt watch JOB_ID`` / ``pckpt shutdown``
@@ -1484,7 +1485,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "X-Pckpt-Trace header (lowercase hex; "
                                "see docs/OBSERVABILITY.md)")
     p_submit.add_argument("--wait", action="store_true",
-                          help="poll until the job finishes")
+                          help="wait until the job finishes")
     p_submit.add_argument("--watch", action="store_true",
                           help="stream the job's NDJSON events to stdout")
     p_submit.add_argument("--timeout", type=float, default=600.0,

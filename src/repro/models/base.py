@@ -179,20 +179,19 @@ class _Phase2Job:
     on completion.  A failure of a non-covered node mid-flight destroys a
     share and invalidates the snapshot; the owner cancels the job.
 
-    The flush lands the snapshot at :attr:`eta`.  Like the next failure
-    draw, it is held on the simulation while the application runs in the
-    segment batch, which stops short of :attr:`eta` and lands the flush
-    inline in a restore that reaches it (:meth:`CRSimulation._landings`);
-    only when the application leaves the batch is it armed as a kernel
-    :class:`~repro.des.Timeout` (:meth:`arm`), which a cancel withdraws.
-    A traced job's ``pckpt_phase2`` span opens, and a cancelled one
+    The flush lands the snapshot at :attr:`due`.  It is one of the
+    simulation's held disturbances, with the next failure draw: the
+    segment batch stops short of :attr:`due` and lands the flush inline
+    in a restore that reaches it (:meth:`CRSimulation._landings`), and
+    off the batch the simulation's one kernel timeout is armed at it
+    while it is due first (:meth:`CRSimulation._leave_batch`).  A traced
+    job's ``pckpt_phase2`` span opens, and a cancelled one
     closes, at its instant but when the application next waits
     (:meth:`CRSimulation._record_held`): after the records the protocol
     itself still makes then, where the event path records them.
     """
 
-    __slots__ = ("sim", "snapshot_work", "provs", "covers", "eta",
-                 "_timer", "_sid")
+    __slots__ = ("sim", "snapshot_work", "provs", "covers", "due", "_sid")
 
     def __init__(self, sim: "CRSimulation", work: float, committed,
                  healthy: int, provs: Optional[List[int]],
@@ -207,8 +206,7 @@ class _Phase2Job:
         self.covers: Set[int] = set(committed)
         if sim._migrated_away:
             self.covers |= sim._migrated_away
-        self.eta = now + sim._phase2_seconds(healthy)
-        self._timer: Optional[Timeout] = None
+        self.due = now + sim._phase2_seconds(healthy)
         self._sid = 0
         if sim.trace is not None:
             sim._held_records.append((self._open, now))
@@ -219,43 +217,35 @@ class _Phase2Job:
             {"work": self.snapshot_work, "provs": self.provs}, time=time,
         )
 
-    def arm(self) -> None:
-        """Put the flush on the kernel, landing at :attr:`eta`."""
-        self._timer = timer = self.sim.env.timeout_at(self.eta)
-        timer.callbacks.append(self.land)
+    def land(self) -> None:
+        """The snapshot is PFS-complete at :attr:`due`.
 
-    def land(self, _event=None) -> None:
-        """The snapshot is PFS-complete at :attr:`eta`.
-
-        The kernel calls it from the armed timeout; a restore that
-        reaches :attr:`eta` calls it inline (:meth:`CRSimulation._landings`).
+        :meth:`CRSimulation._on_due` calls it when the timer fires at
+        :attr:`due`; a restore that reaches :attr:`due` calls it inline
+        (:meth:`CRSimulation._landings`).
         """
         sim = self.sim
-        eta = self.eta
-        self._timer = None
-        sim.drain.settle(eta)
-        sim.ledger.record_proactive(self.snapshot_work, eta)
+        due = self.due
+        sim.drain.settle(due)
+        sim.ledger.record_proactive(self.snapshot_work, due)
         trace = sim.trace
         if trace is not None:
-            trace.span_end(self._sid, "landed", time=eta)
+            trace.span_end(self._sid, "landed", time=due)
             trace.emit("pckpt", "phase2-landed",
                        {"work": self.snapshot_work, "provs": self.provs},
-                       time=eta)
+                       time=due)
         if sim.metrics is not None:
             sim._count("pckpt.phase2_landed")
         sim._phase2_job = None
-        sim._eta = _INF
 
     def cancel(self, now: float) -> None:
         """Invalidate the in-flight snapshot at *now* (superseded or lost)."""
         sim = self.sim
-        if self._timer is not None:
-            sim.env.cancel(self._timer)
-            self._timer = None
+        sim._phase2_job = None
+        if sim._timer is not None:
+            sim._rearm(self.due)
         if sim.metrics is not None:
             sim._count("pckpt.phase2_cancelled")
-        sim._phase2_job = None
-        sim._eta = _INF
         if sim.trace is not None:
             sim._held_records.append((self._close, now))
 
@@ -270,13 +260,14 @@ class _Draw:
     on predictions) and then the failure, each after a timeout armed
     from the clock; both times follow from *t0*, the previous failure's
     landing, where the draw is made.  ``tp`` is None once the prediction
-    is delivered, or when there is none to deliver.  A stage due no
+    is delivered, or when there is none to deliver; ``due`` is the next
+    stage's time, ``tp`` until then and ``tf`` after.  A stage due no
     later than the one before it is delivered in that stage's callback:
     ``f_wait`` is False for such a failure, and ``at_once`` says that the
     draw's first stage comes with its predecessor's landing.
     """
 
-    __slots__ = ("ev", "tp", "tf", "f_wait", "at_once", "action")
+    __slots__ = ("ev", "tp", "tf", "due", "f_wait", "at_once", "action")
 
     def __init__(self, ev: FailureEvent, t0: float, predicted: bool) -> None:
         self.ev = ev
@@ -295,6 +286,7 @@ class _Draw:
         t = ev.time
         self.f_wait = t > base
         self.tf = base + (t - base) if self.f_wait else base
+        self.due = base if predicted else self.tf
         self.at_once = not (waits if predicted else self.f_wait)
 
 
@@ -440,10 +432,8 @@ class CRSimulation:
         # nodes tracked; every change goes through transition() so illegal
         # interleavings fail loudly instead of corrupting FT accounting.
         self._node_states: Dict[int, NodeHealth] = {}
-        # The in-flight phase-2 flush, and its eta while it is held off
-        # the kernel (inf when none is held).
+        # The in-flight phase-2 flush.
         self._phase2_job: Optional[_Phase2Job] = None
-        self._eta = _INF
         # Traced phase-2 span records, (record, time), that the event
         # path stores when the application next waits (_record_held).
         self._held_records: List[tuple] = []
@@ -453,15 +443,15 @@ class CRSimulation:
         self._app_proc = None
         # The failure stream: drawn but undelivered failures in order
         # (the first is the next to land; more are drawn ahead only once
-        # their predecessor is sure to land), the last landing time, and
-        # the kernel timeout of the first one's next stage while armed.
+        # their predecessor is sure to land) and the last landing time.
         self._draws: List[_Draw] = []
         self._landed = self.env.now
+        # The held disturbances are the first draw's next stage and the
+        # phase-2 flush.  The one kernel timeout, armed at the earliest
+        # of them while the application is off the batch (_leave_batch).
         self._timer: Optional[Timeout] = None
-        # The kernel horizon the batch last read (_stretch) and the
-        # kernel's cancel count then.
+        # The kernel horizon the batch last read (_stretch).
         self._horizon = -_INF
-        self._cancels = -1
 
         # -- run stats ---------------------------------------------------------
         self.periodic_checkpoints = 0
@@ -475,15 +465,17 @@ class CRSimulation:
     def run(self) -> RunOutput:
         """Execute the simulation to job completion and return results.
 
-        Failures need no process: the next draw is held on the
-        simulation.  The segment batch lands it inline when nothing else
-        comes first (:meth:`_run_segments`), and its prediction too when
-        the draw alone decides the safeguard or p-ckpt phase 1 it starts
-        (:meth:`_decided`); a restore that reaches an in-flight phase-2
-        flush lands the flush inline.  Otherwise the draw, and a phase-2
-        flush held with it, are armed as kernel timeouts
-        (:meth:`_leave_batch`) whenever the application leaves the batch.
-        False alarms keep their own driver process.
+        Failures need no process: the next draw's next stage and an
+        in-flight phase-2 flush are the simulation's held disturbances,
+        each with its due time and its land function.  The segment batch
+        lands the draw inline when nothing else comes first
+        (:meth:`_run_segments`), and its prediction too when the draw
+        alone decides the safeguard or p-ckpt phase 1 it starts
+        (:meth:`_decided`); a restore that reaches the flush lands the
+        flush inline.  Off the batch, the earliest held disturbance is
+        the simulation's one kernel timeout (:meth:`_leave_batch`), whose
+        callback lands what is due and re-arms (:meth:`_on_due`).  False
+        alarms keep their own driver process.
         """
         self._app_proc = self.env.process(self._app(), name="application")
         if self.config.use_prediction and self.injector.false_alarm_rate > 0:
@@ -553,20 +545,36 @@ class CRSimulation:
                                self.config.use_prediction and ev.predicted))
         return draws[i]
 
-    def _arm(self) -> None:
-        """Put the next failure's next stage on the kernel (the event path).
-
-        The next failure is drawn by then: every caller has looked at it.
-        """
-        d = self._draws[0]
-        self._timer = self.env.timeout_at(d.tf if d.tp is None else d.tp)
-        self._timer.callbacks.append(self._on_due)
-
     def _leave_batch(self) -> None:
-        """Arm what the batch held: the phase-2 flush, then the next draw."""
-        self._arm_flush()
-        if self._timer is None:
-            self._arm()
+        """Arm the earliest held disturbance as the one kernel timeout.
+
+        The flush comes before the draw at a tie.  Armed when the
+        application leaves the batch, unless the timer is still armed
+        there (the batch landed nothing), and again whenever what was
+        armed lands (:meth:`_on_due`) or the flush changes on the event
+        path (:meth:`_rearm`).  The next failure is drawn by then: every
+        caller has looked at it.
+        """
+        if self._timer is not None:
+            return
+        due = self._draws[0].due
+        job = self._phase2_job
+        if job is not None and job.due < due:
+            due = job.due
+        self._timer = timer = self.env.timeout_at(due)
+        timer.callbacks.append(self._on_due)
+
+    def _rearm(self, due: float) -> None:
+        """Re-arm the armed timer for a flush due at *due* that changed.
+
+        The flush started or was cancelled on the event path, where the
+        timer is armed.  It moves only when the flush is due strictly
+        before the draw's next stage: at a tie it is armed there anyway.
+        """
+        if due < self._draws[0].due:
+            self.env.cancel(self._timer)
+            self._timer = None
+            self._leave_batch()
 
     def _record_held(self) -> None:
         """Store the held phase-2 span records: the application waits now.
@@ -592,23 +600,28 @@ class CRSimulation:
         return seconds
 
     def _on_due(self, _event) -> None:
-        """Deliver the armed stage and the stages due with it; arm the next."""
+        """Land what is due, the flush first; re-arm for what is next.
+
+        The draw's stages due with its armed one are delivered here too:
+        a failure at its prediction's instant, and a draw whose first
+        stage comes with its predecessor's landing (``at_once``).
+        """
+        self._timer = None
+        now = self.env.now
+        job = self._phase2_job
+        if job is not None and job.due <= now:
+            job.land()
         draws = self._draws
         d = draws[0]
-        while True:
+        while d.due <= now:
             if d.tp is not None:
                 d.tp = None
-                self._deliver_prediction(d.ev, self.env.now)
-                if d.f_wait:
-                    break
+                d.due = d.tf
+                self._deliver_prediction(d.ev, now)
             else:
-                del draws[0]
-                self._landed = d.tf
-                self._deliver_failure(d.ev, self._avoided(d.ev))
+                self._land_failure(self._avoided(d.ev), inline=False)
                 d = self._held(0)
-                if not d.at_once:
-                    break
-        self._arm()
+        self._leave_batch()
 
     def _false_alarm_driver(self):
         """Inject false-alarm predictions forever."""
@@ -637,9 +650,11 @@ class CRSimulation:
         self.metrics.histogram(name).observe(value, times)
 
     def _notify_app(self, cause: tuple) -> None:
-        """Interrupt the application, or defer if it is un-interruptible."""
-        if self._app_proc is None or not self._app_proc.is_alive:
-            return
+        """Interrupt the application, or defer if it is un-interruptible.
+
+        It is interruptible only while it runs: a cause deferred once it
+        has finished is never read.
+        """
         if self._interruptible:
             self._app_proc.interrupt(cause)
         else:
@@ -834,8 +849,21 @@ class CRSimulation:
                 and rec.action is ProactiveAction.LIVE_MIGRATION
                 and rec.committed)
 
-    def _deliver_failure(self, ev: FailureEvent, avoided: bool) -> None:
-        """Deliver the failure *ev*; *avoided* is :meth:`_avoided` of it."""
+    def _land_failure(self, avoided: bool = False,
+                      inline: bool = True) -> float:
+        """Deliver the next failure at its time, ``tf``; return ``tf``.
+
+        *avoided* is :meth:`_avoided` of it, as the caller found it: a
+        landing :meth:`_stretch` passes is never avoided, and a model
+        whose prediction :meth:`_decided` holds has no live migration.
+        The batch lands it *inline*, moving the clock to ``tf`` first;
+        off the batch the timer fires there (:meth:`_on_due`).
+        """
+        d = self._draws.pop(0)
+        tf = self._landed = d.tf
+        if inline:
+            self.env.advance(tf)
+        ev = d.ev
         ft = self.ft
         ft.failures += 1
         metrics = self.metrics
@@ -859,7 +887,7 @@ class CRSimulation:
                                 {"node": ev.node, "prov": ev.provenance})
             if metrics is not None:
                 metrics.counter("failures.avoided_by_lm").inc()
-            return
+            return tf
         if ev.node in self._active_lms:
             # Transfer still in flight when the node died.
             self._active_lms[ev.node].overtake()
@@ -869,6 +897,7 @@ class CRSimulation:
         if metrics is not None:
             metrics.counter("failures.struck").inc()
         self._notify_app(("failure", ev))
+        return tf
 
     # ------------------------------------------------------------------
     # the application process
@@ -930,17 +959,21 @@ class CRSimulation:
         traced batch records and submits its checkpoints one by one
         instead (:meth:`_record_segments`).  What lands first, strictly
         before the horizon, stops the segment here too (:meth:`_cut`): a
-        failure, and the application recovers (:meth:`_restore_inline`),
-        or its prediction, and the blocked protocol it starts runs as
-        arithmetic (:meth:`_protect_inline`).  The batch goes on after
-        either.
+        failure, or its prediction, and the blocked protocol it starts
+        runs as arithmetic (:meth:`_protect_inline`).  The application
+        recovers here from a failure that lands, while nothing else
+        happens: the failures landing at or before the end of each
+        restore (:meth:`_landings`) are delivered at their own times and
+        queue behind it, as on the event path, and a phase-2 flush due by
+        then lands at its ``due`` in time order among them.  The batch
+        goes on after either.
 
         Returns the interval read for the first segment that does not end
         before the horizon (the caller runs it on the event path), the
         ``(seconds, lost, sid)`` of a restore that may be disturbed (the
         caller waits it out, :meth:`_restore`), or None once the job's
-        work is done.  Unless the work is done, the next failure and an
-        in-flight phase-2 flush leave armed on the kernel.
+        work is done.  Unless the work is done, the earliest held
+        disturbance leaves armed as the kernel timeout (:meth:`_leave_batch`).
         """
         env = self.env
         oci = self.oci
@@ -1066,12 +1099,34 @@ class CRSimulation:
             self.overhead.checkpoint = checkpoint
             self.oci_final = interval
             if strikes:
-                if self._cut(land, now, t1, target):
-                    restore = self._protect_inline(land, struck)
-                else:
-                    restore = self._restore_inline()
-                if restore is not None:
-                    return restore
+                # A protocol that commits lands no failure: go on.
+                if self._cut(land, now, t1, target) and \
+                        not self._protect_inline(land, struck):
+                    continue
+                # Recover from each queued failure while nothing else
+                # happens, landing those due by the end of its restore.
+                while self._pending:
+                    seconds, lost, sid = self._recover(
+                        self._pending.pop(0)[1])
+                    end = env.now + seconds
+                    n, job = (self._landings(end) if seconds > _EPS
+                              else (-1, None))
+                    if n < 0:
+                        # Something else may disturb it: the event path
+                        # waits it out.
+                        self._leave_batch()
+                        return seconds, lost, sid
+                    for _ in range(n):
+                        if job is not None and job.due < self._draws[0].tf:
+                            job.land()
+                            job = None
+                        self._land_failure(self._avoided(self._draws[0].ev))
+                    if job is not None:
+                        job.land()
+                    env.advance(end)
+                    if traced:
+                        self.trace.span_end(sid, {"lost": lost})
+                self._interruptible = True
                 continue
             if now != env.now:
                 env.advance(now)
@@ -1083,23 +1138,25 @@ class CRSimulation:
         """The batch's horizon, what lands in it, and whether a failure does.
 
         The horizon is :meth:`~repro.des.Environment.horizon`, or earlier
-        the held phase-2 flush's ``eta``, a prediction the batch cannot
-        land, or a landing the kernel must deliver because a completed
-        live migration avoids it.  The next failure landing strictly
-        before the horizon comes back as the second value, with True.  So
-        does its prediction when the draw alone decides the blocked
-        protocol it starts (:meth:`_decided`) and that is decided strictly
-        before the horizon, with True when the failure aborts the
-        protocol.  Whatever lands has its armed timeout withdrawn; the
-        second value is ``inf`` when nothing does.
+        the earliest held disturbance the batch cannot land in a segment:
+        the phase-2 flush, a prediction it cannot decide, or a landing the
+        kernel must deliver because a completed live migration avoids it.
+        The next failure landing strictly before the horizon comes back as
+        the second value, with True.  So does its prediction when the draw
+        alone decides the blocked protocol it starts (:meth:`_decided`)
+        and that is decided strictly before the horizon, with True when
+        the failure aborts the protocol.  Whatever lands has the armed
+        timer withdrawn, here and nowhere else in the batch; the second
+        value is ``inf`` when nothing does.
         """
         env = self.env
         kernel = env.horizon()
-        eta = self._eta
-        horizon = eta if eta < kernel else kernel
+        job = self._phase2_job
+        flush = _INF if job is None else job.due
+        horizon = flush if flush < kernel else kernel
         draws = self._draws
         d = draws[0] if draws else self._held(0)
-        t = d.tf if d.tp is None else d.tp  # the next stage
+        t = d.due
         if t > horizon:
             return horizon, _INF, False
         # When what the stage starts is decided: a landing at once, a
@@ -1114,10 +1171,10 @@ class CRSimulation:
             env.cancel(self._timer)
             self._timer = None
             kernel = env.horizon()
-            horizon = eta if eta < kernel else kernel
-        # Kept for _landings, which reuses it until a timer is withdrawn.
+            horizon = flush if flush < kernel else kernel
+        # Kept for _landings: the batch schedules and withdraws nothing
+        # on the kernel until then.
         self._horizon = kernel
-        self._cancels = env.cancels
         if end < horizon:
             return horizon, t, end == d.tf
         return t, _INF, False
@@ -1186,9 +1243,10 @@ class CRSimulation:
         if predicted:
             self.env.advance(t)
             d.tp = None
+            d.due = d.tf
             self._deliver_prediction(d.ev, t, d.action)
         else:
-            self._land_next()
+            self._land_failure()
         if aborts:
             self.overhead.checkpoint += t - t1
             if trace is not None:
@@ -1198,20 +1256,7 @@ class CRSimulation:
                 self._count("ckpt.periodic_aborted")
         return predicted
 
-    def _land_next(self, avoided: bool = False) -> float:
-        """Move the clock to the next failure, deliver it there; the time.
-
-        *avoided* is :meth:`_avoided` of it, as the caller found it: a
-        landing :meth:`_stretch` passes is never avoided, and a model
-        whose prediction :meth:`_decided` holds has no live migration.
-        """
-        d = self._draws.pop(0)
-        tf = self._landed = d.tf
-        self.env.advance(tf)
-        self._deliver_failure(d.ev, avoided)
-        return tf
-
-    def _protect_inline(self, tp: float, struck: bool) -> Optional[tuple]:
+    def _protect_inline(self, tp: float, struck: bool) -> bool:
         """Run the protocol the prediction delivered at *tp* starts, inline.
 
         :meth:`_decided` found that its failure alone decides it, so
@@ -1219,19 +1264,18 @@ class CRSimulation:
         path's, and protocol time is charged as its waits charge it,
         ``0.0 + (t - tp)`` (p-ckpt adds phase 2's ``0.0``).  When the
         failure aborts it (*struck*), the failure lands at its own time
-        and the application recovers (:meth:`_restore_inline`), whose
-        result this returns.  Otherwise p-ckpt phase 1 commits at
-        ``tp + w``, phase 2 starts in the background, held on the
-        simulation, and None is returned: the batch goes on.
+        and True is returned: the application recovers.  Otherwise p-ckpt
+        phase 1 commits at ``tp + w``, phase 2 starts in the background,
+        held on the simulation, and the batch goes on.
         """
         # A real prediction is its failure's own event: it aborts too.
         _, prediction, action = self._pending.pop()
         self.proactive_runs += 1
         if action is ProactiveAction.SAFEGUARD:
             sid = self._safeguard_begin(prediction)
-            tf = self._land_next()
+            tf = self._land_failure()
             self._aborted("safeguard", 0.0 + (tf - tp), prediction, sid)
-            return self._restore_inline()
+            return True
         if self.trace is not None:
             _, prov_by_node, provs, sid = self._pckpt_begin(prediction)
         else:
@@ -1243,9 +1287,9 @@ class CRSimulation:
             prov_by_node = provs = None
             sid = 0
         if struck:
-            tf = self._land_next()
+            tf = self._land_failure()
             self._aborted("pckpt", (0.0 + (tf - tp)) + 0.0, prediction, sid)
-            return self._restore_inline()
+            return True
         tc = tp + self._priority_seconds
         self.env.advance(tc)
         node = prediction.node
@@ -1254,40 +1298,7 @@ class CRSimulation:
                          self.app.nodes - 1 - len(self._migrated_away),
                          provs, sid, tc)
         self._interruptible = True
-        return None
-
-    def _restore_inline(self) -> Optional[tuple]:
-        """Recover from the queued failures while nothing else happens.
-
-        Each recovers in turn (:meth:`_recover`), and the failures landing
-        at or before the end of its restore are delivered at their own
-        times and queue behind it, as on the event path; an in-flight
-        phase-2 flush due by then lands at its ``eta`` in time order
-        among them.  A restore that something else may disturb
-        (:meth:`_landings`) is returned as ``(seconds, lost, sid)`` for
-        the event path to wait out, what the batch held armed; None once
-        every queued failure is recovered.
-        """
-        env = self.env
-        while self._pending:
-            seconds, lost, sid = self._recover(self._pending.pop(0)[1])
-            end = env.now + seconds
-            n, job = self._landings(end) if seconds > _EPS else (-1, None)
-            if n < 0:
-                self._leave_batch()
-                return seconds, lost, sid
-            for _ in range(n):
-                if job is not None and job.eta < self._draws[0].tf:
-                    job.land()
-                    job = None
-                self._land_next(self._avoided(self._draws[0].ev))
-            if job is not None:
-                job.land()
-            env.advance(end)
-            if self.trace is not None:
-                self.trace.span_end(sid, {"lost": lost})
-        self._interruptible = True
-        return None
+        return False
 
     def _landings(self, end: float) -> Tuple[int, Optional[_Phase2Job]]:
         """How many failures land in a restore ending at *end*, and the flush.
@@ -1295,28 +1306,17 @@ class CRSimulation:
         -1 unless nothing else happens until then: *end* comes strictly
         before the kernel's horizon, no prediction is due by then, and no
         failure landing by then brings the next draw's first stage with
-        it.  The in-flight phase-2 flush is looked past when nothing on
-        the kernel comes before it and it is due by *end*: it comes back
-        second, to land inline, withdrawn from the kernel if armed there.
-        A failure at exactly its ``eta`` leaves the order to the kernel:
-        -1, and the flush is held until the application leaves the batch.
+        it.  The held phase-2 flush is looked past when nothing on the
+        kernel comes before it and it is due by *end*: it comes back
+        second, to land inline.  A failure at exactly its ``due`` leaves
+        the order to the kernel: -1, and the flush stays held until the
+        application leaves the batch.  The kernel's horizon is the one
+        :meth:`_stretch` read, with the timer withdrawn.
         """
-        env = self.env
-        # The kernel's horizon as _stretch read it, unless a timer was
-        # withdrawn since: the batch schedules nothing.
-        horizon = (self._horizon if env.cancels == self._cancels
-                   else env.horizon())
+        horizon = self._horizon
         job = self._phase2_job
-        if job is not None:
-            eta = job.eta
-            if not (eta <= end and eta <= horizon):
-                job = None
-            elif job._timer is not None:
-                # Armed when the application last left the batch.
-                env.cancel(job._timer)
-                job._timer = None
-                self._eta = eta
-                horizon = env.horizon()
+        if job is not None and not (job.due <= end and job.due <= horizon):
+            job = None
         n = -1
         if end < horizon:
             i = 0
@@ -1329,7 +1329,7 @@ class CRSimulation:
                 if d.tf > end:
                     n = i
                     break
-                if job is not None and d.tf == job.eta:
+                if job is not None and d.tf == job.due:
                     break
                 i += 1
                 if self._held(i).at_once:
@@ -1567,7 +1567,6 @@ class CRSimulation:
         self._pckpt_done(outcome.snapshot_work, outcome.committed,
                          outcome.phase1_seconds, outcome.phase2_seconds,
                          outcome.healthy_nodes, provs, sid, self.env.now)
-        self._arm_flush()
         if outcome.pending_failures:
             yield from self._recover_after_proactive(outcome.pending_failures)
 
@@ -1656,8 +1655,9 @@ class CRSimulation:
 
         The protocol captured *work* and committed the nodes *committed*
         in phase 1, blocking *phase1* and *phase2* seconds; *healthy*
-        nodes are left for an asynchronous phase 2, which is held on the
-        simulation (:meth:`_arm_flush` puts it on the kernel).
+        nodes are left for an asynchronous phase 2, held on the
+        simulation with the next draw: on the event path the timer moves
+        to it when it is due first (:meth:`_rearm`).
         """
         trace = self.trace
         if trace is not None:
@@ -1675,7 +1675,8 @@ class CRSimulation:
                 self._phase2_job.cancel(now)
             job = self._phase2_job = _Phase2Job(self, work, committed,
                                                 healthy, provs, now)
-            self._eta = job.eta
+            if self._timer is not None:
+                self._rearm(job.due)
         else:
             self.drain.settle(now)
             self.ledger.record_proactive(work, now)
@@ -1686,12 +1687,6 @@ class CRSimulation:
                 {"committed": sorted(committed),
                  "duration": duration, "provs": provs},
             )
-
-    def _arm_flush(self) -> None:
-        """Put the phase-2 flush held on the simulation on the kernel."""
-        if self._eta < _INF:
-            self._eta = _INF
-            self._phase2_job.arm()
 
     def _recover_after_proactive(self, failures: List[FailureEvent]):
         """One recovery pass covering failures that struck mid-protocol."""
@@ -1798,7 +1793,7 @@ class CRSimulation:
             # The in-flight p-ckpt snapshot survives this failure (the
             # node's share is already on the PFS).  Recovery waits for the
             # daemons to finish flushing, then restores everyone from PFS.
-            wait = max(job.eta - now, 0.0)
+            wait = max(job.due - now, 0.0)
             restore_work = job.snapshot_work
             costs = self._recovery_costs
             restore_seconds = wait + costs.pfs_read + costs.restart_delay

@@ -240,17 +240,22 @@ class ServiceClient:
         finally:
             conn.close()
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             interval: float = 0.2) -> Dict[str, Any]:
-        """Poll ``GET /v1/jobs/<id>`` until terminal; returns the record."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict[str, Any]:
+        """Follow :meth:`events` to the terminal event; returns the record.
+
+        Two requests, however long the job runs.  Raises
+        :class:`TimeoutError` at an event once *timeout* seconds have
+        passed, or after *timeout* seconds without one.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            record = self.job(job_id)
-            if record["state"] in ("done", "failed"):
-                return record
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {record['state']} "
-                    f"after {timeout:g}s"
-                )
-            time.sleep(interval)
+        stream = self.events(job_id, timeout=timeout)
+        try:
+            for event in stream:
+                if event["event"] in ("done", "failed"):
+                    break
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"job {job_id} not finished after {timeout:g}s")
+        finally:
+            stream.close()
+        return self.job(job_id)

@@ -10,10 +10,11 @@ delays its own later jobs — with one worker, the dispatch order for
 
 is ``a1 b1 a2 a3``, never ``a1 a2 a3 b1``.
 
-Admission is bounded: :meth:`FairShareQueue.push` raises
+Admission is bounded: :meth:`FairShareQueue.check_room` raises
 :class:`QueueFull` once ``limit`` jobs are waiting, which the HTTP
 layer maps to ``429 Too Many Requests`` + ``Retry-After`` —
-backpressure, not unbounded memory.
+backpressure, not unbounded memory.  A job the service already holds,
+such as one restored at start-up, is queued past the limit.
 
 All methods run on the server's event loop thread.
 """
@@ -82,7 +83,7 @@ class FairShareQueue:
         self._weights[tenant] = int(weight)
 
     def check_room(self) -> None:
-        """Raise what :meth:`push` would raise for one more job.
+        """Refuse admission of one more job: the queue's bound.
 
         Lets the caller refuse a job before it spends anything on it:
         it takes no id and writes no line.
@@ -100,11 +101,13 @@ class FairShareQueue:
             raise QueueFull(self.limit, self.retry_after)
 
     def push(self, job: Job) -> int:
-        """Admit *job*; returns its position in the tenant's lane (0-based).
+        """Queue *job*; returns its position in the tenant's lane (0-based).
 
-        Raises what :meth:`check_room` raises.
+        Only admission checks the limit (:meth:`check_room`).  Raises
+        ``RuntimeError`` when the queue is closed.
         """
-        self.check_room()
+        if self._closed:
+            raise RuntimeError("queue is closed")
         lane = self._lanes.get(job.tenant)
         if lane is None:
             lane = self._lanes[job.tenant] = deque()

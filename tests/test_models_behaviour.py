@@ -259,27 +259,55 @@ class TestEventBudget:
         assert out.periodic_checkpoints > 600 and out.ft.failures > 50
         assert sim.env.events_processed <= self._event_budget(model, out)
 
+    @staticmethod
+    def _armed_at(monkeypatch):
+        """Record the time of every ``timeout_at`` timer, by timer.
+
+        Only the simulation's held disturbances arm timers that way.  The
+        list returned second gets, as each is armed, how many of its
+        environment's timers are live.
+        """
+        from repro.des import Environment
+
+        armed, live = {}, []
+        timeout_at = Environment.timeout_at
+
+        def recorded(env, when, value=None):
+            timer = timeout_at(env, when, value)
+            armed[timer] = when
+            live.append(sum(t.env is env and t.callbacks is not None
+                            for t in armed))
+            return timer
+
+        monkeypatch.setattr(Environment, "timeout_at", recorded)
+        return armed, live
+
     def test_phase2_flush_armed_only_leaving_the_batch(self, monkeypatch):
         """A p-ckpt's phase-2 flush is held until the application leaves.
 
-        Every untraced flush starts off the kernel, and each one still in
-        flight when the application leaves the batch for the event path
-        is armed by then.  Before the flush was held, each commit armed a
-        kernel timeout that a restore reaching it withdrew: over three
-        CHIMERA/P1 replications without false alarms (seeds 7-9), 249
-        phase-2 timers for 220 flushes, against 34 now.
+        Every untraced flush starts off the kernel: no timer is armed at
+        its due time.  Each one still in flight when the application
+        leaves the batch for the event path is held with the next draw,
+        and the simulation's one timer is armed by then at the earlier of
+        the two, the flush at a tie.  Before the flush was held, each
+        commit armed a kernel timeout that a restore reaching it
+        withdrew: over three CHIMERA/P1 replications without false alarms
+        (seeds 7-9), 249 phase-2 timers for 220 flushes, against 34 once
+        held and 33 with one timer for the flush and the draw.
         """
         from repro.failures.predictor import PredictorSpec
         from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
         from repro.models.base import _Phase2Job
         from repro.workloads.applications import APPLICATIONS
 
+        armed, _ = self._armed_at(monkeypatch)
         held, armed_leaving = [], []
         init = _Phase2Job.__init__
 
         def created(job, *args, **kwargs):
             init(job, *args, **kwargs)
-            held.append(job._timer is None)
+            held.append(all(timer.callbacks is None or when != job.due
+                            for timer, when in armed.items()))
 
         monkeypatch.setattr(_Phase2Job, "__init__", created)
         sim = CRSimulation(APPLICATIONS["CHIMERA"], get_model("P1"),
@@ -292,7 +320,8 @@ class TestEventBudget:
             step = batch(goal)
             job = sim._phase2_job
             if step is not None and job is not None:
-                armed_leaving.append(job._timer is not None)
+                armed_leaving.append(
+                    armed.get(sim._timer) == min(job.due, sim._draws[0].due))
             return step
 
         sim._run_segments = leaving
@@ -300,6 +329,68 @@ class TestEventBudget:
         assert out.ft.mitigated_pckpt > 20
         assert len(held) > 50 and all(held)
         assert armed_leaving and all(armed_leaving)
+
+    @pytest.mark.parametrize("model", ["P1", "P2"])
+    def test_one_timer_for_the_held_disturbances(self, model, monkeypatch):
+        """At most one kernel timeout for a held disturbance is live.
+
+        The next draw's next stage and the phase-2 flush share the
+        simulation's one timer.  When each had its own, both were live at
+        once 157 times over these P1 replications and 151 times over the
+        P2 ones.
+        """
+        from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
+        from repro.workloads.applications import APPLICATIONS
+
+        armed, live = self._armed_at(monkeypatch)
+        for seed in (7, 8, 9):
+            armed.clear()
+            out = CRSimulation(APPLICATIONS["CHIMERA"], get_model(model),
+                               weibull=LANL_SYSTEM18_WEIBULL,
+                               rng=np.random.default_rng(seed)).run()
+            assert out.ft.mitigated_pckpt > 0 and len(armed) > 50
+        assert max(live) == 1, sum(n > 1 for n in live)
+
+    #: Python calls per landed failure over CHIMERA replications under
+    #: lanl-system18 at seeds 7-9 (cProfile's ``total_calls`` over
+    #: ``run()``, after one uncounted replication), by model.  When the
+    #: draw and the flush each had their own timer, arm path and withdraw
+    #: path, and a landing went through ``_land_next``, ``_deliver_failure``
+    #: and ``_restore_inline``, it cost 59.7 (B), 108.9 (M1) and 141.1 (P1)
+    #: calls under pytest; 56.8, 104.7 and 138.5 after.
+    CALLS_PER_FAILURE = {"B": 58.0, "M1": 106.5, "P1": 140.0}
+
+    @pytest.mark.parametrize("model", ["B", "M1", "P1"])
+    def test_calls_per_landed_failure(self, model):
+        import cProfile
+        import gc
+        import pstats
+
+        from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
+        from repro.workloads.applications import APPLICATIONS
+
+        def sim(seed):
+            return CRSimulation(APPLICATIONS["CHIMERA"], get_model(model),
+                                weibull=LANL_SYSTEM18_WEIBULL,
+                                rng=np.random.default_rng(seed))
+
+        sim(6).run()  # first calls (lazy imports, caches) are not counted
+        calls = failures = 0
+        for seed in (7, 8, 9):
+            s = sim(seed)
+            # Nothing another test left to the cyclic collector is
+            # finalized inside the count.
+            gc.collect()
+            gc.disable()
+            try:
+                profile = cProfile.Profile()
+                out = profile.runcall(s.run)
+            finally:
+                gc.enable()
+            calls += pstats.Stats(profile).total_calls
+            failures += out.ft.failures
+        assert failures > 300
+        assert calls / failures <= self.CALLS_PER_FAILURE[model]
 
     @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_untraced_batches_per_disturbance(self, model):

@@ -187,15 +187,15 @@ def test_inline_equals_event_path(case, seed, monkeypatch):
 @pytest.mark.parametrize("case", ["CHIMERA/P1", "CHIMERA/P1/long_alarms",
                                   "CHIMERA/P2"])
 def test_reused_horizon_changes_nothing(case, monkeypatch):
-    """A restore in the batch reuses the horizon only while it holds.
+    """A restore in the batch reuses the horizon ``_stretch`` read.
 
-    ``_landings`` takes the kernel horizon ``_stretch`` read unless a
-    timer was withdrawn since.  A run that hands it the kernel's horizon
-    at every call must dispatch the same events and give the same
-    results.  In each case some of these seeds have a recovery withdraw
-    an armed phase-2 flush between the two, and a ``_landings`` that
-    kept the stale, earlier horizon would leave restores to the kernel
-    that the batch can land.
+    ``_stretch`` withdraws the one timer before anything lands in the
+    batch, and nothing arms or withdraws a timer until the application
+    leaves it, so the kernel's horizon holds for every ``_landings`` in
+    between: a recovery that cancels the held phase-2 flush, or a restore
+    that lands it, leaves the kernel alone.  A run that hands
+    ``_landings`` the kernel's horizon at every call must find the one
+    it reuses, dispatch the same events and give the same results.
     """
     def run():
         out = [_run(case, seed, traced=False) for seed in range(6)]
@@ -204,15 +204,43 @@ def test_reused_horizon_changes_nothing(case, monkeypatch):
 
     reused = run()
     landings = CRSimulation._landings
+    stale = []
 
     def fresh(sim, end):
         # What _landings reads: the kernel's horizon now.
-        sim._horizon = sim.env.horizon()
-        sim._cancels = sim.env.cancels
+        horizon = sim.env.horizon()
+        stale.append(horizon != sim._horizon)
+        sim._horizon = horizon
         return landings(sim, end)
 
     monkeypatch.setattr(CRSimulation, "_landings", fresh)
     assert run() == reused
+    assert len(stale) > 100 and not any(stale)
+
+
+def test_a_batch_past_a_held_flush_is_caught(monkeypatch):
+    """Seeded mutant: ``_stretch`` ignores the held phase-2 flush's due time.
+
+    The batch then runs segments past the flush.  Mostly it still lands
+    at its due time, late, in the restore of a failure it covers; but a
+    failure of a node it does not cover cancels it unlanded, where the
+    event path has landed it and recovers from it.  Unpredicted failures
+    are common in ``low_recall``, and at seed 7 one does that:
+    :func:`test_inline_equals_event_path` must fail on the mutant.
+    """
+    stretch = CRSimulation._stretch
+
+    def ignoring(sim):
+        job = sim._phase2_job
+        sim._phase2_job = None
+        try:
+            return stretch(sim)
+        finally:
+            sim._phase2_job = job
+
+    monkeypatch.setattr(CRSimulation, "_stretch", ignoring)
+    with pytest.raises(AssertionError):
+        test_inline_equals_event_path("CHIMERA/P1/low_recall", 7, monkeypatch)
 
 
 def test_slow_drain_queues_in_the_batch(monkeypatch):

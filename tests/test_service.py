@@ -213,14 +213,17 @@ class TestFairShareQueue:
         assert _pop_all(queue) == ["a1", "b1", "c1", "a2", "c2"]
 
     def test_bounded_admission(self):
+        """Admission checks the bound; a held job is queued past it."""
         queue = FairShareQueue(limit=2, retry_after=3.5)
         queue.push(_job("a", "a1"))
         queue.push(_job("b", "b1"))
         with pytest.raises(QueueFull) as excinfo:
-            queue.push(_job("c", "c1"))
+            queue.check_room()
         assert excinfo.value.limit == 2
         assert excinfo.value.retry_after == 3.5
         assert len(queue) == 2
+        queue.push(_job("c", "c1"))
+        assert len(queue) == 3
 
     def test_close_stops_admission_and_unblocks_pop(self):
         queue = FairShareQueue(limit=4)
@@ -1261,6 +1264,59 @@ class TestJobsOnTheLoop:
             final = client.wait(held_id, timeout=120.0)
             assert final["state"] == "done"
             assert final["replications_executed"] == 2
+
+    @pytest.mark.parametrize("held_for", [0.05, 0.8])
+    def test_wait_makes_two_requests_however_long_the_job(
+            self, tmp_path, monkeypatch, held_for):
+        """``wait`` follows the event stream, then reads the record once.
+
+        The job is held running for *held_for* seconds after ``wait``
+        starts.  Polling the record every 0.2 s made one request per
+        poll, so its count grew with the hold.
+        """
+        import http.client
+
+        gate, holding = hold_steps(monkeypatch, after=1, campaigns=1)
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            job_id = client.submit(tiny_spec(seed=125, replications=2)
+                                   )["job"]["id"]
+            assert holding.wait(60), "the job never reached the gate"
+            requests = []
+            request = http.client.HTTPConnection.request
+
+            def counted(conn, method, url, *args, **kwargs):
+                requests.append((method, url))
+                return request(conn, method, url, *args, **kwargs)
+
+            monkeypatch.setattr(http.client.HTTPConnection, "request",
+                                counted)
+            release = threading.Timer(held_for, gate.set)
+            release.start()
+            try:
+                final = client.wait(job_id, timeout=120.0)
+            finally:
+                release.join()
+            made = list(requests)
+        assert final["state"] == "done"
+        assert final["replications_executed"] == 2
+        assert made == [("GET", f"/v1/jobs/{job_id}/events"),
+                        ("GET", f"/v1/jobs/{job_id}")]
+
+    def test_wait_times_out_on_a_held_job(self, tmp_path, monkeypatch):
+        """A job held running past ``wait``'s timeout raises TimeoutError."""
+        gate, holding = hold_steps(monkeypatch, after=1, campaigns=1)
+        with ServiceThread(tmp_path / "store", jobs=1) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            job_id = client.submit(tiny_spec(seed=126, replications=2)
+                                   )["job"]["id"]
+            assert holding.wait(60), "the job never reached the gate"
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.wait(job_id, timeout=0.3)
+            assert time.monotonic() - started < 10.0
+            gate.set()
+            assert client.wait(job_id, timeout=120.0)["state"] == "done"
 
     def test_interleaved_jobs_keep_their_own_traces(self, tmp_path,
                                                     monkeypatch):

@@ -30,7 +30,7 @@ import threading
 import pytest
 
 from repro.obs.journal import Journal, journal_dir
-from repro.service import ServiceClient, ServiceThread
+from repro.service import ServiceBusy, ServiceClient, ServiceThread
 from repro.service.jobs import JOB_ENTRY_KIND, JOB_KIND
 from repro.service.server import PckptService
 
@@ -354,6 +354,30 @@ class TestQueueRestore:
             ["running", "done"]
         assert [r["state"] for r in journaled(copy, held, JOB_KIND)] == \
             ["running"]
+
+    def test_a_restart_under_a_smaller_limit_runs_every_waiting_job(
+            self, tmp_path):
+        """Three jobs wait; the serve restarts with ``queue_limit=2``.
+
+        The restore queues all three past the limit, admission answers
+        429 while the queue is not under it, and every job runs.
+        """
+        copy, _, waiting = copy_while_held(tmp_path, (790, 791, 792, 793))
+        assert len(waiting) == 3
+        idle = ServiceThread(copy, jobs=1, queue_limit=2)
+        idle.service._worker = no_worker
+        with idle:
+            client = ServiceClient(port=idle.port, token="alice")
+            assert len(idle.service.queue) == 3
+            assert [j["id"] for j in client.jobs()] == waiting
+            with pytest.raises(ServiceBusy):
+                client.submit(tiny_spec(seed=794))
+        with ServiceThread(copy, jobs=1, queue_limit=2) as svc:
+            client = ServiceClient(port=svc.port, token="alice")
+            for job_id in waiting:
+                assert client.wait(job_id, timeout=120.0)["state"] == "done"
+            fresh = client.submit(tiny_spec(seed=794))["job"]["id"]
+            assert client.wait(fresh, timeout=120.0)["state"] == "done"
 
     def test_a_dispatch_in_a_later_segment_is_not_rerun(self, tmp_path):
         """Tiny segments: each admission fills one, so a job's entry and
