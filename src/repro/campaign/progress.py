@@ -1,4 +1,4 @@
-"""Live campaign progress: metrics counters, trace spans, status lines.
+"""Live campaign progress: metrics counters, status lines, telemetry.
 
 The campaign layer reports through the same observability substrate the
 simulations use (``docs/OBSERVABILITY.md``):
@@ -7,13 +7,6 @@ simulations use (``docs/OBSERVABILITY.md``):
   (``campaign.cells.*``, ``campaign.replications.*``,
   ``campaign.shards.*``) — the cache-hit acceptance check reads
   ``campaign.replications.executed`` off this registry;
-* an optional :class:`~repro.des.monitor.Trace` receives one
-  ``campaign_run`` span for the whole campaign, a ``campaign_cell`` span
-  per executed cell, and instants for cache hits / shard completions /
-  retries, timestamped with **wall-clock** seconds since the campaign
-  started (there is no simulation clock at this layer — the trace shows
-  real scheduling, so it can sit next to per-replication simulation
-  traces in Perfetto);
 * an optional :class:`~repro.obs.telemetry.CampaignTelemetry` sink
   receives one streaming snapshot (cells/shards completed, cache hit
   rate, worker utilization, ETA) per scheduler event — the live feed
@@ -38,21 +31,9 @@ import time
 from typing import IO, Optional, Sequence, Tuple
 
 from ..des.metrics import MetricsRegistry
-from ..des.monitor import Trace
 from ..obs.telemetry import CampaignTelemetry
 
 __all__ = ["CampaignProgress"]
-
-
-class _WallClock:
-    """Minimal ``Environment`` stand-in: ``now`` = seconds since start."""
-
-    def __init__(self) -> None:
-        self._t0 = time.perf_counter()
-
-    @property
-    def now(self) -> float:
-        return time.perf_counter() - self._t0
 
 
 class CampaignProgress:
@@ -63,12 +44,9 @@ class CampaignProgress:
     metrics:
         Registry receiving the campaign counters (created if omitted, so
         callers can always read ``progress.metrics`` afterwards).
-    trace:
-        Optional trace for scheduling spans.  The trace's environment is
-        replaced by a wall clock while the campaign runs if it has none.
     stream:
         Text stream for one status line per completed/cached cell
-        (``None`` = silent; ``pckpt campaign run`` passes stderr).
+        (``None`` = silent; ``pckpt run`` passes stderr).
     telemetry:
         Optional :class:`~repro.obs.telemetry.CampaignTelemetry` sink; a
         schema-versioned snapshot is appended after every scheduler
@@ -78,18 +56,12 @@ class CampaignProgress:
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 trace: Optional[Trace] = None,
                  stream: Optional[IO[str]] = None,
                  telemetry: Optional[CampaignTelemetry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace = trace
         self.stream = stream
         self.telemetry = telemetry
-        self._clock = _WallClock()
-        if trace is not None and trace.env is None:
-            trace.env = self._clock
-        self._run_sid = 0
-        self._cell_sids: dict = {}
+        self._t0 = time.perf_counter()
         self._total_cells = 0
         self._done_cells = 0
         self._total_replications = 0
@@ -106,11 +78,6 @@ class CampaignProgress:
         self._total_cells = n_cells
         self._total_replications = n_replications
         self.metrics.counter("campaign.cells.total").inc(n_cells)
-        if self.trace is not None:
-            self._run_sid = self.trace.span_begin(
-                "campaign", "campaign_run",
-                {"cells": n_cells, "replications": n_replications},
-            )
         self._say(f"campaign: {n_cells} cells / {n_replications} replications")
         self._flush_telemetry("running")
 
@@ -121,8 +88,6 @@ class CampaignProgress:
         self._flush_telemetry("running")
 
     def campaign_end(self) -> None:
-        if self.trace is not None and self._run_sid:
-            self.trace.span_end(self._run_sid)
         executed = self.metrics.counter("campaign.replications.executed").value
         cached = self.metrics.counter("campaign.cells.cached").value
         self._say(
@@ -134,31 +99,18 @@ class CampaignProgress:
             self.telemetry.close()
 
     # -- per-cell ------------------------------------------------------------
-    def cell_cached(self, cell, key: str) -> None:
+    def cell_cached(self, cell) -> None:
         self.metrics.counter("campaign.cells.cached").inc()
         self.metrics.counter("campaign.replications.cached").inc(
             cell.replications
         )
         self._done_cells += 1
-        if self.trace is not None:
-            self.trace.emit("campaign", "campaign_cell_hit",
-                            {"cell": repr(cell.key), "key": key[:12]})
         self._say(self._cell_line(cell, "cached"))
         self._flush_telemetry("running")
 
-    def cell_started(self, cell, cell_index: int) -> None:
-        if self.trace is not None:
-            self._cell_sids[cell_index] = self.trace.span_begin(
-                "campaign", "campaign_cell", {"cell": repr(cell.key)}
-            )
-
-    def cell_done(self, cell, cell_index: int) -> None:
+    def cell_done(self, cell) -> None:
         self.metrics.counter("campaign.cells.executed").inc()
         self._done_cells += 1
-        if self.trace is not None:
-            sid = self._cell_sids.pop(cell_index, 0)
-            if sid:
-                self.trace.span_end(sid)
         self._say(self._cell_line(cell, "computed"))
         self._flush_telemetry("running")
 
@@ -170,23 +122,9 @@ class CampaignProgress:
         )
         if retried:
             self.metrics.counter("campaign.shards.retried").inc()
-        if self.trace is not None:
-            self.trace.emit(
-                "campaign", "campaign_shard_done",
-                {"cell_index": unit.cell_index,
-                 "reps": [unit.rep_start, unit.rep_stop],
-                 "retried": retried},
-            )
         self._flush_telemetry("running")
 
     def shard_crashed(self, unit, error: BaseException) -> None:
-        if self.trace is not None:
-            self.trace.emit(
-                "campaign", "campaign_shard_crash",
-                {"cell_index": unit.cell_index,
-                 "reps": [unit.rep_start, unit.rep_stop],
-                 "error": repr(error)},
-            )
         self._say(
             f"campaign: shard [{unit.rep_start}, {unit.rep_stop}) of cell "
             f"{unit.cell_index} crashed ({error!r}); retrying serially"
@@ -210,7 +148,7 @@ class CampaignProgress:
         reps_executed = int(m.counter("campaign.replications.executed").value)
         shards_completed = int(m.counter("campaign.shards.completed").value)
         shards_retried = int(m.counter("campaign.shards.retried").value)
-        elapsed = float(self._clock.now)
+        elapsed = self._elapsed()
         total_reps = self._total_replications
         remaining = max(total_reps - reps_cached - reps_executed, 0)
         rate = reps_executed / elapsed if elapsed > 0.0 else 0.0
@@ -256,8 +194,12 @@ class CampaignProgress:
         return (
             f"campaign: [{self._done_cells}/{self._total_cells}] "
             f"{cell.key!r} {how} "
-            f"({cell.replications} reps, {self._clock.now:.1f}s elapsed)"
+            f"({cell.replications} reps, {self._elapsed():.1f}s elapsed)"
         )
+
+    def _elapsed(self) -> float:
+        """Wall-clock seconds since this observer was created."""
+        return time.perf_counter() - self._t0
 
     def _say(self, line: str) -> None:
         if self.stream is not None:

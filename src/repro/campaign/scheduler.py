@@ -308,7 +308,7 @@ def campaign_steps(
                   if store is not None and resume else None)
         if cached is not None:
             results[i] = cached
-            progress.cell_cached(cell, plan.keys[i])
+            progress.cell_cached(cell)
         else:
             pending.append(i)
 
@@ -324,8 +324,6 @@ def campaign_steps(
     for unit in units:
         for i in unit.cell_indices:
             shards_left[i] += 1
-    for i in pending:
-        progress.cell_started(plan.cells[i], i)
 
     def finish_cell(i: int) -> None:
         cell = plan.cells[i]
@@ -354,7 +352,7 @@ def campaign_steps(
             store.put(plan.keys[i], result, meta=meta)
         results[i] = result
         del shard_outputs[i]
-        progress.cell_done(cell, i)
+        progress.cell_done(cell)
 
     # A cell whose replication failed again on serial retry leaves the
     # campaign's later shards; the other cells finish before it raises.

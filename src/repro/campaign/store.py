@@ -356,6 +356,11 @@ class ResultStore:
         return removed
 
     @classmethod
+    def exists(cls, root: Union[str, Path]) -> bool:
+        """Whether *root* holds a store (has its ``schema.json``)."""
+        return (Path(root) / cls._SCHEMA_FILE).is_file()
+
+    @classmethod
     def wipe(cls, root: Union[str, Path]) -> int:
         """Delete every entry under *root* and reset ``schema.json`` to the
         code's version, **without** validating the recorded schema — the

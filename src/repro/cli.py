@@ -3,35 +3,32 @@
 Subcommands
 -----------
 ``pckpt run [APP MODEL] --spec FILE``
-    Execute a declarative experiment spec (``docs/EXPERIMENT_SPEC.md``)
-    through the campaign scheduler — or give ``APP MODEL`` flags, which
-    are translated into the same spec form internally (``--dump-spec``
-    prints that translation as canonical JSON and exits).  Store keys
-    are identical to the equivalent kwargs/sweep invocation.
-``pckpt simulate APP MODEL``
-    One Monte-Carlo cell (application × model) with overhead breakdown.
-    ``--metrics`` prints the merged metrics registry; ``--trace PATH``
-    exports a Chrome/Perfetto trace of replication 0 (see
-    ``docs/OBSERVABILITY.md``).
+    Run an experiment: a declarative spec (``docs/EXPERIMENT_SPEC.md``),
+    simulated or batch-queue, through the campaign scheduler (one
+    shared process pool, ``--jobs N`` wide; an optional
+    content-addressed result store, ``--store``, reused by ``--resume``,
+    the default).  ``APP MODEL`` flags are translated into the same spec
+    form (``--dump-spec`` prints that translation as canonical JSON and
+    exits); with them, ``--metrics`` prints the merged metrics registry
+    and ``--trace PATH`` exports replication 0 as a Chrome/Perfetto
+    trace (see ``docs/OBSERVABILITY.md``).  Every cell prints as one
+    table row.  Store keys are identical to the equivalent kwargs/sweep
+    invocation.
 ``pckpt experiment ID``
     Regenerate one paper artifact (fig2a, fig2b, fig2c, fig4, fig6a,
     fig6b, fig6-sys8, fig6c, fig7, fig8, table2, table4, obs9).
-``pckpt campaign run|status|clear``
-    Sweep grids through the campaign scheduler (``repro.campaign``): one
-    shared process pool for the whole grid, a content-addressed on-disk
-    result store (``--store``), incremental re-runs (``--resume``, the
-    default), and ``--jobs N`` pool width.  ``campaign run`` takes a
-    named sweep or ``--spec FILE``.  See ``docs/CAMPAIGN.md``.
-``pckpt sched run|status|gantt``
-    Batch-queue workload runs (``repro.sched``): a job stream placed on
-    the machine under FCFS, EASY backfill or fair share, every job
-    running its own C/R model against shared burst-buffer/PFS lanes.
-    ``sched run`` executes the reference baseline workload (``--policy``,
-    ``--njobs``, ``--quick``) or a spec document with a ``sched`` block
-    (``--spec``, optionally cached in ``--store``); ``sched status``
-    summarizes such a store; ``sched gantt`` exports one traced
-    replication as a schedule Gantt chart (``--json``, ``--chrome``).
-    See ``docs/SCHEDULER.md``.
+``pckpt campaign status|clear``
+    Summarize or empty an existing result store (``--store``).  See
+    ``docs/CAMPAIGN.md``.
+``pckpt sched run|gantt``
+    The reference batch-queue workload (``repro.sched``): a job stream
+    placed on the machine under FCFS, EASY backfill or fair share, every
+    job running its own C/R model against shared burst-buffer/PFS
+    lanes.  ``sched run`` runs it (``--policy``, ``--njobs``,
+    ``--quick``); ``sched gantt`` exports one traced replication as a
+    schedule Gantt chart (``--json``, ``--chrome``).  A spec with a
+    ``sched`` block runs through ``pckpt run --spec``.  See
+    ``docs/SCHEDULER.md``.
 ``pckpt validate``
     Differential fuzzing of the DES kernel: random scenarios executed on
     the inlined fast-path loop and the ``step()`` reference,
@@ -81,14 +78,13 @@ Examples
 
     pckpt run --spec examples/specs/quickstart.json
     pckpt run XGC P2 --dump-spec > my-experiment.json
-    pckpt simulate POP P2 --replications 100
+    pckpt --replications 100 run POP P2 --metrics --trace pop.json
     pckpt experiment table2 --replications 50
     pckpt experiment fig6a
-    pckpt campaign run model-comparison --store .pckpt-store --jobs 8
-    pckpt campaign run --spec examples/specs/fig6a-model-comparison.json
+    pckpt run --spec examples/specs/fig6a-model-comparison.json --jobs 8
     pckpt campaign status --store .pckpt-store --json
     pckpt sched run --quick
-    pckpt sched run --spec examples/specs/sched-backfill.json --store .pckpt-store
+    pckpt run --spec examples/specs/sched-backfill.json --store .pckpt-store
     pckpt top --store .pckpt-store
     pckpt serve --store .pckpt-store --jobs 4 --port 8787
     pckpt submit --spec examples/specs/quickstart.json --wait
@@ -106,7 +102,7 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import BENCH_SCALE, ExperimentScale, run_replications
+from .experiments import BENCH_SCALE, ExperimentScale
 from .experiments.report import format_kv
 from .failures.weibull import (
     FAILURE_DISTRIBUTIONS,
@@ -127,29 +123,37 @@ def _scale(args: argparse.Namespace) -> ExperimentScale:
     )
 
 
-def _write_trace(args: argparse.Namespace, app, weibull) -> None:
-    """Re-run replication 0 with tracing on and export the trace.
+def _traced_replication(app_name: str, model: str, distribution: str,
+                        seed: int):
+    """Replication 0 of an APP MODEL cell, re-run traced; returns its trace.
 
-    Uses the same ``SeedSequence.spawn`` child the Monte-Carlo run used
+    Uses the same ``SeedSequence.spawn`` child the Monte-Carlo run uses
     for its first replication, so the traced run is one of the runs the
-    printed aggregate already contains.
+    cell's aggregate already contains.
     """
     import numpy as np
 
-    from .analysis.metrics import trace_summary
     from .des import Trace
     from .models.base import CRSimulation
 
-    child = np.random.SeedSequence(args.seed).spawn(1)[0]
+    child = np.random.SeedSequence(seed).spawn(1)[0]
     trace = Trace(env=None)  # adopted by the simulation's environment
-    sim = CRSimulation(
-        app,
-        get_model(args.model),
-        weibull=weibull,
+    CRSimulation(
+        APPLICATIONS[app_name.upper()],
+        get_model(model),
+        weibull=FAILURE_DISTRIBUTIONS[distribution],
         rng=np.random.default_rng(child),
         trace=trace,
-    )
-    sim.run()
+    ).run()
+    return trace
+
+
+def _write_trace(args: argparse.Namespace) -> None:
+    """Export replication 0 of ``pckpt run APP MODEL`` and its span totals."""
+    from .analysis.metrics import trace_summary
+
+    trace = _traced_replication(args.app, args.model, args.distribution,
+                                args.seed)
     if args.trace.endswith(".jsonl"):
         n = trace.to_jsonl(args.trace)
         kind = "JSONL"
@@ -169,80 +173,54 @@ def _write_trace(args: argparse.Namespace, app, weibull) -> None:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    app = APPLICATIONS[args.app.upper()]
-    scale = _scale(args)
-    weibull = FAILURE_DISTRIBUTIONS[args.distribution]
-    if args.trace:
-        # Fail before the (potentially long) run, not after it.
-        trace_dir = os.path.dirname(os.path.abspath(args.trace))
-        if not os.path.isdir(trace_dir):
-            print(
-                f"error: --trace directory does not exist: {trace_dir}",
-                file=sys.stderr,
-            )
-            return 2
-    result = run_replications(
-        app,
-        args.model,
-        replications=scale.replications,
-        weibull=weibull,
-        seed=scale.seed,
-        workers=scale.workers,
-        collect_metrics=args.metrics,
-    )
-    print(
-        format_kv(
-            {
-                "application": app.name,
-                "model": result.model_name,
-                "replications": result.replications,
-                "failure distribution": weibull.name,
-                "total overhead (h)": result.total_overhead_hours,
-                "checkpoint overhead (h)": result.overhead.checkpoint_reported / 3600,
-                "recomputation overhead (h)": result.overhead.recomputation / 3600,
-                "recovery overhead (h)": result.overhead.recovery / 3600,
-                "makespan (h)": result.makespan_seconds / 3600,
-                "FT ratio": result.ft_ratio,
-                "failures (pooled)": result.ft.failures,
-                "mitigated by LM": result.ft.mitigated_lm,
-                "mitigated by p-ckpt": result.ft.mitigated_pckpt,
-                "mitigated by safeguard": result.ft.mitigated_safeguard,
-                "initial OCI (s)": result.oci_initial,
-            },
-            title=f"{app.name} under model {result.model_name}",
-        )
-    )
-    if args.metrics and result.metrics is not None:
-        print()
-        print(f"metrics (merged over {result.replications} replications):")
-        print(result.metrics.format())
-    if args.trace:
-        print()
-        _write_trace(args, app, weibull)
-    return 0
+def _print_results(results, title: str) -> None:
+    """Print a ``run_spec`` result: one table row per cell.
 
-
-def _print_cell_results(results, title: str) -> None:
-    """Render a ``{(model, column): SimulationResult}`` dict as a table."""
+    Simulated cells, keyed ``(model, column)``, show the overhead split,
+    pooled failures and mitigations and the initial OCI; the cells of a
+    spec with a ``sched`` block (``SchedResult``) show the schedule.
+    Each cell that collected metrics then prints its merged registry.
+    """
     from .experiments.report import format_table
 
-    headers = ["model", "column", "total_overhead_h", "makespan_h", "ft_ratio"]
-    rows = [
-        [model, col, r.total_overhead_hours, r.makespan_seconds / 3600.0,
-         r.ft_ratio]
-        for (model, col), r in results.items()
-    ]
+    if any(hasattr(r, "policy") for r in results.values()):
+        headers = ["policy", "jobs", "makespan_h", "utilization",
+                   "wait_mean_s", "wait_p95_s", "starved", "ft_ratio"]
+        rows = [
+            [r.policy, r.jobs, r.makespan_seconds / 3600.0, r.utilization,
+             r.wait_mean_seconds, r.wait_p95_seconds, r.starved, r.ft_ratio]
+            for r in results.values()
+        ]
+    else:
+        headers = ["model", "column", "total_overhead_h", "checkpoint_h",
+                   "recomputation_h", "recovery_h", "makespan_h", "ft_ratio",
+                   "failures", "by_lm", "by_pckpt", "by_safeguard", "oci_s"]
+        rows = [
+            [model, col, r.total_overhead_hours,
+             r.overhead.checkpoint_reported / 3600.0,
+             r.overhead.recomputation / 3600.0,
+             r.overhead.recovery / 3600.0, r.makespan_seconds / 3600.0,
+             r.ft_ratio, r.ft.failures, r.ft.mitigated_lm,
+             r.ft.mitigated_pckpt, r.ft.mitigated_safeguard, r.oci_initial]
+            for (model, col), r in results.items()
+        ]
     print(format_table(headers, rows, title=title))
+    for (model, col), r in results.items():
+        if getattr(r, "metrics", None) is not None:
+            print()
+            print(f"metrics of {model} {col} "
+                  f"(merged over {r.replications} replications):")
+            print(r.metrics.format())
 
 
 def _load_cli_spec(args: argparse.Namespace):
     """Resolve the ``pckpt run`` invocation into a validated spec.
 
     ``--spec FILE`` loads the document; otherwise the positional
-    ``APP MODEL`` plus the global flags are translated into the exact
-    same spec form — both roads lead through one loader, so validation,
-    canonicalization and store keys cannot diverge between them.
+    ``APP MODEL`` plus the global flags (and ``--metrics``) are
+    translated into the exact same spec form — both roads lead through
+    one loader, so validation, canonicalization and store keys cannot
+    diverge between them.
 
     Returns the spec, or an exit code (int) on user error.
     """
@@ -253,6 +231,11 @@ def _load_cli_spec(args: argparse.Namespace):
     if args.spec:
         if args.app or args.model:
             print("error: give APP MODEL or --spec FILE, not both",
+                  file=sys.stderr)
+            return 2
+        if args.metrics or args.trace:
+            print("error: --metrics and --trace go with APP MODEL, not "
+                  "--spec FILE (a spec sets collect_metrics itself)",
                   file=sys.stderr)
             return 2
         if getattr(args, "scale_flags_given", False):
@@ -281,6 +264,7 @@ def _load_cli_spec(args: argparse.Namespace):
                 "failures": args.distribution,
                 "replications": args.replications,
                 "seed": args.seed,
+                "collect_metrics": args.metrics,
             })
         except espec.SpecError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -292,7 +276,7 @@ def _load_cli_spec(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Execute a declarative experiment spec (``repro.spec``)."""
+    """Run an experiment: a spec file, or APP MODEL translated into one."""
     from . import spec as espec
     from .campaign import CampaignProgress, ResultStore, StoreSchemaError
 
@@ -302,6 +286,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dump_spec:
         sys.stdout.write(espec.canonical_spec_json(sp))
         return 0
+    if args.trace:
+        # Fail before the (potentially long) run, not after it.
+        trace_dir = os.path.dirname(os.path.abspath(args.trace))
+        if not os.path.isdir(trace_dir):
+            print(f"error: --trace directory does not exist: {trace_dir}",
+                  file=sys.stderr)
+            return 2
     try:
         store = ResultStore(args.store) if args.store else None
     except StoreSchemaError as exc:
@@ -311,10 +302,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     workers = args.jobs if args.jobs is not None else args.workers
     results = espec.run_spec(sp, store=store, workers=workers,
                              progress=progress, resume=args.resume)
-    name = sp.name or (os.path.basename(args.spec) if args.spec else "cli")
-    _print_cell_results(results, title=f"spec {name}")
+    _print_results(results,
+                   title=f"spec {sp.name or os.path.basename(args.spec)}")
     print()
     print(f"spec hash: {espec.spec_hash(sp)}")
+    if args.trace:
+        print()
+        _write_trace(args)
     return 0
 
 
@@ -422,25 +416,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default model set per campaign sweep kind.
-_CAMPAIGN_SWEEPS = {
-    "model-comparison": ("B", "M1", "M2", "P1", "P2"),
-    "lead-time": ("M1", "M2", "P1", "P2"),
-    "fn-rate": ("M1", "M2", "P1", "P2"),
-}
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaign import CampaignProgress, ResultStore, StoreSchemaError
-    from .des.monitor import Trace
-    from .experiments.report import format_table
+    """Summarize or empty an existing result store (``status|clear``)."""
+    from .campaign import ResultStore, StoreSchemaError
     from .obs.telemetry import latest_snapshot
-    from .experiments.sweep import (
-        false_negative_sweep,
-        lead_time_sweep,
-        model_comparison,
-    )
 
+    # Check before opening: ResultStore() creates a missing store, so a
+    # mistyped path would otherwise become a new, empty one.
+    if not ResultStore.exists(args.store):
+        print(f"error: no result store at {args.store}", file=sys.stderr)
+        return 2
     if args.action == "clear":
         # wipe, not clear: must also empty a store written by an older
         # schema version, which ResultStore() refuses to open.
@@ -449,113 +434,40 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        store = ResultStore(args.store) if args.store else None
+        store = ResultStore(args.store)
     except StoreSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        # The machine-readable shape shared with the service layer:
+        # GET /v1/status embeds exactly this as its "store" block.
+        from .campaign import status_payload
 
-    if args.action == "status":
-        if store is None:
-            print("error: status requires --store PATH", file=sys.stderr)
-            return 2
-        if args.json:
-            # The machine-readable shape shared with the service layer:
-            # GET /v1/status embeds exactly this as its "store" block.
-            from .campaign import status_payload
-
-            print(json.dumps(status_payload(store), indent=2,
-                             sort_keys=True))
-            return 0
-        print(format_kv(store.stats(), title=f"campaign store {store.root}"))
-        snapshot = latest_snapshot(str(store.telemetry_path()))
-        if snapshot is not None:
-            eta = snapshot.get("eta_seconds")
-            print()
-            print(format_kv(
-                {
-                    "state": snapshot.get("state"),
-                    "cells done": (
-                        f"{snapshot.get('cells_done')}/"
-                        f"{snapshot.get('cells_total')}"
-                    ),
-                    "replications executed": snapshot.get(
-                        "replications_executed"
-                    ),
-                    "cache hit rate": snapshot.get("cache_hit_rate"),
-                    "worker utilization": snapshot.get("worker_utilization"),
-                    "workers": snapshot.get("workers"),
-                    "elapsed (s)": snapshot.get("elapsed_seconds"),
-                    "eta (s)": "unknown" if eta is None else eta,
-                },
-                title="latest telemetry (pckpt top follows it live)",
-            ))
+        print(json.dumps(status_payload(store), indent=2, sort_keys=True))
         return 0
-
-    # action == "run"
-    if (args.sweep is None) == (args.spec is None):
-        print("error: give a sweep name or --spec FILE (one of the two)",
-              file=sys.stderr)
-        return 2
-    scale = _scale(args)
-    if args.jobs is not None:
-        scale = ExperimentScale(
-            replications=scale.replications, seed=scale.seed, workers=args.jobs
-        )
-    trace = Trace(env=None) if args.trace else None
-    progress = CampaignProgress(trace=trace, stream=sys.stderr)
-
-    if args.spec is not None:
-        from . import spec as espec
-
-        if getattr(args, "scale_flags_given", False):
-            print("note: --replications/--seed are ignored with --spec; "
-                  "the spec document governs", file=sys.stderr)
-        try:
-            sp = espec.load_spec(args.spec)
-        except FileNotFoundError:
-            print(f"error: no such spec file: {args.spec}", file=sys.stderr)
-            return 2
-        except espec.SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        cells = espec.run_spec(sp, store=store, workers=scale.workers,
-                               progress=progress, resume=args.resume)
-        title = (f"campaign spec "
-                 f"{sp.name or os.path.basename(args.spec)}")
-    else:
-        weibull = FAILURE_DISTRIBUTIONS[args.distribution]
-        models = list(args.models or _CAMPAIGN_SWEEPS[args.sweep])
-        common = dict(scale=scale, weibull=weibull, store=store,
-                      progress=progress, resume=args.resume)
-        if args.sweep == "model-comparison":
-            cells = model_comparison(models, **common)
-        elif args.sweep == "lead-time":
-            cells = lead_time_sweep(args.app.upper(), models, **common)
-        else:
-            cells = false_negative_sweep(args.app.upper(), models, **common)
-        title = f"campaign {args.sweep} ({weibull.name})"
-
-    if cells and all(hasattr(r, "policy") for r in cells.values()):
-        # A sched spec: batch-queue cells aggregate to SchedResult.
-        print(format_table(*_sched_table(cells), title=title))
-    else:
-        headers = ["model", "column", "total_overhead_h", "makespan_h",
-                   "ft_ratio"]
-        rows = [
-            [model, col, r.total_overhead_hours, r.makespan_seconds / 3600.0,
-             r.ft_ratio]
-            for (model, col), r in cells.items()
-        ]
-        print(format_table(headers, rows, title=title))
-    print()
-    print("campaign counters:")
-    print(progress.metrics.format())
-    if trace is not None:
-        if args.trace.endswith(".jsonl"):
-            n = trace.to_jsonl(args.trace)
-        else:
-            n = trace.to_chrome_trace(args.trace)
-        print(f"[wrote {n} campaign trace events to {args.trace}]")
+    print(format_kv(store.stats(), title=f"campaign store {store.root}"))
+    snapshot = latest_snapshot(str(store.telemetry_path()))
+    if snapshot is not None:
+        eta = snapshot.get("eta_seconds")
+        print()
+        print(format_kv(
+            {
+                "state": snapshot.get("state"),
+                "cells done": (
+                    f"{snapshot.get('cells_done')}/"
+                    f"{snapshot.get('cells_total')}"
+                ),
+                "replications executed": snapshot.get(
+                    "replications_executed"
+                ),
+                "cache hit rate": snapshot.get("cache_hit_rate"),
+                "worker utilization": snapshot.get("worker_utilization"),
+                "workers": snapshot.get("workers"),
+                "elapsed (s)": snapshot.get("elapsed_seconds"),
+                "eta (s)": "unknown" if eta is None else eta,
+            },
+            title="latest telemetry (pckpt top follows it live)",
+        ))
     return 0
 
 
@@ -566,28 +478,22 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     if args.input:
         from .des.monitor import load_jsonl
 
-        chains = extract_timelines(load_jsonl(args.input))
+        try:
+            records = load_jsonl(args.input)
+        except FileNotFoundError:
+            print(f"error: no such trace file: {args.input}", file=sys.stderr)
+            return 2
+        except (KeyError, TypeError, ValueError):
+            print(f"error: {args.input} is not a JSONL trace; --input takes "
+                  "the .jsonl export of `pckpt run APP MODEL --trace "
+                  "X.jsonl`, not the Chrome trace JSON", file=sys.stderr)
+            return 2
+        chains = extract_timelines(records)
         source = args.input
     else:
-        import numpy as np
-
-        from .des import Trace
-        from .models.base import CRSimulation
-
-        app = APPLICATIONS[args.app.upper()]
-        weibull = FAILURE_DISTRIBUTIONS[args.distribution]
-        child = np.random.SeedSequence(args.seed).spawn(1)[0]
-        trace = Trace(env=None)
-        sim = CRSimulation(
-            app,
-            get_model(args.model),
-            weibull=weibull,
-            rng=np.random.default_rng(child),
-            trace=trace,
-        )
-        sim.run()
-        chains = extract_timelines(trace)
-        source = f"{app.name} under {args.model} (seed {args.seed})"
+        chains = extract_timelines(_traced_replication(
+            args.app, args.model, args.distribution, args.seed))
+        source = f"{args.app.upper()} under {args.model} (seed {args.seed})"
 
     struck = sum(1 for c in chains if c.struck)
     print(f"causal timelines — {source}")
@@ -774,35 +680,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _sched_table(cells):
-    """(headers, rows) for a dict of ``SchedResult`` values."""
-    headers = ["policy", "jobs", "makespan_h", "utilization",
-               "wait_mean_s", "wait_p95_s", "starved", "ft_ratio"]
-    rows = [
-        [r.policy, r.jobs, r.makespan_seconds / 3600.0, r.utilization,
-         r.wait_mean_seconds, r.wait_p95_seconds, r.starved, r.ft_ratio]
-        for r in cells.values()
-    ]
-    return headers, rows
-
-
 def _cmd_sched(args: argparse.Namespace) -> int:
-    """Batch-queue workload runs (``pckpt sched run|status``)."""
-    from .campaign import ResultStore, StoreSchemaError
-    from .experiments.report import format_table
-    from .sched import bench as sched_bench
-
-    try:
-        store = ResultStore(args.store) if getattr(args, "store", None) \
-            else None
-    except StoreSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    """The reference batch-queue workload (``pckpt sched run|gantt``)."""
+    n_jobs = 8 if args.quick else args.njobs
     if args.action == "gantt":
         from .obs.gantt import format_gantt, gantt_to_chrome, run_gantt
 
-        n_jobs = 8 if args.quick else args.njobs
         payload = run_gantt(policy=args.policy, n_jobs=n_jobs,
                             seed=args.seed)
         if args.chrome:
@@ -815,55 +698,12 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             print(format_gantt(payload))
         return 0
 
-    if args.action == "status":
-        if store is None:
-            print("error: status requires --store PATH", file=sys.stderr)
-            return 2
-        if args.json:
-            from .campaign import status_payload
-
-            print(json.dumps(status_payload(store), indent=2,
-                             sort_keys=True))
-            return 0
-        print(format_kv(store.stats(), title=f"sched store {store.root}"))
-        return 0
-
     # action == "run"
-    if args.spec is not None:
-        from . import spec as espec
-        from .campaign import CampaignProgress
+    from .sched import bench as sched_bench
 
-        try:
-            sp = espec.load_spec(args.spec)
-        except FileNotFoundError:
-            print(f"error: no such spec file: {args.spec}", file=sys.stderr)
-            return 2
-        except espec.SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if sp.sched is None:
-            print("error: spec has no sched block "
-                  "(see docs/SCHEDULER.md)", file=sys.stderr)
-            return 2
-        progress = CampaignProgress(stream=sys.stderr)
-        cells = espec.run_spec(sp, store=store, workers=args.workers,
-                               progress=progress)
-        if args.json:
-            payloads = [
-                sched_bench.result_payload(r, seed=sp.seed)
-                for r in cells.values()
-            ]
-            print(json.dumps(payloads, indent=2, sort_keys=True))
-            return 0
-        title = f"sched spec {sp.name or os.path.basename(args.spec)}"
-        print(format_table(*_sched_table(cells), title=title))
-        return 0
-
-    n_jobs = 8 if args.quick else args.njobs
-    reps = 1 if args.quick else args.replications
     result = sched_bench.run_baseline(
         policy=args.policy, n_jobs=n_jobs, seed=args.seed,
-        replications=reps,
+        replications=1 if args.quick else args.replications,
     )
     payload = sched_bench.result_payload(result, seed=args.seed,
                                          quick=args.quick)
@@ -1100,8 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser(
         "run",
-        help="execute a declarative experiment spec "
-             "(docs/EXPERIMENT_SPEC.md) through the campaign scheduler",
+        help="run an experiment: a spec file (docs/EXPERIMENT_SPEC.md) "
+             "or APP MODEL, through the campaign scheduler",
     )
     p_run.add_argument("app", nargs="?", default=None,
                        help="application name (alternative to --spec)")
@@ -1114,6 +954,22 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(FAILURE_DISTRIBUTIONS),
         default=TITAN_WEIBULL.name,
         help="failure distribution for the APP MODEL form",
+    )
+    p_run.add_argument(
+        "--metrics",
+        action="store_true",
+        help="APP MODEL form: collect per-layer metrics and print the "
+             "merged registry",
+    )
+    p_run.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help=(
+            "APP MODEL form: re-run replication 0 traced and export it: "
+            "Chrome trace-event JSON (Perfetto-viewable), or JSONL when "
+            "PATH ends in .jsonl"
+        ),
     )
     p_run.add_argument("--store", metavar="PATH", default=None,
                        help="content-addressed result store directory")
@@ -1135,30 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_sim = sub.add_parser("simulate", help="run one application x model cell")
-    p_sim.add_argument("app", help="application name (Table I)")
-    p_sim.add_argument("model", help="model name (B/M1/M2/P1/P2/M2-<a>/P2-fn)")
-    p_sim.add_argument(
-        "--distribution",
-        choices=sorted(FAILURE_DISTRIBUTIONS),
-        default=TITAN_WEIBULL.name,
-    )
-    p_sim.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect per-layer metrics and print the merged registry",
-    )
-    p_sim.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "re-run replication 0 traced and export it: Chrome trace-event "
-            "JSON (Perfetto-viewable), or JSONL when PATH ends in .jsonl"
-        ),
-    )
-    p_sim.set_defaults(func=_cmd_simulate)
-
     p_exp = sub.add_parser("experiment", help="regenerate a paper artifact")
     p_exp.add_argument(
         "id",
@@ -1175,49 +1007,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser(
         "campaign",
-        help="run sweeps through the shared-pool scheduler + result store",
+        help="summarize or empty a content-addressed result store",
     )
     camp_sub = p_camp.add_subparsers(dest="action", required=True)
-
-    c_run = camp_sub.add_parser("run", help="execute a sweep as a campaign")
-    c_run.add_argument(
-        "sweep",
-        nargs="?",
-        default=None,
-        choices=sorted(_CAMPAIGN_SWEEPS),
-        help="which grid to run (or give --spec FILE instead)",
-    )
-    c_run.add_argument("--spec", metavar="FILE", default=None,
-                       help="experiment spec JSON (docs/EXPERIMENT_SPEC.md)")
-    c_run.add_argument("--app", default="XGC",
-                       help="application for lead-time / fn-rate sweeps")
-    c_run.add_argument("--models", nargs="+", default=None, metavar="MODEL",
-                       help="models to sweep (default depends on the sweep)")
-    c_run.add_argument(
-        "--distribution",
-        choices=sorted(FAILURE_DISTRIBUTIONS),
-        default=TITAN_WEIBULL.name,
-    )
-    c_run.add_argument("--store", metavar="PATH", default=None,
-                       help="content-addressed result store directory")
-    c_run.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse cached cells from --store (--no-resume recomputes)",
-    )
-    c_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="shared process-pool width (overrides --workers)")
-    c_run.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "export campaign scheduling spans: Chrome trace-event JSON, "
-            "or JSONL when PATH ends in .jsonl"
-        ),
-    )
-    c_run.set_defaults(func=_cmd_campaign)
 
     c_status = camp_sub.add_parser("status", help="summarize a result store")
     c_status.add_argument("--store", metavar="PATH", required=True)
@@ -1239,37 +1031,20 @@ def build_parser() -> argparse.ArgumentParser:
     sched_sub = p_sched.add_subparsers(dest="action", required=True)
 
     s_run = sched_sub.add_parser(
-        "run", help="schedule a workload (baseline or --spec FILE)"
+        "run", help="schedule the reference baseline workload"
     )
-    s_run.add_argument("--spec", metavar="FILE", default=None,
-                       help="experiment spec JSON with a sched block "
-                            "(docs/SCHEDULER.md)")
     s_run.add_argument("--policy", choices=sorted(_SCHED_POLICIES),
                        default="easy",
-                       help="placement policy for the baseline workload")
+                       help="placement policy (default easy)")
     s_run.add_argument("--njobs", type=int, default=16, metavar="N",
                        help="baseline workload size (default 16)")
     s_run.add_argument("--seed", type=int, default=0)
     s_run.add_argument("--replications", type=int, default=3, metavar="N")
     s_run.add_argument("--quick", action="store_true",
                        help="8 jobs, one replication (CI smoke)")
-    s_run.add_argument("--store", metavar="PATH", default=None,
-                       help="result store for --spec runs")
-    s_run.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="process-pool width for --spec runs")
     s_run.add_argument("--json", action="store_true",
-                       help="print the schema-versioned payload(s) as JSON")
+                       help="print the schema-versioned payload as JSON")
     s_run.set_defaults(func=_cmd_sched)
-
-    s_status = sched_sub.add_parser(
-        "status", help="summarize a sched result store"
-    )
-    s_status.add_argument("--store", metavar="PATH", required=True)
-    s_status.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable status payload",
-    )
-    s_status.set_defaults(func=_cmd_sched)
 
     s_gantt = sched_sub.add_parser(
         "gantt",
@@ -1305,8 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tl.add_argument(
         "--input", metavar="PATH", default=None,
-        help="read a trace JSONL (from `pckpt simulate --trace X.jsonl`) "
-             "instead of running a fresh traced replication",
+        help="read a JSONL trace (from `pckpt run APP MODEL --trace "
+             "X.jsonl`) instead of running a fresh traced replication",
     )
     p_tl.add_argument("--limit", type=int, default=None, metavar="N",
                       help="show at most N chains")

@@ -20,8 +20,7 @@ pattern into the single source of truth:
   kwargs-driven ones always produced.
 
 User-facing reference: ``docs/EXPERIMENT_SPEC.md``.  Example documents:
-``examples/specs/``.  CLI: ``pckpt run --spec FILE`` and
-``pckpt campaign run --spec FILE``.
+``examples/specs/``.  CLI: ``pckpt run --spec FILE``.
 """
 
 from .build import (

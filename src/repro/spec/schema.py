@@ -2,8 +2,8 @@
 
 One JSON document describes one experiment grid — the (application ×
 model × sweep-axis) cells the paper's evaluation is made of — and every
-entry point (``pckpt run``, ``pckpt campaign run``, the sweep engines in
-:mod:`repro.experiments.sweep`, the future service layer) consumes the
+entry point (``pckpt run``, ``pckpt submit``, the sweep engines in
+:mod:`repro.experiments.sweep`, the service layer) consumes the
 same document instead of its own ad-hoc kwargs.  The schema is:
 
 * **JSON-serializable** — a spec file round-trips through

@@ -43,7 +43,6 @@ from repro.campaign import (
 from repro.campaign import scheduler as scheduler_mod
 from repro.campaign.plan import SchedCellSpec
 from repro.des.metrics import MetricsRegistry
-from repro.des.monitor import Trace
 from repro.experiments.runner import _run_once, run_replications
 from repro.failures.leadtime import PAPER_LEAD_TIME_MODEL
 from repro.failures.predictor import DEFAULT_PREDICTOR
@@ -386,16 +385,6 @@ class TestCampaignCache:
         assert fresh.metrics.counter(
             "campaign.replications.executed"
         ).value == 6
-
-    def test_trace_spans_emitted(self, make_cell):
-        trace = Trace(env=None)
-        progress = CampaignProgress(trace=trace)
-        run_campaign([make_cell("B")], workers=1, progress=progress)
-        assert trace.count("campaign_run") == 1
-        assert trace.count("campaign_cell") == 1
-        assert trace.span_seconds("campaign_run") >= \
-            trace.span_seconds("campaign_cell") >= 0.0
-        assert not trace.open_spans()
 
 
 class TestResumeAfterInterrupt:

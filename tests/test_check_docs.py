@@ -41,13 +41,13 @@ class TestCliModelRecovery:
         assert recovered == real_commands
 
     def test_nested_campaign_actions(self, model):
-        assert model.actions("campaign") == {"run", "status", "clear"}
+        assert model.actions("campaign") == {"status", "clear"}
 
     def test_per_command_flags(self, model):
         timeline = model.commands[("timeline",)]
         assert {"--distribution", "--input", "--limit", "--jsonl"} <= timeline
-        assert "--models" in model.commands[("campaign", "run")]
-        assert "--models" not in timeline
+        assert {"--metrics", "--trace"} <= model.commands[("run",)]
+        assert "--metrics" not in timeline
 
     def test_boolean_optional_action_negative_form(self, model):
         run = model.commands[("run",)]
@@ -67,7 +67,7 @@ class TestInvocationChecker:
     def test_valid_invocations_pass(self, model):
         for line in (
             "pckpt timeline XGC P2 --limit 10 --jsonl /tmp/x.jsonl",
-            "pckpt --replications 2 campaign run model-comparison --jobs 1",
+            "pckpt --replications 2 run XGC P2 --metrics --jobs 1",
             "pckpt run --spec examples/specs/quickstart.json --no-resume",
             "PYTHONPATH=src pckpt validate --seed 0 --cases 50",
         ):

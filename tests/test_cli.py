@@ -3,10 +3,26 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLE_SPECS = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "specs")
+    .glob("*.json")
+)
+
+
+def _table_rows(out: str) -> list:
+    """The body rows of the first table in *out* (dashes to blank line)."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line and set(line) <= {"-", " "}) + 1
+    end = next((i for i in range(start, len(lines)) if not lines[i]),
+               len(lines))
+    return lines[start:end]
 
 
 class TestParser:
@@ -14,7 +30,7 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["list"],
-            ["simulate", "POP", "P2"],
+            ["run", "POP", "P2"],
             ["experiment", "fig2a"],
         ):
             args = parser.parse_args(argv)
@@ -37,14 +53,20 @@ class TestCommands:
         assert "titan" in out
 
     def test_simulate_small(self, capsys):
-        code = main(["--replications", "2", "simulate", "vulcan", "P1"])
+        code = main(["--replications", "2", "run", "vulcan", "P1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "VULCAN" in out
-        assert "FT ratio" in out
+        # Every figure of the cell: overhead split, pooled failures and
+        # mitigations, initial OCI.
+        for column in ("total_overhead_h", "checkpoint_h", "recomputation_h",
+                       "recovery_h", "makespan_h", "ft_ratio", "failures",
+                       "by_lm", "by_pckpt", "by_safeguard", "oci_s"):
+            assert column in out, column
+        assert len(_table_rows(out)) == 1
 
     def test_simulate_unknown_app(self, capsys):
-        assert main(["simulate", "NOPE", "P1"]) == 2
+        assert main(["run", "NOPE", "P1"]) == 2
 
     def test_experiment_fig2b(self, capsys):
         assert main(["experiment", "fig2b"]) == 0
@@ -133,6 +155,37 @@ class TestObservabilityCommands:
         assert "eta (s)" in out
         assert "state" in out
 
+    @pytest.mark.parametrize("action", ["status", "clear"])
+    def test_campaign_status_on_missing_store(self, capsys, tmp_path,
+                                              action):
+        missing = tmp_path / "typo"
+        assert main(["campaign", action, "--store", str(missing)]) == 2
+        assert "no result store" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_timeline_input_names_jsonl_format(self, capsys, tmp_path):
+        chrome = tmp_path / "trace.json"
+        assert main(["--replications", "1", "run", "XGC", "P2",
+                     "--trace", str(chrome)]) == 0
+        capsys.readouterr()
+        assert main(["timeline", "--input", str(chrome)]) == 2
+        err = capsys.readouterr().err
+        assert "--input takes the .jsonl export" in err
+
+    def test_timeline_input_matches_fresh_replication(self, capsys,
+                                                      tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        common = ["--distribution", "lanl-system18"]
+        assert main(["--replications", "2", "--seed", "5", "run", "XGC",
+                     "P2", "--trace", str(trace), *common]) == 0
+        read, fresh = tmp_path / "read.jsonl", tmp_path / "fresh.jsonl"
+        assert main(["timeline", "--input", str(trace),
+                     "--jsonl", str(read)]) == 0
+        assert main(["--seed", "5", "timeline", "XGC", "P2", *common,
+                     "--jsonl", str(fresh)]) == 0
+        assert read.read_text() == fresh.read_text()
+        assert read.read_text()  # some chains, not two empty files
+
     def test_campaign_status_without_telemetry_still_works(self, capsys,
                                                            tmp_path):
         from repro.campaign import ResultStore
@@ -142,6 +195,32 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "campaign store" in out
         assert "latest telemetry" not in out
+
+
+class TestRunCommand:
+    """``pckpt run``: the one command that runs an experiment."""
+
+    @pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda p: p.name)
+    def test_every_example_spec_runs_quick(self, capsys, path):
+        from repro.spec import build_cells, load_spec
+
+        assert main(["run", "--spec", str(path), "--quick",
+                     "--jobs", "1"]) == 0
+        rows = _table_rows(capsys.readouterr().out)
+        assert len(rows) == len(build_cells(load_spec(str(path))))
+
+    def test_example_specs_are_found(self):
+        assert len(EXAMPLE_SPECS) >= 5
+
+    @pytest.mark.parametrize("flag", [["--metrics"], ["--trace", "x.json"]])
+    def test_app_model_flags_refused_with_spec(self, capsys, flag):
+        spec = str(EXAMPLE_SPECS[0])
+        assert main(["run", "--spec", spec, *flag]) == 2
+        assert "go with APP MODEL" in capsys.readouterr().err
+
+    def test_metrics_sets_collect_metrics(self, capsys):
+        assert main(["run", "XGC", "P2", "--metrics", "--dump-spec"]) == 0
+        assert json.loads(capsys.readouterr().out)["collect_metrics"] is True
 
 
 class TestServiceParser:
@@ -340,7 +419,6 @@ class TestSchedCli:
         for argv in (
             ["sched", "run", "--quick"],
             ["sched", "run", "--policy", "fair", "--njobs", "4"],
-            ["sched", "status", "--store", "x"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
@@ -370,20 +448,19 @@ class TestSchedCli:
             "sched": {"policy": "easy", "jobs": 4, "hours_scale": 0.02},
         }))
         store = tmp_path / "store"
-        assert main(["sched", "run", "--spec", str(spec_file),
+        assert main(["run", "--spec", str(spec_file),
                      "--store", str(store)]) == 0
         cold = capsys.readouterr().out
         assert "easy" in cold
         # Warm re-run is served entirely from the store.
-        assert main(["sched", "run", "--spec", str(spec_file),
+        assert main(["run", "--spec", str(spec_file),
                      "--store", str(store)]) == 0
-        assert main(["sched", "status", "--store", str(store)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert "1 cells cached, 0 replications executed" in captured.err
+        assert main(["campaign", "status", "--store", str(store)]) == 0
         status = capsys.readouterr().out
         assert "cells" in status
-
-    def test_sched_status_requires_store(self, capsys, tmp_path):
-        assert main(["sched", "status", "--store",
-                     str(tmp_path / "nope")]) in (0, 2)
 
 
 class TestObsCli:

@@ -62,7 +62,7 @@ class TestSnapshotSchema:
         progress = _progress(telemetry=sink)
         progress.campaign_begin(1, 3)
         progress.pool_sized(2, 1)
-        progress.cell_cached(_stub_cell(), "deadbeef")
+        progress.cell_cached(_stub_cell())
         progress.campaign_end()
         seqs = [rec["seq"] for rec in read_telemetry(io.StringIO(buf.getvalue()))]
         assert seqs == list(range(len(seqs)))
@@ -143,7 +143,7 @@ class TestDerivedFields:
     def test_cache_hit_rate_is_cached_over_total(self):
         progress = _progress()
         progress.campaign_begin(2, 12)
-        progress.cell_cached(_stub_cell(replications=6), "deadbeef")
+        progress.cell_cached(_stub_cell(replications=6))
         snap = progress.telemetry_snapshot("running")
         assert snap["cache_hit_rate"] == pytest.approx(0.5)
         assert snap["replications_cached"] == 6

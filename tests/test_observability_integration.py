@@ -118,7 +118,7 @@ class TestCLITraceExport:
     def test_trace_flag_writes_chrome_trace(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
         code = main([
-            "--replications", "2", "simulate", "vulcan", "P1",
+            "--replications", "2", "run", "vulcan", "P1",
             "--trace", str(out),
         ])
         assert code == 0
@@ -131,7 +131,7 @@ class TestCLITraceExport:
     def test_trace_flag_writes_jsonl(self, capsys, tmp_path):
         out = tmp_path / "trace.jsonl"
         code = main([
-            "--replications", "2", "simulate", "vulcan", "P1",
+            "--replications", "2", "run", "vulcan", "P1",
             "--trace", str(out),
         ])
         assert code == 0
@@ -141,11 +141,11 @@ class TestCLITraceExport:
 
     def test_metrics_flag_prints_registry(self, capsys):
         code = main([
-            "--replications", "2", "simulate", "vulcan", "P1", "--metrics",
+            "--replications", "2", "run", "vulcan", "P1", "--metrics",
         ])
         assert code == 0
         text = capsys.readouterr().out
-        assert "metrics (merged over 2 replications)" in text
+        assert "metrics of P1 VULCAN (merged over 2 replications)" in text
         assert "ckpt.periodic_completed" in text
 
 

@@ -45,8 +45,8 @@ SHELL_BREAK = {"|", "||", "&&", ";", ">", ">>", "<", "&", "#", "2>", "2>&1"}
 class CliModel:
     """Subcommand tree parsed from ``build_parser()``.
 
-    ``commands`` maps a command path — ``("bench",)`` or
-    ``("campaign", "run")`` — to the set of option strings that command
+    ``commands`` maps a command path — ``("run",)`` or
+    ``("campaign", "status")`` — to the set of option strings that command
     accepts.  ``global_flags`` are the root parser's options, legal
     before the subcommand.
     """
@@ -90,7 +90,7 @@ def parse_cli_model(path: Path = CLI_PY) -> CliModel:
         raise SystemExit(f"{path}: no build_parser() function found")
 
     model = CliModel()
-    # var name -> command path ("" root, ("run",), ("campaign", "run")).
+    # var name -> command path ("" root, ("run",), ("campaign", "status")).
     parsers: Dict[str, Tuple[str, ...]] = {}
     # subparsers-collection var -> owning parser's path.
     groups: Dict[str, Tuple[str, ...]] = {}
