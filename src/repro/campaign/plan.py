@@ -4,10 +4,17 @@ A **cell** is one Monte-Carlo grid point — the full configuration tuple
 (application, model, platform, failure distribution, lead-time model,
 predictor, root seed, replication count).  Cells whose failure streams
 are equal — they differ only in their C/R model or platform — form a
-**stream group** (:func:`stream_key`).  A **shard** is a contiguous
-slice of replications of one cell, or of several cells of one stream
-group, the unit of work the scheduler hands to the shared process pool;
-a shared shard runs each replication of all its cells on one stream.
+**stream group** (:func:`stream_key`).  Cells whose failure gaps and
+nodes are equal — they may differ in their predictor and lead-time
+model too — form a **failure group** (:func:`failure_key`).  A
+**shard** is a contiguous slice of replications of one cell, or of
+several cells of one failure group, the unit of work the scheduler
+hands to the shared process pool.  A shared shard draws each
+replication's gaps and nodes once, runs the cells of each stream group
+on one stream, and runs a predictor-blind configuration
+(:attr:`~repro.models.base.ModelConfig.predictor_blind`) once: its
+other cells of the group take that run as an **alias**
+(:func:`blind_key`).
 
 Cache keys are SHA-256 hashes of a canonical JSON rendering of the whole
 configuration plus the store schema version, so
@@ -48,7 +55,9 @@ __all__ = [
     "CampaignPlan",
     "canonical_config",
     "content_key",
+    "failure_key",
     "stream_key",
+    "blind_key",
 ]
 
 
@@ -251,19 +260,53 @@ def stream_key(cell: "Union[CellSpec, SchedCellSpec]") -> Optional[str]:
         sort_keys=True, separators=(",", ":"))
 
 
+def failure_key(cell: "Union[CellSpec, SchedCellSpec]") -> Optional[str]:
+    """What fixes a simulated cell's failure gaps and nodes, or None.
+
+    :func:`stream_key` without the lead-time model and the predictor:
+    the injector draws gaps and nodes from a child stream of its own, so
+    cells with the same key draw the same failure times and nodes in
+    every replication whatever they predict.
+    """
+    if isinstance(cell, SchedCellSpec):
+        return None
+    return json.dumps(
+        [int(cell.seed), int(cell.replications), int(cell.app.nodes),
+         _canonical(cell.weibull)],
+        sort_keys=True, separators=(",", ":"))
+
+
+def blind_key(cell: CellSpec) -> str:
+    """What fixes a predictor-blind cell's runs: its configuration without
+    the lead-time model and the predictor.
+
+    Two predictor-blind cells with the same key run alike in every
+    replication, except for how many of their failures were predicted.
+    """
+    config = canonical_config(cell)
+    del config["lead_model"], config["predictor"]
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One schedulable slice: replications [rep_start, rep_stop) of a cell.
 
-    *sharing* names further cells of the first one's stream group: the
-    unit then runs each replication of every cell on one failure stream,
-    which the first cell's run draws.
+    *sharing* names further cells of the first one's failure group: the
+    unit then draws each replication's gaps and nodes once for all of
+    them.  *streams* and *runs* say, for each cell of
+    :attr:`cell_indices` by position, the position of the first cell
+    with its failure stream (which all of them read), and the position
+    of the cell whose run it takes: its own, or an earlier one's of the
+    same predictor-blind configuration, whose output it aliases.
     """
 
     cell_index: int
     rep_start: int
     rep_stop: int
     sharing: Tuple[int, ...] = ()
+    streams: Tuple[int, ...] = ()
+    runs: Tuple[int, ...] = ()
 
     @property
     def cell_indices(self) -> Tuple[int, ...]:
@@ -271,7 +314,7 @@ class WorkUnit:
 
     @property
     def replications(self) -> int:
-        """Cell replications (simulations) the unit runs."""
+        """Cell replications the unit delivers, aliases included."""
         return (self.rep_stop - self.rep_start) * (1 + len(self.sharing))
 
 
@@ -309,21 +352,39 @@ class CampaignPlan:
         """Replications across all cells (cache state not considered)."""
         return sum(c.replications for c in self.cells)
 
+    def unit(self, indices: Sequence[int], rep_start: int,
+             rep_stop: int) -> WorkUnit:
+        """Replications [rep_start, rep_stop) of cells *indices*, which
+        are one cell or cells of one failure group, laid out to share."""
+        if len(indices) == 1:
+            return WorkUnit(indices[0], rep_start, rep_stop)
+        firsts: Dict[Optional[str], int] = {}
+        blind: Dict[str, int] = {}
+        streams: List[int] = []
+        runs: List[int] = []
+        for j, i in enumerate(indices):
+            cell = self.cells[i]
+            streams.append(firsts.setdefault(stream_key(cell), j))
+            runs.append(blind.setdefault(blind_key(cell), j)
+                        if cell.model.predictor_blind else j)
+        return WorkUnit(indices[0], rep_start, rep_stop, tuple(indices[1:]),
+                        tuple(streams), tuple(runs))
+
     def shards(self, cell_indices: Sequence[int], workers: int,
                max_shard: Optional[int] = None) -> List[WorkUnit]:
         """Slice the given cells into pool-sized work units.
 
         Targets ~4 shards per worker across the whole campaign so the
         shared pool stays busy near the tail without drowning in IPC;
-        *max_shard* caps the shard size explicitly.  Sizes count
-        simulations (cell replications).  Cells of one stream group
-        (:func:`stream_key`) share units: each unit runs a range of
-        replications of several of them.  A group gets at least as many
-        units as its cells would get alone, and no unit is larger than
-        the largest per-cell unit; a group that cannot meet both, and a
-        group of one, is sliced cell by cell.  Sharding never affects
-        results — aggregation reassembles each cell's outputs in
-        replication order.
+        *max_shard* caps the shard size explicitly.  Sizes count cell
+        replications.  Cells of one failure group (:func:`failure_key`)
+        share units: each unit runs a range of replications of several
+        of them.  A group gets at least as many units as its simulated
+        cells (aliases not counted) would get alone, and no unit is
+        larger than the largest per-cell unit; a group that cannot meet
+        both is split in halves, down to single cells, which are sliced
+        cell by cell.  Sharding never affects results — aggregation
+        reassembles each cell's outputs in replication order.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -338,29 +399,41 @@ class CampaignPlan:
         groups: Dict[object, List[int]] = {}
         for i in cell_indices:
             # A lone pending cell shares with no one: no key to compute.
-            key = stream_key(self.cells[i]) if len(cell_indices) > 1 else None
+            key = failure_key(self.cells[i]) if len(cell_indices) > 1 \
+                else None
             groups.setdefault(i if key is None else key, []).append(i)
         units: List[WorkUnit] = []
         for group in groups.values():
-            # A unit of w cells holds w simulations per replication, so
-            # at most `largest` cells share one.
-            for at in range(0, len(group), largest):
-                units.extend(self._group_units(group[at:at + largest],
-                                               target, largest))
+            if len(group) > 1:
+                # Predictor-blind cells first, so a group split in halves
+                # keeps them, and their aliases, together.
+                group.sort(
+                    key=lambda i: not self.cells[i].model.predictor_blind)
+            units.extend(self._group_units(group, target, largest))
         return units
 
     def _group_units(self, group: List[int], target: int,
                      largest: int) -> List[WorkUnit]:
-        """Units of cells with one stream and replication count."""
+        """Units of cells with one failure key."""
         reps = self.cells[group[0]].replications
-        alone = math.ceil(reps / target)
-        # Enough units to match the cells sliced alone and to keep each
-        # within `largest` simulations; equal-sized, so no short tail.
-        n = max(len(group) * alone,
-                math.ceil(reps / (largest // len(group))))
-        if len(group) == 1 or n > reps:
-            return [WorkUnit(i, start, min(start + target, reps))
-                    for i in group for start in range(0, reps, target)]
-        bounds = [reps * j // n for j in range(n + 1)]
-        return [WorkUnit(group[0], bounds[j], bounds[j + 1], tuple(group[1:]))
-                for j in range(n)]
+        if len(group) == 1:
+            return [WorkUnit(group[0], start, min(start + target, reps))
+                    for start in range(0, reps, target)]
+        # A unit of w cells holds w cell replications per replication,
+        # so at most `largest` cells share one.
+        if len(group) <= largest:
+            layout = self.unit(group, 0, reps)
+            simulated = sum(j == r for j, r in enumerate(layout.runs))
+            # Enough units to match the simulated cells sliced alone and
+            # to keep each within `largest` cell replications;
+            # equal-sized, so no short tail.
+            n = max(simulated * math.ceil(reps / target),
+                    math.ceil(reps / (largest // len(group))))
+            if n <= reps:
+                bounds = [reps * j // n for j in range(n + 1)]
+                return [dataclasses.replace(layout, rep_start=bounds[j],
+                                            rep_stop=bounds[j + 1])
+                        for j in range(n)]
+        half = (len(group) + 1) // 2
+        return (self._group_units(group[:half], target, largest)
+                + self._group_units(group[half:], target, largest))

@@ -11,21 +11,28 @@ churn, no idle cores while a small cell finishes.  In process
 a generator that yields after each replication; ``pckpt serve`` steps
 that generator on its event loop instead.
 
-Cells that differ only in their C/R model draw equal failure streams, so
-a shard may cross cell boundaries: it runs a range of replications of
-several cells of one stream group
-(:meth:`~repro.campaign.plan.CampaignPlan.shards`), and each of its
-replications draws its failures and false alarms once, for every cell
-(:class:`~repro.failures.injector.SharedStream`).  A cell alone in its
-group draws its own, as ``run_replications(workers=1)`` does.
+Cells that differ only in their C/R model draw equal failure streams,
+and cells that differ in their predictor too draw equal failure gaps and
+nodes, so a shard may cross cell boundaries: it runs a range of
+replications of several cells of one failure group
+(:meth:`~repro.campaign.plan.CampaignPlan.shards`).  Each of its
+replications draws the gaps and nodes once
+(:class:`~repro.failures.injector.FailureLog`), and the predictions and
+false alarms once per stream group
+(:class:`~repro.failures.injector.SharedStream`).  A predictor-blind
+configuration runs once per replication: its other cells of the group
+take that run as an alias, with the count of predicted failures
+recounted on their own stream (:func:`_alias`).  A cell alone in its
+group draws its own stream, as ``run_replications(workers=1)`` does.
 
 Determinism is identical to the serial path by construction:
 
 * replication *i* of a cell always runs from the same
   ``SeedSequence.spawn`` child (workers reconstruct child *i* as
   ``SeedSequence(entropy=seed, spawn_key=(i,))``, exactly what
-  ``SeedSequence(seed).spawn(n)[i]`` produces), and a shared stream
-  delivers each cell the events its own injector would;
+  ``SeedSequence(seed).spawn(n)[i]`` produces), a shared stream
+  delivers each cell the events its own injector would, and an alias
+  equals the run the cell would have made;
 * per-cell outputs are reassembled in replication order before
   aggregation, and aggregation is the runner's own ``_aggregate`` — so a
   campaign result is **bit-identical** to the serial reference loop of
@@ -35,14 +42,16 @@ Determinism is identical to the serial path by construction:
 
 Robustness: a shard that crashes in a worker is re-run serially in the
 parent, cell by cell and replication by replication, so completed work
-is never discarded.  A cell whose replication fails again leaves the
-campaign's later shards; every other cell still finishes (and is
-stored), and then the campaign raises, naming the failing cell,
-replication index, and seed.
+is never discarded; a failing predictor-blind run fails its shard, and
+the retry reruns each of its aliases alone.  A cell whose replication
+fails again leaves the campaign's later shards; every other cell still
+finishes (and is stored), and then the campaign raises, naming the
+failing cell, replication index, and seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -58,11 +67,11 @@ import numpy.random  # noqa: F401
 
 from ..experiments.runner import (SimulationResult, _aggregate, _run_once,
                                   shared_stream)
-from ..failures.injector import SharedStream
+from ..failures.injector import FailureLog, SharedStream
+from ..models.base import RunOutput
 from ..obs.context import SpanWriter, current as current_trace, \
     current_sink, trace_fragment_dir
 from ..obs.telemetry import TELEMETRY_FILENAME, CampaignTelemetry
-from ..sched.engine import aggregate_sched, run_sched_once
 from .plan import CampaignPlan, CellSpec, SchedCellSpec, WorkUnit
 from .progress import CampaignProgress
 from .store import ResultStore, StoredResult
@@ -86,6 +95,8 @@ def _run_one(cell, k: int, stream: Optional[SharedStream] = None):
     with others of its stream group (:func:`_stream`).
     """
     if isinstance(cell, SchedCellSpec):
+        from ..sched.engine import run_sched_once
+
         return run_sched_once(
             cell.workload, cell.policy, cell.platform, cell.weibull,
             cell.lead_model, cell.predictor, _spawn_child(cell.seed, k),
@@ -99,37 +110,80 @@ def _run_one(cell, k: int, stream: Optional[SharedStream] = None):
     return _run_once(*args) if stream is None else _run_once(*args, stream)
 
 
-def _stream(cell: CellSpec, k: int) -> SharedStream:
-    """Replication *k*'s failure stream for every cell of *cell*'s group."""
+def _stream(cell: CellSpec, k: int,
+            log: Optional[FailureLog] = None) -> SharedStream:
+    """Replication *k*'s failure stream for every cell of *cell*'s stream
+    group, reading its gaps and nodes from *log* when given."""
     return shared_stream(cell.app, cell.weibull, cell.lead_model,
-                         cell.predictor, _spawn_child(cell.seed, k))
+                         cell.predictor, _spawn_child(cell.seed, k), log)
+
+
+def _alias(output: RunOutput, stream: SharedStream) -> RunOutput:
+    """A predictor-blind run, as a cell reading *stream* would make it.
+
+    The run's failures are the cell's own, so only the count of them
+    that were predicted can differ: it is recounted over the first
+    ``ft.failures`` failures of *stream*.
+    """
+    ft = dataclasses.replace(
+        output.ft, predicted=stream.predicted(output.ft.failures))
+    return dataclasses.replace(output, ft=ft)
+
+
+def _replication(cells: Sequence[CellSpec], k: int, streams: Sequence[int],
+                 runs: Sequence[int]) -> Iterator[Tuple[object, int]]:
+    """Replication *k* of a shard's *cells*, one cell per step.
+
+    *streams* and *runs* lay the cells out as
+    :class:`~repro.campaign.plan.WorkUnit` does; both are empty for a
+    lone cell, which draws its own stream.  Yields each cell's output
+    and the position of the cell whose run it is: its own, or the
+    predictor-blind run it aliases.  The cells of a shared shard read
+    one stream per stream group, and every stream reads the gaps and
+    nodes the first one draws.
+    """
+    if not streams:
+        yield _run_one(cells[0], k), 0
+        return
+    made: List[SharedStream] = []
+    outputs: List = []
+    log = FailureLog()
+    for j, cell in enumerate(cells):
+        first = streams[j]
+        if first == j:
+            stream = _stream(cell, k, log)
+        else:
+            stream = made[first]
+        made.append(stream)
+        source = runs[j]
+        output = _run_one(cell, k, stream) if source == j else \
+            _alias(outputs[source], stream)
+        outputs.append(output)
+        yield output, source
 
 
 def _replications(cells: Sequence[CellSpec], rep_start: int, rep_stop: int,
+                  streams: Sequence[int] = (), runs: Sequence[int] = (),
                   obs: Optional[Tuple[str, str, str]] = None,
                   sink: Optional[Callable[[bytes], object]] = None
                   ) -> Iterator:
-    """Replications [rep_start, rep_stop) of *cells*, one output per step.
-
-    The cells are one shard's: one cell, or several of one stream group.
-    For each replication every cell runs in order, on one shared failure
-    stream when there are several (the first cell's run draws it), so
-    the outputs come replication-major.
+    """Replications [rep_start, rep_stop) of a shard's *cells*, one output
+    per step, replication-major; *streams* and *runs* as for
+    :func:`_replication`.
 
     *obs* is ``None`` (the zero-overhead default) or a picklable
     ``(trace_id, parent_span_id, fragment_dir)`` triple: each cell
     replication is then wall-clock timed and appended as one
     ``kernel.run`` span to this process's own fragment file
     (``worker-<pid>.jsonl``), or to *sink* when the caller activated
-    one — span ids come from :mod:`secrets`, so tracing consumes no
-    simulation RNG and results stay bit-identical.
+    one; an alias's span times its recount and names the cell it
+    aliases (``alias_of``).  Span ids come from :mod:`secrets`, so
+    tracing consumes no simulation RNG and results stay bit-identical.
     """
-    shared = len(cells) > 1
     if obs is None:
         for k in range(rep_start, rep_stop):
-            stream = _stream(cells[0], k) if shared else None
-            for cell in cells:
-                yield _run_one(cell, k, stream)
+            for output, _ in _replication(cells, k, streams, runs):
+                yield output
         return
     trace_id, parent_id, frag_dir = obs
     pid = os.getpid()
@@ -138,31 +192,36 @@ def _replications(cells: Sequence[CellSpec], rep_start: int, rep_stop: int,
     labels = ["/".join(str(part) for part in cell.key) for cell in cells]
     try:
         for k in range(rep_start, rep_stop):
-            stream = _stream(cells[0], k) if shared else None
-            for cell, label in zip(cells, labels):
-                t0 = time.time()
-                output = _run_one(cell, k, stream)
+            t0 = time.time()
+            for j, (output, source) in enumerate(
+                    _replication(cells, k, streams, runs)):
+                args = {"cell": labels[j], "replication": k,
+                        "seed": cells[j].seed}
+                if source != j:
+                    args["alias_of"] = labels[source]
                 writer.span("kernel.run", t0, time.time(),
-                            parent_id=parent_id,
-                            args={"cell": label, "replication": k,
-                                  "seed": cell.seed})
+                            parent_id=parent_id, args=args)
                 yield output
+                t0 = time.time()
     finally:
         writer.close()
 
 
 def _run_shard(cell: CellSpec, rep_start: int, rep_stop: int,
                obs: Optional[Tuple[str, str, str]] = None,
-               sharing: Sequence[CellSpec] = ()) -> List:
+               sharing: Sequence[CellSpec] = (), streams: Sequence[int] = (),
+               runs: Sequence[int] = ()) -> List:
     """Pool worker: replications [rep_start, rep_stop) of one shard.
 
-    The shard is *cell*, and the cells of its stream group *sharing*
-    its failure streams.  Top-level for pickling.  Ships the shard's
-    ``CellSpec`` objects instead of a child seed per replication, so
-    IPC cost is per-shard, not per-replication.  Outputs come as from
-    :func:`_replications`; *obs* as there.
+    The shard is *cell*, and the cells of its failure group *sharing*
+    its failure gaps and nodes, laid out by *streams* and *runs*
+    (:class:`~repro.campaign.plan.WorkUnit`).  Top-level for pickling.
+    Ships the shard's ``CellSpec`` objects instead of a child seed per
+    replication, so IPC cost is per-shard, not per-replication.  Outputs
+    come as from :func:`_replications`; *obs* as there.
     """
-    return list(_replications((cell, *sharing), rep_start, rep_stop, obs))
+    return list(_replications((cell, *sharing), rep_start, rep_stop,
+                              streams, runs, obs))
 
 
 def _by_cell(outputs: List, n_cells: int) -> List[List]:
@@ -175,7 +234,7 @@ def _rerun_serially(cells: Sequence[CellSpec], unit: WorkUnit,
     """Serial retry of a crashed shard, isolating the failing replication.
 
     Each cell runs alone, drawing its own stream, which delivers the
-    same events as the shared one.  Returns one entry per cell: its
+    same events as the shared one; an alias reruns its blind run.  Returns one entry per cell: its
     outputs, or the :class:`CampaignExecutionError` naming the
     replication that failed again.
     """
@@ -331,6 +390,8 @@ def campaign_steps(
         for start in sorted(shard_outputs[i]):
             ordered.extend(shard_outputs[i][start])
         if isinstance(cell, SchedCellSpec):
+            from ..sched.engine import aggregate_sched
+
             result = aggregate_sched(cell.policy, ordered)
             meta = {
                 "cell": [str(part) for part in cell.key],
@@ -385,12 +446,15 @@ def campaign_steps(
             indices = live(unit)
             if not indices:
                 continue
+            # A cell that failed left the unit: lay out what is left.
+            run = unit if len(indices) == len(unit.cell_indices) else \
+                plan.unit(indices, unit.rep_start, unit.rep_stop)
             steps = len(indices) * (unit.rep_stop - unit.rep_start)
             outputs: List = []
             try:
                 for output in _replications(
-                        [plan.cells[i] for i in indices], unit.rep_start,
-                        unit.rep_stop, obs, sink):
+                        [plan.cells[i] for i in indices], run.rep_start,
+                        run.rep_stop, run.streams, run.runs, obs, sink):
                     outputs.append(output)
                     if len(outputs) < steps:
                         yield
@@ -406,7 +470,8 @@ def campaign_steps(
             futures = {
                 pool.submit(_run_shard, plan.cells[u.cell_index],
                             u.rep_start, u.rep_stop, obs,
-                            [plan.cells[i] for i in u.sharing]): u
+                            [plan.cells[i] for i in u.sharing], u.streams,
+                            u.runs): u
                 for u in units
             }
             not_done = set(futures)

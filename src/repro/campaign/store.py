@@ -50,12 +50,14 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 from ..analysis.metrics import FTStats, OverheadBreakdown
 from ..des.metrics import MetricsRegistry
 from ..experiments.runner import SimulationResult
-from ..sched.engine import SchedResult
+
+if TYPE_CHECKING:  # imported where a sched result is decoded
+    from ..sched.engine import SchedResult
 
 #: Age past which a ``??/*.tmp`` staging file is a killed writer's
 #: leftover; a live ``put`` holds its own for milliseconds.
@@ -63,7 +65,7 @@ STALE_TMP_SECONDS = 60.0
 
 #: What a store entry can hold: a Monte-Carlo aggregate or a batch-queue
 #: schedule aggregate (the two cell families of a campaign plan).
-StoredResult = Union[SimulationResult, SchedResult]
+StoredResult = Union[SimulationResult, "SchedResult"]
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -95,7 +97,7 @@ def result_to_dict(result: StoredResult) -> Dict:
     simulation-result layout is exactly what it always was, so existing
     store entries keep their bytes (and their keys).
     """
-    if isinstance(result, SchedResult):
+    if not isinstance(result, SimulationResult):
         return {
             "sched": True,
             "policy": result.policy,
@@ -131,6 +133,8 @@ def result_from_dict(payload: Dict) -> StoredResult:
     so the reconstructed result is bit-identical for both families.
     """
     if payload.get("sched"):
+        from ..sched.engine import SchedResult
+
         return SchedResult(
             policy=payload["policy"],
             jobs=payload["jobs"],

@@ -114,6 +114,11 @@ from .models.registry import PAPER_MODELS, get_model
 from .sched.jobs import POLICY_NAMES as _SCHED_POLICIES
 from .workloads.applications import APPLICATION_ORDER, APPLICATIONS
 
+#: The default scale of ``sched run``/``gantt`` and ``validate``: seed 0
+#: (and three ``sched run`` replications) unless ``--seed`` and
+#: ``--replications`` are given, before or after the command.
+_SEED0_SCALE = ExperimentScale(replications=3, seed=0)
+
 __all__ = ["main", "build_parser"]
 
 
@@ -1038,13 +1043,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="placement policy (default easy)")
     s_run.add_argument("--njobs", type=int, default=16, metavar="N",
                        help="baseline workload size (default 16)")
-    s_run.add_argument("--seed", type=int, default=0)
-    s_run.add_argument("--replications", type=int, default=3, metavar="N")
+    # SUPPRESS: an absent flag leaves the global one in place (main()
+    # then fills in the command's own default scale).
+    s_run.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="root seed (default 0)")
+    s_run.add_argument("--replications", type=int,
+                       default=argparse.SUPPRESS, metavar="N",
+                       help="replications (default 3)")
     s_run.add_argument("--quick", action="store_true",
                        help="8 jobs, one replication (CI smoke)")
     s_run.add_argument("--json", action="store_true",
                        help="print the schema-versioned payload as JSON")
-    s_run.set_defaults(func=_cmd_sched)
+    s_run.set_defaults(func=_cmd_sched, scale=_SEED0_SCALE)
 
     s_gantt = sched_sub.add_parser(
         "gantt",
@@ -1055,7 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="placement policy (default easy)")
     s_gantt.add_argument("--njobs", type=int, default=16, metavar="N",
                          help="baseline workload size (default 16)")
-    s_gantt.add_argument("--seed", type=int, default=0)
+    s_gantt.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                         help="root seed (default 0)")
     s_gantt.add_argument("--quick", action="store_true",
                          help="8 jobs (CI smoke)")
     s_gantt.add_argument("--chrome", metavar="FILE", default=None,
@@ -1063,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(one pid per node band)")
     s_gantt.add_argument("--json", action="store_true",
                          help="print the schema-versioned Gantt payload")
-    s_gantt.set_defaults(func=_cmd_sched)
+    s_gantt.set_defaults(func=_cmd_sched, scale=_SEED0_SCALE)
 
     p_tl = sub.add_parser(
         "timeline",
@@ -1172,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
              "plus invariant oracles",
     )
     p_val.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=int, default=argparse.SUPPRESS,
         help="campaign seed; case i uses scenario seed+i (default 0)",
     )
     p_val.add_argument(
@@ -1200,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shrink", action="store_true",
         help="report failing cases without minimizing them",
     )
-    p_val.set_defaults(func=_cmd_validate)
+    p_val.set_defaults(func=_cmd_validate, scale=_SEED0_SCALE)
 
     # -- service layer (repro.service; see docs/SERVICE.md) ------------------
     def _add_client_flags(p: argparse.ArgumentParser) -> None:
@@ -1299,12 +1310,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.scale_flags_given = (args.replications is not None
                               or args.seed is not None)
+    scale = getattr(args, "scale", BENCH_SCALE)
     if args.replications is None:
-        args.replications = BENCH_SCALE.replications
+        args.replications = scale.replications
     if args.seed is None:
-        args.seed = BENCH_SCALE.seed
+        args.seed = scale.seed
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A reader that closed the pipe shows here, not in the
+        # interpreter's flush at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # `pckpt ... | head`: the reader has what it wanted.  Point
+        # stdout at devnull so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

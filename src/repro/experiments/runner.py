@@ -20,7 +20,7 @@ import numpy as np
 
 from ..analysis.metrics import FTStats, OverheadBreakdown, percent_reduction
 from ..des.metrics import MetricsRegistry
-from ..failures.injector import FailureInjector, SharedStream
+from ..failures.injector import FailureInjector, FailureLog, SharedStream
 from ..failures.leadtime import PAPER_LEAD_TIME_MODEL, LeadTimeModel
 from ..failures.predictor import DEFAULT_PREDICTOR, PredictorSpec
 from ..failures.weibull import TITAN_WEIBULL, WeibullParams
@@ -146,16 +146,21 @@ def shared_stream(
     lead_model: LeadTimeModel,
     predictor: PredictorSpec,
     seed_seq: np.random.SeedSequence,
+    log: Optional[FailureLog] = None,
 ) -> SharedStream:
     """One replication's failure stream, for every cell that shares it.
 
     Built from the injector :class:`~repro.models.base.CRSimulation`
     would build for the same arguments, so each cell reading it through
     :func:`_run_once` gets the run a private injector would give it.
+    *log*, when given, is shared with the streams of other predictors
+    of the same seed, failure distribution and node count: the first to
+    need a failure's gap and node draws them there, and the others read
+    them.
     """
     return SharedStream(FailureInjector(
         weibull, app.nodes, lead_model, predictor,
-        rng=np.random.default_rng(seed_seq)))
+        rng=np.random.default_rng(seed_seq), log=log))
 
 
 def _aggregate(

@@ -16,12 +16,15 @@ wasting samples or running out.
 Simulations that differ only in their C/R model consume equal streams, so
 a campaign draws each replication's streams once: a
 :class:`SharedStream` logs one injector's draws and every simulation
-reads them through its own :class:`StreamView`.
+reads them through its own :class:`StreamView`.  Injectors that differ
+only in their predictor or lead-time model draw equal failure gaps and
+nodes, so they can share one :class:`FailureLog` of them and draw only
+their own predictions and false alarms.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .predictor import DEFAULT_PREDICTOR, PredictorSpec
 from .weibull import SECONDS_PER_HOUR, WeibullParams, interarrival_seconds
 
 __all__ = ["FailureEvent", "FalseAlarmEvent", "FailureInjector",
-           "SharedStream", "StreamView"]
+           "FailureLog", "SharedStream", "StreamView"]
 
 
 class FailureEvent(NamedTuple):
@@ -101,6 +104,27 @@ class FalseAlarmEvent(NamedTuple):
     provenance: int = -1
 
 
+class FailureLog:
+    """One replication's failure gaps and nodes, in drawing order.
+
+    Injectors of one seed, failure distribution and node count draw
+    equal gaps and nodes from their failure child streams, whatever their
+    predictor and lead-time model.  Injectors given one log draw each
+    failure's gap and node once, from the failure stream of the first
+    injector given it (:attr:`rng`); each still draws its own predictions
+    and false alarms.  The gap is kept, not only the failure time,
+    because a prediction's lead is capped at it.
+    """
+
+    __slots__ = ("draws", "rng")
+
+    def __init__(self) -> None:
+        #: ``(gap, node)`` of each failure drawn.
+        self.draws: List[Tuple[float, int]] = []
+        #: The generator every failure is drawn from.
+        self.rng: Optional[np.random.Generator] = None
+
+
 class FailureInjector:
     """Seeded lazy generator of failures and false alarms for one job.
 
@@ -117,6 +141,11 @@ class FailureInjector:
         Predictor statistics (recall, FP rate, lead scaling).
     rng:
         Dedicated generator; the injector owns its stream.
+    log:
+        A :class:`FailureLog` shared with other injectors of the same
+        seed, failure distribution and node count: this one reads the
+        gaps and nodes they drew instead of drawing them again.  ``None``
+        (the default) keeps no log.
     """
 
     def __init__(
@@ -126,6 +155,7 @@ class FailureInjector:
         lead_model: LeadTimeModel = PAPER_LEAD_TIME_MODEL,
         predictor: PredictorSpec = DEFAULT_PREDICTOR,
         rng: np.random.Generator | None = None,
+        log: Optional[FailureLog] = None,
     ) -> None:
         if app_nodes < 1:
             raise ValueError("app_nodes must be >= 1")
@@ -139,12 +169,20 @@ class FailureInjector:
         # prediction or false-alarm draws cannot perturb the failures.
         # The n-th failure and the n-th false alarm are therefore the
         # same for every model, which is what lets the models of one
-        # campaign replication share one injector (SharedStream).
-        self._rng_failures, self._rng_predict, self._rng_alarms = base.spawn(3)
+        # campaign replication share one injector (SharedStream).  Gaps
+        # and nodes do not depend on the predictor either, so injectors
+        # of several predictors can share one log of them (FailureLog).
+        rng_failures, self._rng_predict, self._rng_alarms = base.spawn(3)
+        self.log = log
+        if log is not None:
+            if log.rng is None:
+                log.rng = rng_failures
+            rng_failures = log.rng
+        self._failures = 0
         # The draw inputs fixed for the job, bound once: each draw then
         # makes the same generator calls without looking them up.
-        self._weibull = self._rng_failures.weibull
-        self._failure_node = self._rng_failures.integers
+        self._weibull = rng_failures.weibull
+        self._failure_node = rng_failures.integers
         self._predict = self._rng_predict.random
         self._scale_hours = self.weibull_app.scale_hours
         self._shape = self.weibull_app.shape
@@ -179,14 +217,23 @@ class FailureInjector:
         """Sample the next failure after the previous one (renewal).
 
         Draws, in this order: the Weibull gap and the node from the
-        failure stream, then whether the predictor catches it and, if so,
-        the lead time from the prediction stream.
+        failure stream, unless the log has them already, then whether the
+        predictor catches it and, if so, the lead time from the prediction
+        stream.
         """
-        gap = interarrival_seconds(self._weibull, self._scale_hours,
-                                   self._shape)
+        log = self.log
+        i = self._failures
+        self._failures = i + 1
+        if log is not None and i < len(log.draws):
+            gap, node = log.draws[i]
+        else:
+            gap = interarrival_seconds(self._weibull, self._scale_hours,
+                                       self._shape)
+            node = int(self._failure_node(0, self.app_nodes))
+            if log is not None:
+                log.draws.append((gap, node))
         t = self._last_failure_time + gap
         self._last_failure_time = t
-        node = int(self._failure_node(0, self.app_nodes))
         prov = self._next_provenance
         self._next_provenance = prov + 1
         # PredictorSpec.predicts on the bound generator method.
@@ -253,6 +300,13 @@ class SharedStream:
     def view(self) -> "StreamView":
         """A fresh reader, positioned at the start of both streams."""
         return StreamView(self)
+
+    def predicted(self, n: int) -> int:
+        """How many of the stream's first *n* failures are predicted."""
+        log = self.failures
+        while len(log) < n:
+            log.append(self.injector.next_failure())
+        return sum(ev.predicted for ev in log[:n])
 
 
 class StreamView:

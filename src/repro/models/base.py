@@ -112,6 +112,17 @@ class ModelConfig:
         if self.use_sigma_oci and not self.supports_lm:
             raise ValueError("sigma-adjusted OCI requires live-migration support")
 
+    @property
+    def predictor_blind(self) -> bool:
+        """Whether no result of the model depends on the predictor.
+
+        Such a model acts on no prediction and sets its interval without
+        σ, so its runs depend on the failures alone, whatever the
+        predictor and lead-time model; only the count of its failures
+        that were predicted (``FTStats.predicted``) reads them.
+        """
+        return not self.use_prediction and not self.use_sigma_oci
+
 
 @dataclass
 class RunOutput:
@@ -239,11 +250,14 @@ class _Phase2Job:
         sim._phase2_job = None
 
     def cancel(self, now: float) -> None:
-        """Invalidate the in-flight snapshot at *now* (superseded or lost)."""
+        """Invalidate the in-flight snapshot at *now* (superseded or lost).
+
+        The caller moves the timer if it is armed at :attr:`due`
+        (:meth:`CRSimulation._rearm`): a superseding p-ckpt moves it
+        once, for both flushes.
+        """
         sim = self.sim
         sim._phase2_job = None
-        if sim._timer is not None:
-            sim._rearm(self.due)
         if sim.metrics is not None:
             sim._count("pckpt.phase2_cancelled")
         if sim.trace is not None:
@@ -1670,13 +1684,17 @@ class CRSimulation:
         if self.config.pckpt_async_phase2:
             # Phase 2 flushes in the background; the snapshot becomes
             # PFS-complete (and recovery-usable) when the job lands.
+            due = _INF
             if self._phase2_job is not None:
                 # Superseded by the newer snapshot.
+                due = self._phase2_job.due
                 self._phase2_job.cancel(now)
             job = self._phase2_job = _Phase2Job(self, work, committed,
                                                 healthy, provs, now)
             if self._timer is not None:
-                self._rearm(job.due)
+                # One move, when the old flush or the new one is due
+                # before the draw: to the earlier of the new one and it.
+                self._rearm(min(due, job.due))
         else:
             self.drain.settle(now)
             self.ledger.record_proactive(work, now)
@@ -1803,6 +1821,8 @@ class CRSimulation:
                 # A non-covered node died: its share of the in-flight
                 # snapshot is gone; the snapshot is unusable.
                 job.cancel(now)
+                if self._timer is not None:
+                    self._rearm(job.due)
             plan = plan_recovery(self.ledger, self._recovery_costs,
                                  metrics=self.metrics)
             restore_work = plan.restore_work

@@ -188,8 +188,11 @@ class TestStreamGroupShards:
         units = plan.shards(range(24), workers=2)
         assert all(not u.sharing for u in per_cell)
         assert len(per_cell) == 24
-        # One group per FN rate, each unit running all three models.
-        assert all(len(u.cell_indices) == 3 for u in units)
+        # One failure group: each unit runs all 24 cells, the eight B
+        # cells (one per FN rate) as one run.
+        assert all(len(u.cell_indices) == 24 for u in units)
+        assert all(sum(j == r for j, r in enumerate(u.runs)) == 17
+                   for u in units)
         assert len(units) >= len(per_cell)
         assert max(u.replications for u in units) <= \
             max(u.replications for u in per_cell)

@@ -43,6 +43,53 @@ class TestParser:
         assert args.replications == 7
         assert args.seed == 3
 
+    @pytest.mark.parametrize("argv, seed, replications", [
+        (["--seed", "5", "--replications", "9", "sched", "run"], 5, 9),
+        (["sched", "run", "--seed", "5"], 5, 3),
+        (["--seed", "5", "sched", "run", "--replications", "4"], 5, 4),
+        (["sched", "run"], 0, 3),
+        (["--seed", "5", "sched", "gantt"], 5, None),
+        (["sched", "gantt"], 0, None),
+        (["--seed", "5", "validate"], 5, None),
+        (["validate"], 0, None),
+    ])
+    def test_global_scale_reaches_commands_with_their_own(
+            self, monkeypatch, argv, seed, replications):
+        """A global ``--seed``/``--replications`` is not overwritten by a
+        command's own default; absent both, the command's default holds."""
+        import repro.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_sched", seen.append)
+        monkeypatch.setattr(cli, "_cmd_validate", seen.append)
+        main(argv)
+        assert seen[0].seed == seed
+        if replications is not None:
+            assert seen[0].replications == replications
+
+    def test_closed_pipe_prints_no_traceback(self):
+        """``pckpt ... | head`` whose reader is gone: exit 1, no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        env.get("PYTHONPATH")) if p)
+        read, write = os.pipe()
+        os.close(read)  # the reader closes before the first line
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "timeline", "XGC", "P2",
+                 "--distribution", "lanl-system18"],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=300)
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 1
+
 
 class TestCommands:
     def test_list(self, capsys):

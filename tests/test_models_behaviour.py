@@ -392,6 +392,35 @@ class TestEventBudget:
         assert failures > 300
         assert calls / failures <= self.CALLS_PER_FAILURE[model]
 
+    #: ``timeout_at`` calls per CHIMERA replication under lanl-system18 at
+    #: seeds 31, 59 and 77, where a p-ckpt supersedes a flush due before
+    #: the next draw while the timer is armed.  When the cancelled flush
+    #: re-armed the timer and the new one moved it again, these made
+    #: 115.7 (P1) and 269.7 (P2); 114.7 and 268.7 with one move.
+    TIMERS_PER_REPLICATION = {"P1": 115.0, "P2": 269.0}
+
+    @pytest.mark.parametrize("model", ["P1", "P2"])
+    def test_one_timer_move_per_pckpt(self, model, monkeypatch):
+        from repro.failures.weibull import LANL_SYSTEM18_WEIBULL
+        from repro.workloads.applications import APPLICATIONS
+
+        armed, _ = self._armed_at(monkeypatch)
+        moves = []
+        done = CRSimulation._pckpt_done
+
+        def counted(sim, *args):
+            before = len(armed)
+            done(sim, *args)
+            moves.append(len(armed) - before)
+
+        monkeypatch.setattr(CRSimulation, "_pckpt_done", counted)
+        for seed in (31, 59, 77):
+            CRSimulation(APPLICATIONS["CHIMERA"], get_model(model),
+                         weibull=LANL_SYSTEM18_WEIBULL,
+                         rng=np.random.default_rng(seed)).run()
+        assert len(moves) > 100 and max(moves) == 1
+        assert len(armed) / 3 <= self.TIMERS_PER_REPLICATION[model]
+
     @pytest.mark.parametrize("model", ["B", "M1", "P1"])
     def test_untraced_batches_per_disturbance(self, model):
         _, out, batches = self._chimera(model)

@@ -99,6 +99,28 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "repro.experiments.fig6"]
 
+    def test_simulated_campaign_loads_no_sched(self, run_python):
+        """A campaign of simulated cells imports no ``repro.sched`` module.
+
+        The scheduler and the store import the batch-queue engine where
+        a sched cell is run, aggregated or decoded.
+        """
+        proc = run_python(
+            "import sys\n"
+            "import repro.spec, repro.campaign\n"
+            "def sched():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('repro.sched'))\n"
+            "print(sched())\n"
+            "cells = repro.spec.build_cells(repro.spec.spec_from_dict({\n"
+            "    'schema_version': 1, 'apps': ['POP'], 'models': ['B'],\n"
+            "    'include_base': False, 'replications': 1, 'seed': 3}))\n"
+            "repro.campaign.run_campaign(cells, workers=1)\n"
+            "print(sched())\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "[]"]
+
     def test_server_loads_no_http_client_and_no_figure_driver(self, run_python):
         """``pckpt serve`` imports neither the HTTP client nor the figures.
 
